@@ -33,7 +33,6 @@ from .lattice import (
 from .nonlinear import (
     TractionModel,
     affine_model,
-    apply_model,
     saturating_model,
     solve_nonlinear_robin,
     tabulated_model,

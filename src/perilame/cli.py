@@ -378,19 +378,23 @@ def _summary_text(entries):
     return "\n".join(f"{k}={v}" for k, v in entries) + "\n"
 
 
-def _field_rows(config, cell, curve, evaluator):
-    """Sample the output grid, masking hole interiors and flagging near-boundary points."""
+def _grid_points(config, cell):
+    """Cell-centred output grid, shape (nx * ny, 2), ordered by x1 index then x2 index."""
     nx, ny = config.grid
     q1, q2 = cell.q_diag
+    x1, x2 = np.meshgrid(
+        (np.arange(nx) + 0.5) * q1 / nx, (np.arange(ny) + 0.5) * q2 / ny, indexing="ij"
+    )
+    return np.column_stack([x1.ravel(), x2.ravel()])
+
+
+def _field_rows(config, cell, curve, evaluator):
+    """Sample the output grid, masking hole interiors and flagging near-boundary points."""
     rows = []
     spacing = 3.0 * (np.max(curve.weights) if curve is not None else 0.0)
-    pts = []
-    for i in range(nx):
-        for j in range(ny):
-            pts.append(((i + 0.5) * q1 / nx, (j + 0.5) * q2 / ny))
     keep = []
-    for p in pts:
-        if curve is not None and point_in_hole(np.array(p), curve, cell):
+    for p in _grid_points(config, cell):
+        if curve is not None and point_in_hole(p, curve, cell):
             continue
         keep.append(p)
     if not keep:
@@ -398,7 +402,7 @@ def _field_rows(config, cell, curve, evaluator):
     vals = evaluator(np.array(keep))
     for p, u in zip(keep, vals):
         warn = 0
-        if curve is not None and min_image_distance(np.array(p), curve, cell) < spacing:
+        if curve is not None and min_image_distance(p, curve, cell) < spacing:
             warn = 1
         rows.append((f"{p[0]:.12g}", f"{p[1]:.12g}", f"{u[0]:.17g}", f"{u[1]:.17g}", warn))
     return rows
@@ -448,24 +452,15 @@ def run(config):
         source = np.array(config.green["source"])
         load = np.array(config.green["load"])
 
-        def evaluator(pts):
-            return np.einsum(
-                "pjk,k->pj", periodic_green(pts - source, env, cell, plan), load
-            )
-
-        nx, ny = config.grid
-        q1, q2 = cell.q_diag
-        rows = []
-        for i in range(nx):
-            for j in range(ny):
-                p = np.array([(i + 0.5) * q1 / nx, (j + 0.5) * q2 / ny])
-                d = float(np.linalg.norm(nearest_image(p - source, cell)))
-                if d < 0.02 * cell.min_edge:
-                    continue  # masked: too close to a source image
-                u = evaluator(p[None, :])[0]
-                warn = 1 if d < 0.1 * cell.min_edge else 0
-                rows.append((f"{p[0]:.12g}", f"{p[1]:.12g}",
-                             f"{u[0]:.17g}", f"{u[1]:.17g}", warn))
+        pts = _grid_points(config, cell)
+        d = np.linalg.norm(nearest_image(pts - source, cell), axis=1)
+        keep = d >= 0.02 * cell.min_edge  # mask points too close to a source image
+        pts, warn = pts[keep], d[keep] < 0.1 * cell.min_edge
+        vals = np.einsum("pjk,k->pj", periodic_green(pts - source, env, cell, plan), load)
+        rows = [
+            (f"{p[0]:.12g}", f"{p[1]:.12g}", f"{u[0]:.17g}", f"{u[1]:.17g}", int(w))
+            for p, u, w in zip(pts, vals, warn)
+        ]
         _write_csv(
             os.path.join(config.out_dir, "field.csv"),
             "x1,x2,u1,u2,warning", rows, fp,

@@ -14,7 +14,8 @@ class CurveError(ValueError):
 
 
 class PlanError(RuntimeError):
-    """Requested lattice-sum tolerance unattainable within the hard cutoff ceilings."""
+    """Lattice-sum tolerance unattainable within the hard cutoff ceilings, or a
+    plan used with a cell or omega other than the one it was built for."""
 
 
 class AssemblyError(RuntimeError):

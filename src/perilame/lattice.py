@@ -225,6 +225,11 @@ def _real_sum(points, shifts, eta, beta, want_grad=False):
     return val, grad
 
 
+def _check_plan(plan, env, cell):
+    if not plan.matches(env, cell):
+        raise PlanError("plan was built for a different cell or omega")
+
+
 def _reduce(x, cell):
     x = np.asarray(x, dtype=float)
     xr = nearest_image(x, cell)
@@ -236,7 +241,7 @@ def _reduce(x, cell):
 
 def periodic_green(x, env, cell, plan):
     """Periodic Lame Green's matrix at x (any shape (..., 2)), to plan accuracy."""
-    assert plan.matches(env, cell), "plan was built for a different cell or omega"
+    _check_plan(plan, env, cell)
     xr = _reduce(x, cell)
     single = xr.ndim == 1
     xr = np.atleast_2d(xr)
@@ -248,7 +253,7 @@ def periodic_green(x, env, cell, plan):
 
 def periodic_green_grad(x, env, cell, plan):
     """Gradient d_m Gamma^q_jk, indexed out[..., j, k, m]."""
-    assert plan.matches(env, cell), "plan was built for a different cell or omega"
+    _check_plan(plan, env, cell)
     xr = _reduce(x, cell)
     single = xr.ndim == 1
     xr = np.atleast_2d(xr)
@@ -332,7 +337,7 @@ def regular_part(x, env, cell, plan):
     The argument is not reduced modulo the lattice; the function is valid for
     x bounded away from the nonzero lattice points.
     """
-    assert plan.matches(env, cell), "plan was built for a different cell or omega"
+    _check_plan(plan, env, cell)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     xb = np.atleast_2d(x)
@@ -347,7 +352,7 @@ def regular_part(x, env, cell, plan):
 
 def regular_part_grad(x, env, cell, plan):
     """Gradient of the smooth remainder, indexed out[..., j, k, m]; odd, zero at 0."""
-    assert plan.matches(env, cell), "plan was built for a different cell or omega"
+    _check_plan(plan, env, cell)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     xb = np.atleast_2d(x)

@@ -5,8 +5,9 @@ The residual of the augmented system in (mu, c) is
     F(mu, c) = (1/2) mu + W* mu - G(., V mu + c + B q^{-1} x) + T(omega, B q^{-1}) nu
     plus the componentwise zero-mean constraint on mu.
 
-Newton rebuilds the Jacobian (1/2) I + W* - diag(dG) [V | 1] every step;
-Picard freezes it at the initial iterate and refactors once.  A Jacobian
+The Jacobian is the linear Robin matrix with the nodal blocks -dG in place of
+a^{-1} b (robin.augmented_matrix).  Newton rebuilds it every step; Picard
+freezes it at the initial iterate and refactors once.  A Jacobian
 whose smallest singular value vanishes (e.g. G independent of u with B = 0,
 leaving c unconstrained) is reported, never regularized.
 """
@@ -18,74 +19,55 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ConvergenceError, DegenerateProblemError
-from .kernels import traction_map
 from .operators import BoundaryVectorField, assemble_single_layer, assemble_wstar
-from .robin import SolutionRep, boundary_integral
+from .robin import SolutionRep, augmented_matrix, boundary_integral, drift_traction
+
+# a Jacobian whose smallest singular value is at most RANK_TOL * max(largest, 1)
+# is reported as rank deficient
+RANK_TOL = 1e-12
 
 
 @dataclass
 class TractionModel:
-    """Nodal traction law G(x_i, u) with optional Jacobian in u."""
+    """Traction law G(x_i, u) evaluated on all nodes at once.
+
+    fn(U) maps nodal values U of shape (N, 2) to G of shape (N, 2); the
+    optional jac(U) returns the nodal Jacobian blocks dG/du, shape (N, 2, 2).
+    """
 
     kind: str
-    fn: Callable  # fn(i, u) -> value (2,)
-    jac: Optional[Callable] = None  # jac(i, u) -> (2, 2)
-
-    def value_at_nodes(self, U):
-        return np.array([self.fn(i, U[i]) for i in range(U.shape[0])])
-
-    def jac_at_nodes(self, U):
-        if self.jac is None:
-            return None
-        return np.array([self.jac(i, U[i]) for i in range(U.shape[0])])
+    fn: Callable
+    jac: Optional[Callable] = None
 
 
 def affine_model(M, h, curve):
     """G(x_i, u) = M(x_i) u + h(x_i); M constant 2x2 or nodal (N, 2, 2)."""
-    M = np.asarray(M, dtype=float)
-    h = np.asarray(h, dtype=float)
-    N = curve.N
-    Mn = np.broadcast_to(M, (N, 2, 2)) if M.ndim == 2 else M
-    hn = np.broadcast_to(h, (N, 2)) if h.ndim == 1 else h
+    Mn = np.broadcast_to(np.asarray(M, dtype=float), (curve.N, 2, 2))
+    hn = np.broadcast_to(np.asarray(h, dtype=float), (curve.N, 2))
     return TractionModel(
         kind="affine",
-        fn=lambda i, u: Mn[i] @ u + hn[i],
-        jac=lambda i, u: Mn[i],
+        fn=lambda U: np.einsum("nij,nj->ni", Mn, U) + hn,
+        jac=lambda U: Mn,
     )
 
 
 def saturating_model(h, kappa, curve):
     """G(x_i, u) = h(x_i) + kappa * u / (1 + |u|^2); bounded for all u."""
-    h = np.asarray(h, dtype=float)
-    N = curve.N
-    hn = np.broadcast_to(h, (N, 2)) if h.ndim == 1 else h
+    hn = np.broadcast_to(np.asarray(h, dtype=float), (curve.N, 2))
 
-    def fn(i, u):
-        return hn[i] + kappa * u / (1.0 + u @ u)
+    def fn(U):
+        return hn + kappa * U / (1.0 + np.sum(U * U, axis=1))[:, None]
 
-    def jac(i, u):
-        s = 1.0 + u @ u
-        return kappa * (s * np.eye(2) - 2.0 * np.outer(u, u)) / (s * s)
+    def jac(U):
+        s = (1.0 + np.sum(U * U, axis=1))[:, None, None]
+        return kappa * (s * np.eye(2) - 2.0 * U[:, :, None] * U[:, None, :]) / (s * s)
 
     return TractionModel(kind="saturating", fn=fn, jac=jac)
 
 
 def tabulated_model(fn, jac=None):
-    """User-supplied nodal law fn(i, u) -> (2,) with optional Jacobian."""
+    """User-supplied law fn(U) -> (N, 2) on nodal values U (N, 2), jac(U) -> (N, 2, 2)."""
     return TractionModel(kind="tabulated", fn=fn, jac=jac)
-
-
-def apply_model(model, i, u):
-    """Evaluate G(x_i, u); returns (value, jacobian-or-None)."""
-    u = np.asarray(u, dtype=float)
-    val = model.fn(i, u)
-    jac = model.jac(i, u) if model.jac is not None else None
-    return np.asarray(val, dtype=float), jac
-
-
-def _drift_traction(curve, env, cell, B):
-    Bq = np.asarray(B, dtype=float) @ cell.q_inv
-    return curve.normals @ traction_map(env.omega, Bq).T
 
 
 def solve_nonlinear_robin(
@@ -101,7 +83,6 @@ def solve_nonlinear_robin(
     tol=1e-11,
     initial=None,
     operators=None,
-    rank_tol=1e-12,
 ):
     """Iterate the augmented residual to a SolutionRep with iteration trace.
 
@@ -121,40 +102,22 @@ def solve_nonlinear_robin(
     else:
         V, W = operators
 
-    drift = _drift_traction(curve, env, cell, B)
+    drift = drift_traction(B, curve, env, cell).reshape(-1)
     bx = curve.nodes @ (B @ cell.q_inv).T
-    half_plus_w = 0.5 * np.eye(2 * N) + W.matrix
-    constraint = np.zeros((2, 2 * N + 2))
-    constraint[0, 0:2 * N:2] = curve.weights
-    constraint[1, 1:2 * N:2] = curve.weights
 
     def residual(mu_flat, c):
         U = (V.matrix @ mu_flat).reshape(N, 2) + c[None, :] + bx
-        G = model.value_at_nodes(U)
-        res_top = half_plus_w @ mu_flat - G.reshape(-1) + drift.reshape(-1)
+        res_top = 0.5 * mu_flat + W.matrix @ mu_flat - model.fn(U).reshape(-1) + drift
         mean = np.array([
             curve.weights @ mu_flat[0::2], curve.weights @ mu_flat[1::2]
         ])
         return np.concatenate([res_top, mean]), U
 
-    def jacobian(U):
-        dG = model.jac_at_nodes(U)
-        J = np.zeros((2 * N + 2, 2 * N + 2))
-        dgv = np.zeros((2 * N, 2 * N))
-        dgc = np.zeros((2 * N, 2))
-        for i in range(N):
-            dgc[2 * i: 2 * i + 2, :] = dG[i]
-        for i in range(N):
-            dgv[2 * i: 2 * i + 2, :] = dG[i] @ V.matrix[2 * i: 2 * i + 2, :]
-        J[: 2 * N, : 2 * N] = half_plus_w - dgv
-        J[: 2 * N, 2 * N:] = -dgc
-        J[2 * N:, :] = constraint
-        return J
-
-    def factor_checked(J):
-        smin = sla.svdvals(J)[-1]
-        smax = np.linalg.norm(J, 2)
-        if smin <= rank_tol * max(smax, 1.0):
+    def factor_checked(U):
+        J = augmented_matrix(-model.jac(U), V, W, curve)
+        s = sla.svdvals(J)
+        smin = s[-1]
+        if smin <= RANK_TOL * max(s[0], 1.0):
             raise DegenerateProblemError(
                 "nonlinear system is rank deficient: nothing constrains the "
                 "additive constant (smallest singular value "
@@ -173,12 +136,12 @@ def solve_nonlinear_robin(
     res, U = residual(mu_flat, c)
     res_norm = np.max(np.abs(res))
     trace = [res_norm]
-    frozen = factor_checked(jacobian(U)) if method == "picard" else None
+    frozen = factor_checked(U) if method == "picard" else None
 
     converged = False
     update_norm = np.inf
     for _ in range(max_iter):
-        factors = frozen if method == "picard" else factor_checked(jacobian(U))
+        factors = frozen if method == "picard" else factor_checked(U)
         step = sla.lu_solve(factors, res)
         lam = damping
         for _ in range(6):

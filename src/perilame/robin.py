@@ -157,53 +157,67 @@ def validate_robin_data(data, curve=None, det_tol=1e-12, semidef_tol=1e-10):
     }
 
 
+def drift_traction(B, curve, env, cell):
+    """Nodal traction T(omega, B q^{-1}) nu of the prescribed drift, shape (N, 2)."""
+    Bq = np.asarray(B, dtype=float) @ cell.q_inv
+    return curve.normals @ traction_map(env.omega, Bq).T
+
+
 def robin_rhs(data, env, cell):
     """Collocated right-hand side of the integral equation."""
     curve = data.curve
     ainv = np.linalg.inv(data.a.values)
     ainv_b = np.einsum("nij,njk->nik", ainv, data.b.values)
-    Bq = data.B @ cell.q_inv
-    t_drift = traction_map(env.omega, Bq)
     rhs = np.einsum("nij,nj->ni", ainv, data.g.values)
-    rhs -= curve.normals @ t_drift.T
-    rhs -= np.einsum("nij,nj->ni", ainv_b, curve.nodes @ Bq.T)
+    rhs -= drift_traction(data.B, curve, env, cell)
+    rhs -= np.einsum("nij,nj->ni", ainv_b, curve.nodes @ (data.B @ cell.q_inv).T)
     return rhs
+
+
+def augmented_matrix(K, V, W, curve):
+    """Augmented (2N+2)-square matrix [[1/2 I + W* + diag(K) V, K], [zero-mean rows, 0]].
+
+    K holds nodal 2x2 blocks, shape (N, 2, 2): a^{-1} b for the linear Robin
+    system, -dG for the Picard/Newton Jacobian.  Rows and columns are
+    node-major with the two c columns and the two constraint rows appended.
+    """
+    N = curve.N
+    matrix = np.zeros((2 * N + 2, 2 * N + 2))
+    top = matrix[: 2 * N, : 2 * N]
+    top[...] = W.matrix
+    top[np.diag_indices(2 * N)] += 0.5
+    top += np.einsum("nij,njm->nim", K, V.matrix.reshape(N, 2, 2 * N)).reshape(2 * N, 2 * N)
+    matrix[: 2 * N, 2 * N:] = K.reshape(2 * N, 2)
+    matrix[2 * N, 0: 2 * N: 2] = curve.weights
+    matrix[2 * N + 1, 1: 2 * N: 2] = curve.weights
+    return matrix
 
 
 def assemble_robin_system(data, curve, env, cell, plan, operators=None):
     """Augmented (2N+2)-square system realizing the collocated equation."""
-    N = curve.N
     if operators is None:
         V = assemble_single_layer(curve, env, cell, plan)
         W = assemble_wstar(curve, env, cell, plan)
     else:
         V, W = operators
-    ainv = np.linalg.inv(data.a.values)
-    ainv_b = np.einsum("nij,njk->nik", ainv, data.b.values)
-
-    AB = np.zeros((2 * N, 2 * N))
-    for i in range(N):
-        AB[2 * i: 2 * i + 2, 2 * i: 2 * i + 2] = ainv_b[i]
-
-    top = 0.5 * np.eye(2 * N) + W.matrix + AB @ V.matrix
-    c_cols = np.zeros((2 * N, 2))
-    for i in range(N):
-        c_cols[2 * i: 2 * i + 2, :] = ainv_b[i]
-
-    constraint = np.zeros((2, 2 * N))
-    constraint[0, 0::2] = curve.weights
-    constraint[1, 1::2] = curve.weights
-
-    matrix = np.block([[top, c_cols], [constraint, np.zeros((2, 2))]])
+    ainv_b = np.einsum("nij,njk->nik", np.linalg.inv(data.a.values), data.b.values)
+    matrix = augmented_matrix(ainv_b, V, W, curve)
     rhs = np.concatenate([robin_rhs(data, env, cell).reshape(-1), np.zeros(2)])
     return DiscreteSystem(matrix=matrix, rhs=rhs)
 
 
-def _condition_estimate(lu, piv, matrix):
-    anorm = np.linalg.norm(matrix, 1)
+def _lu_checked(matrix, name, cause):
+    """LU factors and 1-norm condition estimate (LAPACK gecon) of a square matrix.
+
+    Raises SolveError when the estimate is infinite or above COND_LIMIT.
+    """
+    lu, piv = sla.lu_factor(matrix)
     gecon = sla.get_lapack_funcs("gecon", (matrix,))
-    rcond, _ = gecon(lu, anorm, norm="1")
-    return np.inf if rcond == 0.0 else 1.0 / rcond
+    rcond, _ = gecon(lu, np.linalg.norm(matrix, 1), norm="1")
+    cond = np.inf if rcond == 0.0 else 1.0 / rcond
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise SolveError(f"{name} numerically singular (condition estimate {cond:.3e}); {cause}")
+    return (lu, piv), float(cond)
 
 
 def solve_robin(data, curve, env, cell, plan, operators=None, validate=True):
@@ -217,15 +231,11 @@ def solve_robin(data, curve, env, cell, plan, operators=None, validate=True):
     if validate:
         diagnostics.update(validate_robin_data(data, curve))
     system = assemble_robin_system(data, curve, env, cell, plan, operators=operators)
-    lu, piv = sla.lu_factor(system.matrix)
-    cond = _condition_estimate(lu, piv, system.matrix)
-    diagnostics["condition_estimate"] = float(cond)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SolveError(
-            f"discrete system numerically singular (condition estimate {cond:.3e}); "
-            "the admissibility conditions on (a, b) are likely violated beyond tolerance"
-        )
-    sol = sla.lu_solve((lu, piv), system.rhs)
+    factors, diagnostics["condition_estimate"] = _lu_checked(
+        system.matrix, "discrete system",
+        "the admissibility conditions on (a, b) are likely violated beyond tolerance",
+    )
+    sol = sla.lu_solve(factors, system.rhs)
     mu_vals = sol[:-2].reshape(-1, 2)
     c = sol[-2:]
     mu = BoundaryVectorField(mu_vals, curve)
@@ -279,14 +289,10 @@ def solve_neumann_aux(psi, curve, env, cell, plan, wstar=None):
     """Solve (1/2 I + W*) mu = psi; the operator is invertible on the curve."""
     W = wstar if wstar is not None else assemble_wstar(curve, env, cell, plan)
     A = 0.5 * np.eye(2 * curve.N) + W.matrix
-    lu, piv = sla.lu_factor(A)
-    cond = _condition_estimate(lu, piv, A)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SolveError(
-            f"auxiliary operator numerically singular (condition {cond:.3e}); "
-            "this indicates an assembly defect, not admissible data"
-        )
-    sol = sla.lu_solve((lu, piv), psi.values.reshape(-1))
+    factors, _ = _lu_checked(
+        A, "auxiliary operator", "this indicates an assembly defect, not admissible data"
+    )
+    sol = sla.lu_solve(factors, psi.values.reshape(-1))
     mu = BoundaryVectorField(sol.reshape(-1, 2), curve)
     return mu
 

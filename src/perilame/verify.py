@@ -744,7 +744,7 @@ def _check_nonlinear_manufactured(seed):
     ustar = u_fn(curve.nodes)
     lam = -np.eye(2)
     model = tabulated_model(
-        lambda i, u: tstar[i] + lam @ (u - ustar[i]), lambda i, u: lam
+        lambda U: tstar + (U - ustar) @ lam.T, lambda U: np.broadcast_to(lam, (N, 2, 2))
     )
     rep = solve_nonlinear_robin(
         model, B, curve, env, cell, plan, method="picard", max_iter=30, tol=1e-12
@@ -769,9 +769,7 @@ def _check_nonlinear_degeneracy(seed):
     env = LameEnv(2, 1.0)
     plan = plan_lattice_sum(cell, env, 1e-11)
     curve = standard_curve("circle", cell, 64)
-    model = tabulated_model(
-        lambda i, u: np.zeros(2), lambda i, u: np.zeros((2, 2))
-    )
+    model = tabulated_model(lambda U: np.zeros_like(U), lambda U: np.zeros(U.shape + (2,)))
     try:
         solve_nonlinear_robin(model, np.zeros((2, 2)), curve, env, cell, plan)
     except DegenerateProblemError:

@@ -411,7 +411,7 @@ def test_criterion_09_nonlinear(plan_unit, plan_unit_tight):
     ustar = u_fn(curve_m.nodes)
     lam = -np.eye(2)
     model = tabulated_model(
-        lambda i, u: tstar[i] + lam @ (u - ustar[i]), lambda i, u: lam
+        lambda U: tstar + (U - ustar) @ lam.T, lambda U: np.broadcast_to(lam, (N, 2, 2))
     )
     rep_m = solve_nonlinear_robin(
         model, B, curve_m, ENV1, UNIT, plan_unit_tight,
@@ -432,7 +432,7 @@ def test_criterion_09_nonlinear(plan_unit, plan_unit_tight):
     degenerate_detected = False
     try:
         solve_nonlinear_robin(
-            tabulated_model(lambda i, u: np.zeros(2), lambda i, u: np.zeros((2, 2))),
+            tabulated_model(lambda U: np.zeros_like(U), lambda U: np.zeros(U.shape + (2,))),
             np.zeros((2, 2)), curve, ENV1, UNIT, plan_unit,
         )
     except DegenerateProblemError:

@@ -4,8 +4,11 @@ import os
 import numpy as np
 import pytest
 
+from perilame.cell import build_cell, nearest_image
 from perilame.cli import main, parse_config
 from perilame.errors import ConfigError
+from perilame.kernels import LameEnv
+from perilame.lattice import periodic_green, plan_lattice_sum
 
 MINIMAL = {
     "mode": "solve-linear",
@@ -152,6 +155,28 @@ def test_green_eval_mode(tmp_path):
     lines = open(os.path.join(cfg["out_dir"], "field.csv")).read().splitlines()
     assert lines[1] == "x1,x2,u1,u2,warning"
     assert len(lines) > 2
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+
+    # rows and warning flags follow the per-point rule: masked below 0.02 of
+    # the cell edge from a source image, flagged below 0.1
+    cell = build_cell([1.0, 1.0])
+    env = LameEnv(2, 1.0)
+    source = np.array([0.5, 0.5])
+    kept, warn = [], []
+    for i in range(8):
+        for j in range(8):
+            p = np.array([(i + 0.5) / 8, (j + 0.5) / 8])
+            d = float(np.linalg.norm(nearest_image(p - source, cell)))
+            if d >= 0.02:
+                kept.append(p)
+                warn.append(1 if d < 0.1 else 0)
+    kept = np.array(kept)
+    assert rows.shape == (len(kept), 5)
+    assert np.max(np.abs(rows[:, :2] - kept)) < 1e-12
+    assert rows[:, 4].tolist() == warn
+    plan = plan_lattice_sum(cell, env, 1e-10)
+    expected = periodic_green(kept - source, env, cell, plan)[:, :, 0]
+    assert np.max(np.abs(rows[:, 2:4] - expected)) <= 1e-15
 
 
 def test_nonlinear_mode(tmp_path):

@@ -48,6 +48,14 @@ def test_plan_rejects_unattainable_tolerance():
         plan_lattice_sum(UNIT, ENV1, 1e-3)
 
 
+def test_plan_for_other_omega_raises_plan_error(plan1):
+    env_half = LameEnv(2, 0.5)
+    x = np.array([[0.2, 0.3]])
+    for fn in (periodic_green, periodic_green_grad, regular_part, regular_part_grad):
+        with pytest.raises(PlanError):
+            fn(x, env_half, UNIT, plan1)
+
+
 def test_green_matches_frozen_oracle():
     with open(FIXTURES, "r", encoding="utf-8") as fh:
         data = json.load(fh)

@@ -7,7 +7,6 @@ from perilame.kernels import LameEnv, traction_map
 from perilame.lattice import periodic_green, periodic_green_grad, plan_lattice_sum
 from perilame.nonlinear import (
     affine_model,
-    apply_model,
     saturating_model,
     solve_nonlinear_robin,
     tabulated_model,
@@ -48,19 +47,47 @@ def ops64(circle64, plan1):
 
 
 def test_apply_model_values(circle64):
+    N = circle64.N
     zero = affine_model(np.zeros((2, 2)), np.zeros(2), circle64)
-    val, jac = apply_model(zero, 3, np.array([5.0, -2.0]))
-    assert np.max(np.abs(val)) == 0.0
-    assert np.max(np.abs(jac)) == 0.0
+    U = np.tile([5.0, -2.0], (N, 1))
+    assert zero.fn(U).shape == (N, 2) and zero.jac(U).shape == (N, 2, 2)
+    assert np.max(np.abs(zero.fn(U))) == 0.0
+    assert np.max(np.abs(zero.jac(U))) == 0.0
 
     neg = affine_model(-np.eye(2), np.zeros(2), circle64)
-    val, _ = apply_model(neg, 0, np.array([1.0, 2.0]))
-    assert np.allclose(val, [-1.0, -2.0])
+    assert np.allclose(neg.fn(np.tile([1.0, 2.0], (N, 1))), [-1.0, -2.0])
 
     sat = saturating_model(np.zeros(2), 1.0, circle64)
-    val, jac = apply_model(sat, 5, np.array([1.0, 0.0]))
-    assert np.allclose(val, [0.5, 0.0])
-    assert jac is not None
+    U = np.tile([1.0, 0.0], (N, 1))
+    assert np.allclose(sat.fn(U), [0.5, 0.0])
+    assert sat.jac(U).shape == (N, 2, 2)
+
+
+def test_saturating_jacobian_matches_central_differences(circle64):
+    t = circle64.params
+    h = np.column_stack([0.3 + 0.1 * np.cos(t), -0.2 * np.sin(t)])
+    model = saturating_model(h, -0.8, circle64)
+    U = np.column_stack([0.7 * np.cos(3 * t), 0.4 + 0.5 * np.sin(t)])
+    step = 1e-6
+    fd = np.empty((circle64.N, 2, 2))
+    for k, e in enumerate(step * np.eye(2)):
+        fd[:, :, k] = (model.fn(U + e) - model.fn(U - e)) / (2 * step)
+    assert np.max(np.abs(model.jac(U) - fd)) < 1e-9
+
+
+@pytest.mark.parametrize("method", ["newton", "picard"])
+@pytest.mark.parametrize("eps", [1e-15, 1e-13])
+def test_rank_criterion_pinned(circle64, plan1, ops64, method, eps):
+    # G = h + eps u with B = 0 leaves c constrained only through eps: at these
+    # eps the smallest singular value is at most 1e-12 times the largest
+    t = circle64.params
+    h = np.column_stack([0.3 + 0.2 * np.cos(t), -0.1 + 0.3 * np.sin(t)])
+    model = affine_model(eps * np.eye(2), h, circle64)
+    with pytest.raises(DegenerateProblemError):
+        solve_nonlinear_robin(
+            model, np.zeros((2, 2)), circle64, ENV1, UNIT, plan1,
+            method=method, operators=ops64,
+        )
 
 
 def test_affine_reduces_to_linear_robin(circle64, plan1, ops64):
@@ -120,7 +147,7 @@ def test_manufactured_nonlinear_solution():
     ustar = u_fn(curve.nodes)
     lam = -np.eye(2)
     model = tabulated_model(
-        lambda i, u: tstar[i] + lam @ (u - ustar[i]), lambda i, u: lam
+        lambda U: tstar + (U - ustar) @ lam.T, lambda U: np.broadcast_to(lam, (N, 2, 2))
     )
     reps = {}
     for method in ("picard", "newton"):
@@ -180,13 +207,13 @@ def test_saturating_model_converges(circle64, plan1, ops64):
     # consistency of the converged solution with the residual definition
     V, W = ops64
     U = V.apply(rep.mu).values + rep.c[None, :]
-    G = model.value_at_nodes(U)
+    G = model.fn(U)
     res = 0.5 * rep.mu.values + W.apply(rep.mu).values - G
     assert np.max(np.abs(res)) < 1e-10
 
 
 def test_degeneracy_reported(circle64, plan1, ops64):
-    model = tabulated_model(lambda i, u: np.zeros(2), lambda i, u: np.zeros((2, 2)))
+    model = tabulated_model(lambda U: np.zeros_like(U), lambda U: np.zeros(U.shape + (2,)))
     with pytest.raises(DegenerateProblemError) as info:
         solve_nonlinear_robin(
             model, np.zeros((2, 2)), circle64, ENV1, UNIT, plan1, operators=ops64
@@ -197,8 +224,8 @@ def test_degeneracy_reported(circle64, plan1, ops64):
 def test_nonconvergence_reported(circle64, plan1, ops64):
     # an expanding law with a misleading Jacobian cannot meet the tolerance
     model = tabulated_model(
-        lambda i, u: 5.0 * np.tanh(u) + np.array([1.0, 0.0]),
-        lambda i, u: -np.eye(2),
+        lambda U: 5.0 * np.tanh(U) + np.array([1.0, 0.0]),
+        lambda U: np.broadcast_to(-np.eye(2), U.shape + (2,)),
     )
     with pytest.raises(ConvergenceError) as info:
         solve_nonlinear_robin(

@@ -15,6 +15,7 @@ from perilame.operators import (
 from perilame.robin import (
     RobinData,
     assemble_robin_system,
+    augmented_matrix,
     constant_matrix_field,
     constant_vector_field,
     eval_solution,
@@ -90,6 +91,28 @@ def test_system_size_and_zero_rhs(circle64, plan1):
     system = assemble_robin_system(data, circle64, ENV1, UNIT, plan1)
     assert system.matrix.shape == (130, 130)
     assert np.max(np.abs(system.rhs)) == 0.0
+
+
+def test_augmented_matrix_matches_node_loop(circle64, plan1):
+    N = circle64.N
+    V = assemble_single_layer(circle64, ENV1, UNIT, plan1)
+    W = assemble_wstar(circle64, ENV1, UNIT, plan1)
+    t = circle64.params
+    K = np.stack([
+        [np.cos(t) - 2.0, 0.3 * np.sin(2 * t)],
+        [0.1 + 0.2 * np.sin(t), -1.5 + 0.5 * np.cos(3 * t)],
+    ]).transpose(2, 0, 1)
+    # reference: block-diagonal K applied to V by a dense matmul, blocks set node by node
+    KV = np.zeros((2 * N, 2 * N))
+    ref = np.zeros((2 * N + 2, 2 * N + 2))
+    for i in range(N):
+        KV[2 * i: 2 * i + 2, 2 * i: 2 * i + 2] = K[i]
+        ref[2 * i: 2 * i + 2, 2 * N:] = K[i]
+    ref[: 2 * N, : 2 * N] = 0.5 * np.eye(2 * N) + W.matrix + KV @ V.matrix
+    ref[2 * N, 0: 2 * N: 2] = circle64.weights
+    ref[2 * N + 1, 1: 2 * N: 2] = circle64.weights
+    err = np.max(np.abs(augmented_matrix(K, V, W, circle64) - ref))
+    assert err <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_rhs_two_path(circle64):
