@@ -264,25 +264,32 @@ def arclength(curve):
 def point_in_hole(x, curve, cell):
     """True when the cell representative of x lies inside the hole.
 
+    x is one point (2,) or points (P, 2); the result is a bool or a (P,) mask.
     Uses the winding number of the node polygon; adequate away from the
     boundary (near-boundary queries carry warnings elsewhere).
     """
     p = cell_coords(x, cell)
-    v = curve.nodes - p[None, :]
-    ang = np.arctan2(v[:, 1], v[:, 0])
-    dang = np.diff(np.concatenate([ang, ang[:1]]))
+    single = p.ndim == 1
+    v = curve.nodes[None, :, :] - np.atleast_2d(p)[:, None, :]
+    ang = np.arctan2(v[..., 1], v[..., 0])
+    dang = np.diff(ang, axis=1, append=ang[:, :1])
     dang = (dang + np.pi) % (2.0 * np.pi) - np.pi
-    return abs(np.sum(dang)) > np.pi
+    inside = np.abs(np.sum(dang, axis=1)) > np.pi
+    return inside[0] if single else inside
 
 
 def min_image_distance(x, curve, cell):
-    """Distance from x to the node set of the curve, minimized over images."""
-    x = nearest_image(np.asarray(x, dtype=float) - curve.nodes[0], cell) + curve.nodes[0]
-    best = np.inf
+    """Distance from x to the node set of the curve, minimized over images.
+
+    x is one point (2,) or points (P, 2); the result is a float or a (P,) array.
+    """
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    x = nearest_image(np.atleast_2d(x) - curve.nodes[0], cell) + curve.nodes[0]
+    best = np.full(x.shape[0], np.inf)
     q1, q2 = cell.q_diag
     for z1 in (-1, 0, 1):
         for z2 in (-1, 0, 1):
-            shift = np.array([z1 * q1, z2 * q2])
-            d = curve.nodes + shift[None, :] - x[None, :]
-            best = min(best, float(np.min(np.hypot(d[:, 0], d[:, 1]))))
-    return best
+            d = curve.nodes[None, :, :] + np.array([z1 * q1, z2 * q2]) - x[:, None, :]
+            best = np.minimum(best, np.min(np.hypot(d[..., 0], d[..., 1]), axis=1))
+    return float(best[0]) if single else best

@@ -390,22 +390,16 @@ def _grid_points(config, cell):
 
 def _field_rows(config, cell, curve, evaluator):
     """Sample the output grid, masking hole interiors and flagging near-boundary points."""
-    rows = []
-    spacing = 3.0 * (np.max(curve.weights) if curve is not None else 0.0)
-    keep = []
-    for p in _grid_points(config, cell):
-        if curve is not None and point_in_hole(p, curve, cell):
-            continue
-        keep.append(p)
-    if not keep:
-        return rows
-    vals = evaluator(np.array(keep))
-    for p, u in zip(keep, vals):
-        warn = 0
-        if curve is not None and min_image_distance(p, curve, cell) < spacing:
-            warn = 1
-        rows.append((f"{p[0]:.12g}", f"{p[1]:.12g}", f"{u[0]:.17g}", f"{u[1]:.17g}", warn))
-    return rows
+    pts = _grid_points(config, cell)
+    pts = pts[~point_in_hole(pts, curve, cell)]
+    if not len(pts):
+        return []
+    warn = min_image_distance(pts, curve, cell) < 3.0 * np.max(curve.weights)
+    vals = evaluator(pts)
+    return [
+        (f"{p[0]:.12g}", f"{p[1]:.12g}", f"{u[0]:.17g}", f"{u[1]:.17g}", int(w))
+        for p, u, w in zip(pts, vals, warn)
+    ]
 
 
 def run(config):
@@ -445,8 +439,12 @@ def run(config):
     cell = build_cell(config.cell_edges)
     env = LameEnv(2, config.omega)
     plan = plan_lattice_sum(cell, env, config.lattice_tol)
-    summary.append(("lattice_tol_achieved",
-                    f"{plan.real_bound + plan.fourier_bound:.6e}"))
+    summary += [
+        ("lattice_tail_bound", f"{plan.real_bound + plan.fourier_bound:.6e}"),
+        ("lattice_eta", f"{plan.eta:.6e}"),
+        ("lattice_real_cutoff", plan.real_cutoff),
+        ("lattice_fourier_cutoff", plan.fourier_cutoff),
+    ]
 
     if config.mode == "green-eval":
         source = np.array(config.green["source"])

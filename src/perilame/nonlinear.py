@@ -88,9 +88,11 @@ def solve_nonlinear_robin(
 
     method: 'picard' freezes the Jacobian at the initial iterate, 'newton'
     rebuilds it each step.  Damping halves the update (at most 5 times per
-    step) while the residual sup-norm would increase.  Raises
-    DegenerateProblemError on a rank-deficient Jacobian and ConvergenceError
-    when max_iter steps do not meet tol.
+    step) while the residual sup-norm would increase.  The iteration stops
+    when the update's sup-norm is below tol * max(1, |mu|_inf, |c|_inf), so a
+    large solution is not held to an absolute size its rounding cannot meet.
+    Raises DegenerateProblemError on a rank-deficient Jacobian and
+    ConvergenceError when max_iter steps do not meet tol.
     """
     if model.jac is None:
         raise ValueError("iteration needs a model Jacobian (affine/saturating/tabulated with jac)")
@@ -155,7 +157,7 @@ def solve_nonlinear_robin(
         mu_flat, c, res, U = mu_try, c_try, res_try, U_try
         res_norm = np.max(np.abs(res))
         trace.append(res_norm)
-        if update_norm < tol:
+        if update_norm < tol * max(1.0, np.max(np.abs(mu_flat)), np.max(np.abs(c))):
             converged = True
             break
     if not converged:

@@ -301,7 +301,10 @@ def boundary_integral(field, curve=None):
 
 
 def near_boundary(x, curve, cell, spacings=3.0):
-    """True when x is closer to the boundary (over images) than `spacings` nodes."""
+    """True when x is closer to the boundary (over images) than `spacings` nodes.
+
+    x is one point (2,) or points (P, 2); the result is a bool or a (P,) mask.
+    """
     from .cell import min_image_distance
 
     h = np.max(curve.weights)
@@ -321,16 +324,12 @@ def eval_single_layer(x, field, env, cell, plan, upsample=1, warn=True):
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
-    if warn:
-        base = field.curve
-        for p in pts:
-            if near_boundary(p, base, cell):
-                warnings.warn(
-                    "evaluation point within 3 node spacings of the boundary",
-                    NearBoundaryWarning,
-                    stacklevel=2,
-                )
-                break
+    if warn and np.any(near_boundary(pts, field.curve, cell)):
+        warnings.warn(
+            "evaluation point within 3 node spacings of the boundary",
+            NearBoundaryWarning,
+            stacklevel=2,
+        )
     dens = src.values * curve.weights[:, None]
     M = curve.N
     diffs = (pts[:, None, :] - curve.nodes[None, :, :]).reshape(-1, 2)
@@ -348,16 +347,12 @@ def eval_traction_offboundary(x, nu, field, env, cell, plan, upsample=1, warn=Tr
     single = x.ndim == 1
     pts = np.atleast_2d(x)
     nus = np.atleast_2d(nu)
-    if warn:
-        base = field.curve
-        for p in pts:
-            if near_boundary(p, base, cell):
-                warnings.warn(
-                    "evaluation point within 3 node spacings of the boundary",
-                    NearBoundaryWarning,
-                    stacklevel=2,
-                )
-                break
+    if warn and np.any(near_boundary(pts, field.curve, cell)):
+        warnings.warn(
+            "evaluation point within 3 node spacings of the boundary",
+            NearBoundaryWarning,
+            stacklevel=2,
+        )
     from .kernels import traction_map
 
     dens = src.values * curve.weights[:, None]

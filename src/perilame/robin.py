@@ -276,9 +276,9 @@ def eval_solution(rep, x, env, cell, plan, warn=True):
     single = x.ndim == 1
     pts = np.atleast_2d(x)
     curve = rep.mu.curve
-    for p in pts:
-        if point_in_hole(p, curve, cell):
-            raise DomainError(f"point {p} lies inside a hole image")
+    inside = point_in_hole(pts, curve, cell)
+    if np.any(inside):
+        raise DomainError(f"point {pts[np.argmax(inside)]} lies inside a hole image")
     v = eval_single_layer(pts, rep.mu, env, cell, plan, warn=warn)
     Bq = rep.B @ cell.q_inv
     out = v + rep.c[None, :] + pts @ Bq.T

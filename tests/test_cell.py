@@ -9,11 +9,14 @@ from perilame.cell import (
     arclength,
     build_cell,
     discretize_curve,
+    cell_coords,
     hole_area,
+    min_image_distance,
     nearest_image,
     point_in_hole,
 )
 from perilame.errors import CellError, CurveError
+from perilame.operators import near_boundary
 
 UNIT = build_cell([1.0, 1.0])
 
@@ -131,6 +134,48 @@ def test_point_in_hole():
     assert point_in_hole([0.5, 0.5], curve, UNIT)
     assert point_in_hole([1.5, 2.5], curve, UNIT)  # image of the center
     assert not point_in_hole([0.1, 0.1], curve, UNIT)
+
+
+def _winding_inside(p, curve, cell):
+    v = curve.nodes - cell_coords(p, cell)[None, :]
+    ang = np.arctan2(v[:, 1], v[:, 0])
+    dang = np.diff(np.concatenate([ang, ang[:1]]))
+    dang = (dang + np.pi) % (2.0 * np.pi) - np.pi
+    return abs(np.sum(dang)) > np.pi
+
+
+def _loop_image_distance(p, curve, cell):
+    p = nearest_image(p - curve.nodes[0], cell) + curve.nodes[0]
+    best = np.inf
+    for z1 in (-1, 0, 1):
+        for z2 in (-1, 0, 1):
+            d = curve.nodes + np.array([z1, z2]) * np.array(cell.q_diag) - p
+            best = min(best, float(np.min(np.hypot(d[:, 0], d[:, 1]))))
+    return best
+
+
+def test_vectorized_masks_match_point_loop():
+    # the 40x40 cell-centred output grid and rings 0.25 h to 10 h outside the hole
+    curve = discretize_curve(CircleShape([0.5, 0.5], 0.25), 128, UNIT)
+    h = np.max(curve.weights)
+    side = (np.arange(40) + 0.5) / 40
+    grid = np.column_stack([a.ravel() for a in np.meshgrid(side, side, indexing="ij")])
+    theta = 2.0 * np.pi * (np.arange(257) + 0.3) / 257
+    rings = np.concatenate([
+        0.5 + (0.25 + d * h) * np.column_stack([np.cos(theta), np.sin(theta)])
+        for d in (0.25, 1.0, 3.0, 10.0)
+    ])
+    pts = np.concatenate([grid, rings, rings + [1.0, -2.0]])
+    inside = point_in_hole(pts, curve, UNIT)
+    dist = min_image_distance(pts, curve, UNIT)
+    assert inside.shape == dist.shape == (len(pts),)
+    assert np.array_equal(inside, [_winding_inside(p, curve, UNIT) for p in pts])
+    assert np.array_equal(dist, [_loop_image_distance(p, curve, UNIT) for p in pts])
+    assert 0 < np.count_nonzero(inside) < len(grid)
+    warn = near_boundary(pts, curve, UNIT)
+    assert np.array_equal(warn, [_loop_image_distance(p, curve, UNIT) < 3.0 * h for p in pts])
+    assert 0 < np.count_nonzero(warn[~inside])
+    assert np.isscalar(min_image_distance(pts[0], curve, UNIT))
 
 
 def test_resample_is_exact():

@@ -81,6 +81,13 @@ def test_constant_solution_run(tmp_path):
     c = np.array([float(v) for v in summary["c"].strip("()").split(",")])
     assert np.max(np.abs(c - [0.3, -0.7])) < 1e-10
     assert float(summary["mu_sup_norm"]) < 1e-10
+    plan = plan_lattice_sum(build_cell([1.0, 1.0]), LameEnv(2, 1.0), 1e-10)
+    assert float(summary["lattice_tail_bound"]) == pytest.approx(
+        plan.real_bound + plan.fourier_bound, rel=1e-6)
+    assert float(summary["lattice_tail_bound"]) < 1e-10
+    assert float(summary["lattice_eta"]) == pytest.approx(plan.eta, rel=1e-6)
+    assert int(summary["lattice_real_cutoff"]) == plan.real_cutoff
+    assert int(summary["lattice_fourier_cutoff"]) == plan.fourier_cutoff
     for name in ("density.csv", "field.csv", "config.echo.json"):
         assert os.path.exists(os.path.join(cfg["out_dir"], name))
 

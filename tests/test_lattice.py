@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from perilame import lattice
 from perilame.cell import build_cell, nearest_image
 from perilame.errors import PlanError, SingularArgumentError
 from perilame.kernels import LameEnv, kelvin, kelvin_grad
@@ -11,11 +12,13 @@ from perilame.lattice import (
     pde_residual,
     periodic_green,
     periodic_green_grad,
+    plan_cost,
     plan_lattice_sum,
     regular_part,
     regular_part_grad,
     scalar_periodic_green,
 )
+from perilame.special import exp1
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "oracle_green.json")
 
@@ -37,8 +40,130 @@ def test_plan_records_bounds(plan1):
 def test_plan_monotone_cost():
     loose = plan_lattice_sum(UNIT, ENV1, 1e-6)
     tight = plan_lattice_sum(UNIT, ENV1, 1e-12)
-    cost = lambda p: (2 * p.real_cutoff + 1) ** 2 + (2 * p.fourier_cutoff + 1) ** 2
+    cost = lambda p: plan_cost(UNIT, p.eta, p.real_cutoff, p.fourier_cutoff)
     assert cost(loose) <= cost(tight)
+
+
+def _oracle_configs():
+    with open(FIXTURES, "r", encoding="utf-8") as fh:
+        return json.load(fh)["configs"]
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-12])
+def test_plan_bounds_and_least_modeled_cost(tol):
+    # reference search: for every candidate eta, the smallest cutoffs whose
+    # tail bounds are below tol/2, priced by the plan module's cost model
+    for config in _oracle_configs():
+        cell = build_cell(config["cell"])
+        env = LameEnv(2, config["omega"])
+        plan = plan_lattice_sum(cell, env, tol)
+        assert plan.real_bound < 0.5 * tol and plan.fourier_bound < 0.5 * tol
+        costs = []
+        for scale in lattice.ETA_SCALES:
+            eta = scale * np.sqrt(np.pi) / cell.min_edge
+            R = next(m for m in range(2, lattice.REAL_CUTOFF_CEILING + 1)
+                     if lattice._real_tail_bound(eta, cell.min_edge, m + 1) < 0.5 * tol)
+            F = next(m for m in range(1, lattice.FOURIER_CUTOFF_CEILING + 1)
+                     if lattice._fourier_tail_bound(eta, cell.max_edge, cell.volume, m + 1)
+                     < 0.5 * tol)
+            costs.append(plan_cost(cell, eta, R, F))
+        assert plan_cost(cell, plan.eta, plan.real_cutoff, plan.fourier_cutoff) == min(costs)
+
+
+def _full_set_fourier(x, plan, cell, env, want_grad):
+    """Reciprocal sum over every z != 0 in the cutoff box, one einsum per call."""
+    q = np.asarray(cell.q_diag)
+    r = np.arange(-plan.fourier_cutoff, plan.fourier_cutoff + 1)
+    z = np.array([(a, b) for a in r for b in r if (a, b) != (0, 0)], dtype=float)
+    k = 2.0 * np.pi * z / q
+    k2 = np.sum(k * k, axis=1)
+    u = k2 / (4.0 * plan.eta**2)
+    khat = k / np.sqrt(k2)[:, None]
+    base = -np.eye(2) + env.beta * khat[:, :, None] * khat[:, None, :]
+    coeffs = ((1.0 + u) * np.exp(-u) / (k2 * cell.volume))[:, None, None] * base
+    phase = x @ k.T
+    if want_grad:
+        return np.einsum("pf,fjk,fm->pjkm", -np.sin(phase), coeffs, k)
+    return np.einsum("pf,fjk->pjk", np.cos(phase), coeffs)
+
+
+@pytest.mark.parametrize("edges,omega", [([1.0, 1.0], 1.0), ([2.0, 3.0], 0.5)])
+def test_paired_fourier_sum_matches_full_set(edges, omega):
+    # both sums share the real-space part; the reordered reciprocal sum may
+    # differ by rounding, measured against the periodic Green's matrix (or its
+    # gradient) at the same points
+    cell = build_cell(edges)
+    env = LameEnv(2, omega)
+    plan = plan_lattice_sum(cell, env, 1e-10)
+    rng = np.random.default_rng(15)
+    x = rng.uniform(-0.45, 0.45, size=(400, 2)) * np.array(edges)
+    x = x[np.linalg.norm(x, axis=1) > 0.05 * cell.min_edge]
+    nonzero = np.any(plan.shifts != 0.0, axis=1)
+    for want_grad, full_fn, regular_fn in (
+        (False, periodic_green, regular_part),
+        (True, periodic_green_grad, regular_part_grad),
+    ):
+        i = int(want_grad)
+        fourier = _full_set_fourier(x, plan, cell, env, want_grad)
+        got = full_fn(x, env, cell, plan)
+        scale = np.max(np.abs(got))
+        ref = lattice._real_sum(x, plan.shifts, plan.eta, env.beta, want_grad)[i] + fourier
+        assert np.max(np.abs(got - ref)) <= 1e-15 * scale
+        ref = (
+            lattice._regular_center_terms(x, plan.eta, env, want_grad)[i]
+            + lattice._real_sum(x, plan.shifts[nonzero], plan.eta, env.beta, want_grad)[i]
+            + fourier
+        )
+        assert np.max(np.abs(regular_fn(x, env, cell, plan) - ref)) <= 1e-15 * scale
+
+
+def _loop_real_sum(points, shifts, eta, beta):
+    """Per-shift loop over images with the tensor-product form of each term."""
+    val = np.zeros((points.shape[0], 2, 2))
+    grad = np.zeros((points.shape[0], 2, 2, 2))
+    eye = np.eye(2)
+    for shift in shifts:
+        d = points - shift
+        r2 = np.sum(d * d, axis=1)
+        T = eta**2 * r2
+        live = T < 45.0
+        d, r2, T = d[live], r2[live], T[live]
+        expT, e1 = np.exp(-T), exp1(T)
+        dj, dk = d[:, :, None], d[:, None, :]
+        hess = (-e1 / (8 * np.pi))[:, None, None] * eye \
+            + (expT / r2 / (4 * np.pi))[:, None, None] * dj * dk
+        val[live] += ((expT - e1) / (4 * np.pi))[:, None, None] * eye - beta * hess
+        wm = (expT * (1 - T) / r2 / (2 * np.pi))[:, None] * d
+        dm, djm, dkm = d[:, None, None, :], d[:, :, None, None], d[:, None, :, None]
+        a = (expT / r2 / (4 * np.pi))[:, None, None, None]
+        b = (expT * (T + 1) / r2**2 / (2 * np.pi))[:, None, None, None]
+        hess_m = a * (eye[:, :, None] * dm + eye[:, None, :] * dkm + eye[None, :, :] * djm) \
+            - b * djm * dkm * dm
+        grad[live] += wm[:, None, None, :] * eye[:, :, None] - beta * hess_m
+    return val, grad
+
+
+def test_real_sum_matches_per_shift_loop(plan1):
+    rng = np.random.default_rng(17)
+    x = rng.uniform(-0.5, 0.5, size=(3000, 2))
+    ref_val, ref_grad = _loop_real_sum(x, plan1.shifts, plan1.eta, ENV1.beta)
+    val, _ = lattice._real_sum(x, plan1.shifts, plan1.eta, ENV1.beta)
+    _, grad = lattice._real_sum(x, plan1.shifts, plan1.eta, ENV1.beta, want_grad=True)
+    assert np.max(np.abs(val - ref_val)) <= 1e-15 * np.max(np.abs(ref_val))
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-15 * np.max(np.abs(ref_grad))
+
+
+def test_plan_agrees_with_tighter_plan():
+    rng = np.random.default_rng(16)
+    for config in _oracle_configs():
+        edges = np.asarray(config["cell"])
+        cell = build_cell(edges)
+        env = LameEnv(2, config["omega"])
+        plan, tight = (plan_lattice_sum(cell, env, tol) for tol in (1e-10, 1e-13))
+        x = rng.uniform(-0.45, 0.45, size=(200, 2)) * edges
+        x = x[np.linalg.norm(x, axis=1) > 0.05 * cell.min_edge]
+        for fn in (periodic_green, periodic_green_grad, regular_part, regular_part_grad):
+            assert np.max(np.abs(fn(x, env, cell, plan) - fn(x, env, cell, tight))) < 1e-12
 
 
 def test_plan_rejects_unattainable_tolerance():
@@ -93,11 +218,15 @@ def test_green_rejects_lattice_points(plan1):
 
 def test_decomposition_into_kelvin_plus_remainder():
     plan = plan_lattice_sum(UNIT, ENV1, 1e-13)
-    for p in ([0.5, 0.5], [0.1, 0.05], [0.35, -0.2]):
+    # the last two lie outside the cell box around the origin: the remainder
+    # is not periodic, so they are not reduced
+    for p in ([0.5, 0.5], [0.1, 0.05], [0.35, -0.2], [1.9, 1.85], [-0.95, 1.7]):
         x = np.array(p)
         lhs = kelvin(x, ENV1) + regular_part(x, ENV1, UNIT, plan)
         rhs = periodic_green(x, ENV1, UNIT, plan)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+        lhs = kelvin_grad(x, ENV1) + regular_part_grad(x, ENV1, UNIT, plan)
+        assert np.max(np.abs(lhs - periodic_green_grad(x, ENV1, UNIT, plan))) < 1e-11
 
 
 def test_remainder_finite_at_zero_richardson():

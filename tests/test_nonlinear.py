@@ -90,6 +90,26 @@ def test_rank_criterion_pinned(circle64, plan1, ops64, method, eps):
         )
 
 
+@pytest.mark.parametrize("method", ["newton", "picard"])
+def test_weak_coupling_converges_with_relative_stop(circle64, plan1, ops64, method):
+    # G = h + 1e-11 u with B = 0 is solvable, with |c| ~ 3e10; the update
+    # stalls near 1e-6 by rounding, far above an absolute 1e-11 but well below
+    # tol * |c|
+    eps = 1e-11
+    t = circle64.params
+    h = np.column_stack([0.3 + 0.2 * np.cos(t), -0.1 + 0.3 * np.sin(t)])
+    rep = solve_nonlinear_robin(
+        affine_model(eps * np.eye(2), h, circle64), np.zeros((2, 2)), circle64,
+        ENV1, UNIT, plan1, method=method, operators=ops64,
+    )
+    assert rep.diagnostics["iterations"] < 30
+    assert rep.diagnostics["residual_on_node"] < 1e-10
+    # zero net traction: integral of h + eps (V mu + c) vanishes
+    mean_h = boundary_integral(BoundaryVectorField(h, circle64), circle64)
+    length = np.sum(circle64.weights)
+    assert np.max(np.abs(eps * rep.c + mean_h / length)) < 1e-9
+
+
 def test_affine_reduces_to_linear_robin(circle64, plan1, ops64):
     t = circle64.params
     gvals = np.column_stack([0.2 + 0.1 * np.cos(t), -0.3 + 0.2 * np.sin(2 * t)])
