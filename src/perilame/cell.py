@@ -24,14 +24,6 @@ class PeriodicityCell:
     volume: float
 
     @property
-    def n(self):
-        return len(self.q_diag)
-
-    @property
-    def q(self):
-        return np.diag(self.q_diag)
-
-    @property
     def q_inv(self):
         return np.diag([1.0 / q for q in self.q_diag])
 

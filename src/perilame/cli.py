@@ -207,12 +207,10 @@ class RunConfig:
             _fail("mode", f"must be one of {MODES}, got {self.mode!r}")
         self.cell_edges = _as_floats(_require(raw, "cell", ""), "cell", 2)
         self.omega = float(_require(raw, "omega", ""))
-        n = 2
-        if not self.omega > 1.0 - 2.0 / n:
-            _fail(
-                "omega",
-                f"omega must exceed {1.0 - 2.0 / n:g} for n={n}, got {self.omega:g}",
-            )
+        try:
+            LameEnv(2, self.omega)
+        except ValueError as exc:
+            _fail("omega", str(exc))
         self.nodes = int(raw.get("nodes", DEFAULTS["nodes"]))
         self.lattice_tol = float(raw.get("lattice_tol", DEFAULTS["lattice_tol"]))
         self.grid = tuple(

@@ -1,8 +1,8 @@
-"""Free-space fundamental solution of the Lame operator and traction kernels.
+"""Free-space fundamental solution of the plane Lame operator and traction kernels.
 
 The operator is D u + omega * grad(div u) with the second Lame constant
-normalized to 1; omega must exceed 1 - 2/n.  Kernel formulas accept n = 2 or
-n = 3, while everything downstream of this module is two-dimensional.
+normalized to 1; omega must exceed 0 (the bound 1 - 2/n at n = 2).  The whole
+package is two-dimensional, and so are these kernels.
 """
 
 from dataclasses import dataclass
@@ -12,40 +12,28 @@ import numpy as np
 from .errors import SingularArgumentError
 
 
-def sphere_measure(n):
-    """Surface measure of the unit sphere in R^n (2*pi for n=2, 4*pi for n=3)."""
-    from math import gamma, pi
-    return 2.0 * pi ** (n / 2.0) / gamma(n / 2.0)
-
-
 @dataclass(frozen=True)
 class LameEnv:
-    """Dimension and Lame ratio parameter with the derived kernel constants."""
+    """Dimension (always 2) and Lame ratio parameter with the derived kernel constants."""
 
     n: int = 2
     omega: float = 1.0
 
     def __post_init__(self):
-        if self.n not in (2, 3):
-            raise ValueError(f"kernel formulas support n in (2, 3), got {self.n}")
-        if not self.omega > 1.0 - 2.0 / self.n:
-            raise ValueError(
-                f"omega must exceed {1.0 - 2.0 / self.n} for n={self.n}, got {self.omega}"
-            )
+        if self.n != 2:
+            raise ValueError(f"only the plane problem n=2 is supported, got n={self.n}")
+        if not self.omega > 0.0:
+            raise ValueError(f"omega must exceed 0 for n=2, got {self.omega:g}")
 
     @property
     def alpha(self):
-        """Coefficient of the diagonal log/power term, (omega+2)/(2(omega+1))."""
+        """Coefficient of the diagonal log term, (omega+2)/(2(omega+1))."""
         return (self.omega + 2.0) / (2.0 * (self.omega + 1.0))
 
     @property
     def beta(self):
         """Coupling ratio omega/(omega+1); the dyadic term carries beta/2."""
         return self.omega / (self.omega + 1.0)
-
-    @property
-    def s_n(self):
-        return sphere_measure(self.n)
 
 
 def _check_nonzero(x):
@@ -55,45 +43,38 @@ def _check_nonzero(x):
     return r2
 
 
-def fs_laplace(x, n=2):
-    """Fundamental solution of the Laplacian: log|x|/(2 pi) in 2D, -1/(4 pi |x|) in 3D."""
-    x = np.asarray(x, dtype=float)
+def fs_laplace(x):
+    """Fundamental solution of the Laplacian, log|x|/(2 pi)."""
     r2 = _check_nonzero(x)
-    s = sphere_measure(n)
-    if n == 2:
-        return 0.5 * np.log(r2) / s
-    return r2 ** ((2.0 - n) / 2.0) / ((2.0 - n) * s)
+    return 0.5 * np.log(r2) / (2.0 * np.pi)
 
 
 def kelvin(x, env):
-    """Kelvin matrix: entries alpha*delta_ij*S_n(x) - (beta/2)*(1/s_n)*x_i x_j/|x|^n."""
+    """Kelvin matrix: entries alpha*delta_ij*log|x|/(2 pi) - (beta/(4 pi))*x_i x_j/|x|^2."""
     x = np.asarray(x, dtype=float)
     r2 = _check_nonzero(x)
-    n = env.n
-    s = fs_laplace(x, n)
-    coef = 0.5 * env.beta / env.s_n
-    dyad = x[..., :, None] * x[..., None, :] / np.asarray(r2)[..., None, None] ** (n / 2.0)
-    eye = np.eye(n)
-    return env.alpha * np.asarray(s)[..., None, None] * eye - coef * dyad
+    s = fs_laplace(x)
+    coef = 0.5 * env.beta / (2.0 * np.pi)
+    dyad = x[..., :, None] * x[..., None, :] / np.asarray(r2)[..., None, None]
+    return env.alpha * np.asarray(s)[..., None, None] * np.eye(2) - coef * dyad
 
 
 def kelvin_grad(x, env):
     """Gradient d_k Gamma_ij of the Kelvin matrix, indexed out[..., i, j, k]."""
     x = np.asarray(x, dtype=float)
-    r2 = _check_nonzero(x)
-    n = env.n
-    rn = np.asarray(r2, dtype=float)[..., None, None, None] ** (n / 2.0)
-    rn2 = np.asarray(r2, dtype=float)[..., None, None, None] ** ((n + 2.0) / 2.0)
-    eye = np.eye(n)
+    r2 = np.asarray(_check_nonzero(x), dtype=float)[..., None, None, None]
+    eye = np.eye(2)
     xi = x[..., :, None, None]
     xj = x[..., None, :, None]
     xk = x[..., None, None, :]
     d_ij = eye[:, :, None]
     d_ik = eye[:, None, :]
     d_jk = eye[None, :, :]
-    out = env.alpha * d_ij * xk / rn
-    out = out - 0.5 * env.beta * ((d_ik * xj + d_jk * xi) / rn - n * xi * xj * xk / rn2)
-    return out / env.s_n
+    out = env.alpha * d_ij * xk / r2
+    out = out - 0.5 * env.beta * (
+        (d_ik * xj + d_jk * xi) / r2 - 2 * xi * xj * xk / (r2 * r2)
+    )
+    return out / (2.0 * np.pi)
 
 
 def traction_map(omega, A):
@@ -107,27 +88,24 @@ def traction_map(omega, A):
 def traction_kernel(x, nu, env):
     """Traction of the Kelvin columns contracted with nu, in closed form.
 
-    Column l holds T(omega, D Gamma^l(x)) nu.  For n=2 this reduces to
+    Column l holds T(omega, D Gamma^l(x)) nu, which is
         (1/(2 pi)) [ (1-beta)(delta_il (x.nu) + nu_l x_i - nu_i x_l)/|x|^2
                      + 2 beta x_i x_l (x.nu)/|x|^4 ],
     verified in the tests against the composition through kelvin_grad.
     """
     x = np.asarray(x, dtype=float)
     nu = np.asarray(nu, dtype=float)
-    r2 = np.asarray(_check_nonzero(x), dtype=float)
-    n = env.n
+    r2 = np.asarray(_check_nonzero(x), dtype=float)[..., None, None]
     beta = env.beta
     xdotnu = np.sum(x * nu, axis=-1)
-    eye = np.eye(n)
     xi = x[..., :, None]
     xl = x[..., None, :]
     nui = nu[..., :, None]
     nul = nu[..., None, :]
-    rn = r2[..., None, None] ** (n / 2.0)
     xn = xdotnu[..., None, None]
-    out = (1.0 - beta) * (eye * xn + nul * xi - nui * xl)
-    out = out + n * beta * xi * xl * xn / r2[..., None, None]
-    return out / (env.s_n * rn)
+    out = (1.0 - beta) * (np.eye(2) * xn + nul * xi - nui * xl)
+    out = out + 2 * beta * xi * xl * xn / r2
+    return out / (2.0 * np.pi * r2)
 
 
 def traction_from_gradient(grad, nu, omega):

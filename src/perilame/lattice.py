@@ -146,8 +146,6 @@ def plan_lattice_sum(cell, env, tol):
         raise PlanError(
             f"tolerance unattainable: tol={tol} outside the supported range [1e-14, 1e-4]"
         )
-    if env.n != 2:
-        raise PlanError("lattice sums are implemented for n=2 only")
     best = None
     for eta_scale in ETA_SCALES:
         e = eta_scale * np.sqrt(np.pi) / cell.min_edge

@@ -35,7 +35,6 @@ class TractionModel:
     optional jac(U) returns the nodal Jacobian blocks dG/du, shape (N, 2, 2).
     """
 
-    kind: str
     fn: Callable
     jac: Optional[Callable] = None
 
@@ -45,7 +44,6 @@ def affine_model(M, h, curve):
     Mn = np.broadcast_to(np.asarray(M, dtype=float), (curve.N, 2, 2))
     hn = np.broadcast_to(np.asarray(h, dtype=float), (curve.N, 2))
     return TractionModel(
-        kind="affine",
         fn=lambda U: np.einsum("nij,nj->ni", Mn, U) + hn,
         jac=lambda U: Mn,
     )
@@ -62,12 +60,12 @@ def saturating_model(h, kappa, curve):
         s = (1.0 + np.sum(U * U, axis=1))[:, None, None]
         return kappa * (s * np.eye(2) - 2.0 * U[:, :, None] * U[:, None, :]) / (s * s)
 
-    return TractionModel(kind="saturating", fn=fn, jac=jac)
+    return TractionModel(fn=fn, jac=jac)
 
 
 def tabulated_model(fn, jac=None):
     """User-supplied law fn(U) -> (N, 2) on nodal values U (N, 2), jac(U) -> (N, 2, 2)."""
-    return TractionModel(kind="tabulated", fn=fn, jac=jac)
+    return TractionModel(fn=fn, jac=jac)
 
 
 def solve_nonlinear_robin(
@@ -78,7 +76,6 @@ def solve_nonlinear_robin(
     cell,
     plan,
     method="newton",
-    damping=1.0,
     max_iter=30,
     tol=1e-11,
     initial=None,
@@ -87,8 +84,8 @@ def solve_nonlinear_robin(
     """Iterate the augmented residual to a SolutionRep with iteration trace.
 
     method: 'picard' freezes the Jacobian at the initial iterate, 'newton'
-    rebuilds it each step.  Damping halves the update (at most 5 times per
-    step) while the residual sup-norm would increase.  The iteration stops
+    rebuilds it each step.  Each step starts in full and is halved (at most 5
+    times) while the residual sup-norm would increase.  The iteration stops
     when the update's sup-norm is below tol * max(1, |mu|_inf, |c|_inf), so a
     large solution is not held to an absolute size its rounding cannot meet.
     Raises DegenerateProblemError on a rank-deficient Jacobian and
@@ -145,12 +142,12 @@ def solve_nonlinear_robin(
     for _ in range(max_iter):
         factors = frozen if method == "picard" else factor_checked(U)
         step = sla.lu_solve(factors, res)
-        lam = damping
+        lam = 1.0
         for _ in range(6):
             mu_try = mu_flat - lam * step[:-2]
             c_try = c - lam * step[-2:]
             res_try, U_try = residual(mu_try, c_try)
-            if np.max(np.abs(res_try)) <= res_norm or lam <= damping / 32.0:
+            if np.max(np.abs(res_try)) <= res_norm or lam <= 1.0 / 32.0:
                 break
             lam *= 0.5
         update_norm = lam * np.max(np.abs(step))

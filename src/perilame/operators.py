@@ -78,9 +78,7 @@ class DenseBoundaryOperator:
     """Dense nodal operator acting on node-major flattened vector fields."""
 
     matrix: np.ndarray  # (2N, 2N)
-    kind: str
     curve: object
-    meta: dict
 
     def apply(self, field):
         out = self.matrix @ field.values.reshape(-1)
@@ -189,12 +187,7 @@ def assemble_single_layer(curve, env, cell, plan):
     blocks = (2.0 * np.pi / N) * sp[None, :, None, None] * smooth
     KL = kress_log_rule(N)
     blocks += (alpha / (4.0 * np.pi)) * (KL * sp[None, :])[:, :, None, None] * eye
-    return DenseBoundaryOperator(
-        matrix=_blocks_to_matrix(blocks),
-        kind="single-layer",
-        curve=curve,
-        meta={"N": N, "plan_tol": plan.tol, "rules": ("kress-log", "trapezoid")},
-    )
+    return DenseBoundaryOperator(matrix=_blocks_to_matrix(blocks), curve=curve)
 
 
 def _check_log_split(curve, env, smooth_fs, sin2):
@@ -266,12 +259,7 @@ def assemble_wstar(curve, env, cell, plan):
         * (ksym + gamma_c * rho[:, :, None, None] * _J + rcorr)
     Q = hilbert_rule(N)
     blocks += gamma_c * np.pi * (Q * (sp[None, :] / sp[:, None]))[:, :, None, None] * _J
-    return DenseBoundaryOperator(
-        matrix=_blocks_to_matrix(blocks),
-        kind="wstar",
-        curve=curve,
-        meta={"N": N, "plan_tol": plan.tol, "rules": ("hilbert", "trapezoid")},
-    )
+    return DenseBoundaryOperator(matrix=_blocks_to_matrix(blocks), curve=curve)
 
 
 def _check_traction_split(curve, env, ksym, rho, cot, sp):

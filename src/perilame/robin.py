@@ -29,6 +29,10 @@ from .operators import (
 )
 
 COND_LIMIT = 1e13
+# admissibility thresholds, relative to the largest nodal matrix norm
+# (squared where a determinant is compared)
+DET_TOL = 1e-12
+SEMIDEF_TOL = 1e-10
 
 
 @dataclass
@@ -81,23 +85,24 @@ class SolutionRep:
 
 @dataclass
 class DiscreteSystem:
-    """Dense augmented system; rows/columns are node-major with c appended."""
+    """Dense augmented system; rows/columns are node-major with c appended.
+
+    Rows 0..2N-1: collocation at nodes (node-major components); rows
+    2N..2N+1: zero-mean constraint; cols 0..2N-1: mu unknowns; cols
+    2N..2N+1: c.
+    """
 
     matrix: np.ndarray
     rhs: np.ndarray
-    layout: str = (
-        "rows 0..2N-1: collocation at nodes (node-major components); "
-        "rows 2N..2N+1: zero-mean constraint; "
-        "cols 0..2N-1: mu unknowns; cols 2N..2N+1: c"
-    )
 
 
-def validate_robin_data(data, curve=None, det_tol=1e-12, semidef_tol=1e-10):
+def validate_robin_data(data, curve=None):
     """Check the three admissibility conditions on (a, b) node by node.
 
     Returns a diagnostics dict; raises AdmissibilityError naming the first
-    failed condition.  Tolerances are relative to the max matrix norm over the
-    nodes ('scale'), squared where the compared quantity is a determinant.
+    failed condition.  DET_TOL and SEMIDEF_TOL are relative to the max matrix
+    norm over the nodes ('scale'), squared where the compared quantity is a
+    determinant.
     """
     curve = curve if curve is not None else data.curve
     a = data.a.values
@@ -110,7 +115,7 @@ def validate_robin_data(data, curve=None, det_tol=1e-12, semidef_tol=1e-10):
 
     det_a = np.linalg.det(a)
     worst_det = int(np.argmin(np.abs(det_a)))
-    if np.min(np.abs(det_a)) <= det_tol * scale_a**2:
+    if np.min(np.abs(det_a)) <= DET_TOL * scale_a**2:
         raise AdmissibilityError(
             "invertibility-of-a",
             f"det a vanishes at node {worst_det}: {det_a[worst_det]:.3e}",
@@ -123,7 +128,7 @@ def validate_robin_data(data, curve=None, det_tol=1e-12, semidef_tol=1e-10):
     max_eig = float(np.max(eigs))
     worst_node = int(np.argmax(np.max(eigs, axis=1)))
     scale_ab = max(np.max(np.linalg.norm(ainv_b, axis=(1, 2))), 1e-300)
-    if max_eig > semidef_tol * scale_ab:
+    if max_eig > SEMIDEF_TOL * scale_ab:
         raise AdmissibilityError(
             "negativity-of-ainv-b",
             f"symmetric part of a^-1 b not negative semidefinite at node "
@@ -134,7 +139,7 @@ def validate_robin_data(data, curve=None, det_tol=1e-12, semidef_tol=1e-10):
     det_integral = float(np.linalg.det(integral))
     scale_int = max(np.linalg.norm(integral), 1e-300)
     cond_integral = float(np.linalg.cond(integral)) if det_integral != 0.0 else np.inf
-    if abs(det_integral) <= det_tol * scale_int**2:
+    if abs(det_integral) <= DET_TOL * scale_int**2:
         raise AdmissibilityError(
             "invertibility-of-integral",
             f"det of the boundary integral of a^-1 b is {det_integral:.3e}",
@@ -142,7 +147,7 @@ def validate_robin_data(data, curve=None, det_tol=1e-12, semidef_tol=1e-10):
 
     det_b = np.linalg.det(b)
     best_b = int(np.argmax(np.abs(det_b)))
-    if np.max(np.abs(det_b)) <= det_tol * scale_b**2:
+    if np.max(np.abs(det_b)) <= DET_TOL * scale_b**2:
         raise AdmissibilityError(
             "pointwise-invertibility-of-b",
             f"det b vanishes at every node (best |det| = {np.abs(det_b[best_b]):.3e})",
@@ -220,16 +225,14 @@ def _lu_checked(matrix, name, cause):
     return (lu, piv), float(cond)
 
 
-def solve_robin(data, curve, env, cell, plan, operators=None, validate=True):
+def solve_robin(data, curve, env, cell, plan, operators=None):
     """Solve the linear Robin problem; returns the (mu, c, B) representation.
 
     Dense LU with partial pivoting; a 1-norm condition estimate above 1e13
     raises SolveError since the solvability conditions are then violated
     beyond numerical tolerance.
     """
-    diagnostics = {}
-    if validate:
-        diagnostics.update(validate_robin_data(data, curve))
+    diagnostics = validate_robin_data(data, curve)
     system = assemble_robin_system(data, curve, env, cell, plan, operators=operators)
     factors, diagnostics["condition_estimate"] = _lu_checked(
         system.matrix, "discrete system",

@@ -24,6 +24,7 @@ from .cell import (
     build_cell,
     discretize_curve,
     hole_area,
+    min_image_distance,
     nearest_image,
 )
 from .errors import AdmissibilityError, DegenerateProblemError, OracleError
@@ -214,6 +215,35 @@ def _off_lattice_points(cell, count, rng, min_frac=0.15):
     return np.asarray(pts)
 
 
+def _kernel_configs(tol, omegas=OMEGAS):
+    """(cell, env, plan) over the standard cells and omegas, cell-major."""
+    for edges in CELLS:
+        cell = build_cell(edges)
+        for omega in omegas:
+            env = LameEnv(2, omega)
+            yield cell, env, plan_lattice_sum(cell, env, tol)
+
+
+def _robin_data(curve, g, B=None, a=np.eye(2), b=-np.eye(2)):
+    """Constant-coefficient Robin data; a = I, b = -I is the admissible reference."""
+    return RobinData(
+        a=constant_matrix_field(a, curve),
+        b=constant_matrix_field(b, curve),
+        g=constant_vector_field(g, curve),
+        B=np.zeros((2, 2)) if B is None else B,
+    )
+
+
+def _far_points(rng, count=20):
+    """Points of the unit cell farther than 0.37 from the hole centre (0.5, 0.5)."""
+    pts = []
+    while len(pts) < count:
+        p = rng.uniform(0, 1, size=2)
+        if np.linalg.norm(p - [0.5, 0.5]) > 0.37:
+            pts.append(p)
+    return np.asarray(pts)
+
+
 def _trig_density(curve, rng, modes=4, scale=1.0):
     t = curve.params
     vals = np.zeros((curve.N, 2))
@@ -231,104 +261,72 @@ def _trig_density(curve, rng, modes=4, scale=1.0):
 def _check_green_oracle(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for edges in CELLS:
-        cell = build_cell(edges)
-        for omega in OMEGAS:
-            env = LameEnv(2, omega)
-            plan = plan_lattice_sum(cell, env, 1e-10)
-            pts = _off_lattice_points(cell, 20, rng)
-            for p in pts:
-                diff = periodic_green(p, env, cell, plan) - oracle_filtered_fourier(
-                    p, env, cell
-                )
-                worst = max(worst, float(np.max(np.abs(diff))))
+    for cell, env, plan in _kernel_configs(1e-10):
+        pts = _off_lattice_points(cell, 20, rng)
+        for p in pts:
+            diff = periodic_green(p, env, cell, plan) - oracle_filtered_fourier(
+                p, env, cell
+            )
+            worst = max(worst, float(np.max(np.abs(diff))))
     return worst, 1e-9, _fingerprint(tol=1e-10)
 
 
 def _check_green_evenness(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for edges in CELLS:
-        cell = build_cell(edges)
-        for omega in OMEGAS:
-            env = LameEnv(2, omega)
-            plan = plan_lattice_sum(cell, env, 1e-10)
-            pts = _off_lattice_points(cell, 50, rng)
-            diff = periodic_green(pts, env, cell, plan) - periodic_green(
-                -pts, env, cell, plan
-            )
-            worst = max(worst, float(np.max(np.abs(diff))))
+    for cell, env, plan in _kernel_configs(1e-10):
+        pts = _off_lattice_points(cell, 50, rng)
+        diff = periodic_green(pts, env, cell, plan) - periodic_green(-pts, env, cell, plan)
+        worst = max(worst, float(np.max(np.abs(diff))))
     return worst, 1e-9, _fingerprint(tol=1e-10)
 
 
 def _check_green_periodicity(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for edges in CELLS:
-        cell = build_cell(edges)
-        q = np.asarray(edges)
-        for omega in OMEGAS:
-            env = LameEnv(2, omega)
-            plan = plan_lattice_sum(cell, env, 1e-10)
-            pts = _off_lattice_points(cell, 50, rng)
-            base = periodic_green(pts, env, cell, plan)
-            for j in range(2):
-                shift = np.zeros(2)
-                shift[j] = q[j]
-                diff = periodic_green(pts + shift, env, cell, plan) - base
-                worst = max(worst, float(np.max(np.abs(diff))))
+    for cell, env, plan in _kernel_configs(1e-10):
+        pts = _off_lattice_points(cell, 50, rng)
+        base = periodic_green(pts, env, cell, plan)
+        for e in np.eye(2):
+            diff = periodic_green(pts + e * np.asarray(cell.q_diag), env, cell, plan) - base
+            worst = max(worst, float(np.max(np.abs(diff))))
     return worst, 1e-9, _fingerprint(tol=1e-10)
 
 
 def _check_green_symmetry(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for edges in CELLS:
-        cell = build_cell(edges)
-        for omega in OMEGAS:
-            env = LameEnv(2, omega)
-            plan = plan_lattice_sum(cell, env, 1e-10)
-            pts = _off_lattice_points(cell, 50, rng)
-            G = periodic_green(pts, env, cell, plan)
-            worst = max(worst, float(np.max(np.abs(G - np.swapaxes(G, -1, -2)))))
+    for cell, env, plan in _kernel_configs(1e-10):
+        pts = _off_lattice_points(cell, 50, rng)
+        G = periodic_green(pts, env, cell, plan)
+        worst = max(worst, float(np.max(np.abs(G - np.swapaxes(G, -1, -2)))))
     return worst, 1e-9, _fingerprint(tol=1e-10)
 
 
 def _check_green_decomposition(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for edges in CELLS:
-        cell = build_cell(edges)
-        for omega in OMEGAS:
-            env = LameEnv(2, omega)
-            plan = plan_lattice_sum(cell, env, 1e-13)
-            pts = _off_lattice_points(cell, 20, rng, min_frac=0.1)
-            ref = periodic_green(pts, env, cell, plan)
-            split = np.stack([kelvin(p, env) for p in pts]) + regular_part(
-                pts, env, cell, plan
-            )
-            worst = max(worst, float(np.max(np.abs(ref - split))))
+    for cell, env, plan in _kernel_configs(1e-13):
+        pts = _off_lattice_points(cell, 20, rng, min_frac=0.1)
+        ref = periodic_green(pts, env, cell, plan)
+        split = np.stack([kelvin(p, env) for p in pts]) + regular_part(
+            pts, env, cell, plan
+        )
+        worst = max(worst, float(np.max(np.abs(ref - split))))
     return worst, 1e-12, _fingerprint(tol=1e-13)
 
 
 def _check_remainder_limit(seed):
     """R^q extends to 0: Richardson limit along three directions agrees."""
     worst = 0.0
-    for edges in CELLS:
-        cell = build_cell(edges)
-        for omega in OMEGAS:
-            env = LameEnv(2, omega)
-            plan = plan_lattice_sum(cell, env, 1e-13)
-            r0 = regular_part(np.zeros(2), env, cell, plan)
-            for theta in (0.0, 1.1, 2.3):
-                u = np.array([np.cos(theta), np.sin(theta)])
-                vals = [
-                    regular_part(h * u, env, cell, plan)
-                    for h in (1e-2, 5e-3, 2.5e-3)
-                ]
-                # the remainder is even in x, so the limit is second order in h
-                extrap = (4.0 * vals[2] - vals[1]) / 3.0
-                worst = max(worst, float(np.max(np.abs(extrap - r0))))
+    for cell, env, plan in _kernel_configs(1e-13):
+        r0 = regular_part(np.zeros(2), env, cell, plan)
+        for theta in (0.0, 1.1, 2.3):
+            u = np.array([np.cos(theta), np.sin(theta)])
+            vals = [regular_part(h * u, env, cell, plan) for h in (1e-2, 5e-3, 2.5e-3)]
+            # the remainder is even in x, so the limit is second order in h
+            extrap = (4.0 * vals[2] - vals[1]) / 3.0
+            worst = max(worst, float(np.max(np.abs(extrap - r0))))
     return worst, 1e-8, _fingerprint(tol=1e-13)
 
 
@@ -336,25 +334,18 @@ def _check_pde_residual(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
     decay_ok = True
-    for edges in CELLS:
-        cell = build_cell(edges)
-        for omega in OMEGAS:
-            env = LameEnv(2, omega)
-            plan = plan_lattice_sum(cell, env, 1e-13)
-            pts = _off_lattice_points(cell, 10, rng, min_frac=0.25)
-            res = [pde_residual(p, 0, env, cell, plan, h=1e-3) for p in pts]
-            worst = max(worst, max(res))
-            for j, p in zip((0, 1, 0, 1), pts):
-                worst = max(worst, pde_residual(p, j, env, cell, plan, h=1e-3))
-            # decay probed at the largest-residual point, stencils wide enough
-            # that every level stays above the rounding floor
-            probe = pts[int(np.argmax(res))]
-            levels = [
-                pde_residual(probe, 0, env, cell, plan, h=h)
-                for h in (1.6e-2, 8e-3, 4e-3)
-            ]
-            if not (levels[0] > 8 * levels[1] and levels[1] > 8 * levels[2]):
-                decay_ok = False
+    for cell, env, plan in _kernel_configs(1e-13):
+        pts = _off_lattice_points(cell, 10, rng, min_frac=0.25)
+        res = [pde_residual(p, 0, env, cell, plan, h=1e-3) for p in pts]
+        worst = max(worst, max(res))
+        for j, p in zip((0, 1, 0, 1), pts):
+            worst = max(worst, pde_residual(p, j, env, cell, plan, h=1e-3))
+        # decay probed at the largest-residual point, stencils wide enough
+        # that every level stays above the rounding floor
+        probe = pts[int(np.argmax(res))]
+        levels = [pde_residual(probe, 0, env, cell, plan, h=h) for h in (1.6e-2, 8e-3, 4e-3)]
+        if not (levels[0] > 8 * levels[1] and levels[1] > 8 * levels[2]):
+            decay_ok = False
     err = worst if decay_ok else np.inf
     return err, 1e-6, _fingerprint(tol=1e-13)
 
@@ -362,10 +353,7 @@ def _check_pde_residual(seed):
 def _check_scalar_limit(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for edges in CELLS:
-        cell = build_cell(edges)
-        env = LameEnv(2, 1e-8)
-        plan = plan_lattice_sum(cell, env, 1e-10)
+    for cell, env, plan in _kernel_configs(1e-10, omegas=(1e-8,)):
         pts = _off_lattice_points(cell, 20, rng)
         G = periodic_green(pts, env, cell, plan)
         s = scalar_periodic_green(pts, cell)
@@ -378,23 +366,17 @@ def _check_green_gradient(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
     h = 1e-5
-    for edges in CELLS:
-        cell = build_cell(edges)
-        for omega in OMEGAS:
-            env = LameEnv(2, omega)
-            plan = plan_lattice_sum(cell, env, 1e-12)
-            pts = _off_lattice_points(cell, 10, rng, min_frac=0.2)
-            for p in pts:
-                g = periodic_green_grad(p, env, cell, plan)
-                fd = np.zeros((2, 2, 2))
-                for m in range(2):
-                    e = np.zeros(2)
-                    e[m] = h
-                    fd[:, :, m] = (
-                        periodic_green(p + e, env, cell, plan)
-                        - periodic_green(p - e, env, cell, plan)
-                    ) / (2 * h)
-                worst = max(worst, float(np.max(np.abs(g - fd))))
+    for cell, env, plan in _kernel_configs(1e-12):
+        pts = _off_lattice_points(cell, 10, rng, min_frac=0.2)
+        for p in pts:
+            g = periodic_green_grad(p, env, cell, plan)
+            fd = np.zeros((2, 2, 2))
+            for m, e in enumerate(h * np.eye(2)):
+                fd[:, :, m] = (
+                    periodic_green(p + e, env, cell, plan)
+                    - periodic_green(p - e, env, cell, plan)
+                ) / (2 * h)
+            worst = max(worst, float(np.max(np.abs(g - fd))))
     return worst, 1e-7, _fingerprint(tol=1e-12)
 
 
@@ -453,8 +435,6 @@ def _check_single_layer_periodicity(seed):
     pts = []
     while len(pts) < 10:
         p = rng.uniform(0, 1, size=2)
-        from .cell import min_image_distance
-
         if min_image_distance(p, curve, cell) > 0.1:
             pts.append(p)
     pts = np.asarray(pts)
@@ -593,22 +573,9 @@ def _manufactured_error(env, cell, plan, N, rng):
     u_fn, trac_fn = _sources_field(
         env, cell, plan, (0.31, 0.5), (0.68, 0.54), (1.0, 1.0)
     )
-    g = BoundaryVectorField(
-        trac_fn(curve.nodes, curve.normals) - u_fn(curve.nodes), curve
-    )
-    data = RobinData(
-        a=constant_matrix_field(np.eye(2), curve),
-        b=constant_matrix_field(-np.eye(2), curve),
-        g=g,
-        B=np.zeros((2, 2)),
-    )
-    rep = solve_robin(data, curve, env, cell, plan)
-    pts = []
-    while len(pts) < 20:
-        p = rng.uniform(0, 1, size=2)
-        if np.linalg.norm(p - [0.5, 0.5]) > 0.37:
-            pts.append(p)
-    pts = np.asarray(pts)
+    g = trac_fn(curve.nodes, curve.normals) - u_fn(curve.nodes)
+    rep = solve_robin(_robin_data(curve, g), curve, env, cell, plan)
+    pts = _far_points(rng)
     u_num = eval_solution(rep, pts, env, cell, plan, warn=False)
     return float(np.max(np.abs(u_num - u_fn(pts))))
 
@@ -619,26 +586,14 @@ def _check_robin_exact(seed):
     plan = plan_lattice_sum(cell, env, 1e-11)
     curve = standard_curve("circle", cell, 64)
     cstar = np.array([0.3, -0.7])
-    data = RobinData(
-        a=constant_matrix_field(np.eye(2), curve),
-        b=constant_matrix_field(-np.eye(2), curve),
-        g=constant_vector_field(-cstar, curve),
-        B=np.zeros((2, 2)),
-    )
-    rep = solve_robin(data, curve, env, cell, plan)
+    rep = solve_robin(_robin_data(curve, -cstar), curve, env, cell, plan)
     err = max(
         float(np.max(np.abs(rep.mu.values))), float(np.max(np.abs(rep.c - cstar)))
     )
     B = np.diag([0.2, -0.1])
     Bq = B @ cell.q_inv
     gvals = curve.normals @ traction_map(env.omega, Bq).T - curve.nodes @ Bq.T
-    data2 = RobinData(
-        a=constant_matrix_field(np.eye(2), curve),
-        b=constant_matrix_field(-np.eye(2), curve),
-        g=BoundaryVectorField(gvals, curve),
-        B=B,
-    )
-    rep2 = solve_robin(data2, curve, env, cell, plan)
+    rep2 = solve_robin(_robin_data(curve, gvals, B), curve, env, cell, plan)
     pts = np.array([[0.1, 0.1], [0.9, 0.2], [0.5, 0.95]])
     u = eval_solution(rep2, pts, env, cell, plan, warn=False)
     err = max(err, float(np.max(np.abs(u - pts @ Bq.T))))
@@ -650,13 +605,7 @@ def _check_robin_homogeneous(seed):
     env = LameEnv(2, 4.0)
     plan = plan_lattice_sum(cell, env, 1e-11)
     curve = standard_curve("ellipse", cell, 64)
-    data = RobinData(
-        a=constant_matrix_field(np.eye(2), curve),
-        b=constant_matrix_field(-np.eye(2), curve),
-        g=constant_vector_field((0.0, 0.0), curve),
-        B=np.zeros((2, 2)),
-    )
-    rep = solve_robin(data, curve, env, cell, plan)
+    rep = solve_robin(_robin_data(curve, (0.0, 0.0)), curve, env, cell, plan)
     err = float(np.max(np.abs(rep.mu.values))) + float(np.max(np.abs(rep.c)))
     return err, 1e-10, _fingerprint(cell=cell, omega=4.0, curve="ellipse", N=64)
 
@@ -680,13 +629,7 @@ def _check_quasi_periodicity(seed):
     B = np.array([[0.3, 0.1], [-0.2, 0.25]])
     Bq = B @ cell.q_inv
     gvals = curve.normals @ traction_map(env.omega, Bq).T - curve.nodes @ Bq.T
-    data = RobinData(
-        a=constant_matrix_field(np.eye(2), curve),
-        b=constant_matrix_field(-np.eye(2), curve),
-        g=BoundaryVectorField(gvals, curve),
-        B=B,
-    )
-    rep = solve_robin(data, curve, env, cell, plan)
+    rep = solve_robin(_robin_data(curve, gvals, B), curve, env, cell, plan)
     pts = np.array([[0.07, 0.12], [0.88, 0.9], [0.5, 0.03]])
     base = eval_solution(rep, pts, env, cell, plan, warn=False)
     worst = 0.0
@@ -701,23 +644,15 @@ def _check_quasi_periodicity(seed):
 def _check_nonlinear_equivalence(seed):
     from .nonlinear import affine_model, solve_nonlinear_robin
 
-    rng = np.random.default_rng(seed)
     cell = build_cell((1.0, 1.0))
     env = LameEnv(2, 1.0)
     plan = plan_lattice_sum(cell, env, 1e-11)
     curve = standard_curve("circle", cell, 64)
     t = curve.params
     gvals = np.column_stack([0.2 + 0.1 * np.cos(t), -0.3 + 0.2 * np.sin(2 * t)])
-    b = -np.eye(2)
     B = np.diag([0.1, -0.05])
-    data = RobinData(
-        a=constant_matrix_field(np.eye(2), curve),
-        b=constant_matrix_field(b, curve),
-        g=BoundaryVectorField(gvals, curve),
-        B=B,
-    )
-    rep_lin = solve_robin(data, curve, env, cell, plan)
-    model = affine_model(-b, gvals, curve)
+    rep_lin = solve_robin(_robin_data(curve, gvals, B), curve, env, cell, plan)
+    model = affine_model(np.eye(2), gvals, curve)
     rep_nl = solve_nonlinear_robin(model, B, curve, env, cell, plan, method="newton")
     err = max(
         float(np.max(np.abs(rep_lin.mu.values - rep_nl.mu.values))),
@@ -749,12 +684,7 @@ def _check_nonlinear_manufactured(seed):
     rep = solve_nonlinear_robin(
         model, B, curve, env, cell, plan, method="picard", max_iter=30, tol=1e-12
     )
-    pts = []
-    while len(pts) < 20:
-        p = rng.uniform(0, 1, size=2)
-        if np.linalg.norm(p - [0.5, 0.5]) > 0.37:
-            pts.append(p)
-    pts = np.asarray(pts)
+    pts = _far_points(rng)
     u_num = eval_solution(rep, pts, env, cell, plan, warn=False)
     err = float(np.max(np.abs(u_num - u_fn(pts))))
     if rep.diagnostics["iterations"] > 30:
@@ -781,31 +711,23 @@ def _check_data_validation(seed):
     cell = build_cell((1.0, 1.0))
     curve = standard_curve("circle", cell, 64)
     failures = 0
-    # each admissibility condition violated by a dedicated fixture
+    # each admissibility condition violated by a dedicated fixture; with b = 0
+    # the integral check may fire before the pointwise one
     cases = [
-        (np.zeros((2, 2)), -np.eye(2), "invertibility-of-a"),
-        (np.eye(2), np.eye(2), "negativity-of-ainv-b"),
-        (np.eye(2), np.zeros((2, 2)), None),  # fails integral or pointwise check
+        (np.zeros((2, 2)), -np.eye(2), ("invertibility-of-a",)),
+        (np.eye(2), np.eye(2), ("negativity-of-ainv-b",)),
+        (
+            np.eye(2),
+            np.zeros((2, 2)),
+            ("invertibility-of-integral", "pointwise-invertibility-of-b"),
+        ),
     ]
     for a, b, expect in cases:
-        data = RobinData(
-            a=constant_matrix_field(a, curve),
-            b=constant_matrix_field(b, curve),
-            g=constant_vector_field((0.0, 0.0), curve),
-            B=np.zeros((2, 2)),
-        )
         try:
-            validate_robin_data(data, curve)
+            validate_robin_data(_robin_data(curve, (0.0, 0.0), a=a, b=b), curve)
         except AdmissibilityError as exc:
-            if expect is None or exc.condition == expect:
-                failures += 1
-    good = RobinData(
-        a=constant_matrix_field(np.eye(2), curve),
-        b=constant_matrix_field(-np.eye(2), curve),
-        g=constant_vector_field((0.0, 0.0), curve),
-        B=np.zeros((2, 2)),
-    )
-    validate_robin_data(good, curve)
+            failures += exc.condition in expect
+    validate_robin_data(_robin_data(curve, (0.0, 0.0)), curve)
     err = 0.0 if failures == 3 else np.inf
     return err, 0.5, _fingerprint(cell=cell, curve="circle", N=64)
 

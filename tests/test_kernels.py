@@ -14,14 +14,13 @@ from perilame.kernels import (
 
 
 def test_fs_laplace_values():
-    assert fs_laplace(np.array([1.0, 0.0]), 2) == 0.0
-    assert abs(fs_laplace(np.array([np.e, 0.0]), 2) - 1.0 / (2 * np.pi)) < 1e-15
-    assert abs(fs_laplace(np.array([0.0, 0.0, 1.0]), 3) + 1.0 / (4 * np.pi)) < 1e-16
+    assert fs_laplace(np.array([1.0, 0.0])) == 0.0
+    assert abs(fs_laplace(np.array([np.e, 0.0])) - 1.0 / (2 * np.pi)) < 1e-15
 
 
 def test_fs_laplace_singular():
     with pytest.raises(SingularArgumentError):
-        fs_laplace(np.zeros(2), 2)
+        fs_laplace(np.zeros(2))
 
 
 def test_lame_env_admissibility():
@@ -30,7 +29,8 @@ def test_lame_env_admissibility():
         LameEnv(2, 0.0)
     with pytest.raises(ValueError):
         LameEnv(3, 0.2)
-    LameEnv(3, 0.4)
+    with pytest.raises(ValueError):
+        LameEnv(3, 0.4)  # only the plane problem is supported
 
 
 def test_kelvin_reference_entry():
@@ -46,7 +46,7 @@ def test_kelvin_omega_zero_decouples():
     for _ in range(5):
         x = rng.normal(size=2)
         G = kelvin(x, env)
-        assert np.allclose(G, fs_laplace(x, 2) * np.eye(2), atol=1e-15)
+        assert np.allclose(G, fs_laplace(x) * np.eye(2), atol=1e-15)
 
 
 def test_kelvin_even_parity():
@@ -95,7 +95,7 @@ def test_traction_map_values():
     assert np.allclose(traction_map(2.0, skew), 0.0)
 
 
-@pytest.mark.parametrize("n,omega", [(2, 1.0), (2, 0.4), (3, 1.5)])
+@pytest.mark.parametrize("n,omega", [(2, 1.0), (2, 0.4), (2, 4.0)])
 def test_traction_kernel_two_path(n, omega):
     # closed form against the composition through kelvin_grad and traction_map
     env = LameEnv(n, omega)
