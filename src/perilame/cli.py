@@ -499,7 +499,9 @@ def run(config):
         ("condition_estimate", f"{d.get('condition_estimate', float('nan')):.6e}"),
         ("det_integral_ainv_b", f"{d.get('det_integral_ainv_b', float('nan')):.6e}"),
         ("zero_mean_violation", f"{d.get('zero_mean_violation', float('nan')):.6e}"),
+        ("density_tail_ratio", f"{d['density_tail_ratio']:.6e}"),
     ]
+    summary += [(f"time_{stage}_s", f"{sec:.6e}") for stage, sec in d["timings"].items()]
 
     rows = [
         (f"{t[i]:.12g}", f"{curve.nodes[i,0]:.12g}", f"{curve.nodes[i,1]:.12g}",

@@ -20,7 +20,14 @@ import scipy.linalg as sla
 
 from .errors import ConvergenceError, DegenerateProblemError
 from .operators import BoundaryVectorField, assemble_single_layer, assemble_wstar
-from .robin import SolutionRep, augmented_matrix, boundary_integral, drift_traction
+from .robin import (
+    SolutionRep,
+    augmented_matrix,
+    boundary_integral,
+    density_tail_ratio,
+    drift_traction,
+    timed,
+)
 
 # a Jacobian whose smallest singular value is at most RANK_TOL * max(largest, 1)
 # is reported as rank deficient
@@ -89,7 +96,8 @@ def solve_nonlinear_robin(
     when the update's sup-norm is below tol * max(1, |mu|_inf, |c|_inf), so a
     large solution is not held to an absolute size its rounding cannot meet.
     Raises DegenerateProblemError on a rank-deficient Jacobian and
-    ConvergenceError when max_iter steps do not meet tol.
+    ConvergenceError when max_iter steps do not meet tol.  diagnostics["timings"]
+    holds the seconds of the iteration.
     """
     if model.jac is None:
         raise ValueError("iteration needs a model Jacobian (affine/saturating/tabulated with jac)")
@@ -132,31 +140,33 @@ def solve_nonlinear_robin(
         mu_flat = initial.mu.values.reshape(-1).copy()
         c = initial.c.copy()
 
-    res, U = residual(mu_flat, c)
-    res_norm = np.max(np.abs(res))
-    trace = [res_norm]
-    frozen = factor_checked(U) if method == "picard" else None
-
-    converged = False
-    update_norm = np.inf
-    for _ in range(max_iter):
-        factors = frozen if method == "picard" else factor_checked(U)
-        step = sla.lu_solve(factors, res)
-        lam = 1.0
-        for _ in range(6):
-            mu_try = mu_flat - lam * step[:-2]
-            c_try = c - lam * step[-2:]
-            res_try, U_try = residual(mu_try, c_try)
-            if np.max(np.abs(res_try)) <= res_norm or lam <= 1.0 / 32.0:
-                break
-            lam *= 0.5
-        update_norm = lam * np.max(np.abs(step))
-        mu_flat, c, res, U = mu_try, c_try, res_try, U_try
+    timings = {}
+    with timed(timings, "iteration"):
+        res, U = residual(mu_flat, c)
         res_norm = np.max(np.abs(res))
-        trace.append(res_norm)
-        if update_norm < tol * max(1.0, np.max(np.abs(mu_flat)), np.max(np.abs(c))):
-            converged = True
-            break
+        trace = [res_norm]
+        frozen = factor_checked(U) if method == "picard" else None
+
+        converged = False
+        update_norm = np.inf
+        for _ in range(max_iter):
+            factors = frozen if method == "picard" else factor_checked(U)
+            step = sla.lu_solve(factors, res)
+            lam = 1.0
+            for _ in range(6):
+                mu_try = mu_flat - lam * step[:-2]
+                c_try = c - lam * step[-2:]
+                res_try, U_try = residual(mu_try, c_try)
+                if np.max(np.abs(res_try)) <= res_norm or lam <= 1.0 / 32.0:
+                    break
+                lam *= 0.5
+            update_norm = lam * np.max(np.abs(step))
+            mu_flat, c, res, U = mu_try, c_try, res_try, U_try
+            res_norm = np.max(np.abs(res))
+            trace.append(res_norm)
+            if update_norm < tol * max(1.0, np.max(np.abs(mu_flat)), np.max(np.abs(c))):
+                converged = True
+                break
     if not converged:
         raise ConvergenceError(
             f"no convergence in {max_iter} {method} iterations "
@@ -172,5 +182,7 @@ def solve_nonlinear_robin(
         "zero_mean_violation": float(np.max(np.abs(boundary_integral(mu, curve)))),
         "trace": trace,
         "method": method,
+        "density_tail_ratio": density_tail_ratio(mu),
+        "timings": timings,
     }
     return SolutionRep(mu=mu, c=c, B=B, diagnostics=diagnostics)

@@ -10,10 +10,13 @@ Kernels are split on the parameter torus as
 with gamma_c = (1-beta)/(2 pi) and J the quarter-turn matrix; the traction
 kernel of the plane Kelvin matrix has no logarithmic singularity, only the
 Cauchy part above.  The split is re-verified numerically at assembly time.
+The rows at the midpoints t_i + pi/N (midpoint_rows) use the same split, with
+both rules shifted by half a node; they stay circulant.
 """
 
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -103,23 +106,46 @@ def trig_resample(vals, M):
     return np.real(np.fft.ifft(G)) * (M / N)
 
 
-def kress_log_rule(N):
-    """Circulant quadrature for int_0^{2pi} log(4 sin^2((t_a - s)/2)) f(s) ds."""
-    m = np.fft.fftfreq(N, d=1.0 / N)
-    lam = np.zeros(N)
+def _log_symbol(m):
+    lam = np.zeros(m.shape)
     nz = m != 0
     lam[nz] = -2.0 * np.pi / np.abs(m[nz])
-    eye = np.eye(N)
-    return np.real(np.fft.ifft(lam[:, None] * np.fft.fft(eye, axis=0), axis=0))
+    return lam
 
 
-def hilbert_rule(N):
-    """Circulant quadrature for (1/2pi) pv int f(s) cot((t_a - s)/2) ds."""
+def _hilbert_symbol(m):
+    return -1j * np.sign(m)
+
+
+def _shifted_rule(symbol, N, shift):
+    """Circulant weights of a convolution rule at the targets t_a + shift.
+
+    symbol(m) is the rule's multiplier on e^{ims}: the trig interpolant of the
+    nodal data is integrated exactly and read at t_a + shift, so the weight of
+    node b depends on a - b alone.  The Nyquist mode is split evenly between
+    m = +-N/2, which keeps the real part of its shifted symbol.
+    """
     m = np.fft.fftfreq(N, d=1.0 / N)
-    lam = -1j * np.sign(m)
-    lam[np.abs(m) == N // 2] = 0.0  # nodal conjugate of the Nyquist mode vanishes
+    lam = symbol(m)
+    if shift:
+        lam = lam * np.exp(1j * m * shift)
+    lam[N // 2] = lam[N // 2].real
     eye = np.eye(N)
     return np.real(np.fft.ifft(lam[:, None] * np.fft.fft(eye, axis=0), axis=0))
+
+
+def kress_log_rule(N, shift=0.0):
+    """Circulant quadrature for int_0^{2pi} log(4 sin^2((t_a + shift - s)/2)) f(s) ds."""
+    return _shifted_rule(_log_symbol, N, shift)
+
+
+def hilbert_rule(N, shift=0.0):
+    """Circulant quadrature for (1/2pi) pv int f(s) cot((t_a + shift - s)/2) ds.
+
+    The Nyquist mode contributes sin((N/2)(t_a + shift - t_b)) / N, which
+    vanishes at shift 0 and is (-1)^(a-b) / N at shift pi/N.
+    """
+    return _shifted_rule(_hilbert_symbol, N, shift)
 
 
 def _chunked(fn, pts, out_shape):
@@ -130,13 +156,15 @@ def _chunked(fn, pts, out_shape):
     return out
 
 
-def _pairwise_symmetric(fn, d, out_shape, odd):
-    """Evaluate an even/odd kernel on the (N, N, 2) difference array.
+def _lattice_blocks(fn, d, out_shape, odd, on_nodes):
+    """Evaluate an even/odd lattice kernel on the (N, N, 2) difference array.
 
-    Only the upper triangle is computed; the lower triangle is mirrored with
-    the parity sign.
+    With the nodes as targets only the upper triangle is computed; the lower
+    triangle is mirrored with the parity sign.  Other targets take all pairs.
     """
     N = d.shape[0]
+    if not on_nodes:
+        return _chunked(fn, d.reshape(-1, 2), out_shape).reshape((N, N) + out_shape)
     ia, ib = np.triu_indices(N)
     vals = _chunked(fn, d[ia, ib], out_shape)
     out = np.empty((N, N) + out_shape)
@@ -151,53 +179,71 @@ def _blocks_to_matrix(blocks):
     return blocks.transpose(0, 2, 1, 3).reshape(2 * N, 2 * N)
 
 
-def assemble_single_layer(curve, env, cell, plan):
-    """Nystrom matrix of the periodic single-layer operator on the curve."""
+def _midpoints(curve):
+    """Geometry at the N midpoints t_i + pi/N: the odd nodes of the 2N curve."""
+    fine = curve.resample(2 * curve.N)
+    return SimpleNamespace(
+        **{k: getattr(fine, k)[1::2] for k in ("params", "nodes", "d1", "speeds", "normals")}
+    )
+
+
+def _single_layer_rows(curve, targets, shift, env, cell, plan):
+    """(2N, 2N) Nystrom rows of V at the targets t_i + shift against the N nodes.
+
+    At shift 0 the targets are the nodes themselves: the diagonal takes the
+    limits of the smooth split and the lattice part is mirrored.
+    """
     N = curve.N
-    t = curve.params
-    x = curve.nodes
     sp = curve.speeds
     alpha, beta = env.alpha, env.beta
+    on_nodes = shift == 0.0
+    ar = np.arange(N)
 
-    d = x[:, None, :] - x[None, :, :]
+    d = targets.nodes[:, None, :] - curve.nodes[None, :, :]
     r2 = np.sum(d * d, axis=-1)
-    np.fill_diagonal(r2, 1.0)
-
     # smooth factor of the free-space log split
-    dt_half = 0.5 * (t[:, None] - t[None, :])
+    dt_half = 0.5 * (targets.params[:, None] - curve.params[None, :])
     sin2 = 4.0 * np.sin(dt_half) ** 2
-    np.fill_diagonal(sin2, 1.0)
+    if on_nodes:
+        np.fill_diagonal(r2, 1.0)
+        np.fill_diagonal(sin2, 1.0)
     log_smooth = np.log(r2 / sin2)
-    np.fill_diagonal(log_smooth, np.log(sp * sp))
-
     dyad = d[:, :, :, None] * d[:, :, None, :] / r2[:, :, None, None]
-    diag_dyad = curve.d1[:, :, None] * curve.d1[:, None, :] / (sp * sp)[:, None, None]
-    dyad[np.arange(N), np.arange(N)] = diag_dyad
+    if on_nodes:
+        np.fill_diagonal(log_smooth, np.log(sp * sp))
+        dyad[ar, ar] = curve.d1[:, :, None] * curve.d1[:, None, :] / (sp * sp)[:, None, None]
 
     eye = np.eye(2)
     smooth_fs = (alpha / (4.0 * np.pi)) * log_smooth[:, :, None, None] * eye \
         - (beta / (4.0 * np.pi)) * dyad
 
-    _check_log_split(curve, env, smooth_fs, sin2)
+    _check_log_split(curve, targets, env, smooth_fs, sin2)
 
-    smooth = smooth_fs + _pairwise_symmetric(
-        lambda p: regular_part(p, env, cell, plan), d, (2, 2), odd=False
+    smooth = smooth_fs + _lattice_blocks(
+        lambda p: regular_part(p, env, cell, plan), d, (2, 2), False, on_nodes
     )
 
     blocks = (2.0 * np.pi / N) * sp[None, :, None, None] * smooth
-    KL = kress_log_rule(N)
+    KL = kress_log_rule(N, shift)
     blocks += (alpha / (4.0 * np.pi)) * (KL * sp[None, :])[:, :, None, None] * eye
-    return DenseBoundaryOperator(matrix=_blocks_to_matrix(blocks), curve=curve)
+    return _blocks_to_matrix(blocks)
 
 
-def _check_log_split(curve, env, smooth_fs, sin2):
+def assemble_single_layer(curve, env, cell, plan):
+    """Nystrom matrix of the periodic single-layer operator on the curve."""
+    return DenseBoundaryOperator(
+        matrix=_single_layer_rows(curve, curve, 0.0, env, cell, plan), curve=curve
+    )
+
+
+def _check_log_split(curve, targets, env, smooth_fs, sin2):
     """Log-coefficient extraction must rebuild the Kelvin matrix off-diagonal."""
     from .kernels import kelvin
 
     N = curve.N
     for a in range(0, N, max(1, N // 8)):
         b = (a + N // 2) % N
-        d = curve.nodes[a] - curve.nodes[b]
+        d = targets.nodes[a] - curve.nodes[b]
         direct = kelvin(d, env)
         split = smooth_fs[a, b] \
             + (env.alpha / (4.0 * np.pi)) * np.log(sin2[a, b]) * np.eye(2)
@@ -205,74 +251,101 @@ def _check_log_split(curve, env, smooth_fs, sin2):
             raise AssemblyError("log-split inconsistency in single-layer assembly")
 
 
-def assemble_wstar(curve, env, cell, plan):
-    """Nystrom matrix of the traction operator of the periodic single layer.
+def _wstar_rows(curve, targets, shift, env, cell, plan):
+    """(2N, 2N) Nystrom rows of W* at the targets t_i + shift against the N nodes.
 
     The target-normal traction kernel splits into a symmetric smooth part, a
     Cauchy part carried by the spectral Hilbert rule, and the smooth periodic
-    correction; diagonal limits come from the curvature data.
+    correction; at shift 0 the diagonal limits come from the curvature data.
     """
     N = curve.N
-    t = curve.params
-    x = curve.nodes
     sp = curve.speeds
-    nu = curve.normals
-    d1 = curve.d1
-    d2 = curve.d2
+    tsp = targets.speeds
+    nu = targets.normals
     beta = env.beta
     gamma_c = (1.0 - beta) / (2.0 * np.pi)
+    on_nodes = shift == 0.0
     ar = np.arange(N)
 
-    d = x[:, None, :] - x[None, :, :]
+    d = targets.nodes[:, None, :] - curve.nodes[None, :, :]
     r2 = np.sum(d * d, axis=-1)
-    np.fill_diagonal(r2, 1.0)
+    if on_nodes:
+        np.fill_diagonal(r2, 1.0)
     dn = np.einsum("abk,ak->ab", d, nu)
 
     eye = np.eye(2)
     ksym = (1.0 - beta) / (2.0 * np.pi) * (dn / r2)[:, :, None, None] * eye
     ksym += (beta / np.pi) * (dn / (r2 * r2))[:, :, None, None] \
         * d[:, :, :, None] * d[:, :, None, :]
-    d2n = np.einsum("ak,ak->a", d2, nu)
-    diag_sym = (-(1.0 - beta) / (4.0 * np.pi)) * (d2n / sp**2)[:, None, None] * eye \
-        - (beta / (2.0 * np.pi)) * (d2n / sp**4)[:, None, None] \
-        * d1[:, :, None] * d1[:, None, :]
-    ksym[ar, ar] = diag_sym
+    if on_nodes:
+        d1, d2 = curve.d1, curve.d2
+        d2n = np.einsum("ak,ak->a", d2, nu)
+        ksym[ar, ar] = (-(1.0 - beta) / (4.0 * np.pi)) * (d2n / sp**2)[:, None, None] * eye \
+            - (beta / (2.0 * np.pi)) * (d2n / sp**4)[:, None, None] \
+            * d1[:, :, None] * d1[:, None, :]
 
     # Cauchy part: gamma_c * (x'(t).d)/(|x'(t)| r^2) * J, cot subtracted
-    xpd = np.einsum("ak,abk->ab", d1, d)
-    h = xpd / (sp[:, None] * r2)
-    dt_half = 0.5 * (t[:, None] - t[None, :])
-    cot = np.zeros((N, N))
-    off = ~np.eye(N, dtype=bool)
-    cot[off] = 1.0 / np.tan(dt_half[off])
-    rho = h - cot / (2.0 * sp[:, None])
-    rho[ar, ar] = np.einsum("ak,ak->a", d1, d2) / (2.0 * sp**3)
+    xpd = np.einsum("ak,abk->ab", targets.d1, d)
+    h = xpd / (tsp[:, None] * r2)
+    dt_half = 0.5 * (targets.params[:, None] - curve.params[None, :])
+    if on_nodes:
+        cot = np.zeros((N, N))
+        off = ~np.eye(N, dtype=bool)
+        cot[off] = 1.0 / np.tan(dt_half[off])
+    else:
+        cot = 1.0 / np.tan(dt_half)
+    rho = h - cot / (2.0 * tsp[:, None])
+    if on_nodes:
+        rho[ar, ar] = np.einsum("ak,ak->a", curve.d1, curve.d2) / (2.0 * sp**3)
 
-    rgrad = _pairwise_symmetric(
-        lambda p: regular_part_grad(p, env, cell, plan), d, (2, 2, 2), odd=True
+    rgrad = _lattice_blocks(
+        lambda p: regular_part_grad(p, env, cell, plan), d, (2, 2, 2), True, on_nodes
     )
     rcorr = traction_from_gradient(rgrad, nu[:, None, :], env.omega)
 
-    _check_traction_split(curve, env, ksym, rho, cot, sp)
+    _check_traction_split(curve, targets, env, ksym, rho, cot)
 
     blocks = (2.0 * np.pi / N) * sp[None, :, None, None] \
         * (ksym + gamma_c * rho[:, :, None, None] * _J + rcorr)
-    Q = hilbert_rule(N)
-    blocks += gamma_c * np.pi * (Q * (sp[None, :] / sp[:, None]))[:, :, None, None] * _J
-    return DenseBoundaryOperator(matrix=_blocks_to_matrix(blocks), curve=curve)
+    Q = hilbert_rule(N, shift)
+    blocks += gamma_c * np.pi * (Q * (sp[None, :] / tsp[:, None]))[:, :, None, None] * _J
+    return _blocks_to_matrix(blocks)
 
 
-def _check_traction_split(curve, env, ksym, rho, cot, sp):
+def assemble_wstar(curve, env, cell, plan):
+    """Nystrom matrix of the traction operator of the periodic single layer."""
+    return DenseBoundaryOperator(
+        matrix=_wstar_rows(curve, curve, 0.0, env, cell, plan), curve=curve
+    )
+
+
+def midpoint_rows(curve, env, cell, plan):
+    """Rows of V and W* at the N midpoints t_i + pi/N against the N nodes.
+
+    The kernel split is the assembly's; the Kress log rule and the Hilbert
+    rule are shifted by half a node, and the lattice parts take N^2 pairs
+    each.  Returns two (2N, 2N) matrices from node-major densities to
+    node-major midpoint values.
+    """
+    targets, shift = _midpoints(curve), np.pi / curve.N
+    return (
+        _single_layer_rows(curve, targets, shift, env, cell, plan),
+        _wstar_rows(curve, targets, shift, env, cell, plan),
+    )
+
+
+def _check_traction_split(curve, targets, env, ksym, rho, cot):
     """Free-space split must reproduce the direct traction kernel off-diagonal."""
     N = curve.N
+    sp = targets.speeds
     gamma_c = (1.0 - env.beta) / (2.0 * np.pi)
     rng = np.random.default_rng(N)
     pairs = [(int(a), int((a + s) % N)) for a, s in
              zip(rng.integers(0, N, 20), rng.integers(N // 4, 3 * N // 4, 20))]
     worst = 0.0
     for a, b in pairs:
-        d = curve.nodes[a] - curve.nodes[b]
-        direct = traction_kernel(d, curve.normals[a], env)
+        d = targets.nodes[a] - curve.nodes[b]
+        direct = traction_kernel(d, targets.normals[a], env)
         split = ksym[a, b] + gamma_c * (rho[a, b] + cot[a, b] / (2.0 * sp[a])) * _J
         worst = max(worst, float(np.max(np.abs(direct - split))))
         scale = max(1.0, float(np.max(np.abs(direct))))

@@ -9,8 +9,14 @@ closed by the componentwise zero-mean constraint on mu.  The square system of
 size (2N + 2) determines the zero-mean density together with the additive
 constant c, and the displacement is reconstructed as
 u(x) = v[mu](x) + c + B q^{-1} x.
+
+diagnostics["residual_off_node"] is the collocation residual at the N
+midpoints t_i + pi/N: N-point Kress log and Hilbert rules at the half-shifted
+targets against the N nodes, with no reassembly at 2N.
 """
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +32,7 @@ from .operators import (
     assemble_wstar,
     boundary_integral,
     eval_single_layer,
+    midpoint_rows,
 )
 
 COND_LIMIT = 1e13
@@ -225,20 +232,50 @@ def _lu_checked(matrix, name, cause):
     return (lu, piv), float(cond)
 
 
+@contextmanager
+def timed(timings, stage):
+    """Record the wall time of the block as timings[stage], in seconds."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[stage] = time.perf_counter() - t0
+
+
+def density_tail_ratio(mu):
+    """Size of the top quarter of mu's Fourier modes over the size of mu.
+
+    The modes with |m| > 3N/8 carry the ratio; a resolved density has a
+    small one.  A zero density gives 0, and a density at rounding level a
+    ratio of rounding noise.
+    """
+    N = mu.curve.N
+    F = np.fft.fft(mu.values, axis=0)
+    m = np.abs(np.fft.fftfreq(N, d=1.0 / N))
+    total = np.linalg.norm(F)
+    return float(np.linalg.norm(F[m > 3 * N / 8]) / total) if total else 0.0
+
+
 def solve_robin(data, curve, env, cell, plan, operators=None):
     """Solve the linear Robin problem; returns the (mu, c, B) representation.
 
     Dense LU with partial pivoting; a 1-norm condition estimate above 1e13
     raises SolveError since the solvability conditions are then violated
-    beyond numerical tolerance.
+    beyond numerical tolerance.  diagnostics["timings"] holds the seconds of
+    each stage.
     """
-    diagnostics = validate_robin_data(data, curve)
-    system = assemble_robin_system(data, curve, env, cell, plan, operators=operators)
-    factors, diagnostics["condition_estimate"] = _lu_checked(
-        system.matrix, "discrete system",
-        "the admissibility conditions on (a, b) are likely violated beyond tolerance",
-    )
-    sol = sla.lu_solve(factors, system.rhs)
+    timings = {}
+    with timed(timings, "validate"):
+        diagnostics = validate_robin_data(data, curve)
+    with timed(timings, "system"):
+        system = assemble_robin_system(data, curve, env, cell, plan, operators=operators)
+    with timed(timings, "lu"):
+        factors, diagnostics["condition_estimate"] = _lu_checked(
+            system.matrix, "discrete system",
+            "the admissibility conditions on (a, b) are likely violated beyond tolerance",
+        )
+    with timed(timings, "back_solve"):
+        sol = sla.lu_solve(factors, system.rhs)
     mu_vals = sol[:-2].reshape(-1, 2)
     c = sol[-2:]
     mu = BoundaryVectorField(mu_vals, curve)
@@ -248,29 +285,36 @@ def solve_robin(data, curve, env, cell, plan, operators=None):
     diagnostics["zero_mean_violation"] = float(
         np.max(np.abs(boundary_integral(mu, curve)))
     )
-    diagnostics["residual_off_node"] = _off_node_residual(
-        data, curve, env, cell, plan, mu, c
-    )
+    with timed(timings, "off_node_residual"):
+        diagnostics["residual_off_node"] = _off_node_residual(
+            data, curve, env, cell, plan, mu, c
+        )
+    diagnostics["density_tail_ratio"] = density_tail_ratio(mu)
+    diagnostics["timings"] = timings
     rep = SolutionRep(mu=mu, c=c, B=data.B, diagnostics=diagnostics)
     return rep
 
 
 def _off_node_residual(data, curve, env, cell, plan, mu, c):
-    """Collocation residual at the N midpoints via exact trig resampling."""
+    """Collocation residual at the N midpoints t_i + pi/N.
+
+    V and W* act on the nodal density through N-point rules at the
+    half-shifted targets (operators.midpoint_rows); the data and the density
+    at the midpoints are the odd entries of their exact trig resampling to 2N.
+    """
     N2 = 2 * curve.N
     fine = data.resample(N2)
-    mu_fine = mu.resample(N2)
-    curve2 = fine.curve
-    V2 = assemble_single_layer(curve2, env, cell, plan)
-    W2 = assemble_wstar(curve2, env, cell, plan)
-    ainv = np.linalg.inv(fine.a.values)
-    ainv_b = np.einsum("nij,njk->nik", ainv, fine.b.values)
-    lhs = 0.5 * mu_fine.values + W2.apply(mu_fine).values
-    vmu = V2.apply(mu_fine).values + c[None, :]
+    mu_mid = mu.resample(N2).values[1::2]
+    V_mid, W_mid = midpoint_rows(curve, env, cell, plan)
+    mu_flat = mu.values.reshape(-1)
+    ainv_b = np.einsum(
+        "nij,njk->nik", np.linalg.inv(fine.a.values[1::2]), fine.b.values[1::2]
+    )
+    lhs = 0.5 * mu_mid + (W_mid @ mu_flat).reshape(-1, 2)
+    vmu = (V_mid @ mu_flat).reshape(-1, 2) + c[None, :]
     lhs += np.einsum("nij,nj->ni", ainv_b, vmu)
-    rhs = robin_rhs(fine, env, cell)
-    res = lhs - rhs
-    return float(np.max(np.abs(res[1::2])))  # odd fine nodes = coarse midpoints
+    res = lhs - robin_rhs(fine, env, cell)[1::2]
+    return float(np.max(np.abs(res)))
 
 
 def eval_solution(rep, x, env, cell, plan, warn=True):

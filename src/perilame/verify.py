@@ -225,7 +225,10 @@ def _kernel_configs(tol, omegas=OMEGAS):
 
 
 def _robin_data(curve, g, B=None, a=np.eye(2), b=-np.eye(2)):
-    """Constant-coefficient Robin data; a = I, b = -I is the admissible reference."""
+    """Robin data with constant g; a = I, b = -I is the admissible reference.
+
+    a and b are 2x2 matrices or nodal (N, 2, 2) arrays.
+    """
     return RobinData(
         a=constant_matrix_field(a, curve),
         b=constant_matrix_field(b, curve),
@@ -255,7 +258,8 @@ def _trig_density(curve, rng, modes=4, scale=1.0):
 
 
 # ----------------------------------------------------------------------------
-# property checks; each returns (max_error, tolerance, fingerprint)
+# property checks; each returns (max_error, fingerprint), and REGISTRY pins
+# each property's tolerance
 
 
 def _check_green_oracle(seed):
@@ -268,7 +272,7 @@ def _check_green_oracle(seed):
                 p, env, cell
             )
             worst = max(worst, float(np.max(np.abs(diff))))
-    return worst, 1e-9, _fingerprint(tol=1e-10)
+    return worst, _fingerprint(tol=1e-10)
 
 
 def _check_green_evenness(seed):
@@ -278,7 +282,7 @@ def _check_green_evenness(seed):
         pts = _off_lattice_points(cell, 50, rng)
         diff = periodic_green(pts, env, cell, plan) - periodic_green(-pts, env, cell, plan)
         worst = max(worst, float(np.max(np.abs(diff))))
-    return worst, 1e-9, _fingerprint(tol=1e-10)
+    return worst, _fingerprint(tol=1e-10)
 
 
 def _check_green_periodicity(seed):
@@ -290,7 +294,7 @@ def _check_green_periodicity(seed):
         for e in np.eye(2):
             diff = periodic_green(pts + e * np.asarray(cell.q_diag), env, cell, plan) - base
             worst = max(worst, float(np.max(np.abs(diff))))
-    return worst, 1e-9, _fingerprint(tol=1e-10)
+    return worst, _fingerprint(tol=1e-10)
 
 
 def _check_green_symmetry(seed):
@@ -300,7 +304,7 @@ def _check_green_symmetry(seed):
         pts = _off_lattice_points(cell, 50, rng)
         G = periodic_green(pts, env, cell, plan)
         worst = max(worst, float(np.max(np.abs(G - np.swapaxes(G, -1, -2)))))
-    return worst, 1e-9, _fingerprint(tol=1e-10)
+    return worst, _fingerprint(tol=1e-10)
 
 
 def _check_green_decomposition(seed):
@@ -313,7 +317,7 @@ def _check_green_decomposition(seed):
             pts, env, cell, plan
         )
         worst = max(worst, float(np.max(np.abs(ref - split))))
-    return worst, 1e-12, _fingerprint(tol=1e-13)
+    return worst, _fingerprint(tol=1e-13)
 
 
 def _check_remainder_limit(seed):
@@ -327,7 +331,7 @@ def _check_remainder_limit(seed):
             # the remainder is even in x, so the limit is second order in h
             extrap = (4.0 * vals[2] - vals[1]) / 3.0
             worst = max(worst, float(np.max(np.abs(extrap - r0))))
-    return worst, 1e-8, _fingerprint(tol=1e-13)
+    return worst, _fingerprint(tol=1e-13)
 
 
 def _check_pde_residual(seed):
@@ -347,7 +351,7 @@ def _check_pde_residual(seed):
         if not (levels[0] > 8 * levels[1] and levels[1] > 8 * levels[2]):
             decay_ok = False
     err = worst if decay_ok else np.inf
-    return err, 1e-6, _fingerprint(tol=1e-13)
+    return err, _fingerprint(tol=1e-13)
 
 
 def _check_scalar_limit(seed):
@@ -359,7 +363,7 @@ def _check_scalar_limit(seed):
         s = scalar_periodic_green(pts, cell)
         worst = max(worst, float(np.max(np.abs(G[:, 0, 0] - s))))
         worst = max(worst, float(np.max(np.abs(G[:, 1, 1] - s))))
-    return worst, 1e-6, _fingerprint(tol=1e-10)
+    return worst, _fingerprint(tol=1e-10)
 
 
 def _check_green_gradient(seed):
@@ -377,7 +381,7 @@ def _check_green_gradient(seed):
                     - periodic_green(p - e, env, cell, plan)
                 ) / (2 * h)
             worst = max(worst, float(np.max(np.abs(g - fd))))
-    return worst, 1e-7, _fingerprint(tol=1e-12)
+    return worst, _fingerprint(tol=1e-12)
 
 
 def _check_integral_identity(seed):
@@ -395,7 +399,7 @@ def _check_integral_identity(seed):
             lhs = boundary_integral(W.apply(mu), curve)
             rhs = factor * boundary_integral(mu, curve)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst, 1e-8, _fingerprint(
+    return worst, _fingerprint(
         cell=cell, omega=1.0, curve="circle+ellipse", N=128, tol=1e-11
     )
 
@@ -422,7 +426,7 @@ def _check_jump_relation(seed):
         )
     extrap = (8.0 * vals[0] - 6.0 * vals[1] + vals[2]) / 3.0
     err = float(np.max(np.abs(extrap - target)))
-    return err, 1e-6, _fingerprint(cell=cell, omega=1.0, curve="circle", N=N, tol=1e-11)
+    return err, _fingerprint(cell=cell, omega=1.0, curve="circle", N=N, tol=1e-11)
 
 
 def _check_single_layer_periodicity(seed):
@@ -445,7 +449,7 @@ def _check_single_layer_periodicity(seed):
             pts + e * np.asarray(cell.q_diag), mu, env, cell, plan, warn=False
         )
         worst = max(worst, float(np.max(np.abs(shifted - base))))
-    return worst, 1e-10, _fingerprint(cell=cell, omega=0.5, curve="ellipse", N=128)
+    return worst, _fingerprint(cell=cell, omega=0.5, curve="ellipse", N=128)
 
 
 def _check_single_layer_lame(seed):
@@ -469,7 +473,7 @@ def _check_single_layer_lame(seed):
             1e-3,
         )
         worst = max(worst, float(np.max(np.abs(lam - target))) / scale)
-    return worst, 1e-5, _fingerprint(cell=cell, omega=1.0, curve="circle", N=128)
+    return worst, _fingerprint(cell=cell, omega=1.0, curve="circle", N=128)
 
 
 def _check_aux_roundtrip(seed):
@@ -485,7 +489,7 @@ def _check_aux_roundtrip(seed):
         mu = solve_neumann_aux(psi, curve, env, cell, plan, wstar=W)
         res = 0.5 * mu.values + W.apply(mu).values - psi.values
         worst = max(worst, float(np.max(np.abs(res))))
-    return worst, 1e-11, _fingerprint(cell=cell, omega=4.0, curve="perturbed", N=128)
+    return worst, _fingerprint(cell=cell, omega=4.0, curve="perturbed", N=128)
 
 
 def _check_aux_mean_identity(seed):
@@ -503,7 +507,7 @@ def _check_aux_mean_identity(seed):
         lhs = boundary_integral(psi, curve)
         rhs = factor * boundary_integral(mu, curve)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst, 1e-8, _fingerprint(cell=cell, omega=0.5, curve="circle", N=128)
+    return worst, _fingerprint(cell=cell, omega=0.5, curve="circle", N=128)
 
 
 def _check_representation(seed):
@@ -536,7 +540,7 @@ def _check_representation(seed):
         float(np.max(np.abs(mu_rec.values - mu0.values))),
         float(np.max(np.abs(c_rec - c0))),
     )
-    return err, 1e-9, _fingerprint(cell=cell, omega=1.0, curve="circle", N=128)
+    return err, _fingerprint(cell=cell, omega=1.0, curve="circle", N=128)
 
 
 def _sources_field(env, cell, plan, x0, x1, dvec, cstar=None, B=None):
@@ -597,7 +601,7 @@ def _check_robin_exact(seed):
     pts = np.array([[0.1, 0.1], [0.9, 0.2], [0.5, 0.95]])
     u = eval_solution(rep2, pts, env, cell, plan, warn=False)
     err = max(err, float(np.max(np.abs(u - pts @ Bq.T))))
-    return err, 1e-9, _fingerprint(cell=cell, omega=1.0, curve="circle", N=64)
+    return err, _fingerprint(cell=cell, omega=1.0, curve="circle", N=64)
 
 
 def _check_robin_homogeneous(seed):
@@ -607,7 +611,7 @@ def _check_robin_homogeneous(seed):
     curve = standard_curve("ellipse", cell, 64)
     rep = solve_robin(_robin_data(curve, (0.0, 0.0)), curve, env, cell, plan)
     err = float(np.max(np.abs(rep.mu.values))) + float(np.max(np.abs(rep.c)))
-    return err, 1e-10, _fingerprint(cell=cell, omega=4.0, curve="ellipse", N=64)
+    return err, _fingerprint(cell=cell, omega=4.0, curve="ellipse", N=64)
 
 
 def _check_robin_manufactured(seed):
@@ -618,7 +622,7 @@ def _check_robin_manufactured(seed):
     errs = {N: _manufactured_error(env, cell, plan, N, rng) for N in (64, 128, 256)}
     ratio = errs[64] / max(errs[256], 1e-16)
     err = errs[128] if ratio >= 100.0 else np.inf
-    return err, 1e-8, _fingerprint(cell=cell, omega=1.0, curve="circle", N=128, tol=1e-12)
+    return err, _fingerprint(cell=cell, omega=1.0, curve="circle", N=128, tol=1e-12)
 
 
 def _check_quasi_periodicity(seed):
@@ -638,7 +642,7 @@ def _check_quasi_periodicity(seed):
             rep, pts + e * np.asarray(cell.q_diag), env, cell, plan, warn=False
         )
         worst = max(worst, float(np.max(np.abs(shifted - base - B[:, j][None, :]))))
-    return worst, 1e-10, _fingerprint(cell=cell, omega=0.5, curve="circle", N=64)
+    return worst, _fingerprint(cell=cell, omega=0.5, curve="circle", N=64)
 
 
 def _check_nonlinear_equivalence(seed):
@@ -658,7 +662,7 @@ def _check_nonlinear_equivalence(seed):
         float(np.max(np.abs(rep_lin.mu.values - rep_nl.mu.values))),
         float(np.max(np.abs(rep_lin.c - rep_nl.c))),
     )
-    return err, 1e-9, _fingerprint(cell=cell, omega=1.0, curve="circle", N=64)
+    return err, _fingerprint(cell=cell, omega=1.0, curve="circle", N=64)
 
 
 def _check_nonlinear_manufactured(seed):
@@ -689,7 +693,7 @@ def _check_nonlinear_manufactured(seed):
     err = float(np.max(np.abs(u_num - u_fn(pts))))
     if rep.diagnostics["iterations"] > 30:
         err = np.inf
-    return err, 1e-7, _fingerprint(cell=cell, omega=1.0, curve="circle", N=N, tol=1e-12)
+    return err, _fingerprint(cell=cell, omega=1.0, curve="circle", N=N, tol=1e-12)
 
 
 def _check_nonlinear_degeneracy(seed):
@@ -703,8 +707,8 @@ def _check_nonlinear_degeneracy(seed):
     try:
         solve_nonlinear_robin(model, np.zeros((2, 2)), curve, env, cell, plan)
     except DegenerateProblemError:
-        return 0.0, 0.5, _fingerprint(cell=cell, omega=1.0, curve="circle", N=64)
-    return np.inf, 0.5, _fingerprint(cell=cell, omega=1.0, curve="circle", N=64)
+        return 0.0, _fingerprint(cell=cell, omega=1.0, curve="circle", N=64)
+    return np.inf, _fingerprint(cell=cell, omega=1.0, curve="circle", N=64)
 
 
 def _check_data_validation(seed):
@@ -721,6 +725,13 @@ def _check_data_validation(seed):
             np.zeros((2, 2)),
             ("invertibility-of-integral", "pointwise-invertibility-of-b"),
         ),
+        # b = -nu nu^T is singular at every node, while the integral of a^-1 b,
+        # -pi r I, is invertible: only the pointwise condition rejects it
+        (
+            np.eye(2),
+            -curve.normals[:, :, None] * curve.normals[:, None, :],
+            ("pointwise-invertibility-of-b",),
+        ),
     ]
     for a, b, expect in cases:
         try:
@@ -728,35 +739,53 @@ def _check_data_validation(seed):
         except AdmissibilityError as exc:
             failures += exc.condition in expect
     validate_robin_data(_robin_data(curve, (0.0, 0.0)), curve)
-    err = 0.0 if failures == 3 else np.inf
-    return err, 0.5, _fingerprint(cell=cell, curve="circle", N=64)
+    err = 0.0 if failures == len(cases) else np.inf
+    return err, _fingerprint(cell=cell, curve="circle", N=64)
 
 
 REGISTRY = {
-    "green-oracle-agreement": ("lattice series definition", _check_green_oracle),
-    "green-evenness": ("matrix even in x", _check_green_evenness),
-    "green-lattice-periodicity": ("translation invariance", _check_green_periodicity),
-    "green-matrix-symmetry": ("entrywise symmetry", _check_green_symmetry),
-    "green-kelvin-decomposition": ("smooth remainder split", _check_green_decomposition),
-    "remainder-finite-at-zero": ("remainder limit at origin", _check_remainder_limit),
-    "green-pde-residual": ("unit sources with uniform background", _check_pde_residual),
-    "green-scalar-limit": ("harmonic limit of the diagonal", _check_scalar_limit),
-    "green-gradient": ("analytic gradient vs differences", _check_green_gradient),
-    "wstar-integral-identity": ("traction operator mean identity", _check_integral_identity),
-    "traction-jump-relation": ("one-sided traction jump", _check_jump_relation),
-    "single-layer-periodicity": ("potential is cell-periodic", _check_single_layer_periodicity),
-    "single-layer-load-balance": ("uniform body load of the potential", _check_single_layer_lame),
-    "aux-operator-roundtrip": ("second-kind solve residual", _check_aux_roundtrip),
-    "aux-mean-identity": ("integrated second-kind identity", _check_aux_mean_identity),
-    "representation-roundtrip": ("density-plus-constant recovery", _check_representation),
-    "robin-exact-solutions": ("constant and linear exact fields", _check_robin_exact),
-    "robin-homogeneous-uniqueness": ("zero data gives zero solution", _check_robin_homogeneous),
-    "robin-manufactured-convergence": ("two-source manufactured field", _check_robin_manufactured),
-    "robin-quasi-periodicity": ("prescribed drift across the cell", _check_quasi_periodicity),
-    "nonlinear-affine-equivalence": ("affine law matches linear solver", _check_nonlinear_equivalence),
-    "nonlinear-manufactured": ("constructed nonlinear solution", _check_nonlinear_manufactured),
-    "nonlinear-degeneracy-report": ("unconstrained constant detected", _check_nonlinear_degeneracy),
-    "data-admissibility-rejections": ("solvability conditions enforced", _check_data_validation),
+    "green-oracle-agreement": ("lattice series definition", 1e-9, _check_green_oracle),
+    "green-evenness": ("matrix even in x", 1e-9, _check_green_evenness),
+    "green-lattice-periodicity": ("translation invariance", 1e-9, _check_green_periodicity),
+    "green-matrix-symmetry": ("entrywise symmetry", 1e-9, _check_green_symmetry),
+    "green-kelvin-decomposition": ("smooth remainder split", 1e-12, _check_green_decomposition),
+    "remainder-finite-at-zero": ("remainder limit at origin", 1e-8, _check_remainder_limit),
+    "green-pde-residual": ("unit sources with uniform background", 1e-6, _check_pde_residual),
+    "green-scalar-limit": ("harmonic limit of the diagonal", 1e-6, _check_scalar_limit),
+    "green-gradient": ("analytic gradient vs differences", 1e-7, _check_green_gradient),
+    "wstar-integral-identity": ("traction operator mean identity", 1e-8, _check_integral_identity),
+    "traction-jump-relation": ("one-sided traction jump", 1e-6, _check_jump_relation),
+    "single-layer-periodicity": (
+        "potential is cell-periodic", 1e-10, _check_single_layer_periodicity
+    ),
+    "single-layer-load-balance": (
+        "uniform body load of the potential", 1e-5, _check_single_layer_lame
+    ),
+    "aux-operator-roundtrip": ("second-kind solve residual", 1e-11, _check_aux_roundtrip),
+    "aux-mean-identity": ("integrated second-kind identity", 1e-8, _check_aux_mean_identity),
+    "representation-roundtrip": ("density-plus-constant recovery", 1e-9, _check_representation),
+    "robin-exact-solutions": ("constant and linear exact fields", 1e-9, _check_robin_exact),
+    "robin-homogeneous-uniqueness": (
+        "zero data gives zero solution", 1e-10, _check_robin_homogeneous
+    ),
+    "robin-manufactured-convergence": (
+        "two-source manufactured field", 1e-8, _check_robin_manufactured
+    ),
+    "robin-quasi-periodicity": (
+        "prescribed drift across the cell", 1e-10, _check_quasi_periodicity
+    ),
+    "nonlinear-affine-equivalence": (
+        "affine law matches linear solver", 1e-9, _check_nonlinear_equivalence
+    ),
+    "nonlinear-manufactured": (
+        "constructed nonlinear solution", 1e-7, _check_nonlinear_manufactured
+    ),
+    "nonlinear-degeneracy-report": (
+        "unconstrained constant detected", 0.5, _check_nonlinear_degeneracy
+    ),
+    "data-admissibility-rejections": (
+        "solvability conditions enforced", 0.5, _check_data_validation
+    ),
 }
 
 
@@ -765,21 +794,11 @@ def run_property_suite(names=None, seed=0):
     reports = []
     selected = names if names is not None else list(REGISTRY)
     for name in selected:
-        anchor, runner = REGISTRY[name]
+        anchor, tol, runner = REGISTRY[name]
         try:
-            err, tol, fp = runner(seed)
+            err, fp = runner(seed)
         except Exception as exc:  # report, never throw: the report is the product
-            reports.append(
-                OracleReport(
-                    name=name,
-                    anchor=anchor,
-                    max_error=float("inf"),
-                    tolerance=0.0,
-                    passed=False,
-                    fingerprint=f"exception: {type(exc).__name__}: {exc}",
-                )
-            )
-            continue
+            err, fp = float("inf"), f"exception: {type(exc).__name__}: {exc}"
         reports.append(OracleReport.from_error(name, anchor, err, tol, fp))
     return reports
 

@@ -247,3 +247,12 @@ def test_verify_mode_quick(tmp_path, monkeypatch):
 
 def test_missing_config_rejected():
     assert main(["--config", "/nonexistent/path.json"]) == 2
+
+
+def test_summary_reports_tail_ratio_and_stage_timings(tmp_path):
+    cfg = dict(MINIMAL, nodes=32, grid=[4, 4], out_dir=str(tmp_path / "out"))
+    assert main(["--config", _write(tmp_path, cfg)]) == 0
+    summary = _read_summary(cfg["out_dir"])
+    assert 0.0 <= float(summary["density_tail_ratio"]) < 1.0
+    for stage in ("validate", "system", "lu", "back_solve", "off_node_residual"):
+        assert float(summary[f"time_{stage}_s"]) >= 0.0

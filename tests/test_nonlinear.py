@@ -263,3 +263,16 @@ def test_zero_mean_constraint_enforced(circle64, plan1, ops64):
         model, np.diag([0.1, 0.2]), circle64, ENV1, UNIT, plan1, operators=ops64
     )
     assert np.max(np.abs(boundary_integral(rep.mu, circle64))) < 1e-10
+
+
+def test_iteration_timing_and_tail_ratio(circle64, plan1, ops64):
+    t = circle64.params
+    h = np.column_stack([0.3 + 0.2 * np.cos(t), -0.2 + 0.1 * np.sin(2 * t)])
+    model = saturating_model(h, -0.8, circle64)
+    d = solve_nonlinear_robin(
+        model, np.zeros((2, 2)), circle64, ENV1, UNIT, plan1,
+        method="newton", operators=ops64,
+    ).diagnostics
+    assert list(d["timings"]) == ["iteration"] and d["timings"]["iteration"] >= 0.0
+    # a smooth law on the resolved circle leaves almost nothing in the top modes
+    assert 0.0 <= d["density_tail_ratio"] < 1e-10

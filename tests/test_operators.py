@@ -76,6 +76,47 @@ def test_hilbert_rule_against_principal_value():
     assert abs((Q @ f)[3] - brute) < 1e-10
 
 
+def _node_rules(N):
+    """The node-target log and Hilbert rules as first written: one symbol each."""
+    m = np.fft.fftfreq(N, d=1.0 / N)
+    lam = np.zeros(N)
+    lam[m != 0] = -2.0 * np.pi / np.abs(m[m != 0])
+    sig = -1j * np.sign(m)
+    sig[np.abs(m) == N // 2] = 0.0
+    F = np.fft.fft(np.eye(N), axis=0)
+    return (np.real(np.fft.ifft(lam[:, None] * F, axis=0)),
+            np.real(np.fft.ifft(sig[:, None] * F, axis=0)))
+
+
+@pytest.mark.parametrize("N", [8, 16, 64])
+def test_shifted_rules_at_zero_shift_are_the_node_rules(N):
+    KL, Q = _node_rules(N)
+    assert np.array_equal(kress_log_rule(N, 0.0), KL)
+    assert np.array_equal(hilbert_rule(N, 0.0), Q)
+    assert np.array_equal(kress_log_rule(N), KL)
+    assert np.array_equal(hilbert_rule(N), Q)
+
+
+@pytest.mark.parametrize("N", [8, 16, 64])
+def test_half_shifted_rules_exact_on_trig_polynomials(N):
+    # targets t_a + pi/N against the nodes t_b: the log integral maps e^{imt}
+    # to -2 pi/|m| e^{im(t + pi/N)}, the conjugation maps cos to sin
+    shift = np.pi / N
+    t = 2 * np.pi * np.arange(N) / N
+    tm = t + shift
+    KL, Q = kress_log_rule(N, shift), hilbert_rule(N, shift)
+    assert np.max(np.abs(KL @ np.ones(N))) < 1e-13
+    assert np.max(np.abs(Q @ np.ones(N))) < 1e-13
+    for m in range(1, N // 2):
+        for f, g in ((np.cos, np.sin), (np.sin, lambda x: -np.cos(x))):
+            assert np.max(np.abs(KL @ f(m * t) + (2 * np.pi / m) * f(m * tm))) < 1e-13
+            assert np.max(np.abs(Q @ f(m * t) - g(m * tm))) < 1e-13
+    # the Nyquist mode (-1)^b is interpolated by cos((N/2) s)
+    alt = np.cos(N // 2 * t)
+    assert np.max(np.abs(KL @ alt + (4 * np.pi / N) * np.cos(N // 2 * tm))) < 1e-13
+    assert np.max(np.abs(Q @ alt - np.sin(N // 2 * tm))) < 1e-13
+
+
 def test_trig_resample_exact_for_trig_polynomials():
     N = 16
     t = 2 * np.pi * np.arange(N) / N

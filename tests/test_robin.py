@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from perilame.cell import CircleShape, build_cell, discretize_curve
+import perilame.operators as operators
+import perilame.robin as robin
+from perilame.cell import CircleShape, EllipseShape, build_cell, discretize_curve
 from perilame.errors import AdmissibilityError, DomainError
 from perilame.kernels import LameEnv, traction_map
 from perilame.lattice import periodic_green, periodic_green_grad, plan_lattice_sum
@@ -77,6 +79,21 @@ def test_validation_rejects_zero_b(circle64):
         "invertibility-of-integral",
         "pointwise-invertibility-of-b",
     )
+
+
+def test_validation_rejects_rank_one_b(circle64):
+    # b = -nu nu^T: det b = 0 at every node, while the integral of a^-1 b is
+    # -pi r I, invertible; only the pointwise condition on b rejects it
+    nu = circle64.normals
+    data = RobinData(
+        a=constant_matrix_field(np.eye(2), circle64),
+        b=BoundaryMatrixField(-nu[:, :, None] * nu[:, None, :], circle64),
+        g=constant_vector_field([0.0, 0.0], circle64),
+        B=np.zeros((2, 2)),
+    )
+    with pytest.raises(AdmissibilityError) as info:
+        validate_robin_data(data)
+    assert info.value.condition == "pointwise-invertibility-of-b"
 
 
 def test_validation_reports_integral_conditioning(circle64):
@@ -371,3 +388,120 @@ def test_eval_solution_rejects_hole_interior(circle64, plan1):
         eval_solution(rep, np.array([0.5, 0.5]), ENV1, UNIT, plan1)
     with pytest.raises(DomainError):
         eval_solution(rep, np.array([1.5, -0.5]), ENV1, UNIT, plan1)
+
+
+def _off_node_residual_2n(data, curve, env, cell, plan, mu, c):
+    """Midpoint residual read off V and W* reassembled at 2N (the first method)."""
+    N2 = 2 * curve.N
+    fine = data.resample(N2)
+    mu_fine = mu.resample(N2)
+    V2 = assemble_single_layer(fine.curve, env, cell, plan)
+    W2 = assemble_wstar(fine.curve, env, cell, plan)
+    ainv_b = np.einsum("nij,njk->nik", np.linalg.inv(fine.a.values), fine.b.values)
+    lhs = 0.5 * mu_fine.values + W2.apply(mu_fine).values
+    vmu = V2.apply(mu_fine).values + c[None, :]
+    lhs += np.einsum("nij,nj->ni", ainv_b, vmu)
+    res = lhs - robin_rhs(fine, env, cell)
+    return float(np.max(np.abs(res[1::2])))
+
+
+def _varied_data(curve):
+    """a = I, a non-constant negative b, a multi-mode g and a drift B != 0."""
+    t = curve.params
+    g = np.column_stack([
+        0.3 + np.cos(2 * t) + 0.2 * np.sin(5 * t),
+        np.sin(t) - 0.2 + 0.1 * np.cos(7 * t),
+    ])
+    b = -(1.0 + 0.3 * np.cos(t))[:, None, None] * np.eye(2) \
+        + (0.2 * np.sin(2 * t))[:, None, None] * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    return RobinData(
+        a=constant_matrix_field(np.eye(2), curve),
+        b=BoundaryMatrixField(b, curve),
+        g=BoundaryVectorField(g, curve),
+        B=np.array([[0.1, 0.03], [-0.02, -0.05]]),
+    )
+
+
+ELLIPSE4 = EllipseShape([0.5, 0.5], (0.3, 0.15), rotation=0.4)
+
+
+@pytest.mark.parametrize("shape, omega, Ns", [
+    (CircleShape([0.5, 0.5], 0.25), 1.0, (16, 32, 64)),
+    (ELLIPSE4, 4.0, (16, 24, 32, 48, 64, 96)),
+    (EllipseShape([0.5, 0.5], (0.45, 0.2)), 0.5, (16, 32, 64, 128)),
+], ids=["circle", "ellipse-omega4", "wide-ellipse-omega05"])
+def test_off_node_residual_matches_2n_reference(shape, omega, Ns):
+    env = LameEnv(2, omega)
+    plan = plan_lattice_sum(UNIT, env, 1e-11)
+    for N in Ns:
+        curve = discretize_curve(shape, N, UNIT)
+        data = _varied_data(curve)
+        rep = solve_robin(data, curve, env, UNIT, plan)
+        new = rep.diagnostics["residual_off_node"]
+        ref = _off_node_residual_2n(data, curve, env, UNIT, plan, rep.mu, rep.c)
+        if ref > 1e-12:
+            assert 0.8 <= new / ref <= 1.25, (N, new, ref)
+        else:
+            assert new < 1e-12, (N, new, ref)
+
+
+def test_solve_robin_assembles_at_n_and_counts_residual_pairs(monkeypatch, plan1):
+    N = 32
+    curve = discretize_curve(CircleShape([0.5, 0.5], 0.25), N, UNIT)
+    data = _varied_data(curve)
+    sizes, pairs = [], {"value": 0, "grad": 0}
+
+    def recording(assemble):
+        def wrapper(curve, *args):
+            sizes.append(curve.N)
+            return assemble(curve, *args)
+        return wrapper
+
+    def counting(kind, fn):
+        def wrapper(p, *args):
+            pairs[kind] += len(p)
+            return fn(p, *args)
+        return wrapper
+
+    monkeypatch.setattr(robin, "assemble_single_layer", recording(assemble_single_layer))
+    monkeypatch.setattr(robin, "assemble_wstar", recording(assemble_wstar))
+    monkeypatch.setattr(operators, "regular_part", counting("value", operators.regular_part))
+    monkeypatch.setattr(
+        operators, "regular_part_grad", counting("grad", operators.regular_part_grad)
+    )
+    solve_robin(data, curve, ENV1, UNIT, plan1)
+    assert sizes == [N, N]
+    # the symmetric assembly takes the upper triangle; the residual N^2 pairs
+    assert pairs == {"value": N * (N + 1) // 2 + N * N, "grad": N * (N + 1) // 2 + N * N}
+
+    ops = (assemble_single_layer(curve, ENV1, UNIT, plan1),
+           assemble_wstar(curve, ENV1, UNIT, plan1))
+    sizes.clear()
+    pairs.update(value=0, grad=0)
+    solve_robin(data, curve, ENV1, UNIT, plan1, operators=ops)
+    assert sizes == []
+    assert pairs == {"value": N * N, "grad": N * N}
+
+
+def test_density_tail_ratio_tracks_resolution():
+    # under-resolved to resolved on the omega = 4 ellipse: the indicator and
+    # the off-node residual fall together, by orders of magnitude
+    env = LameEnv(2, 4.0)
+    plan = plan_lattice_sum(UNIT, env, 1e-11)
+    tails, residuals = [], []
+    for N in (16, 32, 64, 128):
+        curve = discretize_curve(ELLIPSE4, N, UNIT)
+        d = solve_robin(_varied_data(curve), curve, env, UNIT, plan).diagnostics
+        tails.append(d["density_tail_ratio"])
+        residuals.append(d["residual_off_node"])
+    # each doubling of N cuts both by at least a factor 100
+    assert all(b < 1e-2 * a for a, b in zip(tails, tails[1:]))
+    assert all(b < 1e-2 * a for a, b in zip(residuals, residuals[1:]))
+    assert tails[0] > 1e-2 and tails[-1] < 1e-11
+
+
+def test_stage_timings(circle64, plan1):
+    data = _data(circle64, np.eye(2), -np.eye(2), [0.1, 0.0])
+    timings = solve_robin(data, circle64, ENV1, UNIT, plan1).diagnostics["timings"]
+    assert list(timings) == ["validate", "system", "lu", "back_solve", "off_node_residual"]
+    assert all(sec >= 0.0 for sec in timings.values())

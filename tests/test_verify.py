@@ -167,3 +167,28 @@ def test_convergence_study_constant_case_floors():
 
     study = convergence_study(err, [16, 32, 64])
     assert all(row[1] < 1e-10 for row in study["rows"])
+
+
+def test_exception_row_keeps_registry_tolerance(monkeypatch, tmp_path):
+    # a check that raises is reported against its pinned tolerance, in the
+    # suite's rows and in the CLI's reports.csv
+    import perilame.cli as cli
+    import perilame.verify as verify
+
+    def boom(seed):
+        raise RuntimeError("injected")
+
+    name = "green-evenness"
+    anchor, tol, _ = REGISTRY[name]
+    monkeypatch.setitem(verify.REGISTRY, name, (anchor, tol, boom))
+    (row,) = run_property_suite([name])
+    assert (row.max_error, row.tolerance, row.passed) == (np.inf, 1e-9, False)
+    assert row.fingerprint == "exception: RuntimeError: injected"
+
+    monkeypatch.setattr(cli, "run_property_suite", lambda seed=0: run_property_suite([name]))
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(json.dumps({"mode": "verify", "cell": [1.0, 1.0], "omega": 1.0,
+                               "out_dir": str(tmp_path / "out")}))
+    assert cli.main(["--config", str(cfg)]) == 4
+    lines = (tmp_path / "out" / "reports.csv").read_text().splitlines()
+    assert lines[2] == f"{name},matrix even in x,inf,1.000000e-09,0"
