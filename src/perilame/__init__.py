@@ -22,13 +22,12 @@ from .kernels import (
 )
 from .lattice import (
     LatticeSumPlan,
-    pde_residual,
     periodic_green,
     periodic_green_grad,
     plan_lattice_sum,
     regular_part,
+    regular_part_and_grad,
     regular_part_grad,
-    scalar_periodic_green,
 )
 from .nonlinear import (
     TractionModel,
@@ -65,7 +64,9 @@ from .verify import (
     convergence_study,
     oracle_filtered_fourier,
     oracle_scalar_harmonic,
+    pde_residual,
     run_property_suite,
+    scalar_periodic_green,
 )
 
 __version__ = "0.1.0"

@@ -25,7 +25,6 @@ from .cell import (
     TrigShape,
     build_cell,
     discretize_curve,
-    min_image_distance,
     nearest_image,
     point_in_hole,
 )
@@ -44,7 +43,7 @@ from .errors import (
 from .kernels import LameEnv
 from .lattice import periodic_green, plan_lattice_sum
 from .nonlinear import affine_model, saturating_model, solve_nonlinear_robin
-from .operators import BoundaryMatrixField, BoundaryVectorField
+from .operators import BoundaryMatrixField, BoundaryVectorField, near_boundary
 from .robin import RobinData, eval_solution, solve_robin
 from .verify import run_property_suite
 
@@ -386,18 +385,21 @@ def _grid_points(config, cell):
     return np.column_stack([x1.ravel(), x2.ravel()])
 
 
+def _format_field_rows(pts, vals, warn):
+    """field.csv rows (x1, x2, u1, u2, warning) of points, values and warning flags."""
+    return [
+        (f"{p[0]:.12g}", f"{p[1]:.12g}", f"{u[0]:.17g}", f"{u[1]:.17g}", int(w))
+        for p, u, w in zip(pts, vals, warn)
+    ]
+
+
 def _field_rows(config, cell, curve, evaluator):
     """Sample the output grid, masking hole interiors and flagging near-boundary points."""
     pts = _grid_points(config, cell)
     pts = pts[~point_in_hole(pts, curve, cell)]
     if not len(pts):
         return []
-    warn = min_image_distance(pts, curve, cell) < 3.0 * np.max(curve.weights)
-    vals = evaluator(pts)
-    return [
-        (f"{p[0]:.12g}", f"{p[1]:.12g}", f"{u[0]:.17g}", f"{u[1]:.17g}", int(w))
-        for p, u, w in zip(pts, vals, warn)
-    ]
+    return _format_field_rows(pts, evaluator(pts), near_boundary(pts, curve, cell))
 
 
 def run(config):
@@ -453,10 +455,7 @@ def run(config):
         keep = d >= 0.02 * cell.min_edge  # mask points too close to a source image
         pts, warn = pts[keep], d[keep] < 0.1 * cell.min_edge
         vals = np.einsum("pjk,k->pj", periodic_green(pts - source, env, cell, plan), load)
-        rows = [
-            (f"{p[0]:.12g}", f"{p[1]:.12g}", f"{u[0]:.17g}", f"{u[1]:.17g}", int(w))
-            for p, u, w in zip(pts, vals, warn)
-        ]
+        rows = _format_field_rows(pts, vals, warn)
         _write_csv(
             os.path.join(config.out_dir, "field.csv"),
             "x1,x2,u1,u2,warning", rows, fp,

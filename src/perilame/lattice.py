@@ -21,6 +21,14 @@ doubled coefficients: the value adds cos(k.x) @ (F, 4) table and the gradient
 sin(k.x) @ (F, 8) table, both tables built once per plan.  The split eta is
 chosen by a cost model calibrated on measured term costs: one live
 real-space image (eta^2 r^2 < 45) costs IMAGE_TERM_COST paired Fourier terms.
+
+One private evaluator, _lattice_sum, serves every public kernel.  It holds
+the module's one loop over points: per block of _BLOCK points it reduces the
+arguments (or, for the regular part, finds the skipped z = 0 image), sums the
+live real-space images, takes cos and sin of one phase matrix for the paired
+reciprocal sum and adds the center terms of the regular part, for the values,
+the gradients or both.  The verification-only helpers (the scalar oracle, the
+PDE residual and the finite-difference Lame operator) live in verify.
 """
 
 from dataclasses import dataclass, field
@@ -37,7 +45,8 @@ _SINGULAR_FRACTION = 1e-12
 # (point, image) pairs with eta^2 r^2 at or above this are skipped: their
 # contribution is below 3e-20 through every prefactor
 _LIVE_T = 45.0
-# points per block in the real and reciprocal sums, bounding their scratch arrays
+# points per block of the evaluator's loop, bounding the scratch arrays of the
+# real and reciprocal sums
 _BLOCK = 2048
 # Time of one live real-space image term over one paired Fourier term.  The
 # slopes of 16384-pair call times against the live-image count (R = 2, eta from
@@ -239,43 +248,44 @@ def _real_terms(d, eta, beta, want_grad=False):
 def _real_sum(points, shifts, eta, beta, want_grad=False, skip=None):
     """Sum of real-space image terms over the given lattice shifts.
 
-    Takes blocks of _BLOCK points against all shifts at once and keeps
-    only the (point, image) pairs with eta^2 r^2 < 45; each point's live
-    terms are contiguous and summed in shift order.  skip (P,) optionally
-    names one shift per point to leave out, -1 for none.
+    Pairs every point with every shift and keeps only the (point, image)
+    pairs with eta^2 r^2 < 45; each point's live terms are contiguous and
+    summed in shift order.  skip (P,) optionally names one shift per point
+    to leave out, -1 for none.  Returns the (P, 2, 2) values and, when
+    requested, the (P, 2, 2, 2) gradients.
     """
     P = points.shape[0]
     val = np.zeros((P, 2, 2))
     grad = np.zeros((P, 2, 2, 2)) if want_grad else None
-    for lo in range(0, P, _BLOCK):
-        d = points[lo:lo + _BLOCK, None, :] - shifts[None, :, :]
-        live = eta**2 * np.sum(d * d, axis=-1) < _LIVE_T
-        if skip is not None:
-            held = np.flatnonzero(skip[lo:lo + _BLOCK] >= 0)
-            live[held, skip[lo + held]] = False
-        counts = np.count_nonzero(live, axis=1)
-        if not np.any(counts):
-            continue
-        rows = lo + np.flatnonzero(counts)
-        starts = (np.cumsum(counts) - counts)[counts > 0]
-        v, g = _real_terms(d[live], eta, beta, want_grad)
-        val[rows] = np.add.reduceat(v, starts, axis=0)
-        if want_grad:
-            grad[rows] = np.add.reduceat(g, starts, axis=0)
+    d = points[:, None, :] - shifts[None, :, :]
+    live = eta**2 * np.sum(d * d, axis=-1) < _LIVE_T
+    if skip is not None:
+        held = np.flatnonzero(skip >= 0)
+        live[held, skip[held]] = False
+    counts = np.count_nonzero(live, axis=1)
+    if not np.any(counts):
+        return val, grad
+    rows = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[counts > 0]
+    v, g = _real_terms(d[live], eta, beta, want_grad)
+    val[rows] = np.add.reduceat(v, starts, axis=0)
+    if want_grad:
+        grad[rows] = np.add.reduceat(g, starts, axis=0)
     return val, grad
 
 
-def _fourier_sum(x, plan, want_grad=False):
-    """Reciprocal sum at points x (P, 2): (P, 2, 2) values or (P, 2, 2, 2) gradients.
+def _fourier_sum(x, plan, values=True, grads=False):
+    """Paired reciprocal sum at points x (P, 2).
 
-    Rows go in blocks of _BLOCK so the (rows, F) phase array stays small.
+    Returns the (P, 2, 2) values and the (P, 2, 2, 2) gradients, None where
+    not requested; cos and sin are taken of one phase matrix.
     """
-    trig, table = (np.sin, plan.sin_table) if want_grad else (np.cos, plan.cos_table)
-    out = np.empty((x.shape[0], table.shape[1]))
-    for lo in range(0, x.shape[0], _BLOCK):
-        phase = x[lo:lo + _BLOCK] @ plan.kvecs.T
-        np.matmul(trig(phase, out=phase), table, out=out[lo:lo + _BLOCK])
-    return out.reshape(-1, 2, 2, 2) if want_grad else out.reshape(-1, 2, 2)
+    phase = x @ plan.kvecs.T
+    # the last of sin and cos overwrites the phases
+    sin = np.sin(phase, out=None if values else phase) if grads else None
+    grad = (sin @ plan.sin_table).reshape(-1, 2, 2, 2) if grads else None
+    val = (np.cos(phase, out=phase) @ plan.cos_table).reshape(-1, 2, 2) if values else None
+    return val, grad
 
 
 def _check_plan(plan, env, cell):
@@ -284,34 +294,11 @@ def _check_plan(plan, env, cell):
 
 
 def _reduce(x, cell):
-    x = np.asarray(x, dtype=float)
     xr = nearest_image(x, cell)
     r = np.sqrt(np.sum(xr * xr, axis=-1))
     if np.any(r <= _SINGULAR_FRACTION * cell.min_edge):
         raise SingularArgumentError("argument lies on the lattice q Z^n")
     return xr
-
-
-def periodic_green(x, env, cell, plan):
-    """Periodic Lame Green's matrix at x (any shape (..., 2)), to plan accuracy."""
-    _check_plan(plan, env, cell)
-    xr = _reduce(x, cell)
-    single = xr.ndim == 1
-    xr = np.atleast_2d(xr)
-    out, _ = _real_sum(xr, plan.shifts, plan.eta, env.beta)
-    out += _fourier_sum(xr, plan)
-    return out[0] if single else out
-
-
-def periodic_green_grad(x, env, cell, plan):
-    """Gradient d_m Gamma^q_jk, indexed out[..., j, k, m]."""
-    _check_plan(plan, env, cell)
-    xr = _reduce(x, cell)
-    single = xr.ndim == 1
-    xr = np.atleast_2d(xr)
-    _, out = _real_sum(xr, plan.shifts, plan.eta, env.beta, want_grad=True)
-    out += _fourier_sum(xr, plan, want_grad=True)
-    return out[0] if single else out
 
 
 def _f1(T):
@@ -354,16 +341,20 @@ def _f2p(T):
     return out
 
 
-def _regular_center_terms(x, eta, env, want_grad=False):
-    """Analytic extension of [z=0 real image] - Kelvin, finite at x = 0."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+def _regular_center_terms(x, eta, env, want_grad=False, f1=None):
+    """Analytic extension of [z=0 real image] - Kelvin, finite at x = 0.
+
+    f1 optionally holds _f1(eta^2 |x|^2), computed by the caller.
+    """
     r2 = np.sum(x * x, axis=-1)
     T = eta**2 * r2
+    if f1 is None:
+        f1 = _f1(T)
     expT = np.exp(-T)
     alpha, beta = env.alpha, env.beta
     log_eta = np.log(eta)
     eye = np.eye(2)
-    diag = expT / (4.0 * np.pi) - alpha / (4.0 * np.pi) * (_f1(T) - EULER_GAMMA - 2.0 * log_eta)
+    diag = expT / (4.0 * np.pi) - alpha / (4.0 * np.pi) * (f1 - EULER_GAMMA - 2.0 * log_eta)
     dyad = -(beta * eta**2 / (4.0 * np.pi)) * _f2(T)
     xj = x[..., :, None]
     xk = x[..., None, :]
@@ -382,115 +373,87 @@ def _regular_center_terms(x, eta, env, want_grad=False):
     return val, grad + g2 + g3
 
 
-def _regular_lattice_sum(x, env, cell, plan, want_grad):
-    """Every term of the lattice sum at x except the z = 0 real-space image.
+def _lattice_sum(x, env, cell, plan, periodic, values=True, grads=False):
+    """The Ewald split at points x (..., 2), one pass per block of _BLOCK points.
 
-    The image box is certified for reduced arguments, so both sums run at
-    x_r = x - q n and skip the image x_r + q n = x, which the center terms
-    carry.
+    periodic=True gives the periodic Green's matrix: the points are reduced
+    modulo the lattice (a lattice point raises) and every image is summed.
+    periodic=False gives the regular part: the image box is certified for
+    reduced arguments, so the sums run at x_r = x - q n and skip the image
+    x_r + q n = x, which the center terms carry.  Each block takes the
+    real-space images, the paired reciprocal sum and, for the regular part,
+    the center terms once, for the values, the gradients or both.  Returns
+    (values (..., 2, 2), gradients (..., 2, 2, 2)), None where not requested.
     """
-    xr = nearest_image(x, cell)
-    n = np.rint((x - xr) / np.asarray(cell.q_diag)).astype(int)
+    _check_plan(plan, env, cell)
+    x = np.asarray(x, dtype=float)
+    lead = x.shape[:-1]
+    x = x.reshape(-1, 2)
+    P = x.shape[0]
+    val = np.empty((P, 2, 2)) if values else None
+    grad = np.empty((P, 2, 2, 2)) if grads else None
+    q = np.asarray(cell.q_diag)
     R = plan.real_cutoff
-    # shifts are ordered (z1, z2) over [-R, R]^2; z = -n is the skipped image
-    skip = np.where(np.all(np.abs(n) <= R, axis=1),
-                    (R - n[:, 0]) * (2 * R + 1) + R - n[:, 1], -1)
-    val, grad = _real_sum(xr, plan.shifts, plan.eta, env.beta, want_grad, skip)
-    out = grad if want_grad else val
-    out += _fourier_sum(xr, plan, want_grad)
-    return out
+    if not periodic:
+        # E1 of the center terms in one call: its series and continued
+        # fractions cost a fixed number of array operations per call, which
+        # would dominate per block
+        f1 = _f1(plan.eta**2 * np.sum(x * x, axis=-1))
+    for lo in range(0, P, _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        if periodic:
+            xr, skip = _reduce(x[blk], cell), None
+        else:
+            xr = nearest_image(x[blk], cell)
+            n = np.rint((x[blk] - xr) / q).astype(int)
+            # shifts are ordered (z1, z2) over [-R, R]^2; z = -n is the skipped image
+            skip = np.where(np.all(np.abs(n) <= R, axis=1),
+                            (R - n[:, 0]) * (2 * R + 1) + R - n[:, 1], -1)
+        real_val, real_grad = _real_sum(xr, plan.shifts, plan.eta, env.beta, grads, skip)
+        four_val, four_grad = _fourier_sum(xr, plan, values, grads)
+        if values:
+            val[blk] = real_val + four_val
+        if grads:
+            grad[blk] = real_grad + four_grad
+        if not periodic:
+            center_val, center_grad = _regular_center_terms(
+                x[blk], plan.eta, env, grads, f1[blk]
+            )
+            if values:
+                val[blk] += center_val
+            if grads:
+                grad[blk] += center_grad
+    return (
+        None if val is None else val.reshape(lead + (2, 2)),
+        None if grad is None else grad.reshape(lead + (2, 2, 2)),
+    )
+
+
+def periodic_green(x, env, cell, plan):
+    """Periodic Lame Green's matrix at x (any shape (..., 2)), to plan accuracy."""
+    return _lattice_sum(x, env, cell, plan, periodic=True)[0]
+
+
+def periodic_green_grad(x, env, cell, plan):
+    """Gradient d_m Gamma^q_jk, indexed out[..., j, k, m]."""
+    return _lattice_sum(x, env, cell, plan, periodic=True, values=False, grads=True)[1]
 
 
 def regular_part(x, env, cell, plan):
     """Smooth remainder: periodic Green minus the Kelvin matrix, finite at 0.
 
     The remainder is not periodic, so the argument is not reduced modulo the
-    lattice; the function is valid for x bounded away from the nonzero
-    lattice points.
+    lattice; the function is valid for x (any shape (..., 2)) bounded away
+    from the nonzero lattice points.
     """
-    _check_plan(plan, env, cell)
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = np.atleast_2d(x)
-    val, _ = _regular_center_terms(xb, plan.eta, env)
-    val += _regular_lattice_sum(xb, env, cell, plan, want_grad=False)
-    return val[0] if single else val
+    return _lattice_sum(x, env, cell, plan, periodic=False)[0]
 
 
 def regular_part_grad(x, env, cell, plan):
     """Gradient of the smooth remainder, indexed out[..., j, k, m]; odd, zero at 0."""
-    _check_plan(plan, env, cell)
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = np.atleast_2d(x)
-    _, grad = _regular_center_terms(xb, plan.eta, env, want_grad=True)
-    grad += _regular_lattice_sum(xb, env, cell, plan, want_grad=True)
-    return grad[0] if single else grad
+    return _lattice_sum(x, env, cell, plan, periodic=False, values=False, grads=True)[1]
 
 
-def scalar_periodic_green(x, cell, eta=None, real_cutoff=6, fourier_cutoff=24):
-    """Zero-mean periodic harmonic Green's function (Laplacian = comb - 1/|Q|).
-
-    Classical Gaussian-screen split, kept independent of the Lame machinery so
-    it can serve as the omega -> 0 oracle.
-    """
-    if eta is None:
-        eta = np.sqrt(np.pi) / cell.min_edge
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xr = np.atleast_2d(_reduce(x, cell))
-    q = np.asarray(cell.q_diag)
-    shifts = _lattice_points(real_cutoff, exclude_origin=False) * q[None, :]
-    d = xr[:, None, :] - shifts[None, :, :]
-    T = eta**2 * np.sum(d * d, axis=-1)
-    out = -np.sum(exp1(T), axis=1) / (4.0 * np.pi)
-    z = _lattice_points(fourier_cutoff, exclude_origin=True)
-    k = 2.0 * np.pi * z / q[None, :]
-    k2 = np.sum(k * k, axis=1)
-    u = k2 / (4.0 * eta**2)
-    coef = -np.exp(-u) / (k2 * cell.volume)
-    out += np.cos(xr @ k.T) @ coef
-    out += 1.0 / (4.0 * eta**2 * cell.volume)
-    return out[0] if single else out
-
-
-def pde_residual(x, j, env, cell, plan, h=1e-3):
-    """Norm of L[omega] Gamma^{q,j}(x) + e_j/|Q| by fourth-order differences.
-
-    Requires x at least 0.05 * min(q) away from the lattice so the widest
-    stencil stays well separated from the singularities.
-    """
-    x = np.asarray(x, dtype=float)
-    xr = nearest_image(x, cell)
-    if np.sqrt(np.sum(xr * xr)) < 0.05 * cell.min_edge:
-        raise SingularArgumentError("stencil base point too close to the lattice")
-    lam = lame_apply_fd(
-        lambda pts: periodic_green(pts, env, cell, plan)[..., :, j], x, env.omega, h
-    )
-    e = np.zeros(2)
-    e[j] = 1.0
-    return float(np.linalg.norm(lam + e / cell.volume))
-
-
-_D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-_OFFS = np.array([-2, -1, 0, 1, 2])
-
-
-def lame_apply_fd(field, x, omega, h):
-    """Fourth-order finite-difference L[omega] of a vector field  R^2 -> R^2.
-
-    field(points) must accept an (..., 2) array of points and return (..., 2)
-    values.  Uses the 5x5 tensor stencil once per call.
-    """
-    x = np.asarray(x, dtype=float)
-    o1, o2 = np.meshgrid(_OFFS, _OFFS, indexing="ij")
-    pts = x[None, None, :] + h * np.stack([o1, o2], axis=-1)
-    vals = field(pts.reshape(-1, 2)).reshape(5, 5, 2)
-    c = 2  # center index
-    u_xx = np.tensordot(_D2, vals[:, c, :], axes=(0, 0)) / h**2
-    u_yy = np.tensordot(_D2, vals[c, :, :], axes=(0, 0)) / h**2
-    u_xy = np.einsum("i,j,ijd->d", _D1, _D1, vals) / h**2
-    lap = u_xx + u_yy
-    div_grad = np.array([u_xx[0] + u_xy[1], u_xy[0] + u_yy[1]])
-    return lap + omega * div_grad
+def regular_part_and_grad(x, env, cell, plan):
+    """(regular_part, regular_part_grad) at x from one pass over the lattice sums."""
+    return _lattice_sum(x, env, cell, plan, periodic=False, values=True, grads=True)

@@ -22,9 +22,9 @@ from .errors import ConvergenceError, DegenerateProblemError
 from .operators import BoundaryVectorField, assemble_single_layer, assemble_wstar
 from .robin import (
     SolutionRep,
+    _reported_tail_ratio,
     augmented_matrix,
     boundary_integral,
-    density_tail_ratio,
     drift_traction,
     timed,
 )
@@ -182,7 +182,7 @@ def solve_nonlinear_robin(
         "zero_mean_violation": float(np.max(np.abs(boundary_integral(mu, curve)))),
         "trace": trace,
         "method": method,
-        "density_tail_ratio": density_tail_ratio(mu),
+        "density_tail_ratio": _reported_tail_ratio(mu, np.max(np.abs(U))),
         "timings": timings,
     }
     return SolutionRep(mu=mu, c=c, B=B, diagnostics=diagnostics)

@@ -22,10 +22,15 @@ import numpy as np
 
 from .errors import AssemblyError, NearBoundaryWarning
 from .kernels import traction_from_gradient, traction_kernel
-from .lattice import periodic_green, periodic_green_grad, regular_part, regular_part_grad
+from .lattice import (
+    periodic_green,
+    periodic_green_grad,
+    regular_part,
+    regular_part_and_grad,
+    regular_part_grad,
+)
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
-_CHUNK = 16384
 
 
 @dataclass
@@ -43,10 +48,9 @@ class BoundaryVectorField:
             )
 
     def resample(self, N, curve=None):
-        vals = np.column_stack(
-            [trig_resample(self.values[:, k], N) for k in range(2)]
+        return BoundaryVectorField(
+            values=trig_resample(self.values, N), curve=curve or self.curve.resample(N)
         )
-        return BoundaryVectorField(values=vals, curve=curve or self.curve.resample(N))
 
 
 @dataclass
@@ -64,16 +68,9 @@ class BoundaryMatrixField:
             )
 
     def resample(self, N, curve=None):
-        vals = np.stack(
-            [
-                np.column_stack(
-                    [trig_resample(self.values[:, i, j], N) for j in range(2)]
-                )
-                for i in range(2)
-            ],
-            axis=1,
+        return BoundaryMatrixField(
+            values=trig_resample(self.values, N), curve=curve or self.curve.resample(N)
         )
-        return BoundaryMatrixField(values=vals, curve=curve or self.curve.resample(N))
 
 
 @dataclass
@@ -89,21 +86,25 @@ class DenseBoundaryOperator:
 
 
 def trig_resample(vals, M):
-    """Exact trigonometric resampling of nodal data from N to M nodes (M >= N)."""
+    """Exact trigonometric resampling of nodal data (N, ...) from N to M nodes (M >= N).
+
+    Acts along axis 0, so every component of a vector or matrix field is
+    resampled in one call.
+    """
     vals = np.asarray(vals, dtype=float)
     N = vals.shape[0]
     if M == N:
         return vals.copy()
     if M < N or M % 2 or N % 2:
         raise ValueError("resampling requires even M >= N")
-    F = np.fft.fft(vals)
-    G = np.zeros(M, dtype=complex)
+    F = np.fft.fft(vals, axis=0)
+    G = np.zeros((M,) + vals.shape[1:], dtype=complex)
     h = N // 2
     G[:h] = F[:h]
     G[M - h + 1:] = F[h + 1:]
     G[h] = 0.5 * F[h]
     G[M - h] = 0.5 * F[h]
-    return np.real(np.fft.ifft(G)) * (M / N)
+    return np.real(np.fft.ifft(G, axis=0)) * (M / N)
 
 
 def _log_symbol(m):
@@ -148,26 +149,16 @@ def hilbert_rule(N, shift=0.0):
     return _shifted_rule(_hilbert_symbol, N, shift)
 
 
-def _chunked(fn, pts, out_shape):
-    out = np.empty((pts.shape[0],) + out_shape)
-    for lo in range(0, pts.shape[0], _CHUNK):
-        hi = min(lo + _CHUNK, pts.shape[0])
-        out[lo:hi] = fn(pts[lo:hi])
-    return out
+def _mirrored(kernel, d, odd):
+    """An even or odd lattice kernel on the (N, N, 2) node differences.
 
-
-def _lattice_blocks(fn, d, out_shape, odd, on_nodes):
-    """Evaluate an even/odd lattice kernel on the (N, N, 2) difference array.
-
-    With the nodes as targets only the upper triangle is computed; the lower
-    triangle is mirrored with the parity sign.  Other targets take all pairs.
+    Only the upper triangle is evaluated; the lower triangle is mirrored
+    with the parity sign.
     """
     N = d.shape[0]
-    if not on_nodes:
-        return _chunked(fn, d.reshape(-1, 2), out_shape).reshape((N, N) + out_shape)
     ia, ib = np.triu_indices(N)
-    vals = _chunked(fn, d[ia, ib], out_shape)
-    out = np.empty((N, N) + out_shape)
+    vals = kernel(d[ia, ib])
+    out = np.empty((N, N) + vals.shape[1:])
     out[ia, ib] = vals
     out[ib, ia] = -vals if odd else vals
     return out
@@ -187,11 +178,12 @@ def _midpoints(curve):
     )
 
 
-def _single_layer_rows(curve, targets, shift, env, cell, plan):
+def _single_layer_rows(curve, targets, shift, env, d, lattice):
     """(2N, 2N) Nystrom rows of V at the targets t_i + shift against the N nodes.
 
-    At shift 0 the targets are the nodes themselves: the diagonal takes the
-    limits of the smooth split and the lattice part is mirrored.
+    d holds the (N, N, 2) differences and lattice the (N, N, 2, 2) regular
+    part R^q at them.  At shift 0 the targets are the nodes themselves and
+    the diagonal takes the limits of the smooth split.
     """
     N = curve.N
     sp = curve.speeds
@@ -199,7 +191,6 @@ def _single_layer_rows(curve, targets, shift, env, cell, plan):
     on_nodes = shift == 0.0
     ar = np.arange(N)
 
-    d = targets.nodes[:, None, :] - curve.nodes[None, :, :]
     r2 = np.sum(d * d, axis=-1)
     # smooth factor of the free-space log split
     dt_half = 0.5 * (targets.params[:, None] - curve.params[None, :])
@@ -219,11 +210,7 @@ def _single_layer_rows(curve, targets, shift, env, cell, plan):
 
     _check_log_split(curve, targets, env, smooth_fs, sin2)
 
-    smooth = smooth_fs + _lattice_blocks(
-        lambda p: regular_part(p, env, cell, plan), d, (2, 2), False, on_nodes
-    )
-
-    blocks = (2.0 * np.pi / N) * sp[None, :, None, None] * smooth
+    blocks = (2.0 * np.pi / N) * sp[None, :, None, None] * (smooth_fs + lattice)
     KL = kress_log_rule(N, shift)
     blocks += (alpha / (4.0 * np.pi)) * (KL * sp[None, :])[:, :, None, None] * eye
     return _blocks_to_matrix(blocks)
@@ -231,8 +218,10 @@ def _single_layer_rows(curve, targets, shift, env, cell, plan):
 
 def assemble_single_layer(curve, env, cell, plan):
     """Nystrom matrix of the periodic single-layer operator on the curve."""
+    d = curve.nodes[:, None, :] - curve.nodes[None, :, :]
+    lattice = _mirrored(lambda p: regular_part(p, env, cell, plan), d, odd=False)
     return DenseBoundaryOperator(
-        matrix=_single_layer_rows(curve, curve, 0.0, env, cell, plan), curve=curve
+        matrix=_single_layer_rows(curve, curve, 0.0, env, d, lattice), curve=curve
     )
 
 
@@ -251,12 +240,14 @@ def _check_log_split(curve, targets, env, smooth_fs, sin2):
             raise AssemblyError("log-split inconsistency in single-layer assembly")
 
 
-def _wstar_rows(curve, targets, shift, env, cell, plan):
+def _wstar_rows(curve, targets, shift, env, d, lattice_grad):
     """(2N, 2N) Nystrom rows of W* at the targets t_i + shift against the N nodes.
 
     The target-normal traction kernel splits into a symmetric smooth part, a
     Cauchy part carried by the spectral Hilbert rule, and the smooth periodic
-    correction; at shift 0 the diagonal limits come from the curvature data.
+    correction, the traction of lattice_grad (the (N, N, 2, 2, 2) gradient of
+    R^q at the differences d); at shift 0 the diagonal limits come from the
+    curvature data.
     """
     N = curve.N
     sp = curve.speeds
@@ -267,7 +258,6 @@ def _wstar_rows(curve, targets, shift, env, cell, plan):
     on_nodes = shift == 0.0
     ar = np.arange(N)
 
-    d = targets.nodes[:, None, :] - curve.nodes[None, :, :]
     r2 = np.sum(d * d, axis=-1)
     if on_nodes:
         np.fill_diagonal(r2, 1.0)
@@ -298,10 +288,7 @@ def _wstar_rows(curve, targets, shift, env, cell, plan):
     if on_nodes:
         rho[ar, ar] = np.einsum("ak,ak->a", curve.d1, curve.d2) / (2.0 * sp**3)
 
-    rgrad = _lattice_blocks(
-        lambda p: regular_part_grad(p, env, cell, plan), d, (2, 2, 2), True, on_nodes
-    )
-    rcorr = traction_from_gradient(rgrad, nu[:, None, :], env.omega)
+    rcorr = traction_from_gradient(lattice_grad, nu[:, None, :], env.omega)
 
     _check_traction_split(curve, targets, env, ksym, rho, cot)
 
@@ -314,8 +301,10 @@ def _wstar_rows(curve, targets, shift, env, cell, plan):
 
 def assemble_wstar(curve, env, cell, plan):
     """Nystrom matrix of the traction operator of the periodic single layer."""
+    d = curve.nodes[:, None, :] - curve.nodes[None, :, :]
+    lattice_grad = _mirrored(lambda p: regular_part_grad(p, env, cell, plan), d, odd=True)
     return DenseBoundaryOperator(
-        matrix=_wstar_rows(curve, curve, 0.0, env, cell, plan), curve=curve
+        matrix=_wstar_rows(curve, curve, 0.0, env, d, lattice_grad), curve=curve
     )
 
 
@@ -323,15 +312,16 @@ def midpoint_rows(curve, env, cell, plan):
     """Rows of V and W* at the N midpoints t_i + pi/N against the N nodes.
 
     The kernel split is the assembly's; the Kress log rule and the Hilbert
-    rule are shifted by half a node, and the lattice parts take N^2 pairs
-    each.  Returns two (2N, 2N) matrices from node-major densities to
-    node-major midpoint values.
+    rule are shifted by half a node, and R^q and its gradient come from one
+    lattice pass over the N^2 differences.  Returns two (2N, 2N) matrices
+    from node-major densities to node-major midpoint values.
     """
     targets, shift = _midpoints(curve), np.pi / curve.N
-    return (
-        _single_layer_rows(curve, targets, shift, env, cell, plan),
-        _wstar_rows(curve, targets, shift, env, cell, plan),
-    )
+    d = targets.nodes[:, None, :] - curve.nodes[None, :, :]
+    lattice, lattice_grad = regular_part_and_grad(d, env, cell, plan)
+    V_mid = _single_layer_rows(curve, targets, shift, env, d, lattice)
+    del lattice  # freed before the larger temporaries of the W* rows
+    return V_mid, _wstar_rows(curve, targets, shift, env, d, lattice_grad)
 
 
 def _check_traction_split(curve, targets, env, ksym, rho, cot):
@@ -392,10 +382,8 @@ def eval_single_layer(x, field, env, cell, plan, upsample=1, warn=True):
             stacklevel=2,
         )
     dens = src.values * curve.weights[:, None]
-    M = curve.N
-    diffs = (pts[:, None, :] - curve.nodes[None, :, :]).reshape(-1, 2)
-    G = _chunked(lambda p: periodic_green(p, env, cell, plan), diffs, (2, 2))
-    out = np.einsum("pbjk,bk->pj", G.reshape(pts.shape[0], M, 2, 2), dens)
+    G = periodic_green(pts[:, None, :] - curve.nodes[None, :, :], env, cell, plan)
+    out = np.einsum("pbjk,bk->pj", G, dens)
     return out[0] if single else out
 
 
@@ -417,10 +405,8 @@ def eval_traction_offboundary(x, nu, field, env, cell, plan, upsample=1, warn=Tr
     from .kernels import traction_map
 
     dens = src.values * curve.weights[:, None]
-    M = curve.N
-    diffs = (pts[:, None, :] - curve.nodes[None, :, :]).reshape(-1, 2)
-    G = _chunked(lambda p: periodic_green_grad(p, env, cell, plan), diffs, (2, 2, 2))
+    G = periodic_green_grad(pts[:, None, :] - curve.nodes[None, :, :], env, cell, plan)
     # Jacobian of v: Dv[p, j, m] = sum_b d_m Gamma_jk(x_p - y_b) mu_k w_b
-    Dv = np.einsum("pbjkm,bk->pjm", G.reshape(pts.shape[0], M, 2, 2, 2), dens)
+    Dv = np.einsum("pbjkm,bk->pjm", G, dens)
     out = np.einsum("pjm,pm->pj", traction_map(env.omega, Dv), nus)
     return out[0] if single else out

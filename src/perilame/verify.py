@@ -27,16 +27,18 @@ from .cell import (
     min_image_distance,
     nearest_image,
 )
-from .errors import AdmissibilityError, DegenerateProblemError, OracleError
+from .errors import (
+    AdmissibilityError,
+    DegenerateProblemError,
+    OracleError,
+    SingularArgumentError,
+)
 from .kernels import LameEnv, kelvin, traction_map
 from .lattice import (
-    lame_apply_fd,
-    pde_residual,
     periodic_green,
     periodic_green_grad,
     plan_lattice_sum,
     regular_part,
-    scalar_periodic_green,
 )
 from .operators import (
     BoundaryVectorField,
@@ -56,12 +58,21 @@ from .robin import (
     solve_robin,
     validate_robin_data,
 )
+from .special import exp1
 
 ORACLE_DISTANCE_FACTOR = 112.0  # sigma0 = d^2 / factor keeps screened images < 1e-12
 
 CELLS = ((1.0, 1.0), (2.0, 3.0))
 OMEGAS = (0.5, 1.0, 4.0)
 CURVES = ("circle", "ellipse", "perturbed")
+
+
+def _integer_lattice(m, exclude_origin=False):
+    """The integer points z of [-m, m]^2, shape ((2m+1)^2, 2), origin optionally left out."""
+    rng = np.arange(-m, m + 1)
+    z1, z2 = np.meshgrid(rng, rng, indexing="ij")
+    z = np.column_stack((z1.ravel(), z2.ravel())).astype(float)
+    return z[np.any(z != 0.0, axis=1)] if exclude_origin else z
 
 
 def _filtered_sum(x, beta, cell, sigma, tail=1e-13, scalar=False):
@@ -75,10 +86,7 @@ def _filtered_sum(x, beta, cell, sigma, tail=1e-13, scalar=False):
         if np.exp(-u) * 16 * m / (kmin * kmin * cell.volume) < tail or m > 4000:
             break
         m += 8
-    rng = np.arange(-m, m + 1)
-    z1, z2 = np.meshgrid(rng, rng, indexing="ij")
-    z = np.column_stack((z1.ravel(), z2.ravel())).astype(float)
-    z = z[np.any(z != 0.0, axis=1)]
+    z = _integer_lattice(m, exclude_origin=True)
     k = 2.0 * np.pi * z / q[None, :]
     k2 = np.sum(k * k, axis=1)
     damp = np.exp(-sigma * k2)
@@ -140,6 +148,76 @@ def oracle_scalar_harmonic(x, cell, sigma0=None, certify=1e-10):
     if abs(g2 - g1) > 10.0 * certify:
         raise OracleError("scalar oracle extrapolation inconsistent")
     return out
+
+
+def scalar_periodic_green(x, cell, eta=None, real_cutoff=6, fourier_cutoff=24):
+    """Zero-mean periodic harmonic Green's function (Laplacian = comb - 1/|Q|).
+
+    Classical Gaussian-screen split, kept independent of the Lame machinery so
+    it can serve as the omega -> 0 oracle.
+    """
+    if eta is None:
+        eta = np.sqrt(np.pi) / cell.min_edge
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    xr = np.atleast_2d(nearest_image(x, cell))
+    if np.any(np.sqrt(np.sum(xr * xr, axis=-1)) <= 1e-12 * cell.min_edge):
+        raise SingularArgumentError("argument lies on the lattice q Z^n")
+    q = np.asarray(cell.q_diag)
+    shifts = _integer_lattice(real_cutoff) * q[None, :]
+    d = xr[:, None, :] - shifts[None, :, :]
+    T = eta**2 * np.sum(d * d, axis=-1)
+    out = -np.sum(exp1(T), axis=1) / (4.0 * np.pi)
+    z = _integer_lattice(fourier_cutoff, exclude_origin=True)
+    k = 2.0 * np.pi * z / q[None, :]
+    k2 = np.sum(k * k, axis=1)
+    u = k2 / (4.0 * eta**2)
+    coef = -np.exp(-u) / (k2 * cell.volume)
+    out += np.cos(xr @ k.T) @ coef
+    out += 1.0 / (4.0 * eta**2 * cell.volume)
+    return out[0] if single else out
+
+
+def pde_residual(x, j, env, cell, plan, h=1e-3):
+    """Norm of L[omega] Gamma^{q,j}(x) + e_j/|Q| by fourth-order differences.
+
+    Requires x at least 0.05 * min(q) away from the lattice so the widest
+    stencil stays well separated from the singularities.
+    """
+    x = np.asarray(x, dtype=float)
+    xr = nearest_image(x, cell)
+    if np.sqrt(np.sum(xr * xr)) < 0.05 * cell.min_edge:
+        raise SingularArgumentError("stencil base point too close to the lattice")
+    lam = lame_apply_fd(
+        lambda pts: periodic_green(pts, env, cell, plan)[..., :, j], x, env.omega, h
+    )
+    e = np.zeros(2)
+    e[j] = 1.0
+    return float(np.linalg.norm(lam + e / cell.volume))
+
+
+_D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+_OFFS = np.array([-2, -1, 0, 1, 2])
+
+
+def lame_apply_fd(field, x, omega, h):
+    """Fourth-order finite-difference L[omega] of a vector field  R^2 -> R^2.
+
+    field(points) must accept an (..., 2) array of points and return (..., 2)
+    values.  Uses the 5x5 tensor stencil once per call.
+    """
+    x = np.asarray(x, dtype=float)
+    o1, o2 = np.meshgrid(_OFFS, _OFFS, indexing="ij")
+    pts = x[None, None, :] + h * np.stack([o1, o2], axis=-1)
+    vals = field(pts.reshape(-1, 2)).reshape(5, 5, 2)
+    c = 2  # center index
+    u_xx = np.tensordot(_D2, vals[:, c, :], axes=(0, 0)) / h**2
+    u_yy = np.tensordot(_D2, vals[c, :, :], axes=(0, 0)) / h**2
+    u_xy = np.einsum("i,j,ijd->d", _D1, _D1, vals) / h**2
+    lap = u_xx + u_yy
+    div_grad = np.array([u_xx[0] + u_xy[1], u_xy[0] + u_yy[1]])
+    return lap + omega * div_grad
 
 
 @dataclass

@@ -9,16 +9,16 @@ from perilame.cell import build_cell, nearest_image
 from perilame.errors import PlanError, SingularArgumentError
 from perilame.kernels import LameEnv, kelvin, kelvin_grad
 from perilame.lattice import (
-    pde_residual,
     periodic_green,
     periodic_green_grad,
     plan_cost,
     plan_lattice_sum,
     regular_part,
+    regular_part_and_grad,
     regular_part_grad,
-    scalar_periodic_green,
 )
 from perilame.special import exp1
+from perilame.verify import lame_apply_fd, pde_residual, scalar_periodic_green
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "oracle_green.json")
 
@@ -151,6 +151,42 @@ def test_real_sum_matches_per_shift_loop(plan1):
     _, grad = lattice._real_sum(x, plan1.shifts, plan1.eta, ENV1.beta, want_grad=True)
     assert np.max(np.abs(val - ref_val)) <= 1e-15 * np.max(np.abs(ref_val))
     assert np.max(np.abs(grad - ref_grad)) <= 1e-15 * np.max(np.abs(ref_grad))
+
+
+@pytest.mark.parametrize("edges,omega", [([1.0, 1.0], 1.0), ([2.0, 3.0], 0.5)])
+def test_joint_pass_matches_separate_calls(edges, omega):
+    # values and gradients from one pass of the evaluator are the separate
+    # calls' bit for bit, over several blocks, arguments several cells out
+    # and arguments within 1e-3 of 0
+    cell = build_cell(edges)
+    env = LameEnv(2, omega)
+    plan = plan_lattice_sum(cell, env, 1e-10)
+    rng = np.random.default_rng(18)
+    q = np.array(edges)
+    x = rng.uniform(-0.5, 0.5, size=(5000, 2)) * q
+    x[:1000] += rng.integers(-3, 4, size=(1000, 2)) * q
+    x[1000:1500] = rng.uniform(-1e-3, 1e-3, size=(500, 2))
+    val, grad = lattice._lattice_sum(x, env, cell, plan, periodic=True, values=True, grads=True)
+    assert np.array_equal(val, periodic_green(x, env, cell, plan))
+    assert np.array_equal(grad, periodic_green_grad(x, env, cell, plan))
+    val, grad = regular_part_and_grad(x, env, cell, plan)
+    assert np.array_equal(val, regular_part(x, env, cell, plan))
+    assert np.array_equal(grad, regular_part_grad(x, env, cell, plan))
+
+
+def test_kernels_keep_leading_shape(plan1):
+    rng = np.random.default_rng(19)
+    x = rng.uniform(0.05, 0.95, size=(3, 4, 2))
+    flat = x.reshape(-1, 2)
+    for kernel, tail in ((periodic_green, (2, 2)), (periodic_green_grad, (2, 2, 2)),
+                         (regular_part, (2, 2)), (regular_part_grad, (2, 2, 2))):
+        out = kernel(x, ENV1, UNIT, plan1)
+        assert out.shape == (3, 4) + tail
+        assert np.array_equal(out.reshape((-1,) + tail), kernel(flat, ENV1, UNIT, plan1))
+        # one point takes another BLAS path for its phase, so only to rounding
+        one = kernel(x[1, 2], ENV1, UNIT, plan1)
+        assert one.shape == tail
+        assert np.max(np.abs(one - out[1, 2])) <= 1e-14 * np.max(np.abs(out))
 
 
 def test_plan_agrees_with_tighter_plan():
@@ -297,8 +333,6 @@ def test_pde_residual_nonunit_cell_background():
     x = np.array([0.77, 1.3])
     assert pde_residual(x, 1, ENV1, cell, plan, h=1e-3) < 1e-6
     # the raw operator value approaches the uniform background -e_j/6
-    from perilame.lattice import lame_apply_fd
-
     lam = lame_apply_fd(
         lambda pts: periodic_green(pts, ENV1, cell, plan)[..., :, 1], x, 1.0, 1e-3
     )

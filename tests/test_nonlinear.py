@@ -3,8 +3,8 @@ import pytest
 
 from perilame.cell import CircleShape, build_cell, discretize_curve
 from perilame.errors import ConvergenceError, DegenerateProblemError
-from perilame.kernels import LameEnv, traction_map
-from perilame.lattice import periodic_green, periodic_green_grad, plan_lattice_sum
+from perilame.kernels import LameEnv
+from perilame.lattice import plan_lattice_sum
 from perilame.nonlinear import (
     affine_model,
     saturating_model,
@@ -24,6 +24,7 @@ from perilame.robin import (
     eval_solution,
     solve_robin,
 )
+from perilame.verify import _sources_field
 
 UNIT = build_cell([1.0, 1.0])
 ENV1 = LameEnv(2, 1.0)
@@ -131,38 +132,15 @@ def test_affine_reduces_to_linear_robin(circle64, plan1, ops64):
         assert np.max(np.abs(rep_lin.c - rep_nl.c)) < 1e-9
 
 
-def _manufactured(plan, curve, cstar, B):
-    x0, x1 = np.array([0.31, 0.5]), np.array([0.68, 0.54])
-    dvec = np.array([1.0, 1.0])
-    Bq = B @ UNIT.q_inv
-
-    def u_fn(pts):
-        pts = np.atleast_2d(pts)
-        out = np.einsum("pjk,k->pj", periodic_green(pts - x0, ENV1, UNIT, plan), dvec)
-        out -= np.einsum("pjk,k->pj", periodic_green(pts - x1, ENV1, UNIT, plan), dvec)
-        return out + cstar[None, :] + pts @ Bq.T
-
-    def trac_fn(pts, normals):
-        pts = np.atleast_2d(pts)
-        Du = np.einsum(
-            "pjkm,k->pjm", periodic_green_grad(pts - x0, ENV1, UNIT, plan), dvec
-        )
-        Du -= np.einsum(
-            "pjkm,k->pjm", periodic_green_grad(pts - x1, ENV1, UNIT, plan), dvec
-        )
-        Du += Bq[None, :, :]
-        return np.einsum("pjm,pm->pj", traction_map(ENV1.omega, Du), normals)
-
-    return u_fn, trac_fn
-
-
 def test_manufactured_nonlinear_solution():
     plan = plan_lattice_sum(UNIT, ENV1, 1e-12)
     N = 128
     curve = discretize_curve(CircleShape([0.5, 0.5], 0.25), N, UNIT)
     cstar = np.array([0.2, -0.4])
     B = np.diag([0.15, -0.1])
-    u_fn, trac_fn = _manufactured(plan, curve, cstar, B)
+    u_fn, trac_fn = _sources_field(
+        ENV1, UNIT, plan, (0.31, 0.5), (0.68, 0.54), (1.0, 1.0), cstar, B
+    )
     tstar = trac_fn(curve.nodes, curve.normals)
     ustar = u_fn(curve.nodes)
     lam = -np.eye(2)
@@ -276,3 +254,15 @@ def test_iteration_timing_and_tail_ratio(circle64, plan1, ops64):
     assert list(d["timings"]) == ["iteration"] and d["timings"]["iteration"] >= 0.0
     # a smooth law on the resolved circle leaves almost nothing in the top modes
     assert 0.0 <= d["density_tail_ratio"] < 1e-10
+
+
+def test_tail_ratio_zero_for_constant_solution(circle64, plan1, ops64):
+    # constant h: the solution is a constant displacement, mu = 0 up to
+    # rounding, which must not read as an under-resolved density
+    model = saturating_model(np.array([0.3, -0.2]), -0.8, circle64)
+    rep = solve_nonlinear_robin(
+        model, np.zeros((2, 2)), circle64, ENV1, UNIT, plan1,
+        method="newton", operators=ops64,
+    )
+    assert np.max(np.abs(rep.mu.values)) < 1e-13
+    assert rep.diagnostics["density_tail_ratio"] == 0.0

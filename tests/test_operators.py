@@ -10,8 +10,9 @@ from perilame.cell import (
 )
 from perilame.errors import NearBoundaryWarning
 from perilame.kernels import LameEnv, traction_kernel
-from perilame.lattice import lame_apply_fd, plan_lattice_sum
+from perilame.lattice import plan_lattice_sum
 from perilame.operators import (
+    BoundaryMatrixField,
     BoundaryVectorField,
     assemble_single_layer,
     assemble_wstar,
@@ -23,6 +24,7 @@ from perilame.operators import (
     trig_resample,
 )
 from perilame.special import EULER_GAMMA, exp1
+from perilame.verify import lame_apply_fd
 
 UNIT = build_cell([1.0, 1.0])
 ENV1 = LameEnv(2, 1.0)
@@ -124,6 +126,21 @@ def test_trig_resample_exact_for_trig_polynomials():
     up = trig_resample(vals, 64)
     t2 = 2 * np.pi * np.arange(64) / 64
     assert np.max(np.abs(up - (1.0 + np.cos(3 * t2) - 0.4 * np.sin(5 * t2)))) < 1e-13
+
+
+def test_field_resampling_matches_per_component():
+    curve = discretize_curve(CircleShape([0.5, 0.5], 0.25), 64, UNIT)
+    rng = np.random.default_rng(20)
+    vec = BoundaryVectorField(rng.normal(size=(64, 2)), curve)
+    mat = BoundaryMatrixField(rng.normal(size=(64, 2, 2)), curve)
+    for M in (64, 128, 512):
+        up = vec.resample(M).values
+        for k in range(2):
+            assert np.array_equal(up[:, k], trig_resample(vec.values[:, k], M))
+        up = mat.resample(M).values
+        for i in range(2):
+            for j in range(2):
+                assert np.array_equal(up[:, i, j], trig_resample(mat.values[:, i, j], M))
 
 
 def test_boundary_integral_examples(circle128):

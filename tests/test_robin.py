@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-import perilame.operators as operators
+import perilame.lattice as lattice
 import perilame.robin as robin
 from perilame.cell import CircleShape, EllipseShape, build_cell, discretize_curve
 from perilame.errors import AdmissibilityError, DomainError
 from perilame.kernels import LameEnv, traction_map
-from perilame.lattice import periodic_green, periodic_green_grad, plan_lattice_sum
+from perilame.lattice import plan_lattice_sum
 from perilame.operators import (
     BoundaryMatrixField,
     BoundaryVectorField,
@@ -27,6 +27,7 @@ from perilame.robin import (
     solve_robin,
     validate_robin_data,
 )
+from perilame.verify import _sources_field
 
 UNIT = build_cell([1.0, 1.0])
 ENV1 = LameEnv(2, 1.0)
@@ -182,29 +183,6 @@ def test_homogeneous_problem(circle64, plan1):
     data = _data(circle64, np.eye(2), -np.eye(2), [0.0, 0.0])
     rep = solve_robin(data, circle64, ENV1, UNIT, plan1)
     assert np.max(np.abs(rep.mu.values)) + np.max(np.abs(rep.c)) < 1e-10
-
-
-def _sources_field(env, cell, plan, x0, x1, dvec):
-    x0, x1, dvec = map(np.asarray, (x0, x1, dvec))
-
-    def u_fn(pts):
-        pts = np.atleast_2d(pts)
-        out = np.einsum("pjk,k->pj", periodic_green(pts - x0, env, cell, plan), dvec)
-        return out - np.einsum(
-            "pjk,k->pj", periodic_green(pts - x1, env, cell, plan), dvec
-        )
-
-    def trac_fn(pts, normals):
-        pts = np.atleast_2d(pts)
-        Du = np.einsum(
-            "pjkm,k->pjm", periodic_green_grad(pts - x0, env, cell, plan), dvec
-        )
-        Du -= np.einsum(
-            "pjkm,k->pjm", periodic_green_grad(pts - x1, env, cell, plan), dvec
-        )
-        return np.einsum("pjm,pm->pj", traction_map(env.omega, Du), normals)
-
-    return u_fn, trac_fn
 
 
 @pytest.fixture(scope="module")
@@ -449,7 +427,7 @@ def test_solve_robin_assembles_at_n_and_counts_residual_pairs(monkeypatch, plan1
     N = 32
     curve = discretize_curve(CircleShape([0.5, 0.5], 0.25), N, UNIT)
     data = _varied_data(curve)
-    sizes, pairs = [], {"value": 0, "grad": 0}
+    sizes, passes = [], []
 
     def recording(assemble):
         def wrapper(curve, *args):
@@ -457,30 +435,30 @@ def test_solve_robin_assembles_at_n_and_counts_residual_pairs(monkeypatch, plan1
             return assemble(curve, *args)
         return wrapper
 
-    def counting(kind, fn):
-        def wrapper(p, *args):
-            pairs[kind] += len(p)
-            return fn(p, *args)
-        return wrapper
+    lattice_sum = lattice._lattice_sum
+
+    def counting(x, env, cell, plan, periodic, values=True, grads=False):
+        passes.append((np.shape(x)[:-1], periodic, values, grads))
+        return lattice_sum(x, env, cell, plan, periodic, values, grads)
 
     monkeypatch.setattr(robin, "assemble_single_layer", recording(assemble_single_layer))
     monkeypatch.setattr(robin, "assemble_wstar", recording(assemble_wstar))
-    monkeypatch.setattr(operators, "regular_part", counting("value", operators.regular_part))
-    monkeypatch.setattr(
-        operators, "regular_part_grad", counting("grad", operators.regular_part_grad)
-    )
+    monkeypatch.setattr(lattice, "_lattice_sum", counting)
     solve_robin(data, curve, ENV1, UNIT, plan1)
     assert sizes == [N, N]
-    # the symmetric assembly takes the upper triangle; the residual N^2 pairs
-    assert pairs == {"value": N * (N + 1) // 2 + N * N, "grad": N * (N + 1) // 2 + N * N}
+    # each symmetric assembly takes the upper triangle, values for V and
+    # gradients for W*; the residual takes both from one pass over N^2 pairs
+    half = (N * (N + 1) // 2,)
+    residual = [((N, N), False, True, True)]
+    assert passes == [(half, False, True, False), (half, False, False, True)] + residual
 
     ops = (assemble_single_layer(curve, ENV1, UNIT, plan1),
            assemble_wstar(curve, ENV1, UNIT, plan1))
     sizes.clear()
-    pairs.update(value=0, grad=0)
+    passes.clear()
     solve_robin(data, curve, ENV1, UNIT, plan1, operators=ops)
     assert sizes == []
-    assert pairs == {"value": N * N, "grad": N * N}
+    assert passes == residual
 
 
 def test_density_tail_ratio_tracks_resolution():
@@ -498,6 +476,15 @@ def test_density_tail_ratio_tracks_resolution():
     assert all(b < 1e-2 * a for a, b in zip(tails, tails[1:]))
     assert all(b < 1e-2 * a for a, b in zip(residuals, residuals[1:]))
     assert tails[0] > 1e-2 and tails[-1] < 1e-11
+
+
+def test_density_tail_ratio_zero_for_rounding_level_density(circle64, plan1):
+    # constant g with a = I, b = -I is solved by mu = 0, c = -g: the computed
+    # density is rounding noise and must not read as under-resolved
+    rep = solve_robin(_data(circle64, np.eye(2), -np.eye(2), [-0.3, 0.7]), circle64,
+                      ENV1, UNIT, plan1)
+    assert np.max(np.abs(rep.mu.values)) < 1e-13
+    assert rep.diagnostics["density_tail_ratio"] == 0.0
 
 
 def test_stage_timings(circle64, plan1):
