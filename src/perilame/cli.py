@@ -1,20 +1,23 @@
 """Configuration parsing, run orchestration and result serialization.
 
 A run is described by one JSON config file; the command line can override the
-mode, node count, lattice tolerance, output directory and seed.  Outputs are
-plain CSV/key=value files written atomically (write then rename), with the
-resolved configuration echoed alongside so a run can be reproduced exactly.
+mode, node count, lattice tolerance, output directory and seed.  The config is
+validated once into a canonical table, with every default resolved; the run
+is built from that table, fingerprinted by it and echoes it alongside its
+outputs, so re-parsing the echo reproduces the run exactly.  Outputs are
+plain CSV/key=value files written atomically (write then rename).
 
 Exit codes: 0 success, 2 validation rejection, 3 solver failure,
 4 verification failure.
 """
 
 import argparse
+import copy
 import hashlib
 import json
+import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,12 +39,11 @@ from .errors import (
     ConvergenceError,
     CurveError,
     DegenerateProblemError,
-    NearBoundaryWarning,
     PlanError,
     SolveError,
 )
 from .kernels import LameEnv
-from .lattice import periodic_green, plan_lattice_sum
+from .lattice import periodic_green, plan_lattice_sum, singular_targets
 from .nonlinear import affine_model, saturating_model, solve_nonlinear_robin
 from .operators import BoundaryMatrixField, BoundaryVectorField, near_boundary
 from .robin import RobinData, eval_solution, solve_robin
@@ -52,281 +54,194 @@ MODES = ("solve-linear", "solve-nonlinear", "green-eval", "verify")
 DEFAULTS = {
     "nodes": 128,
     "lattice_tol": 1e-10,
-    "drift": ((0.0, 0.0), (0.0, 0.0)),
-    "grid": (40, 40),
+    "drift": [[0.0, 0.0], [0.0, 0.0]],
+    "grid": [40, 40],
     "out_dir": "out",
     "seed": 0,
 }
+_GREEN_DEFAULTS = {"source": [0.0, 0.0], "load": [1.0, 0.0]}
 
 _KNOWN_KEYS = {
     "mode", "cell", "omega", "curve", "nodes", "lattice_tol", "robin",
     "drift", "model", "green", "grid", "out_dir", "seed",
 }
+_ROBIN_SHAPES = {"a": (2, 2), "b": (2, 2), "g": (2,)}
+# fields of each kind of curve and of nonlinear model, besides "kind"
+_CURVE_FIELDS = {
+    "circle": ("center", "radius"),
+    "ellipse": ("center", "semi_axes", "rotation"),
+    "trig": ("cos", "sin", "interior"),
+}
+_MODEL_FIELDS = {"affine": ("M", "h"), "saturating": ("h", "kappa")}
+
+
+def _join(path, key):
+    return f"{path}.{key}" if path else key
 
 
 def _fail(path, message):
     raise ConfigError(f"{path}: {message}")
 
 
-def _require(cfg, key, path):
-    if key not in cfg:
-        _fail(f"{path}.{key}" if path else key, "missing required field")
-    return cfg[key]
-
-
-def _as_floats(value, path, count=None):
-    try:
-        out = [float(v) for v in value]
-    except (TypeError, ValueError):
-        _fail(path, f"expected a list of numbers, got {value!r}")
-    if count is not None and len(out) != count:
-        _fail(path, f"expected {count} entries, got {len(out)}")
-    return out
-
-
-class EntrySpec:
-    """Scalar-valued entry: constant or truncated trigonometric series in t."""
-
-    def __init__(self, spec, path):
-        if isinstance(spec, (int, float)):
-            self.cos = [float(spec)]
-            self.sin = []
-        elif isinstance(spec, dict):
-            unknown = set(spec) - {"cos", "sin"}
-            if unknown:
-                _fail(path, f"unknown field {sorted(unknown)[0]!r}")
-            self.cos = _as_floats(spec.get("cos", []), f"{path}.cos")
-            self.sin = _as_floats(spec.get("sin", []), f"{path}.sin")
-        else:
-            _fail(path, f"expected number or cos/sin table, got {spec!r}")
-
-    def sample(self, t):
-        out = np.zeros_like(t)
-        for m, c in enumerate(self.cos):
-            out += c * np.cos(m * t)
-        for m, s in enumerate(self.sin, start=1):
-            out += s * np.sin(m * t)
-        return out
-
-    def echo(self):
-        if not self.sin and len(self.cos) == 1:
-            return self.cos[0]
-        return {"cos": self.cos, "sin": self.sin}
-
-
-class MatrixSpec:
-    def __init__(self, spec, path):
-        try:
-            rows = list(spec)
-        except TypeError:
-            _fail(path, f"expected a 2x2 table, got {spec!r}")
-        if len(rows) != 2:
-            _fail(path, "expected 2 rows")
-        self.entries = [
-            [EntrySpec(rows[i][j], f"{path}[{i}][{j}]") for j in range(2)]
-            for i in range(2)
-        ]
-
-    def sample(self, t):
-        out = np.zeros((t.shape[0], 2, 2))
-        for i in range(2):
-            for j in range(2):
-                out[:, i, j] = self.entries[i][j].sample(t)
-        return out
-
-    def echo(self):
-        return [[self.entries[i][j].echo() for j in range(2)] for i in range(2)]
-
-
-class VectorSpec:
-    def __init__(self, spec, path):
-        try:
-            items = list(spec)
-        except TypeError:
-            _fail(path, f"expected a 2-entry list, got {spec!r}")
-        if len(items) != 2:
-            _fail(path, "expected 2 entries")
-        self.entries = [EntrySpec(items[k], f"{path}[{k}]") for k in range(2)]
-
-    def sample(self, t):
-        return np.column_stack([e.sample(t) for e in self.entries])
-
-    def echo(self):
-        return [e.echo() for e in self.entries]
-
-
-def _parse_curve(spec, path):
+def _known(spec, allowed, path):
+    """spec, checked to be a table whose keys all lie in allowed."""
     if not isinstance(spec, dict):
-        _fail(path, "expected a table with a 'kind' field")
-    kind = _require(spec, "kind", path)
-    known = {
-        "circle": {"kind", "center", "radius"},
-        "ellipse": {"kind", "center", "semi_axes", "rotation"},
-        "trig": {"kind", "cos", "sin", "interior"},
-    }
-    if kind not in known:
-        _fail(f"{path}.kind", f"unknown curve kind {kind!r}")
-    unknown = set(spec) - known[kind]
+        _fail(path or "config", f"expected a table, got {spec!r}")
+    unknown = sorted(set(spec) - set(allowed))
     if unknown:
-        _fail(path, f"unknown field {sorted(unknown)[0]!r}")
+        _fail(_join(path, unknown[0]), "unknown field")
+    return spec
+
+
+def _require(spec, key, path):
+    if key not in spec:
+        _fail(_join(path, key), "missing required field")
+    return spec[key]
+
+
+def _number(value, path):
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (is_number and math.isfinite(value)):
+        _fail(path, f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _count(value, path):
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail(path, f"expected an integer, got {value!r}")
+    return value
+
+
+def _nested(value, path, shape, leaf=_number):
+    """value as nested lists of the given shape (None: any length), leaves parsed by leaf."""
+    if not shape:
+        return leaf(value, path)
+    if not isinstance(value, list):
+        _fail(path, f"expected a list, got {value!r}")
+    if shape[0] is not None and len(value) != shape[0]:
+        _fail(path, f"expected {shape[0]} entries, got {len(value)}")
+    return [_nested(v, f"{path}[{k}]", shape[1:], leaf) for k, v in enumerate(value)]
+
+
+def _field(spec, key, path, shape=(), leaf=_number):
+    """The required field key of the table spec, parsed by _nested."""
+    return _nested(_require(spec, key, path), _join(path, key), shape, leaf)
+
+
+def _entry(spec, path):
+    """Scalar entry in the curve parameter: a number or {"cos": [c0, ...], "sin": [s1, ...]}.
+
+    A series of one cos coefficient and no sin term is the constant it
+    stands for and is kept as that number.
+    """
+    if not isinstance(spec, dict):
+        return _number(spec, path)
+    _known(spec, ("cos", "sin"), path)
+    series = {key: _nested(spec.get(key, []), f"{path}.{key}", (None,)) for key in ("cos", "sin")}
+    if len(series["cos"]) == 1 and not series["sin"]:
+        return series["cos"][0]
+    return series
+
+
+def _kind(spec, fields, path):
+    """The 'kind' of the table spec; its other keys must be fields of that kind."""
+    _known(spec, {"kind"}.union(*fields.values()), path)
+    kind = _require(spec, "kind", path)
+    if not isinstance(kind, str) or kind not in fields:
+        _fail(f"{path}.kind", f"unknown {path} kind {kind!r}")
+    _known(spec, ("kind",) + fields[kind], path)
+    return kind
+
+
+def _curve(spec):
+    """Canonical curve table: rotation and trig interior resolved, trig rows padded."""
+    kind = _kind(spec, _CURVE_FIELDS, "curve")
     if kind == "circle":
-        center = _as_floats(_require(spec, "center", path), f"{path}.center", 2)
-        radius = float(_require(spec, "radius", path))
-        return CircleShape(center, radius)
+        return {"kind": kind, "center": _field(spec, "center", "curve", (2,)),
+                "radius": _field(spec, "radius", "curve")}
     if kind == "ellipse":
-        center = _as_floats(_require(spec, "center", path), f"{path}.center", 2)
-        axes = _as_floats(_require(spec, "semi_axes", path), f"{path}.semi_axes", 2)
-        rotation = float(spec.get("rotation", 0.0))
-        return EllipseShape(center, axes, rotation)
-    cos_c = [
-        _as_floats(row, f"{path}.cos") for row in _require(spec, "cos", path)
-    ]
-    sin_c = [
-        _as_floats(row, f"{path}.sin") for row in _require(spec, "sin", path)
-    ]
+        return {"kind": kind, "center": _field(spec, "center", "curve", (2,)),
+                "semi_axes": _field(spec, "semi_axes", "curve", (2,)),
+                "rotation": _number(spec.get("rotation", 0.0), "curve.rotation")}
+    rows = {key: _field(spec, key, "curve", (2, None)) for key in ("cos", "sin")}
+    width = max(len(row) for coeffs in rows.values() for row in coeffs)
+    if not width:
+        _fail("curve", "expected at least one trig coefficient")
+    table = {"kind": kind}
+    for key, coeffs in rows.items():
+        table[key] = [row + [0.0] * (width - len(row)) for row in coeffs]
     interior = spec.get("interior")
-    if interior is not None:
-        interior = _as_floats(interior, f"{path}.interior", 2)
-    width = max(len(r) for r in cos_c + sin_c)
-    pad = lambda rows: [r + [0.0] * (width - len(r)) for r in rows]
-    return TrigShape(np.array(pad(cos_c)), np.array(pad(sin_c)), interior=interior)
+    table["interior"] = (
+        [table["cos"][0][0], table["cos"][1][0]] if interior is None
+        else _nested(interior, "curve.interior", (2,))
+    )
+    return table
+
+
+def _model(spec):
+    kind = _kind(spec, _MODEL_FIELDS, "model")
+    table = {"kind": kind, "h": _field(spec, "h", "model", (2,), _entry)}
+    if kind == "affine":
+        table["M"] = _field(spec, "M", "model", (2, 2), _entry)
+    else:
+        table["kappa"] = _field(spec, "kappa", "model")
+    return table
 
 
 class RunConfig:
-    """Validated run description with all defaults resolved."""
+    """Validated run description: one canonical table with every default resolved.
+
+    The table holds plain lists, numbers, strings and {"cos", "sin"} series
+    tables, and only the sections the mode uses.  echo() returns it,
+    fingerprint() hashes it and run() builds its inputs from it.
+    """
 
     def __init__(self, raw):
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        unknown = set(raw) - _KNOWN_KEYS
-        if unknown:
-            _fail(sorted(unknown)[0], "unknown field")
-        self.mode = _require(raw, "mode", "")
-        if self.mode not in MODES:
-            _fail("mode", f"must be one of {MODES}, got {self.mode!r}")
-        self.cell_edges = _as_floats(_require(raw, "cell", ""), "cell", 2)
-        self.omega = float(_require(raw, "omega", ""))
+        _known(raw, _KNOWN_KEYS, "")
+        mode = _require(raw, "mode", "")
+        if mode not in MODES:
+            _fail("mode", f"must be one of {MODES}, got {mode!r}")
+        spec = {**DEFAULTS, **raw}
+        table = {
+            "mode": mode,
+            "cell": _field(spec, "cell", "", (2,)),
+            "omega": _field(spec, "omega", ""),
+            "nodes": _field(spec, "nodes", "", (), _count),
+            "lattice_tol": _field(spec, "lattice_tol", ""),
+            "drift": _field(spec, "drift", "", (2, 2)),
+            "grid": _field(spec, "grid", "", (2,), _count),
+            "out_dir": str(spec["out_dir"]),
+            "seed": _field(spec, "seed", "", (), _count),
+        }
         try:
-            LameEnv(2, self.omega)
+            LameEnv(2, table["omega"])
         except ValueError as exc:
             _fail("omega", str(exc))
-        self.nodes = int(raw.get("nodes", DEFAULTS["nodes"]))
-        self.lattice_tol = float(raw.get("lattice_tol", DEFAULTS["lattice_tol"]))
-        self.grid = tuple(
-            int(v) for v in raw.get("grid", DEFAULTS["grid"])
-        )
-        if len(self.grid) != 2 or min(self.grid) < 2:
-            _fail("grid", f"expected two counts >= 2, got {raw.get('grid')}")
-        self.out_dir = str(raw.get("out_dir", DEFAULTS["out_dir"]))
-        self.seed = int(raw.get("seed", DEFAULTS["seed"]))
-        self.drift = np.array(
-            [_as_floats(r, "drift") for r in raw.get("drift", DEFAULTS["drift"])]
-        )
-        if self.drift.shape != (2, 2):
-            _fail("drift", "expected a 2x2 matrix")
-
-        self.curve_spec = None
-        if self.mode != "verify":
-            self.curve_spec = _parse_curve(_require(raw, "curve", ""), "curve")
-
-        self.robin = None
-        if self.mode == "solve-linear":
-            robin = _require(raw, "robin", "")
-            unknown = set(robin) - {"a", "b", "g"}
-            if unknown:
-                _fail(f"robin.{sorted(unknown)[0]}", "unknown field")
-            self.robin = {
-                "a": MatrixSpec(_require(robin, "a", "robin"), "robin.a"),
-                "b": MatrixSpec(_require(robin, "b", "robin"), "robin.b"),
-                "g": VectorSpec(_require(robin, "g", "robin"), "robin.g"),
+        if min(table["grid"]) < 2:
+            _fail("grid", f"expected two counts >= 2, got {table['grid']}")
+        if mode != "verify":
+            table["curve"] = _curve(_require(raw, "curve", ""))
+        if mode == "solve-linear":
+            robin = _known(_require(raw, "robin", ""), _ROBIN_SHAPES, "robin")
+            table["robin"] = {
+                key: _field(robin, key, "robin", shape, _entry)
+                for key, shape in _ROBIN_SHAPES.items()
             }
-
-        self.model = None
-        if self.mode == "solve-nonlinear":
-            model = _require(raw, "model", "")
-            kind = _require(model, "kind", "model")
-            if kind == "affine":
-                unknown = set(model) - {"kind", "M", "h"}
-                if unknown:
-                    _fail(f"model.{sorted(unknown)[0]}", "unknown field")
-                self.model = {
-                    "kind": "affine",
-                    "M": MatrixSpec(_require(model, "M", "model"), "model.M"),
-                    "h": VectorSpec(_require(model, "h", "model"), "model.h"),
-                }
-            elif kind == "saturating":
-                unknown = set(model) - {"kind", "h", "kappa"}
-                if unknown:
-                    _fail(f"model.{sorted(unknown)[0]}", "unknown field")
-                self.model = {
-                    "kind": "saturating",
-                    "h": VectorSpec(_require(model, "h", "model"), "model.h"),
-                    "kappa": float(_require(model, "kappa", "model")),
-                }
-            else:
-                _fail("model.kind", f"unknown model kind {kind!r}")
-
-        self.green = {"source": [0.0, 0.0], "load": [1.0, 0.0]}
-        if "green" in raw:
-            green = raw["green"]
-            unknown = set(green) - {"source", "load"}
-            if unknown:
-                _fail(f"green.{sorted(unknown)[0]}", "unknown field")
-            if "source" in green:
-                self.green["source"] = _as_floats(green["source"], "green.source", 2)
-            if "load" in green:
-                self.green["load"] = _as_floats(green["load"], "green.load", 2)
+        if mode == "solve-nonlinear":
+            table["model"] = _model(_require(raw, "model", ""))
+        if mode == "green-eval":
+            green = {**_GREEN_DEFAULTS, **_known(raw.get("green", {}), _GREEN_DEFAULTS, "green")}
+            table["green"] = {key: _field(green, key, "green", (2,)) for key in green}
+        self._table = table
+        self.mode, self.nodes, self.lattice_tol = mode, table["nodes"], table["lattice_tol"]
 
     def echo(self):
-        """Resolved configuration; re-parsing it reproduces this RunConfig."""
-        out = {
-            "mode": self.mode,
-            "cell": list(self.cell_edges),
-            "omega": self.omega,
-            "nodes": self.nodes,
-            "lattice_tol": self.lattice_tol,
-            "drift": self.drift.tolist(),
-            "grid": list(self.grid),
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-        }
-        if self.curve_spec is not None:
-            shape = self.curve_spec
-            if isinstance(shape, CircleShape):
-                out["curve"] = {
-                    "kind": "circle",
-                    "center": shape.center.tolist(),
-                    "radius": shape.radius,
-                }
-            elif isinstance(shape, EllipseShape):
-                out["curve"] = {
-                    "kind": "ellipse",
-                    "center": shape.center.tolist(),
-                    "semi_axes": list(shape.semi_axes),
-                    "rotation": shape.rotation,
-                }
-            else:
-                out["curve"] = {
-                    "kind": "trig",
-                    "cos": shape.cos_coeffs.tolist(),
-                    "sin": shape.sin_coeffs.tolist(),
-                    "interior": shape.interior_point().tolist(),
-                }
-        if self.robin is not None:
-            out["robin"] = {k: v.echo() for k, v in self.robin.items()}
-        if self.model is not None:
-            m = dict(self.model)
-            for key in ("M", "h"):
-                if key in m and not isinstance(m[key], (int, float, str)):
-                    m[key] = m[key].echo()
-            out["model"] = m
-        if self.mode == "green-eval":
-            out["green"] = self.green
-        return out
+        """The canonical table (a copy); re-parsing it reproduces this RunConfig."""
+        return copy.deepcopy(self._table)
 
     def fingerprint(self):
         payload = self.echo()
-        payload.pop("out_dir", None)  # the output location is not physics
+        payload.pop("out_dir")  # the output location is not physics
         text = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
@@ -340,10 +255,34 @@ def parse_config(path, overrides=None):
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not well-formed JSON: {exc}")
-    if overrides:
-        raw = dict(raw)
-        raw.update({k: v for k, v in overrides.items() if v is not None})
+    if overrides and isinstance(raw, dict):
+        raw = dict(raw, **{k: v for k, v in overrides.items() if v is not None})
     return RunConfig(raw)
+
+
+def _sample(entry, t):
+    """Samples at the parameters t of a canonical entry or of nested lists of them.
+
+    A vector of entries gives shape (N, 2), a matrix (N, 2, 2).
+    """
+    if isinstance(entry, list):
+        return np.stack([_sample(e, t) for e in entry], axis=1)
+    series = entry if isinstance(entry, dict) else {"cos": [entry], "sin": []}
+    out = np.zeros_like(t)
+    for m, c in enumerate(series["cos"]):
+        out += c * np.cos(m * t)
+    for m, s in enumerate(series["sin"], start=1):
+        out += s * np.sin(m * t)
+    return out
+
+
+def _shape(curve):
+    """The shape object of a canonical curve table."""
+    if curve["kind"] == "circle":
+        return CircleShape(curve["center"], curve["radius"])
+    if curve["kind"] == "ellipse":
+        return EllipseShape(curve["center"], curve["semi_axes"], curve["rotation"])
+    return TrigShape(curve["cos"], curve["sin"], interior=curve["interior"])
 
 
 @dataclass
@@ -375,9 +314,9 @@ def _summary_text(entries):
     return "\n".join(f"{k}={v}" for k, v in entries) + "\n"
 
 
-def _grid_points(config, cell):
+def _grid_points(grid, cell):
     """Cell-centred output grid, shape (nx * ny, 2), ordered by x1 index then x2 index."""
-    nx, ny = config.grid
+    nx, ny = grid
     q1, q2 = cell.q_diag
     x1, x2 = np.meshgrid(
         (np.arange(nx) + 0.5) * q1 / nx, (np.arange(ny) + 0.5) * q2 / ny, indexing="ij"
@@ -393,10 +332,14 @@ def _format_field_rows(pts, vals, warn):
     ]
 
 
-def _field_rows(config, cell, curve, evaluator):
-    """Sample the output grid, masking hole interiors and flagging near-boundary points."""
-    pts = _grid_points(config, cell)
-    pts = pts[~point_in_hole(pts, curve, cell)]
+def _field_rows(grid, cell, curve, evaluator):
+    """Sample the output grid and flag near-boundary points.
+
+    Hole interiors and points on a boundary node image, where the boundary
+    passes through the point, are omitted.
+    """
+    pts = _grid_points(grid, cell)
+    pts = pts[~point_in_hole(pts, curve, cell) & ~singular_targets(pts, curve.nodes, cell)]
     if not len(pts):
         return []
     return _format_field_rows(pts, evaluator(pts), near_boundary(pts, curve, cell))
@@ -404,23 +347,26 @@ def _field_rows(config, cell, curve, evaluator):
 
 def run(config):
     """Execute the configured pipeline; returns a ResultBundle."""
-    os.makedirs(config.out_dir, exist_ok=True)
+    table = config.echo()
+    out_dir = table["out_dir"]
+    os.makedirs(out_dir, exist_ok=True)
     fp = config.fingerprint()
     _atomic_write(
-        os.path.join(config.out_dir, "config.echo.json"),
-        json.dumps(config.echo(), indent=2, sort_keys=True) + "\n",
+        os.path.join(out_dir, "config.echo.json"),
+        json.dumps(table, indent=2, sort_keys=True) + "\n",
     )
-    summary = [("mode", config.mode), ("fingerprint", fp)]
+    mode = table["mode"]
+    summary = [("mode", mode), ("fingerprint", fp)]
 
-    if config.mode == "verify":
-        reports = run_property_suite(seed=config.seed)
+    if mode == "verify":
+        reports = run_property_suite(seed=table["seed"])
         rows = [
             (r.name, r.anchor.replace(",", ";"), f"{r.max_error:.6e}",
              f"{r.tolerance:.6e}", int(r.passed))
             for r in reports
         ]
         _write_csv(
-            os.path.join(config.out_dir, "reports.csv"),
+            os.path.join(out_dir, "reports.csv"),
             "property,anchor,max_error,tolerance,pass",
             rows,
             fp,
@@ -430,15 +376,15 @@ def run(config):
             ("properties_total", len(reports)),
             ("properties_failed", n_fail),
         ]
-        _atomic_write(os.path.join(config.out_dir, "summary.txt"), _summary_text(summary))
+        _atomic_write(os.path.join(out_dir, "summary.txt"), _summary_text(summary))
         return ResultBundle(
             fingerprint=fp, summary=summary, exit_code=4 if n_fail else 0,
             reports=reports,
         )
 
-    cell = build_cell(config.cell_edges)
-    env = LameEnv(2, config.omega)
-    plan = plan_lattice_sum(cell, env, config.lattice_tol)
+    cell = build_cell(table["cell"])
+    env = LameEnv(2, table["omega"])
+    plan = plan_lattice_sum(cell, env, table["lattice_tol"])
     summary += [
         ("lattice_tail_bound", f"{plan.real_bound + plan.fourier_bound:.6e}"),
         ("lattice_eta", f"{plan.eta:.6e}"),
@@ -446,46 +392,43 @@ def run(config):
         ("lattice_fourier_cutoff", plan.fourier_cutoff),
     ]
 
-    if config.mode == "green-eval":
-        source = np.array(config.green["source"])
-        load = np.array(config.green["load"])
+    if mode == "green-eval":
+        source = np.array(table["green"]["source"])
+        load = np.array(table["green"]["load"])
 
-        pts = _grid_points(config, cell)
+        pts = _grid_points(table["grid"], cell)
         d = np.linalg.norm(nearest_image(pts - source, cell), axis=1)
         keep = d >= 0.02 * cell.min_edge  # mask points too close to a source image
         pts, warn = pts[keep], d[keep] < 0.1 * cell.min_edge
         vals = np.einsum("pjk,k->pj", periodic_green(pts - source, env, cell, plan), load)
         rows = _format_field_rows(pts, vals, warn)
         _write_csv(
-            os.path.join(config.out_dir, "field.csv"),
+            os.path.join(out_dir, "field.csv"),
             "x1,x2,u1,u2,warning", rows, fp,
         )
-        _atomic_write(os.path.join(config.out_dir, "summary.txt"), _summary_text(summary))
+        _atomic_write(os.path.join(out_dir, "summary.txt"), _summary_text(summary))
         return ResultBundle(fingerprint=fp, summary=summary, exit_code=0, field_rows=rows)
 
-    curve = discretize_curve(config.curve_spec, config.nodes, cell)
+    curve = discretize_curve(_shape(table["curve"]), table["nodes"], cell)
     t = curve.params
+    drift = np.array(table["drift"])
 
-    if config.mode == "solve-linear":
+    if mode == "solve-linear":
+        robin = table["robin"]
         data = RobinData(
-            a=BoundaryMatrixField(config.robin["a"].sample(t), curve),
-            b=BoundaryMatrixField(config.robin["b"].sample(t), curve),
-            g=BoundaryVectorField(config.robin["g"].sample(t), curve),
-            B=config.drift,
+            a=BoundaryMatrixField(_sample(robin["a"], t), curve),
+            b=BoundaryMatrixField(_sample(robin["b"], t), curve),
+            g=BoundaryVectorField(_sample(robin["g"], t), curve),
+            B=drift,
         )
         rep = solve_robin(data, curve, env, cell, plan)
     else:
-        if config.model["kind"] == "affine":
-            model = affine_model(
-                config.model["M"].sample(t), config.model["h"].sample(t), curve
-            )
+        spec = table["model"]
+        if spec["kind"] == "affine":
+            model = affine_model(_sample(spec["M"], t), _sample(spec["h"], t), curve)
         else:
-            model = saturating_model(
-                config.model["h"].sample(t), config.model["kappa"], curve
-            )
-        rep = solve_nonlinear_robin(
-            model, config.drift, curve, env, cell, plan, method="newton"
-        )
+            model = saturating_model(_sample(spec["h"], t), spec["kappa"], curve)
+        rep = solve_nonlinear_robin(model, drift, curve, env, cell, plan, method="newton")
         summary.append(("iterations", rep.diagnostics["iterations"]))
 
     d = rep.diagnostics
@@ -508,21 +451,19 @@ def run(config):
         for i in range(curve.N)
     ]
     _write_csv(
-        os.path.join(config.out_dir, "density.csv"),
+        os.path.join(out_dir, "density.csv"),
         "t,x1,x2,mu1,mu2", rows, fp,
     )
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NearBoundaryWarning)
-        field_rows = _field_rows(
-            config, cell, curve,
-            lambda pts: eval_solution(rep, pts, env, cell, plan, warn=False),
-        )
+    field_rows = _field_rows(
+        table["grid"], cell, curve,
+        lambda pts: eval_solution(rep, pts, env, cell, plan, warn=False),
+    )
     _write_csv(
-        os.path.join(config.out_dir, "field.csv"),
+        os.path.join(out_dir, "field.csv"),
         "x1,x2,u1,u2,warning", field_rows, fp,
     )
-    _atomic_write(os.path.join(config.out_dir, "summary.txt"), _summary_text(summary))
+    _atomic_write(os.path.join(out_dir, "summary.txt"), _summary_text(summary))
     return ResultBundle(
         fingerprint=fp, summary=summary, exit_code=0,
         density_rows=rows, field_rows=field_rows,

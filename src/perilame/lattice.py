@@ -293,12 +293,27 @@ def _check_plan(plan, env, cell):
         raise PlanError("plan was built for a different cell or omega")
 
 
+def _on_lattice(xr, cell):
+    """Mask of reduced arguments xr (..., 2) within the singular distance of 0."""
+    return np.sqrt(np.sum(xr * xr, axis=-1)) <= _SINGULAR_FRACTION * cell.min_edge
+
+
 def _reduce(x, cell):
     xr = nearest_image(x, cell)
-    r = np.sqrt(np.sum(xr * xr, axis=-1))
-    if np.any(r <= _SINGULAR_FRACTION * cell.min_edge):
+    if np.any(_on_lattice(xr, cell)):
         raise SingularArgumentError("argument lies on the lattice q Z^n")
     return xr
+
+
+def singular_targets(x, sources, cell):
+    """(P,) mask of the points x (P, 2) at which a periodic kernel is singular.
+
+    A point is flagged when x - y, for some source y of sources (M, 2), lies
+    on the lattice q Z^n to within the distance at which periodic_green
+    raises.
+    """
+    d = x[:, None, :] - sources[None, :, :]
+    return np.any(_on_lattice(nearest_image(d, cell), cell), axis=1)
 
 
 def _f1(T):

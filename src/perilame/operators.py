@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import AssemblyError, NearBoundaryWarning
-from .kernels import traction_from_gradient, traction_kernel
+from .kernels import traction_from_gradient, traction_kernel, traction_map
 from .lattice import (
     periodic_green,
     periodic_green_grad,
@@ -31,6 +31,9 @@ from .lattice import (
 )
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
+# off-boundary evaluation closer to the boundary than this many node spacings
+# is flagged: the plain trapezoid rule loses accuracy there
+NEAR_SPACINGS = 3.0
 
 
 @dataclass
@@ -351,61 +354,57 @@ def boundary_integral(field, curve=None):
     return field.values.T @ curve.weights
 
 
-def near_boundary(x, curve, cell, spacings=3.0):
-    """True when x is closer to the boundary (over images) than `spacings` nodes.
+def near_boundary(x, curve, cell):
+    """True when x is closer to the boundary (over images) than NEAR_SPACINGS nodes.
 
     x is one point (2,) or points (P, 2); the result is a bool or a (P,) mask.
     """
     from .cell import min_image_distance
 
     h = np.max(curve.weights)
-    return min_image_distance(x, curve, cell) < spacings * h
+    return min_image_distance(x, curve, cell) < NEAR_SPACINGS * h
+
+
+def _off_boundary_sources(x, field, cell, upsample, warn):
+    """Setup shared by the off-boundary potentials at points x.
+
+    Warns when a point is near the boundary; returns the (P, M, 2)
+    differences from the points to the quadrature nodes (the field's,
+    resampled `upsample` times), the (M, 2) density times the quadrature
+    weights and whether x is a single point.
+    """
+    src = field if upsample == 1 else field.resample(upsample * field.curve.N)
+    x = np.asarray(x, dtype=float)
+    pts = np.atleast_2d(x)
+    if warn and np.any(near_boundary(pts, field.curve, cell)):
+        warnings.warn(
+            f"evaluation point within {NEAR_SPACINGS:g} node spacings of the boundary",
+            NearBoundaryWarning,
+            stacklevel=3,
+        )
+    dens = src.values * src.curve.weights[:, None]
+    return pts[:, None, :] - src.curve.nodes[None, :, :], dens, x.ndim == 1
 
 
 def eval_single_layer(x, field, env, cell, plan, upsample=1, warn=True):
     """Periodic single-layer potential at off-boundary points x.
 
     Plain trapezoid against the periodic Green's matrix; accuracy degrades
-    within about three node spacings of the boundary (NearBoundaryWarning).
-    The quadrature grid can be refined by an integer `upsample` factor using
-    exact trigonometric resampling of curve and density.
+    within about NEAR_SPACINGS node spacings of the boundary
+    (NearBoundaryWarning).  The quadrature grid can be refined by an integer
+    `upsample` factor using exact trigonometric resampling of curve and
+    density.
     """
-    src = field if upsample == 1 else field.resample(upsample * field.curve.N)
-    curve = src.curve
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if warn and np.any(near_boundary(pts, field.curve, cell)):
-        warnings.warn(
-            "evaluation point within 3 node spacings of the boundary",
-            NearBoundaryWarning,
-            stacklevel=2,
-        )
-    dens = src.values * curve.weights[:, None]
-    G = periodic_green(pts[:, None, :] - curve.nodes[None, :, :], env, cell, plan)
-    out = np.einsum("pbjk,bk->pj", G, dens)
+    d, dens, single = _off_boundary_sources(x, field, cell, upsample, warn)
+    out = np.einsum("pbjk,bk->pj", periodic_green(d, env, cell, plan), dens)
     return out[0] if single else out
 
 
 def eval_traction_offboundary(x, nu, field, env, cell, plan, upsample=1, warn=True):
     """Traction T(omega, Dv) nu of the single layer at off-boundary points."""
-    src = field if upsample == 1 else field.resample(upsample * field.curve.N)
-    curve = src.curve
-    x = np.asarray(x, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    nus = np.atleast_2d(nu)
-    if warn and np.any(near_boundary(pts, field.curve, cell)):
-        warnings.warn(
-            "evaluation point within 3 node spacings of the boundary",
-            NearBoundaryWarning,
-            stacklevel=2,
-        )
-    from .kernels import traction_map
-
-    dens = src.values * curve.weights[:, None]
-    G = periodic_green_grad(pts[:, None, :] - curve.nodes[None, :, :], env, cell, plan)
+    d, dens, single = _off_boundary_sources(x, field, cell, upsample, warn)
+    nus = np.atleast_2d(np.asarray(nu, dtype=float))
+    G = periodic_green_grad(d, env, cell, plan)
     # Jacobian of v: Dv[p, j, m] = sum_b d_m Gamma_jk(x_p - y_b) mu_k w_b
     Dv = np.einsum("pbjkm,bk->pjm", G, dens)
     out = np.einsum("pjm,pm->pj", traction_map(env.omega, Dv), nus)

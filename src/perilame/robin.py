@@ -23,8 +23,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from .cell import point_in_hole
-from .errors import AdmissibilityError, DomainError, SolveError
+from .errors import AdmissibilityError, DomainError, SingularArgumentError, SolveError
 from .kernels import traction_map
+from .lattice import singular_targets
 from .operators import (
     BoundaryMatrixField,
     BoundaryVectorField,
@@ -108,6 +109,12 @@ class DiscreteSystem:
     rhs: np.ndarray
 
 
+def _ainv_b(data):
+    """Nodal a^{-1} and a^{-1} b of the Robin data, each (N, 2, 2)."""
+    ainv = np.linalg.inv(data.a.values)
+    return ainv, np.einsum("nij,njk->nik", ainv, data.b.values)
+
+
 def validate_robin_data(data, curve=None):
     """Check the three admissibility conditions on (a, b) node by node.
 
@@ -133,8 +140,7 @@ def validate_robin_data(data, curve=None):
             f"det a vanishes at node {worst_det}: {det_a[worst_det]:.3e}",
         )
 
-    ainv = np.linalg.inv(a)
-    ainv_b = np.einsum("nij,njk->nik", ainv, b)
+    _, ainv_b = _ainv_b(data)
     sym = 0.5 * (ainv_b + np.swapaxes(ainv_b, 1, 2))
     eigs = np.linalg.eigvalsh(sym)
     max_eig = float(np.max(eigs))
@@ -183,8 +189,7 @@ def drift_traction(B, curve, env, cell):
 def robin_rhs(data, env, cell):
     """Collocated right-hand side of the integral equation."""
     curve = data.curve
-    ainv = np.linalg.inv(data.a.values)
-    ainv_b = np.einsum("nij,njk->nik", ainv, data.b.values)
+    ainv, ainv_b = _ainv_b(data)
     rhs = np.einsum("nij,nj->ni", ainv, data.g.values)
     rhs -= drift_traction(data.B, curve, env, cell)
     rhs -= np.einsum("nij,nj->ni", ainv_b, curve.nodes @ (data.B @ cell.q_inv).T)
@@ -217,8 +222,7 @@ def assemble_robin_system(data, curve, env, cell, plan, operators=None):
         W = assemble_wstar(curve, env, cell, plan)
     else:
         V, W = operators
-    ainv_b = np.einsum("nij,njk->nik", np.linalg.inv(data.a.values), data.b.values)
-    matrix = augmented_matrix(ainv_b, V, W, curve)
+    matrix = augmented_matrix(_ainv_b(data)[1], V, W, curve)
     rhs = np.concatenate([robin_rhs(data, env, cell).reshape(-1), np.zeros(2)])
     return DiscreteSystem(matrix=matrix, rhs=rhs)
 
@@ -326,9 +330,7 @@ def _off_node_residual(data, curve, env, cell, plan, mu, c):
     mu_mid = mu.resample(N2).values[1::2]
     V_mid, W_mid = midpoint_rows(curve, env, cell, plan)
     mu_flat = mu.values.reshape(-1)
-    ainv_b = np.einsum(
-        "nij,njk->nik", np.linalg.inv(fine.a.values[1::2]), fine.b.values[1::2]
-    )
+    ainv_b = _ainv_b(fine)[1][1::2]
     lhs = 0.5 * mu_mid + (W_mid @ mu_flat).reshape(-1, 2)
     vmu = (V_mid @ mu_flat).reshape(-1, 2) + c[None, :]
     lhs += np.einsum("nij,nj->ni", ainv_b, vmu)
@@ -337,7 +339,12 @@ def _off_node_residual(data, curve, env, cell, plan, mu, c):
 
 
 def eval_solution(rep, x, env, cell, plan, warn=True):
-    """Displacement u(x) = v[mu](x) + c + B q^{-1} x on the perforated domain."""
+    """Displacement u(x) = v[mu](x) + c + B q^{-1} x on the perforated domain.
+
+    Raises DomainError for a point inside a hole image, and for a point on
+    the boundary: one whose difference to a node lies on the lattice q Z^2
+    to within the distance at which the lattice kernels raise.
+    """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
@@ -345,7 +352,14 @@ def eval_solution(rep, x, env, cell, plan, warn=True):
     inside = point_in_hole(pts, curve, cell)
     if np.any(inside):
         raise DomainError(f"point {pts[np.argmax(inside)]} lies inside a hole image")
-    v = eval_single_layer(pts, rep.mu, env, cell, plan, warn=warn)
+    try:
+        v = eval_single_layer(pts, rep.mu, env, cell, plan, warn=warn)
+    except SingularArgumentError:
+        # the lattice sum raises only on a target-node difference in q Z^2
+        on_node = singular_targets(pts, curve.nodes, cell)
+        raise DomainError(
+            f"point {pts[np.argmax(on_node)]} lies on a boundary node image"
+        ) from None
     Bq = rep.B @ cell.q_inv
     out = v + rep.c[None, :] + pts @ Bq.T
     return out[0] if single else out

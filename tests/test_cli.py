@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,58 @@ def test_unknown_field_rejected(tmp_path):
     bad2["curve"] = dict(MINIMAL["curve"], radiuss=0.2)
     with pytest.raises(ConfigError, match="radiuss"):
         parse_config(_write(tmp_path, bad2))
+
+
+@pytest.mark.parametrize("key, value, path", [
+    pytest.param("robin", dict(MINIMAL["robin"], a=[[1, 0], [0]]), "robin.a[1]", id="short-row"),
+    pytest.param("robin", dict(MINIMAL["robin"], a=[[1, 0], 1.0]), "robin.a[1]", id="number-row"),
+    pytest.param("grid", 5, "grid", id="number-grid"),
+    pytest.param("drift", [[0.0, 0.0], [0.0]], "drift[1]", id="ragged-drift"),
+    pytest.param("robin", [1, 2], "robin", id="list-robin"),
+    pytest.param("robin", dict(MINIMAL["robin"], g=[float("nan"), 0.7]), "robin.g[0]",
+                 id="nan-entry"),
+])
+def test_malformed_table_rejected(tmp_path, key, value, path):
+    bad = dict(MINIMAL, out_dir=str(tmp_path / "out"))
+    bad[key] = value
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:")):
+        parse_config(_write(tmp_path, bad))
+    assert main(["--config", _write(tmp_path, bad)]) == 2
+
+
+def _readme_config_example():
+    """The JSON example under "### Config file" in README.md."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    text = open(readme, encoding="utf-8").read()
+    section = text[text.index("### Config file"):]
+    return json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+
+
+def test_readme_config_example_roundtrips(tmp_path):
+    config = parse_config(_write(tmp_path, _readme_config_example(), "readme.json"))
+    echo_path = tmp_path / "echo.json"
+    echo_path.write_text(json.dumps(config.echo()))
+    assert parse_config(str(echo_path)).fingerprint() == config.fingerprint()
+
+
+def test_echo_is_canonical(tmp_path):
+    # constants echo as numbers; optional curve fields echo resolved
+    cfg = dict(MINIMAL, mode="solve-nonlinear", cell=[2, 3],
+               curve={"kind": "ellipse", "center": [1, 1.5], "semi_axes": [0.4, 0.6]},
+               model={"kind": "affine", "M": [[{"cos": [-1]}, 0], [0, {"cos": [-1, 0.2]}]],
+                      "h": [{"cos": [0.5], "sin": []}, {"sin": [0.1]}]})
+    echo = parse_config(_write(tmp_path, cfg)).echo()
+    assert echo["curve"] == {"kind": "ellipse", "center": [1.0, 1.5],
+                             "semi_axes": [0.4, 0.6], "rotation": 0.0}
+    assert echo["model"] == {"kind": "affine",
+                             "M": [[-1.0, 0.0], [0.0, {"cos": [-1.0, 0.2], "sin": []}]],
+                             "h": [0.5, {"cos": [], "sin": [0.1]}]}
+    assert "robin" not in echo and "green" not in echo
+    cfg = dict(MINIMAL, curve={"kind": "trig", "cos": [[0.5, 0.25], [0.5]],
+                               "sin": [[0.0], [0.0, 0.25]]})
+    assert parse_config(_write(tmp_path, cfg)).echo()["curve"] == {
+        "kind": "trig", "cos": [[0.5, 0.25], [0.5, 0.0]], "sin": [[0.0, 0.0], [0.0, 0.25]],
+        "interior": [0.5, 0.5]}
 
 
 def test_config_roundtrip(tmp_path):
@@ -132,6 +185,22 @@ def test_field_csv_masks_hole(tmp_path):
     for row in rows:
         assert abs(float(row[2]) - 0.3) < 1e-9
         assert abs(float(row[3]) + 0.7) < 1e-9
+
+
+@pytest.mark.parametrize("cfg, node_point", [
+    pytest.param(dict(MINIMAL, nodes=32, grid=[6, 7]), (0.25, 0.5), id="circle"),
+    pytest.param(dict(MINIMAL, nodes=32, grid=[5, 5], cell=[2.0, 3.0],
+                      curve={"kind": "ellipse", "center": [1.0, 1.5], "semi_axes": [0.4, 0.6]}),
+                 (1.4, 1.5), id="ellipse"),
+])
+def test_field_csv_omits_boundary_nodes(tmp_path, cfg, node_point):
+    # a grid point that is a boundary node is on the boundary, not in the field
+    cfg = dict(cfg, out_dir=str(tmp_path / "out"))
+    assert main(["--config", _write(tmp_path, cfg)]) == 0
+    lines = open(os.path.join(cfg["out_dir"], "field.csv")).read().splitlines()
+    pts = np.array([[float(v) for v in line.split(",")[:2]] for line in lines[2:]])
+    assert len(pts) > 0
+    assert np.min(np.linalg.norm(pts - node_point, axis=1)) > 0.1
 
 
 def test_determinism(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 import perilame.lattice as lattice
 import perilame.robin as robin
-from perilame.cell import CircleShape, EllipseShape, build_cell, discretize_curve
+from perilame.cell import CircleShape, EllipseShape, build_cell, discretize_curve, point_in_hole
 from perilame.errors import AdmissibilityError, DomainError
 from perilame.kernels import LameEnv, traction_map
 from perilame.lattice import plan_lattice_sum
@@ -366,6 +366,20 @@ def test_eval_solution_rejects_hole_interior(circle64, plan1):
         eval_solution(rep, np.array([0.5, 0.5]), ENV1, UNIT, plan1)
     with pytest.raises(DomainError):
         eval_solution(rep, np.array([1.5, -0.5]), ENV1, UNIT, plan1)
+
+
+def test_eval_solution_rejects_boundary_node_images(circle64, plan1):
+    # the winding number is ambiguous at a polygon vertex, so some nodes and
+    # their images pass the hole test; they lie on the boundary all the same
+    data = _data(circle64, np.eye(2), -np.eye(2), [0.1, 0.0])
+    rep = solve_robin(data, circle64, ENV1, UNIT, plan1)
+    for shift in ([0.0, 0.0], [1.0, -2.0]):
+        pts = circle64.nodes + shift
+        outside = pts[~point_in_hole(pts, circle64, UNIT)]
+        assert len(outside)
+        for p in outside:
+            with pytest.raises(DomainError, match="boundary node image"):
+                eval_solution(rep, p, ENV1, UNIT, plan1, warn=False)
 
 
 def _off_node_residual_2n(data, curve, env, cell, plan, mu, c):
