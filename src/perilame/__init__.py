@@ -22,11 +22,11 @@ from .kernels import (
 )
 from .lattice import (
     LatticeSumPlan,
+    lattice_product,
     periodic_green,
     periodic_green_grad,
     plan_lattice_sum,
     regular_part,
-    regular_part_and_grad,
     regular_part_grad,
 )
 from .nonlinear import (

@@ -274,14 +274,19 @@ def min_image_distance(x, curve, cell):
     """Distance from x to the node set of the curve, minimized over images.
 
     x is one point (2,) or points (P, 2); the result is a float or a (P,) array.
+    One pass over the point-node pairs: x is reduced to the cell around the
+    first node, and each node is moved to its image q z nearest that point.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     x = nearest_image(np.atleast_2d(x) - curve.nodes[0], cell) + curve.nodes[0]
-    best = np.full(x.shape[0], np.inf)
-    q1, q2 = cell.q_diag
-    for z1 in (-1, 0, 1):
-        for z2 in (-1, 0, 1):
-            d = curve.nodes[None, :, :] + np.array([z1 * q1, z2 * q2]) - x[:, None, :]
-            best = np.minimum(best, np.min(np.hypot(d[..., 0], d[..., 1]), axis=1))
+    q = np.asarray(cell.q_diag)
+    # d = (node - q rint((node - x) / q)) - x, in place in one (P, N, 2) array
+    d = curve.nodes[None, :, :] - x[:, None, :]
+    d /= q
+    np.rint(d, out=d)
+    d *= q
+    np.subtract(curve.nodes[None, :, :], d, out=d)
+    d -= x[:, None, :]
+    best = np.min(np.hypot(d[..., 0], d[..., 1]), axis=1)
     return float(best[0]) if single else best

@@ -45,8 +45,14 @@ from .errors import (
 from .kernels import LameEnv
 from .lattice import periodic_green, plan_lattice_sum, singular_targets
 from .nonlinear import affine_model, saturating_model, solve_nonlinear_robin
-from .operators import BoundaryMatrixField, BoundaryVectorField, near_boundary
-from .robin import RobinData, eval_solution, solve_robin
+from .operators import (
+    BoundaryMatrixField,
+    BoundaryVectorField,
+    assemble_single_layer,
+    assemble_wstar,
+    near_boundary,
+)
+from .robin import RobinData, eval_solution, solve_robin, timed
 from .verify import run_property_suite
 
 MODES = ("solve-linear", "solve-nonlinear", "green-eval", "verify")
@@ -345,6 +351,42 @@ def _field_rows(grid, cell, curve, evaluator):
     return _format_field_rows(pts, evaluator(pts), near_boundary(pts, curve, cell))
 
 
+def _stage_entries(stages):
+    """Summary entries time_<stage>_s of the run's stage timings."""
+    return [(f"time_{stage}_s", f"{sec:.6e}") for stage, sec in stages.items()]
+
+
+def _solve(table, curve, env, cell, plan, stages):
+    """Assemble V and W*, then solve the configured problem on the curve.
+
+    Records the assembly and solve seconds in stages.  The operators are
+    released on return, before the field is evaluated.
+    """
+    t = curve.params
+    drift = np.array(table["drift"])
+    with timed(stages, "assembly"):
+        operators = (assemble_single_layer(curve, env, cell, plan),
+                     assemble_wstar(curve, env, cell, plan))
+    if table["mode"] == "solve-linear":
+        robin = table["robin"]
+        data = RobinData(
+            a=BoundaryMatrixField(_sample(robin["a"], t), curve),
+            b=BoundaryMatrixField(_sample(robin["b"], t), curve),
+            g=BoundaryVectorField(_sample(robin["g"], t), curve),
+            B=drift,
+        )
+        with timed(stages, "solve"):
+            return solve_robin(data, curve, env, cell, plan, operators=operators)
+    spec = table["model"]
+    if spec["kind"] == "affine":
+        model = affine_model(_sample(spec["M"], t), _sample(spec["h"], t), curve)
+    else:
+        model = saturating_model(_sample(spec["h"], t), spec["kappa"], curve)
+    with timed(stages, "solve"):
+        return solve_nonlinear_robin(model, drift, curve, env, cell, plan, method="newton",
+                                     operators=operators)
+
+
 def run(config):
     """Execute the configured pipeline; returns a ResultBundle."""
     table = config.echo()
@@ -362,12 +404,12 @@ def run(config):
         reports = run_property_suite(seed=table["seed"])
         rows = [
             (r.name, r.anchor.replace(",", ";"), f"{r.max_error:.6e}",
-             f"{r.tolerance:.6e}", int(r.passed))
+             f"{r.tolerance:.6e}", int(r.passed), f"{r.runtime_s:.3f}")
             for r in reports
         ]
         _write_csv(
             os.path.join(out_dir, "reports.csv"),
-            "property,anchor,max_error,tolerance,pass",
+            "property,anchor,max_error,tolerance,pass,runtime_s",
             rows,
             fp,
         )
@@ -384,7 +426,10 @@ def run(config):
 
     cell = build_cell(table["cell"])
     env = LameEnv(2, table["omega"])
-    plan = plan_lattice_sum(cell, env, table["lattice_tol"])
+    # seconds of each stage of the run, written as time_<stage>_s
+    stages = {}
+    with timed(stages, "plan"):
+        plan = plan_lattice_sum(cell, env, table["lattice_tol"])
     summary += [
         ("lattice_tail_bound", f"{plan.real_bound + plan.fourier_bound:.6e}"),
         ("lattice_eta", f"{plan.eta:.6e}"),
@@ -400,8 +445,10 @@ def run(config):
         d = np.linalg.norm(nearest_image(pts - source, cell), axis=1)
         keep = d >= 0.02 * cell.min_edge  # mask points too close to a source image
         pts, warn = pts[keep], d[keep] < 0.1 * cell.min_edge
-        vals = np.einsum("pjk,k->pj", periodic_green(pts - source, env, cell, plan), load)
+        with timed(stages, "field_eval"):
+            vals = np.einsum("pjk,k->pj", periodic_green(pts - source, env, cell, plan), load)
         rows = _format_field_rows(pts, vals, warn)
+        summary += _stage_entries(stages)
         _write_csv(
             os.path.join(out_dir, "field.csv"),
             "x1,x2,u1,u2,warning", rows, fp,
@@ -409,26 +456,11 @@ def run(config):
         _atomic_write(os.path.join(out_dir, "summary.txt"), _summary_text(summary))
         return ResultBundle(fingerprint=fp, summary=summary, exit_code=0, field_rows=rows)
 
-    curve = discretize_curve(_shape(table["curve"]), table["nodes"], cell)
+    with timed(stages, "discretize"):
+        curve = discretize_curve(_shape(table["curve"]), table["nodes"], cell)
     t = curve.params
-    drift = np.array(table["drift"])
-
-    if mode == "solve-linear":
-        robin = table["robin"]
-        data = RobinData(
-            a=BoundaryMatrixField(_sample(robin["a"], t), curve),
-            b=BoundaryMatrixField(_sample(robin["b"], t), curve),
-            g=BoundaryVectorField(_sample(robin["g"], t), curve),
-            B=drift,
-        )
-        rep = solve_robin(data, curve, env, cell, plan)
-    else:
-        spec = table["model"]
-        if spec["kind"] == "affine":
-            model = affine_model(_sample(spec["M"], t), _sample(spec["h"], t), curve)
-        else:
-            model = saturating_model(_sample(spec["h"], t), spec["kappa"], curve)
-        rep = solve_nonlinear_robin(model, drift, curve, env, cell, plan, method="newton")
+    rep = _solve(table, curve, env, cell, plan, stages)
+    if mode == "solve-nonlinear":
         summary.append(("iterations", rep.diagnostics["iterations"]))
 
     d = rep.diagnostics
@@ -443,7 +475,7 @@ def run(config):
         ("zero_mean_violation", f"{d.get('zero_mean_violation', float('nan')):.6e}"),
         ("density_tail_ratio", f"{d['density_tail_ratio']:.6e}"),
     ]
-    summary += [(f"time_{stage}_s", f"{sec:.6e}") for stage, sec in d["timings"].items()]
+    summary += _stage_entries(d["timings"])
 
     rows = [
         (f"{t[i]:.12g}", f"{curve.nodes[i,0]:.12g}", f"{curve.nodes[i,1]:.12g}",
@@ -455,10 +487,12 @@ def run(config):
         "t,x1,x2,mu1,mu2", rows, fp,
     )
 
-    field_rows = _field_rows(
-        table["grid"], cell, curve,
-        lambda pts: eval_solution(rep, pts, env, cell, plan, warn=False),
-    )
+    with timed(stages, "field_eval"):
+        field_rows = _field_rows(
+            table["grid"], cell, curve,
+            lambda pts: eval_solution(rep, pts, env, cell, plan, warn=False),
+        )
+    summary += _stage_entries(stages)
     _write_csv(
         os.path.join(out_dir, "field.csv"),
         "x1,x2,u1,u2,warning", field_rows, fp,

@@ -18,17 +18,29 @@ correction is needed and the reciprocal sum carries coefficients
 
 Since C_{-z} = C_z, the reciprocal sum keeps one z of each +-z pair with
 doubled coefficients: the value adds cos(k.x) @ (F, 4) table and the gradient
-sin(k.x) @ (F, 8) table, both tables built once per plan.  The split eta is
-chosen by a cost model calibrated on measured term costs: one live
-real-space image (eta^2 r^2 < 45) costs IMAGE_TERM_COST paired Fourier terms.
+sin(k.x) @ (F, 8) table, both tables built once per plan.  The image box
+keeps only the images a reduced argument can bring live (eta^2 r^2 < 45).
 
-One private evaluator, _lattice_sum, serves every public kernel.  It holds
-the module's one loop over points: per block of _BLOCK points it reduces the
-arguments (or, for the regular part, finds the skipped z = 0 image), sums the
-live real-space images, takes cos and sin of one phase matrix for the paired
-reciprocal sum and adds the center terms of the regular part, for the values,
-the gradients or both.  The verification-only helpers (the scalar oracle, the
-PDE residual and the finite-difference Lame operator) live in verify.
+A plan holds two splits.  The assembly split, used by the pointwise kernels
+that build matrices, is chosen by a cost model calibrated on measured term
+costs: one live real-space image costs IMAGE_TERM_COST paired Fourier terms.
+The product split (plan.product) serves lattice_product, the sum
+sum_j K(x_i - y_j) rho_j of a kernel against one density.  There
+e^{ik.(x-y)} = e^{ik.x} e^{-ik.y} turns the reciprocal part into structure
+factors of rho, paid per target and per source, while a live image is still
+paid per pair; so its eta is larger, priced by product_cost, and its tail
+bounds are held to the assembly split's achieved ones.
+
+One private evaluator, _lattice_sum, serves every pointwise kernel.  Per
+block of _BLOCK points it reduces the arguments (or, for the regular part,
+finds the image that is the argument itself), sums the live real-space
+images, takes cos and sin of one phase matrix for the paired reciprocal sum
+and adds the center terms of the regular part, for the values, the
+gradients or both.  lattice_product shares its pieces: the reduction, the
+live images, the scalar coefficients of the real-space and center terms
+(contracted with rho pair by pair, never formed as 2x2 blocks) and the
+tables.  The verification-only helpers (the scalar oracle, the PDE residual
+and the finite-difference Lame operator) live in verify.
 """
 
 from dataclasses import dataclass, field
@@ -43,11 +55,13 @@ REAL_CUTOFF_CEILING = 12
 FOURIER_CUTOFF_CEILING = 96
 _SINGULAR_FRACTION = 1e-12
 # (point, image) pairs with eta^2 r^2 at or above this are skipped: their
-# contribution is below 3e-20 through every prefactor
+# contribution is below 3e-20 to a value and 4e-20 eta to a gradient entry
 _LIVE_T = 45.0
 # points per block of the evaluator's loop, bounding the scratch arrays of the
 # real and reciprocal sums
 _BLOCK = 2048
+# target-source pairs per batch of a product's real-space and center terms
+_PAIRS = 1 << 15
 # Time of one live real-space image term over one paired Fourier term.  The
 # slopes of 16384-pair call times against the live-image count (R = 2, eta from
 # 1 to 3 sqrt(pi)) and against the paired Fourier count (F = 2 to 10) give
@@ -57,6 +71,23 @@ _BLOCK = 2048
 IMAGE_TERM_COST = 15.0
 # candidate split parameters, in units of sqrt(pi) / min_edge
 ETA_SCALES = (0.8, 1.0, 1.25, 1.6, 2.0, 2.25, 2.5, 2.75, 3.0)
+# The product split (lattice_product).  A product pays a live image per
+# target-source pair and a Fourier term per target; products are priced
+# against PRODUCT_SOURCES sources, the geometric middle of the 64 to 1024
+# nodes of a desk-scale curve.  One live image costs PRODUCT_IMAGE_COST
+# paired Fourier terms of the structure-factor sum: the slopes of product
+# times (1000 targets, 512 sources, eta from 8 to 16 sqrt(pi) on the unit
+# cell) against the live-image count, over the Fourier time per target and
+# term (about 12 ns), give about 15 for values and 27 for gradients (medians
+# of five runs; one BLAS thread, 2-CPU Intel Xeon); the mean is used.
+PRODUCT_SOURCES = 256
+PRODUCT_IMAGE_COST = 20.0
+PRODUCT_ETA_SCALES = (3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0)
+
+
+def _dot(a, b):
+    """a . b over the last axis of length 2, as a sum of two products."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
 def _lattice_points(cutoff, exclude_origin):
@@ -90,6 +121,8 @@ class LatticeSumPlan:
     kvecs: np.ndarray = field(repr=False, default=None)       # (F, 2) reciprocal vectors
     cos_table: np.ndarray = field(repr=False, default=None)   # (F, 4) 2 C_z, flat jk
     sin_table: np.ndarray = field(repr=False, default=None)   # (F, 8) -2 C_z k_m, flat jkm
+    # the split of lattice_product, a plan of its own (whose product is None)
+    product: "LatticeSumPlan" = None
 
     def matches(self, env, cell):
         return self.cell_edges == cell.q_diag and self.omega == env.omega
@@ -142,50 +175,48 @@ def plan_cost(cell, eta, real_cutoff, fourier_cutoff):
     return IMAGE_TERM_COST * live + paired
 
 
-def plan_lattice_sum(cell, env, tol):
-    """Choose the Ewald split parameter and both cutoffs for a target accuracy.
+def product_cost(cell, eta, fourier_cutoff):
+    """Modeled cost per target of one lattice_product, in paired Fourier terms.
 
-    For each candidate eta (ETA_SCALES times sqrt(pi)/min_edge) the smallest
-    real cutoff R >= 2 and Fourier cutoff F >= 1 whose tail bounds are below
-    tol/2 are found; the candidate of least plan_cost wins.  Tolerances
-    outside [1e-14, 1e-4] or bounds that cannot be met within the cutoff
-    ceilings raise PlanError.
+    A live image is paid per target-source pair: each of PRODUCT_SOURCES
+    sources brings the pi * 45 / (eta^2 |Q|) images expected live at a
+    random pair, each weighted by PRODUCT_IMAGE_COST.  A Fourier term is paid
+    per target, once for all sources.
     """
-    if not (1e-14 <= tol <= 1e-4):
-        raise PlanError(
-            f"tolerance unattainable: tol={tol} outside the supported range [1e-14, 1e-4]"
-        )
-    best = None
-    for eta_scale in ETA_SCALES:
-        e = eta_scale * np.sqrt(np.pi) / cell.min_edge
-        real_cut = None
-        for m in range(2, REAL_CUTOFF_CEILING + 1):
-            if _real_tail_bound(e, cell.min_edge, m + 1) < 0.5 * tol:
-                real_cut = m
-                break
-        four_cut = None
-        for m in range(1, FOURIER_CUTOFF_CEILING + 1):
-            if _fourier_tail_bound(e, cell.max_edge, cell.volume, m + 1) < 0.5 * tol:
-                four_cut = m
-                break
-        if real_cut is None or four_cut is None:
-            continue
-        cost = plan_cost(cell, e, real_cut, four_cut)
-        if best is None or cost < best[0]:
-            best = (cost, e, real_cut, four_cut)
-    if best is None:
-        raise PlanError(
-            f"tolerance unattainable: no cutoffs within ceilings "
-            f"({REAL_CUTOFF_CEILING}, {FOURIER_CUTOFF_CEILING}) reach tol={tol}"
-        )
-    _, e, real_cut, four_cut = best
+    live = np.pi * _LIVE_T / (eta**2 * cell.volume)
+    paired = ((2 * fourier_cutoff + 1) ** 2 - 1) // 2
+    return PRODUCT_SOURCES * PRODUCT_IMAGE_COST * live + paired
+
+
+def _cutoffs(cell, etas, real_ok, fourier_ok):
+    """(eta, R, F) for ascending etas: the smallest R >= 2 and F >= 1 within
+    the ceilings whose tail bounds pass.  An eta without them is left out.
+
+    Every Fourier tail term grows with eta, so each F search starts at the
+    previous eta's F, and once no F passes none will for a larger eta.
+    """
+    F = 1
+    for eta in etas:
+        R = next((m for m in range(2, REAL_CUTOFF_CEILING + 1)
+                  if real_ok(_real_tail_bound(eta, cell.min_edge, m + 1))), None)
+        F = next((m for m in range(F, FOURIER_CUTOFF_CEILING + 1)
+                  if fourier_ok(_fourier_tail_bound(eta, cell.max_edge, cell.volume, m + 1))),
+                 None)
+        if F is None:
+            return
+        if R is not None:
+            yield eta, R, F
+
+
+def _split(cell, env, tol, eta, real_cutoff, fourier_cutoff):
+    """A LatticeSumPlan for one split: its achieved tail bounds and its tables."""
     plan = LatticeSumPlan(
-        eta=e,
-        real_cutoff=real_cut,
-        fourier_cutoff=four_cut,
+        eta=eta,
+        real_cutoff=real_cutoff,
+        fourier_cutoff=fourier_cutoff,
         tol=tol,
-        real_bound=_real_tail_bound(e, cell.min_edge, real_cut + 1),
-        fourier_bound=_fourier_tail_bound(e, cell.max_edge, cell.volume, four_cut + 1),
+        real_bound=_real_tail_bound(eta, cell.min_edge, real_cutoff + 1),
+        fourier_bound=_fourier_tail_bound(eta, cell.max_edge, cell.volume, fourier_cutoff + 1),
         cell_edges=cell.q_diag,
         omega=env.omega,
     )
@@ -193,9 +224,50 @@ def plan_lattice_sum(cell, env, tol):
     return plan
 
 
+def plan_lattice_sum(cell, env, tol):
+    """Choose the Ewald splits and their cutoffs for a target accuracy.
+
+    The assembly split: for each candidate eta (ETA_SCALES times
+    sqrt(pi)/min_edge) the smallest real cutoff R >= 2 and Fourier cutoff
+    F >= 1 whose tail bounds are below tol/2 are found; the candidate of
+    least plan_cost wins.  Tolerances outside [1e-14, 1e-4] or bounds that
+    cannot be met within the cutoff ceilings raise PlanError.
+
+    The product split (plan.product, used by lattice_product): the candidates
+    are the assembly eta and PRODUCT_ETA_SCALES, each with the smallest
+    cutoffs whose tail bounds are no larger than the assembly split's
+    achieved ones, so a product is never less accurate than the matrix it
+    replaces; the candidate of least product_cost wins.  The assembly split
+    always qualifies, so this adds no PlanError.
+    """
+    if not (1e-14 <= tol <= 1e-4):
+        raise PlanError(
+            f"tolerance unattainable: tol={tol} outside the supported range [1e-14, 1e-4]"
+        )
+    etas = lambda scales: [s * np.sqrt(np.pi) / cell.min_edge for s in scales]
+    below = lambda bound: bound < 0.5 * tol
+    candidates = [(plan_cost(cell, e, R, F), e, R, F)
+                  for e, R, F in _cutoffs(cell, etas(ETA_SCALES), below, below)]
+    if not candidates:
+        raise PlanError(
+            f"tolerance unattainable: no cutoffs within ceilings "
+            f"({REAL_CUTOFF_CEILING}, {FOURIER_CUTOFF_CEILING}) reach tol={tol}"
+        )
+    plan = _split(cell, env, tol, *min(candidates)[1:])
+    candidates = _cutoffs(cell, [plan.eta] + etas(PRODUCT_ETA_SCALES),
+                          lambda b: b <= plan.real_bound, lambda b: b <= plan.fourier_bound)
+    e, R, F = min(candidates, key=lambda c: product_cost(cell, c[0], c[2]))
+    plan.product = _split(cell, env, tol, e, R, F)
+    return plan
+
+
 def _attach_tables(plan, cell, env):
     q = np.asarray(cell.q_diag)
-    plan.shifts = _lattice_points(plan.real_cutoff, exclude_origin=False) * q[None, :]
+    z = _lattice_points(plan.real_cutoff, exclude_origin=False)
+    # images no argument reduced to the cell box can bring within the live
+    # radius are pruned; the margin absorbs the rounding of the reduction
+    gap = np.maximum(np.abs(z) - 0.5, 0.0) * q[None, :]
+    plan.shifts = z[plan.eta**2 * np.sum(gap * gap, axis=1) < _LIVE_T * (1.0 + 1e-9)] * q[None, :]
     z = _lattice_points(plan.fourier_cutoff, exclude_origin=True)
     z = z[(z[:, 0] > 0) | ((z[:, 0] == 0) & (z[:, 1] > 0))]  # one of each +-z pair
     k = 2.0 * np.pi * z / q[None, :]
@@ -211,32 +283,46 @@ def _attach_tables(plan, cell, env):
     plan.sin_table = -(coeffs[:, :, :, None] * k[:, None, None, :]).reshape(-1, 8)
 
 
-def _real_terms(d, eta, beta, want_grad=False):
-    """Real-space contribution at displacements d (shape (L, 2)).
+def _real_coeffs(d, eta, beta, want_grad=False):
+    """Scalar coefficients of the real-space term at displacements d (L, 2).
 
-    Returns the 2x2 matrix block delta_jk w - beta * Hess-phi_jk and, when
-    requested, its gradient indexed [L, j, k, m].
+    The term, the matrix delta_jk w - beta Hess-phi_jk, is p delta_jk
+    + A d_j d_k; its gradient is delta_jk (cw + A) d_m + A (delta_jm d_k
+    + delta_km d_j) + Bc d_j d_k d_m.  Returns (p, A, cw, Bc), the last two
+    None unless requested.
     """
-    r2 = np.sum(d * d, axis=-1)
+    r2 = _dot(d, d)
     T = eta**2 * r2
     expT = np.exp(-T)
     e1 = exp1(T)
     inv_r2 = 1.0 / r2
     # Hess-phi_jk = -delta_jk e1 / (8 pi) + a d_j d_k
     a = expT * inv_r2 / (4.0 * np.pi)
-    dd = d[:, :, None] * d[:, None, :]
-    val = (-beta * a)[:, None, None] * dd
-    diag = (expT - e1) / (4.0 * np.pi) + beta * e1 / (8.0 * np.pi)
-    val[:, 0, 0] += diag
-    val[:, 1, 1] += diag
+    p = (expT - e1) / (4.0 * np.pi) + beta * e1 / (8.0 * np.pi)
     if not want_grad:
-        return val, None
+        return p, -beta * a, None, None
     # d_m w = cw d_m and d_m Hess-phi_jk = a (delta_jk d_m + delta_jm d_k
     # + delta_km d_j) - b d_j d_k d_m
     cw = expT * (1.0 - T) * inv_r2 / (2.0 * np.pi)
     b = expT * (T + 1.0) * inv_r2 * inv_r2 / (2.0 * np.pi)
-    grad = (beta * b)[:, None, None, None] * dd[:, :, :, None] * d[:, None, None, :]
-    ad = (-beta * a)[:, None] * d
+    return p, -beta * a, cw, beta * b
+
+
+def _real_terms(d, eta, beta, want_grad=False):
+    """Real-space contribution at displacements d (shape (L, 2)).
+
+    Returns the 2x2 matrix block delta_jk w - beta * Hess-phi_jk and, when
+    requested, its gradient indexed [L, j, k, m].
+    """
+    p, A, cw, Bc = _real_coeffs(d, eta, beta, want_grad)
+    dd = d[:, :, None] * d[:, None, :]
+    val = A[:, None, None] * dd
+    val[:, 0, 0] += p
+    val[:, 1, 1] += p
+    if not want_grad:
+        return val, None
+    grad = Bc[:, None, None, None] * dd[:, :, :, None] * d[:, None, None, :]
+    ad = A[:, None] * d
     diag_m = cw[:, None] * d + ad
     for j in range(2):
         grad[:, j, j, :] += diag_m
@@ -245,32 +331,60 @@ def _real_terms(d, eta, beta, want_grad=False):
     return val, grad
 
 
+def _contract(d, rho, p, A, C=None, Bc=None):
+    """A kernel of the form p delta_jk + A d_j d_k applied to rho, pair by pair.
+
+    d and rho are (L, 2).  The gradient, when C is given, is C delta_jk d_m
+    + A (delta_jm d_k + delta_km d_j) + Bc d_j d_k d_m.  Returns the (L, 2)
+    values sum_k K_jk rho_k and the (L, 2, 2) gradients, indexed [L, j, m],
+    or None; no (L, 2, 2) kernel block is formed.
+    """
+    drho = _dot(d, rho)
+    val = p[:, None] * rho + (A * drho)[:, None] * d
+    if C is None:
+        return val, None
+    grad = (C[:, None] * rho + (Bc * drho)[:, None] * d)[:, :, None] * d[:, None, :]
+    grad += (A[:, None] * d)[:, :, None] * rho[:, None, :]
+    grad[:, 0, 0] += A * drho
+    grad[:, 1, 1] += A * drho
+    return val, grad
+
+
+def _live_images(points, shifts, eta, skip=None):
+    """The (point, image) pairs with eta^2 r^2 < 45, in point-major order.
+
+    skip (P, 2) optionally holds, per point, one shift (a row of shifts, or
+    any other vector) whose image to leave out.  Returns the point index of
+    each live pair and its (L, 2) displacement.
+    """
+    d = points[:, None, :] - shifts[None, :, :]
+    live = eta**2 * _dot(d, d) < _LIVE_T
+    if skip is not None:
+        live &= ~np.all(shifts[None, :, :] == skip[:, None, :], axis=-1)
+    rows, cols = np.nonzero(live)
+    return rows, d[rows, cols]
+
+
 def _real_sum(points, shifts, eta, beta, want_grad=False, skip=None):
     """Sum of real-space image terms over the given lattice shifts.
 
-    Pairs every point with every shift and keeps only the (point, image)
-    pairs with eta^2 r^2 < 45; each point's live terms are contiguous and
-    summed in shift order.  skip (P,) optionally names one shift per point
-    to leave out, -1 for none.  Returns the (P, 2, 2) values and, when
-    requested, the (P, 2, 2, 2) gradients.
+    Keeps only the live (point, image) pairs of _live_images, skip
+    included; each point's live terms are summed in shift order.  Returns
+    the (P, 2, 2) values and, when requested, the (P, 2, 2, 2) gradients.
     """
     P = points.shape[0]
     val = np.zeros((P, 2, 2))
     grad = np.zeros((P, 2, 2, 2)) if want_grad else None
-    d = points[:, None, :] - shifts[None, :, :]
-    live = eta**2 * np.sum(d * d, axis=-1) < _LIVE_T
-    if skip is not None:
-        held = np.flatnonzero(skip >= 0)
-        live[held, skip[held]] = False
-    counts = np.count_nonzero(live, axis=1)
-    if not np.any(counts):
+    rows, d = _live_images(points, shifts, eta, skip)
+    if not len(rows):
         return val, grad
-    rows = np.flatnonzero(counts)
-    starts = (np.cumsum(counts) - counts)[counts > 0]
-    v, g = _real_terms(d[live], eta, beta, want_grad)
-    val[rows] = np.add.reduceat(v, starts, axis=0)
+    counts = np.bincount(rows, minlength=P)
+    held = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[held]
+    v, g = _real_terms(d, eta, beta, want_grad)
+    val[held] = np.add.reduceat(v, starts, axis=0)
     if want_grad:
-        grad[rows] = np.add.reduceat(g, starts, axis=0)
+        grad[held] = np.add.reduceat(g, starts, axis=0)
     return val, grad
 
 
@@ -295,7 +409,7 @@ def _check_plan(plan, env, cell):
 
 def _on_lattice(xr, cell):
     """Mask of reduced arguments xr (..., 2) within the singular distance of 0."""
-    return np.sqrt(np.sum(xr * xr, axis=-1)) <= _SINGULAR_FRACTION * cell.min_edge
+    return np.sqrt(_dot(xr, xr)) <= _SINGULAR_FRACTION * cell.min_edge
 
 
 def _reduce(x, cell):
@@ -303,6 +417,18 @@ def _reduce(x, cell):
     if np.any(_on_lattice(xr, cell)):
         raise SingularArgumentError("argument lies on the lattice q Z^n")
     return xr
+
+
+def _skipped_image(x, cell):
+    """Reduced arguments xr of x (L, 2) and the shifts xr - x of their own image.
+
+    The regular part sums every image but the argument itself, which its
+    center terms carry; the shifts are products of whole numbers and the
+    edges, so they compare exactly with the plan's shifts.
+    """
+    q = np.asarray(cell.q_diag)
+    xr = nearest_image(x, cell)
+    return xr, -np.rint((x - xr) / q) * q
 
 
 def singular_targets(x, sources, cell):
@@ -356,27 +482,39 @@ def _f2p(T):
     return out
 
 
-def _regular_center_terms(x, eta, env, want_grad=False, f1=None):
-    """Analytic extension of [z=0 real image] - Kelvin, finite at x = 0.
+def _center_coeffs(x, eta, env, want_grad=False, f1=None):
+    """Scalar coefficients of the center terms at x (..., 2), in _contract's form.
 
-    f1 optionally holds _f1(eta^2 |x|^2), computed by the caller.
+    Returns (p, A, C, Bc), the last two None unless requested; f1 optionally
+    holds _f1(eta^2 |x|^2), computed by the caller.
     """
-    r2 = np.sum(x * x, axis=-1)
+    r2 = _dot(x, x)
     T = eta**2 * r2
     if f1 is None:
         f1 = _f1(T)
     expT = np.exp(-T)
     alpha, beta = env.alpha, env.beta
     log_eta = np.log(eta)
-    eye = np.eye(2)
     diag = expT / (4.0 * np.pi) - alpha / (4.0 * np.pi) * (f1 - EULER_GAMMA - 2.0 * log_eta)
     dyad = -(beta * eta**2 / (4.0 * np.pi)) * _f2(T)
+    if not want_grad:
+        return diag, dyad, None, None
+    c1 = (-eta**2 / (2.0 * np.pi)) * expT - (alpha * eta**2 / (2.0 * np.pi)) * _f3(T)
+    return diag, dyad, c1, -(beta * eta**4 / (2.0 * np.pi)) * _f2p(T)
+
+
+def _regular_center_terms(x, eta, env, want_grad=False, f1=None):
+    """Analytic extension of [z=0 real image] - Kelvin, finite at x = 0.
+
+    f1 optionally holds _f1(eta^2 |x|^2), computed by the caller.
+    """
+    diag, dyad, c1, g3c = _center_coeffs(x, eta, env, want_grad, f1)
+    eye = np.eye(2)
     xj = x[..., :, None]
     xk = x[..., None, :]
     val = diag[..., None, None] * eye + dyad[..., None, None] * xj * xk
     if not want_grad:
         return val, None
-    c1 = (-eta**2 / (2.0 * np.pi)) * expT - (alpha * eta**2 / (2.0 * np.pi)) * _f3(T)
     dm = x[..., None, None, :]
     grad = c1[..., None, None, None] * eye[:, :, None] * dm
     e_jm = eye[:, None, :]
@@ -384,7 +522,7 @@ def _regular_center_terms(x, eta, env, want_grad=False, f1=None):
     djm = x[..., :, None, None]
     dkm = x[..., None, :, None]
     g2 = dyad[..., None, None, None] * (e_jm * dkm + e_km * djm)
-    g3 = (-(beta * eta**4 / (2.0 * np.pi)) * _f2p(T))[..., None, None, None] * djm * dkm * dm
+    g3 = g3c[..., None, None, None] * djm * dkm * dm
     return val, grad + g2 + g3
 
 
@@ -407,23 +545,17 @@ def _lattice_sum(x, env, cell, plan, periodic, values=True, grads=False):
     P = x.shape[0]
     val = np.empty((P, 2, 2)) if values else None
     grad = np.empty((P, 2, 2, 2)) if grads else None
-    q = np.asarray(cell.q_diag)
-    R = plan.real_cutoff
     if not periodic:
         # E1 of the center terms in one call: its series and continued
         # fractions cost a fixed number of array operations per call, which
         # would dominate per block
-        f1 = _f1(plan.eta**2 * np.sum(x * x, axis=-1))
+        f1 = _f1(plan.eta**2 * _dot(x, x))
     for lo in range(0, P, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
         if periodic:
             xr, skip = _reduce(x[blk], cell), None
         else:
-            xr = nearest_image(x[blk], cell)
-            n = np.rint((x[blk] - xr) / q).astype(int)
-            # shifts are ordered (z1, z2) over [-R, R]^2; z = -n is the skipped image
-            skip = np.where(np.all(np.abs(n) <= R, axis=1),
-                            (R - n[:, 0]) * (2 * R + 1) + R - n[:, 1], -1)
+            xr, skip = _skipped_image(x[blk], cell)
         real_val, real_grad = _real_sum(xr, plan.shifts, plan.eta, env.beta, grads, skip)
         four_val, four_grad = _fourier_sum(xr, plan, values, grads)
         if values:
@@ -442,6 +574,111 @@ def _lattice_sum(x, env, cell, plan, periodic, values=True, grads=False):
         None if val is None else val.reshape(lead + (2, 2)),
         None if grad is None else grad.reshape(lead + (2, 2, 2)),
     )
+
+
+def _phase_blocks(points, split, cell):
+    """cos(k.x) and sin(k.x) of the split's paired k, in blocks of points x.
+
+    With t = 2 pi x / q for x reduced to the cell box, k.x = z1 t1 + z2 t2,
+    so the angle-sum formulas give every phase from the multiples of t1 and
+    t2: about 6F trig calls per point instead of 4F^2.  The (z1, z2) grid
+    with z1 in [0, F] and z2 in [-F, F] is the plan's paired set after its
+    first F + 1 entries.  Yields (slice, cos, sin) with (B, F_paired) arrays.
+    """
+    F = split.fourier_cutoff
+    t = 2.0 * np.pi * nearest_image(points, cell) / np.asarray(cell.q_diag)
+    m1, m2 = np.arange(F + 1), np.arange(-F, F + 1)
+    step = max(1, _PAIRS // ((F + 1) * (2 * F + 1)))
+    for lo in range(0, points.shape[0], step):
+        blk = slice(lo, lo + step)
+        a, b = np.multiply.outer(t[blk, 0], m1), np.multiply.outer(t[blk, 1], m2)
+        c1, s1 = np.cos(a)[:, :, None], np.sin(a)[:, :, None]
+        c2, s2 = np.cos(b)[:, None, :], np.sin(b)[:, None, :]
+        n = a.shape[0]
+        cos = (c1 * c2 - s1 * s2).reshape(n, -1)[:, F + 1:]
+        sin = (s1 * c2 + c1 * s2).reshape(n, -1)[:, F + 1:]
+        yield blk, cos, sin
+
+
+def _product_fourier(x, y, rho, split, cell, values, grads):
+    """Reciprocal part of sum_b K(x_p - y_b) rho_b by structure factors.
+
+    S^c = cos(k y)^T rho and S^s = sin(k y)^T rho are contracted with the
+    split's tables once; cos(k.(x - y)) = cos(k.x) cos(k.y) + sin(k.x)
+    sin(k.y) then leaves one GEMM per block of targets.
+    """
+    F = split.kvecs.shape[0]
+    Sc = np.zeros((F, 2))
+    Ss = np.zeros((F, 2))
+    for blk, cos, sin in _phase_blocks(y, split, cell):
+        Sc += cos.T @ rho[blk]
+        Ss += sin.T @ rho[blk]
+    C = split.cos_table.reshape(F, 2, 2)
+    D = split.sin_table.reshape(F, 2, 2, 2)
+    Vc, Vs = (np.einsum("fjk,fk->fj", C, S) for S in (Sc, Ss))
+    Gc, Gs = (np.einsum("fjkm,fk->fjm", D, S).reshape(F, 4) for S in (Sc, Ss))
+    P = x.shape[0]
+    val = np.empty((P, 2)) if values else None
+    grad = np.empty((P, 4)) if grads else None
+    for blk, cos, sin in _phase_blocks(x, split, cell):
+        if values:
+            val[blk] = cos @ Vc + sin @ Vs
+        if grads:
+            grad[blk] = sin @ Gc - cos @ Gs
+    return val, None if grad is None else grad.reshape(P, 2, 2)
+
+
+def _by_target(w, targets, P):
+    """Sums of the per-pair rows of w (L, ...) by target index, shape (P, ...)."""
+    flat = w.reshape(len(w), -1)
+    out = np.stack([np.bincount(targets, weights=flat[:, c], minlength=P)
+                    for c in range(flat.shape[1])], axis=1)
+    return out.reshape((P,) + w.shape[1:])
+
+
+def lattice_product(x, y, rho, env, cell, plan, periodic, values=True, grads=False):
+    """sum_b K(x_p - y_b) rho_b for targets x (P, 2), sources y (M, 2), density rho (M, 2).
+
+    K is the periodic Green's matrix (periodic=True) or the regular part R^q
+    (periodic=False), evaluated with the plan's product split.  The
+    reciprocal part goes through structure factors of rho, O((P + M) F); the
+    live real-space images and, for R^q, the center terms are contracted with
+    rho pair by pair, in batches of about _PAIRS pairs.  Returns the (P, 2)
+    values and the (P, 2, 2) gradients d_m, indexed [p, j, m], None where not
+    requested.  A target-source difference on the lattice raises
+    SingularArgumentError for the periodic kernel.
+    """
+    _check_plan(plan, env, cell)
+    split = plan.product
+    x = np.asarray(x, dtype=float).reshape(-1, 2)
+    y = np.asarray(y, dtype=float).reshape(-1, 2)
+    rho = np.asarray(rho, dtype=float).reshape(-1, 2)
+    P, M = x.shape[0], y.shape[0]
+    val, grad = _product_fourier(x, y, rho, split, cell, values, grads)
+    step = max(1, _PAIRS // max(M, 1))
+    for lo in range(0, P, step):
+        B = min(step, P - lo)
+        d = (x[lo:lo + B, None, :] - y[None, :, :]).reshape(-1, 2)
+        if periodic:
+            xr, skip = _reduce(d, cell), None
+        else:
+            xr, skip = _skipped_image(d, cell)
+        rows, e = _live_images(xr, split.shifts, split.eta, skip)
+        if len(rows):
+            p, A, cw, Bc = _real_coeffs(e, split.eta, env.beta, grads)
+            v, g = _contract(e, rho[rows % M], p, A, None if cw is None else cw + A, Bc)
+            tgt = rows // M
+            if values:
+                val[lo:lo + B] += _by_target(v, tgt, B)
+            if grads:
+                grad[lo:lo + B] += _by_target(g, tgt, B)
+        if not periodic:
+            v, g = _contract(d, np.tile(rho, (B, 1)), *_center_coeffs(d, split.eta, env, grads))
+            if values:
+                val[lo:lo + B] += v.reshape(B, M, 2).sum(axis=1)
+            if grads:
+                grad[lo:lo + B] += g.reshape(B, M, 2, 2).sum(axis=1)
+    return val, grad
 
 
 def periodic_green(x, env, cell, plan):
@@ -467,8 +704,3 @@ def regular_part(x, env, cell, plan):
 def regular_part_grad(x, env, cell, plan):
     """Gradient of the smooth remainder, indexed out[..., j, k, m]; odd, zero at 0."""
     return _lattice_sum(x, env, cell, plan, periodic=False, values=False, grads=True)[1]
-
-
-def regular_part_and_grad(x, env, cell, plan):
-    """(regular_part, regular_part_grad) at x from one pass over the lattice sums."""
-    return _lattice_sum(x, env, cell, plan, periodic=False, values=True, grads=True)

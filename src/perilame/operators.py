@@ -11,7 +11,12 @@ with gamma_c = (1-beta)/(2 pi) and J the quarter-turn matrix; the traction
 kernel of the plane Kelvin matrix has no logarithmic singularity, only the
 Cauchy part above.  The split is re-verified numerically at assembly time.
 The rows at the midpoints t_i + pi/N (midpoint_rows) use the same split, with
-both rules shifted by half a node; they stay circulant.
+both rules shifted by half a node; they stay circulant.  They hold the
+free-space part only: apply_at_midpoints adds the lattice part R^q as a
+product against the density (lattice.lattice_product), and the off-boundary
+potentials eval_single_layer and eval_traction_offboundary are such products
+of the periodic Green's matrix, so no P x M kernel block is formed outside
+assembly.
 """
 
 import warnings
@@ -22,13 +27,7 @@ import numpy as np
 
 from .errors import AssemblyError, NearBoundaryWarning
 from .kernels import traction_from_gradient, traction_kernel, traction_map
-from .lattice import (
-    periodic_green,
-    periodic_green_grad,
-    regular_part,
-    regular_part_and_grad,
-    regular_part_grad,
-)
+from .lattice import lattice_product, regular_part, regular_part_grad
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
 # off-boundary evaluation closer to the boundary than this many node spacings
@@ -181,12 +180,13 @@ def _midpoints(curve):
     )
 
 
-def _single_layer_rows(curve, targets, shift, env, d, lattice):
+def _single_layer_rows(curve, targets, shift, env, d, lattice=0.0):
     """(2N, 2N) Nystrom rows of V at the targets t_i + shift against the N nodes.
 
     d holds the (N, N, 2) differences and lattice the (N, N, 2, 2) regular
-    part R^q at them.  At shift 0 the targets are the nodes themselves and
-    the diagonal takes the limits of the smooth split.
+    part R^q at them, 0 for the free-space split alone.  At shift 0 the
+    targets are the nodes themselves and the diagonal takes the limits of
+    the smooth split.
     """
     N = curve.N
     sp = curve.speeds
@@ -213,7 +213,10 @@ def _single_layer_rows(curve, targets, shift, env, d, lattice):
 
     _check_log_split(curve, targets, env, smooth_fs, sin2)
 
-    blocks = (2.0 * np.pi / N) * sp[None, :, None, None] * (smooth_fs + lattice)
+    # (2 pi / N) sp_b (smooth_fs + lattice), summed in place
+    blocks = smooth_fs
+    blocks += lattice
+    blocks *= (2.0 * np.pi / N) * sp[None, :, None, None]
     KL = kress_log_rule(N, shift)
     blocks += (alpha / (4.0 * np.pi)) * (KL * sp[None, :])[:, :, None, None] * eye
     return _blocks_to_matrix(blocks)
@@ -243,14 +246,14 @@ def _check_log_split(curve, targets, env, smooth_fs, sin2):
             raise AssemblyError("log-split inconsistency in single-layer assembly")
 
 
-def _wstar_rows(curve, targets, shift, env, d, lattice_grad):
+def _wstar_rows(curve, targets, shift, env, d, lattice=0.0):
     """(2N, 2N) Nystrom rows of W* at the targets t_i + shift against the N nodes.
 
     The target-normal traction kernel splits into a symmetric smooth part, a
     Cauchy part carried by the spectral Hilbert rule, and the smooth periodic
-    correction, the traction of lattice_grad (the (N, N, 2, 2, 2) gradient of
-    R^q at the differences d); at shift 0 the diagonal limits come from the
-    curvature data.
+    correction lattice, the (N, N, 2, 2) traction at the target normals of
+    the gradient of R^q at the differences d (0 for the free-space split
+    alone); at shift 0 the diagonal limits come from the curvature data.
     """
     N = curve.N
     sp = curve.speeds
@@ -291,12 +294,13 @@ def _wstar_rows(curve, targets, shift, env, d, lattice_grad):
     if on_nodes:
         rho[ar, ar] = np.einsum("ak,ak->a", curve.d1, curve.d2) / (2.0 * sp**3)
 
-    rcorr = traction_from_gradient(lattice_grad, nu[:, None, :], env.omega)
-
     _check_traction_split(curve, targets, env, ksym, rho, cot)
 
-    blocks = (2.0 * np.pi / N) * sp[None, :, None, None] \
-        * (ksym + gamma_c * rho[:, :, None, None] * _J + rcorr)
+    # (2 pi / N) sp_b (ksym + gamma_c rho J + lattice), summed in place
+    blocks = gamma_c * rho[:, :, None, None] * _J
+    blocks += ksym
+    blocks += lattice
+    blocks *= (2.0 * np.pi / N) * sp[None, :, None, None]
     Q = hilbert_rule(N, shift)
     blocks += gamma_c * np.pi * (Q * (sp[None, :] / tsp[:, None]))[:, :, None, None] * _J
     return _blocks_to_matrix(blocks)
@@ -305,26 +309,49 @@ def _wstar_rows(curve, targets, shift, env, d, lattice_grad):
 def assemble_wstar(curve, env, cell, plan):
     """Nystrom matrix of the traction operator of the periodic single layer."""
     d = curve.nodes[:, None, :] - curve.nodes[None, :, :]
-    lattice_grad = _mirrored(lambda p: regular_part_grad(p, env, cell, plan), d, odd=True)
+    # the (N, N, 2, 2, 2) gradient is freed before the rows' temporaries
+    lattice = traction_from_gradient(
+        _mirrored(lambda p: regular_part_grad(p, env, cell, plan), d, odd=True),
+        curve.normals[:, None, :], env.omega,
+    )
     return DenseBoundaryOperator(
-        matrix=_wstar_rows(curve, curve, 0.0, env, d, lattice_grad), curve=curve
+        matrix=_wstar_rows(curve, curve, 0.0, env, d, lattice), curve=curve
     )
 
 
-def midpoint_rows(curve, env, cell, plan):
-    """Rows of V and W* at the N midpoints t_i + pi/N against the N nodes.
+def midpoint_rows(curve, targets, env):
+    """Free-space rows of V and W* at the N midpoints t_i + pi/N against the N nodes.
 
-    The kernel split is the assembly's; the Kress log rule and the Hilbert
-    rule are shifted by half a node, and R^q and its gradient come from one
-    lattice pass over the N^2 differences.  Returns two (2N, 2N) matrices
-    from node-major densities to node-major midpoint values.
+    targets is the midpoint geometry (_midpoints).  The kernel split is the
+    assembly's, with the Kress log rule and the Hilbert rule shifted by half
+    a node; the lattice part R^q is left to apply_at_midpoints.  Returns two
+    (2N, 2N) matrices from node-major densities to node-major midpoint values.
     """
-    targets, shift = _midpoints(curve), np.pi / curve.N
+    shift = np.pi / curve.N
     d = targets.nodes[:, None, :] - curve.nodes[None, :, :]
-    lattice, lattice_grad = regular_part_and_grad(d, env, cell, plan)
-    V_mid = _single_layer_rows(curve, targets, shift, env, d, lattice)
-    del lattice  # freed before the larger temporaries of the W* rows
-    return V_mid, _wstar_rows(curve, targets, shift, env, d, lattice_grad)
+    V_mid = _single_layer_rows(curve, targets, shift, env, d)
+    return V_mid, _wstar_rows(curve, targets, shift, env, d)
+
+
+def apply_at_midpoints(field, env, cell, plan):
+    """V mu and W* mu at the N midpoints t_i + pi/N, each (N, 2).
+
+    The free-space rows of midpoint_rows act on the nodal density; the
+    lattice part of V mu is a regular-part product and that of W* mu the
+    traction, at the midpoint normals, of a regular-part gradient product,
+    both by lattice_product at the plan's product split.
+    """
+    curve = field.curve
+    targets = _midpoints(curve)
+    V_mid, W_mid = midpoint_rows(curve, targets, env)
+    mu = field.values.reshape(-1)
+    lattice, lattice_grad = lattice_product(
+        targets.nodes, curve.nodes, field.values * curve.weights[:, None], env, cell, plan,
+        periodic=False, values=True, grads=True,
+    )
+    vmu = (V_mid @ mu).reshape(-1, 2) + lattice
+    traction = np.einsum("ajm,am->aj", traction_map(env.omega, lattice_grad), targets.normals)
+    return vmu, (W_mid @ mu).reshape(-1, 2) + traction
 
 
 def _check_traction_split(curve, targets, env, ksym, rho, cot):
@@ -368,10 +395,10 @@ def near_boundary(x, curve, cell):
 def _off_boundary_sources(x, field, cell, upsample, warn):
     """Setup shared by the off-boundary potentials at points x.
 
-    Warns when a point is near the boundary; returns the (P, M, 2)
-    differences from the points to the quadrature nodes (the field's,
-    resampled `upsample` times), the (M, 2) density times the quadrature
-    weights and whether x is a single point.
+    Warns when a point is near the boundary; returns the (P, 2) points, the
+    (M, 2) quadrature nodes (the field's, resampled `upsample` times), the
+    (M, 2) density times the quadrature weights and whether x is a single
+    point.
     """
     src = field if upsample == 1 else field.resample(upsample * field.curve.N)
     x = np.asarray(x, dtype=float)
@@ -383,29 +410,29 @@ def _off_boundary_sources(x, field, cell, upsample, warn):
             stacklevel=3,
         )
     dens = src.values * src.curve.weights[:, None]
-    return pts[:, None, :] - src.curve.nodes[None, :, :], dens, x.ndim == 1
+    return pts, src.curve.nodes, dens, x.ndim == 1
 
 
 def eval_single_layer(x, field, env, cell, plan, upsample=1, warn=True):
     """Periodic single-layer potential at off-boundary points x.
 
-    Plain trapezoid against the periodic Green's matrix; accuracy degrades
-    within about NEAR_SPACINGS node spacings of the boundary
-    (NearBoundaryWarning).  The quadrature grid can be refined by an integer
-    `upsample` factor using exact trigonometric resampling of curve and
-    density.
+    Plain trapezoid against the periodic Green's matrix, applied to the
+    density by lattice_product; accuracy degrades within about
+    NEAR_SPACINGS node spacings of the boundary (NearBoundaryWarning).  The
+    quadrature grid can be refined by an integer `upsample` factor using
+    exact trigonometric resampling of curve and density.
     """
-    d, dens, single = _off_boundary_sources(x, field, cell, upsample, warn)
-    out = np.einsum("pbjk,bk->pj", periodic_green(d, env, cell, plan), dens)
+    pts, nodes, dens, single = _off_boundary_sources(x, field, cell, upsample, warn)
+    out = lattice_product(pts, nodes, dens, env, cell, plan, periodic=True)[0]
     return out[0] if single else out
 
 
 def eval_traction_offboundary(x, nu, field, env, cell, plan, upsample=1, warn=True):
     """Traction T(omega, Dv) nu of the single layer at off-boundary points."""
-    d, dens, single = _off_boundary_sources(x, field, cell, upsample, warn)
+    pts, nodes, dens, single = _off_boundary_sources(x, field, cell, upsample, warn)
     nus = np.atleast_2d(np.asarray(nu, dtype=float))
-    G = periodic_green_grad(d, env, cell, plan)
     # Jacobian of v: Dv[p, j, m] = sum_b d_m Gamma_jk(x_p - y_b) mu_k w_b
-    Dv = np.einsum("pbjkm,bk->pjm", G, dens)
+    Dv = lattice_product(pts, nodes, dens, env, cell, plan, periodic=True,
+                         values=False, grads=True)[1]
     out = np.einsum("pjm,pm->pj", traction_map(env.omega, Dv), nus)
     return out[0] if single else out

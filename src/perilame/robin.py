@@ -12,7 +12,10 @@ u(x) = v[mu](x) + c + B q^{-1} x.
 
 diagnostics["residual_off_node"] is the collocation residual at the N
 midpoints t_i + pi/N: N-point Kress log and Hilbert rules at the half-shifted
-targets against the N nodes, with no reassembly at 2N.
+targets against the N nodes, with no reassembly at 2N; the lattice parts of
+V mu and W* mu there are products against the density at the plan's product
+split (operators.apply_at_midpoints), and so is the field v[mu] of
+eval_solution.
 """
 
 import time
@@ -29,11 +32,11 @@ from .lattice import singular_targets
 from .operators import (
     BoundaryMatrixField,
     BoundaryVectorField,
+    apply_at_midpoints,
     assemble_single_layer,
     assemble_wstar,
     boundary_integral,
     eval_single_layer,
-    midpoint_rows,
 )
 
 COND_LIMIT = 1e13
@@ -322,18 +325,17 @@ def _off_node_residual(data, curve, env, cell, plan, mu, c):
     """Collocation residual at the N midpoints t_i + pi/N.
 
     V and W* act on the nodal density through N-point rules at the
-    half-shifted targets (operators.midpoint_rows); the data and the density
-    at the midpoints are the odd entries of their exact trig resampling to 2N.
+    half-shifted targets (operators.apply_at_midpoints); the data and the
+    density at the midpoints are the odd entries of their exact trig
+    resampling to 2N.
     """
     N2 = 2 * curve.N
     fine = data.resample(N2)
     mu_mid = mu.resample(N2).values[1::2]
-    V_mid, W_mid = midpoint_rows(curve, env, cell, plan)
-    mu_flat = mu.values.reshape(-1)
+    vmu, wmu = apply_at_midpoints(mu, env, cell, plan)
     ainv_b = _ainv_b(fine)[1][1::2]
-    lhs = 0.5 * mu_mid + (W_mid @ mu_flat).reshape(-1, 2)
-    vmu = (V_mid @ mu_flat).reshape(-1, 2) + c[None, :]
-    lhs += np.einsum("nij,nj->ni", ainv_b, vmu)
+    lhs = 0.5 * mu_mid + wmu
+    lhs += np.einsum("nij,nj->ni", ainv_b, vmu + c[None, :])
     res = lhs - robin_rhs(fine, env, cell)[1::2]
     return float(np.max(np.abs(res)))
 
@@ -343,7 +345,9 @@ def eval_solution(rep, x, env, cell, plan, warn=True):
 
     Raises DomainError for a point inside a hole image, and for a point on
     the boundary: one whose difference to a node lies on the lattice q Z^2
-    to within the distance at which the lattice kernels raise.
+    to within the distance at which the lattice kernels raise.  A node image
+    is named as such whether or not the hole test flags it (the winding
+    number is ambiguous at a polygon vertex).
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -351,7 +355,11 @@ def eval_solution(rep, x, env, cell, plan, warn=True):
     curve = rep.mu.curve
     inside = point_in_hole(pts, curve, cell)
     if np.any(inside):
-        raise DomainError(f"point {pts[np.argmax(inside)]} lies inside a hole image")
+        flagged = pts[inside]
+        on_node = singular_targets(flagged, curve.nodes, cell)
+        if np.any(on_node):
+            raise DomainError(f"point {flagged[np.argmax(on_node)]} lies on a boundary node image")
+        raise DomainError(f"point {flagged[0]} lies inside a hole image")
     try:
         v = eval_single_layer(pts, rep.mu, env, cell, plan, warn=warn)
     except SingularArgumentError:

@@ -13,6 +13,7 @@ the standard configuration matrix and emits OracleReport rows; the registry
 of properties is fixed and its completeness is itself under test.
 """
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,9 +231,10 @@ class OracleReport:
     tolerance: float
     passed: bool
     fingerprint: str
+    runtime_s: float  # wall time of the check, in seconds
 
     @staticmethod
-    def from_error(name, anchor, max_error, tolerance, fingerprint):
+    def from_error(name, anchor, max_error, tolerance, fingerprint, runtime_s):
         return OracleReport(
             name=name,
             anchor=anchor,
@@ -240,6 +242,7 @@ class OracleReport:
             tolerance=float(tolerance),
             passed=bool(max_error <= tolerance),
             fingerprint=fingerprint,
+            runtime_s=float(runtime_s),
         )
 
 
@@ -868,16 +871,22 @@ REGISTRY = {
 
 
 def run_property_suite(names=None, seed=0):
-    """Run the registered property checks; failures are reported, not raised."""
+    """Run the registered property checks; failures are reported, not raised.
+
+    Each report carries the wall time of its check.
+    """
     reports = []
     selected = names if names is not None else list(REGISTRY)
     for name in selected:
         anchor, tol, runner = REGISTRY[name]
+        t0 = time.perf_counter()
         try:
             err, fp = runner(seed)
         except Exception as exc:  # report, never throw: the report is the product
             err, fp = float("inf"), f"exception: {type(exc).__name__}: {exc}"
-        reports.append(OracleReport.from_error(name, anchor, err, tol, fp))
+        reports.append(
+            OracleReport.from_error(name, anchor, err, tol, fp, time.perf_counter() - t0)
+        )
     return reports
 
 

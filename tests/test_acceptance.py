@@ -21,7 +21,9 @@ def _criterion(k, names):
     reports = run_property_suite(names, seed=0)
     elapsed = time.perf_counter() - t0
     ok = all(r.passed for r in reports)
-    detail = ", ".join(f"{r.name} {r.max_error:.3e} <= {r.tolerance:.1e}" for r in reports)
+    detail = ", ".join(
+        f"{r.name} {r.max_error:.3e} <= {r.tolerance:.1e} in {r.runtime_s:.1f}s" for r in reports
+    )
     print(f"criterion {k}: {'PASS' if ok else 'FAIL'} ({detail}; runtime {elapsed:.1f}s)")
     failed = [f"{r.name} [{r.fingerprint}]" for r in reports if not r.passed]
     assert ok, f"criterion {k} failed: {'; '.join(failed)}"

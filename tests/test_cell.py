@@ -178,6 +178,33 @@ def test_vectorized_masks_match_point_loop():
     assert np.isscalar(min_image_distance(pts[0], curve, UNIT))
 
 
+def _nine_shift_distance(x, curve, cell):
+    """Distance over the nine images of the node set around x reduced to the first node."""
+    x = nearest_image(x - curve.nodes[0], cell) + curve.nodes[0]
+    best = np.full(x.shape[0], np.inf)
+    q1, q2 = cell.q_diag
+    for z1 in (-1, 0, 1):
+        for z2 in (-1, 0, 1):
+            d = curve.nodes[None, :, :] + np.array([z1 * q1, z2 * q2]) - x[:, None, :]
+            best = np.minimum(best, np.min(np.hypot(d[..., 0], d[..., 1]), axis=1))
+    return best
+
+
+@pytest.mark.parametrize("edges", [(1.0, 1.0), (2.0, 3.0)])
+def test_min_image_distance_matches_nine_shifts(edges):
+    cell = build_cell(edges)
+    q = np.array(edges)
+    curve = discretize_curve(EllipseShape(q / 2, (0.3 * q[0], 0.2 * q[1]), 0.3), 96, cell)
+    rng = np.random.default_rng(21)
+    pts = rng.uniform(-1.0, 2.0, size=(4000, 2)) * q
+    ref = _nine_shift_distance(pts, curve, cell)
+    assert np.max(np.abs(min_image_distance(pts, curve, cell) - ref)) <= 1e-15
+    h = np.max(curve.weights)
+    warn = near_boundary(pts, curve, cell)
+    assert np.array_equal(warn, ref < 3.0 * h)
+    assert 0 < np.count_nonzero(warn) < len(pts)
+
+
 def test_resample_is_exact():
     shape = _perturbed_circle()
     coarse = discretize_curve(shape, 32, UNIT)

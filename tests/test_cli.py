@@ -231,6 +231,8 @@ def test_green_eval_mode(tmp_path):
     lines = open(os.path.join(cfg["out_dir"], "field.csv")).read().splitlines()
     assert lines[1] == "x1,x2,u1,u2,warning"
     assert len(lines) > 2
+    summary = _read_summary(cfg["out_dir"])
+    assert float(summary["time_plan_s"]) >= 0.0 and float(summary["time_field_eval_s"]) >= 0.0
     rows = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
 
     # rows and warning flags follow the per-point rule: masked below 0.02 of
@@ -310,18 +312,24 @@ def test_verify_mode_quick(tmp_path, monkeypatch):
     }
     assert main(["--config", _write(tmp_path, cfg)]) == 0
     lines = open(os.path.join(cfg["out_dir"], "reports.csv")).read().splitlines()
-    assert lines[1] == "property,anchor,max_error,tolerance,pass"
-    assert all(line.endswith(",1") for line in lines[2:])
+    assert lines[1] == "property,anchor,max_error,tolerance,pass,runtime_s"
+    rows = [line.split(",") for line in lines[2:]]
+    assert all(row[4] == "1" and float(row[5]) >= 0.0 for row in rows)
 
 
 def test_missing_config_rejected():
     assert main(["--config", "/nonexistent/path.json"]) == 2
 
 
-def test_summary_reports_tail_ratio_and_stage_timings(tmp_path):
+def test_summary_reports_tail_ratio_and_stage_timings(tmp_path, capsys):
     cfg = dict(MINIMAL, nodes=32, grid=[4, 4], out_dir=str(tmp_path / "out"))
     assert main(["--config", _write(tmp_path, cfg)]) == 0
     summary = _read_summary(cfg["out_dir"])
     assert 0.0 <= float(summary["density_tail_ratio"]) < 1.0
     for stage in ("validate", "system", "lu", "back_solve", "off_node_residual"):
         assert float(summary[f"time_{stage}_s"]) >= 0.0
+    # the run's own stages, in summary.txt and on stdout
+    printed = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    for stage in ("plan", "discretize", "assembly", "solve", "field_eval"):
+        assert float(summary[f"time_{stage}_s"]) >= 0.0
+        assert printed[f"time_{stage}_s"] == summary[f"time_{stage}_s"]

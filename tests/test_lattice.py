@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from perilame import lattice
-from perilame.cell import build_cell, nearest_image
+from perilame.cell import (
+    EllipseShape,
+    build_cell,
+    discretize_curve,
+    min_image_distance,
+    nearest_image,
+    point_in_hole,
+)
 from perilame.errors import PlanError, SingularArgumentError
 from perilame.kernels import LameEnv, kelvin, kelvin_grad
 from perilame.lattice import (
@@ -14,9 +21,9 @@ from perilame.lattice import (
     plan_cost,
     plan_lattice_sum,
     regular_part,
-    regular_part_and_grad,
     regular_part_grad,
 )
+from perilame.operators import _midpoints
 from perilame.special import exp1
 from perilame.verify import lame_apply_fd, pde_residual, scalar_periodic_green
 
@@ -169,7 +176,7 @@ def test_joint_pass_matches_separate_calls(edges, omega):
     val, grad = lattice._lattice_sum(x, env, cell, plan, periodic=True, values=True, grads=True)
     assert np.array_equal(val, periodic_green(x, env, cell, plan))
     assert np.array_equal(grad, periodic_green_grad(x, env, cell, plan))
-    val, grad = regular_part_and_grad(x, env, cell, plan)
+    val, grad = lattice._lattice_sum(x, env, cell, plan, periodic=False, values=True, grads=True)
     assert np.array_equal(val, regular_part(x, env, cell, plan))
     assert np.array_equal(grad, regular_part_grad(x, env, cell, plan))
 
@@ -362,3 +369,87 @@ def test_omega_limit_matches_scalar_harmonic():
         assert np.max(np.abs(G[:, 0, 0] - s)) < 1e-6
         assert np.max(np.abs(G[:, 1, 1] - s)) < 1e-6
         assert np.max(np.abs(G[:, 0, 1])) < 1e-7
+
+
+def _product_setup(edges, omega):
+    """Plan, curve, density times weights, and far, near-band and midpoint targets."""
+    cell = build_cell(edges)
+    env = LameEnv(2, omega)
+    plan = plan_lattice_sum(cell, env, 1e-10)
+    q = np.array(edges)
+    curve = discretize_curve(EllipseShape(q / 2, (0.3 * q[0], 0.2 * q[1]), 0.3), 128, cell)
+    t = curve.params
+    rho = np.column_stack([np.cos(t) + 0.3 * np.sin(3 * t), 0.5 - np.sin(2 * t)])
+    rho *= curve.weights[:, None]
+    h = np.max(curve.weights)
+    far = np.random.default_rng(22).uniform(-1.0, 2.0, size=(300, 2)) * q
+    far = far[(min_image_distance(far, curve, cell) > 10 * h) & ~point_in_hole(far, curve, cell)]
+    mid = _midpoints(curve)
+    near = mid.nodes + 0.25 * h * mid.normals
+    return cell, env, plan, curve, rho, {"far": far, "near": near, "mid": mid.nodes}
+
+
+@pytest.mark.parametrize("edges,omega", [([1.0, 1.0], 1.0), ([2.0, 3.0], 0.5)])
+def test_product_matches_pair_contraction(edges, omega):
+    # the product split against the assembly split's pair path: every
+    # target-source pair through periodic_green / regular_part(_grad),
+    # contracted with the density; far, near-band (0.25 h) and midpoint
+    # targets, against all nodes and against one
+    cell, env, plan, curve, rho, targets = _product_setup(edges, omega)
+    cases = [
+        (periodic_green, periodic_green_grad, True, ("far", "near")),
+        (regular_part, regular_part_grad, False, ("far", "mid")),
+    ]
+    for value_fn, grad_fn, periodic, names in cases:
+        for name in names:
+            for y, dens in ((curve.nodes, rho), (curve.nodes[:1], rho[:1])):
+                x = targets[name]
+                val, grad = lattice.lattice_product(x, y, dens, env, cell, plan, periodic,
+                                                    values=True, grads=True)
+                d = x[:, None, :] - y[None, :, :]
+                ref_val = np.einsum("pbjk,bk->pj", value_fn(d, env, cell, plan), dens)
+                ref_grad = np.einsum("pbjkm,bk->pjm", grad_fn(d, env, cell, plan), dens)
+                assert np.max(np.abs(val - ref_val)) <= 1e-13, (name, len(y))
+                assert np.max(np.abs(grad - ref_grad)) <= 1e-13, (name, len(y))
+                # values and gradients alone are the joint call's
+                alone = lattice.lattice_product(x, y, dens, env, cell, plan, periodic)
+                assert np.array_equal(alone[0], val) and alone[1] is None
+                alone = lattice.lattice_product(x, y, dens, env, cell, plan, periodic,
+                                                values=False, grads=True)
+                assert alone[0] is None and np.array_equal(alone[1], grad)
+
+
+def test_product_of_zero_density_is_zero():
+    cell, env, plan, curve, rho, targets = _product_setup([1.0, 1.0], 1.0)
+    zero = np.zeros_like(rho)
+    for periodic, name in ((True, "near"), (False, "mid")):
+        val, grad = lattice.lattice_product(targets[name], curve.nodes, zero, env, cell, plan,
+                                            periodic, values=True, grads=True)
+        assert not np.any(val) and not np.any(grad)
+
+
+def test_product_raises_on_lattice_difference(plan1):
+    y = np.array([[0.3, 0.4], [0.6, 0.2]])
+    with pytest.raises(SingularArgumentError):
+        lattice.lattice_product(np.array([[1.3, -0.6]]), y, np.ones((2, 2)), ENV1, UNIT, plan1,
+                                periodic=True)
+
+
+@pytest.mark.parametrize("edges", [(1.0, 1.0), (2.0, 3.0)])
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-11, 1e-13])
+def test_product_split_never_less_accurate(edges, tol):
+    cell = build_cell(edges)
+    for omega in (0.5, 1.0):
+        plan = plan_lattice_sum(cell, LameEnv(2, omega), tol)
+        split = plan.product
+        assert split.real_bound <= plan.real_bound
+        assert split.fourier_bound <= plan.fourier_bound
+        assert split.matches(LameEnv(2, omega), cell) and split.tol == tol
+        # the pruned box keeps every image a reduced argument can bring live
+        q = np.asarray(cell.q_diag)
+        r = np.arange(-split.real_cutoff, split.real_cutoff + 1)
+        box = np.array([(a, b) for a in r for b in r], dtype=float) * q
+        x = np.random.default_rng(23).uniform(-0.5, 0.5, size=(2000, 2)) * q
+        live = split.eta**2 * np.sum((x[:, None, :] - box[None]) ** 2, axis=-1) < 45.0
+        kept = np.any(np.all(box[:, None, :] == split.shifts[None], axis=-1), axis=1)
+        assert not np.any(live[:, ~kept])

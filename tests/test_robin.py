@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import perilame.lattice as lattice
+import perilame.operators as operators
 import perilame.robin as robin
 from perilame.cell import CircleShape, EllipseShape, build_cell, discretize_curve, point_in_hole
 from perilame.errors import AdmissibilityError, DomainError
@@ -369,15 +370,16 @@ def test_eval_solution_rejects_hole_interior(circle64, plan1):
 
 
 def test_eval_solution_rejects_boundary_node_images(circle64, plan1):
-    # the winding number is ambiguous at a polygon vertex, so some nodes and
-    # their images pass the hole test; they lie on the boundary all the same
+    # the winding number is ambiguous at a polygon vertex, so the hole test
+    # flags some nodes and their images and passes the others; every one is
+    # refused as a node image all the same
     data = _data(circle64, np.eye(2), -np.eye(2), [0.1, 0.0])
     rep = solve_robin(data, circle64, ENV1, UNIT, plan1)
     for shift in ([0.0, 0.0], [1.0, -2.0]):
         pts = circle64.nodes + shift
-        outside = pts[~point_in_hole(pts, circle64, UNIT)]
-        assert len(outside)
-        for p in outside:
+        flagged = point_in_hole(pts, circle64, UNIT)
+        assert 0 < np.count_nonzero(flagged) < len(pts)
+        for p in pts:
             with pytest.raises(DomainError, match="boundary node image"):
                 eval_solution(rep, p, ENV1, UNIT, plan1, warn=False)
 
@@ -441,7 +443,7 @@ def test_solve_robin_assembles_at_n_and_counts_residual_pairs(monkeypatch, plan1
     N = 32
     curve = discretize_curve(CircleShape([0.5, 0.5], 0.25), N, UNIT)
     data = _varied_data(curve)
-    sizes, passes = [], []
+    sizes, passes, products = [], [], []
 
     def recording(assemble):
         def wrapper(curve, *args):
@@ -450,29 +452,39 @@ def test_solve_robin_assembles_at_n_and_counts_residual_pairs(monkeypatch, plan1
         return wrapper
 
     lattice_sum = lattice._lattice_sum
+    product = lattice.lattice_product
 
     def counting(x, env, cell, plan, periodic, values=True, grads=False):
         passes.append((np.shape(x)[:-1], periodic, values, grads))
         return lattice_sum(x, env, cell, plan, periodic, values, grads)
 
+    def counting_product(x, y, rho, env, cell, plan, periodic, values=True, grads=False):
+        products.append((np.shape(x), np.shape(y), periodic, values, grads))
+        return product(x, y, rho, env, cell, plan, periodic, values, grads)
+
     monkeypatch.setattr(robin, "assemble_single_layer", recording(assemble_single_layer))
     monkeypatch.setattr(robin, "assemble_wstar", recording(assemble_wstar))
     monkeypatch.setattr(lattice, "_lattice_sum", counting)
+    monkeypatch.setattr(operators, "lattice_product", counting_product)
     solve_robin(data, curve, ENV1, UNIT, plan1)
     assert sizes == [N, N]
     # each symmetric assembly takes the upper triangle, values for V and
-    # gradients for W*; the residual takes both from one pass over N^2 pairs
+    # gradients for W*; the residual takes no pair pass, only one product of
+    # the regular part, values and gradients, from the N midpoints to the N nodes
     half = (N * (N + 1) // 2,)
-    residual = [((N, N), False, True, True)]
-    assert passes == [(half, False, True, False), (half, False, False, True)] + residual
+    residual = [((N, 2), (N, 2), False, True, True)]
+    assert passes == [(half, False, True, False), (half, False, False, True)]
+    assert products == residual
 
     ops = (assemble_single_layer(curve, ENV1, UNIT, plan1),
            assemble_wstar(curve, ENV1, UNIT, plan1))
     sizes.clear()
     passes.clear()
+    products.clear()
     solve_robin(data, curve, ENV1, UNIT, plan1, operators=ops)
     assert sizes == []
-    assert passes == residual
+    assert passes == []
+    assert products == residual
 
 
 def test_density_tail_ratio_tracks_resolution():

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -191,4 +192,19 @@ def test_exception_row_keeps_registry_tolerance(monkeypatch, tmp_path):
                                "out_dir": str(tmp_path / "out")}))
     assert cli.main(["--config", str(cfg)]) == 4
     lines = (tmp_path / "out" / "reports.csv").read_text().splitlines()
-    assert lines[2] == f"{name},matrix even in x,inf,1.000000e-09,0"
+    assert lines[2].startswith(f"{name},matrix even in x,inf,1.000000e-09,0,")
+    assert float(lines[2].rsplit(",", 1)[1]) >= 0.0
+
+
+def test_every_report_carries_its_runtime(monkeypatch):
+    import perilame.verify as verify
+
+    def slow(seed):
+        time.sleep(0.05)
+        return 0.0, "slept"
+
+    monkeypatch.setitem(verify.REGISTRY, "green-evenness", ("matrix even in x", 1e-9, slow))
+    reports = run_property_suite(["green-evenness", "green-matrix-symmetry"])
+    assert [r.name for r in reports] == ["green-evenness", "green-matrix-symmetry"]
+    assert all(isinstance(r.runtime_s, float) and 0.0 <= r.runtime_s < 60.0 for r in reports)
+    assert reports[0].runtime_s >= 0.05
