@@ -28,8 +28,9 @@ The product split (plan.product) serves lattice_product, the sum
 sum_j K(x_i - y_j) rho_j of a kernel against one density.  There
 e^{ik.(x-y)} = e^{ik.x} e^{-ik.y} turns the reciprocal part into structure
 factors of rho, paid per target and per source, while a live image is still
-paid per pair; so its eta is larger, priced by product_cost, and its tail
-bounds are held to the assembly split's achieved ones.
+paid per pair; so its eta is larger: the smallest at which the image box
+holds the z = 0 image alone, with cutoffs whose tail bounds are held to the
+assembly split's achieved ones.
 
 One private evaluator, _lattice_sum, serves every pointwise kernel.  Per
 block of _BLOCK points it reduces the arguments (or, for the regular part,
@@ -62,6 +63,11 @@ _LIVE_T = 45.0
 _BLOCK = 2048
 # target-source pairs per batch of a product's real-space and center terms
 _PAIRS = 1 << 15
+# phase-matrix entries per block of _phase_blocks
+_PHASES = 1 << 15
+# relative margin of the live radius when images are pruned from a box: it
+# absorbs the rounding of the reduction to the cell box
+_BOX_MARGIN = 1e-9
 # Time of one live real-space image term over one paired Fourier term.  The
 # slopes of 16384-pair call times against the live-image count (R = 2, eta from
 # 1 to 3 sqrt(pi)) and against the paired Fourier count (F = 2 to 10) give
@@ -71,18 +77,6 @@ _PAIRS = 1 << 15
 IMAGE_TERM_COST = 15.0
 # candidate split parameters, in units of sqrt(pi) / min_edge
 ETA_SCALES = (0.8, 1.0, 1.25, 1.6, 2.0, 2.25, 2.5, 2.75, 3.0)
-# The product split (lattice_product).  A product pays a live image per
-# target-source pair and a Fourier term per target; products are priced
-# against PRODUCT_SOURCES sources, the geometric middle of the 64 to 1024
-# nodes of a desk-scale curve.  One live image costs PRODUCT_IMAGE_COST
-# paired Fourier terms of the structure-factor sum: the slopes of product
-# times (1000 targets, 512 sources, eta from 8 to 16 sqrt(pi) on the unit
-# cell) against the live-image count, over the Fourier time per target and
-# term (about 12 ns), give about 15 for values and 27 for gradients (medians
-# of five runs; one BLAS thread, 2-CPU Intel Xeon); the mean is used.
-PRODUCT_SOURCES = 256
-PRODUCT_IMAGE_COST = 20.0
-PRODUCT_ETA_SCALES = (3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0)
 
 
 def _dot(a, b):
@@ -175,19 +169,6 @@ def plan_cost(cell, eta, real_cutoff, fourier_cutoff):
     return IMAGE_TERM_COST * live + paired
 
 
-def product_cost(cell, eta, fourier_cutoff):
-    """Modeled cost per target of one lattice_product, in paired Fourier terms.
-
-    A live image is paid per target-source pair: each of PRODUCT_SOURCES
-    sources brings the pi * 45 / (eta^2 |Q|) images expected live at a
-    random pair, each weighted by PRODUCT_IMAGE_COST.  A Fourier term is paid
-    per target, once for all sources.
-    """
-    live = np.pi * _LIVE_T / (eta**2 * cell.volume)
-    paired = ((2 * fourier_cutoff + 1) ** 2 - 1) // 2
-    return PRODUCT_SOURCES * PRODUCT_IMAGE_COST * live + paired
-
-
 def _cutoffs(cell, etas, real_ok, fourier_ok):
     """(eta, R, F) for ascending etas: the smallest R >= 2 and F >= 1 within
     the ceilings whose tail bounds pass.  An eta without them is left out.
@@ -233,31 +214,35 @@ def plan_lattice_sum(cell, env, tol):
     least plan_cost wins.  Tolerances outside [1e-14, 1e-4] or bounds that
     cannot be met within the cutoff ceilings raise PlanError.
 
-    The product split (plan.product, used by lattice_product): the candidates
-    are the assembly eta and PRODUCT_ETA_SCALES, each with the smallest
-    cutoffs whose tail bounds are no larger than the assembly split's
-    achieved ones, so a product is never less accurate than the matrix it
-    replaces; the candidate of least product_cost wins.  The assembly split
-    always qualifies, so this adds no PlanError.
+    The product split (plan.product, used by lattice_product): its eta is
+    the smallest at which no image but z = 0 is live for an argument reduced
+    to the cell box, eta min_edge / 2 = sqrt(45), so a product pays one
+    image per pair at most.  Its cutoffs are the smallest whose tail bounds
+    are no larger than the assembly split's achieved ones, so a product is
+    never less accurate than the matrix it replaces.  Where no Fourier cutoff
+    within the ceiling reaches them the product split is the assembly
+    split, so this adds no PlanError.
     """
     if not (1e-14 <= tol <= 1e-4):
         raise PlanError(
             f"tolerance unattainable: tol={tol} outside the supported range [1e-14, 1e-4]"
         )
-    etas = lambda scales: [s * np.sqrt(np.pi) / cell.min_edge for s in scales]
+    etas = [s * np.sqrt(np.pi) / cell.min_edge for s in ETA_SCALES]
     below = lambda bound: bound < 0.5 * tol
     candidates = [(plan_cost(cell, e, R, F), e, R, F)
-                  for e, R, F in _cutoffs(cell, etas(ETA_SCALES), below, below)]
+                  for e, R, F in _cutoffs(cell, etas, below, below)]
     if not candidates:
         raise PlanError(
             f"tolerance unattainable: no cutoffs within ceilings "
             f"({REAL_CUTOFF_CEILING}, {FOURIER_CUTOFF_CEILING}) reach tol={tol}"
         )
     plan = _split(cell, env, tol, *min(candidates)[1:])
-    candidates = _cutoffs(cell, [plan.eta] + etas(PRODUCT_ETA_SCALES),
+    # the nearest images z != 0, at gap min_edge / 2, fall just outside the
+    # pruning margin
+    eta = 2.0 * np.sqrt(_LIVE_T * (1.0 + 2.0 * _BOX_MARGIN)) / cell.min_edge
+    candidates = _cutoffs(cell, [plan.eta, eta],
                           lambda b: b <= plan.real_bound, lambda b: b <= plan.fourier_bound)
-    e, R, F = min(candidates, key=lambda c: product_cost(cell, c[0], c[2]))
-    plan.product = _split(cell, env, tol, e, R, F)
+    plan.product = _split(cell, env, tol, *list(candidates)[-1])
     return plan
 
 
@@ -265,9 +250,9 @@ def _attach_tables(plan, cell, env):
     q = np.asarray(cell.q_diag)
     z = _lattice_points(plan.real_cutoff, exclude_origin=False)
     # images no argument reduced to the cell box can bring within the live
-    # radius are pruned; the margin absorbs the rounding of the reduction
+    # radius are pruned
     gap = np.maximum(np.abs(z) - 0.5, 0.0) * q[None, :]
-    plan.shifts = z[plan.eta**2 * np.sum(gap * gap, axis=1) < _LIVE_T * (1.0 + 1e-9)] * q[None, :]
+    plan.shifts = z[plan.eta**2 * np.sum(gap * gap, axis=1) < _LIVE_T * (1.0 + _BOX_MARGIN)] * q[None, :]
     z = _lattice_points(plan.fourier_cutoff, exclude_origin=True)
     z = z[(z[:, 0] > 0) | ((z[:, 0] == 0) & (z[:, 1] > 0))]  # one of each +-z pair
     k = 2.0 * np.pi * z / q[None, :]
@@ -373,19 +358,23 @@ def _real_sum(points, shifts, eta, beta, want_grad=False, skip=None):
     the (P, 2, 2) values and, when requested, the (P, 2, 2, 2) gradients.
     """
     P = points.shape[0]
-    val = np.zeros((P, 2, 2))
-    grad = np.zeros((P, 2, 2, 2)) if want_grad else None
     rows, d = _live_images(points, shifts, eta, skip)
-    if not len(rows):
-        return val, grad
-    counts = np.bincount(rows, minlength=P)
-    held = np.flatnonzero(counts)
-    starts = (np.cumsum(counts) - counts)[held]
     v, g = _real_terms(d, eta, beta, want_grad)
-    val[held] = np.add.reduceat(v, starts, axis=0)
-    if want_grad:
-        grad[held] = np.add.reduceat(g, starts, axis=0)
-    return val, grad
+    return _sum_by_point(v, rows, P), None if g is None else _sum_by_point(g, rows, P)
+
+
+def _sum_by_point(w, rows, P):
+    """Sums of the rows of w (L, ...) by point, shape (P, ...).
+
+    rows holds the point of each row in non-decreasing order, as
+    _live_images gives it.
+    """
+    out = np.zeros((P,) + w.shape[1:])
+    if len(rows):
+        counts = np.bincount(rows, minlength=P)
+        held = np.flatnonzero(counts)
+        out[held] = np.add.reduceat(w, (np.cumsum(counts) - counts)[held], axis=0)
+    return out
 
 
 def _fourier_sum(x, plan, values=True, grads=False):
@@ -588,7 +577,7 @@ def _phase_blocks(points, split, cell):
     F = split.fourier_cutoff
     t = 2.0 * np.pi * nearest_image(points, cell) / np.asarray(cell.q_diag)
     m1, m2 = np.arange(F + 1), np.arange(-F, F + 1)
-    step = max(1, _PAIRS // ((F + 1) * (2 * F + 1)))
+    step = max(1, _PHASES // ((F + 1) * (2 * F + 1)))
     for lo in range(0, points.shape[0], step):
         blk = slice(lo, lo + step)
         a, b = np.multiply.outer(t[blk, 0], m1), np.multiply.outer(t[blk, 1], m2)
@@ -628,14 +617,6 @@ def _product_fourier(x, y, rho, split, cell, values, grads):
     return val, None if grad is None else grad.reshape(P, 2, 2)
 
 
-def _by_target(w, targets, P):
-    """Sums of the per-pair rows of w (L, ...) by target index, shape (P, ...)."""
-    flat = w.reshape(len(w), -1)
-    out = np.stack([np.bincount(targets, weights=flat[:, c], minlength=P)
-                    for c in range(flat.shape[1])], axis=1)
-    return out.reshape((P,) + w.shape[1:])
-
-
 def lattice_product(x, y, rho, env, cell, plan, periodic, values=True, grads=False):
     """sum_b K(x_p - y_b) rho_b for targets x (P, 2), sources y (M, 2), density rho (M, 2).
 
@@ -669,9 +650,9 @@ def lattice_product(x, y, rho, env, cell, plan, periodic, values=True, grads=Fal
             v, g = _contract(e, rho[rows % M], p, A, None if cw is None else cw + A, Bc)
             tgt = rows // M
             if values:
-                val[lo:lo + B] += _by_target(v, tgt, B)
+                val[lo:lo + B] += _sum_by_point(v, tgt, B)
             if grads:
-                grad[lo:lo + B] += _by_target(g, tgt, B)
+                grad[lo:lo + B] += _sum_by_point(g, tgt, B)
         if not periodic:
             v, g = _contract(d, np.tile(rho, (B, 1)), *_center_coeffs(d, split.eta, env, grads))
             if values:

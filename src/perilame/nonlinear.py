@@ -97,15 +97,18 @@ def solve_nonlinear_robin(
     large solution is not held to an absolute size its rounding cannot meet.
     Raises DegenerateProblemError on a rank-deficient Jacobian and
     ConvergenceError when max_iter steps do not meet tol.  diagnostics["timings"]
-    holds the seconds of the iteration.
+    holds the seconds of the iteration and, when V and W* are not given, of
+    their assembly.
     """
     if model.jac is None:
         raise ValueError("iteration needs a model Jacobian (affine/saturating/tabulated with jac)")
     N = curve.N
     B = np.asarray(B, dtype=float)
+    timings = {}
     if operators is None:
-        V = assemble_single_layer(curve, env, cell, plan)
-        W = assemble_wstar(curve, env, cell, plan)
+        with timed(timings, "assembly"):
+            V = assemble_single_layer(curve, env, cell, plan)
+            W = assemble_wstar(curve, env, cell, plan)
     else:
         V, W = operators
 
@@ -140,7 +143,6 @@ def solve_nonlinear_robin(
         mu_flat = initial.mu.values.reshape(-1).copy()
         c = initial.c.copy()
 
-    timings = {}
     with timed(timings, "iteration"):
         res, U = residual(mu_flat, c)
         res_norm = np.max(np.abs(res))

@@ -286,13 +286,19 @@ def solve_robin(data, curve, env, cell, plan, operators=None):
     Dense LU with partial pivoting; a 1-norm condition estimate above 1e13
     raises SolveError since the solvability conditions are then violated
     beyond numerical tolerance.  diagnostics["timings"] holds the seconds of
-    each stage.
+    each stage; "system" includes "assembly", recorded when V and W* are not
+    given.
     """
     timings = {}
     with timed(timings, "validate"):
         diagnostics = validate_robin_data(data, curve)
     with timed(timings, "system"):
+        if operators is None:
+            with timed(timings, "assembly"):
+                operators = (assemble_single_layer(curve, env, cell, plan),
+                             assemble_wstar(curve, env, cell, plan))
         system = assemble_robin_system(data, curve, env, cell, plan, operators=operators)
+        operators = None  # V and W* are not needed past the system
     with timed(timings, "lu"):
         factors, diagnostics["condition_estimate"] = _lu_checked(
             system.matrix, "discrete system",

@@ -516,5 +516,13 @@ def test_density_tail_ratio_zero_for_rounding_level_density(circle64, plan1):
 def test_stage_timings(circle64, plan1):
     data = _data(circle64, np.eye(2), -np.eye(2), [0.1, 0.0])
     timings = solve_robin(data, circle64, ENV1, UNIT, plan1).diagnostics["timings"]
-    assert list(timings) == ["validate", "system", "lu", "back_solve", "off_node_residual"]
+    assert list(timings) == ["validate", "assembly", "system", "lu", "back_solve",
+                             "off_node_residual"]
     assert all(sec >= 0.0 for sec in timings.values())
+    assert timings["assembly"] <= timings["system"]
+    # given operators are not assembled, so no assembly stage is recorded
+    operators = (assemble_single_layer(circle64, ENV1, UNIT, plan1),
+                 assemble_wstar(circle64, ENV1, UNIT, plan1))
+    timings = solve_robin(data, circle64, ENV1, UNIT, plan1,
+                          operators=operators).diagnostics["timings"]
+    assert list(timings) == ["validate", "system", "lu", "back_solve", "off_node_residual"]
