@@ -393,12 +393,14 @@ def run(config):
     stages = {}
     with timed(stages, "plan"):
         plan = plan_lattice_sum(cell, env, table["lattice_tol"])
-    summary += [
-        ("lattice_tail_bound", f"{plan.real_bound + plan.fourier_bound:.6e}"),
-        ("lattice_eta", f"{plan.eta:.6e}"),
-        ("lattice_real_cutoff", plan.real_cutoff),
-        ("lattice_fourier_cutoff", plan.fourier_cutoff),
-    ]
+    # the assembly split as lattice_*, the product split as lattice_product_*
+    for prefix, split in (("lattice", plan), ("lattice_product", plan.product)):
+        summary += [
+            (f"{prefix}_tail_bound", f"{split.real_bound + split.fourier_bound:.6e}"),
+            (f"{prefix}_eta", f"{split.eta:.6e}"),
+            (f"{prefix}_real_cutoff", split.real_cutoff),
+            (f"{prefix}_fourier_cutoff", split.fourier_cutoff),
+        ]
 
     if mode == "green-eval":
         source = np.array(table["green"]["source"])
@@ -444,7 +446,7 @@ def run(config):
             model = saturating_model(_sample(spec["h"], t), spec["kappa"], curve)
         with timed(stages, "solve"):
             rep = solve_nonlinear_robin(model, drift, curve, env, cell, plan, method="newton")
-        summary.append(("iterations", rep.diagnostics["iterations"]))
+        summary += [(key, rep.diagnostics[key]) for key in ("iterations", "rank_checks")]
 
     d = rep.diagnostics
     summary += [

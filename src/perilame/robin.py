@@ -230,18 +230,28 @@ def assemble_robin_system(data, curve, env, cell, plan, operators=None):
     return DiscreteSystem(matrix=matrix, rhs=rhs)
 
 
+def _lu_condition(matrix):
+    """LU factors and 1-norm condition estimate of a square matrix.
+
+    LAPACK getrf, then gecon's estimate ||A||_1 * est(||A^{-1}||_1); the
+    estimate is infinite, with no warning, when a pivot is exactly zero.
+    The factors are those of sla.lu_factor.
+    """
+    getrf, gecon = sla.get_lapack_funcs(("getrf", "gecon"), (matrix,))
+    lu, piv, info = getrf(np.asarray_chkfinite(matrix))
+    rcond = gecon(lu, np.linalg.norm(matrix, 1), norm="1")[0] if info == 0 else 0.0
+    return (lu, piv), (np.inf if rcond == 0.0 else 1.0 / float(rcond))
+
+
 def _lu_checked(matrix, name, cause):
-    """LU factors and 1-norm condition estimate (LAPACK gecon) of a square matrix.
+    """LU factors and condition estimate (_lu_condition) of a square matrix.
 
     Raises SolveError when the estimate is infinite or above COND_LIMIT.
     """
-    lu, piv = sla.lu_factor(matrix)
-    gecon = sla.get_lapack_funcs("gecon", (matrix,))
-    rcond, _ = gecon(lu, np.linalg.norm(matrix, 1), norm="1")
-    cond = np.inf if rcond == 0.0 else 1.0 / rcond
+    factors, cond = _lu_condition(matrix)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SolveError(f"{name} numerically singular (condition estimate {cond:.3e}); {cause}")
-    return (lu, piv), float(cond)
+    return factors, cond
 
 
 @contextmanager

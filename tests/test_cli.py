@@ -141,6 +141,14 @@ def test_constant_solution_run(tmp_path):
     assert float(summary["lattice_eta"]) == pytest.approx(plan.eta, rel=1e-6)
     assert int(summary["lattice_real_cutoff"]) == plan.real_cutoff
     assert int(summary["lattice_fourier_cutoff"]) == plan.fourier_cutoff
+    # the product split, which field evaluation and the off-node residual use
+    product = plan.product
+    assert float(summary["lattice_product_tail_bound"]) == pytest.approx(
+        product.real_bound + product.fourier_bound, rel=1e-6)
+    assert float(summary["lattice_product_tail_bound"]) < 1e-10
+    assert float(summary["lattice_product_eta"]) == pytest.approx(product.eta, rel=1e-6)
+    assert int(summary["lattice_product_real_cutoff"]) == product.real_cutoff
+    assert int(summary["lattice_product_fourier_cutoff"]) == product.fourier_cutoff
     for name in ("density.csv", "field.csv", "config.echo.json"):
         assert os.path.exists(os.path.join(cfg["out_dir"], name))
 
@@ -292,6 +300,9 @@ def test_nonlinear_saturating_mode(tmp_path):
     assert main(["--config", _write(tmp_path, cfg)]) == 0
     summary = _read_summary(cfg["out_dir"])
     assert float(summary["residual_on_node"]) < 1e-10
+    # the last Jacobian's gecon estimate, certified of full rank without an SVD
+    assert 1.0 < float(summary["condition_estimate"]) < 1e8
+    assert int(summary["rank_checks"]) == 0
 
 
 def test_verify_mode_quick(tmp_path, monkeypatch):

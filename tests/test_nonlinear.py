@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+import perilame.nonlinear as nonlinear
 from perilame.cell import CircleShape, build_cell, discretize_curve
 from perilame.errors import ConvergenceError, DegenerateProblemError
 from perilame.kernels import LameEnv
 from perilame.lattice import plan_lattice_sum
 from perilame.nonlinear import (
+    RANK_TOL,
+    _full_rank_certified,
     affine_model,
     saturating_model,
     solve_nonlinear_robin,
@@ -20,6 +24,8 @@ from perilame.operators import (
 from perilame.robin import (
     RobinData,
     SolutionRep,
+    _lu_condition,
+    augmented_matrix,
     constant_matrix_field,
     eval_solution,
     solve_robin,
@@ -45,6 +51,21 @@ def ops64(circle64, plan1):
     V = assemble_single_layer(circle64, ENV1, UNIT, plan1)
     W = assemble_wstar(circle64, ENV1, UNIT, plan1)
     return V, W
+
+
+@pytest.fixture(scope="module")
+def circle_ops(circle64, ops64, plan1):
+    """circle_ops(N) -> (curve, (V, W*)) of the r = 0.25 circle, assembled once per N."""
+    cache = {64: (circle64, ops64)}
+
+    def get(N):
+        if N not in cache:
+            curve = discretize_curve(CircleShape([0.5, 0.5], 0.25), N, UNIT)
+            cache[N] = (curve, (assemble_single_layer(curve, ENV1, UNIT, plan1),
+                                assemble_wstar(curve, ENV1, UNIT, plan1)))
+        return cache[N]
+
+    return get
 
 
 def test_apply_model_values(circle64):
@@ -266,3 +287,97 @@ def test_tail_ratio_zero_for_constant_solution(circle64, plan1, ops64):
     )
     assert np.max(np.abs(rep.mu.values)) < 1e-13
     assert rep.diagnostics["density_tail_ratio"] == 0.0
+
+
+@pytest.fixture
+def svdvals_calls(monkeypatch):
+    """Count the singular value decompositions the solver runs."""
+    calls, svdvals = [], sla.svdvals
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svdvals(a, *args, **kwargs)
+
+    monkeypatch.setattr(nonlinear.sla, "svdvals", counted)
+    return calls
+
+
+@pytest.mark.parametrize("N", [64, 256])
+def test_saturating_newton_needs_no_svd(circle_ops, plan1, svdvals_calls, N):
+    # the gecon screen certifies every Jacobian of a saturating law with a
+    # wide margin, so Newton costs its LUs
+    curve, ops = circle_ops(N)
+    t = curve.params
+    h = np.column_stack([0.3 + 0.2 * np.cos(t), -0.2 + 0.1 * np.sin(2 * t)])
+    d = solve_nonlinear_robin(
+        saturating_model(h, -0.8, curve), np.diag([0.1, -0.05]), curve, ENV1, UNIT,
+        plan1, method="newton", operators=ops,
+    ).diagnostics
+    assert d["iterations"] >= 3
+    assert svdvals_calls == [] and d["rank_checks"] == 0
+    assert 1.0 < d["condition_estimate"] < 1e8
+
+
+# smallest singular values of the eps sweep, as recorded when the rank check
+# was one svdvals per Jacobian
+SWEEP_SMIN = {
+    (64, 1e-15): 1.8876e-15, (64, 1e-13): 1.8985e-13,
+    (256, 1e-15): 1.9365e-15, (256, 1e-13): 1.9402e-13,
+}
+
+
+@pytest.mark.parametrize("N", [64, 256])
+@pytest.mark.parametrize("method", ["newton", "picard"])
+@pytest.mark.parametrize("eps", [1e-15, 1e-13, 1e-11])
+def test_weak_coupling_sweep(circle_ops, plan1, svdvals_calls, N, method, eps):
+    # G = h + eps u with B = 0: c is constrained only through eps
+    curve, ops = circle_ops(N)
+    t = curve.params
+    h = np.column_stack([0.3 + 0.2 * np.cos(t), -0.1 + 0.3 * np.sin(t)])
+
+    def solve():
+        return solve_nonlinear_robin(
+            affine_model(eps * np.eye(2), h, curve), np.zeros((2, 2)), curve, ENV1,
+            UNIT, plan1, method=method, operators=ops,
+        )
+
+    if eps < 1e-12:
+        with pytest.raises(DegenerateProblemError) as info:
+            solve()
+        assert info.value.smallest_singular_value == pytest.approx(
+            SWEEP_SMIN[N, eps], rel=0.01
+        )
+        assert len(svdvals_calls) == 1
+        return
+    rep = solve()
+    mean_h = boundary_integral(BoundaryVectorField(h, curve), curve)
+    assert np.max(np.abs(eps * rep.c + mean_h / np.sum(curve.weights))) < 1e-9
+    assert rep.diagnostics["rank_checks"] == len(svdvals_calls)
+    # smin / max(smax, 1) is 1.9e-11 at both N; the screen's lower bound is
+    # 1.035e-12 at N = 64, just clear of RANK_TOL, and 4.6e-13 at N = 256,
+    # where the singular values decide
+    if N == 64:
+        assert svdvals_calls == []
+    else:
+        assert len(svdvals_calls) >= 1
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-15, 1e-13, 1e-12, 1e-11, 1e-9, 1e-6, -0.8])
+def test_screen_certifies_only_full_rank(circle64, ops64, eps):
+    # whatever the screen certifies, the singular value criterion accepts,
+    # and it certifies a saturating-law Jacobian (eps = -0.8) outright
+    K = np.broadcast_to(-eps * np.eye(2), (circle64.N, 2, 2))
+    J = augmented_matrix(K, *ops64, circle64)
+    _, cond = _lu_condition(J)
+    s = sla.svdvals(J)
+    full_rank = s[-1] > RANK_TOL * max(s[0], 1.0)
+    assert full_rank or not _full_rank_certified(J, cond)
+    if abs(eps) >= 1e-9:
+        assert _full_rank_certified(J, cond)
+
+
+@pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
+def test_degeneracy_reported_without_warning(circle64, plan1, ops64):
+    # G == 0 with B = 0 leaves the c columns of J exactly zero: the LU, which
+    # runs before the SVD, meets an exactly zero pivot and must stay silent
+    test_degeneracy_reported(circle64, plan1, ops64)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import perilame.lattice as lattice
 import perilame.operators as operators
@@ -132,6 +133,19 @@ def test_augmented_matrix_matches_node_loop(circle64, plan1):
     ref[2 * N + 1, 1: 2 * N: 2] = circle64.weights
     err = np.max(np.abs(augmented_matrix(K, V, W, circle64) - ref))
     assert err <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
+def test_lu_condition_matches_lu_factor_and_gecon():
+    A = np.random.default_rng(3).standard_normal((40, 40))
+    (lu, piv), cond = robin._lu_condition(A)
+    ref_lu, ref_piv = sla.lu_factor(A)
+    assert np.array_equal(lu, ref_lu) and np.array_equal(piv, ref_piv)
+    exact = np.linalg.norm(A, 1) * np.linalg.norm(np.linalg.inv(A), 1)
+    assert exact / 3.0 <= cond <= exact * (1.0 + 1e-10)
+    # an exactly zero pivot gives an infinite estimate and no warning
+    A[:, 7] = 0.0
+    assert robin._lu_condition(A)[1] == np.inf
 
 
 def test_rhs_two_path(circle64):
