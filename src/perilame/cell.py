@@ -7,6 +7,7 @@ from exact differentiation of the series, so resampling at a different N is
 exact rather than interpolatory.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +15,14 @@ import numpy as np
 from .errors import CellError, CurveError
 
 CONTAINMENT_MARGIN = 0.01  # fraction of the smallest cell edge
+# a point within this fraction of the smallest edge of a node image is on the
+# boundary: the periodic kernels are singular there and raise
+_SINGULAR_FRACTION = 1e-12
+# off-boundary evaluation closer to the boundary than this many node spacings
+# is flagged: the plain trapezoid rule loses accuracy there
+NEAR_SPACINGS = 3.0
+# target-node pairs per block of locate_targets
+_PAIRS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -253,40 +262,38 @@ def arclength(curve):
     return float(np.sum(curve.weights))
 
 
-def point_in_hole(x, curve, cell):
-    """True when the cell representative of x lies inside the hole.
+TargetLocation = namedtuple("TargetLocation", "inside distance on_node near")
 
-    x is one point (2,) or points (P, 2); the result is a bool or a (P,) mask.
-    Uses the winding number of the node polygon; adequate away from the
-    boundary (near-boundary queries carry warnings elsewhere).
+
+def locate_targets(x, curve, cell):
+    """Classify points x (P, 2) against the hole images, in one pass over point-node pairs.
+
+    Returns a TargetLocation of (P,) arrays: inside a hole image, the
+    distance to the nearest node image, on a node image (within the singular
+    distance) and near the boundary (within NEAR_SPACINGS node spacings).
+    Per block of points, the components of node - cell_coords(x) give the
+    winding number of the node polygon about the representative by a signed
+    crossing count (Sunday's nonzero rule; ambiguous only on the polygon
+    itself, whose nodes on_node covers); reduced as nearest_image reduces,
+    they give the distance to each node's nearest image.
     """
-    p = cell_coords(x, cell)
-    single = p.ndim == 1
-    v = curve.nodes[None, :, :] - np.atleast_2d(p)[:, None, :]
-    ang = np.arctan2(v[..., 1], v[..., 0])
-    dang = np.diff(ang, axis=1, append=ang[:, :1])
-    dang = (dang + np.pi) % (2.0 * np.pi) - np.pi
-    inside = np.abs(np.sum(dang, axis=1)) > np.pi
-    return inside[0] if single else inside
-
-
-def min_image_distance(x, curve, cell):
-    """Distance from x to the node set of the curve, minimized over images.
-
-    x is one point (2,) or points (P, 2); the result is a float or a (P,) array.
-    One pass over the point-node pairs: x is reduced to the cell around the
-    first node, and each node is moved to its image q z nearest that point.
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    x = nearest_image(np.atleast_2d(x) - curve.nodes[0], cell) + curve.nodes[0]
-    q = np.asarray(cell.q_diag)
-    # d = (node - q rint((node - x) / q)) - x, in place in one (P, N, 2) array
-    d = curve.nodes[None, :, :] - x[:, None, :]
-    d /= q
-    np.rint(d, out=d)
-    d *= q
-    np.subtract(curve.nodes[None, :, :], d, out=d)
-    d -= x[:, None, :]
-    best = np.min(np.hypot(d[..., 0], d[..., 1]), axis=1)
-    return float(best[0]) if single else best
+    p = cell_coords(np.asarray(x, dtype=float).reshape(-1, 2), cell)
+    inside, dist = np.empty(len(p), dtype=bool), np.empty(len(p))
+    step = max(1, _PAIRS // curve.N)
+    for lo in range(0, len(p), step):
+        blk = slice(lo, lo + step)
+        dx = curve.nodes[:, 0] - p[blk, :1]
+        dy = curve.nodes[:, 1] - p[blk, 1:]
+        # edges i -> i + 1 crossing the line through p count +1 upward with p
+        # left of them, -1 downward with p right of them (cross: isLeft of p)
+        below = dy <= 0.0
+        rows, i = np.nonzero(below != np.roll(below, -1, axis=1))
+        j = (i + 1) % curve.N
+        cross = dx[rows, i] * dy[rows, j] - dy[rows, i] * dx[rows, j]
+        sign = np.where(below[rows, i], 1.0, -1.0)
+        inside[blk] = np.bincount(rows, sign * (sign * cross > 0.0), len(dx)) != 0.0
+        for d, q in ((dx, cell.q_diag[0]), (dy, cell.q_diag[1])):
+            d -= q * np.floor(d / q + 0.5)
+        dist[blk] = np.min(np.hypot(dx, dy), axis=1)
+    return TargetLocation(inside, dist, dist <= _SINGULAR_FRACTION * cell.min_edge,
+                          dist < NEAR_SPACINGS * np.max(curve.weights))

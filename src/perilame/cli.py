@@ -28,8 +28,8 @@ from .cell import (
     TrigShape,
     build_cell,
     discretize_curve,
+    locate_targets,
     nearest_image,
-    point_in_hole,
 )
 from .errors import (
     AdmissibilityError,
@@ -43,9 +43,9 @@ from .errors import (
     SolveError,
 )
 from .kernels import LameEnv
-from .lattice import periodic_green, plan_lattice_sum, singular_targets
+from .lattice import periodic_green, plan_lattice_sum
 from .nonlinear import affine_model, saturating_model, solve_nonlinear_robin
-from .operators import BoundaryMatrixField, BoundaryVectorField, near_boundary
+from .operators import BoundaryMatrixField, BoundaryVectorField
 from .robin import RobinData, eval_solution, solve_robin, timed
 from .verify import run_property_suite
 
@@ -333,16 +333,17 @@ def _format_field_rows(pts, vals, warn):
 
 
 def _field_rows(grid, cell, curve, evaluator):
-    """Sample the output grid and flag near-boundary points.
+    """Sample the output grid, classified once by cell.locate_targets.
 
     Hole interiors and points on a boundary node image, where the boundary
-    passes through the point, are omitted.
+    passes through the point, are omitted; near-boundary points are flagged.
     """
     pts = _grid_points(grid, cell)
-    pts = pts[~point_in_hole(pts, curve, cell) & ~singular_targets(pts, curve.nodes, cell)]
-    if not len(pts):
+    loc = locate_targets(pts, curve, cell)
+    keep = ~loc.inside & ~loc.on_node
+    if not np.any(keep):
         return []
-    return _format_field_rows(pts, evaluator(pts), near_boundary(pts, curve, cell))
+    return _format_field_rows(pts[keep], evaluator(pts[keep]), loc.near[keep])
 
 
 def _stage_entries(stages):

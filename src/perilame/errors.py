@@ -66,4 +66,5 @@ class OracleError(RuntimeError):
 
 
 class NearBoundaryWarning(UserWarning):
-    """Off-surface evaluation requested closer than three node spacings to the boundary."""
+    """Off-surface evaluation requested closer than three node spacings to the boundary,
+    as the one classification of the targets (cell.locate_targets) finds."""

@@ -48,13 +48,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cell import nearest_image
+from .cell import _SINGULAR_FRACTION, nearest_image
 from .errors import PlanError, SingularArgumentError
 from .special import EULER_GAMMA, exp1
 
 REAL_CUTOFF_CEILING = 12
 FOURIER_CUTOFF_CEILING = 96
-_SINGULAR_FRACTION = 1e-12
 # (point, image) pairs with eta^2 r^2 at or above this are skipped: their
 # contribution is below 3e-20 to a value and 4e-20 eta to a gradient entry
 _LIVE_T = 45.0
@@ -418,17 +417,6 @@ def _skipped_image(x, cell):
     q = np.asarray(cell.q_diag)
     xr = nearest_image(x, cell)
     return xr, -np.rint((x - xr) / q) * q
-
-
-def singular_targets(x, sources, cell):
-    """(P,) mask of the points x (P, 2) at which a periodic kernel is singular.
-
-    A point is flagged when x - y, for some source y of sources (M, 2), lies
-    on the lattice q Z^n to within the distance at which periodic_green
-    raises.
-    """
-    d = x[:, None, :] - sources[None, :, :]
-    return np.any(_on_lattice(nearest_image(d, cell), cell), axis=1)
 
 
 def _f1(T):

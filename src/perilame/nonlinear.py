@@ -49,17 +49,16 @@ from .robin import (
 RANK_TOL = 1e-12
 
 
-def _full_rank_certified(J, cond):
+def _full_rank_certified(n, cond, norm_1, norm_inf):
     """True when the norm bounds show smin(J) > RANK_TOL * max(smax(J), 1).
 
-    cond is the 1-norm condition estimate of J (robin._lu_condition), so
-    ||J^{-1}||_1 ~ cond / ||J||_1; smin >= 1 / (sqrt(n) ||J^{-1}||_1) and
-    smax <= sqrt(||J||_1 ||J||_inf).  False leaves the decision to the
-    singular values.
+    J is n-square with norms ||J||_1 and ||J||_inf; cond is its 1-norm
+    condition estimate (robin._lu_condition), so ||J^{-1}||_1 ~ cond /
+    ||J||_1; smin >= 1 / (sqrt(n) ||J^{-1}||_1) and smax <= sqrt(||J||_1
+    ||J||_inf).  False leaves the decision to the singular values.
     """
-    norm_1 = np.linalg.norm(J, 1)
-    smin_low = norm_1 / (cond * np.sqrt(J.shape[0]))
-    smax_high = np.sqrt(norm_1 * np.linalg.norm(J, np.inf))
+    smin_low = norm_1 / (cond * np.sqrt(n))
+    smax_high = np.sqrt(norm_1 * norm_inf)
     return bool(smin_low > RANK_TOL * max(smax_high, 1.0))
 
 
@@ -161,9 +160,12 @@ def solve_nonlinear_robin(
 
     def factor_checked(U):
         J = augmented_matrix(-model.jac(U), V, W, curve)
-        factors, cond = _lu_condition(J)
+        # ||J||_1 and ||J||_inf from one |J|, as np.linalg.norm sums them
+        absJ = np.abs(J)
+        norm_1, norm_inf = np.max(np.sum(absJ, axis=0)), np.max(np.sum(absJ, axis=1))
+        factors, cond = _lu_condition(J, norm_1)
         screen["condition_estimate"] = cond
-        if _full_rank_certified(J, cond):
+        if _full_rank_certified(J.shape[0], cond, norm_1, norm_inf):
             return factors
         screen["rank_checks"] += 1
         s = sla.svdvals(J)

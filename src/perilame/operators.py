@@ -16,7 +16,9 @@ free-space part only: apply_at_midpoints adds the lattice part R^q as a
 product against the density (lattice.lattice_product), and the off-boundary
 potentials eval_single_layer and eval_traction_offboundary are such products
 of the periodic Green's matrix, so no P x M kernel block is formed outside
-assembly.
+assembly.  Whether an off-boundary target is near the boundary
+(NearBoundaryWarning) is read from the one classification of the targets,
+cell.locate_targets.
 """
 
 import warnings
@@ -25,14 +27,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .cell import NEAR_SPACINGS, locate_targets
 from .errors import AssemblyError, NearBoundaryWarning
 from .kernels import traction_from_gradient, traction_kernel, traction_map
 from .lattice import lattice_product, regular_part, regular_part_grad
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
-# off-boundary evaluation closer to the boundary than this many node spacings
-# is flagged: the plain trapezoid rule loses accuracy there
-NEAR_SPACINGS = 3.0
 
 
 @dataclass
@@ -381,34 +381,29 @@ def boundary_integral(field, curve=None):
     return field.values.T @ curve.weights
 
 
-def near_boundary(x, curve, cell):
-    """True when x is closer to the boundary (over images) than NEAR_SPACINGS nodes.
-
-    x is one point (2,) or points (P, 2); the result is a bool or a (P,) mask.
-    """
-    from .cell import min_image_distance
-
-    h = np.max(curve.weights)
-    return min_image_distance(x, curve, cell) < NEAR_SPACINGS * h
+def warn_near_boundary(loc, stacklevel):
+    """NearBoundaryWarning when a point of the cell.TargetLocation loc is near the boundary."""
+    if np.any(loc.near):
+        warnings.warn(
+            f"evaluation point within {NEAR_SPACINGS:g} node spacings of the boundary",
+            NearBoundaryWarning,
+            stacklevel=stacklevel + 1,
+        )
 
 
 def _off_boundary_sources(x, field, cell, upsample, warn):
     """Setup shared by the off-boundary potentials at points x.
 
-    Warns when a point is near the boundary; returns the (P, 2) points, the
-    (M, 2) quadrature nodes (the field's, resampled `upsample` times), the
-    (M, 2) density times the quadrature weights and whether x is a single
-    point.
+    Warns when cell.locate_targets finds a point near the boundary; returns
+    the (P, 2) points, the (M, 2) quadrature nodes (the field's, resampled
+    `upsample` times), the (M, 2) density times the quadrature weights and
+    whether x is a single point.
     """
     src = field if upsample == 1 else field.resample(upsample * field.curve.N)
     x = np.asarray(x, dtype=float)
     pts = np.atleast_2d(x)
-    if warn and np.any(near_boundary(pts, field.curve, cell)):
-        warnings.warn(
-            f"evaluation point within {NEAR_SPACINGS:g} node spacings of the boundary",
-            NearBoundaryWarning,
-            stacklevel=3,
-        )
+    if warn:
+        warn_near_boundary(locate_targets(pts, field.curve, cell), stacklevel=3)
     dens = src.values * src.curve.weights[:, None]
     return pts, src.curve.nodes, dens, x.ndim == 1
 

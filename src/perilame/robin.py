@@ -15,7 +15,9 @@ midpoints t_i + pi/N: N-point Kress log and Hilbert rules at the half-shifted
 targets against the N nodes, with no reassembly at 2N; the lattice parts of
 V mu and W* mu there are products against the density at the plan's product
 split (operators.apply_at_midpoints), and so is the field v[mu] of
-eval_solution.
+eval_solution.  eval_solution locates its targets once (cell.locate_targets):
+that one classification refuses points on a node image or inside a hole image
+and flags those near the boundary.
 """
 
 import time
@@ -25,10 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .cell import point_in_hole
-from .errors import AdmissibilityError, DomainError, SingularArgumentError, SolveError
+from .cell import locate_targets
+from .errors import AdmissibilityError, DomainError, SolveError
 from .kernels import traction_map
-from .lattice import singular_targets
 from .operators import (
     BoundaryMatrixField,
     BoundaryVectorField,
@@ -37,6 +38,7 @@ from .operators import (
     assemble_wstar,
     boundary_integral,
     eval_single_layer,
+    warn_near_boundary,
 )
 
 COND_LIMIT = 1e13
@@ -230,16 +232,16 @@ def assemble_robin_system(data, curve, env, cell, plan, operators=None):
     return DiscreteSystem(matrix=matrix, rhs=rhs)
 
 
-def _lu_condition(matrix):
+def _lu_condition(matrix, norm_1):
     """LU factors and 1-norm condition estimate of a square matrix.
 
-    LAPACK getrf, then gecon's estimate ||A||_1 * est(||A^{-1}||_1); the
-    estimate is infinite, with no warning, when a pivot is exactly zero.
-    The factors are those of sla.lu_factor.
+    norm_1 is ||A||_1.  LAPACK getrf, then gecon's estimate
+    ||A||_1 * est(||A^{-1}||_1); the estimate is infinite, with no warning,
+    when a pivot is exactly zero.  The factors are those of sla.lu_factor.
     """
     getrf, gecon = sla.get_lapack_funcs(("getrf", "gecon"), (matrix,))
     lu, piv, info = getrf(np.asarray_chkfinite(matrix))
-    rcond = gecon(lu, np.linalg.norm(matrix, 1), norm="1")[0] if info == 0 else 0.0
+    rcond = gecon(lu, norm_1, norm="1")[0] if info == 0 else 0.0
     return (lu, piv), (np.inf if rcond == 0.0 else 1.0 / float(rcond))
 
 
@@ -248,7 +250,7 @@ def _lu_checked(matrix, name, cause):
 
     Raises SolveError when the estimate is infinite or above COND_LIMIT.
     """
-    factors, cond = _lu_condition(matrix)
+    factors, cond = _lu_condition(matrix, np.linalg.norm(matrix, 1))
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SolveError(f"{name} numerically singular (condition estimate {cond:.3e}); {cause}")
     return factors, cond
@@ -359,31 +361,24 @@ def _off_node_residual(data, curve, env, cell, plan, mu, c):
 def eval_solution(rep, x, env, cell, plan, warn=True):
     """Displacement u(x) = v[mu](x) + c + B q^{-1} x on the perforated domain.
 
-    Raises DomainError for a point inside a hole image, and for a point on
-    the boundary: one whose difference to a node lies on the lattice q Z^2
-    to within the distance at which the lattice kernels raise.  A node image
-    is named as such whether or not the hole test flags it (the winding
-    number is ambiguous at a polygon vertex).
+    The points are classified once by cell.locate_targets.  Raises
+    DomainError for a point on a boundary node image, within the distance at
+    which the lattice kernels raise (checked first: the hole test is
+    ambiguous on the node polygon), and for a point inside a hole image;
+    warns (NearBoundaryWarning) when warn is set and a point is near the
+    boundary.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
-    curve = rep.mu.curve
-    inside = point_in_hole(pts, curve, cell)
-    if np.any(inside):
-        flagged = pts[inside]
-        on_node = singular_targets(flagged, curve.nodes, cell)
-        if np.any(on_node):
-            raise DomainError(f"point {flagged[np.argmax(on_node)]} lies on a boundary node image")
-        raise DomainError(f"point {flagged[0]} lies inside a hole image")
-    try:
-        v = eval_single_layer(pts, rep.mu, env, cell, plan, warn=warn)
-    except SingularArgumentError:
-        # the lattice sum raises only on a target-node difference in q Z^2
-        on_node = singular_targets(pts, curve.nodes, cell)
-        raise DomainError(
-            f"point {pts[np.argmax(on_node)]} lies on a boundary node image"
-        ) from None
+    loc = locate_targets(pts, rep.mu.curve, cell)
+    if np.any(loc.on_node):
+        raise DomainError(f"point {pts[np.argmax(loc.on_node)]} lies on a boundary node image")
+    if np.any(loc.inside):
+        raise DomainError(f"point {pts[np.argmax(loc.inside)]} lies inside a hole image")
+    if warn:
+        warn_near_boundary(loc, stacklevel=2)
+    v = eval_single_layer(pts, rep.mu, env, cell, plan, warn=False)
     Bq = rep.B @ cell.q_inv
     out = v + rep.c[None, :] + pts @ Bq.T
     return out[0] if single else out

@@ -25,7 +25,7 @@ from .cell import (
     build_cell,
     discretize_curve,
     hole_area,
-    min_image_distance,
+    locate_targets,
     nearest_image,
 )
 from .errors import (
@@ -520,7 +520,7 @@ def _check_single_layer_periodicity(seed):
     pts = []
     while len(pts) < 10:
         p = rng.uniform(0, 1, size=2)
-        if min_image_distance(p, curve, cell) > 0.1:
+        if locate_targets(p, curve, cell).distance[0] > 0.1:
             pts.append(p)
     pts = np.asarray(pts)
     base = eval_single_layer(pts, mu, env, cell, plan, warn=False)

@@ -11,12 +11,10 @@ from perilame.cell import (
     discretize_curve,
     cell_coords,
     hole_area,
-    min_image_distance,
+    locate_targets,
     nearest_image,
-    point_in_hole,
 )
 from perilame.errors import CellError, CurveError
-from perilame.operators import near_boundary
 
 UNIT = build_cell([1.0, 1.0])
 
@@ -131,12 +129,14 @@ def test_clockwise_orientation_rejected():
 
 def test_point_in_hole():
     curve = discretize_curve(CircleShape([0.5, 0.5], 0.25), 64, UNIT)
-    assert point_in_hole([0.5, 0.5], curve, UNIT)
-    assert point_in_hole([1.5, 2.5], curve, UNIT)  # image of the center
-    assert not point_in_hole([0.1, 0.1], curve, UNIT)
+    # the center, an image of it, and a point between the holes
+    loc = locate_targets([[0.5, 0.5], [1.5, 2.5], [0.1, 0.1]], curve, UNIT)
+    assert loc.inside.tolist() == [True, True, False]
+    assert not np.any(loc.on_node | loc.near)
 
 
 def _winding_inside(p, curve, cell):
+    """Hole membership of one point by the angle sum of the node polygon."""
     v = curve.nodes - cell_coords(p, cell)[None, :]
     ang = np.arctan2(v[:, 1], v[:, 0])
     dang = np.diff(np.concatenate([ang, ang[:1]]))
@@ -155,7 +155,8 @@ def _loop_image_distance(p, curve, cell):
 
 
 def test_vectorized_masks_match_point_loop():
-    # the 40x40 cell-centred output grid and rings 0.25 h to 10 h outside the hole
+    # the 40x40 cell-centred output grid, rings 0.25 h inside to 10 h outside
+    # the hole and their images, against the angle sum and the image loop
     curve = discretize_curve(CircleShape([0.5, 0.5], 0.25), 128, UNIT)
     h = np.max(curve.weights)
     side = (np.arange(40) + 0.5) / 40
@@ -163,19 +164,18 @@ def test_vectorized_masks_match_point_loop():
     theta = 2.0 * np.pi * (np.arange(257) + 0.3) / 257
     rings = np.concatenate([
         0.5 + (0.25 + d * h) * np.column_stack([np.cos(theta), np.sin(theta)])
-        for d in (0.25, 1.0, 3.0, 10.0)
+        for d in (-0.25, 0.25, 1.0, 3.0, 10.0)
     ])
     pts = np.concatenate([grid, rings, rings + [1.0, -2.0]])
-    inside = point_in_hole(pts, curve, UNIT)
-    dist = min_image_distance(pts, curve, UNIT)
-    assert inside.shape == dist.shape == (len(pts),)
-    assert np.array_equal(inside, [_winding_inside(p, curve, UNIT) for p in pts])
-    assert np.array_equal(dist, [_loop_image_distance(p, curve, UNIT) for p in pts])
-    assert 0 < np.count_nonzero(inside) < len(grid)
-    warn = near_boundary(pts, curve, UNIT)
-    assert np.array_equal(warn, [_loop_image_distance(p, curve, UNIT) < 3.0 * h for p in pts])
-    assert 0 < np.count_nonzero(warn[~inside])
-    assert np.isscalar(min_image_distance(pts[0], curve, UNIT))
+    loc = locate_targets(pts, curve, UNIT)
+    assert all(a.shape == (len(pts),) for a in loc)
+    ref = np.array([_loop_image_distance(p, curve, UNIT) for p in pts])
+    assert np.array_equal(loc.inside, [_winding_inside(p, curve, UNIT) for p in pts])
+    assert np.max(np.abs(loc.distance - ref)) <= 1e-15
+    assert 0 < np.count_nonzero(loc.inside) < len(grid)
+    assert np.array_equal(loc.near, ref < 3.0 * h)
+    assert 0 < np.count_nonzero(loc.near & ~loc.inside)
+    assert not np.any(loc.on_node)
 
 
 def _nine_shift_distance(x, curve, cell):
@@ -198,11 +198,22 @@ def test_min_image_distance_matches_nine_shifts(edges):
     rng = np.random.default_rng(21)
     pts = rng.uniform(-1.0, 2.0, size=(4000, 2)) * q
     ref = _nine_shift_distance(pts, curve, cell)
-    assert np.max(np.abs(min_image_distance(pts, curve, cell) - ref)) <= 1e-15
+    loc = locate_targets(pts, curve, cell)
+    assert np.max(np.abs(loc.distance - ref)) <= 1e-15
+    assert np.array_equal(loc.inside, [_winding_inside(p, curve, cell) for p in pts])
+    assert 0 < np.count_nonzero(loc.inside) < len(pts)
     h = np.max(curve.weights)
-    warn = near_boundary(pts, curve, cell)
-    assert np.array_equal(warn, ref < 3.0 * h)
-    assert 0 < np.count_nonzero(warn) < len(pts)
+    assert np.array_equal(loc.near, ref < 3.0 * h)
+    assert 0 < np.count_nonzero(loc.near) < len(pts)
+    assert not np.any(loc.on_node)
+    # every node and node image is on the boundary, whatever the ambiguous
+    # hole test says there; so is a point half the singular distance off one,
+    # and a point twice that distance off is not
+    nodes = np.concatenate([curve.nodes + q * z for z in ([0, 0], [1, -2], [-1, 1])])
+    normals = np.tile(curve.normals, (3, 1))
+    for frac, on_node in ((0.0, True), (0.5, True), (2.0, False)):
+        off = nodes + frac * 1e-12 * cell.min_edge * normals
+        assert np.all(locate_targets(off, curve, cell).on_node == on_node)
 
 
 def test_resample_is_exact():

@@ -9,9 +9,8 @@ from perilame.cell import (
     EllipseShape,
     build_cell,
     discretize_curve,
-    min_image_distance,
+    locate_targets,
     nearest_image,
-    point_in_hole,
 )
 from perilame.errors import PlanError, SingularArgumentError
 from perilame.kernels import LameEnv, kelvin, kelvin_grad
@@ -383,7 +382,8 @@ def _product_setup(edges, omega):
     rho *= curve.weights[:, None]
     h = np.max(curve.weights)
     far = np.random.default_rng(22).uniform(-1.0, 2.0, size=(300, 2)) * q
-    far = far[(min_image_distance(far, curve, cell) > 10 * h) & ~point_in_hole(far, curve, cell)]
+    loc = locate_targets(far, curve, cell)
+    far = far[(loc.distance > 10 * h) & ~loc.inside]
     mid = _midpoints(curve)
     near = mid.nodes + 0.25 * h * mid.normals
     return cell, env, plan, curve, rho, {"far": far, "near": near, "mid": mid.nodes}

@@ -368,12 +368,13 @@ def test_screen_certifies_only_full_rank(circle64, ops64, eps):
     # and it certifies a saturating-law Jacobian (eps = -0.8) outright
     K = np.broadcast_to(-eps * np.eye(2), (circle64.N, 2, 2))
     J = augmented_matrix(K, *ops64, circle64)
-    _, cond = _lu_condition(J)
+    norms = np.linalg.norm(J, 1), np.linalg.norm(J, np.inf)
+    _, cond = _lu_condition(J, norms[0])
     s = sla.svdvals(J)
     full_rank = s[-1] > RANK_TOL * max(s[0], 1.0)
-    assert full_rank or not _full_rank_certified(J, cond)
+    assert full_rank or not _full_rank_certified(J.shape[0], cond, *norms)
     if abs(eps) >= 1e-9:
-        assert _full_rank_certified(J, cond)
+        assert _full_rank_certified(J.shape[0], cond, *norms)
 
 
 @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")

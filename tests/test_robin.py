@@ -5,8 +5,8 @@ import scipy.linalg as sla
 import perilame.lattice as lattice
 import perilame.operators as operators
 import perilame.robin as robin
-from perilame.cell import CircleShape, EllipseShape, build_cell, discretize_curve, point_in_hole
-from perilame.errors import AdmissibilityError, DomainError
+from perilame.cell import CircleShape, EllipseShape, build_cell, discretize_curve, locate_targets
+from perilame.errors import AdmissibilityError, DomainError, SingularArgumentError
 from perilame.kernels import LameEnv, traction_map
 from perilame.lattice import plan_lattice_sum
 from perilame.operators import (
@@ -15,6 +15,7 @@ from perilame.operators import (
     assemble_single_layer,
     assemble_wstar,
     boundary_integral,
+    eval_single_layer,
 )
 from perilame.robin import (
     RobinData,
@@ -138,14 +139,14 @@ def test_augmented_matrix_matches_node_loop(circle64, plan1):
 @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
 def test_lu_condition_matches_lu_factor_and_gecon():
     A = np.random.default_rng(3).standard_normal((40, 40))
-    (lu, piv), cond = robin._lu_condition(A)
+    (lu, piv), cond = robin._lu_condition(A, np.linalg.norm(A, 1))
     ref_lu, ref_piv = sla.lu_factor(A)
     assert np.array_equal(lu, ref_lu) and np.array_equal(piv, ref_piv)
     exact = np.linalg.norm(A, 1) * np.linalg.norm(np.linalg.inv(A), 1)
     assert exact / 3.0 <= cond <= exact * (1.0 + 1e-10)
     # an exactly zero pivot gives an infinite estimate and no warning
     A[:, 7] = 0.0
-    assert robin._lu_condition(A)[1] == np.inf
+    assert robin._lu_condition(A, np.linalg.norm(A, 1))[1] == np.inf
 
 
 def test_rhs_two_path(circle64):
@@ -384,18 +385,39 @@ def test_eval_solution_rejects_hole_interior(circle64, plan1):
 
 
 def test_eval_solution_rejects_boundary_node_images(circle64, plan1):
-    # the winding number is ambiguous at a polygon vertex, so the hole test
-    # flags some nodes and their images and passes the others; every one is
-    # refused as a node image all the same
+    # the winding number is ambiguous at a polygon vertex; the node-image
+    # test comes first, so every node and node image is refused as such
     data = _data(circle64, np.eye(2), -np.eye(2), [0.1, 0.0])
     rep = solve_robin(data, circle64, ENV1, UNIT, plan1)
     for shift in ([0.0, 0.0], [1.0, -2.0]):
         pts = circle64.nodes + shift
-        flagged = point_in_hole(pts, circle64, UNIT)
-        assert 0 < np.count_nonzero(flagged) < len(pts)
+        assert np.all(locate_targets(pts, circle64, UNIT).on_node)
         for p in pts:
             with pytest.raises(DomainError, match="boundary node image"):
                 eval_solution(rep, p, ENV1, UNIT, plan1, warn=False)
+
+
+@pytest.mark.parametrize("edges", [(1.0, 1.0), (2.0, 3.0)])
+def test_eval_solution_refuses_points_within_singular_distance(edges):
+    # half the singular distance off a node image the lattice kernels would
+    # raise SingularArgumentError; eval_solution refuses the point first
+    cell = build_cell(edges)
+    q = np.array(edges)
+    plan = plan_lattice_sum(cell, ENV1, 1e-10)
+    curve = discretize_curve(CircleShape(q / 2, 0.25 * cell.min_edge), 64, cell)
+    rep = solve_robin(_data(curve, np.eye(2), -np.eye(2), [0.1, 0.0]), curve, ENV1, cell, plan)
+    off = curve.nodes + 0.5e-12 * cell.min_edge * curve.normals
+    with pytest.raises(SingularArgumentError):
+        eval_single_layer(off[0], rep.mu, ENV1, cell, plan, warn=False)
+    for shift in ([0.0, 0.0], [1.0, -2.0]):
+        pts = off + q * shift
+        for p in pts[::8]:
+            with pytest.raises(DomainError, match="boundary node image"):
+                eval_solution(rep, p, ENV1, cell, plan, warn=False)
+        with pytest.raises(DomainError, match="boundary node image"):
+            eval_solution(rep, np.vstack([q / 4, pts[3]]), ENV1, cell, plan, warn=False)
+        with pytest.raises(DomainError, match="inside a hole image"):
+            eval_solution(rep, q / 2 + q * shift, ENV1, cell, plan, warn=False)
 
 
 def _off_node_residual_2n(data, curve, env, cell, plan, mu, c):
