@@ -16,34 +16,29 @@ with T = eta^2 r^2; both integrate to zero over the plane, so no constant
 correction is needed and the reciprocal sum carries coefficients
 (1+u) e^{-u} C_z.  Everything here is 2D.
 
-Since C_{-z} = C_z, the reciprocal sum keeps one z of each +-z pair with
-doubled coefficients: the value adds cos(k.x) @ (F, 4) table and the gradient
-sin(k.x) @ (F, 8) table, both tables built once per plan.  The image box
-keeps only the images a reduced argument can bring live (eta^2 r^2 < 45).
+A plan holds one split.  Its eta is the smallest at which no image but z = 0
+is live (eta^2 r^2 < 45) for an argument reduced to the cell box, and the
+image box keeps only the images a reduced argument can bring live.  Its
+cutoffs are the smallest whose tail bounds are both below tol/20.  The
+reciprocal sum keeps the k of the disc |k| <= 2 pi F / max_edge, one z of each
++-z pair with doubled coefficients (C_{-z} = C_z); the Fourier bound covers
+every dropped k.  Where no F within the ceiling meets the budget, eta is the
+largest at which F at the ceiling does.
 
-A plan holds two splits.  The assembly split, used by the pointwise kernels
-that build matrices, is chosen by a cost model calibrated on measured term
-costs: one live real-space image costs IMAGE_TERM_COST paired Fourier terms.
-The product split (plan.product) serves lattice_product, the sum
-sum_j K(x_i - y_j) rho_j of a kernel against one density.  There
-e^{ik.(x-y)} = e^{ik.x} e^{-ik.y} turns the reciprocal part into structure
-factors of rho, paid per target and per source, while a live image is still
-paid per pair; so its eta is larger: the smallest at which the image box
-holds the z = 0 image alone, with cutoffs whose tail bounds are held to the
-assembly split's achieved ones.
-
-One private evaluator, _lattice_sum, serves every pointwise kernel.  Per
-block of _BLOCK points it reduces the arguments (or, for the regular part,
-finds the image that is the argument itself), sums the live real-space
-images, takes cos and sin of one phase matrix for the paired reciprocal sum
-and adds the center terms of the regular part, for the values, the
-gradients or both.  lattice_product shares its pieces: the reduction, the
-live images, the scalar coefficients of the real-space and center terms
-(contracted with rho pair by pair, never formed as 2x2 blocks) and the
-tables.  The verification-only helpers (the scalar oracle, the PDE residual
-and the finite-difference Lame operator) live in verify.
+Every lattice sum is a target-source sum over K(x_a - y_b), as blocks or
+applied to a density rho_b, and lattice_product is its one evaluator; the
+pointwise kernels are the case of the one source y = 0.  Since
+e^{ik.(x-y)} = e^{ik.x} e^{-ik.y}, the reciprocal part is a GEMM of the
+targets' phases [cos k.x | sin k.x] with the sources' phases and the
+coefficients, in blocks of targets; a product contracts the sources' rows
+with rho first (structure factors).  The live real-space images
+and, for the regular part, the center terms are scalar coefficients
+(p, A, C, Bc) per pair, which _blocks turns into 2x2(x2) blocks and _contract
+applies to rho.  The verification-only helpers (the scalar oracle, the PDE
+residual and the finite-difference Lame operator) live in verify.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,25 +52,23 @@ FOURIER_CUTOFF_CEILING = 96
 # (point, image) pairs with eta^2 r^2 at or above this are skipped: their
 # contribution is below 3e-20 to a value and 4e-20 eta to a gradient entry
 _LIVE_T = 45.0
-# points per block of the evaluator's loop, bounding the scratch arrays of the
-# real and reciprocal sums
-_BLOCK = 2048
-# target-source pairs per batch of a product's real-space and center terms
+# share of tol that each tail bound may take.  The far field of a solve needs
+# the margin: held to tol/2, the unit cell at tol 1e-10 keeps one Fourier
+# shell less and the benchmark's far-field digits at N = 512 fall from 14.1
+# to 13.0
+_TAIL_SHARE = 0.05
+# bisection steps of the fallback eta
+_BISECTIONS = 30
+# target-source pairs per batch of the real-space and center terms
 _PAIRS = 1 << 15
-# phase-matrix entries per block of _phase_blocks
+# (point, k) entries per chunk of _phases
 _PHASES = 1 << 15
+# phase entries (2F per point) of a block of targets, or of a product's
+# sources, in the reciprocal GEMMs; they bound its scratch memory
+_ENTRIES = 1 << 17
 # relative margin of the live radius when images are pruned from a box: it
 # absorbs the rounding of the reduction to the cell box
 _BOX_MARGIN = 1e-9
-# Time of one live real-space image term over one paired Fourier term.  The
-# slopes of 16384-pair call times against the live-image count (R = 2, eta from
-# 1 to 3 sqrt(pi)) and against the paired Fourier count (F = 2 to 10) give
-# ratios of about 10 for values and 18 for gradients (medians of five runs; one
-# BLAS thread, OpenBLAS 0.3.31, 2-CPU Intel Xeon); assembly and the off-node
-# residual call both about equally often, so the mean is used.
-IMAGE_TERM_COST = 15.0
-# candidate split parameters, in units of sqrt(pi) / min_edge
-ETA_SCALES = (0.8, 1.0, 1.25, 1.6, 2.0, 2.25, 2.5, 2.75, 3.0)
 
 
 def _dot(a, b):
@@ -98,7 +91,7 @@ class LatticeSumPlan:
     """Ewald truncation plan for one (cell, env, tol) combination.
 
     Records the a-priori tail bounds certifying the chosen cutoffs and holds
-    the precomputed reciprocal-sum tables shared by all evaluations.
+    the precomputed tables shared by all evaluations.
     """
 
     eta: float
@@ -109,13 +102,11 @@ class LatticeSumPlan:
     fourier_bound: float
     cell_edges: tuple
     omega: float
-    # precomputed tables; the reciprocal ones hold one k of each +-k pair
+    # precomputed tables; the reciprocal ones hold one z of each +-z pair
     shifts: np.ndarray = field(repr=False, default=None)      # (Z, 2) real-space images q z
-    kvecs: np.ndarray = field(repr=False, default=None)       # (F, 2) reciprocal vectors
+    zvecs: np.ndarray = field(repr=False, default=None)       # (F, 2) integer z of the kept k
     cos_table: np.ndarray = field(repr=False, default=None)   # (F, 4) 2 C_z, flat jk
     sin_table: np.ndarray = field(repr=False, default=None)   # (F, 8) -2 C_z k_m, flat jkm
-    # the split of lattice_product, a plan of its own (whose product is None)
-    product: "LatticeSumPlan" = None
 
     def matches(self, env, cell):
         return self.cell_edges == cell.q_diag and self.omega == env.omega
@@ -142,106 +133,81 @@ def _real_tail_bound(eta, q_min, first_shell):
     return total
 
 
-def _fourier_tail_bound(eta, q_max, volume, first_shell):
-    """Upper bound for the dropped reciprocal terms (value and gradient)."""
-    total = 0.0
-    for m in range(first_shell, first_shell + 4000):
-        kmin = 2.0 * np.pi * m / q_max
-        u = (kmin / (2.0 * eta)) ** 2
-        term = 8 * m * 2.0 * (1.0 + u) * np.exp(-u) * (1.0 + kmin) / (kmin**2 * volume)
-        total += term
-        if term < total * 1e-16:
-            break
-    return total
+def _term_bound(eta, k, volume):
+    """Bound on one reciprocal term's value and gradient entries at |k|, decreasing in |k|."""
+    u = (k / (2.0 * eta)) ** 2
+    return 2.0 * (1.0 + u) * np.exp(-u) * (1.0 + k) / (k * k * volume)
 
 
-def plan_cost(cell, eta, real_cutoff, fourier_cutoff):
-    """Modeled cost per target of one lattice sum, in paired Fourier terms.
+def _box_k2(cell, F):
+    """|k|^2 of the z of the box |z| <= F, a (2F+1, 2F+1) array indexed [z1 + F, z2 + F]."""
+    k1, k2 = (2.0 * np.pi * np.arange(-F, F + 1) / q for q in cell.q_diag)
+    return np.add.outer(k1 * k1, k2 * k2)
 
-    The real-space part counts the images expected live at a random target,
-    pi * 45 / (eta^2 |Q|) (the lattice points within eta r < sqrt(45)), capped
-    by the (2R+1)^2 image box, each weighted by IMAGE_TERM_COST; the
-    reciprocal part counts the terms actually summed, one per +-k pair.
+
+def _fourier_tail_bound(eta, cell, F):
+    """Upper bound for the dropped reciprocal terms (value and gradient).
+
+    The kept k are those of the disc |k| <= K = 2 pi F / max_edge.  The z of
+    the box |z| <= F outside it are bounded term by term; beyond the box, the
+    square shell |z| = m holds 8m terms at |k| >= 2 pi m / max_edge.  The
+    bound falls with F and grows with eta.
     """
-    live = min(np.pi * _LIVE_T / (eta**2 * cell.volume), (2 * real_cutoff + 1) ** 2)
-    paired = ((2 * fourier_cutoff + 1) ** 2 - 1) // 2
-    return IMAGE_TERM_COST * live + paired
-
-
-def _cutoffs(cell, etas, real_ok, fourier_ok):
-    """(eta, R, F) for ascending etas: the smallest R >= 2 and F >= 1 within
-    the ceilings whose tail bounds pass.  An eta without them is left out.
-
-    Every Fourier tail term grows with eta, so each F search starts at the
-    previous eta's F, and once no F passes none will for a larger eta.
-    """
-    F = 1
-    for eta in etas:
-        R = next((m for m in range(2, REAL_CUTOFF_CEILING + 1)
-                  if real_ok(_real_tail_bound(eta, cell.min_edge, m + 1))), None)
-        F = next((m for m in range(F, FOURIER_CUTOFF_CEILING + 1)
-                  if fourier_ok(_fourier_tail_bound(eta, cell.max_edge, cell.volume, m + 1))),
-                 None)
-        if F is None:
-            return
-        if R is not None:
-            yield eta, R, F
-
-
-def _split(cell, env, tol, eta, real_cutoff, fourier_cutoff):
-    """A LatticeSumPlan for one split: its achieved tail bounds and its tables."""
-    plan = LatticeSumPlan(
-        eta=eta,
-        real_cutoff=real_cutoff,
-        fourier_cutoff=fourier_cutoff,
-        tol=tol,
-        real_bound=_real_tail_bound(eta, cell.min_edge, real_cutoff + 1),
-        fourier_bound=_fourier_tail_bound(eta, cell.max_edge, cell.volume, fourier_cutoff + 1),
-        cell_edges=cell.q_diag,
-        omega=env.omega,
-    )
-    _attach_tables(plan, cell, env)
-    return plan
+    k2 = _box_k2(cell, F)
+    dropped = np.sqrt(k2[k2 > (2.0 * np.pi * F / cell.max_edge) ** 2])
+    m = np.arange(F + 1, F + 4001)
+    shells = 8 * m * _term_bound(eta, 2.0 * np.pi * m / cell.max_edge, cell.volume)
+    return float(np.sum(_term_bound(eta, dropped, cell.volume)) + np.sum(shells))
 
 
 def plan_lattice_sum(cell, env, tol):
-    """Choose the Ewald splits and their cutoffs for a target accuracy.
+    """Choose the Ewald split and its cutoffs for a target accuracy.
 
-    The assembly split: for each candidate eta (ETA_SCALES times
-    sqrt(pi)/min_edge) the smallest real cutoff R >= 2 and Fourier cutoff
-    F >= 1 whose tail bounds are below tol/2 are found; the candidate of
-    least plan_cost wins.  Tolerances outside [1e-14, 1e-4] or bounds that
-    cannot be met within the cutoff ceilings raise PlanError.
-
-    The product split (plan.product, used by lattice_product): its eta is
-    the smallest at which no image but z = 0 is live for an argument reduced
-    to the cell box, eta min_edge / 2 = sqrt(45), so a product pays one
-    image per pair at most.  Its cutoffs are the smallest whose tail bounds
-    are no larger than the assembly split's achieved ones, so a product is
-    never less accurate than the matrix it replaces.  Where no Fourier cutoff
-    within the ceiling reaches them the product split is the assembly
-    split, so this adds no PlanError.
+    eta is the smallest at which no image but z = 0 is live for an argument
+    reduced to the cell box, eta min_edge / 2 = sqrt(45), so a pair pays one
+    image at most.  The Fourier cutoff F and the real cutoff R >= 2 are the
+    smallest whose tail bounds are below tol/20.  Where no F within
+    FOURIER_CUTOFF_CEILING reaches that (elongated cells at tight tol), eta is
+    the largest at which F = FOURIER_CUTOFF_CEILING does, and more images are
+    live.  Tolerances outside [1e-14, 1e-4], or a real bound no R within
+    REAL_CUTOFF_CEILING meets, raise PlanError.
     """
     if not (1e-14 <= tol <= 1e-4):
         raise PlanError(
             f"tolerance unattainable: tol={tol} outside the supported range [1e-14, 1e-4]"
         )
-    etas = [s * np.sqrt(np.pi) / cell.min_edge for s in ETA_SCALES]
-    below = lambda bound: bound < 0.5 * tol
-    candidates = [(plan_cost(cell, e, R, F), e, R, F)
-                  for e, R, F in _cutoffs(cell, etas, below, below)]
-    if not candidates:
+    budget = _TAIL_SHARE * tol
+    fits = lambda eta, F: _fourier_tail_bound(eta, cell, F) < budget
+    # the nearest images z != 0, at gap min_edge / 2, fall just outside the
+    # pruning margin
+    eta = 2.0 * np.sqrt(_LIVE_T * (1.0 + 2.0 * _BOX_MARGIN)) / cell.min_edge
+    F = FOURIER_CUTOFF_CEILING
+    if fits(eta, F):
+        F = 1 + bisect_left(range(1, F + 1), True, key=lambda m: fits(eta, m))
+    else:
+        lo, hi = 0.0, eta
+        for _ in range(_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if fits(mid, F) else (lo, mid)
+        eta = lo
+    R = next((m for m in range(2, REAL_CUTOFF_CEILING + 1)
+              if _real_tail_bound(eta, cell.min_edge, m + 1) < budget), None)
+    if R is None:
         raise PlanError(
             f"tolerance unattainable: no cutoffs within ceilings "
             f"({REAL_CUTOFF_CEILING}, {FOURIER_CUTOFF_CEILING}) reach tol={tol}"
         )
-    plan = _split(cell, env, tol, *min(candidates)[1:])
-    # the nearest images z != 0, at gap min_edge / 2, fall just outside the
-    # pruning margin
-    eta = 2.0 * np.sqrt(_LIVE_T * (1.0 + 2.0 * _BOX_MARGIN)) / cell.min_edge
-    candidates = _cutoffs(cell, [plan.eta, eta],
-                          lambda b: b <= plan.real_bound, lambda b: b <= plan.fourier_bound)
-    plan.product = _split(cell, env, tol, *list(candidates)[-1])
+    plan = LatticeSumPlan(
+        eta=eta,
+        real_cutoff=R,
+        fourier_cutoff=F,
+        tol=tol,
+        real_bound=_real_tail_bound(eta, cell.min_edge, R + 1),
+        fourier_bound=_fourier_tail_bound(eta, cell, F),
+        cell_edges=cell.q_diag,
+        omega=env.omega,
+    )
+    _attach_tables(plan, cell, env)
     return plan
 
 
@@ -252,17 +218,23 @@ def _attach_tables(plan, cell, env):
     # radius are pruned
     gap = np.maximum(np.abs(z) - 0.5, 0.0) * q[None, :]
     plan.shifts = z[plan.eta**2 * np.sum(gap * gap, axis=1) < _LIVE_T * (1.0 + _BOX_MARGIN)] * q[None, :]
-    z = _lattice_points(plan.fourier_cutoff, exclude_origin=True)
+    F = plan.fourier_cutoff
+    k2 = _box_k2(cell, F)
+    z = np.argwhere(k2 <= (2.0 * np.pi * F / cell.max_edge) ** 2) - F
     z = z[(z[:, 0] > 0) | ((z[:, 0] == 0) & (z[:, 1] > 0))]  # one of each +-z pair
+    # by falling |k|: the sums add the small terms first, which keeps their
+    # rounding noise (amplified by finite differences) near that of one value
+    k2 = k2[z[:, 0] + F, z[:, 1] + F]
+    order = np.argsort(-k2, kind="stable")
+    z, k2 = z[order], k2[order]
     k = 2.0 * np.pi * z / q[None, :]
-    k2 = np.sum(k * k, axis=1)
     u = k2 / (4.0 * plan.eta**2)
     screen = (1.0 + u) * np.exp(-u)
     khat = k / np.sqrt(k2)[:, None]
     eye = np.eye(2)
     base = -eye[None, :, :] + env.beta * khat[:, :, None] * khat[:, None, :]
     coeffs = 2.0 * screen[:, None, None] * base / (k2[:, None, None] * cell.volume)
-    plan.kvecs = k
+    plan.zvecs = z
     plan.cos_table = coeffs.reshape(-1, 4)
     plan.sin_table = -(coeffs[:, :, :, None] * k[:, None, None, :]).reshape(-1, 8)
 
@@ -271,8 +243,8 @@ def _real_coeffs(d, eta, beta, want_grad=False):
     """Scalar coefficients of the real-space term at displacements d (L, 2).
 
     The term, the matrix delta_jk w - beta Hess-phi_jk, is p delta_jk
-    + A d_j d_k; its gradient is delta_jk (cw + A) d_m + A (delta_jm d_k
-    + delta_km d_j) + Bc d_j d_k d_m.  Returns (p, A, cw, Bc), the last two
+    + A d_j d_k; its gradient is delta_jk C d_m + A (delta_jm d_k
+    + delta_km d_j) + Bc d_j d_k d_m.  Returns (p, A, C, Bc), the last two
     None unless requested.
     """
     r2 = _dot(d, d)
@@ -289,27 +261,27 @@ def _real_coeffs(d, eta, beta, want_grad=False):
     # + delta_km d_j) - b d_j d_k d_m
     cw = expT * (1.0 - T) * inv_r2 / (2.0 * np.pi)
     b = expT * (T + 1.0) * inv_r2 * inv_r2 / (2.0 * np.pi)
-    return p, -beta * a, cw, beta * b
+    return p, -beta * a, cw - beta * a, beta * b
 
 
-def _real_terms(d, eta, beta, want_grad=False):
-    """Real-space contribution at displacements d (shape (L, 2)).
+def _blocks(d, p, A, C=None, Bc=None):
+    """A kernel of the form p delta_jk + A d_j d_k as (L, 2, 2) blocks at d (L, 2).
 
-    Returns the 2x2 matrix block delta_jk w - beta * Hess-phi_jk and, when
-    requested, its gradient indexed [L, j, k, m].
+    The gradient, when C is given, is C delta_jk d_m + A (delta_jm d_k
+    + delta_km d_j) + Bc d_j d_k d_m, as (L, 2, 2, 2) blocks indexed
+    [L, j, k, m]; otherwise None.
     """
-    p, A, cw, Bc = _real_coeffs(d, eta, beta, want_grad)
     dd = d[:, :, None] * d[:, None, :]
     val = A[:, None, None] * dd
     val[:, 0, 0] += p
     val[:, 1, 1] += p
-    if not want_grad:
+    if C is None:
         return val, None
     grad = Bc[:, None, None, None] * dd[:, :, :, None] * d[:, None, None, :]
     ad = A[:, None] * d
-    diag_m = cw[:, None] * d + ad
+    cd = C[:, None] * d
     for j in range(2):
-        grad[:, j, j, :] += diag_m
+        grad[:, j, j, :] += cd
         grad[:, j, :, j] += ad
         grad[:, :, j, j] += ad
     return val, grad
@@ -349,19 +321,6 @@ def _live_images(points, shifts, eta, skip=None):
     return rows, d[rows, cols]
 
 
-def _real_sum(points, shifts, eta, beta, want_grad=False, skip=None):
-    """Sum of real-space image terms over the given lattice shifts.
-
-    Keeps only the live (point, image) pairs of _live_images, skip
-    included; each point's live terms are summed in shift order.  Returns
-    the (P, 2, 2) values and, when requested, the (P, 2, 2, 2) gradients.
-    """
-    P = points.shape[0]
-    rows, d = _live_images(points, shifts, eta, skip)
-    v, g = _real_terms(d, eta, beta, want_grad)
-    return _sum_by_point(v, rows, P), None if g is None else _sum_by_point(g, rows, P)
-
-
 def _sum_by_point(w, rows, P):
     """Sums of the rows of w (L, ...) by point, shape (P, ...).
 
@@ -374,20 +333,6 @@ def _sum_by_point(w, rows, P):
         held = np.flatnonzero(counts)
         out[held] = np.add.reduceat(w, (np.cumsum(counts) - counts)[held], axis=0)
     return out
-
-
-def _fourier_sum(x, plan, values=True, grads=False):
-    """Paired reciprocal sum at points x (P, 2).
-
-    Returns the (P, 2, 2) values and the (P, 2, 2, 2) gradients, None where
-    not requested; cos and sin are taken of one phase matrix.
-    """
-    phase = x @ plan.kvecs.T
-    # the last of sin and cos overwrites the phases
-    sin = np.sin(phase, out=None if values else phase) if grads else None
-    grad = (sin @ plan.sin_table).reshape(-1, 2, 2, 2) if grads else None
-    val = (np.cos(phase, out=phase) @ plan.cos_table).reshape(-1, 2, 2) if values else None
-    return val, grad
 
 
 def _check_plan(plan, env, cell):
@@ -459,16 +404,16 @@ def _f2p(T):
     return out
 
 
-def _center_coeffs(x, eta, env, want_grad=False, f1=None):
-    """Scalar coefficients of the center terms at x (..., 2), in _contract's form.
+def _center_coeffs(x, eta, env, want_grad=False):
+    """Scalar coefficients of the center terms at x (L, 2), in _contract's form.
 
-    Returns (p, A, C, Bc), the last two None unless requested; f1 optionally
-    holds _f1(eta^2 |x|^2), computed by the caller.
+    The center terms are the analytic extension of [z = 0 real image]
+    - Kelvin, finite at x = 0.  Returns (p, A, C, Bc), the last two None
+    unless requested.
     """
     r2 = _dot(x, x)
     T = eta**2 * r2
-    if f1 is None:
-        f1 = _f1(T)
+    f1 = _f1(T)
     expT = np.exp(-T)
     alpha, beta = env.alpha, env.beta
     log_eta = np.log(eta)
@@ -480,184 +425,169 @@ def _center_coeffs(x, eta, env, want_grad=False, f1=None):
     return diag, dyad, c1, -(beta * eta**4 / (2.0 * np.pi)) * _f2p(T)
 
 
-def _regular_center_terms(x, eta, env, want_grad=False, f1=None):
-    """Analytic extension of [z=0 real image] - Kelvin, finite at x = 0.
+def _phases(points, plan, cell):
+    """cos k.x and sin k.x of the plan's k at points x (P, 2): a (2F, P) array.
 
-    f1 optionally holds _f1(eta^2 |x|^2), computed by the caller.
+    Row f holds cos k_f.x and row F + f holds sin k_f.x.  With t = 2 pi x / q
+    for x reduced to the cell box, k.x = z1 t1 + z2 t2, so e^{ik.x} is one
+    complex product per k of e^{i z1 t1} and e^{i z2 t2}, from the trig values
+    of the multiples m t for m up to max(F1, F2) (those of -m by parity).
     """
-    diag, dyad, c1, g3c = _center_coeffs(x, eta, env, want_grad, f1)
-    eye = np.eye(2)
-    xj = x[..., :, None]
-    xk = x[..., None, :]
-    val = diag[..., None, None] * eye + dyad[..., None, None] * xj * xk
-    if not want_grad:
-        return val, None
-    dm = x[..., None, None, :]
-    grad = c1[..., None, None, None] * eye[:, :, None] * dm
-    e_jm = eye[:, None, :]
-    e_km = eye[None, :, :]
-    djm = x[..., :, None, None]
-    dkm = x[..., None, :, None]
-    g2 = dyad[..., None, None, None] * (e_jm * dkm + e_km * djm)
-    g3 = g3c[..., None, None, None] * djm * dkm * dm
-    return val, grad + g2 + g3
-
-
-def _lattice_sum(x, env, cell, plan, periodic, values=True, grads=False):
-    """The Ewald split at points x (..., 2), one pass per block of _BLOCK points.
-
-    periodic=True gives the periodic Green's matrix: the points are reduced
-    modulo the lattice (a lattice point raises) and every image is summed.
-    periodic=False gives the regular part: the image box is certified for
-    reduced arguments, so the sums run at x_r = x - q n and skip the image
-    x_r + q n = x, which the center terms carry.  Each block takes the
-    real-space images, the paired reciprocal sum and, for the regular part,
-    the center terms once, for the values, the gradients or both.  Returns
-    (values (..., 2, 2), gradients (..., 2, 2, 2)), None where not requested.
-    """
-    _check_plan(plan, env, cell)
-    x = np.asarray(x, dtype=float)
-    lead = x.shape[:-1]
-    x = x.reshape(-1, 2)
-    P = x.shape[0]
-    val = np.empty((P, 2, 2)) if values else None
-    grad = np.empty((P, 2, 2, 2)) if grads else None
-    if not periodic:
-        # E1 of the center terms in one call: its series and continued
-        # fractions cost a fixed number of array operations per call, which
-        # would dominate per block
-        f1 = _f1(plan.eta**2 * _dot(x, x))
-    for lo in range(0, P, _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
-        if periodic:
-            xr, skip = _reduce(x[blk], cell), None
-        else:
-            xr, skip = _skipped_image(x[blk], cell)
-        real_val, real_grad = _real_sum(xr, plan.shifts, plan.eta, env.beta, grads, skip)
-        four_val, four_grad = _fourier_sum(xr, plan, values, grads)
-        if values:
-            val[blk] = real_val + four_val
-        if grads:
-            grad[blk] = real_grad + four_grad
-        if not periodic:
-            center_val, center_grad = _regular_center_terms(
-                x[blk], plan.eta, env, grads, f1[blk]
-            )
-            if values:
-                val[blk] += center_val
-            if grads:
-                grad[blk] += center_grad
-    return (
-        None if val is None else val.reshape(lead + (2, 2)),
-        None if grad is None else grad.reshape(lead + (2, 2, 2)),
-    )
-
-
-def _phase_blocks(points, split, cell):
-    """cos(k.x) and sin(k.x) of the split's paired k, in blocks of points x.
-
-    With t = 2 pi x / q for x reduced to the cell box, k.x = z1 t1 + z2 t2,
-    so the angle-sum formulas give every phase from the multiples of t1 and
-    t2: about 6F trig calls per point instead of 4F^2.  The (z1, z2) grid
-    with z1 in [0, F] and z2 in [-F, F] is the plan's paired set after its
-    first F + 1 entries.  Yields (slice, cos, sin) with (B, F_paired) arrays.
-    """
-    F = split.fourier_cutoff
+    z = plan.zvecs
+    F = z.shape[0]
+    F1, F2 = z[:, 0].max(), np.abs(z[:, 1]).max()
     t = 2.0 * np.pi * nearest_image(points, cell) / np.asarray(cell.q_diag)
-    m1, m2 = np.arange(F + 1), np.arange(-F, F + 1)
-    step = max(1, _PHASES // ((F + 1) * (2 * F + 1)))
+    out = np.empty((2 * F, points.shape[0]))
+    step = max(1, _PHASES // F)
     for lo in range(0, points.shape[0], step):
         blk = slice(lo, lo + step)
-        a, b = np.multiply.outer(t[blk, 0], m1), np.multiply.outer(t[blk, 1], m2)
-        c1, s1 = np.cos(a)[:, :, None], np.sin(a)[:, :, None]
-        c2, s2 = np.cos(b)[:, None, :], np.sin(b)[:, None, :]
-        n = a.shape[0]
-        cos = (c1 * c2 - s1 * s2).reshape(n, -1)[:, F + 1:]
-        sin = (s1 * c2 + c1 * s2).reshape(n, -1)[:, F + 1:]
-        yield blk, cos, sin
+        a = np.multiply.outer(np.arange(max(F1, F2) + 1), t[blk])
+        e = np.empty(a.shape, dtype=complex)
+        np.cos(a, out=e.real)
+        np.sin(a, out=e.imag)
+        e2 = e[:F2 + 1, :, 1]
+        p = np.ascontiguousarray(e[:F1 + 1, :, 0])[z[:, 0]]
+        p *= np.concatenate([e2[:0:-1].conj(), e2])[z[:, 1] + F2]
+        out[:F, blk] = p.real
+        out[F:, blk] = p.imag
+    return out
 
 
-def _product_fourier(x, y, rho, split, cell, values, grads):
-    """Reciprocal part of sum_b K(x_p - y_b) rho_b by structure factors.
+def _reciprocal(x, y, rho, cell, plan, values, grads):
+    """The reciprocal part of lattice_product, as GEMMs of phases.
 
-    S^c = cos(k y)^T rho and S^s = sin(k y)^T rho are contracted with the
-    split's tables once; cos(k.(x - y)) = cos(k.x) cos(k.y) + sin(k.x)
-    sin(k.y) then leaves one GEMM per block of targets.
+    cos k.(x - y) = cos k.x cos k.y + sin k.x sin k.y carries the values and
+    sin k.(x - y) = sin k.x cos k.y - cos k.x sin k.y the gradients, so
+    against the targets' phases (cos k.x, sin k.x) per k a source has the
+    rows (cos k.y, sin k.y) for cos_table and (-sin k.y, cos k.y) for
+    sin_table.  Both tables are symmetric in j and k.  With rho, the rows are
+    contracted into structure factors, and those with the table (k taken as
+    the index rho contracts).  Without, each entry of the blocks is one GEMM
+    of the targets' phases, scaled by that entry's coefficients, with the
+    sources' rows, and the (k, j) entry copies the (j, k) one.  Targets and
+    the sources of a product go in blocks of about _ENTRIES phases.  Returns
+    the values and gradients in lattice_product's shapes, None where not
+    requested.
     """
-    F = split.kvecs.shape[0]
-    Sc = np.zeros((F, 2))
-    Ss = np.zeros((F, 2))
-    for blk, cos, sin in _phase_blocks(y, split, cell):
-        Sc += cos.T @ rho[blk]
-        Ss += sin.T @ rho[blk]
-    C = split.cos_table.reshape(F, 2, 2)
-    D = split.sin_table.reshape(F, 2, 2, 2)
-    Vc, Vs = (np.einsum("fjk,fk->fj", C, S) for S in (Sc, Ss))
-    Gc, Gs = (np.einsum("fjkm,fk->fjm", D, S).reshape(F, 4) for S in (Sc, Ss))
-    P = x.shape[0]
-    val = np.empty((P, 2)) if values else None
-    grad = np.empty((P, 4)) if grads else None
-    for blk, cos, sin in _phase_blocks(x, split, cell):
-        if values:
-            val[blk] = cos @ Vc + sin @ Vs
-        if grads:
-            grad[blk] = sin @ Gc - cos @ Gs
-    return val, None if grad is None else grad.reshape(P, 2, 2)
+    F = len(plan.zvecs)
+    P, M = x.shape[0], y.shape[0]
+    step = max(1, _ENTRIES // (2 * F))
+
+    # (swap, coefficients (2F, 2, 2, 1 or 2) indexed [f, k, j, m]) per kind
+    kinds = [(swap, np.tile(table.reshape(F, 2, 2, -1), (2, 1, 1, 1)))
+             for swap, table, want in ((False, plan.cos_table, values),
+                                       (True, plan.sin_table, grads)) if want]
+    rows = lambda ph, swap: np.concatenate([-ph[F:], ph[:F]]) if swap else ph
+    if rho is None:
+        ph = _phases(y, plan, cell)
+        sources = [rows(ph, swap) for swap, _ in kinds]
+        del ph  # W*'s assembly keeps only the swapped rows
+        out = [np.empty((P, M) + coef.shape[1:]) for _, coef in kinds]
+    else:
+        factors = [0.0] * len(kinds)
+        for lo in range(0, M, step):
+            ph = _phases(y[lo:lo + step], plan, cell)
+            factors = [S + rows(ph, swap) @ rho[lo:lo + step]
+                       for S, (swap, _) in zip(factors, kinds)]
+        sources = [np.einsum("fk,fkjm->fjm", S, coef).reshape(2 * F, -1)
+                   for S, (_, coef) in zip(factors, kinds)]
+        out = [np.empty((P,) + coef.shape[2:]) for _, coef in kinds]
+    for lo in range(0, P, step):
+        tb = slice(lo, lo + step)
+        A = _phases(x[tb], plan, cell).T
+        for (_, coef), R, o in zip(kinds, sources, out):
+            if rho is not None:
+                o[tb] = (A @ R).reshape(o[tb].shape)
+                continue
+            cols = coef.reshape(2 * F, -1)
+            flat = o[tb].reshape(A.shape[0], M, -1)
+            if M * cols.shape[1] <= step:
+                # few sources (a pointwise kernel's one): scale their rows
+                # by every column at once, for one GEMM
+                table = (R[:, :, None] * cols[:, None, :]).reshape(2 * F, -1)
+                flat[...] = (A @ table).reshape(flat.shape)
+                continue
+            mirror = np.arange(cols.shape[1]).reshape(coef.shape[1:]).swapaxes(0, 1).ravel()
+            for c, m in enumerate(mirror):
+                flat[:, :, c] = flat[:, :, m] if m < c else (A * cols[:, c]) @ R
+    out = iter(out)
+    val = next(out)[..., 0] if values else None
+    return val, next(out) if grads else None
+
+
+def _add_pair_terms(val, grad, x, y, rho, env, cell, plan, periodic):
+    """Adds the pair terms of lattice_product to its values and gradients.
+
+    The live real-space images and, for the regular part, the center terms,
+    in batches of about _PAIRS target-source pairs: as blocks per pair, or
+    applied to rho and summed per target.
+    """
+    M = y.shape[0]
+    grads = grad is not None
+    step = max(1, _PAIRS // M)
+    for lo in range(0, x.shape[0], step):
+        tb = slice(lo, lo + step)
+        B = x[tb].shape[0]
+        d = (x[tb, None, :] - y[None, :, :]).reshape(-1, 2)
+        if periodic:
+            xr, skip = _reduce(d, cell), None
+        else:
+            xr, skip = _skipped_image(d, cell)
+        rows, e = _live_images(xr, plan.shifts, plan.eta, skip)
+        terms = [(rows, e, _real_coeffs(e, plan.eta, env.beta, grads))]
+        if not periodic:
+            terms.append((np.arange(B * M), d, _center_coeffs(d, plan.eta, env, grads)))
+        for rows, e, coeffs in terms:
+            if rho is None:
+                parts, at, n = _blocks(e, *coeffs), rows, B * M
+            else:
+                parts, at, n = _contract(e, rho[rows % M], *coeffs), rows // M, B
+            for out, part in zip((val, grad), parts):
+                if out is not None:
+                    out[tb] += _sum_by_point(part, at, n).reshape(out[tb].shape)
 
 
 def lattice_product(x, y, rho, env, cell, plan, periodic, values=True, grads=False):
     """sum_b K(x_p - y_b) rho_b for targets x (P, 2), sources y (M, 2), density rho (M, 2).
 
-    K is the periodic Green's matrix (periodic=True) or the regular part R^q
-    (periodic=False), evaluated with the plan's product split.  The
-    reciprocal part goes through structure factors of rho, O((P + M) F); the
-    live real-space images and, for R^q, the center terms are contracted with
-    rho pair by pair, in batches of about _PAIRS pairs.  Returns the (P, 2)
-    values and the (P, 2, 2) gradients d_m, indexed [p, j, m], None where not
-    requested.  A target-source difference on the lattice raises
-    SingularArgumentError for the periodic kernel.
+    K is the periodic Green's matrix (periodic=True: each difference is
+    reduced modulo the lattice, and a difference on the lattice raises
+    SingularArgumentError) or the regular part R^q (periodic=False: the
+    image box is certified for reduced arguments, so the sums run at the
+    reduced difference and skip the image that is the difference itself,
+    which the center terms carry).  The reciprocal part costs O((P + M) F)
+    phases and, for blocks, O(P M F) in GEMMs; the pair terms are batched by
+    about _PAIRS pairs.  Returns the (P, 2) values and the (P, 2, 2)
+    gradients d_m, indexed [p, j, m]; with rho None, the (P, M, 2, 2) blocks
+    K(x_p - y_b) and their (P, M, 2, 2, 2) gradients, indexed [p, b, j, k, m].
+    Each is None where not requested.
     """
     _check_plan(plan, env, cell)
-    split = plan.product
     x = np.asarray(x, dtype=float).reshape(-1, 2)
     y = np.asarray(y, dtype=float).reshape(-1, 2)
-    rho = np.asarray(rho, dtype=float).reshape(-1, 2)
-    P, M = x.shape[0], y.shape[0]
-    val, grad = _product_fourier(x, y, rho, split, cell, values, grads)
-    step = max(1, _PAIRS // max(M, 1))
-    for lo in range(0, P, step):
-        B = min(step, P - lo)
-        d = (x[lo:lo + B, None, :] - y[None, :, :]).reshape(-1, 2)
-        if periodic:
-            xr, skip = _reduce(d, cell), None
-        else:
-            xr, skip = _skipped_image(d, cell)
-        rows, e = _live_images(xr, split.shifts, split.eta, skip)
-        if len(rows):
-            p, A, cw, Bc = _real_coeffs(e, split.eta, env.beta, grads)
-            v, g = _contract(e, rho[rows % M], p, A, None if cw is None else cw + A, Bc)
-            tgt = rows // M
-            if values:
-                val[lo:lo + B] += _sum_by_point(v, tgt, B)
-            if grads:
-                grad[lo:lo + B] += _sum_by_point(g, tgt, B)
-        if not periodic:
-            v, g = _contract(d, np.tile(rho, (B, 1)), *_center_coeffs(d, split.eta, env, grads))
-            if values:
-                val[lo:lo + B] += v.reshape(B, M, 2).sum(axis=1)
-            if grads:
-                grad[lo:lo + B] += g.reshape(B, M, 2, 2).sum(axis=1)
+    if rho is not None:
+        rho = np.asarray(rho, dtype=float).reshape(-1, 2)
+    val, grad = _reciprocal(x, y, rho, cell, plan, values, grads)
+    _add_pair_terms(val, grad, x, y, rho, env, cell, plan, periodic)
     return val, grad
+
+
+def _pointwise(x, env, cell, plan, periodic, grads):
+    """The kernel at x (..., 2): lattice_product's blocks against the one source 0."""
+    x = np.asarray(x, dtype=float)
+    out = lattice_product(x, np.zeros((1, 2)), None, env, cell, plan, periodic,
+                          values=not grads, grads=grads)[int(grads)]
+    return out.reshape(x.shape[:-1] + out.shape[2:])
 
 
 def periodic_green(x, env, cell, plan):
     """Periodic Lame Green's matrix at x (any shape (..., 2)), to plan accuracy."""
-    return _lattice_sum(x, env, cell, plan, periodic=True)[0]
+    return _pointwise(x, env, cell, plan, periodic=True, grads=False)
 
 
 def periodic_green_grad(x, env, cell, plan):
     """Gradient d_m Gamma^q_jk, indexed out[..., j, k, m]."""
-    return _lattice_sum(x, env, cell, plan, periodic=True, values=False, grads=True)[1]
+    return _pointwise(x, env, cell, plan, periodic=True, grads=True)
 
 
 def regular_part(x, env, cell, plan):
@@ -667,9 +597,9 @@ def regular_part(x, env, cell, plan):
     lattice; the function is valid for x (any shape (..., 2)) bounded away
     from the nonzero lattice points.
     """
-    return _lattice_sum(x, env, cell, plan, periodic=False)[0]
+    return _pointwise(x, env, cell, plan, periodic=False, grads=False)
 
 
 def regular_part_grad(x, env, cell, plan):
     """Gradient of the smooth remainder, indexed out[..., j, k, m]; odd, zero at 0."""
-    return _lattice_sum(x, env, cell, plan, periodic=False, values=False, grads=True)[1]
+    return _pointwise(x, env, cell, plan, periodic=False, grads=True)

@@ -13,12 +13,13 @@ Cauchy part above.  The split is re-verified numerically at assembly time.
 The rows at the midpoints t_i + pi/N (midpoint_rows) use the same split, with
 both rules shifted by half a node; they stay circulant.  They hold the
 free-space part only: apply_at_midpoints adds the lattice part R^q as a
-product against the density (lattice.lattice_product), and the off-boundary
-potentials eval_single_layer and eval_traction_offboundary are such products
-of the periodic Green's matrix, so no P x M kernel block is formed outside
-assembly.  Whether an off-boundary target is near the boundary
-(NearBoundaryWarning) is read from the one classification of the targets,
-cell.locate_targets.
+product against the density, and the off-boundary potentials
+eval_single_layer and eval_traction_offboundary are such products of the
+periodic Green's matrix, so no P x M kernel block is formed outside
+assembly.  Assembly takes the N x N blocks of R^q and of its gradient from
+the same target-source evaluator, lattice.lattice_product, with no density.
+Whether an off-boundary target is near the boundary (NearBoundaryWarning) is
+read from the one classification of the targets, cell.locate_targets.
 """
 
 import warnings
@@ -30,7 +31,7 @@ import numpy as np
 from .cell import NEAR_SPACINGS, locate_targets
 from .errors import AssemblyError, NearBoundaryWarning
 from .kernels import traction_from_gradient, traction_kernel, traction_map
-from .lattice import lattice_product, regular_part, regular_part_grad
+from .lattice import lattice_product
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -151,21 +152,6 @@ def hilbert_rule(N, shift=0.0):
     return _shifted_rule(_hilbert_symbol, N, shift)
 
 
-def _mirrored(kernel, d, odd):
-    """An even or odd lattice kernel on the (N, N, 2) node differences.
-
-    Only the upper triangle is evaluated; the lower triangle is mirrored
-    with the parity sign.
-    """
-    N = d.shape[0]
-    ia, ib = np.triu_indices(N)
-    vals = kernel(d[ia, ib])
-    out = np.empty((N, N) + vals.shape[1:])
-    out[ia, ib] = vals
-    out[ib, ia] = -vals if odd else vals
-    return out
-
-
 def _blocks_to_matrix(blocks):
     """(N, N, 2, 2) target-source blocks -> (2N, 2N) node-major matrix."""
     N = blocks.shape[0]
@@ -225,7 +211,8 @@ def _single_layer_rows(curve, targets, shift, env, d, lattice=0.0):
 def assemble_single_layer(curve, env, cell, plan):
     """Nystrom matrix of the periodic single-layer operator on the curve."""
     d = curve.nodes[:, None, :] - curve.nodes[None, :, :]
-    lattice = _mirrored(lambda p: regular_part(p, env, cell, plan), d, odd=False)
+    lattice = lattice_product(curve.nodes, curve.nodes, None, env, cell, plan,
+                              periodic=False)[0]
     return DenseBoundaryOperator(
         matrix=_single_layer_rows(curve, curve, 0.0, env, d, lattice), curve=curve
     )
@@ -311,7 +298,8 @@ def assemble_wstar(curve, env, cell, plan):
     d = curve.nodes[:, None, :] - curve.nodes[None, :, :]
     # the (N, N, 2, 2, 2) gradient is freed before the rows' temporaries
     lattice = traction_from_gradient(
-        _mirrored(lambda p: regular_part_grad(p, env, cell, plan), d, odd=True),
+        lattice_product(curve.nodes, curve.nodes, None, env, cell, plan, periodic=False,
+                        values=False, grads=True)[1],
         curve.normals[:, None, :], env.omega,
     )
     return DenseBoundaryOperator(
@@ -339,7 +327,7 @@ def apply_at_midpoints(field, env, cell, plan):
     The free-space rows of midpoint_rows act on the nodal density; the
     lattice part of V mu is a regular-part product and that of W* mu the
     traction, at the midpoint normals, of a regular-part gradient product,
-    both by lattice_product at the plan's product split.
+    both from one lattice_product call.
     """
     curve = field.curve
     targets = _midpoints(curve)

@@ -13,8 +13,8 @@ u(x) = v[mu](x) + c + B q^{-1} x.
 diagnostics["residual_off_node"] is the collocation residual at the N
 midpoints t_i + pi/N: N-point Kress log and Hilbert rules at the half-shifted
 targets against the N nodes, with no reassembly at 2N; the lattice parts of
-V mu and W* mu there are products against the density at the plan's product
-split (operators.apply_at_midpoints), and so is the field v[mu] of
+V mu and W* mu there are products against the density
+(operators.apply_at_midpoints), and so is the field v[mu] of
 eval_solution.  eval_solution locates its targets once (cell.locate_targets):
 that one classification refuses points on a node image or inside a hole image
 and flags those near the boundary.

@@ -17,7 +17,6 @@ from perilame.kernels import LameEnv, kelvin, kelvin_grad
 from perilame.lattice import (
     periodic_green,
     periodic_green_grad,
-    plan_cost,
     plan_lattice_sum,
     regular_part,
     regular_part_grad,
@@ -43,61 +42,43 @@ def test_plan_records_bounds(plan1):
     assert plan1.real_cutoff >= 2 and plan1.fourier_cutoff >= 1
 
 
-def test_plan_monotone_cost():
-    loose = plan_lattice_sum(UNIT, ENV1, 1e-6)
-    tight = plan_lattice_sum(UNIT, ENV1, 1e-12)
-    cost = lambda p: plan_cost(UNIT, p.eta, p.real_cutoff, p.fourier_cutoff)
-    assert cost(loose) <= cost(tight)
-
-
 def _oracle_configs():
     with open(FIXTURES, "r", encoding="utf-8") as fh:
         return json.load(fh)["configs"]
 
 
-@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-12])
-def test_plan_bounds_and_least_modeled_cost(tol):
-    # reference search: for every candidate eta, the smallest cutoffs whose
-    # tail bounds are below tol/2, priced by the plan module's cost model
-    for config in _oracle_configs():
-        cell = build_cell(config["cell"])
-        env = LameEnv(2, config["omega"])
-        plan = plan_lattice_sum(cell, env, tol)
-        assert plan.real_bound < 0.5 * tol and plan.fourier_bound < 0.5 * tol
-        costs = []
-        for scale in lattice.ETA_SCALES:
-            eta = scale * np.sqrt(np.pi) / cell.min_edge
-            R = next(m for m in range(2, lattice.REAL_CUTOFF_CEILING + 1)
-                     if lattice._real_tail_bound(eta, cell.min_edge, m + 1) < 0.5 * tol)
-            F = next(m for m in range(1, lattice.FOURIER_CUTOFF_CEILING + 1)
-                     if lattice._fourier_tail_bound(eta, cell.max_edge, cell.volume, m + 1)
-                     < 0.5 * tol)
-            costs.append(plan_cost(cell, eta, R, F))
-        assert plan_cost(cell, plan.eta, plan.real_cutoff, plan.fourier_cutoff) == min(costs)
-
-
 def _full_set_fourier(x, plan, cell, env, want_grad):
-    """Reciprocal sum over every z != 0 in the cutoff box, one einsum per call."""
-    q = np.asarray(cell.q_diag)
-    r = np.arange(-plan.fourier_cutoff, plan.fourier_cutoff + 1)
-    z = np.array([(a, b) for a in r for b in r if (a, b) != (0, 0)], dtype=float)
-    k = 2.0 * np.pi * z / q
+    """Reciprocal sum over both z of each +-z pair the plan keeps, one einsum per call.
+
+    Summed in long double: over the ~1800 terms of a plan a double einsum
+    rounds by up to 1.5e-15 of the kernel's size, more than the tolerance.
+    """
+    ld = np.longdouble
+    z = np.concatenate([plan.zvecs, -plan.zvecs]).astype(ld)
+    k = 2.0 * np.pi * z / np.asarray(cell.q_diag, dtype=ld)
     k2 = np.sum(k * k, axis=1)
-    u = k2 / (4.0 * plan.eta**2)
+    u = k2 / (4.0 * ld(plan.eta) ** 2)
     khat = k / np.sqrt(k2)[:, None]
-    base = -np.eye(2) + env.beta * khat[:, :, None] * khat[:, None, :]
+    base = -np.eye(2, dtype=ld) + env.beta * khat[:, :, None] * khat[:, None, :]
     coeffs = ((1.0 + u) * np.exp(-u) / (k2 * cell.volume))[:, None, None] * base
-    phase = x @ k.T
+    phase = x.astype(ld) @ k.T
     if want_grad:
-        return np.einsum("pf,fjk,fm->pjkm", -np.sin(phase), coeffs, k)
-    return np.einsum("pf,fjk->pjk", np.cos(phase), coeffs)
+        return np.einsum("pf,fjk,fm->pjkm", -np.sin(phase), coeffs, k).astype(float)
+    return np.einsum("pf,fjk->pjk", np.cos(phase), coeffs).astype(float)
+
+
+def _real_sum(x, shifts, eta, beta, want_grad):
+    """Real-space image terms at x (P, 2) summed per point, from the evaluator's pieces."""
+    rows, d = lattice._live_images(x, shifts, eta)
+    parts = lattice._blocks(d, *lattice._real_coeffs(d, eta, beta, want_grad))
+    return [None if w is None else lattice._sum_by_point(w, rows, len(x)) for w in parts]
 
 
 @pytest.mark.parametrize("edges,omega", [([1.0, 1.0], 1.0), ([2.0, 3.0], 0.5)])
 def test_paired_fourier_sum_matches_full_set(edges, omega):
-    # both sums share the real-space part; the reordered reciprocal sum may
-    # differ by rounding, measured against the periodic Green's matrix (or its
-    # gradient) at the same points
+    # both sums share the real-space part; the paired reciprocal sum of the
+    # phase GEMM may differ by rounding from the full +-z set, measured
+    # against the periodic Green's matrix (or its gradient) at the same points
     cell = build_cell(edges)
     env = LameEnv(2, omega)
     plan = plan_lattice_sum(cell, env, 1e-10)
@@ -113,11 +94,11 @@ def test_paired_fourier_sum_matches_full_set(edges, omega):
         fourier = _full_set_fourier(x, plan, cell, env, want_grad)
         got = full_fn(x, env, cell, plan)
         scale = np.max(np.abs(got))
-        ref = lattice._real_sum(x, plan.shifts, plan.eta, env.beta, want_grad)[i] + fourier
+        ref = _real_sum(x, plan.shifts, plan.eta, env.beta, want_grad)[i] + fourier
         assert np.max(np.abs(got - ref)) <= 1e-15 * scale
         ref = (
-            lattice._regular_center_terms(x, plan.eta, env, want_grad)[i]
-            + lattice._real_sum(x, plan.shifts[nonzero], plan.eta, env.beta, want_grad)[i]
+            lattice._blocks(x, *lattice._center_coeffs(x, plan.eta, env, want_grad))[i]
+            + _real_sum(x, plan.shifts[nonzero], plan.eta, env.beta, want_grad)[i]
             + fourier
         )
         assert np.max(np.abs(regular_fn(x, env, cell, plan) - ref)) <= 1e-15 * scale
@@ -150,13 +131,17 @@ def _loop_real_sum(points, shifts, eta, beta):
 
 
 def test_real_sum_matches_per_shift_loop(plan1):
-    rng = np.random.default_rng(17)
-    x = rng.uniform(-0.5, 0.5, size=(3000, 2))
-    ref_val, ref_grad = _loop_real_sum(x, plan1.shifts, plan1.eta, ENV1.beta)
-    val, _ = lattice._real_sum(x, plan1.shifts, plan1.eta, ENV1.beta)
-    _, grad = lattice._real_sum(x, plan1.shifts, plan1.eta, ENV1.beta, want_grad=True)
-    assert np.max(np.abs(val - ref_val)) <= 1e-15 * np.max(np.abs(ref_val))
-    assert np.max(np.abs(grad - ref_grad)) <= 1e-15 * np.max(np.abs(ref_grad))
+    # the unit cell's split has one live image; the (1, 4) cell at tol 1e-12
+    # falls back to a smaller eta with several
+    cell = build_cell([1.0, 4.0])
+    for cell, plan in ((UNIT, plan1), (cell, plan_lattice_sum(cell, ENV1, 1e-12))):
+        rng = np.random.default_rng(17)
+        x = rng.uniform(-0.5, 0.5, size=(3000, 2)) * np.asarray(cell.q_diag)
+        ref_val, ref_grad = _loop_real_sum(x, plan.shifts, plan.eta, ENV1.beta)
+        val, _ = _real_sum(x, plan.shifts, plan.eta, ENV1.beta, want_grad=False)
+        _, grad = _real_sum(x, plan.shifts, plan.eta, ENV1.beta, want_grad=True)
+        assert np.max(np.abs(val - ref_val)) <= 1e-15 * np.max(np.abs(ref_val))
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-15 * np.max(np.abs(ref_grad))
 
 
 @pytest.mark.parametrize("edges,omega", [([1.0, 1.0], 1.0), ([2.0, 3.0], 0.5)])
@@ -172,12 +157,15 @@ def test_joint_pass_matches_separate_calls(edges, omega):
     x = rng.uniform(-0.5, 0.5, size=(5000, 2)) * q
     x[:1000] += rng.integers(-3, 4, size=(1000, 2)) * q
     x[1000:1500] = rng.uniform(-1e-3, 1e-3, size=(500, 2))
-    val, grad = lattice._lattice_sum(x, env, cell, plan, periodic=True, values=True, grads=True)
-    assert np.array_equal(val, periodic_green(x, env, cell, plan))
-    assert np.array_equal(grad, periodic_green_grad(x, env, cell, plan))
-    val, grad = lattice._lattice_sum(x, env, cell, plan, periodic=False, values=True, grads=True)
-    assert np.array_equal(val, regular_part(x, env, cell, plan))
-    assert np.array_equal(grad, regular_part_grad(x, env, cell, plan))
+    zero = np.zeros((1, 2))
+    val, grad = lattice.lattice_product(x, zero, None, env, cell, plan, periodic=True,
+                                        values=True, grads=True)
+    assert np.array_equal(val[:, 0], periodic_green(x, env, cell, plan))
+    assert np.array_equal(grad[:, 0], periodic_green_grad(x, env, cell, plan))
+    val, grad = lattice.lattice_product(x, zero, None, env, cell, plan, periodic=False,
+                                        values=True, grads=True)
+    assert np.array_equal(val[:, 0], regular_part(x, env, cell, plan))
+    assert np.array_equal(grad[:, 0], regular_part_grad(x, env, cell, plan))
 
 
 def test_kernels_keep_leading_shape(plan1):
@@ -391,10 +379,9 @@ def _product_setup(edges, omega):
 
 @pytest.mark.parametrize("edges,omega", [([1.0, 1.0], 1.0), ([2.0, 3.0], 0.5)])
 def test_product_matches_pair_contraction(edges, omega):
-    # the product split against the assembly split's pair path: every
-    # target-source pair through periodic_green / regular_part(_grad),
-    # contracted with the density; far, near-band (0.25 h) and midpoint
-    # targets, against all nodes and against one
+    # products against the pair path: every target-source pair through
+    # periodic_green / regular_part(_grad), contracted with the density; far,
+    # near-band (0.25 h) and midpoint targets, against all nodes and against one
     cell, env, plan, curve, rho, targets = _product_setup(edges, omega)
     cases = [
         (periodic_green, periodic_green_grad, True, ("far", "near")),
@@ -435,21 +422,65 @@ def test_product_raises_on_lattice_difference(plan1):
                                 periodic=True)
 
 
+def _term_sizes(z, plan, cell, env):
+    """Largest value and gradient entry of the reciprocal term of each z (L, 2)."""
+    k = 2.0 * np.pi * z / np.asarray(cell.q_diag)
+    k2 = np.sum(k * k, axis=1)
+    u = k2 / (4.0 * plan.eta**2)
+    khat = k / np.sqrt(k2)[:, None]
+    C = (-np.eye(2) + env.beta * khat[:, :, None] * khat[:, None, :]) \
+        * ((1.0 + u) * np.exp(-u) / (k2 * cell.volume))[:, None, None]
+    grad = C[:, :, :, None] * k[:, None, None, :]
+    return np.max(np.abs(C), axis=(1, 2)), np.max(np.abs(grad), axis=(1, 2, 3))
+
+
 @pytest.mark.parametrize("edges", [(1.0, 1.0), (2.0, 3.0)])
 @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-11, 1e-13])
 def test_product_split_never_less_accurate(edges, tol):
+    # the one split, which products, pointwise kernels and assembly share:
+    # both tail bounds under tol/20, and the pruned image box and reciprocal
+    # set drop nothing their bounds do not cover
     cell = build_cell(edges)
+    q = np.asarray(cell.q_diag)
     for omega in (0.5, 1.0):
-        plan = plan_lattice_sum(cell, LameEnv(2, omega), tol)
-        split = plan.product
-        assert split.real_bound <= plan.real_bound
-        assert split.fourier_bound <= plan.fourier_bound
-        assert split.matches(LameEnv(2, omega), cell) and split.tol == tol
+        env = LameEnv(2, omega)
+        plan = plan_lattice_sum(cell, env, tol)
+        assert plan.real_bound < tol / 20 and plan.fourier_bound < tol / 20
+        assert plan.matches(env, cell) and plan.tol == tol
         # the pruned box keeps every image a reduced argument can bring live
-        q = np.asarray(cell.q_diag)
-        r = np.arange(-split.real_cutoff, split.real_cutoff + 1)
+        r = np.arange(-plan.real_cutoff, plan.real_cutoff + 1)
         box = np.array([(a, b) for a in r for b in r], dtype=float) * q
         x = np.random.default_rng(23).uniform(-0.5, 0.5, size=(2000, 2)) * q
-        live = split.eta**2 * np.sum((x[:, None, :] - box[None]) ** 2, axis=-1) < 45.0
-        kept = np.any(np.all(box[:, None, :] == split.shifts[None], axis=-1), axis=1)
+        live = plan.eta**2 * np.sum((x[:, None, :] - box[None]) ** 2, axis=-1) < 45.0
+        kept = np.any(np.all(box[:, None, :] == plan.shifts[None], axis=-1), axis=1)
         assert not np.any(live[:, ~kept])
+        # one z of each +-z pair, all in the disc |k| <= 2 pi F / max_edge
+        F = plan.fourier_cutoff
+        paired = np.concatenate([plan.zvecs, -plan.zvecs])
+        assert len(np.unique(paired, axis=0)) == len(paired)
+        k = 2.0 * np.pi * paired / q
+        radius = 2.0 * np.pi * F / cell.max_edge
+        assert np.all(np.sqrt(np.sum(k * k, axis=1)) <= radius * (1 + 1e-12))
+        # every term dropped within twice the cutoff box, term by term, sums
+        # under the Fourier bound, for values and for gradients
+        r = np.arange(-2 * F, 2 * F + 1)
+        z = np.array([(a, b) for a in r for b in r if (a, b) != (0, 0)])
+        dropped = z[~np.isin(z @ [1, 4 * F + 1], paired @ [1, 4 * F + 1])]
+        assert len(dropped) == len(z) - len(paired)
+        for sizes in _term_sizes(dropped, plan, cell, env):
+            assert np.sum(sizes) <= plan.fourier_bound
+
+
+@pytest.mark.parametrize("edges", [(1.0, 1.0), (2.0, 3.0), (1.0, 4.0), (4.0, 1.0), (1.0, 10.0)])
+def test_plan_covers_elongated_cells(edges):
+    # a cell whose Fourier cutoff at the smallest one-image eta would pass the
+    # ceiling plans at the largest eta whose cutoff fits it, with more images
+    cell = build_cell(edges)
+    one_image = 2.0 * np.sqrt(45.0) / cell.min_edge
+    for tol in (1e-4, 1e-6, 1e-8, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14):
+        plan = plan_lattice_sum(cell, ENV1, tol)
+        assert plan.real_bound < tol / 20 and plan.fourier_bound < tol / 20
+        assert plan.fourier_cutoff <= lattice.FOURIER_CUTOFF_CEILING
+        if plan.eta < one_image:
+            assert plan.fourier_cutoff == lattice.FOURIER_CUTOFF_CEILING
+            assert len(plan.shifts) > 1

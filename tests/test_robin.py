@@ -479,7 +479,7 @@ def test_solve_robin_assembles_at_n_and_counts_residual_pairs(monkeypatch, plan1
     N = 32
     curve = discretize_curve(CircleShape([0.5, 0.5], 0.25), N, UNIT)
     data = _varied_data(curve)
-    sizes, passes, products = [], [], []
+    sizes, passes = [], []
 
     def recording(assemble):
         def wrapper(curve, *args):
@@ -487,40 +487,33 @@ def test_solve_robin_assembles_at_n_and_counts_residual_pairs(monkeypatch, plan1
             return assemble(curve, *args)
         return wrapper
 
-    lattice_sum = lattice._lattice_sum
     product = lattice.lattice_product
 
-    def counting(x, env, cell, plan, periodic, values=True, grads=False):
-        passes.append((np.shape(x)[:-1], periodic, values, grads))
-        return lattice_sum(x, env, cell, plan, periodic, values, grads)
-
-    def counting_product(x, y, rho, env, cell, plan, periodic, values=True, grads=False):
-        products.append((np.shape(x), np.shape(y), periodic, values, grads))
+    def counting(x, y, rho, env, cell, plan, periodic, values=True, grads=False):
+        passes.append((np.shape(x), np.shape(y), rho is None, periodic, values, grads))
         return product(x, y, rho, env, cell, plan, periodic, values, grads)
 
     monkeypatch.setattr(robin, "assemble_single_layer", recording(assemble_single_layer))
     monkeypatch.setattr(robin, "assemble_wstar", recording(assemble_wstar))
-    monkeypatch.setattr(lattice, "_lattice_sum", counting)
-    monkeypatch.setattr(operators, "lattice_product", counting_product)
+    monkeypatch.setattr(lattice, "lattice_product", counting)
+    monkeypatch.setattr(operators, "lattice_product", counting)
     solve_robin(data, curve, ENV1, UNIT, plan1)
     assert sizes == [N, N]
-    # each symmetric assembly takes the upper triangle, values for V and
-    # gradients for W*; the residual takes no pair pass, only one product of
-    # the regular part, values and gradients, from the N midpoints to the N nodes
-    half = (N * (N + 1) // 2,)
-    residual = [((N, 2), (N, 2), False, True, True)]
-    assert passes == [(half, False, True, False), (half, False, False, True)]
-    assert products == residual
+    # each assembly takes the N x N regular-part blocks, values for V and
+    # gradients for W*; the residual takes one product of the regular part,
+    # values and gradients, from the N midpoints to the N nodes
+    nodes = ((N, 2), (N, 2))
+    residual = [nodes + (False, False, True, True)]
+    assert passes == [nodes + (True, False, True, False), nodes + (True, False, False, True)] \
+        + residual
 
     ops = (assemble_single_layer(curve, ENV1, UNIT, plan1),
            assemble_wstar(curve, ENV1, UNIT, plan1))
     sizes.clear()
     passes.clear()
-    products.clear()
     solve_robin(data, curve, ENV1, UNIT, plan1, operators=ops)
     assert sizes == []
-    assert passes == []
-    assert products == residual
+    assert passes == residual
 
 
 def test_density_tail_ratio_tracks_resolution():
