@@ -34,8 +34,10 @@ coefficients, in blocks of targets; a product contracts the sources' rows
 with rho first (structure factors).  The live real-space images
 and, for the regular part, the center terms are scalar coefficients
 (p, A, C, Bc) per pair, which _blocks turns into 2x2(x2) blocks and _contract
-applies to rho.  The verification-only helpers (the scalar oracle, the PDE
-residual and the finite-difference Lame operator) live in verify.
+applies to rho; the center terms of a product, which every pair has, are
+applied on the grid of pairs by _grid_contract.  The verification-only
+helpers (the scalar oracle, the PDE residual and the finite-difference Lame
+operator) live in verify.
 """
 
 from bisect import bisect_left
@@ -306,6 +308,41 @@ def _contract(d, rho, p, A, C=None, Bc=None):
     return val, grad
 
 
+def _rowdot(a, b):
+    """Row sums of a * b for (B, M) arrays, shape (B,)."""
+    return np.einsum("bm,bm->b", a, b)
+
+
+def _grid_contract(d, rho, p, A, C=None, Bc=None):
+    """_contract's kernel on a grid of pairs, summed over the sources.
+
+    d holds the (B, M, 2) differences of B targets and M sources, p, A, C and
+    Bc their (B, M) coefficients, rho the (M, 2) density.  Returns the (B, 2)
+    values and the (B, 2, 2) gradients, indexed [B, j, m], or None: matrix
+    products of the coefficients with rho and row sums of scalar (B, M)
+    arrays, with no per-pair vector or block.
+    """
+    dc = (d[..., 0], d[..., 1])
+    drho = dc[0] * rho[:, 0] + dc[1] * rho[:, 1]
+    Ar = A * drho
+    val = p @ rho + np.column_stack([_rowdot(Ar, dj) for dj in dc])
+    if C is None:
+        return val, None
+    # C rho_j d_m + A d_j rho_m + delta_jm A (d.rho) + Bc (d.rho) d_j d_m
+    grad = np.stack([(C * dm) @ rho for dm in dc], axis=-1)
+    for j, dj in enumerate(dc):
+        grad[:, j, :] += (A * dj) @ rho
+    trace = Ar.sum(axis=1)
+    Br = Bc * drho
+    Bx = Br * dc[0]
+    xy = _rowdot(Bx, dc[1])
+    grad[:, 0, 0] += trace + _rowdot(Bx, dc[0])
+    grad[:, 1, 1] += trace + _rowdot(Br * dc[1], dc[1])
+    grad[:, 0, 1] += xy
+    grad[:, 1, 0] += xy
+    return val, grad
+
+
 def _live_images(points, shifts, eta, skip=None):
     """The (point, image) pairs with eta^2 r^2 < 45, in point-major order.
 
@@ -379,7 +416,7 @@ def _f1(T):
 
 
 def _f2(T):
-    """(exp(-T) - 1)/T, analytic through T = 0."""
+    """(exp(-T) - 1)/T, analytic through T = 0; -f2 is (1 - exp(-T))/T."""
     T = np.asarray(T, dtype=float)
     out = np.empty_like(T)
     small = np.abs(T) < 1e-8
@@ -388,41 +425,37 @@ def _f2(T):
     return out
 
 
-def _f3(T):
-    """(1 - exp(-T))/T, analytic through T = 0."""
-    return -_f2(T)
+def _f2p(T, expT):
+    """Derivative of f2, (1 - exp(-T) - T exp(-T))/T^2, analytic through T = 0.
 
-
-def _f2p(T):
-    """Derivative of f2: (1 - exp(-T) - T exp(-T))/T^2, analytic through T = 0."""
-    T = np.asarray(T, dtype=float)
+    expT holds exp(-T), which the center coefficients take once.
+    """
     out = np.empty_like(T)
     small = np.abs(T) < 1e-6
     out[small] = 0.5 - T[small] / 3.0
-    t = T[~small]
-    out[~small] = (1.0 - np.exp(-t) - t * np.exp(-t)) / (t * t)
+    t, e = T[~small], expT[~small]
+    out[~small] = (1.0 - e - t * e) / (t * t)
     return out
 
 
 def _center_coeffs(x, eta, env, want_grad=False):
-    """Scalar coefficients of the center terms at x (L, 2), in _contract's form.
+    """Scalar coefficients of the center terms at x (..., 2), in _contract's form.
 
     The center terms are the analytic extension of [z = 0 real image]
     - Kelvin, finite at x = 0.  Returns (p, A, C, Bc), the last two None
-    unless requested.
+    unless requested; exp(-T) and f2 are each taken once per argument.
     """
-    r2 = _dot(x, x)
-    T = eta**2 * r2
-    f1 = _f1(T)
+    T = eta**2 * _dot(x, x)
     expT = np.exp(-T)
     alpha, beta = env.alpha, env.beta
     log_eta = np.log(eta)
-    diag = expT / (4.0 * np.pi) - alpha / (4.0 * np.pi) * (f1 - EULER_GAMMA - 2.0 * log_eta)
-    dyad = -(beta * eta**2 / (4.0 * np.pi)) * _f2(T)
+    diag = expT / (4.0 * np.pi) - alpha / (4.0 * np.pi) * (_f1(T) - EULER_GAMMA - 2.0 * log_eta)
+    f2 = _f2(T)
+    dyad = -(beta * eta**2 / (4.0 * np.pi)) * f2
     if not want_grad:
         return diag, dyad, None, None
-    c1 = (-eta**2 / (2.0 * np.pi)) * expT - (alpha * eta**2 / (2.0 * np.pi)) * _f3(T)
-    return diag, dyad, c1, -(beta * eta**4 / (2.0 * np.pi)) * _f2p(T)
+    c1 = (-eta**2 / (2.0 * np.pi)) * expT + (alpha * eta**2 / (2.0 * np.pi)) * f2
+    return diag, dyad, c1, -(beta * eta**4 / (2.0 * np.pi)) * _f2p(T, expT)
 
 
 def _phases(points, plan, cell):
@@ -520,7 +553,9 @@ def _add_pair_terms(val, grad, x, y, rho, env, cell, plan, periodic):
 
     The live real-space images and, for the regular part, the center terms,
     in batches of about _PAIRS target-source pairs: as blocks per pair, or
-    applied to rho and summed per target.
+    applied to rho.  Applied, the sparse images are contracted pair by pair
+    and summed per target, and the center terms, which every pair has, are
+    contracted on the batch's grid of pairs (_grid_contract).
     """
     M = y.shape[0]
     grads = grad is not None
@@ -528,15 +563,16 @@ def _add_pair_terms(val, grad, x, y, rho, env, cell, plan, periodic):
     for lo in range(0, x.shape[0], step):
         tb = slice(lo, lo + step)
         B = x[tb].shape[0]
-        d = (x[tb, None, :] - y[None, :, :]).reshape(-1, 2)
+        d = x[tb, None, :] - y[None, :, :]
+        pairs = d.reshape(-1, 2)
         if periodic:
-            xr, skip = _reduce(d, cell), None
+            xr, skip = _reduce(pairs, cell), None
         else:
-            xr, skip = _skipped_image(d, cell)
+            xr, skip = _skipped_image(pairs, cell)
         rows, e = _live_images(xr, plan.shifts, plan.eta, skip)
         terms = [(rows, e, _real_coeffs(e, plan.eta, env.beta, grads))]
-        if not periodic:
-            terms.append((np.arange(B * M), d, _center_coeffs(d, plan.eta, env, grads)))
+        if not periodic and rho is None:
+            terms.append((np.arange(B * M), pairs, _center_coeffs(pairs, plan.eta, env, grads)))
         for rows, e, coeffs in terms:
             if rho is None:
                 parts, at, n = _blocks(e, *coeffs), rows, B * M
@@ -545,6 +581,11 @@ def _add_pair_terms(val, grad, x, y, rho, env, cell, plan, periodic):
             for out, part in zip((val, grad), parts):
                 if out is not None:
                     out[tb] += _sum_by_point(part, at, n).reshape(out[tb].shape)
+        if not periodic and rho is not None:
+            center = _center_coeffs(d, plan.eta, env, grads)
+            for out, part in zip((val, grad), _grid_contract(d, rho, *center)):
+                if out is not None:
+                    out[tb] += part
 
 
 def lattice_product(x, y, rho, env, cell, plan, periodic, values=True, grads=False):
@@ -557,10 +598,13 @@ def lattice_product(x, y, rho, env, cell, plan, periodic, values=True, grads=Fal
     reduced difference and skip the image that is the difference itself,
     which the center terms carry).  The reciprocal part costs O((P + M) F)
     phases and, for blocks, O(P M F) in GEMMs; the pair terms are batched by
-    about _PAIRS pairs.  Returns the (P, 2) values and the (P, 2, 2)
-    gradients d_m, indexed [p, j, m]; with rho None, the (P, M, 2, 2) blocks
-    K(x_p - y_b) and their (P, M, 2, 2, 2) gradients, indexed [p, b, j, k, m].
-    Each is None where not requested.
+    about _PAIRS pairs.  Applied to rho, the regular part's center terms,
+    which every pair has, are contracted on each batch's (B, M) grid of
+    pairs as scalar arrays (matrix products with rho and row sums), and only
+    the sparse live images pair by pair.  Returns the (P, 2) values and the
+    (P, 2, 2) gradients d_m, indexed [p, j, m]; with rho None, the
+    (P, M, 2, 2) blocks K(x_p - y_b) and their (P, M, 2, 2, 2) gradients,
+    indexed [p, b, j, k, m].  Each is None where not requested.
     """
     _check_plan(plan, env, cell)
     x = np.asarray(x, dtype=float).reshape(-1, 2)

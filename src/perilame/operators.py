@@ -9,15 +9,18 @@ Kernels are split on the parameter torus as
 
 with gamma_c = (1-beta)/(2 pi) and J the quarter-turn matrix; the traction
 kernel of the plane Kelvin matrix has no logarithmic singularity, only the
-Cauchy part above.  The split is re-verified numerically at assembly time.
-The rows at the midpoints t_i + pi/N (midpoint_rows) use the same split, with
-both rules shifted by half a node; they stay circulant.  They hold the
-free-space part only: apply_at_midpoints adds the lattice part R^q as a
-product against the density, and the off-boundary potentials
+Cauchy part above.  The split is re-verified numerically at sampled pairs.
+Assembly forms the N x N node blocks; it takes those of R^q and of its
+gradient from the target-source evaluator, lattice.lattice_product, with
+no density.  At the midpoints t_i + pi/N, apply_at_midpoints applies V and
+W* to a density without a block or a matrix: both rules, shifted by half a
+node, act by one FFT each (_apply_rule, which also gives assembly its dense
+node rules from the same symbols), the smooth free-space split is
+contracted with the density as scalar target-node arrays, and R^q is a
+product against the density.  The off-boundary potentials
 eval_single_layer and eval_traction_offboundary are such products of the
 periodic Green's matrix, so no P x M kernel block is formed outside
-assembly.  Assembly takes the N x N blocks of R^q and of its gradient from
-the same target-source evaluator, lattice.lattice_product, with no density.
+assembly.
 Whether an off-boundary target is near the boundary (NearBoundaryWarning) is
 read from the one classification of the targets, cell.locate_targets.
 """
@@ -30,8 +33,8 @@ import numpy as np
 
 from .cell import NEAR_SPACINGS, locate_targets
 from .errors import AssemblyError, NearBoundaryWarning
-from .kernels import traction_from_gradient, traction_kernel, traction_map
-from .lattice import lattice_product
+from .kernels import kelvin, traction_from_gradient, traction_kernel, traction_map
+from .lattice import _PAIRS, _blocks, _dot, _grid_contract, lattice_product
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -121,26 +124,27 @@ def _hilbert_symbol(m):
     return -1j * np.sign(m)
 
 
-def _shifted_rule(symbol, N, shift):
-    """Circulant weights of a convolution rule at the targets t_a + shift.
+def _apply_rule(symbol, f, shift):
+    """A convolution rule read at the targets t_a + shift, applied to nodal data f (N, K).
 
     symbol(m) is the rule's multiplier on e^{ims}: the trig interpolant of the
-    nodal data is integrated exactly and read at t_a + shift, so the weight of
-    node b depends on a - b alone.  The Nyquist mode is split evenly between
-    m = +-N/2, which keeps the real part of its shifted symbol.
+    nodal data is integrated exactly and read at t_a + shift, one FFT each
+    way.  The Nyquist mode is split evenly between m = +-N/2, which keeps the
+    real part of its shifted symbol.  Applied to the identity, it gives the
+    rule's circulant weights, whose (a, b) entry depends on a - b alone.
     """
+    N = f.shape[0]
     m = np.fft.fftfreq(N, d=1.0 / N)
     lam = symbol(m)
     if shift:
         lam = lam * np.exp(1j * m * shift)
     lam[N // 2] = lam[N // 2].real
-    eye = np.eye(N)
-    return np.real(np.fft.ifft(lam[:, None] * np.fft.fft(eye, axis=0), axis=0))
+    return np.real(np.fft.ifft(lam[:, None] * np.fft.fft(f, axis=0), axis=0))
 
 
 def kress_log_rule(N, shift=0.0):
     """Circulant quadrature for int_0^{2pi} log(4 sin^2((t_a + shift - s)/2)) f(s) ds."""
-    return _shifted_rule(_log_symbol, N, shift)
+    return _apply_rule(_log_symbol, np.eye(N), shift)
 
 
 def hilbert_rule(N, shift=0.0):
@@ -149,7 +153,7 @@ def hilbert_rule(N, shift=0.0):
     The Nyquist mode contributes sin((N/2)(t_a + shift - t_b)) / N, which
     vanishes at shift 0 and is (-1)^(a-b) / N at shift pi/N.
     """
-    return _shifted_rule(_hilbert_symbol, N, shift)
+    return _apply_rule(_hilbert_symbol, np.eye(N), shift)
 
 
 def _blocks_to_matrix(blocks):
@@ -166,44 +170,56 @@ def _midpoints(curve):
     )
 
 
-def _single_layer_rows(curve, targets, shift, env, d, lattice=0.0):
-    """(2N, 2N) Nystrom rows of V at the targets t_i + shift against the N nodes.
+def _log_pairs(N):
+    """(a, b) index arrays of the pairs that check the log split: N/8-spaced antipodes."""
+    a = np.arange(0, N, max(1, N // 8))
+    return a, (a + N // 2) % N
 
-    d holds the (N, N, 2) differences and lattice the (N, N, 2, 2) regular
-    part R^q at them, 0 for the free-space split alone.  At shift 0 the
-    targets are the nodes themselves and the diagonal takes the limits of
-    the smooth split.
+
+def _traction_pairs(N):
+    """(a, b) index arrays of the 20 seeded pairs that check the traction split.
+
+    Each a is a quarter to three quarters of the curve away from its b.
+    """
+    rng = np.random.default_rng(N)
+    a = rng.integers(0, N, 20)
+    return a, (a + rng.integers(N // 4, 3 * N // 4, 20)) % N
+
+
+def _single_layer_rows(curve, env, d, lattice):
+    """(2N, 2N) Nystrom matrix of V from the (N, N, 2) node differences d.
+
+    lattice holds the (N, N, 2, 2) regular part R^q at d; the diagonal takes
+    the limits of the smooth split.
     """
     N = curve.N
     sp = curve.speeds
     alpha, beta = env.alpha, env.beta
-    on_nodes = shift == 0.0
     ar = np.arange(N)
 
     r2 = np.sum(d * d, axis=-1)
     # smooth factor of the free-space log split
-    dt_half = 0.5 * (targets.params[:, None] - curve.params[None, :])
+    dt_half = 0.5 * (curve.params[:, None] - curve.params[None, :])
     sin2 = 4.0 * np.sin(dt_half) ** 2
-    if on_nodes:
-        np.fill_diagonal(r2, 1.0)
-        np.fill_diagonal(sin2, 1.0)
+    np.fill_diagonal(r2, 1.0)
+    np.fill_diagonal(sin2, 1.0)
     log_smooth = np.log(r2 / sin2)
     dyad = d[:, :, :, None] * d[:, :, None, :] / r2[:, :, None, None]
-    if on_nodes:
-        np.fill_diagonal(log_smooth, np.log(sp * sp))
-        dyad[ar, ar] = curve.d1[:, :, None] * curve.d1[:, None, :] / (sp * sp)[:, None, None]
+    np.fill_diagonal(log_smooth, np.log(sp * sp))
+    dyad[ar, ar] = curve.d1[:, :, None] * curve.d1[:, None, :] / (sp * sp)[:, None, None]
 
     eye = np.eye(2)
     smooth_fs = (alpha / (4.0 * np.pi)) * log_smooth[:, :, None, None] * eye \
         - (beta / (4.0 * np.pi)) * dyad
 
-    _check_log_split(curve, targets, env, smooth_fs, sin2)
+    a, b = _log_pairs(N)
+    _check_log_split(curve, curve, env, a, b, smooth_fs[a, b], sin2[a, b])
 
     # (2 pi / N) sp_b (smooth_fs + lattice), summed in place
     blocks = smooth_fs
     blocks += lattice
     blocks *= (2.0 * np.pi / N) * sp[None, :, None, None]
-    KL = kress_log_rule(N, shift)
+    KL = kress_log_rule(N)
     blocks += (alpha / (4.0 * np.pi)) * (KL * sp[None, :])[:, :, None, None] * eye
     return _blocks_to_matrix(blocks)
 
@@ -214,82 +230,73 @@ def assemble_single_layer(curve, env, cell, plan):
     lattice = lattice_product(curve.nodes, curve.nodes, None, env, cell, plan,
                               periodic=False)[0]
     return DenseBoundaryOperator(
-        matrix=_single_layer_rows(curve, curve, 0.0, env, d, lattice), curve=curve
+        matrix=_single_layer_rows(curve, env, d, lattice), curve=curve
     )
 
 
-def _check_log_split(curve, targets, env, smooth_fs, sin2):
-    """Log-coefficient extraction must rebuild the Kelvin matrix off-diagonal."""
-    from .kernels import kelvin
+def _check_log_split(curve, targets, env, a, b, smooth_fs, sin2):
+    """Log-coefficient extraction must rebuild the Kelvin matrix at targets a, nodes b.
 
-    N = curve.N
-    for a in range(0, N, max(1, N // 8)):
-        b = (a + N // 2) % N
-        d = targets.nodes[a] - curve.nodes[b]
-        direct = kelvin(d, env)
-        split = smooth_fs[a, b] \
-            + (env.alpha / (4.0 * np.pi)) * np.log(sin2[a, b]) * np.eye(2)
-        if np.max(np.abs(direct - split)) > 1e-12 * max(1.0, np.max(np.abs(direct))):
-            raise AssemblyError("log-split inconsistency in single-layer assembly")
+    smooth_fs holds the (n, 2, 2) smooth free-space blocks and sin2 the
+    4 sin^2((t_a - s_b)/2) at the n pairs.
+    """
+    direct = kelvin(targets.nodes[a] - curve.nodes[b], env)
+    split = smooth_fs + (env.alpha / (4.0 * np.pi)) * np.log(sin2)[:, None, None] * np.eye(2)
+    scale = np.maximum(1.0, np.max(np.abs(direct), axis=(1, 2)))
+    if np.any(np.max(np.abs(direct - split), axis=(1, 2)) > 1e-12 * scale):
+        raise AssemblyError("log-split inconsistency in single-layer assembly")
 
 
-def _wstar_rows(curve, targets, shift, env, d, lattice=0.0):
-    """(2N, 2N) Nystrom rows of W* at the targets t_i + shift against the N nodes.
+def _wstar_rows(curve, env, d, lattice):
+    """(2N, 2N) Nystrom matrix of W* from the (N, N, 2) node differences d.
 
     The target-normal traction kernel splits into a symmetric smooth part, a
     Cauchy part carried by the spectral Hilbert rule, and the smooth periodic
     correction lattice, the (N, N, 2, 2) traction at the target normals of
-    the gradient of R^q at the differences d (0 for the free-space split
-    alone); at shift 0 the diagonal limits come from the curvature data.
+    the gradient of R^q at d; the diagonal limits come from the curvature
+    data.
     """
     N = curve.N
     sp = curve.speeds
-    tsp = targets.speeds
-    nu = targets.normals
+    nu = curve.normals
     beta = env.beta
     gamma_c = (1.0 - beta) / (2.0 * np.pi)
-    on_nodes = shift == 0.0
     ar = np.arange(N)
 
     r2 = np.sum(d * d, axis=-1)
-    if on_nodes:
-        np.fill_diagonal(r2, 1.0)
+    np.fill_diagonal(r2, 1.0)
     dn = np.einsum("abk,ak->ab", d, nu)
 
     eye = np.eye(2)
     ksym = (1.0 - beta) / (2.0 * np.pi) * (dn / r2)[:, :, None, None] * eye
     ksym += (beta / np.pi) * (dn / (r2 * r2))[:, :, None, None] \
         * d[:, :, :, None] * d[:, :, None, :]
-    if on_nodes:
-        d1, d2 = curve.d1, curve.d2
-        d2n = np.einsum("ak,ak->a", d2, nu)
-        ksym[ar, ar] = (-(1.0 - beta) / (4.0 * np.pi)) * (d2n / sp**2)[:, None, None] * eye \
-            - (beta / (2.0 * np.pi)) * (d2n / sp**4)[:, None, None] \
-            * d1[:, :, None] * d1[:, None, :]
+    d1, d2 = curve.d1, curve.d2
+    d2n = np.einsum("ak,ak->a", d2, nu)
+    ksym[ar, ar] = (-(1.0 - beta) / (4.0 * np.pi)) * (d2n / sp**2)[:, None, None] * eye \
+        - (beta / (2.0 * np.pi)) * (d2n / sp**4)[:, None, None] \
+        * d1[:, :, None] * d1[:, None, :]
 
     # Cauchy part: gamma_c * (x'(t).d)/(|x'(t)| r^2) * J, cot subtracted
-    xpd = np.einsum("ak,abk->ab", targets.d1, d)
-    h = xpd / (tsp[:, None] * r2)
-    dt_half = 0.5 * (targets.params[:, None] - curve.params[None, :])
-    if on_nodes:
-        cot = np.zeros((N, N))
-        off = ~np.eye(N, dtype=bool)
-        cot[off] = 1.0 / np.tan(dt_half[off])
-    else:
-        cot = 1.0 / np.tan(dt_half)
-    rho = h - cot / (2.0 * tsp[:, None])
-    if on_nodes:
-        rho[ar, ar] = np.einsum("ak,ak->a", curve.d1, curve.d2) / (2.0 * sp**3)
+    xpd = np.einsum("ak,abk->ab", d1, d)
+    h = xpd / (sp[:, None] * r2)
+    dt_half = 0.5 * (curve.params[:, None] - curve.params[None, :])
+    cot = np.zeros((N, N))
+    off = ~np.eye(N, dtype=bool)
+    cot[off] = 1.0 / np.tan(dt_half[off])
+    rho = h - cot / (2.0 * sp[:, None])
+    rho[ar, ar] = np.einsum("ak,ak->a", d1, d2) / (2.0 * sp**3)
 
-    _check_traction_split(curve, targets, env, ksym, rho, cot)
+    a, b = _traction_pairs(N)
+    _check_traction_split(curve, curve, env, a, b, ksym[a, b], gamma_c * rho[a, b], cot[a, b])
 
     # (2 pi / N) sp_b (ksym + gamma_c rho J + lattice), summed in place
     blocks = gamma_c * rho[:, :, None, None] * _J
     blocks += ksym
     blocks += lattice
     blocks *= (2.0 * np.pi / N) * sp[None, :, None, None]
-    Q = hilbert_rule(N, shift)
-    blocks += gamma_c * np.pi * (Q * (sp[None, :] / tsp[:, None]))[:, :, None, None] * _J
+    Q = hilbert_rule(N)
+    blocks += gamma_c * np.pi * (Q * (sp[None, :] / sp[:, None]))[:, :, None, None] * _J
     return _blocks_to_matrix(blocks)
 
 
@@ -303,64 +310,112 @@ def assemble_wstar(curve, env, cell, plan):
         curve.normals[:, None, :], env.omega,
     )
     return DenseBoundaryOperator(
-        matrix=_wstar_rows(curve, curve, 0.0, env, d, lattice), curve=curve
+        matrix=_wstar_rows(curve, env, d, lattice), curve=curve
     )
 
 
-def midpoint_rows(curve, targets, env):
-    """Free-space rows of V and W* at the N midpoints t_i + pi/N against the N nodes.
+def _check_traction_split(curve, targets, env, a, b, ksym, cauchy, cot):
+    """Free-space split must reproduce the direct traction kernel at targets a, nodes b.
 
-    targets is the midpoint geometry (_midpoints).  The kernel split is the
-    assembly's, with the Kress log rule and the Hilbert rule shifted by half
-    a node; the lattice part R^q is left to apply_at_midpoints.  Returns two
-    (2N, 2N) matrices from node-major densities to node-major midpoint values.
+    ksym holds the (n, 2, 2) symmetric smooth blocks, cauchy the coefficient
+    of J in the smooth Cauchy remainder and cot the cot((t_a - s_b)/2) at the
+    n pairs.
     """
-    shift = np.pi / curve.N
-    d = targets.nodes[:, None, :] - curve.nodes[None, :, :]
-    V_mid = _single_layer_rows(curve, targets, shift, env, d)
-    return V_mid, _wstar_rows(curve, targets, shift, env, d)
+    gamma_c = (1.0 - env.beta) / (2.0 * np.pi)
+    direct = traction_kernel(targets.nodes[a] - curve.nodes[b], targets.normals[a], env)
+    split = ksym + (cauchy + gamma_c * cot / (2.0 * targets.speeds[a]))[:, None, None] * _J
+    worst = np.max(np.abs(direct - split), axis=(1, 2))
+    scale = np.maximum(1.0, np.max(np.abs(direct), axis=(1, 2)))
+    if np.any(worst > 1e-12 * scale):
+        raise AssemblyError(
+            f"traction kernel split deviates from direct evaluation by {np.max(worst):.3e}"
+        )
 
 
-def apply_at_midpoints(field, env, cell, plan):
+def _midpoint_split(curve, targets, env, rows):
+    """The smooth free-space split at some midpoints against the N nodes, as scalar arrays.
+
+    rows indexes the midpoint geometry targets (a slice or an index array of
+    B of them).  V's smooth part is pv delta_jk + av d_j d_k and W*'s
+    pw delta_jk + aw d_j d_k + cauchy J, the form of lattice._contract; each
+    is a (B, N) array, with the (B, N, 2) differences d, and sin2 and cot of
+    the half parameter differences for the split checks.
+    """
+    alpha, beta = env.alpha, env.beta
+    gamma_c = (1.0 - beta) / (2.0 * np.pi)
+    d = targets.nodes[rows, None, :] - curve.nodes[None, :, :]
+    r2 = _dot(d, d)
+    dt_half = 0.5 * (targets.params[rows, None] - curve.params[None, :])
+    sin2 = 4.0 * np.sin(dt_half) ** 2
+    cot = 1.0 / np.tan(dt_half)
+    tsp = targets.speeds[rows, None]
+    dn = _dot(d, targets.normals[rows, None, :])
+    return SimpleNamespace(
+        d=d, sin2=sin2, cot=cot,
+        pv=(alpha / (4.0 * np.pi)) * np.log(r2 / sin2),
+        av=-(beta / (4.0 * np.pi)) / r2,
+        pw=((1.0 - beta) / (2.0 * np.pi)) * dn / r2,
+        aw=(beta / np.pi) * dn / (r2 * r2),
+        cauchy=gamma_c * (_dot(d, targets.d1[rows, None, :]) / (tsp * r2) - cot / (2.0 * tsp)),
+    )
+
+
+def _smooth_at_midpoints(curve, targets, env, wmu):
+    """The smooth free-space split at the midpoints applied to the weighted density wmu (N, 2).
+
+    Both split checks run first, at their pairs, on the arrays of
+    _midpoint_split; the split is then contracted with wmu in batches of
+    about _PAIRS midpoint-node pairs.  Returns its parts of V mu and W* mu,
+    each (N, 2).
+    """
+    N = curve.N
+    a, b = _log_pairs(N)
+    s, at = _midpoint_split(curve, targets, env, a), (np.arange(len(a)), b)
+    _check_log_split(curve, targets, env, a, b, _blocks(s.d[at], s.pv[at], s.av[at])[0],
+                     s.sin2[at])
+    a, b = _traction_pairs(N)
+    s, at = _midpoint_split(curve, targets, env, a), (np.arange(len(a)), b)
+    _check_traction_split(curve, targets, env, a, b, _blocks(s.d[at], s.pw[at], s.aw[at])[0],
+                          s.cauchy[at], s.cot[at])
+
+    vmu, wsmu = np.empty((N, 2)), np.empty((N, 2))
+    step = max(1, _PAIRS // N)
+    for lo in range(0, N, step):
+        tb = slice(lo, lo + step)
+        s = _midpoint_split(curve, targets, env, tb)
+        vmu[tb] = _grid_contract(s.d, wmu, s.pv, s.av)[0]
+        wsmu[tb] = _grid_contract(s.d, wmu, s.pw, s.aw)[0] + (s.cauchy @ wmu) @ _J.T
+    return vmu, wsmu
+
+
+def apply_at_midpoints(field, targets, env, cell, plan):
     """V mu and W* mu at the N midpoints t_i + pi/N, each (N, 2).
 
-    The free-space rows of midpoint_rows act on the nodal density; the
-    lattice part of V mu is a regular-part product and that of W* mu the
-    traction, at the midpoint normals, of a regular-part gradient product,
-    both from one lattice_product call.
+    targets is the midpoint geometry (_midpoints).  No kernel block and no
+    N x N matrix is formed.  The half-shifted Kress log and Hilbert rules
+    act on sp mu by one FFT each (_apply_rule); the smooth free-space split
+    is contracted with the weighted density as scalar arrays, after both
+    split checks have passed on it (_smooth_at_midpoints).  The lattice part
+    of V mu is a regular-part product and that of W* mu the traction, at the
+    midpoint normals, of a regular-part gradient product, both from one
+    lattice_product call.
     """
     curve = field.curve
-    targets = _midpoints(curve)
-    V_mid, W_mid = midpoint_rows(curve, targets, env)
-    mu = field.values.reshape(-1)
-    lattice, lattice_grad = lattice_product(
-        targets.nodes, curve.nodes, field.values * curve.weights[:, None], env, cell, plan,
-        periodic=False, values=True, grads=True,
-    )
-    vmu = (V_mid @ mu).reshape(-1, 2) + lattice
-    traction = np.einsum("ajm,am->aj", traction_map(env.omega, lattice_grad), targets.normals)
-    return vmu, (W_mid @ mu).reshape(-1, 2) + traction
-
-
-def _check_traction_split(curve, targets, env, ksym, rho, cot):
-    """Free-space split must reproduce the direct traction kernel off-diagonal."""
     N = curve.N
-    sp = targets.speeds
     gamma_c = (1.0 - env.beta) / (2.0 * np.pi)
-    rng = np.random.default_rng(N)
-    pairs = [(int(a), int((a + s) % N)) for a, s in
-             zip(rng.integers(0, N, 20), rng.integers(N // 4, 3 * N // 4, 20))]
-    worst = 0.0
-    for a, b in pairs:
-        d = targets.nodes[a] - curve.nodes[b]
-        direct = traction_kernel(d, targets.normals[a], env)
-        split = ksym[a, b] + gamma_c * (rho[a, b] + cot[a, b] / (2.0 * sp[a])) * _J
-        worst = max(worst, float(np.max(np.abs(direct - split))))
-        scale = max(1.0, float(np.max(np.abs(direct))))
-        if worst > 1e-12 * scale:
-            raise AssemblyError(
-                f"traction kernel split deviates from direct evaluation by {worst:.3e}"
-            )
+    wmu = field.values * curve.weights[:, None]
+    vmu, wsmu = _smooth_at_midpoints(curve, targets, env, wmu)
+    spmu = field.values * curve.speeds[:, None]
+    shift = np.pi / N
+    vmu += (env.alpha / (4.0 * np.pi)) * _apply_rule(_log_symbol, spmu, shift)
+    wsmu += (gamma_c * np.pi / targets.speeds[:, None]) \
+        * (_apply_rule(_hilbert_symbol, spmu, shift) @ _J.T)
+
+    lattice, lattice_grad = lattice_product(targets.nodes, curve.nodes, wmu, env, cell, plan,
+                                            periodic=False, values=True, grads=True)
+    vmu += lattice
+    wsmu += np.einsum("ajm,am->aj", traction_map(env.omega, lattice_grad), targets.normals)
+    return vmu, wsmu
 
 
 def boundary_integral(field, curve=None):

@@ -11,13 +11,14 @@ constant c, and the displacement is reconstructed as
 u(x) = v[mu](x) + c + B q^{-1} x.
 
 diagnostics["residual_off_node"] is the collocation residual at the N
-midpoints t_i + pi/N: N-point Kress log and Hilbert rules at the half-shifted
-targets against the N nodes, with no reassembly at 2N; the lattice parts of
-V mu and W* mu there are products against the density
-(operators.apply_at_midpoints), and so is the field v[mu] of
-eval_solution.  eval_solution locates its targets once (cell.locate_targets):
-that one classification refuses points on a node image or inside a hole image
-and flags those near the boundary.
+midpoints t_i + pi/N, with no reassembly at 2N and no N x N matrix:
+operators.apply_at_midpoints applies V and W* there to the density (the
+half-shifted Kress log and Hilbert rules by FFT, the smooth free-space part
+as scalar target-node arrays, the lattice part as a product against the
+density, as is the field v[mu] of eval_solution).  eval_solution locates
+its targets once (cell.locate_targets): that one classification refuses
+points on a node image or inside a hole image and flags those near the
+boundary.
 """
 
 import time
@@ -33,11 +34,13 @@ from .kernels import traction_map
 from .operators import (
     BoundaryMatrixField,
     BoundaryVectorField,
+    _midpoints,
     apply_at_midpoints,
     assemble_single_layer,
     assemble_wstar,
     boundary_integral,
     eval_single_layer,
+    trig_resample,
     warn_near_boundary,
 )
 
@@ -114,10 +117,10 @@ class DiscreteSystem:
     rhs: np.ndarray
 
 
-def _ainv_b(data):
-    """Nodal a^{-1} and a^{-1} b of the Robin data, each (N, 2, 2)."""
-    ainv = np.linalg.inv(data.a.values)
-    return ainv, np.einsum("nij,njk->nik", ainv, data.b.values)
+def _ainv_b(a, b):
+    """a^{-1} and a^{-1} b of nodal (N, 2, 2) Robin coefficients, each (N, 2, 2)."""
+    ainv = np.linalg.inv(a)
+    return ainv, np.einsum("nij,njk->nik", ainv, b)
 
 
 def validate_robin_data(data, curve=None):
@@ -145,7 +148,7 @@ def validate_robin_data(data, curve=None):
             f"det a vanishes at node {worst_det}: {det_a[worst_det]:.3e}",
         )
 
-    _, ainv_b = _ainv_b(data)
+    _, ainv_b = _ainv_b(a, b)
     sym = 0.5 * (ainv_b + np.swapaxes(ainv_b, 1, 2))
     eigs = np.linalg.eigvalsh(sym)
     max_eig = float(np.max(eigs))
@@ -193,11 +196,18 @@ def drift_traction(B, curve, env, cell):
 
 def robin_rhs(data, env, cell):
     """Collocated right-hand side of the integral equation."""
-    curve = data.curve
-    ainv, ainv_b = _ainv_b(data)
-    rhs = np.einsum("nij,nj->ni", ainv, data.g.values)
-    rhs -= drift_traction(data.B, curve, env, cell)
-    rhs -= np.einsum("nij,nj->ni", ainv_b, curve.nodes @ (data.B @ cell.q_inv).T)
+    return _collocated_rhs(*_ainv_b(data.a.values, data.b.values), data.g.values, data.B,
+                           data.curve, env, cell)
+
+
+def _collocated_rhs(ainv, ainv_b, g, B, points, env, cell):
+    """Right-hand side of the integral equation at boundary points (nodes and normals).
+
+    ainv, ainv_b and g are the Robin data at the points, B the drift.
+    """
+    rhs = np.einsum("nij,nj->ni", ainv, g)
+    rhs -= drift_traction(B, points, env, cell)
+    rhs -= np.einsum("nij,nj->ni", ainv_b, points.nodes @ (B @ cell.q_inv).T)
     return rhs
 
 
@@ -227,7 +237,7 @@ def assemble_robin_system(data, curve, env, cell, plan, operators=None):
         W = assemble_wstar(curve, env, cell, plan)
     else:
         V, W = operators
-    matrix = augmented_matrix(_ainv_b(data)[1], V, W, curve)
+    matrix = augmented_matrix(_ainv_b(data.a.values, data.b.values)[1], V, W, curve)
     rhs = np.concatenate([robin_rhs(data, env, cell).reshape(-1), np.zeros(2)])
     return DiscreteSystem(matrix=matrix, rhs=rhs)
 
@@ -342,19 +352,20 @@ def solve_robin(data, curve, env, cell, plan, operators=None):
 def _off_node_residual(data, curve, env, cell, plan, mu, c):
     """Collocation residual at the N midpoints t_i + pi/N.
 
-    V and W* act on the nodal density through N-point rules at the
-    half-shifted targets (operators.apply_at_midpoints); the data and the
-    density at the midpoints are the odd entries of their exact trig
-    resampling to 2N.
+    The midpoint geometry is built once (operators._midpoints).  V mu and
+    W* mu there come from operators.apply_at_midpoints, with no N x N
+    matrix; the Robin data and the density at the midpoints are the odd
+    entries of their exact trig resampling to 2N, and the right-hand side is
+    evaluated at the midpoints alone.
     """
-    N2 = 2 * curve.N
-    fine = data.resample(N2)
-    mu_mid = mu.resample(N2).values[1::2]
-    vmu, wmu = apply_at_midpoints(mu, env, cell, plan)
-    ainv_b = _ainv_b(fine)[1][1::2]
+    mid = _midpoints(curve)
+    a, b, g, mu_mid = (trig_resample(f.values, 2 * curve.N)[1::2]
+                       for f in (data.a, data.b, data.g, mu))
+    vmu, wmu = apply_at_midpoints(mu, mid, env, cell, plan)
+    ainv, ainv_b = _ainv_b(a, b)
     lhs = 0.5 * mu_mid + wmu
     lhs += np.einsum("nij,nj->ni", ainv_b, vmu + c[None, :])
-    res = lhs - robin_rhs(fine, env, cell)[1::2]
+    res = lhs - _collocated_rhs(ainv, ainv_b, g, data.B, mid, env, cell)
     return float(np.max(np.abs(res)))
 
 

@@ -14,6 +14,8 @@ from perilame.lattice import plan_lattice_sum
 from perilame.operators import (
     BoundaryMatrixField,
     BoundaryVectorField,
+    _midpoints,
+    apply_at_midpoints,
     assemble_single_layer,
     assemble_wstar,
     boundary_integral,
@@ -117,6 +119,32 @@ def test_half_shifted_rules_exact_on_trig_polynomials(N):
     alt = np.cos(N // 2 * t)
     assert np.max(np.abs(KL @ alt + (4 * np.pi / N) * np.cos(N // 2 * tm))) < 1e-13
     assert np.max(np.abs(Q @ alt - np.sin(N // 2 * tm))) < 1e-13
+
+
+ELLIPSE4 = EllipseShape([0.5, 0.5], (0.3, 0.15), rotation=0.4)
+
+
+@pytest.mark.parametrize("shape, omega", [
+    (CircleShape([0.5, 0.5], 0.25), 1.0),
+    (ELLIPSE4, 4.0),
+], ids=["circle", "ellipse-omega4"])
+def test_midpoint_products_match_2n_odd_rows(shape, omega):
+    # the matrix-free products at the midpoints against the odd rows of V and
+    # W* assembled at 2N, applied to the density resampled to 2N
+    N = 128
+    env = LameEnv(2, omega)
+    plan = plan_lattice_sum(UNIT, env, 1e-11)
+    curve = discretize_curve(shape, N, UNIT)
+    t = curve.params
+    mu = BoundaryVectorField(
+        np.column_stack([np.cos(t) + 0.3 * np.sin(3 * t), 0.5 - np.sin(2 * t)]), curve
+    )
+    vmu, wmu = apply_at_midpoints(mu, _midpoints(curve), env, UNIT, plan)
+    fine = mu.resample(2 * N)
+    V2 = assemble_single_layer(fine.curve, env, UNIT, plan)
+    W2 = assemble_wstar(fine.curve, env, UNIT, plan)
+    assert np.max(np.abs(vmu - V2.apply(fine).values[1::2])) < 1e-13
+    assert np.max(np.abs(wmu - W2.apply(fine).values[1::2])) < 1e-13
 
 
 def test_trig_resample_exact_for_trig_polynomials():

@@ -516,6 +516,30 @@ def test_solve_robin_assembles_at_n_and_counts_residual_pairs(monkeypatch, plan1
     assert passes == residual
 
 
+def test_residual_forms_no_rule_matrix(monkeypatch, plan1):
+    # with V and W* given, the off-node residual applies the shifted rules by
+    # FFT: neither dense N x N rule is built; assembly builds each once
+    N = 32
+    curve = discretize_curve(CircleShape([0.5, 0.5], 0.25), N, UNIT)
+    data = _varied_data(curve)
+    calls = []
+
+    def counting(rule):
+        def wrapper(*args):
+            calls.append(rule.__name__)
+            return rule(*args)
+        return wrapper
+
+    for name in ("kress_log_rule", "hilbert_rule"):
+        monkeypatch.setattr(operators, name, counting(getattr(operators, name)))
+    ops = (assemble_single_layer(curve, ENV1, UNIT, plan1),
+           assemble_wstar(curve, ENV1, UNIT, plan1))
+    assert calls == ["kress_log_rule", "hilbert_rule"]
+    calls.clear()
+    solve_robin(data, curve, ENV1, UNIT, plan1, operators=ops)
+    assert calls == []
+
+
 def test_density_tail_ratio_tracks_resolution():
     # under-resolved to resolved on the omega = 4 ellipse: the indicator and
     # the off-node residual fall together, by orders of magnitude
