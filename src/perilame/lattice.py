@@ -31,13 +31,13 @@ pointwise kernels are the case of the one source y = 0.  Since
 e^{ik.(x-y)} = e^{ik.x} e^{-ik.y}, the reciprocal part is a GEMM of the
 targets' phases [cos k.x | sin k.x] with the sources' phases and the
 coefficients, in blocks of targets; a product contracts the sources' rows
-with rho first (structure factors).  The live real-space images
-and, for the regular part, the center terms are scalar coefficients
-(p, A, C, Bc) per pair, which _blocks turns into 2x2(x2) blocks and _contract
-applies to rho; the center terms of a product, which every pair has, are
-applied on the grid of pairs by _grid_contract.  The verification-only
-helpers (the scalar oracle, the PDE residual and the finite-difference Lame
-operator) live in verify.
+with rho first (structure factors).  The pair terms, the live real-space
+images and, for the regular part, the center terms, have one layout: scalar
+coefficients (p, A, C, Bc) on the (B, M) grid of target-source pairs, one
+set per image of the plan, zero at the pairs where that image is not live.
+_blocks turns them into 2x2(x2) blocks and _grid_contract applies them to
+rho.  The verification-only helpers (the scalar oracle, the PDE residual
+and the finite-difference Lame operator) live in verify.
 """
 
 from bisect import bisect_left
@@ -267,44 +267,25 @@ def _real_coeffs(d, eta, beta, want_grad=False):
 
 
 def _blocks(d, p, A, C=None, Bc=None):
-    """A kernel of the form p delta_jk + A d_j d_k as (L, 2, 2) blocks at d (L, 2).
+    """A kernel of the form p delta_jk + A d_j d_k as (..., 2, 2) blocks at d (..., 2).
 
-    The gradient, when C is given, is C delta_jk d_m + A (delta_jm d_k
-    + delta_km d_j) + Bc d_j d_k d_m, as (L, 2, 2, 2) blocks indexed
-    [L, j, k, m]; otherwise None.
+    p and A are the (...) coefficients.  The gradient, when C is given, is
+    C delta_jk d_m + A (delta_jm d_k + delta_km d_j) + Bc d_j d_k d_m, as
+    (..., 2, 2, 2) blocks indexed [..., j, k, m]; otherwise None.
     """
-    dd = d[:, :, None] * d[:, None, :]
-    val = A[:, None, None] * dd
-    val[:, 0, 0] += p
-    val[:, 1, 1] += p
+    dd = d[..., :, None] * d[..., None, :]
+    val = A[..., None, None] * dd
+    val[..., 0, 0] += p
+    val[..., 1, 1] += p
     if C is None:
         return val, None
-    grad = Bc[:, None, None, None] * dd[:, :, :, None] * d[:, None, None, :]
-    ad = A[:, None] * d
-    cd = C[:, None] * d
+    grad = Bc[..., None, None, None] * dd[..., None] * d[..., None, None, :]
+    ad = A[..., None] * d
+    cd = C[..., None] * d
     for j in range(2):
-        grad[:, j, j, :] += cd
-        grad[:, j, :, j] += ad
-        grad[:, :, j, j] += ad
-    return val, grad
-
-
-def _contract(d, rho, p, A, C=None, Bc=None):
-    """A kernel of the form p delta_jk + A d_j d_k applied to rho, pair by pair.
-
-    d and rho are (L, 2).  The gradient, when C is given, is C delta_jk d_m
-    + A (delta_jm d_k + delta_km d_j) + Bc d_j d_k d_m.  Returns the (L, 2)
-    values sum_k K_jk rho_k and the (L, 2, 2) gradients, indexed [L, j, m],
-    or None; no (L, 2, 2) kernel block is formed.
-    """
-    drho = _dot(d, rho)
-    val = p[:, None] * rho + (A * drho)[:, None] * d
-    if C is None:
-        return val, None
-    grad = (C[:, None] * rho + (Bc * drho)[:, None] * d)[:, :, None] * d[:, None, :]
-    grad += (A[:, None] * d)[:, :, None] * rho[:, None, :]
-    grad[:, 0, 0] += A * drho
-    grad[:, 1, 1] += A * drho
+        grad[..., j, j, :] += cd
+        grad[..., j, :, j] += ad
+        grad[..., :, j, j] += ad
     return val, grad
 
 
@@ -314,7 +295,7 @@ def _rowdot(a, b):
 
 
 def _grid_contract(d, rho, p, A, C=None, Bc=None):
-    """_contract's kernel on a grid of pairs, summed over the sources.
+    """A kernel of _blocks' form on a grid of pairs, applied to rho and summed over the sources.
 
     d holds the (B, M, 2) differences of B targets and M sources, p, A, C and
     Bc their (B, M) coefficients, rho the (M, 2) density.  Returns the (B, 2)
@@ -341,35 +322,6 @@ def _grid_contract(d, rho, p, A, C=None, Bc=None):
     grad[:, 0, 1] += xy
     grad[:, 1, 0] += xy
     return val, grad
-
-
-def _live_images(points, shifts, eta, skip=None):
-    """The (point, image) pairs with eta^2 r^2 < 45, in point-major order.
-
-    skip (P, 2) optionally holds, per point, one shift (a row of shifts, or
-    any other vector) whose image to leave out.  Returns the point index of
-    each live pair and its (L, 2) displacement.
-    """
-    d = points[:, None, :] - shifts[None, :, :]
-    live = eta**2 * _dot(d, d) < _LIVE_T
-    if skip is not None:
-        live &= ~np.all(shifts[None, :, :] == skip[:, None, :], axis=-1)
-    rows, cols = np.nonzero(live)
-    return rows, d[rows, cols]
-
-
-def _sum_by_point(w, rows, P):
-    """Sums of the rows of w (L, ...) by point, shape (P, ...).
-
-    rows holds the point of each row in non-decreasing order, as
-    _live_images gives it.
-    """
-    out = np.zeros((P,) + w.shape[1:])
-    if len(rows):
-        counts = np.bincount(rows, minlength=P)
-        held = np.flatnonzero(counts)
-        out[held] = np.add.reduceat(w, (np.cumsum(counts) - counts)[held], axis=0)
-    return out
 
 
 def _check_plan(plan, env, cell):
@@ -439,7 +391,7 @@ def _f2p(T, expT):
 
 
 def _center_coeffs(x, eta, env, want_grad=False):
-    """Scalar coefficients of the center terms at x (..., 2), in _contract's form.
+    """Scalar coefficients of the center terms at x (..., 2), in _blocks' form.
 
     The center terms are the analytic extension of [z = 0 real image]
     - Kelvin, finite at x = 0.  Returns (p, A, C, Bc), the last two None
@@ -548,44 +500,62 @@ def _reciprocal(x, y, rho, cell, plan, values, grads):
     return val, next(out) if grads else None
 
 
+def _scatter(mask, c):
+    """The coefficients c (L,) of the pairs in mask, zero at the others: a mask-shaped array."""
+    out = np.zeros(mask.shape)
+    out[mask] = c
+    return out
+
+
 def _add_pair_terms(val, grad, x, y, rho, env, cell, plan, periodic):
     """Adds the pair terms of lattice_product to its values and gradients.
 
-    The live real-space images and, for the regular part, the center terms,
-    in batches of about _PAIRS target-source pairs: as blocks per pair, or
-    applied to rho.  Applied, the sparse images are contracted pair by pair
-    and summed per target, and the center terms, which every pair has, are
-    contracted on the batch's grid of pairs (_grid_contract).
+    The pair terms are the live real-space images and, for the regular part,
+    the center terms, each with scalar (B, M) coefficients on a batch's grid
+    of about _PAIRS target-source pairs.  Per image of plan.shifts, the live
+    pairs are a (B, M) mask: as blocks, _blocks of the live pairs is added at
+    the mask; applied to rho, the coefficients, zero off the mask, go
+    through _grid_contract.  The images of a pair are summed before they
+    join the reciprocal part.  The center terms, which every pair has, take
+    the same two consumers on the whole grid.
     """
     M = y.shape[0]
     grads = grad is not None
     step = max(1, _PAIRS // M)
     for lo in range(0, x.shape[0], step):
         tb = slice(lo, lo + step)
-        B = x[tb].shape[0]
         d = x[tb, None, :] - y[None, :, :]
-        pairs = d.reshape(-1, 2)
         if periodic:
-            xr, skip = _reduce(pairs, cell), None
+            xr, skip = _reduce(d, cell), None
         else:
-            xr, skip = _skipped_image(pairs, cell)
-        rows, e = _live_images(xr, plan.shifts, plan.eta, skip)
-        terms = [(rows, e, _real_coeffs(e, plan.eta, env.beta, grads))]
-        if not periodic and rho is None:
-            terms.append((np.arange(B * M), pairs, _center_coeffs(pairs, plan.eta, env, grads)))
-        for rows, e, coeffs in terms:
+            xr, skip = _skipped_image(d, cell)
+        images = [None if o is None else np.zeros(o[tb].shape) for o in (val, grad)]
+        for shift in plan.shifts:
+            e = xr - shift
+            live = plan.eta**2 * _dot(e, e) < _LIVE_T
+            if skip is not None:
+                live &= (skip[..., 0] != shift[0]) | (skip[..., 1] != shift[1])
+            if not np.any(live):
+                continue
+            coeffs = _real_coeffs(e[live], plan.eta, env.beta, grads)
             if rho is None:
-                parts, at, n = _blocks(e, *coeffs), rows, B * M
+                parts, at = _blocks(e[live], *coeffs), live
             else:
-                parts, at, n = _contract(e, rho[rows % M], *coeffs), rows // M, B
-            for out, part in zip((val, grad), parts):
-                if out is not None:
-                    out[tb] += _sum_by_point(part, at, n).reshape(out[tb].shape)
-        if not periodic and rho is not None:
+                coeffs = [None if c is None else _scatter(live, c) for c in coeffs]
+                parts, at = _grid_contract(e, rho, *coeffs), Ellipsis
+            for s, part in zip(images, parts):
+                if s is not None:
+                    s[at] += part
+        for o, s in zip((val, grad), images):
+            if o is not None:
+                o[tb] += s
+        del xr, skip, e, live  # freed before the center terms' arrays
+        if not periodic:
             center = _center_coeffs(d, plan.eta, env, grads)
-            for out, part in zip((val, grad), _grid_contract(d, rho, *center)):
-                if out is not None:
-                    out[tb] += part
+            parts = _blocks(d, *center) if rho is None else _grid_contract(d, rho, *center)
+            for o, part in zip((val, grad), parts):
+                if o is not None:
+                    o[tb] += part
 
 
 def lattice_product(x, y, rho, env, cell, plan, periodic, values=True, grads=False):
@@ -598,13 +568,13 @@ def lattice_product(x, y, rho, env, cell, plan, periodic, values=True, grads=Fal
     reduced difference and skip the image that is the difference itself,
     which the center terms carry).  The reciprocal part costs O((P + M) F)
     phases and, for blocks, O(P M F) in GEMMs; the pair terms are batched by
-    about _PAIRS pairs.  Applied to rho, the regular part's center terms,
-    which every pair has, are contracted on each batch's (B, M) grid of
-    pairs as scalar arrays (matrix products with rho and row sums), and only
-    the sparse live images pair by pair.  Returns the (P, 2) values and the
-    (P, 2, 2) gradients d_m, indexed [p, j, m]; with rho None, the
-    (P, M, 2, 2) blocks K(x_p - y_b) and their (P, M, 2, 2, 2) gradients,
-    indexed [p, b, j, k, m].  Each is None where not requested.
+    about _PAIRS pairs.  Applied to rho, the live images and the regular
+    part's center terms are contracted on each batch's (B, M) grid of pairs
+    as scalar arrays (matrix products with rho and row sums), one grid per
+    image of the plan.  Returns the (P, 2) values and the (P, 2, 2)
+    gradients d_m, indexed [p, j, m]; with rho None, the (P, M, 2, 2) blocks
+    K(x_p - y_b) and their (P, M, 2, 2, 2) gradients, indexed
+    [p, b, j, k, m].  Each is None where not requested.
     """
     _check_plan(plan, env, cell)
     x = np.asarray(x, dtype=float).reshape(-1, 2)

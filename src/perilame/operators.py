@@ -9,18 +9,21 @@ Kernels are split on the parameter torus as
 
 with gamma_c = (1-beta)/(2 pi) and J the quarter-turn matrix; the traction
 kernel of the plane Kelvin matrix has no logarithmic singularity, only the
-Cauchy part above.  The split is re-verified numerically at sampled pairs.
-Assembly forms the N x N node blocks; it takes those of R^q and of its
-gradient from the target-source evaluator, lattice.lattice_product, with
-no density.  At the midpoints t_i + pi/N, apply_at_midpoints applies V and
-W* to a density without a block or a matrix: both rules, shifted by half a
-node, act by one FFT each (_apply_rule, which also gives assembly its dense
-node rules from the same symbols), the smooth free-space split is
-contracted with the density as scalar target-node arrays, and R^q is a
-product against the density.  The off-boundary potentials
-eval_single_layer and eval_traction_offboundary are such products of the
-periodic Green's matrix, so no P x M kernel block is formed outside
-assembly.
+Cauchy part above.  The smooth free-space split has one form,
+p delta_jk + A d_j d_k (plus a Cauchy remainder times J), as scalar
+target-node arrays (_free_space_split), at the nodes, where a node against
+itself takes the limits, and at the midpoints alike; one _checked_split
+re-verifies it numerically at sampled pairs for both.  Assembly forms the
+N x N node blocks: lattice._blocks of the split plus the blocks of R^q and
+of its gradient from the target-source evaluator, lattice.lattice_product,
+with no density.  At the midpoints t_i + pi/N, apply_at_midpoints applies V
+and W* to a density without a block or a matrix: both rules, shifted by
+half a node, act by one FFT each (_apply_rule, which also gives assembly
+its dense node rules from the same symbols), the split is contracted with
+the density by lattice._grid_contract, and R^q is a product against the
+density.  The off-boundary potentials eval_single_layer and
+eval_traction_offboundary are such products of the periodic Green's matrix,
+so no P x M kernel block is formed outside assembly.
 Whether an off-boundary target is near the boundary (NearBoundaryWarning) is
 read from the one classification of the targets, cell.locate_targets.
 """
@@ -186,171 +189,36 @@ def _traction_pairs(N):
     return a, (a + rng.integers(N // 4, 3 * N // 4, 20)) % N
 
 
-def _single_layer_rows(curve, env, d, lattice):
-    """(2N, 2N) Nystrom matrix of V from the (N, N, 2) node differences d.
+def _free_space_split(curve, targets, env, rows):
+    """The smooth free-space split at some targets against the N nodes, as scalar arrays.
 
-    lattice holds the (N, N, 2, 2) regular part R^q at d; the diagonal takes
-    the limits of the smooth split.
-    """
-    N = curve.N
-    sp = curve.speeds
-    alpha, beta = env.alpha, env.beta
-    ar = np.arange(N)
-
-    r2 = np.sum(d * d, axis=-1)
-    # smooth factor of the free-space log split
-    dt_half = 0.5 * (curve.params[:, None] - curve.params[None, :])
-    sin2 = 4.0 * np.sin(dt_half) ** 2
-    np.fill_diagonal(r2, 1.0)
-    np.fill_diagonal(sin2, 1.0)
-    log_smooth = np.log(r2 / sin2)
-    dyad = d[:, :, :, None] * d[:, :, None, :] / r2[:, :, None, None]
-    np.fill_diagonal(log_smooth, np.log(sp * sp))
-    dyad[ar, ar] = curve.d1[:, :, None] * curve.d1[:, None, :] / (sp * sp)[:, None, None]
-
-    eye = np.eye(2)
-    smooth_fs = (alpha / (4.0 * np.pi)) * log_smooth[:, :, None, None] * eye \
-        - (beta / (4.0 * np.pi)) * dyad
-
-    a, b = _log_pairs(N)
-    _check_log_split(curve, curve, env, a, b, smooth_fs[a, b], sin2[a, b])
-
-    # (2 pi / N) sp_b (smooth_fs + lattice), summed in place
-    blocks = smooth_fs
-    blocks += lattice
-    blocks *= (2.0 * np.pi / N) * sp[None, :, None, None]
-    KL = kress_log_rule(N)
-    blocks += (alpha / (4.0 * np.pi)) * (KL * sp[None, :])[:, :, None, None] * eye
-    return _blocks_to_matrix(blocks)
-
-
-def assemble_single_layer(curve, env, cell, plan):
-    """Nystrom matrix of the periodic single-layer operator on the curve."""
-    d = curve.nodes[:, None, :] - curve.nodes[None, :, :]
-    lattice = lattice_product(curve.nodes, curve.nodes, None, env, cell, plan,
-                              periodic=False)[0]
-    return DenseBoundaryOperator(
-        matrix=_single_layer_rows(curve, env, d, lattice), curve=curve
-    )
-
-
-def _check_log_split(curve, targets, env, a, b, smooth_fs, sin2):
-    """Log-coefficient extraction must rebuild the Kelvin matrix at targets a, nodes b.
-
-    smooth_fs holds the (n, 2, 2) smooth free-space blocks and sin2 the
-    4 sin^2((t_a - s_b)/2) at the n pairs.
-    """
-    direct = kelvin(targets.nodes[a] - curve.nodes[b], env)
-    split = smooth_fs + (env.alpha / (4.0 * np.pi)) * np.log(sin2)[:, None, None] * np.eye(2)
-    scale = np.maximum(1.0, np.max(np.abs(direct), axis=(1, 2)))
-    if np.any(np.max(np.abs(direct - split), axis=(1, 2)) > 1e-12 * scale):
-        raise AssemblyError("log-split inconsistency in single-layer assembly")
-
-
-def _wstar_rows(curve, env, d, lattice):
-    """(2N, 2N) Nystrom matrix of W* from the (N, N, 2) node differences d.
-
-    The target-normal traction kernel splits into a symmetric smooth part, a
-    Cauchy part carried by the spectral Hilbert rule, and the smooth periodic
-    correction lattice, the (N, N, 2, 2) traction at the target normals of
-    the gradient of R^q at d; the diagonal limits come from the curvature
-    data.
-    """
-    N = curve.N
-    sp = curve.speeds
-    nu = curve.normals
-    beta = env.beta
-    gamma_c = (1.0 - beta) / (2.0 * np.pi)
-    ar = np.arange(N)
-
-    r2 = np.sum(d * d, axis=-1)
-    np.fill_diagonal(r2, 1.0)
-    dn = np.einsum("abk,ak->ab", d, nu)
-
-    eye = np.eye(2)
-    ksym = (1.0 - beta) / (2.0 * np.pi) * (dn / r2)[:, :, None, None] * eye
-    ksym += (beta / np.pi) * (dn / (r2 * r2))[:, :, None, None] \
-        * d[:, :, :, None] * d[:, :, None, :]
-    d1, d2 = curve.d1, curve.d2
-    d2n = np.einsum("ak,ak->a", d2, nu)
-    ksym[ar, ar] = (-(1.0 - beta) / (4.0 * np.pi)) * (d2n / sp**2)[:, None, None] * eye \
-        - (beta / (2.0 * np.pi)) * (d2n / sp**4)[:, None, None] \
-        * d1[:, :, None] * d1[:, None, :]
-
-    # Cauchy part: gamma_c * (x'(t).d)/(|x'(t)| r^2) * J, cot subtracted
-    xpd = np.einsum("ak,abk->ab", d1, d)
-    h = xpd / (sp[:, None] * r2)
-    dt_half = 0.5 * (curve.params[:, None] - curve.params[None, :])
-    cot = np.zeros((N, N))
-    off = ~np.eye(N, dtype=bool)
-    cot[off] = 1.0 / np.tan(dt_half[off])
-    rho = h - cot / (2.0 * sp[:, None])
-    rho[ar, ar] = np.einsum("ak,ak->a", d1, d2) / (2.0 * sp**3)
-
-    a, b = _traction_pairs(N)
-    _check_traction_split(curve, curve, env, a, b, ksym[a, b], gamma_c * rho[a, b], cot[a, b])
-
-    # (2 pi / N) sp_b (ksym + gamma_c rho J + lattice), summed in place
-    blocks = gamma_c * rho[:, :, None, None] * _J
-    blocks += ksym
-    blocks += lattice
-    blocks *= (2.0 * np.pi / N) * sp[None, :, None, None]
-    Q = hilbert_rule(N)
-    blocks += gamma_c * np.pi * (Q * (sp[None, :] / sp[:, None]))[:, :, None, None] * _J
-    return _blocks_to_matrix(blocks)
-
-
-def assemble_wstar(curve, env, cell, plan):
-    """Nystrom matrix of the traction operator of the periodic single layer."""
-    d = curve.nodes[:, None, :] - curve.nodes[None, :, :]
-    # the (N, N, 2, 2, 2) gradient is freed before the rows' temporaries
-    lattice = traction_from_gradient(
-        lattice_product(curve.nodes, curve.nodes, None, env, cell, plan, periodic=False,
-                        values=False, grads=True)[1],
-        curve.normals[:, None, :], env.omega,
-    )
-    return DenseBoundaryOperator(
-        matrix=_wstar_rows(curve, env, d, lattice), curve=curve
-    )
-
-
-def _check_traction_split(curve, targets, env, a, b, ksym, cauchy, cot):
-    """Free-space split must reproduce the direct traction kernel at targets a, nodes b.
-
-    ksym holds the (n, 2, 2) symmetric smooth blocks, cauchy the coefficient
-    of J in the smooth Cauchy remainder and cot the cot((t_a - s_b)/2) at the
-    n pairs.
-    """
-    gamma_c = (1.0 - env.beta) / (2.0 * np.pi)
-    direct = traction_kernel(targets.nodes[a] - curve.nodes[b], targets.normals[a], env)
-    split = ksym + (cauchy + gamma_c * cot / (2.0 * targets.speeds[a]))[:, None, None] * _J
-    worst = np.max(np.abs(direct - split), axis=(1, 2))
-    scale = np.maximum(1.0, np.max(np.abs(direct), axis=(1, 2)))
-    if np.any(worst > 1e-12 * scale):
-        raise AssemblyError(
-            f"traction kernel split deviates from direct evaluation by {np.max(worst):.3e}"
-        )
-
-
-def _midpoint_split(curve, targets, env, rows):
-    """The smooth free-space split at some midpoints against the N nodes, as scalar arrays.
-
-    rows indexes the midpoint geometry targets (a slice or an index array of
-    B of them).  V's smooth part is pv delta_jk + av d_j d_k and W*'s
-    pw delta_jk + aw d_j d_k + cauchy J, the form of lattice._contract; each
-    is a (B, N) array, with the (B, N, 2) differences d, and sin2 and cot of
-    the half parameter differences for the split checks.
+    targets is the midpoint geometry (_midpoints) or the curve itself; rows
+    indexes it (a slice or an index array of B targets).  V's smooth part is
+    pv delta_jk + av d_j d_k and W*'s pw delta_jk + aw d_j d_k + cauchy J,
+    the form of lattice._blocks; each is a (B, N) array, with the (B, N, 2)
+    differences d, and sin2 and cot of the half parameter differences for
+    the split checks.  A node against itself takes the limits, with the
+    tangent d1 in place of d: pv = alpha/(4 pi) log sp^2,
+    av = -beta/(4 pi sp^2), pw = -(1-beta)/(4 pi) d2n/sp^2,
+    aw = -beta/(2 pi) d2n/sp^4 and cauchy = gamma_c d1.d2/(2 sp^3), with
+    d2n = x''.nu.
     """
     alpha, beta = env.alpha, env.beta
     gamma_c = (1.0 - beta) / (2.0 * np.pi)
     d = targets.nodes[rows, None, :] - curve.nodes[None, :, :]
-    r2 = _dot(d, d)
     dt_half = 0.5 * (targets.params[rows, None] - curve.params[None, :])
+    if targets is curve:
+        a = np.arange(curve.N)[rows]
+        self_pairs = (np.arange(a.size), a)
+        d[self_pairs] = curve.d1[a]
+        # finite stand-ins; the limits below replace what they feed
+        dt_half[self_pairs] = 0.5 * np.pi
+    r2 = _dot(d, d)
     sin2 = 4.0 * np.sin(dt_half) ** 2
     cot = 1.0 / np.tan(dt_half)
     tsp = targets.speeds[rows, None]
     dn = _dot(d, targets.normals[rows, None, :])
-    return SimpleNamespace(
+    s = SimpleNamespace(
         d=d, sin2=sin2, cot=cot,
         pv=(alpha / (4.0 * np.pi)) * np.log(r2 / sin2),
         av=-(beta / (4.0 * np.pi)) / r2,
@@ -358,53 +226,118 @@ def _midpoint_split(curve, targets, env, rows):
         aw=(beta / np.pi) * dn / (r2 * r2),
         cauchy=gamma_c * (_dot(d, targets.d1[rows, None, :]) / (tsp * r2) - cot / (2.0 * tsp)),
     )
+    if targets is curve:
+        sp = curve.speeds[a]
+        d2n = _dot(curve.d2[a], curve.normals[a])
+        s.pv[self_pairs] = (alpha / (4.0 * np.pi)) * np.log(sp * sp)
+        s.av[self_pairs] = -(beta / (4.0 * np.pi)) / (sp * sp)
+        s.pw[self_pairs] = -((1.0 - beta) / (4.0 * np.pi)) * d2n / (sp * sp)
+        s.aw[self_pairs] = -(beta / (2.0 * np.pi)) * d2n / sp**4
+        s.cauchy[self_pairs] = gamma_c * _dot(curve.d1[a], curve.d2[a]) / (2.0 * sp**3)
+    return s
 
 
-def _smooth_at_midpoints(curve, targets, env, wmu):
-    """The smooth free-space split at the midpoints applied to the weighted density wmu (N, 2).
+def _checked_split(curve, targets, env):
+    """Checks _free_space_split at targets against the direct kernels.
 
-    Both split checks run first, at their pairs, on the arrays of
-    _midpoint_split; the split is then contracted with wmu in batches of
-    about _PAIRS midpoint-node pairs.  Returns its parts of V mu and W* mu,
-    each (N, 2).
+    At _log_pairs the split plus its log part must rebuild the Kelvin matrix,
+    and at _traction_pairs the split plus its cot part the traction kernel,
+    each to 1e-12 of max(1, the kernel's size); AssemblyError otherwise.
+    """
+    gamma_c = (1.0 - env.beta) / (2.0 * np.pi)
+    a, b = _log_pairs(curve.N)
+    s, at = _free_space_split(curve, targets, env, a), (np.arange(len(a)), b)
+    log_split = _blocks(s.d[at], s.pv[at], s.av[at])[0] \
+        + (env.alpha / (4.0 * np.pi)) * np.log(s.sin2[at])[:, None, None] * np.eye(2)
+    log_direct = kelvin(targets.nodes[a] - curve.nodes[b], env)
+    a, b = _traction_pairs(curve.N)
+    s, at = _free_space_split(curve, targets, env, a), (np.arange(len(a)), b)
+    cauchy = s.cauchy[at] + gamma_c * s.cot[at] / (2.0 * targets.speeds[a])
+    traction_split = _blocks(s.d[at], s.pw[at], s.aw[at])[0] + cauchy[:, None, None] * _J
+    traction_direct = traction_kernel(targets.nodes[a] - curve.nodes[b], targets.normals[a], env)
+    for kind, direct, split in (("log", log_direct, log_split),
+                                ("traction", traction_direct, traction_split)):
+        worst = np.max(np.abs(direct - split), axis=(1, 2))
+        if np.any(worst > 1e-12 * np.maximum(1.0, np.max(np.abs(direct), axis=(1, 2)))):
+            raise AssemblyError(
+                f"{kind} kernel split deviates from direct evaluation by {np.max(worst):.3e}"
+            )
+
+
+def assemble_single_layer(curve, env, cell, plan):
+    """Nystrom matrix of the periodic single-layer operator on the curve.
+
+    The blocks of the smooth free-space split at the nodes and those of R^q
+    are weighted by the trapezoid rule; the Kress log rule carries the log
+    part.
     """
     N = curve.N
-    a, b = _log_pairs(N)
-    s, at = _midpoint_split(curve, targets, env, a), (np.arange(len(a)), b)
-    _check_log_split(curve, targets, env, a, b, _blocks(s.d[at], s.pv[at], s.av[at])[0],
-                     s.sin2[at])
-    a, b = _traction_pairs(N)
-    s, at = _midpoint_split(curve, targets, env, a), (np.arange(len(a)), b)
-    _check_traction_split(curve, targets, env, a, b, _blocks(s.d[at], s.pw[at], s.aw[at])[0],
-                          s.cauchy[at], s.cot[at])
+    sp = curve.speeds
+    blocks = lattice_product(curve.nodes, curve.nodes, None, env, cell, plan,
+                             periodic=False)[0]
+    _checked_split(curve, curve, env)
+    s = _free_space_split(curve, curve, env, slice(None))
+    # (2 pi / N) sp_b (smooth split + R^q), summed in place
+    blocks += _blocks(s.d, s.pv, s.av)[0]
+    blocks *= (2.0 * np.pi / N) * sp[None, :, None, None]
+    KL = kress_log_rule(N)
+    blocks += (env.alpha / (4.0 * np.pi)) * (KL * sp[None, :])[:, :, None, None] * np.eye(2)
+    return DenseBoundaryOperator(matrix=_blocks_to_matrix(blocks), curve=curve)
 
-    vmu, wsmu = np.empty((N, 2)), np.empty((N, 2))
-    step = max(1, _PAIRS // N)
-    for lo in range(0, N, step):
-        tb = slice(lo, lo + step)
-        s = _midpoint_split(curve, targets, env, tb)
-        vmu[tb] = _grid_contract(s.d, wmu, s.pv, s.av)[0]
-        wsmu[tb] = _grid_contract(s.d, wmu, s.pw, s.aw)[0] + (s.cauchy @ wmu) @ _J.T
-    return vmu, wsmu
+
+def assemble_wstar(curve, env, cell, plan):
+    """Nystrom matrix of the traction operator of the periodic single layer.
+
+    The target-normal traction kernel splits into the smooth free-space
+    split at the nodes, a Cauchy part carried by the spectral Hilbert rule,
+    and the smooth periodic correction, the traction at the target normals
+    of the gradient of R^q.
+    """
+    N = curve.N
+    sp = curve.speeds
+    gamma_c = (1.0 - env.beta) / (2.0 * np.pi)
+    # the (N, N, 2, 2, 2) gradient is freed before the split's arrays
+    blocks = traction_from_gradient(
+        lattice_product(curve.nodes, curve.nodes, None, env, cell, plan, periodic=False,
+                        values=False, grads=True)[1],
+        curve.normals[:, None, :], env.omega,
+    )
+    _checked_split(curve, curve, env)
+    s = _free_space_split(curve, curve, env, slice(None))
+    # (2 pi / N) sp_b (smooth split + cauchy J + traction of grad R^q), summed in place
+    blocks += _blocks(s.d, s.pw, s.aw)[0]
+    blocks += s.cauchy[:, :, None, None] * _J
+    blocks *= (2.0 * np.pi / N) * sp[None, :, None, None]
+    Q = hilbert_rule(N)
+    blocks += gamma_c * np.pi * (Q * (sp[None, :] / sp[:, None]))[:, :, None, None] * _J
+    return DenseBoundaryOperator(matrix=_blocks_to_matrix(blocks), curve=curve)
 
 
 def apply_at_midpoints(field, targets, env, cell, plan):
     """V mu and W* mu at the N midpoints t_i + pi/N, each (N, 2).
 
     targets is the midpoint geometry (_midpoints).  No kernel block and no
-    N x N matrix is formed.  The half-shifted Kress log and Hilbert rules
-    act on sp mu by one FFT each (_apply_rule); the smooth free-space split
-    is contracted with the weighted density as scalar arrays, after both
-    split checks have passed on it (_smooth_at_midpoints).  The lattice part
-    of V mu is a regular-part product and that of W* mu the traction, at the
-    midpoint normals, of a regular-part gradient product, both from one
-    lattice_product call.
+    N x N matrix is formed.  After both split checks (_checked_split), the
+    smooth free-space split is contracted with the weighted density by
+    lattice._grid_contract, in batches of about _PAIRS midpoint-node pairs.
+    The half-shifted Kress log and Hilbert rules act on sp mu by one FFT each
+    (_apply_rule).  The lattice part of V mu is a regular-part product and
+    that of W* mu the traction, at the midpoint normals, of a regular-part
+    gradient product, both from one lattice_product call.
     """
     curve = field.curve
     N = curve.N
     gamma_c = (1.0 - env.beta) / (2.0 * np.pi)
     wmu = field.values * curve.weights[:, None]
-    vmu, wsmu = _smooth_at_midpoints(curve, targets, env, wmu)
+    _checked_split(curve, targets, env)
+    vmu, wsmu = np.empty((N, 2)), np.empty((N, 2))
+    step = max(1, _PAIRS // N)
+    for lo in range(0, N, step):
+        tb = slice(lo, lo + step)
+        s = _free_space_split(curve, targets, env, tb)
+        vmu[tb] = _grid_contract(s.d, wmu, s.pv, s.av)[0]
+        wsmu[tb] = _grid_contract(s.d, wmu, s.pw, s.aw)[0] + (s.cauchy @ wmu) @ _J.T
+    del s  # the split's arrays are freed before the lattice product
     spmu = field.values * curve.speeds[:, None]
     shift = np.pi / N
     vmu += (env.alpha / (4.0 * np.pi)) * _apply_rule(_log_symbol, spmu, shift)
@@ -466,9 +399,17 @@ def eval_single_layer(x, field, env, cell, plan, upsample=1, warn=True):
 
 
 def eval_traction_offboundary(x, nu, field, env, cell, plan, upsample=1, warn=True):
-    """Traction T(omega, Dv) nu of the single layer at off-boundary points."""
+    """Traction T(omega, Dv) nu of the single layer at off-boundary points.
+
+    nu holds one normal for every point or one per point; other counts
+    raise ValueError.
+    """
     pts, nodes, dens, single = _off_boundary_sources(x, field, cell, upsample, warn)
     nus = np.atleast_2d(np.asarray(nu, dtype=float))
+    if len(nus) not in (1, len(pts)):
+        raise ValueError(
+            f"nu holds {len(nus)} normals for {len(pts)} points: give one normal or one per point"
+        )
     # Jacobian of v: Dv[p, j, m] = sum_b d_m Gamma_jk(x_p - y_b) mu_k w_b
     Dv = lattice_product(pts, nodes, dens, env, cell, plan, periodic=True,
                          values=False, grads=True)[1]

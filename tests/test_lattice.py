@@ -68,10 +68,19 @@ def _full_set_fourier(x, plan, cell, env, want_grad):
 
 
 def _real_sum(x, shifts, eta, beta, want_grad):
-    """Real-space image terms at x (P, 2) summed per point, from the evaluator's pieces."""
-    rows, d = lattice._live_images(x, shifts, eta)
-    parts = lattice._blocks(d, *lattice._real_coeffs(d, eta, beta, want_grad))
-    return [None if w is None else lattice._sum_by_point(w, rows, len(x)) for w in parts]
+    """Real-space image terms at x (P, 2) summed per point, from the evaluator's pieces.
+
+    Per shift, the blocks of the live images are added at the live mask.
+    """
+    out = [np.zeros((len(x), 2, 2)), np.zeros((len(x), 2, 2, 2)) if want_grad else None]
+    for shift in shifts:
+        e = x - shift
+        live = eta**2 * lattice._dot(e, e) < lattice._LIVE_T
+        parts = lattice._blocks(e[live], *lattice._real_coeffs(e[live], eta, beta, want_grad))
+        for s, part in zip(out, parts):
+            if s is not None:
+                s[live] += part
+    return out
 
 
 @pytest.mark.parametrize("edges,omega", [([1.0, 1.0], 1.0), ([2.0, 3.0], 0.5)])
@@ -358,11 +367,11 @@ def test_omega_limit_matches_scalar_harmonic():
         assert np.max(np.abs(G[:, 0, 1])) < 1e-7
 
 
-def _product_setup(edges, omega):
+def _product_setup(edges, omega, tol=1e-10):
     """Plan, curve, density times weights, and far, near-band and midpoint targets."""
     cell = build_cell(edges)
     env = LameEnv(2, omega)
-    plan = plan_lattice_sum(cell, env, 1e-10)
+    plan = plan_lattice_sum(cell, env, tol)
     q = np.array(edges)
     curve = discretize_curve(EllipseShape(q / 2, (0.3 * q[0], 0.2 * q[1]), 0.3), 128, cell)
     t = curve.params
@@ -377,12 +386,19 @@ def _product_setup(edges, omega):
     return cell, env, plan, curve, rho, {"far": far, "near": near, "mid": mid.nodes}
 
 
-@pytest.mark.parametrize("edges,omega", [([1.0, 1.0], 1.0), ([2.0, 3.0], 0.5)])
-def test_product_matches_pair_contraction(edges, omega):
+@pytest.mark.parametrize(
+    "edges,omega,tol",
+    [([1.0, 1.0], 1.0, 1e-10), ([2.0, 3.0], 0.5, 1e-10), ([1.0, 4.0], 1.0, 1e-12)],
+    ids=["edges0-1.0", "edges1-0.5", "edges2-1.0-fallback"],
+)
+def test_product_matches_pair_contraction(edges, omega, tol):
     # products against the pair path: every target-source pair through
     # periodic_green / regular_part(_grad), contracted with the density; far,
-    # near-band (0.25 h) and midpoint targets, against all nodes and against one
-    cell, env, plan, curve, rho, targets = _product_setup(edges, omega)
+    # near-band (0.25 h) and midpoint targets, against all nodes and against one.
+    # The (1, 4) cell at tol 1e-12 takes the fallback split, with three images
+    cell, env, plan, curve, rho, targets = _product_setup(edges, omega, tol)
+    if edges == [1.0, 4.0]:
+        assert len(plan.shifts) == 3
     cases = [
         (periodic_green, periodic_green_grad, True, ("far", "near")),
         (regular_part, regular_part_grad, False, ("far", "mid")),

@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from perilame.cell import (
     CircleShape,
     EllipseShape,
+    TrigShape,
     build_cell,
     discretize_curve,
     hole_area,
@@ -14,6 +17,7 @@ from perilame.lattice import plan_lattice_sum
 from perilame.operators import (
     BoundaryMatrixField,
     BoundaryVectorField,
+    _free_space_split,
     _midpoints,
     apply_at_midpoints,
     assemble_single_layer,
@@ -366,6 +370,59 @@ def test_wstar_kernel_split_at_close_separations(circle128, plan1):
         assert abs(rho) < 10.0
 
 
+def _split_parts(s, at):
+    """pv, av d d^T, pw, aw d d^T and cauchy of the split s at the pairs at."""
+    dd = s.d[at][:, :, None] * s.d[at][:, None, :]
+    return [s.pv[at], s.av[at][:, None, None] * dd, s.pw[at], s.aw[at][:, None, None] * dd,
+            s.cauchy[at]]
+
+
+def _split_beside_nodes(curve, env, delta):
+    """The split at the on-curve targets t_a + delta against the nodes t_a, pair by pair.
+
+    Each pair is written in its own frame, node a at the origin and t_a = 0,
+    with x(t_a + delta) - x(t_a) summed from the series in product form, so
+    neither the difference nor delta carries the rounding of the coordinates.
+    """
+    N = curve.N
+    m = np.arange(curve.cos_coeffs.shape[1])
+    arg, half = np.outer(curve.params + 0.5 * delta, m), np.sin(0.5 * m * delta)
+    diff = (-2.0 * np.sin(arg) * half) @ curve.cos_coeffs.T \
+        + (2.0 * np.cos(arg) * half) @ curve.sin_coeffs.T
+    d1 = curve.eval(curve.params + delta, derivative=1)
+    sp = np.hypot(d1[:, 0], d1[:, 1])
+    targets = SimpleNamespace(nodes=diff, params=np.full(N, delta), d1=d1, speeds=sp,
+                              normals=np.column_stack((d1[:, 1], -d1[:, 0])) / sp[:, None])
+    frame = SimpleNamespace(nodes=np.zeros((N, 2)), params=np.zeros(N))
+    return _split_parts(_free_space_split(frame, targets, env, slice(None)), (np.arange(N),) * 2)
+
+
+@pytest.mark.parametrize("kind", ["circle", "ellipse", "perturbed"])
+def test_free_space_split_node_limits(kind):
+    # a node against itself takes the limits of the split at on-curve targets
+    # t_a + delta: the two-sided mean is even in delta, and one Richardson
+    # step from delta = 1e-3 h and 5e-4 h leaves O(delta^4)
+    shape = {
+        "circle": CircleShape([0.5, 0.5], 0.25),
+        "ellipse": EllipseShape([0.5, 0.5], (0.3, 0.2), 0.3),
+        "perturbed": TrigShape([[0.5, 0.22, 0.03, 0.02], [0.5, 0.0, 0.0, 0.0]],
+                               [[0.0, 0.0, 0.0, 0.0], [0.0, 0.22, 0.0, -0.02]],
+                               interior=(0.5, 0.5)),
+    }[kind]
+    curve = discretize_curve(shape, 64, UNIT)
+    on_node = _split_parts(_free_space_split(curve, curve, ENV1, slice(None)),
+                           (np.arange(64),) * 2)
+
+    def mean(delta):
+        pairs = zip(_split_beside_nodes(curve, ENV1, delta),
+                    _split_beside_nodes(curve, ENV1, -delta))
+        return [0.5 * (a + b) for a, b in pairs]
+
+    h = curve.dt
+    for limit, coarse, fine in zip(on_node, mean(1e-3 * h), mean(5e-4 * h)):
+        assert np.max(np.abs((4.0 * fine - coarse) / 3.0 - limit)) <= 1e-9
+
+
 def test_wstar_spectral_convergence(plan1):
     shape = EllipseShape([0.5, 0.5], (0.3, 0.2))
     results = {}
@@ -475,6 +532,26 @@ def test_eval_traction_matches_differentiation(circle128, plan1):
 
     expect = traction_map(ENV1.omega, Dv) @ nu
     assert np.max(np.abs(got - expect)) < 1e-7
+
+
+def test_traction_rejects_mismatched_normal_count(circle128, plan1):
+    # one normal serves every point and one per point pairs up; any other
+    # count raises, also for a single point given several normals
+    mu = BoundaryVectorField(np.column_stack([np.cos(circle128.params), np.ones(128)]),
+                             circle128)
+    x = np.array([[0.05, 0.1], [0.1, 0.05]])
+    nus = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+    both = eval_traction_offboundary(x, nus[:2], mu, ENV1, UNIT, plan1)
+    shared = eval_traction_offboundary(x, nus[0], mu, ENV1, UNIT, plan1)
+    single = eval_traction_offboundary(x[0], nus[0], mu, ENV1, UNIT, plan1)
+    assert np.array_equal(both[0], shared[0])
+    # one point alone takes another BLAS path than a row of a batch
+    assert np.max(np.abs(single - shared[0])) <= 1e-14 * np.max(np.abs(single))
+    for pts, normals, message in ((x[0], nus, "3 normals for 1 points"),
+                                  (x, nus, "3 normals for 2 points"),
+                                  (x[:1], nus[:2], "2 normals for 1 points")):
+        with pytest.raises(ValueError, match=message):
+            eval_traction_offboundary(pts, normals, mu, ENV1, UNIT, plan1)
 
 
 def test_near_boundary_warning(circle128, plan1):

@@ -17,3 +17,37 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == [], f"assert statements in src/perilame: {found}"
+
+
+def _private_definitions(tree):
+    """Names of the private module-level functions, classes and constants of a module."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.endswith("__")]
+
+
+def _references(tree):
+    """Names the module reads: loaded names, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_private_names_are_used():
+    # a private helper that nothing in the package reads is dead code; a
+    # docstring naming it does not count
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    used = {name for tree in trees.values() for name in _references(tree)}
+    unused = [f"{module}:{name}" for module, tree in trees.items()
+              for name in _private_definitions(tree) if name not in used]
+    assert unused == [], f"private names nothing in src/perilame reads: {unused}"
