@@ -349,8 +349,8 @@ def _skipped_image(x, cell):
     edges, so they compare exactly with the plan's shifts.
     """
     q = np.asarray(cell.q_diag)
-    xr = nearest_image(x, cell)
-    return xr, -np.rint((x - xr) / q) * q
+    shift = -(q * np.floor(x / q + 0.5))
+    return x + shift, shift
 
 
 def _f1(T):
@@ -537,9 +537,12 @@ def _add_pair_terms(val, grad, x, y, rho, env, cell, plan, periodic):
                 live &= (skip[..., 0] != shift[0]) | (skip[..., 1] != shift[1])
             if not np.any(live):
                 continue
-            coeffs = _real_coeffs(e[live], plan.eta, env.beta, grads)
+            e_live = e[live]
+            if skip is not None and np.any(_on_lattice(e_live, cell)):
+                raise SingularArgumentError("argument lies on a nonzero lattice point")
+            coeffs = _real_coeffs(e_live, plan.eta, env.beta, grads)
             if rho is None:
-                parts, at = _blocks(e[live], *coeffs), live
+                parts, at = _blocks(e_live, *coeffs), live
             else:
                 coeffs = [None if c is None else _scatter(live, c) for c in coeffs]
                 parts, at = _grid_contract(e, rho, *coeffs), Ellipsis
@@ -608,8 +611,9 @@ def regular_part(x, env, cell, plan):
     """Smooth remainder: periodic Green minus the Kelvin matrix, finite at 0.
 
     The remainder is not periodic, so the argument is not reduced modulo the
-    lattice; the function is valid for x (any shape (..., 2)) bounded away
-    from the nonzero lattice points.
+    lattice; x has any shape (..., 2).  An x within the singular distance of
+    a nonzero lattice point raises SingularArgumentError, as periodic_green
+    does at every lattice point.
     """
     return _pointwise(x, env, cell, plan, periodic=False, grads=False)
 

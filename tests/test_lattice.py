@@ -319,6 +319,16 @@ def test_remainder_gradient_vanishes_at_origin(plan1):
     assert np.max(np.abs(g0)) < 1e-15
 
 
+@pytest.mark.parametrize("x", [(1.0, 0.0), (2.0, 1.0), (1.0, 1e-13)])
+def test_remainder_rejects_nonzero_lattice_points(plan1, x):
+    # an image of the remainder is singular there, as periodic_green is
+    with pytest.raises(SingularArgumentError):
+        periodic_green(np.array(x), ENV1, UNIT, plan1)
+    for kernel in (regular_part, regular_part_grad):
+        with pytest.raises(SingularArgumentError):
+            kernel(np.array(x), ENV1, UNIT, plan1)
+
+
 def test_pde_residual_examples():
     plan = plan_lattice_sum(UNIT, ENV1, 1e-13)
     res = pde_residual(np.array([0.37, 0.61]), 0, ENV1, UNIT, plan, h=1e-3)

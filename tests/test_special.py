@@ -1,28 +1,9 @@
 import numpy as np
 import pytest
 
-from perilame.special import erfc, exp1
+from perilame.special import exp1
 
 # reference values computed with 50-digit arithmetic (mpmath)
-ERFC_REFS = [
-    (1e-08, 0.9999999887162083290449),
-    (0.001, 0.9988716212090307635966),
-    (0.1, 0.8875370839817151015953),
-    (0.3, 0.6713732405408725838104),
-    (0.46875, 0.5073865267820620084118),
-    (0.5, 0.4795001221869534623173),
-    (1.0, 0.1572992070502851306588),
-    (2.0, 0.004677734981047265837931),
-    (3.5, 7.430983723414127455237e-7),
-    (4.0, 1.541725790028001885216e-8),
-    (5.0, 1.537459794428034850188e-12),
-    (8.0, 1.122429717298292707997e-29),
-    (12.0, 1.35626116920590421278e-64),
-    (-0.3, 1.32862675945912741619),
-    (-1.5, 1.966105146475310727067),
-    (-4.5, 1.999999999803383955846),
-]
-
 EXP1_REFS = [
     (1e-10, 22.44863526513892394314),
     (1e-06, 13.23829589306249128881),
@@ -42,11 +23,6 @@ EXP1_REFS = [
 ]
 
 
-@pytest.mark.parametrize("x,ref", ERFC_REFS)
-def test_erfc_reference_values(x, ref):
-    assert abs(erfc(x) - ref) <= 1e-14 * abs(ref)
-
-
 @pytest.mark.parametrize("x,ref", EXP1_REFS)
 def test_exp1_reference_values(x, ref):
     assert abs(exp1(x) - ref) <= 1e-14 * abs(ref)
@@ -54,7 +30,6 @@ def test_exp1_reference_values(x, ref):
 
 def test_vectorized_matches_scalar():
     xs = np.array([0.01, 0.3, 1.2, 3.4, 9.0])
-    assert np.allclose(erfc(xs), [erfc(float(x)) for x in xs], rtol=0, atol=0)
     assert np.allclose(exp1(xs), [exp1(float(x)) for x in xs], rtol=0, atol=0)
 
 
@@ -73,9 +48,3 @@ def test_exp1_rejects_nonpositive():
         exp1(0.0)
     with pytest.raises(ValueError):
         exp1(np.array([1.0, -2.0]))
-
-
-def test_erfc_limits():
-    assert erfc(0.0) == 1.0
-    assert erfc(40.0) == 0.0  # underflow region
-    assert erfc(-40.0) == 2.0

@@ -5,7 +5,14 @@ import time
 import numpy as np
 import pytest
 
-from perilame.cell import CircleShape, build_cell, discretize_curve, hole_area
+from perilame.cell import (
+    CircleShape,
+    EllipseShape,
+    TrigShape,
+    build_cell,
+    discretize_curve,
+    hole_area,
+)
 from perilame.errors import OracleError
 from perilame.kernels import LameEnv
 from perilame.lattice import plan_lattice_sum
@@ -112,6 +119,54 @@ def test_suite_runs_kernel_subset():
     for r in reports:
         assert r.max_error <= r.tolerance
         assert r.fingerprint
+
+
+def test_properties_outside_the_criteria_pass():
+    # the acceptance criteria and the kernel-subset test run the other 19
+    names = ["green-kelvin-decomposition", "green-scalar-limit", "green-gradient",
+             "single-layer-periodicity", "single-layer-load-balance"]
+    reports = run_property_suite(names, seed=0)
+    assert [r.name for r in reports] == names
+    assert all(r.passed for r in reports), [(r.name, r.max_error) for r in reports]
+
+
+def _curve_name(shape, cell):
+    """The fingerprint name of a shape: its standard_curve kind, or the circle and its radius."""
+    if isinstance(shape, CircleShape) and shape.radius != 0.25 * cell.min_edge:
+        return f"circle r={shape.radius:g}"
+    return {CircleShape: "circle", EllipseShape: "ellipse", TrigShape: "perturbed"}[type(shape)]
+
+
+def test_fingerprints_name_what_each_check_builds(monkeypatch):
+    # every cell, omega and plan tolerance a check plans at, and every curve
+    # and N it discretizes, is named in the fingerprint of its report
+    import perilame.verify as verify
+
+    built = []
+    plan_lattice_sum_, discretize_curve_ = verify.plan_lattice_sum, verify.discretize_curve
+
+    def cell_name(cell):
+        return "x".join(f"{q:g}" for q in cell.q_diag)
+
+    def plan(cell, env, tol):
+        built.extend([("cell", cell_name(cell)), ("omega", f"{env.omega:g}"),
+                      ("plan_tol", f"{tol:g}")])
+        return plan_lattice_sum_(cell, env, tol)
+
+    def discretize(shape, N, cell):
+        built.extend([("cell", cell_name(cell)), ("curve", _curve_name(shape, cell)),
+                      ("N", str(N))])
+        return discretize_curve_(shape, N, cell)
+
+    monkeypatch.setattr(verify, "plan_lattice_sum", plan)
+    monkeypatch.setattr(verify, "discretize_curve", discretize)
+    for name, (_, _, check) in REGISTRY.items():
+        built.clear()
+        _, fp = check(0)
+        named = dict(part.split("=", 1) for part in fp.split(";"))
+        assert built, name
+        for key, value in built:
+            assert value in named.get(key, "").split(","), (name, key, value, fp)
 
 
 def test_fault_injection_breaks_integral_identity():
