@@ -34,7 +34,6 @@ from .nonlinear import (
     affine_model,
     saturating_model,
     solve_nonlinear_robin,
-    tabulated_model,
 )
 from .operators import (
     BoundaryMatrixField,
@@ -61,7 +60,6 @@ from .robin import (
 )
 from .verify import (
     OracleReport,
-    convergence_study,
     oracle_filtered_fourier,
     oracle_scalar_harmonic,
     pde_residual,

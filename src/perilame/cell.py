@@ -46,8 +46,10 @@ class PeriodicityCell:
 
 
 def build_cell(q_diag):
-    """Build a PeriodicityCell from edge lengths, rejecting non-positive entries."""
+    """Build a PeriodicityCell from two edge lengths, rejecting non-positive entries."""
     q_diag = tuple(float(q) for q in q_diag)
+    if len(q_diag) != 2:
+        raise CellError(f"a plane cell has two edges, got {len(q_diag)}")
     for idx, q in enumerate(q_diag):
         if not q > 0.0:
             raise CellError(f"non-positive edge: q_diag[{idx}] = {q}")
@@ -217,8 +219,7 @@ def discretize_curve(shape, N, cell):
     curve = _discretize_trig(shape, N)
 
     # orientation: positive signed area <=> counterclockwise <=> outward normals
-    signed = signed_area(curve)
-    if signed <= 0.0:
+    if hole_area(curve) <= 0.0:
         raise CurveError("curve must be parametrized counterclockwise")
 
     margin = CONTAINMENT_MARGIN * cell.min_edge
@@ -246,15 +247,10 @@ def discretize_curve(shape, N, cell):
     return curve
 
 
-def signed_area(curve):
-    """Shoelace area of the curve via the exact nodes, positive for CCW."""
-    x, d1 = curve.nodes, curve.d1
-    return 0.5 * curve.dt * np.sum(x[:, 0] * d1[:, 1] - x[:, 1] * d1[:, 0])
-
-
 def hole_area(curve):
-    """Area enclosed by the curve, via the divergence theorem (spectral)."""
-    return float(signed_area(curve))
+    """Area enclosed by the curve, via the divergence theorem (spectral); positive for CCW."""
+    x, d1 = curve.nodes, curve.d1
+    return float(0.5 * curve.dt * np.sum(x[:, 0] * d1[:, 1] - x[:, 1] * d1[:, 0]))
 
 
 def arclength(curve):

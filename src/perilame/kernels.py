@@ -80,9 +80,8 @@ def kelvin_grad(x, env):
 def traction_map(omega, A):
     """Stress map T(omega, A) = (omega-1) tr(A) I + A + A^t."""
     A = np.asarray(A, dtype=float)
-    n = A.shape[-1]
     tr = np.trace(A, axis1=-2, axis2=-1)
-    return (omega - 1.0) * tr[..., None, None] * np.eye(n) + A + np.swapaxes(A, -2, -1)
+    return (omega - 1.0) * tr[..., None, None] * np.eye(2) + A + np.swapaxes(A, -2, -1)
 
 
 def traction_kernel(x, nu, env):

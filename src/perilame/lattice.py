@@ -78,14 +78,11 @@ def _dot(a, b):
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
-def _lattice_points(cutoff, exclude_origin):
+def _lattice_points(cutoff):
+    """The integer points z of [-cutoff, cutoff]^2, shape ((2 cutoff + 1)^2, 2)."""
     rng = np.arange(-cutoff, cutoff + 1)
     z1, z2 = np.meshgrid(rng, rng, indexing="ij")
-    z = np.column_stack((z1.ravel(), z2.ravel())).astype(float)
-    if exclude_origin:
-        keep = np.any(z != 0.0, axis=1)
-        z = z[keep]
-    return z
+    return np.column_stack((z1.ravel(), z2.ravel())).astype(float)
 
 
 @dataclass
@@ -215,7 +212,7 @@ def plan_lattice_sum(cell, env, tol):
 
 def _attach_tables(plan, cell, env):
     q = np.asarray(cell.q_diag)
-    z = _lattice_points(plan.real_cutoff, exclude_origin=False)
+    z = _lattice_points(plan.real_cutoff)
     # images no argument reduced to the cell box can bring within the live
     # radius are pruned
     gap = np.maximum(np.abs(z) - 0.5, 0.0) * q[None, :]
@@ -577,13 +574,14 @@ def lattice_product(x, y, rho, env, cell, plan, periodic, values=True, grads=Fal
     image of the plan.  Returns the (P, 2) values and the (P, 2, 2)
     gradients d_m, indexed [p, j, m]; with rho None, the (P, M, 2, 2) blocks
     K(x_p - y_b) and their (P, M, 2, 2, 2) gradients, indexed
-    [p, b, j, k, m].  Each is None where not requested.
+    [p, b, j, k, m].  Each is None where not requested.  A non-finite
+    target, source or density raises ValueError.
     """
     _check_plan(plan, env, cell)
-    x = np.asarray(x, dtype=float).reshape(-1, 2)
-    y = np.asarray(y, dtype=float).reshape(-1, 2)
+    x = np.asarray_chkfinite(x, dtype=float).reshape(-1, 2)
+    y = np.asarray_chkfinite(y, dtype=float).reshape(-1, 2)
     if rho is not None:
-        rho = np.asarray(rho, dtype=float).reshape(-1, 2)
+        rho = np.asarray_chkfinite(rho, dtype=float).reshape(-1, 2)
     val, grad = _reciprocal(x, y, rho, cell, plan, values, grads)
     _add_pair_terms(val, grad, x, y, rho, env, cell, plan, periodic)
     return val, grad

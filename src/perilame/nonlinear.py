@@ -27,7 +27,7 @@ coupling G = h + eps u that the criterion is defined to catch.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
@@ -66,12 +66,12 @@ def _full_rank_certified(n, cond, norm_1, norm_inf):
 class TractionModel:
     """Traction law G(x_i, u) evaluated on all nodes at once.
 
-    fn(U) maps nodal values U of shape (N, 2) to G of shape (N, 2); the
-    optional jac(U) returns the nodal Jacobian blocks dG/du, shape (N, 2, 2).
+    fn(U) maps nodal values U of shape (N, 2) to G of shape (N, 2); jac(U)
+    returns the nodal Jacobian blocks dG/du, shape (N, 2, 2).
     """
 
     fn: Callable
-    jac: Optional[Callable] = None
+    jac: Callable
 
 
 def affine_model(M, h, curve):
@@ -95,11 +95,6 @@ def saturating_model(h, kappa, curve):
         s = (1.0 + np.sum(U * U, axis=1))[:, None, None]
         return kappa * (s * np.eye(2) - 2.0 * U[:, :, None] * U[:, None, :]) / (s * s)
 
-    return TractionModel(fn=fn, jac=jac)
-
-
-def tabulated_model(fn, jac=None):
-    """User-supplied law fn(U) -> (N, 2) on nodal values U (N, 2), jac(U) -> (N, 2, 2)."""
     return TractionModel(fn=fn, jac=jac)
 
 
@@ -132,8 +127,8 @@ def solve_nonlinear_robin(
     holds the seconds of the iteration and, when V and W* are not given, of
     their assembly.
     """
-    if model.jac is None:
-        raise ValueError("iteration needs a model Jacobian (affine/saturating/tabulated with jac)")
+    if method not in ("newton", "picard"):
+        raise ValueError(f"method must be 'newton' or 'picard', got {method!r}")
     N = curve.N
     B = np.asarray(B, dtype=float)
     timings = {}
@@ -224,7 +219,7 @@ def solve_nonlinear_robin(
     diagnostics = {
         "iterations": len(trace) - 1,
         "residual_on_node": float(res_norm),
-        "zero_mean_violation": float(np.max(np.abs(boundary_integral(mu, curve)))),
+        "zero_mean_violation": float(np.max(np.abs(boundary_integral(mu)))),
         "trace": trace,
         "method": method,
         "density_tail_ratio": _reported_tail_ratio(mu, np.max(np.abs(U))),

@@ -56,10 +56,8 @@ class BoundaryVectorField:
                 f"field shape {self.values.shape} does not match curve N={self.curve.N}"
             )
 
-    def resample(self, N, curve=None):
-        return BoundaryVectorField(
-            values=trig_resample(self.values, N), curve=curve or self.curve.resample(N)
-        )
+    def resample(self, N):
+        return BoundaryVectorField(trig_resample(self.values, N), self.curve.resample(N))
 
 
 @dataclass
@@ -76,10 +74,8 @@ class BoundaryMatrixField:
                 f"field shape {self.values.shape} does not match curve N={self.curve.N}"
             )
 
-    def resample(self, N, curve=None):
-        return BoundaryMatrixField(
-            values=trig_resample(self.values, N), curve=curve or self.curve.resample(N)
-        )
+    def resample(self, N):
+        return BoundaryMatrixField(trig_resample(self.values, N), self.curve.resample(N))
 
 
 @dataclass
@@ -87,7 +83,6 @@ class DenseBoundaryOperator:
     """Dense nodal operator acting on node-major flattened vector fields."""
 
     matrix: np.ndarray  # (2N, 2N)
-    curve: object
 
     def apply(self, field):
         out = self.matrix @ field.values.reshape(-1)
@@ -133,7 +128,9 @@ def _apply_rule(symbol, f, shift):
     symbol(m) is the rule's multiplier on e^{ims}: the trig interpolant of the
     nodal data is integrated exactly and read at t_a + shift, one FFT each
     way.  The Nyquist mode is split evenly between m = +-N/2, which keeps the
-    real part of its shifted symbol.  Applied to the identity, it gives the
+    real part of its shifted symbol: for the Hilbert rule it contributes
+    sin((N/2)(t_a + shift - t_b)) / N, which vanishes at shift 0 and is
+    (-1)^(a-b) / N at shift pi/N.  Applied to the identity, it gives the
     rule's circulant weights, whose (a, b) entry depends on a - b alone.
     """
     N = f.shape[0]
@@ -145,18 +142,14 @@ def _apply_rule(symbol, f, shift):
     return np.real(np.fft.ifft(lam[:, None] * np.fft.fft(f, axis=0), axis=0))
 
 
-def kress_log_rule(N, shift=0.0):
-    """Circulant quadrature for int_0^{2pi} log(4 sin^2((t_a + shift - s)/2)) f(s) ds."""
-    return _apply_rule(_log_symbol, np.eye(N), shift)
+def kress_log_rule(N):
+    """Circulant quadrature for int_0^{2pi} log(4 sin^2((t_a - s)/2)) f(s) ds."""
+    return _apply_rule(_log_symbol, np.eye(N), 0.0)
 
 
-def hilbert_rule(N, shift=0.0):
-    """Circulant quadrature for (1/2pi) pv int f(s) cot((t_a + shift - s)/2) ds.
-
-    The Nyquist mode contributes sin((N/2)(t_a + shift - t_b)) / N, which
-    vanishes at shift 0 and is (-1)^(a-b) / N at shift pi/N.
-    """
-    return _apply_rule(_hilbert_symbol, np.eye(N), shift)
+def hilbert_rule(N):
+    """Circulant quadrature for (1/2pi) pv int f(s) cot((t_a - s)/2) ds."""
+    return _apply_rule(_hilbert_symbol, np.eye(N), 0.0)
 
 
 def _blocks_to_matrix(blocks):
@@ -282,7 +275,7 @@ def assemble_single_layer(curve, env, cell, plan):
     blocks *= (2.0 * np.pi / N) * sp[None, :, None, None]
     KL = kress_log_rule(N)
     blocks += (env.alpha / (4.0 * np.pi)) * (KL * sp[None, :])[:, :, None, None] * np.eye(2)
-    return DenseBoundaryOperator(matrix=_blocks_to_matrix(blocks), curve=curve)
+    return DenseBoundaryOperator(matrix=_blocks_to_matrix(blocks))
 
 
 def assemble_wstar(curve, env, cell, plan):
@@ -310,7 +303,7 @@ def assemble_wstar(curve, env, cell, plan):
     blocks *= (2.0 * np.pi / N) * sp[None, :, None, None]
     Q = hilbert_rule(N)
     blocks += gamma_c * np.pi * (Q * (sp[None, :] / sp[:, None]))[:, :, None, None] * _J
-    return DenseBoundaryOperator(matrix=_blocks_to_matrix(blocks), curve=curve)
+    return DenseBoundaryOperator(matrix=_blocks_to_matrix(blocks))
 
 
 def apply_at_midpoints(field, targets, env, cell, plan):
@@ -351,10 +344,9 @@ def apply_at_midpoints(field, targets, env, cell, plan):
     return vmu, wsmu
 
 
-def boundary_integral(field, curve=None):
+def boundary_integral(field):
     """Componentwise arclength integral of a nodal vector field (trapezoid)."""
-    curve = curve if curve is not None else field.curve
-    return field.values.T @ curve.weights
+    return field.values.T @ field.curve.weights
 
 
 def warn_near_boundary(loc, stacklevel):

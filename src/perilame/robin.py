@@ -74,15 +74,6 @@ class RobinData:
     def curve(self):
         return self.a.curve
 
-    def resample(self, N):
-        curve2 = self.curve.resample(N)
-        return RobinData(
-            a=self.a.resample(N, curve2),
-            b=self.b.resample(N, curve2),
-            g=self.g.resample(N, curve2),
-            B=self.B,
-        )
-
 
 def constant_matrix_field(M, curve):
     vals = np.broadcast_to(np.asarray(M, dtype=float), (curve.N, 2, 2)).copy()
@@ -230,13 +221,9 @@ def augmented_matrix(K, V, W, curve):
     return matrix
 
 
-def assemble_robin_system(data, curve, env, cell, plan, operators=None):
-    """Augmented (2N+2)-square system realizing the collocated equation."""
-    if operators is None:
-        V = assemble_single_layer(curve, env, cell, plan)
-        W = assemble_wstar(curve, env, cell, plan)
-    else:
-        V, W = operators
+def assemble_robin_system(data, curve, env, cell, plan, operators):
+    """Augmented (2N+2)-square system of the collocated equation; operators is (V, W*)."""
+    V, W = operators
     matrix = augmented_matrix(_ainv_b(data.a.values, data.b.values)[1], V, W, curve)
     rhs = np.concatenate([robin_rhs(data, env, cell).reshape(-1), np.zeros(2)])
     return DiscreteSystem(matrix=matrix, rhs=rhs)
@@ -335,7 +322,7 @@ def solve_robin(data, curve, env, cell, plan, operators=None):
     residual = system.matrix @ sol - system.rhs
     diagnostics["residual_on_node"] = float(np.max(np.abs(residual[:-2])))
     diagnostics["zero_mean_violation"] = float(
-        np.max(np.abs(boundary_integral(mu, curve)))
+        np.max(np.abs(boundary_integral(mu)))
     )
     with timed(timings, "off_node_residual"):
         diagnostics["residual_off_node"] = _off_node_residual(
@@ -424,7 +411,7 @@ def representation_roundtrip(u_fn, traction_fn, curve, env, cell, plan, test_poi
     c = np.mean(c_samples, axis=0)
     report = {
         "c_spread": float(np.max(np.abs(c_samples - c[None, :]))),
-        "mean_mu": float(np.max(np.abs(boundary_integral(mu, curve)))),
+        "mean_mu": float(np.max(np.abs(boundary_integral(mu)))),
     }
     if test_points is not None:
         rec = eval_single_layer(test_points, mu, env, cell, plan, warn=False) + c[None, :]

@@ -38,6 +38,7 @@ from .errors import (
 )
 from .kernels import LameEnv, kelvin, traction_map
 from .lattice import (
+    _lattice_points,
     periodic_green,
     periodic_green_grad,
     plan_lattice_sum,
@@ -51,7 +52,7 @@ from .operators import (
     eval_single_layer,
     eval_traction_offboundary,
 )
-from .nonlinear import affine_model, solve_nonlinear_robin, tabulated_model
+from .nonlinear import TractionModel, affine_model, solve_nonlinear_robin
 from .robin import (
     RobinData,
     constant_matrix_field,
@@ -76,12 +77,10 @@ CELLS = ((1.0, 1.0), (2.0, 3.0))
 OMEGAS = (0.5, 1.0, 4.0)
 
 
-def _integer_lattice(m, exclude_origin=False):
-    """The integer points z of [-m, m]^2, shape ((2m+1)^2, 2), origin optionally left out."""
-    rng = np.arange(-m, m + 1)
-    z1, z2 = np.meshgrid(rng, rng, indexing="ij")
-    z = np.column_stack((z1.ravel(), z2.ravel())).astype(float)
-    return z[np.any(z != 0.0, axis=1)] if exclude_origin else z
+def _nonzero_lattice(m):
+    """The integer points z != 0 of [-m, m]^2."""
+    z = _lattice_points(m)
+    return z[np.any(z != 0.0, axis=1)]
 
 
 def _filtered_sum(x, beta, cell, sigma, scalar):
@@ -95,7 +94,7 @@ def _filtered_sum(x, beta, cell, sigma, scalar):
         if np.exp(-u) * 16 * m / (kmin * kmin * cell.volume) < _FILTER_TAIL or m > 4000:
             break
         m += 8
-    z = _integer_lattice(m, exclude_origin=True)
+    z = _nonzero_lattice(m)
     k = 2.0 * np.pi * z / q[None, :]
     k2 = np.sum(k * k, axis=1)
     damp = np.exp(-sigma * k2)
@@ -163,11 +162,11 @@ def scalar_periodic_green(x, cell):
     if np.any(np.sqrt(np.sum(xr * xr, axis=-1)) <= 1e-12 * cell.min_edge):
         raise SingularArgumentError("argument lies on the lattice q Z^n")
     q = np.asarray(cell.q_diag)
-    shifts = _integer_lattice(_SCALAR_REAL_CUTOFF) * q[None, :]
+    shifts = _lattice_points(_SCALAR_REAL_CUTOFF) * q[None, :]
     d = xr[:, None, :] - shifts[None, :, :]
     T = eta**2 * np.sum(d * d, axis=-1)
     out = -np.sum(exp1(T), axis=1) / (4.0 * np.pi)
-    z = _integer_lattice(_SCALAR_FOURIER_CUTOFF, exclude_origin=True)
+    z = _nonzero_lattice(_SCALAR_FOURIER_CUTOFF)
     k = 2.0 * np.pi * z / q[None, :]
     k2 = np.sum(k * k, axis=1)
     u = k2 / (4.0 * eta**2)
@@ -481,8 +480,8 @@ def _check_integral_identity(seed):
         factor = 0.5 - hole_area(curve) / cell.volume
         for _ in range(10):
             mu = _trig_density(curve, rng)
-            lhs = boundary_integral(W.apply(mu), curve)
-            rhs = factor * boundary_integral(mu, curve)
+            lhs = boundary_integral(W.apply(mu))
+            rhs = factor * boundary_integral(mu)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst, fp
 
@@ -535,7 +534,7 @@ def _check_single_layer_lame(seed):
     cell, env, plan, (curve,), fp = _setup(1.0, 1e-13, ["circle"], 128)
     mu = _trig_density(curve, rng)
     mu.values[:, 0] += 1.0  # ensure a nonzero mean load
-    total = boundary_integral(mu, curve)
+    total = boundary_integral(mu)
     target = -total / cell.volume
     scale = float(np.max(np.abs(target)))
     worst = 0.0
@@ -572,8 +571,8 @@ def _check_aux_mean_identity(seed):
     for _ in range(5):
         psi = _trig_density(curve, rng)
         mu = solve_neumann_aux(psi, curve, env, cell, plan, wstar=W)
-        lhs = boundary_integral(psi, curve)
-        rhs = factor * boundary_integral(mu, curve)
+        lhs = boundary_integral(psi)
+        rhs = factor * boundary_integral(mu)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst, fp
 
@@ -584,7 +583,7 @@ def _check_representation(seed):
     V = assemble_single_layer(curve, env, cell, plan)
     W = assemble_wstar(curve, env, cell, plan)
     mu0 = _trig_density(curve, rng)
-    mean = boundary_integral(mu0, curve) / np.sum(curve.weights)
+    mean = boundary_integral(mu0) / np.sum(curve.weights)
     mu0.values -= mean[None, :]  # zero-mean representative
     c0 = rng.normal(size=2)
     v_bdry = V.apply(mu0).values
@@ -723,7 +722,7 @@ def _check_nonlinear_manufactured(seed):
     tstar = trac_fn(curve.nodes, curve.normals)
     ustar = u_fn(curve.nodes)
     lam = -np.eye(2)
-    model = tabulated_model(
+    model = TractionModel(
         lambda U: tstar + (U - ustar) @ lam.T,
         lambda U: np.broadcast_to(lam, (curve.N, 2, 2)),
     )
@@ -740,7 +739,7 @@ def _check_nonlinear_manufactured(seed):
 
 def _check_nonlinear_degeneracy(seed):
     cell, env, plan, (curve,), fp = _setup(1.0, 1e-11, ["circle"], 64)
-    model = tabulated_model(lambda U: np.zeros_like(U), lambda U: np.zeros(U.shape + (2,)))
+    model = TractionModel(lambda U: np.zeros_like(U), lambda U: np.zeros(U.shape + (2,)))
     try:
         solve_nonlinear_robin(model, np.zeros((2, 2)), curve, env, cell, plan)
     except DegenerateProblemError:
@@ -842,17 +841,3 @@ def run_property_suite(names=None, seed=0):
                                     float(time.perf_counter() - t0)))
     return reports
 
-
-def convergence_study(error_at, N_list):
-    """Errors of a manufactured-solution problem across resolutions.
-
-    error_at(N) must return the measured error; the fitted rate is the least
-    squares slope of log2(error) against log2(N) over entries above 1e-14.
-    """
-    rows = [(int(N), float(error_at(N))) for N in N_list]
-    pts = [(np.log2(N), np.log2(e)) for N, e in rows if e > 1e-14]
-    rate = 0.0
-    if len(pts) >= 2:
-        xs, ys = np.array(pts).T
-        rate = float(np.polyfit(xs, ys, 1)[0])
-    return {"rows": rows, "rate": rate}

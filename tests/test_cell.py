@@ -29,6 +29,12 @@ def test_build_cell_rejects_nonpositive_edge():
         build_cell([1.0, 0.0])
 
 
+@pytest.mark.parametrize("edges", [[1.0], [1.0, 1.0, 1.0]])
+def test_build_cell_rejects_edge_count(edges):
+    with pytest.raises(CellError, match="two edges"):
+        build_cell(edges)
+
+
 def test_nearest_image_examples():
     assert np.allclose(nearest_image([0.0, 0.0], UNIT), [0.0, 0.0])
     assert np.allclose(nearest_image([2.0, -3.0], UNIT), [0.0, 0.0])

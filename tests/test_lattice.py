@@ -255,6 +255,12 @@ def test_green_rejects_lattice_points(plan1):
         periodic_green(np.array([2.0, -1.0]), ENV1, UNIT, plan1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_green_rejects_non_finite_points(plan1, bad):
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        periodic_green(np.array([bad, 0.1]), ENV1, UNIT, plan1)
+
+
 def test_decomposition_into_kelvin_plus_remainder():
     plan = plan_lattice_sum(UNIT, ENV1, 1e-13)
     # the last two lie outside the cell box around the origin: the remainder

@@ -9,11 +9,11 @@ from perilame.kernels import LameEnv
 from perilame.lattice import plan_lattice_sum
 from perilame.nonlinear import (
     RANK_TOL,
+    TractionModel,
     _full_rank_certified,
     affine_model,
     saturating_model,
     solve_nonlinear_robin,
-    tabulated_model,
 )
 from perilame.operators import (
     BoundaryVectorField,
@@ -127,7 +127,7 @@ def test_weak_coupling_converges_with_relative_stop(circle64, plan1, ops64, meth
     assert rep.diagnostics["iterations"] < 30
     assert rep.diagnostics["residual_on_node"] < 1e-10
     # zero net traction: integral of h + eps (V mu + c) vanishes
-    mean_h = boundary_integral(BoundaryVectorField(h, circle64), circle64)
+    mean_h = boundary_integral(BoundaryVectorField(h, circle64))
     length = np.sum(circle64.weights)
     assert np.max(np.abs(eps * rep.c + mean_h / length)) < 1e-9
 
@@ -165,7 +165,7 @@ def test_manufactured_nonlinear_solution():
     tstar = trac_fn(curve.nodes, curve.normals)
     ustar = u_fn(curve.nodes)
     lam = -np.eye(2)
-    model = tabulated_model(
+    model = TractionModel(
         lambda U: tstar + (U - ustar) @ lam.T, lambda U: np.broadcast_to(lam, (N, 2, 2))
     )
     reps = {}
@@ -231,8 +231,16 @@ def test_saturating_model_converges(circle64, plan1, ops64):
     assert np.max(np.abs(res)) < 1e-10
 
 
+@pytest.mark.parametrize("method", ["Picard", "bogus"])
+def test_unknown_method_rejected(circle64, plan1, ops64, method):
+    model = saturating_model(np.array([0.3, -0.2]), -0.8, circle64)
+    with pytest.raises(ValueError, match="'newton' or 'picard'"):
+        solve_nonlinear_robin(model, np.zeros((2, 2)), circle64, ENV1, UNIT, plan1,
+                              method=method, operators=ops64)
+
+
 def test_degeneracy_reported(circle64, plan1, ops64):
-    model = tabulated_model(lambda U: np.zeros_like(U), lambda U: np.zeros(U.shape + (2,)))
+    model = TractionModel(lambda U: np.zeros_like(U), lambda U: np.zeros(U.shape + (2,)))
     with pytest.raises(DegenerateProblemError) as info:
         solve_nonlinear_robin(
             model, np.zeros((2, 2)), circle64, ENV1, UNIT, plan1, operators=ops64
@@ -242,7 +250,7 @@ def test_degeneracy_reported(circle64, plan1, ops64):
 
 def test_nonconvergence_reported(circle64, plan1, ops64):
     # an expanding law with a misleading Jacobian cannot meet the tolerance
-    model = tabulated_model(
+    model = TractionModel(
         lambda U: 5.0 * np.tanh(U) + np.array([1.0, 0.0]),
         lambda U: np.broadcast_to(-np.eye(2), U.shape + (2,)),
     )
@@ -261,7 +269,7 @@ def test_zero_mean_constraint_enforced(circle64, plan1, ops64):
     rep = solve_nonlinear_robin(
         model, np.diag([0.1, 0.2]), circle64, ENV1, UNIT, plan1, operators=ops64
     )
-    assert np.max(np.abs(boundary_integral(rep.mu, circle64))) < 1e-10
+    assert np.max(np.abs(boundary_integral(rep.mu))) < 1e-10
 
 
 def test_iteration_timing_and_tail_ratio(circle64, plan1, ops64):
@@ -350,7 +358,7 @@ def test_weak_coupling_sweep(circle_ops, plan1, svdvals_calls, N, method, eps):
         assert len(svdvals_calls) == 1
         return
     rep = solve()
-    mean_h = boundary_integral(BoundaryVectorField(h, curve), curve)
+    mean_h = boundary_integral(BoundaryVectorField(h, curve))
     assert np.max(np.abs(eps * rep.c + mean_h / np.sum(curve.weights))) < 1e-9
     assert rep.diagnostics["rank_checks"] == len(svdvals_calls)
     # smin / max(smax, 1) is 1.9e-11 at both N; the screen's lower bound is

@@ -16,6 +16,7 @@ from perilame.operators import (
     assemble_wstar,
     boundary_integral,
     eval_single_layer,
+    trig_resample,
 )
 from perilame.robin import (
     RobinData,
@@ -109,7 +110,9 @@ def test_validation_reports_integral_conditioning(circle64):
 
 def test_system_size_and_zero_rhs(circle64, plan1):
     data = _data(circle64, np.eye(2), -np.eye(2), [0.0, 0.0])
-    system = assemble_robin_system(data, circle64, ENV1, UNIT, plan1)
+    ops = (assemble_single_layer(circle64, ENV1, UNIT, plan1),
+           assemble_wstar(circle64, ENV1, UNIT, plan1))
+    system = assemble_robin_system(data, circle64, ENV1, UNIT, plan1, operators=ops)
     assert system.matrix.shape == (130, 130)
     assert np.max(np.abs(system.rhs)) == 0.0
 
@@ -384,6 +387,14 @@ def test_eval_solution_rejects_hole_interior(circle64, plan1):
         eval_solution(rep, np.array([1.5, -0.5]), ENV1, UNIT, plan1)
 
 
+def test_eval_solution_rejects_non_finite_points(circle64, plan1):
+    data = _data(circle64, np.eye(2), -np.eye(2), [0.1, 0.0])
+    rep = solve_robin(data, circle64, ENV1, UNIT, plan1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            eval_solution(rep, np.array([bad, 0.1]), ENV1, UNIT, plan1, warn=False)
+
+
 def test_eval_solution_rejects_boundary_node_images(circle64, plan1):
     # the winding number is ambiguous at a polygon vertex; the node-image
     # test comes first, so every node and node image is refused as such
@@ -423,10 +434,13 @@ def test_eval_solution_refuses_points_within_singular_distance(edges):
 def _off_node_residual_2n(data, curve, env, cell, plan, mu, c):
     """Midpoint residual read off V and W* reassembled at 2N (the first method)."""
     N2 = 2 * curve.N
-    fine = data.resample(N2)
-    mu_fine = mu.resample(N2)
-    V2 = assemble_single_layer(fine.curve, env, cell, plan)
-    W2 = assemble_wstar(fine.curve, env, cell, plan)
+    curve2 = curve.resample(N2)
+    a, b, g, mu2 = (trig_resample(f.values, N2) for f in (data.a, data.b, data.g, mu))
+    fine = RobinData(BoundaryMatrixField(a, curve2), BoundaryMatrixField(b, curve2),
+                     BoundaryVectorField(g, curve2), data.B)
+    mu_fine = BoundaryVectorField(mu2, curve2)
+    V2 = assemble_single_layer(curve2, env, cell, plan)
+    W2 = assemble_wstar(curve2, env, cell, plan)
     ainv_b = np.einsum("nij,njk->nik", np.linalg.inv(fine.a.values), fine.b.values)
     lhs = 0.5 * mu_fine.values + W2.apply(mu_fine).values
     vmu = V2.apply(mu_fine).values + c[None, :]
