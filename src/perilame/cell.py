@@ -271,9 +271,10 @@ def locate_targets(x, curve, cell):
     winding number of the node polygon about the representative by a signed
     crossing count (Sunday's nonzero rule; ambiguous only on the polygon
     itself, whose nodes on_node covers); reduced as nearest_image reduces,
-    they give the distance to each node's nearest image.
+    they give the distance to each node's nearest image.  A non-finite
+    point raises ValueError before any arithmetic.
     """
-    p = cell_coords(np.asarray(x, dtype=float).reshape(-1, 2), cell)
+    p = cell_coords(np.asarray_chkfinite(x, dtype=float).reshape(-1, 2), cell)
     inside, dist = np.empty(len(p), dtype=bool), np.empty(len(p))
     step = max(1, _PAIRS // curve.N)
     for lo in range(0, len(p), step):

@@ -458,6 +458,8 @@ def run(config):
         ("det_integral_ainv_b", f"{d.get('det_integral_ainv_b', float('nan')):.6e}"),
         ("zero_mean_violation", f"{d.get('zero_mean_violation', float('nan')):.6e}"),
         ("density_tail_ratio", f"{d['density_tail_ratio']:.6e}"),
+        ("lattice_nodes_v", d["lattice_nodes_v"]),
+        ("lattice_nodes_wstar", d["lattice_nodes_wstar"]),
     ]
     summary += _stage_entries(d["timings"])
 

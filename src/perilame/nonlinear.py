@@ -36,6 +36,7 @@ from .errors import ConvergenceError, DegenerateProblemError
 from .operators import BoundaryVectorField, assemble_single_layer, assemble_wstar
 from .robin import (
     SolutionRep,
+    _lattice_nodes,
     _lu_condition,
     _reported_tail_ratio,
     augmented_matrix,
@@ -125,7 +126,8 @@ def solve_nonlinear_robin(
     for the last Jacobian factored and diagnostics["rank_checks"] the number
     of Jacobians the screen left to the singular values.  diagnostics["timings"]
     holds the seconds of the iteration and, when V and W* are not given, of
-    their assembly.
+    their assembly; diagnostics["lattice_nodes_v"] and
+    ["lattice_nodes_wstar"] are as in robin.solve_robin.
     """
     if method not in ("newton", "picard"):
         raise ValueError(f"method must be 'newton' or 'picard', got {method!r}")
@@ -224,6 +226,7 @@ def solve_nonlinear_robin(
         "method": method,
         "density_tail_ratio": _reported_tail_ratio(mu, np.max(np.abs(U))),
         **screen,
+        **_lattice_nodes(V, W),
         "timings": timings,
     }
     return SolutionRep(mu=mu, c=c, B=B, diagnostics=diagnostics)

@@ -14,16 +14,30 @@ p delta_jk + A d_j d_k (plus a Cauchy remainder times J), as scalar
 target-node arrays (_free_space_split), at the nodes, where a node against
 itself takes the limits, and at the midpoints alike; one _checked_split
 re-verifies it numerically at sampled pairs for both.  Assembly forms the
-N x N node blocks: lattice._blocks of the split plus the blocks of R^q and
-of its gradient from the target-source evaluator, lattice.lattice_product,
-with no density.  At the midpoints t_i + pi/N, apply_at_midpoints applies V
-and W* to a density without a block or a matrix: both rules, shifted by
-half a node, act by one FFT each (_apply_rule, which also gives assembly
-its dense node rules from the same symbols), the split is contracted with
-the density by lattice._grid_contract, and R^q is a product against the
-density.  The off-boundary potentials eval_single_layer and
-eval_traction_offboundary are such products of the periodic Green's matrix,
-so no P x M kernel block is formed outside assembly.
+N x N node blocks: lattice._blocks of the split, plus the lattice part, R^q
+for V and for W* the traction at the target normals of the gradient of R^q.
+The lattice part is analytic on the (t, s) torus, normals included, so
+_lattice_part evaluates it with the target-source evaluator,
+lattice.lattice_product, with no density, at the Nc nodes of a coarse
+resampling of the curve, and interpolates it to the N nodes by
+trigonometric interpolation in t and in s.  Nc starts at _COARSE_START and
+doubles until the L1 size of the coarse blocks' outer band of 2D Fourier
+modes, max(|m1|, |m2|) >= 7 Nc / 16, is below the plan's tail share
+(tol/20) of their largest entry, or below the band rounding leaves at tight
+tol (_ROUNDING Nc eps).  When two rejected grids predict that the next one
+fails too, or at Nc = N, the lattice part is evaluated at the N nodes.
+Each operator records its Nc as lattice_nodes.
+
+At the midpoints t_i + pi/N, apply_at_midpoints applies V and W* to a
+density without a block or a matrix: both rules, shifted by half a node,
+act by one FFT each (_apply_rule, which also gives assembly its dense
+node rules from the same symbols), the split is contracted with the
+density by lattice._grid_contract, and R^q is a product against the
+density at the midpoints, independent of the interpolated
+lattice part, so an under-resolved Nc shows in the off-node residual.  The
+off-boundary potentials eval_single_layer and eval_traction_offboundary are
+such products of the periodic Green's matrix, so no P x M kernel block is
+formed outside assembly.
 Whether an off-boundary target is near the boundary (NearBoundaryWarning) is
 read from the one classification of the targets, cell.locate_targets.
 """
@@ -37,9 +51,18 @@ import numpy as np
 from .cell import NEAR_SPACINGS, locate_targets
 from .errors import AssemblyError, NearBoundaryWarning
 from .kernels import kelvin, traction_from_gradient, traction_kernel, traction_map
-from .lattice import _PAIRS, _blocks, _dot, _grid_contract, lattice_product
+from .lattice import _PAIRS, _TAIL_SHARE, _blocks, _dot, _grid_contract, lattice_product
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
+# first coarse node count of the lattice part of V and W*; it doubles until
+# the tail check passes or it reaches N
+_COARSE_START = 64
+# the tail check's band of 2D modes, max(|m1|, |m2|) >= _BAND * Nc
+_BAND = 7.0 / 16.0
+# the tail check's rounding floor, in units of Nc eps: samples off by about
+# 10 eps of the largest entry give coefficients of about 9 eps / Nc, and
+# their band, about 0.23 Nc^2 modes of four entries, about 8 Nc eps
+_ROUNDING = 8.0
 
 
 @dataclass
@@ -80,9 +103,14 @@ class BoundaryMatrixField:
 
 @dataclass
 class DenseBoundaryOperator:
-    """Dense nodal operator acting on node-major flattened vector fields."""
+    """Dense nodal operator acting on node-major flattened vector fields.
+
+    lattice_nodes is the node count at which its lattice part was evaluated:
+    the coarse Nc it was interpolated from, or N.
+    """
 
     matrix: np.ndarray  # (2N, 2N)
+    lattice_nodes: int
 
     def apply(self, field):
         out = self.matrix @ field.values.reshape(-1)
@@ -257,17 +285,72 @@ def _checked_split(curve, targets, env):
             )
 
 
+def _tail_share(blocks):
+    """Size of the outer band of the 2D Fourier coefficients of (Nc, Nc, 2, 2) blocks.
+
+    The L1 sum, over all four entries, of the coefficients with
+    max(|m1|, |m2|) >= _BAND * Nc, over the largest entry of the blocks.
+    """
+    Nc = blocks.shape[0]
+    coeffs = np.fft.fft2(blocks, axes=(0, 1)) / (Nc * Nc)
+    m = np.abs(np.fft.fftfreq(Nc, d=1.0 / Nc))
+    band = np.maximum.outer(m, m) >= _BAND * Nc
+    return float(np.sum(np.abs(coeffs[band])) / np.max(np.abs(blocks)))
+
+
+def _interpolate(blocks, N):
+    """Trig interpolation of (Nc, Nc, 2, 2) samples on the torus to (N, N, 2, 2).
+
+    Each entry becomes P B P^T, P = trig_resample(I, N) the N x Nc
+    interpolation matrix: two GEMMs for all four entries.
+    """
+    Nc = blocks.shape[0]
+    P = trig_resample(np.eye(Nc), N)
+    # X[c, b] = sum_d B[c, d] P[b, d] per entry, then P X
+    X = (P @ blocks.swapaxes(0, 1).reshape(Nc, -1)).reshape(N, Nc, 4).swapaxes(0, 1)
+    return (P @ X.reshape(Nc, -1)).reshape(N, N, 2, 2)
+
+
+def _lattice_part(curve, blocks_of, tol):
+    """blocks_of(curve), the lattice part at the node pairs, and its node count.
+
+    blocks_of maps a curve of n nodes to (n, n, 2, 2) blocks; the node count
+    is the Nc they were evaluated at, a coarse one or N.  The lattice
+    part is analytic on the (t, s) torus.  From Nc = _COARSE_START, doubling,
+    it is evaluated at the nodes of curve.resample(Nc), and accepted, then
+    interpolated to the N nodes, when its _tail_share is below the plan's
+    tail share of tol or, at tight tol, below the band that rounding alone
+    leaves (_ROUNDING Nc eps).  The shares of two rejected grids predict the
+    next one's, as the coefficients decay exponentially; when the prediction
+    fails too, or when Nc reaches N, the lattice part is evaluated at the N
+    nodes.
+    """
+    N = curve.N
+    budget = lambda n: max(_TAIL_SHARE * tol, _ROUNDING * n * np.finfo(float).eps)
+    Nc, previous = _COARSE_START, None
+    while Nc < N:
+        coarse = blocks_of(curve.resample(Nc))
+        share = _tail_share(coarse)
+        if share < budget(Nc):
+            return _interpolate(coarse, N), Nc
+        if previous is not None and share * (share / previous) ** 2 >= budget(2 * Nc):
+            break
+        Nc, previous = 2 * Nc, share
+    return blocks_of(curve), N
+
+
 def assemble_single_layer(curve, env, cell, plan):
     """Nystrom matrix of the periodic single-layer operator on the curve.
 
     The blocks of the smooth free-space split at the nodes and those of R^q
+    (_lattice_part: interpolated from a coarse grid where its tail allows)
     are weighted by the trapezoid rule; the Kress log rule carries the log
-    part.
+    part.  The operator's lattice_nodes is the Nc of R^q.
     """
     N = curve.N
     sp = curve.speeds
-    blocks = lattice_product(curve.nodes, curve.nodes, None, env, cell, plan,
-                             periodic=False)[0]
+    values = lambda c: lattice_product(c.nodes, c.nodes, None, env, cell, plan, periodic=False)[0]
+    blocks, nc = _lattice_part(curve, values, plan.tol)
     _checked_split(curve, curve, env)
     s = _free_space_split(curve, curve, env, slice(None))
     # (2 pi / N) sp_b (smooth split + R^q), summed in place
@@ -275,7 +358,7 @@ def assemble_single_layer(curve, env, cell, plan):
     blocks *= (2.0 * np.pi / N) * sp[None, :, None, None]
     KL = kress_log_rule(N)
     blocks += (env.alpha / (4.0 * np.pi)) * (KL * sp[None, :])[:, :, None, None] * np.eye(2)
-    return DenseBoundaryOperator(matrix=_blocks_to_matrix(blocks))
+    return DenseBoundaryOperator(matrix=_blocks_to_matrix(blocks), lattice_nodes=nc)
 
 
 def assemble_wstar(curve, env, cell, plan):
@@ -284,17 +367,23 @@ def assemble_wstar(curve, env, cell, plan):
     The target-normal traction kernel splits into the smooth free-space
     split at the nodes, a Cauchy part carried by the spectral Hilbert rule,
     and the smooth periodic correction, the traction at the target normals
-    of the gradient of R^q.
+    of the gradient of R^q.  That correction is analytic on the torus too,
+    normals included, so it is formed at the coarse nodes and interpolated
+    where its tail allows (_lattice_part); the operator's lattice_nodes is
+    its Nc.
     """
     N = curve.N
     sp = curve.speeds
     gamma_c = (1.0 - env.beta) / (2.0 * np.pi)
-    # the (N, N, 2, 2, 2) gradient is freed before the split's arrays
-    blocks = traction_from_gradient(
-        lattice_product(curve.nodes, curve.nodes, None, env, cell, plan, periodic=False,
-                        values=False, grads=True)[1],
-        curve.normals[:, None, :], env.omega,
-    )
+
+    def traction(c):
+        # column k of block (a, b) is T(omega, A) nu_a, A_jm = d_m R^q_jk(x_a - x_b);
+        # the (n, n, 2, 2, 2) gradient is freed before the split's arrays
+        grads = lattice_product(c.nodes, c.nodes, None, env, cell, plan, periodic=False,
+                                values=False, grads=True)[1]
+        return traction_from_gradient(grads, c.normals[:, None, :], env.omega)
+
+    blocks, nc = _lattice_part(curve, traction, plan.tol)
     _checked_split(curve, curve, env)
     s = _free_space_split(curve, curve, env, slice(None))
     # (2 pi / N) sp_b (smooth split + cauchy J + traction of grad R^q), summed in place
@@ -303,7 +392,7 @@ def assemble_wstar(curve, env, cell, plan):
     blocks *= (2.0 * np.pi / N) * sp[None, :, None, None]
     Q = hilbert_rule(N)
     blocks += gamma_c * np.pi * (Q * (sp[None, :] / sp[:, None]))[:, :, None, None] * _J
-    return DenseBoundaryOperator(matrix=_blocks_to_matrix(blocks))
+    return DenseBoundaryOperator(matrix=_blocks_to_matrix(blocks), lattice_nodes=nc)
 
 
 def apply_at_midpoints(field, targets, env, cell, plan):

@@ -296,7 +296,9 @@ def solve_robin(data, curve, env, cell, plan, operators=None):
     raises SolveError since the solvability conditions are then violated
     beyond numerical tolerance.  diagnostics["timings"] holds the seconds of
     each stage; "system" includes "assembly", recorded when V and W* are not
-    given.
+    given.  diagnostics["lattice_nodes_v"] and ["lattice_nodes_wstar"] are
+    the node counts at which V's and W*'s lattice parts were evaluated
+    (DenseBoundaryOperator.lattice_nodes), assembled or given.
     """
     timings = {}
     with timed(timings, "validate"):
@@ -307,6 +309,7 @@ def solve_robin(data, curve, env, cell, plan, operators=None):
                 operators = (assemble_single_layer(curve, env, cell, plan),
                              assemble_wstar(curve, env, cell, plan))
         system = assemble_robin_system(data, curve, env, cell, plan, operators=operators)
+        diagnostics.update(_lattice_nodes(*operators))
         operators = None  # V and W* are not needed past the system
     with timed(timings, "lu"):
         factors, diagnostics["condition_estimate"] = _lu_checked(
@@ -334,6 +337,11 @@ def solve_robin(data, curve, env, cell, plan, operators=None):
     diagnostics["timings"] = timings
     rep = SolutionRep(mu=mu, c=c, B=data.B, diagnostics=diagnostics)
     return rep
+
+
+def _lattice_nodes(V, W):
+    """Diagnostics entries of the node counts of V's and W*'s lattice parts."""
+    return {"lattice_nodes_v": V.lattice_nodes, "lattice_nodes_wstar": W.lattice_nodes}
 
 
 def _off_node_residual(data, curve, env, cell, plan, mu, c):

@@ -143,9 +143,12 @@ def test_constant_solution_run(tmp_path):
     assert float(summary["lattice_eta"]) == pytest.approx(plan.eta, rel=1e-6)
     assert int(summary["lattice_real_cutoff"]) == plan.real_cutoff
     assert int(summary["lattice_fourier_cutoff"]) == plan.fourier_cutoff
-    # one split serves assembly, products and field evaluation
+    # one split serves assembly, products and field evaluation; at N = 64 the
+    # lattice parts of V and W* are evaluated at the 64 nodes
     assert [key for key in summary if key.startswith("lattice_")] == [
-        "lattice_tail_bound", "lattice_eta", "lattice_real_cutoff", "lattice_fourier_cutoff"]
+        "lattice_tail_bound", "lattice_eta", "lattice_real_cutoff", "lattice_fourier_cutoff",
+        "lattice_nodes_v", "lattice_nodes_wstar"]
+    assert int(summary["lattice_nodes_v"]) == int(summary["lattice_nodes_wstar"]) == 64
     for name in ("density.csv", "field.csv", "config.echo.json"):
         assert os.path.exists(os.path.join(cfg["out_dir"], name))
 

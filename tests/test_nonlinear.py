@@ -285,6 +285,19 @@ def test_iteration_timing_and_tail_ratio(circle64, plan1, ops64):
     assert 0.0 <= d["density_tail_ratio"] < 1e-10
 
 
+def test_lattice_nodes_reported(circle64, plan1, ops64):
+    # assembled at N = 128, W*'s lattice part needs all 128 nodes at tol
+    # 1e-11 and V's 64; given operators report their own node counts
+    model = lambda curve: saturating_model(np.array([0.3, -0.2]), -0.8, curve)
+    curve = discretize_curve(CircleShape([0.5, 0.5], 0.25), 128, UNIT)
+    d = solve_nonlinear_robin(model(curve), np.diag([0.1, -0.05]), curve, ENV1, UNIT,
+                              plan1).diagnostics
+    assert (d["lattice_nodes_v"], d["lattice_nodes_wstar"]) == (64, 128)
+    d = solve_nonlinear_robin(model(circle64), np.diag([0.1, -0.05]), circle64, ENV1, UNIT,
+                              plan1, operators=ops64).diagnostics
+    assert (d["lattice_nodes_v"], d["lattice_nodes_wstar"]) == (64, 64)
+
+
 def test_tail_ratio_zero_for_constant_solution(circle64, plan1, ops64):
     # constant h: the solution is a constant displacement, mu = 0 up to
     # rounding, which must not read as an under-resolved density

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import perilame.operators as operators
 from perilame.cell import (
     CircleShape,
     EllipseShape,
@@ -153,6 +154,90 @@ def test_midpoint_products_match_2n_odd_rows(shape, omega):
     W2 = assemble_wstar(fine.curve, env, UNIT, plan)
     assert np.max(np.abs(vmu - V2.apply(fine).values[1::2])) < 1e-13
     assert np.max(np.abs(wmu - W2.apply(fine).values[1::2])) < 1e-13
+
+
+# the lattice part of V and W* against its N^2 evaluation: (name, cell edges,
+# shape, N, tol, the node counts the tail check may choose)
+COARSE_CASES = [
+    ("circle", (1.0, 1.0), CircleShape([0.5, 0.5], 0.25), 512, 1e-10, (64, 128)),
+    ("circle-tol-1e-13", (1.0, 1.0), CircleShape([0.5, 0.5], 0.25), 512, 1e-13, (64, 128)),
+    ("ellipse", (1.0, 1.0), EllipseShape([0.5, 0.5], (0.2, 0.4), rotation=0.3), 256, 1e-10,
+     (128,)),
+    ("ellipse-cell-1x4", (1.0, 4.0), EllipseShape([0.5, 2.0], (0.3, 0.8), rotation=0.3), 512,
+     1e-10, (256,)),
+    ("circle-0.45", (1.0, 1.0), CircleShape([0.5, 0.5], 0.45), 512, 1e-10, (512,)),
+]
+
+
+def _coarse_setup(edges, shape, N, tol):
+    cell = build_cell(edges)
+    return cell, plan_lattice_sum(cell, ENV1, tol), discretize_curve(shape, N, cell)
+
+
+def _assembled(curve, cell, plan):
+    return (assemble_single_layer(curve, ENV1, cell, plan),
+            assemble_wstar(curve, ENV1, cell, plan))
+
+
+def _tried_grids(monkeypatch):
+    """The coarse blocks whose tail the assemblers check, in order."""
+    tried = []
+    check = operators._tail_share
+
+    def recorded(blocks):
+        tried.append(blocks)
+        return check(blocks)
+
+    monkeypatch.setattr(operators, "_tail_share", recorded)
+    return tried
+
+
+@pytest.mark.parametrize("edges, shape, N, tol, chosen",
+                         [case[1:] for case in COARSE_CASES], ids=[c[0] for c in COARSE_CASES])
+def test_coarse_lattice_part_matches_node_pairs(monkeypatch, edges, shape, N, tol, chosen):
+    # the interpolated lattice part leaves V and W* as the N^2 evaluation
+    # makes them, to 1e-12 of their largest entry, at tol 1e-10 and where
+    # rounding floors the tail check (tol 1e-13); the circle r = 0.45 comes
+    # close to its images and is evaluated at the N nodes
+    cell, plan, curve = _coarse_setup(edges, shape, N, tol)
+    ops = _assembled(curve, cell, plan)
+    monkeypatch.setattr(operators, "_COARSE_START", N)
+    today = _assembled(curve, cell, plan)
+    for op, ref in zip(ops, today):
+        assert op.lattice_nodes in chosen
+        assert ref.lattice_nodes == N
+        assert np.max(np.abs(op.matrix - ref.matrix)) <= 1e-12 * np.max(np.abs(ref.matrix))
+
+
+def test_tail_check_rejects_a_coarse_grid_too_small(monkeypatch):
+    # on the ellipse, 32 nodes leave a tail above the budget, and their
+    # interpolant misses the accepted one by more than 1e-12 of its size;
+    # started at 32, the lattice part doubles past 32 and 64 to 128
+    _, edges, shape, N, tol, chosen = COARSE_CASES[2]
+    cell, plan, curve = _coarse_setup(edges, shape, N, tol)
+    monkeypatch.setattr(operators, "_COARSE_START", 32)
+    tried = _tried_grids(monkeypatch)
+    for assemble in (assemble_single_layer, assemble_wstar):
+        tried.clear()
+        assert assemble(curve, ENV1, cell, plan).lattice_nodes in chosen
+        assert [len(blocks) for blocks in tried] == [32, 64, 128]
+        first, accepted = tried[0], operators._interpolate(tried[-1], N)
+        assert operators._tail_share(first) > operators._TAIL_SHARE * plan.tol
+        miss = np.max(np.abs(operators._interpolate(first, N) - accepted))
+        assert miss > 1e-12 * np.max(np.abs(accepted))
+
+
+def test_tail_check_stops_when_the_next_grid_would_fail(monkeypatch):
+    # on the circle r = 0.45 at N = 512 the tails at 64 and 128 nodes predict
+    # that 256 fail as well, so the lattice part goes to the N nodes after
+    # two coarse grids
+    _, edges, shape, N, tol, _ = COARSE_CASES[4]
+    cell, plan, curve = _coarse_setup(edges, shape, N, tol)
+    tried = _tried_grids(monkeypatch)
+    for assemble in (assemble_single_layer, assemble_wstar):
+        tried.clear()
+        assert assemble(curve, ENV1, cell, plan).lattice_nodes == N
+        assert [len(blocks) for blocks in tried] == [64, 128]
 
 
 def test_trig_resample_exact_for_trig_polynomials():

@@ -387,12 +387,17 @@ def test_eval_solution_rejects_hole_interior(circle64, plan1):
         eval_solution(rep, np.array([1.5, -0.5]), ENV1, UNIT, plan1)
 
 
+@pytest.mark.filterwarnings("error")
 def test_eval_solution_rejects_non_finite_points(circle64, plan1):
+    # with warnings as errors: a non-finite target is refused by ValueError
+    # before any arithmetic, not by a RuntimeWarning of its reduction to the cell
     data = _data(circle64, np.eye(2), -np.eye(2), [0.1, 0.0])
     rep = solve_robin(data, circle64, ENV1, UNIT, plan1)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="infs or NaNs"):
             eval_solution(rep, np.array([bad, 0.1]), ENV1, UNIT, plan1, warn=False)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            locate_targets(np.array([[0.1, -bad]]), circle64, UNIT)
 
 
 def test_eval_solution_rejects_boundary_node_images(circle64, plan1):
@@ -528,6 +533,27 @@ def test_solve_robin_assembles_at_n_and_counts_residual_pairs(monkeypatch, plan1
     solve_robin(data, curve, ENV1, UNIT, plan1, operators=ops)
     assert sizes == []
     assert passes == residual
+
+
+def test_coarse_lattice_part_keeps_the_off_node_residual(monkeypatch, plan1):
+    # the circle at N = 256, solved with V and W* whose lattice parts are
+    # interpolated from 64 and 128 nodes, and with their N^2 evaluation: the
+    # off-node residual, which evaluates the lattice part at the midpoints by
+    # its own product, agrees to 1e-15 of the density's size
+    N = 256
+    curve = discretize_curve(CircleShape([0.5, 0.5], 0.25), N, UNIT)
+    data = _varied_data(curve)
+    coarse = solve_robin(data, curve, ENV1, UNIT, plan1).diagnostics
+    monkeypatch.setattr(operators, "_COARSE_START", N)
+    ops = (assemble_single_layer(curve, ENV1, UNIT, plan1),
+           assemble_wstar(curve, ENV1, UNIT, plan1))
+    rep = solve_robin(data, curve, ENV1, UNIT, plan1, operators=ops)
+    d = rep.diagnostics
+    assert (coarse["lattice_nodes_v"], coarse["lattice_nodes_wstar"]) == (64, 128)
+    # given operators report their own node counts
+    assert (d["lattice_nodes_v"], d["lattice_nodes_wstar"]) == (N, N)
+    scale = np.max(np.abs(rep.mu.values))
+    assert abs(coarse["residual_off_node"] - d["residual_off_node"]) <= 1e-15 * scale
 
 
 def test_residual_forms_no_rule_matrix(monkeypatch, plan1):
