@@ -17,6 +17,7 @@ from .kernels import (
     fs_laplace,
     kelvin,
     kelvin_grad,
+    traction,
     traction_kernel,
     traction_map,
 )

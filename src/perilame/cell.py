@@ -71,72 +71,43 @@ def cell_coords(x, cell):
     return x - q * np.floor(x / q)
 
 
-class CircleShape:
-    def __init__(self, center, radius):
-        self.center = np.asarray(center, dtype=float)
-        self.radius = float(radius)
-
-    def trig_coeffs(self):
-        cos_c = np.zeros((2, 2))
-        sin_c = np.zeros((2, 2))
-        cos_c[0, 0], cos_c[1, 0] = self.center
-        cos_c[0, 1] = self.radius
-        sin_c[1, 1] = self.radius
-        return cos_c, sin_c
-
-    def interior_point(self):
-        return self.center
-
-
-class EllipseShape:
-    def __init__(self, center, semi_axes, rotation=0.0):
-        self.center = np.asarray(center, dtype=float)
-        self.semi_axes = (float(semi_axes[0]), float(semi_axes[1]))
-        self.rotation = float(rotation)
-
-    def trig_coeffs(self):
-        a, b = self.semi_axes
-        ct, st = np.cos(self.rotation), np.sin(self.rotation)
-        cos_c = np.zeros((2, 2))
-        sin_c = np.zeros((2, 2))
-        cos_c[0, 0], cos_c[1, 0] = self.center
-        # x(t) = center + R_theta (a cos t, b sin t)
-        cos_c[0, 1] = a * ct
-        sin_c[0, 1] = -b * st
-        cos_c[1, 1] = a * st
-        sin_c[1, 1] = b * ct
-        return cos_c, sin_c
-
-    def interior_point(self):
-        return self.center
-
-
 class TrigShape:
     """Curve given directly by truncated trigonometric series per coordinate.
 
     cos_coeffs[k, m] multiplies cos(m t) in coordinate k, sin_coeffs[k, m]
-    multiplies sin(m t); sin_coeffs[:, 0] is ignored.
+    multiplies sin(m t); sin_coeffs[:, 0] is ignored.  Both are stored padded
+    to one width.  The interior point defaults to the constant terms.
     """
 
     def __init__(self, cos_coeffs, sin_coeffs, interior=None):
-        self.cos_coeffs = np.atleast_2d(np.asarray(cos_coeffs, dtype=float))
-        self.sin_coeffs = np.atleast_2d(np.asarray(sin_coeffs, dtype=float))
-        if self.cos_coeffs.shape[0] != 2 or self.sin_coeffs.shape[0] != 2:
+        cos_c = np.atleast_2d(np.asarray(cos_coeffs, dtype=float))
+        sin_c = np.atleast_2d(np.asarray(sin_coeffs, dtype=float))
+        if cos_c.shape[0] != 2 or sin_c.shape[0] != 2:
             raise CurveError("trig shape needs one coefficient row per coordinate")
-        self._interior = interior
+        m = max(cos_c.shape[1], sin_c.shape[1])
+        self.cos_coeffs = np.pad(cos_c, ((0, 0), (0, m - cos_c.shape[1])))
+        self.sin_coeffs = np.pad(sin_c, ((0, 0), (0, m - sin_c.shape[1])))
+        self.interior = np.array(cos_c[:, 0] if interior is None else interior, dtype=float)
 
-    def trig_coeffs(self):
-        m = max(self.cos_coeffs.shape[1], self.sin_coeffs.shape[1])
-        cos_c = np.zeros((2, m))
-        sin_c = np.zeros((2, m))
-        cos_c[:, : self.cos_coeffs.shape[1]] = self.cos_coeffs
-        sin_c[:, : self.sin_coeffs.shape[1]] = self.sin_coeffs
-        return cos_c, sin_c
 
-    def interior_point(self):
-        if self._interior is not None:
-            return np.asarray(self._interior, dtype=float)
-        return self.cos_coeffs[:, 0]
+class CircleShape(TrigShape):
+    def __init__(self, center, radius):
+        self.center = np.asarray(center, dtype=float)
+        self.radius = float(radius)
+        (cx, cy), r = self.center, self.radius
+        super().__init__([[cx, r], [cy, 0.0]], [[0.0, 0.0], [0.0, r]], interior=self.center)
+
+
+class EllipseShape(TrigShape):
+    def __init__(self, center, semi_axes, rotation=0.0):
+        self.center = np.asarray(center, dtype=float)
+        self.semi_axes = (float(semi_axes[0]), float(semi_axes[1]))
+        self.rotation = float(rotation)
+        (cx, cy), (a, b) = self.center, self.semi_axes
+        ct, st = np.cos(self.rotation), np.sin(self.rotation)
+        # x(t) = center + R_theta (a cos t, b sin t)
+        super().__init__([[cx, a * ct], [cy, a * st]], [[0.0, -b * st], [0.0, b * ct]],
+                         interior=self.center)
 
 
 def _eval_series(cos_c, sin_c, t, derivative=0):
@@ -192,7 +163,7 @@ class BoundaryCurve:
 
 
 def _discretize_trig(shape, N):
-    cos_c, sin_c = shape.trig_coeffs()
+    cos_c, sin_c = shape.cos_coeffs, shape.sin_coeffs
     t = 2.0 * np.pi * np.arange(N) / N
     nodes = _eval_series(cos_c, sin_c, t)
     d1 = _eval_series(cos_c, sin_c, t, derivative=1)
@@ -203,7 +174,7 @@ def _discretize_trig(shape, N):
     normals = np.column_stack((d1[:, 1], -d1[:, 0])) / speeds[:, None]
     return BoundaryCurve(
         cos_coeffs=cos_c, sin_coeffs=sin_c, N=N, nodes=nodes, speeds=speeds,
-        normals=normals, center_hint=np.asarray(shape.interior_point(), dtype=float),
+        normals=normals, center_hint=shape.interior,
         params=t, d1=d1, d2=d2,
     )
 

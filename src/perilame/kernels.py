@@ -35,6 +35,11 @@ class LameEnv:
         """Coupling ratio omega/(omega+1); the dyadic term carries beta/2."""
         return self.omega / (self.omega + 1.0)
 
+    @property
+    def gamma_c(self):
+        """Constant (1-beta)/(2 pi) of the Cauchy part of the traction kernel."""
+        return (1.0 - self.beta) / (2.0 * np.pi)
+
 
 def _check_nonzero(x):
     r2 = np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
@@ -84,13 +89,26 @@ def traction_map(omega, A):
     return (omega - 1.0) * tr[..., None, None] * np.eye(2) + A + np.swapaxes(A, -2, -1)
 
 
+def traction(A, nu, omega):
+    """T(omega, A) nu for gradients A[..., j, m] and normals nu[..., m], broadcast together.
+
+    Contracted with nu directly, (omega-1) tr(A) nu + A nu + A^t nu, so no
+    stress array of A's size is formed.
+    """
+    A = np.asarray(A, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    tr = A[..., 0, 0] + A[..., 1, 1]
+    return (omega - 1.0) * tr[..., None] * nu + np.einsum("...jm,...m->...j", A, nu) \
+        + np.einsum("...mj,...m->...j", A, nu)
+
+
 def traction_kernel(x, nu, env):
     """Traction of the Kelvin columns contracted with nu, in closed form.
 
     Column l holds T(omega, D Gamma^l(x)) nu, which is
         (1/(2 pi)) [ (1-beta)(delta_il (x.nu) + nu_l x_i - nu_i x_l)/|x|^2
                      + 2 beta x_i x_l (x.nu)/|x|^4 ],
-    verified in the tests against the composition through kelvin_grad.
+    verified in the tests against traction of kelvin_grad.
     """
     x = np.asarray(x, dtype=float)
     nu = np.asarray(nu, dtype=float)
@@ -105,18 +123,3 @@ def traction_kernel(x, nu, env):
     out = (1.0 - beta) * (np.eye(2) * xn + nul * xi - nui * xl)
     out = out + 2 * beta * xi * xl * xn / r2
     return out / (2.0 * np.pi * r2)
-
-
-def traction_from_gradient(grad, nu, omega):
-    """Traction columns from a kernel gradient array grad[..., i, l, k].
-
-    Column l of the result is T(omega, A) nu with A_ik = grad[..., i, l, k];
-    this is the composition path used to certify traction_kernel and to build
-    the smooth periodic correction of the traction operator.
-    """
-    grad = np.asarray(grad, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    div = np.einsum("...klk->...l", grad)
-    t1 = np.einsum("...ilk,...k->...il", grad, nu)
-    t2 = np.einsum("...kli,...k->...il", grad, nu)
-    return (omega - 1.0) * nu[..., :, None] * div[..., None, :] + t1 + t2

@@ -7,9 +7,9 @@ Kernels are split on the parameter torus as
     traction:      gamma_c cot((t-s)/2)/(2|x'(t)|) J        -> spectral Hilbert rule
                    + smooth symmetric part + R^q traction   -> periodic trapezoid
 
-with gamma_c = (1-beta)/(2 pi) and J the quarter-turn matrix; the traction
-kernel of the plane Kelvin matrix has no logarithmic singularity, only the
-Cauchy part above.  The smooth free-space split has one form,
+with gamma_c = (1-beta)/(2 pi) (LameEnv.gamma_c) and J the quarter-turn
+matrix; the traction kernel of the plane Kelvin matrix has no logarithmic
+singularity, only the Cauchy part above.  The smooth free-space split has one form,
 p delta_jk + A d_j d_k (plus a Cauchy remainder times J), as scalar
 target-node arrays (_free_space_split), at the nodes, where a node against
 itself takes the limits, and at the midpoints alike; one _checked_split
@@ -50,7 +50,7 @@ import numpy as np
 
 from .cell import NEAR_SPACINGS, locate_targets
 from .errors import AssemblyError, NearBoundaryWarning
-from .kernels import kelvin, traction_from_gradient, traction_kernel, traction_map
+from .kernels import kelvin, traction, traction_kernel
 from .lattice import _PAIRS, _TAIL_SHARE, _blocks, _dot, _grid_contract, lattice_product
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -66,39 +66,33 @@ _ROUNDING = 8.0
 
 
 @dataclass
-class BoundaryVectorField:
-    """Nodal samples of a vector field on the curve, trig-interpolation semantics."""
+class _BoundaryField:
+    """Nodal samples (N,) + TRAILING of a field on the curve, trig-interpolation semantics."""
 
-    values: np.ndarray  # (N, 2)
+    values: np.ndarray
     curve: object
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.curve.N, 2):
+        if self.values.shape != (self.curve.N,) + self.TRAILING:
             raise ValueError(
                 f"field shape {self.values.shape} does not match curve N={self.curve.N}"
             )
 
     def resample(self, N):
-        return BoundaryVectorField(trig_resample(self.values, N), self.curve.resample(N))
+        return type(self)(trig_resample(self.values, N), self.curve.resample(N))
 
 
-@dataclass
-class BoundaryMatrixField:
-    """Nodal samples of a matrix field on the curve."""
+class BoundaryVectorField(_BoundaryField):
+    """Nodal samples (N, 2) of a vector field on the curve."""
 
-    values: np.ndarray  # (N, 2, 2)
-    curve: object
+    TRAILING = (2,)
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.curve.N, 2, 2):
-            raise ValueError(
-                f"field shape {self.values.shape} does not match curve N={self.curve.N}"
-            )
 
-    def resample(self, N):
-        return BoundaryMatrixField(trig_resample(self.values, N), self.curve.resample(N))
+class BoundaryMatrixField(_BoundaryField):
+    """Nodal samples (N, 2, 2) of a matrix field on the curve."""
+
+    TRAILING = (2, 2)
 
 
 @dataclass
@@ -220,12 +214,11 @@ def _free_space_split(curve, targets, env, rows):
     differences d, and sin2 and cot of the half parameter differences for
     the split checks.  A node against itself takes the limits, with the
     tangent d1 in place of d: pv = alpha/(4 pi) log sp^2,
-    av = -beta/(4 pi sp^2), pw = -(1-beta)/(4 pi) d2n/sp^2,
+    av = -beta/(4 pi sp^2), pw = -gamma_c d2n/(2 sp^2),
     aw = -beta/(2 pi) d2n/sp^4 and cauchy = gamma_c d1.d2/(2 sp^3), with
     d2n = x''.nu.
     """
-    alpha, beta = env.alpha, env.beta
-    gamma_c = (1.0 - beta) / (2.0 * np.pi)
+    alpha, beta, gamma_c = env.alpha, env.beta, env.gamma_c
     d = targets.nodes[rows, None, :] - curve.nodes[None, :, :]
     dt_half = 0.5 * (targets.params[rows, None] - curve.params[None, :])
     if targets is curve:
@@ -243,7 +236,7 @@ def _free_space_split(curve, targets, env, rows):
         d=d, sin2=sin2, cot=cot,
         pv=(alpha / (4.0 * np.pi)) * np.log(r2 / sin2),
         av=-(beta / (4.0 * np.pi)) / r2,
-        pw=((1.0 - beta) / (2.0 * np.pi)) * dn / r2,
+        pw=gamma_c * dn / r2,
         aw=(beta / np.pi) * dn / (r2 * r2),
         cauchy=gamma_c * (_dot(d, targets.d1[rows, None, :]) / (tsp * r2) - cot / (2.0 * tsp)),
     )
@@ -252,7 +245,7 @@ def _free_space_split(curve, targets, env, rows):
         d2n = _dot(curve.d2[a], curve.normals[a])
         s.pv[self_pairs] = (alpha / (4.0 * np.pi)) * np.log(sp * sp)
         s.av[self_pairs] = -(beta / (4.0 * np.pi)) / (sp * sp)
-        s.pw[self_pairs] = -((1.0 - beta) / (4.0 * np.pi)) * d2n / (sp * sp)
+        s.pw[self_pairs] = -(0.5 * gamma_c) * d2n / (sp * sp)
         s.aw[self_pairs] = -(beta / (2.0 * np.pi)) * d2n / sp**4
         s.cauchy[self_pairs] = gamma_c * _dot(curve.d1[a], curve.d2[a]) / (2.0 * sp**3)
     return s
@@ -265,7 +258,6 @@ def _checked_split(curve, targets, env):
     and at _traction_pairs the split plus its cot part the traction kernel,
     each to 1e-12 of max(1, the kernel's size); AssemblyError otherwise.
     """
-    gamma_c = (1.0 - env.beta) / (2.0 * np.pi)
     a, b = _log_pairs(curve.N)
     s, at = _free_space_split(curve, targets, env, a), (np.arange(len(a)), b)
     log_split = _blocks(s.d[at], s.pv[at], s.av[at])[0] \
@@ -273,7 +265,7 @@ def _checked_split(curve, targets, env):
     log_direct = kelvin(targets.nodes[a] - curve.nodes[b], env)
     a, b = _traction_pairs(curve.N)
     s, at = _free_space_split(curve, targets, env, a), (np.arange(len(a)), b)
-    cauchy = s.cauchy[at] + gamma_c * s.cot[at] / (2.0 * targets.speeds[a])
+    cauchy = s.cauchy[at] + env.gamma_c * s.cot[at] / (2.0 * targets.speeds[a])
     traction_split = _blocks(s.d[at], s.pw[at], s.aw[at])[0] + cauchy[:, None, None] * _J
     traction_direct = traction_kernel(targets.nodes[a] - curve.nodes[b], targets.normals[a], env)
     for kind, direct, split in (("log", log_direct, log_split),
@@ -374,16 +366,17 @@ def assemble_wstar(curve, env, cell, plan):
     """
     N = curve.N
     sp = curve.speeds
-    gamma_c = (1.0 - env.beta) / (2.0 * np.pi)
 
-    def traction(c):
-        # column k of block (a, b) is T(omega, A) nu_a, A_jm = d_m R^q_jk(x_a - x_b);
-        # the (n, n, 2, 2, 2) gradient is freed before the split's arrays
+    def lattice_traction(c):
+        # column k of block (a, b) is T(omega, A) nu_a, A_jm = d_m R^q_jk(x_a - x_b),
+        # contracted with the column axis k moved ahead of (j, m); the
+        # (n, n, 2, 2, 2) gradient is freed before the split's arrays
         grads = lattice_product(c.nodes, c.nodes, None, env, cell, plan, periodic=False,
                                 values=False, grads=True)[1]
-        return traction_from_gradient(grads, c.normals[:, None, :], env.omega)
+        return traction(grads.swapaxes(2, 3), c.normals[:, None, None, :], env.omega) \
+            .swapaxes(2, 3)
 
-    blocks, nc = _lattice_part(curve, traction, plan.tol)
+    blocks, nc = _lattice_part(curve, lattice_traction, plan.tol)
     _checked_split(curve, curve, env)
     s = _free_space_split(curve, curve, env, slice(None))
     # (2 pi / N) sp_b (smooth split + cauchy J + traction of grad R^q), summed in place
@@ -391,7 +384,7 @@ def assemble_wstar(curve, env, cell, plan):
     blocks += s.cauchy[:, :, None, None] * _J
     blocks *= (2.0 * np.pi / N) * sp[None, :, None, None]
     Q = hilbert_rule(N)
-    blocks += gamma_c * np.pi * (Q * (sp[None, :] / sp[:, None]))[:, :, None, None] * _J
+    blocks += env.gamma_c * np.pi * (Q * (sp[None, :] / sp[:, None]))[:, :, None, None] * _J
     return DenseBoundaryOperator(matrix=_blocks_to_matrix(blocks), lattice_nodes=nc)
 
 
@@ -409,7 +402,6 @@ def apply_at_midpoints(field, targets, env, cell, plan):
     """
     curve = field.curve
     N = curve.N
-    gamma_c = (1.0 - env.beta) / (2.0 * np.pi)
     wmu = field.values * curve.weights[:, None]
     _checked_split(curve, targets, env)
     vmu, wsmu = np.empty((N, 2)), np.empty((N, 2))
@@ -423,13 +415,13 @@ def apply_at_midpoints(field, targets, env, cell, plan):
     spmu = field.values * curve.speeds[:, None]
     shift = np.pi / N
     vmu += (env.alpha / (4.0 * np.pi)) * _apply_rule(_log_symbol, spmu, shift)
-    wsmu += (gamma_c * np.pi / targets.speeds[:, None]) \
+    wsmu += (env.gamma_c * np.pi / targets.speeds[:, None]) \
         * (_apply_rule(_hilbert_symbol, spmu, shift) @ _J.T)
 
     lattice, lattice_grad = lattice_product(targets.nodes, curve.nodes, wmu, env, cell, plan,
                                             periodic=False, values=True, grads=True)
     vmu += lattice
-    wsmu += np.einsum("ajm,am->aj", traction_map(env.omega, lattice_grad), targets.normals)
+    wsmu += traction(lattice_grad, targets.normals, env.omega)
     return vmu, wsmu
 
 
@@ -494,5 +486,5 @@ def eval_traction_offboundary(x, nu, field, env, cell, plan, upsample=1, warn=Tr
     # Jacobian of v: Dv[p, j, m] = sum_b d_m Gamma_jk(x_p - y_b) mu_k w_b
     Dv = lattice_product(pts, nodes, dens, env, cell, plan, periodic=True,
                          values=False, grads=True)[1]
-    out = np.einsum("pjm,pm->pj", traction_map(env.omega, Dv), nus)
+    out = traction(Dv, nus, env.omega)
     return out[0] if single else out

@@ -30,7 +30,7 @@ import scipy.linalg as sla
 
 from .cell import locate_targets
 from .errors import AdmissibilityError, DomainError, SolveError
-from .kernels import traction_map
+from .kernels import traction
 from .operators import (
     BoundaryMatrixField,
     BoundaryVectorField,
@@ -75,14 +75,18 @@ class RobinData:
         return self.a.curve
 
 
+def _constant_field(kind, value, curve):
+    """A field of class kind with the same value at every node of the curve."""
+    return kind(np.broadcast_to(np.asarray(value, dtype=float), (curve.N,) + kind.TRAILING).copy(),
+                curve)
+
+
 def constant_matrix_field(M, curve):
-    vals = np.broadcast_to(np.asarray(M, dtype=float), (curve.N, 2, 2)).copy()
-    return BoundaryMatrixField(vals, curve)
+    return _constant_field(BoundaryMatrixField, M, curve)
 
 
 def constant_vector_field(v, curve):
-    vals = np.broadcast_to(np.asarray(v, dtype=float), (curve.N, 2)).copy()
-    return BoundaryVectorField(vals, curve)
+    return _constant_field(BoundaryVectorField, v, curve)
 
 
 @dataclass
@@ -182,7 +186,7 @@ def validate_robin_data(data, curve=None):
 def drift_traction(B, curve, env, cell):
     """Nodal traction T(omega, B q^{-1}) nu of the prescribed drift, shape (N, 2)."""
     Bq = np.asarray(B, dtype=float) @ cell.q_inv
-    return curve.normals @ traction_map(env.omega, Bq).T
+    return traction(Bq, curve.normals, env.omega)
 
 
 def robin_rhs(data, env, cell):

@@ -36,8 +36,9 @@ from .errors import (
     OracleError,
     SingularArgumentError,
 )
-from .kernels import LameEnv, kelvin, traction_map
+from .kernels import LameEnv, kelvin, traction
 from .lattice import (
+    _PAIRS,
     _lattice_points,
     periodic_green,
     periodic_green_grad,
@@ -83,8 +84,16 @@ def _nonzero_lattice(m):
     return z[np.any(z != 0.0, axis=1)]
 
 
-def _filtered_sum(x, beta, cell, sigma, scalar):
-    """Gaussian-filtered brute-force value of the defining Fourier series."""
+def _filtered_sums(xr, beta, cell, sigma0):
+    """Gaussian-filtered brute-force values of the defining Fourier series, (3, P, 2, 2).
+
+    xr holds P points and sigma0 their P filter widths; the three levels are
+    at sigma0, sigma0/2 and sigma0/4.  One lattice serves them all: it is cut
+    where the damped tail of the smallest width falls below _FILTER_TAIL.
+    The damping at sigma0/4 is taken once and squared for the other two.
+    Points go in blocks of about _PAIRS * 64 point-lattice pairs.
+    """
+    sigma = np.min(sigma0) / 4.0
     q = np.asarray(cell.q_diag)
     kmin_unit = 2.0 * np.pi / cell.max_edge
     m = 8
@@ -97,32 +106,35 @@ def _filtered_sum(x, beta, cell, sigma, scalar):
     z = _nonzero_lattice(m)
     k = 2.0 * np.pi * z / q[None, :]
     k2 = np.sum(k * k, axis=1)
-    damp = np.exp(-sigma * k2)
-    phase = np.cos(k @ np.asarray(x, dtype=float))
-    if scalar:
-        return float(np.sum(-damp * phase / (k2 * cell.volume)))
     khat = k / np.sqrt(k2)[:, None]
-    eye = np.eye(2)
-    base = -eye[None, :, :] + beta * khat[:, :, None] * khat[:, None, :]
-    coeff = base / (k2[:, None, None] * cell.volume)
-    return np.einsum("f,fjk->jk", damp * phase, coeff)
+    base = -np.eye(2)[None, :, :] + beta * khat[:, :, None] * khat[:, None, :]
+    coeff = (base / (k2[:, None, None] * cell.volume)).reshape(-1, 4)
+    out = np.empty((3, len(xr), 4))
+    step = max(1, 64 * _PAIRS // len(k2))
+    for lo in range(0, len(xr), step):
+        blk = slice(lo, lo + step)
+        phase = np.cos(xr[blk] @ k.T)
+        damp = np.exp(-(sigma0[blk, None] / 4.0) * k2)
+        for level in (2, 1, 0):
+            out[level, blk] = (damp * phase) @ coeff
+            damp *= damp
+    return out.reshape(3, len(xr), 2, 2)
 
 
-def _filtered_oracle(x, beta, cell, sigma0, certify, scalar):
-    """The filtered series at x, Richardson-extrapolated in sigma and certified.
+def _filtered_oracle(x, beta, cell, sigma0, certify):
+    """The filtered series at x (2,) or (P, 2), Richardson-extrapolated in sigma and certified.
 
     The values at sigma0, sigma0/2 and sigma0/4 give two first-stage
-    extrapolants; their spread is the certificate.
+    extrapolants; their spread is the certificate, and the worst spread over
+    the points decides.
     """
     x = np.asarray(x, dtype=float)
-    xr = nearest_image(x, cell)
-    d = float(np.sqrt(np.sum(xr * xr)))
-    if d <= 1e-6 * cell.min_edge:
+    xr = np.atleast_2d(nearest_image(x, cell))
+    d = np.sqrt(np.sum(xr * xr, axis=1))
+    if np.any(d <= 1e-6 * cell.min_edge):
         raise OracleError("oracle point lies on the lattice")
-    if sigma0 is None:
-        sigma0 = d * d / ORACLE_DISTANCE_FACTOR
-    f0, f1, f2 = [_filtered_sum(xr, beta, cell, s, scalar)
-                  for s in (sigma0, sigma0 / 2, sigma0 / 4)]
+    s0 = d * d / ORACLE_DISTANCE_FACTOR if sigma0 is None else np.full(len(xr), float(sigma0))
+    f0, f1, f2 = _filtered_sums(xr, beta, cell, s0)
     g1 = 2.0 * f1 - f0
     g2 = 2.0 * f2 - f1
     spread = np.max(np.abs(g2 - g1))
@@ -130,22 +142,28 @@ def _filtered_oracle(x, beta, cell, sigma0, certify, scalar):
         raise OracleError(
             f"extrapolation levels disagree by {spread:.3e} (> 10 x {certify:.1e})"
         )
-    return (4.0 * g2 - g1) / 3.0
+    out = (4.0 * g2 - g1) / 3.0
+    return out[0] if x.ndim == 1 else out
 
 
 def oracle_filtered_fourier(x, env, cell, sigma0=None, certify=1e-10):
-    """Ground-truth periodic Green's matrix at an off-lattice point x.
+    """Ground-truth periodic Green's matrix at off-lattice points x, (2,) or (P, 2).
 
-    sigma0 defaults to d^2/112 with d the distance to the nearest lattice
-    point.  Raises OracleError when the extrapolation levels disagree beyond
-    10x the certification target.
+    Returns (2, 2) or (P, 2, 2).  sigma0 defaults to d^2/112 with d a
+    point's distance to the nearest lattice point.  Raises OracleError when
+    the extrapolation levels disagree beyond 10x the certification target at
+    any point, naming the worst spread.
     """
-    return _filtered_oracle(x, env.beta, cell, sigma0, certify, scalar=False)
+    return _filtered_oracle(x, env.beta, cell, sigma0, certify)
 
 
 def oracle_scalar_harmonic(x, cell, sigma0=None, certify=1e-10):
-    """Ground-truth zero-mean periodic harmonic Green's function (scalar symbol)."""
-    return _filtered_oracle(x, 0.0, cell, sigma0, certify, scalar=True)
+    """Ground-truth zero-mean periodic harmonic Green's function (scalar symbol).
+
+    The (0, 0) entry of the filtered matrix series at beta = 0, whose
+    off-diagonal entries are then zero.
+    """
+    return _filtered_oracle(x, 0.0, cell, sigma0, certify)[..., 0, 0]
 
 
 def scalar_periodic_green(x, cell):
@@ -350,9 +368,9 @@ def _check_green_oracle(seed):
     rng = np.random.default_rng(seed)
 
     def error(cell, env, plan):
-        return max(float(np.max(np.abs(periodic_green(p, env, cell, plan)
-                                       - oracle_filtered_fourier(p, env, cell))))
-                   for p in _off_lattice_points(cell, 20, rng))
+        pts = _off_lattice_points(cell, 20, rng)
+        return float(np.max(np.abs(periodic_green(pts, env, cell, plan)
+                                   - oracle_filtered_fourier(pts, env, cell))))
 
     return _kernel_check(1e-10, error)
 
@@ -631,7 +649,7 @@ def _sources_field(env, cell, plan, x0, x1, dvec, cstar=None, B=None):
             "pjkm,k->pjm", periodic_green_grad(pts - x1, env, cell, plan), dvec
         )
         Du += Bq[None, :, :]
-        return np.einsum("pjm,pm->pj", traction_map(env.omega, Du), normals)
+        return traction(Du, normals, env.omega)
 
     return u_fn, trac_fn
 

@@ -87,6 +87,24 @@ def test_hole_area_closed_forms():
     assert abs(hole_area(ellipse) - 0.06 * np.pi) < 1e-13
 
 
+def test_circle_and_ellipse_are_degree_one_trig_shapes():
+    ellipse = EllipseShape([0.5, 0.4], (0.3, 0.2), rotation=0.3)
+    assert isinstance(ellipse, TrigShape)
+    assert isinstance(CircleShape([0.5, 0.4], 0.2), TrigShape)
+    t = np.linspace(0.0, 2.0 * np.pi, 7)
+    c, s = np.cos(0.3), np.sin(0.3)
+    expect = np.column_stack([0.5 + 0.3 * c * np.cos(t) - 0.2 * s * np.sin(t),
+                              0.4 + 0.3 * s * np.cos(t) + 0.2 * c * np.sin(t)])
+    assert np.max(np.abs(discretize_curve(ellipse, 64, UNIT).eval(t) - expect)) < 1e-15
+
+
+def test_trig_shape_pads_its_coefficients():
+    shape = TrigShape([[0.5, 0.2], [0.5, 0.0]], [[0.0, 0.0, 0.0], [0.0, 0.2, 0.01]])
+    assert shape.cos_coeffs.shape == shape.sin_coeffs.shape == (2, 3)
+    assert np.array_equal(shape.cos_coeffs[:, 2], [0.0, 0.0])
+    assert np.array_equal(shape.interior, [0.5, 0.5])
+
+
 def _perturbed_circle(scale=1.0):
     cos_c = np.array([[0.5, 0.22 * scale, 0.03 * scale, 0.02 * scale],
                       [0.5, 0.0, 0.0, 0.0]])

@@ -335,6 +335,20 @@ def test_remainder_rejects_nonzero_lattice_points(plan1, x):
             kernel(np.array(x), ENV1, UNIT, plan1)
 
 
+def test_center_gradient_coefficient_matches_mpmath():
+    # f2' = (1 - e^-T - T e^-T)/T^2, the center terms' gradient coefficient,
+    # to 1e-15 relative across its series switch and at T = 0
+    import mpmath
+
+    mpmath.mp.dps = 50
+    T = np.concatenate([[0.0], np.geomspace(1e-12, 50.0, 400), np.linspace(0.9, 1.1, 41)])
+    got = lattice._f2p(T, np.exp(-T))
+    for t, value in zip(T, got):
+        t = mpmath.mpf(float(t))
+        ref = 0.5 if t == 0 else float((1 - mpmath.exp(-t) * (1 + t)) / t**2)
+        assert abs(value - ref) <= 1e-15 * ref, float(t)
+
+
 def test_pde_residual_examples():
     plan = plan_lattice_sum(UNIT, ENV1, 1e-13)
     res = pde_residual(np.array([0.37, 0.61]), 0, ENV1, UNIT, plan, h=1e-3)

@@ -12,7 +12,7 @@ from perilame.cell import (
     discretize_curve,
     hole_area,
 )
-from perilame.errors import NearBoundaryWarning
+from perilame.errors import AssemblyError, NearBoundaryWarning
 from perilame.kernels import LameEnv, traction_kernel
 from perilame.lattice import plan_lattice_sum
 from perilame.operators import (
@@ -238,6 +238,20 @@ def test_tail_check_stops_when_the_next_grid_would_fail(monkeypatch):
         tried.clear()
         assert assemble(curve, ENV1, cell, plan).lattice_nodes == N
         assert [len(blocks) for blocks in tried] == [64, 128]
+
+
+def test_split_checks_catch_a_wrong_gamma_c(monkeypatch):
+    # on a circle the Cauchy remainder of the split vanishes, so a wrong
+    # gamma_c shows only through its other uses, which the checks must see
+    curve = discretize_curve(CircleShape([0.5, 0.5], 0.25), 64, UNIT)
+    plan = plan_lattice_sum(UNIT, ENV1, 1e-10)
+    mu = BoundaryVectorField(np.column_stack([np.cos(curve.params), np.ones(64)]), curve)
+    monkeypatch.setattr(LameEnv, "gamma_c", property(lambda env: (1.0 - env.beta) / (2.1 * np.pi)))
+    for build in (lambda: assemble_single_layer(curve, ENV1, UNIT, plan),
+                  lambda: assemble_wstar(curve, ENV1, UNIT, plan),
+                  lambda: apply_at_midpoints(mu, _midpoints(curve), ENV1, UNIT, plan)):
+        with pytest.raises(AssemblyError, match="traction kernel split"):
+            build()
 
 
 def test_trig_resample_exact_for_trig_polynomials():

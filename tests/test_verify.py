@@ -99,6 +99,33 @@ def test_oracle_inconsistency_detection():
         )
 
 
+def test_oracle_takes_many_points():
+    cell = build_cell([2.0, 3.0])
+    env = LameEnv(2, 0.5)
+    pts = np.array([[0.7, 1.9], [1.3, 0.4], [-0.5, 2.2]])
+    G = oracle_filtered_fourier(pts, env, cell)
+    assert G.shape == (3, 2, 2)
+    for p, g in zip(pts, G):
+        assert np.max(np.abs(g - oracle_filtered_fourier(p, env, cell))) < 1e-12
+    assert oracle_scalar_harmonic(pts, cell).shape == (3,)
+
+
+def test_oracle_reports_the_worst_point():
+    # at one sigma0 for all points, each point's certificate is its own; the
+    # call fails when any point fails, naming the worst spread
+    pts = np.array([[0.4, 0.3], [0.05, 0.04], [0.03, 0.02], [0.1, 0.02]])
+    spreads = []
+    for p in pts:
+        try:
+            oracle_filtered_fourier(p, ENV1, UNIT, sigma0=2e-4)
+        except OracleError as exc:
+            spreads.append(str(exc))
+    assert 0 < len(spreads) < len(pts)
+    with pytest.raises(OracleError) as info:
+        oracle_filtered_fourier(pts, ENV1, UNIT, sigma0=2e-4)
+    assert str(info.value) == max(spreads, key=lambda msg: float(msg.split()[4]))
+
+
 def test_fixture_file_fingerprints():
     path = os.path.join(os.path.dirname(__file__), "fixtures", "oracle_green.json")
     with open(path, "r", encoding="utf-8") as fh:
