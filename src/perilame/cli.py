@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,12 +31,9 @@ from .cell import (
     nearest_image,
 )
 from .errors import (
-    AdmissibilityError,
     AssemblyError,
-    CellError,
     ConfigError,
     ConvergenceError,
-    CurveError,
     DegenerateProblemError,
     PlanError,
     SolveError,
@@ -233,7 +229,6 @@ class RunConfig:
             green = {**_GREEN_DEFAULTS, **_known(raw.get("green", {}), _GREEN_DEFAULTS, "green")}
             table["green"] = {key: _field(green, key, "green", (2,)) for key in green}
         self._table = table
-        self.mode, self.nodes, self.lattice_tol = mode, table["nodes"], table["lattice_tol"]
 
     def echo(self):
         """The canonical table (a copy); re-parsing it reproduces this RunConfig."""
@@ -283,18 +278,6 @@ def _shape(curve):
     if curve["kind"] == "ellipse":
         return EllipseShape(curve["center"], curve["semi_axes"], curve["rotation"])
     return TrigShape(curve["cos"], curve["sin"], interior=curve["interior"])
-
-
-@dataclass
-class ResultBundle:
-    """Everything a run produced; every table is stamped with the fingerprint."""
-
-    fingerprint: str
-    summary: list          # (key, value) pairs, written to summary.txt
-    exit_code: int
-    density_rows: list = field(default_factory=list)
-    field_rows: list = field(default_factory=list)
-    reports: list = field(default_factory=list)
 
 
 def _atomic_write(path, text):
@@ -351,83 +334,45 @@ def _stage_entries(stages):
     return [(f"time_{stage}_s", f"{sec:.6e}") for stage, sec in stages.items()]
 
 
-def run(config):
-    """Execute the configured pipeline; returns a ResultBundle."""
-    table = config.echo()
-    out_dir = table["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    fp = config.fingerprint()
-    _atomic_write(
-        os.path.join(out_dir, "config.echo.json"),
-        json.dumps(table, indent=2, sort_keys=True) + "\n",
-    )
-    mode = table["mode"]
-    summary = [("mode", mode), ("fingerprint", fp)]
-
-    if mode == "verify":
-        reports = run_property_suite(seed=table["seed"])
-        rows = [
-            (r.name, r.anchor.replace(",", ";"), f"{r.max_error:.6e}",
-             f"{r.tolerance:.6e}", int(r.passed), f"{r.runtime_s:.3f}")
-            for r in reports
-        ]
-        _write_csv(
-            os.path.join(out_dir, "reports.csv"),
-            "property,anchor,max_error,tolerance,pass,runtime_s",
-            rows,
-            fp,
-        )
-        n_fail = sum(1 for r in reports if not r.passed)
-        summary += [
-            ("properties_total", len(reports)),
-            ("properties_failed", n_fail),
-        ]
-        _atomic_write(os.path.join(out_dir, "summary.txt"), _summary_text(summary))
-        return ResultBundle(
-            fingerprint=fp, summary=summary, exit_code=4 if n_fail else 0,
-            reports=reports,
-        )
-
-    cell = build_cell(table["cell"])
-    env = LameEnv(2, table["omega"])
-    # seconds of each stage of the run, written as time_<stage>_s
-    stages = {}
-    with timed(stages, "plan"):
-        plan = plan_lattice_sum(cell, env, table["lattice_tol"])
-    summary += [
-        ("lattice_tail_bound", f"{plan.real_bound + plan.fourier_bound:.6e}"),
-        ("lattice_eta", f"{plan.eta:.6e}"),
-        ("lattice_real_cutoff", plan.real_cutoff),
-        ("lattice_fourier_cutoff", plan.fourier_cutoff),
+def _verify_mode(table):
+    """The property suite at the config's seed: summary entries, tables and exit code."""
+    reports = run_property_suite(seed=table["seed"])
+    rows = [
+        (r.name, r.anchor.replace(",", ";"), f"{r.max_error:.6e}",
+         f"{r.tolerance:.6e}", int(r.passed), f"{r.runtime_s:.3f}")
+        for r in reports
     ]
+    n_fail = sum(1 for r in reports if not r.passed)
+    entries = [("properties_total", len(reports)), ("properties_failed", n_fail)]
+    tables = [("reports.csv", "property,anchor,max_error,tolerance,pass,runtime_s", rows)]
+    return entries, tables, 4 if n_fail else 0
 
-    if mode == "green-eval":
-        source = np.array(table["green"]["source"])
-        load = np.array(table["green"]["load"])
 
-        pts = _grid_points(table["grid"], cell)
-        d = np.linalg.norm(nearest_image(pts - source, cell), axis=1)
-        keep = d >= 0.02 * cell.min_edge  # mask points too close to a source image
-        pts, warn = pts[keep], d[keep] < 0.1 * cell.min_edge
-        with timed(stages, "field_eval"):
-            vals = np.einsum("pjk,k->pj", periodic_green(pts - source, env, cell, plan), load)
-        rows = _format_field_rows(pts, vals, warn)
-        summary += _stage_entries(stages)
-        _write_csv(
-            os.path.join(out_dir, "field.csv"),
-            "x1,x2,u1,u2,warning", rows, fp,
-        )
-        _atomic_write(os.path.join(out_dir, "summary.txt"), _summary_text(summary))
-        return ResultBundle(fingerprint=fp, summary=summary, exit_code=0, field_rows=rows)
+def _green_mode(table, cell, env, plan, stages):
+    """The periodic Green's matrix times the load on the output grid: entries and tables."""
+    source = np.array(table["green"]["source"])
+    load = np.array(table["green"]["load"])
+    pts = _grid_points(table["grid"], cell)
+    d = np.linalg.norm(nearest_image(pts - source, cell), axis=1)
+    keep = d >= 0.02 * cell.min_edge  # mask points too close to a source image
+    pts, warn = pts[keep], d[keep] < 0.1 * cell.min_edge
+    with timed(stages, "field_eval"):
+        vals = np.einsum("pjk,k->pj", periodic_green(pts - source, env, cell, plan), load)
+    return [], [("field.csv", "x1,x2,u1,u2,warning", _format_field_rows(pts, vals, warn))]
 
+
+def _solve_mode(table, cell, env, plan, stages):
+    """The linear or nonlinear Robin solve and its field on the output grid: entries and tables.
+
+    The solvers assemble V and W* themselves and report it as their
+    "assembly" stage, within the run's "solve".
+    """
     with timed(stages, "discretize"):
         curve = discretize_curve(_shape(table["curve"]), table["nodes"], cell)
     t = curve.params
     drift = np.array(table["drift"])
-
-    # the solvers assemble V and W* themselves and report it as their
-    # "assembly" stage, within the run's "solve"
-    if mode == "solve-linear":
+    entries = []
+    if table["mode"] == "solve-linear":
         robin = table["robin"]
         data = RobinData(
             a=BoundaryMatrixField(_sample(robin["a"], t), curve),
@@ -445,10 +390,10 @@ def run(config):
             model = saturating_model(_sample(spec["h"], t), spec["kappa"], curve)
         with timed(stages, "solve"):
             rep = solve_nonlinear_robin(model, drift, curve, env, cell, plan, method="newton")
-        summary += [(key, rep.diagnostics[key]) for key in ("iterations", "rank_checks")]
+        entries += [(key, rep.diagnostics[key]) for key in ("iterations", "rank_checks")]
 
     d = rep.diagnostics
-    summary += [
+    entries += [
         ("c", "(" + ",".join(f"{v:.17g}" for v in rep.c) + ")"),
         ("B", "(" + ",".join(f"{v:.17g}" for v in rep.B.reshape(-1)) + ")"),
         ("mu_sup_norm", f"{np.max(np.abs(rep.mu.values)):.17g}"),
@@ -460,34 +405,54 @@ def run(config):
         ("density_tail_ratio", f"{d['density_tail_ratio']:.6e}"),
         ("lattice_nodes_v", d["lattice_nodes_v"]),
         ("lattice_nodes_wstar", d["lattice_nodes_wstar"]),
-    ]
-    summary += _stage_entries(d["timings"])
-
-    rows = [
+    ] + _stage_entries(d["timings"])
+    density_rows = [
         (f"{t[i]:.12g}", f"{curve.nodes[i,0]:.12g}", f"{curve.nodes[i,1]:.12g}",
          f"{rep.mu.values[i,0]:.17g}", f"{rep.mu.values[i,1]:.17g}")
         for i in range(curve.N)
     ]
-    _write_csv(
-        os.path.join(out_dir, "density.csv"),
-        "t,x1,x2,mu1,mu2", rows, fp,
-    )
-
     with timed(stages, "field_eval"):
         field_rows = _field_rows(
             table["grid"], cell, curve,
             lambda pts: eval_solution(rep, pts, env, cell, plan, warn=False),
         )
-    summary += _stage_entries(stages)
-    _write_csv(
-        os.path.join(out_dir, "field.csv"),
-        "x1,x2,u1,u2,warning", field_rows, fp,
+    return entries, [("density.csv", "t,x1,x2,mu1,mu2", density_rows),
+                     ("field.csv", "x1,x2,u1,u2,warning", field_rows)]
+
+
+def run(config):
+    """Execute the configured pipeline and write its outputs; returns (summary, exit code)."""
+    table = config.echo()
+    out_dir = table["out_dir"]
+    os.makedirs(out_dir, exist_ok=True)
+    fp = config.fingerprint()
+    _atomic_write(
+        os.path.join(out_dir, "config.echo.json"),
+        json.dumps(table, indent=2, sort_keys=True) + "\n",
     )
+    summary = [("mode", table["mode"]), ("fingerprint", fp)]
+    # seconds of each stage of the run, written as time_<stage>_s
+    stages, exit_code = {}, 0
+    if table["mode"] == "verify":
+        entries, tables, exit_code = _verify_mode(table)
+    else:
+        cell = build_cell(table["cell"])
+        env = LameEnv(2, table["omega"])
+        with timed(stages, "plan"):
+            plan = plan_lattice_sum(cell, env, table["lattice_tol"])
+        summary += [
+            ("lattice_tail_bound", f"{plan.real_bound + plan.fourier_bound:.6e}"),
+            ("lattice_eta", f"{plan.eta:.6e}"),
+            ("lattice_real_cutoff", plan.real_cutoff),
+            ("lattice_fourier_cutoff", plan.fourier_cutoff),
+        ]
+        mode = _green_mode if table["mode"] == "green-eval" else _solve_mode
+        entries, tables = mode(table, cell, env, plan, stages)
+    summary += entries + _stage_entries(stages)
+    for name, header, rows in tables:
+        _write_csv(os.path.join(out_dir, name), header, rows, fp)
     _atomic_write(os.path.join(out_dir, "summary.txt"), _summary_text(summary))
-    return ResultBundle(
-        fingerprint=fp, summary=summary, exit_code=0,
-        density_rows=rows, field_rows=field_rows,
-    )
+    return summary, exit_code
 
 
 def main(argv=None):
@@ -499,31 +464,23 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--mode", choices=MODES, help="override the config mode")
     parser.add_argument("--nodes", type=int, help="override the node count N")
-    parser.add_argument("--tol", type=float, help="override the lattice tolerance")
+    parser.add_argument("--tol", dest="lattice_tol", type=float,
+                        help="override the lattice tolerance")
     parser.add_argument("--out-dir", help="override the output directory")
     parser.add_argument("--seed", type=int, help="seed for randomized verify points")
-    args = parser.parse_args(argv)
-
-    overrides = {
-        "mode": args.mode,
-        "nodes": args.nodes,
-        "lattice_tol": args.tol,
-        "out_dir": args.out_dir,
-        "seed": args.seed,
-    }
+    overrides = vars(parser.parse_args(argv))
+    path = overrides.pop("config")
     try:
-        config = parse_config(args.config, overrides)
-        bundle = run(config)
-    except (ConfigError, CellError, CurveError, AdmissibilityError, PlanError,
-            ValueError) as exc:
+        summary, exit_code = run(parse_config(path, overrides))
+    except (ValueError, PlanError) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 2
     except (SolveError, ConvergenceError, DegenerateProblemError, AssemblyError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    for key, value in bundle.summary:
+    for key, value in summary:
         print(f"{key}={value}")
-    return bundle.exit_code
+    return exit_code
 
 
 if __name__ == "__main__":

@@ -299,19 +299,19 @@ def solve_robin(data, curve, env, cell, plan, operators=None):
     Dense LU with partial pivoting; a 1-norm condition estimate above 1e13
     raises SolveError since the solvability conditions are then violated
     beyond numerical tolerance.  diagnostics["timings"] holds the seconds of
-    each stage; "system" includes "assembly", recorded when V and W* are not
-    given.  diagnostics["lattice_nodes_v"] and ["lattice_nodes_wstar"] are
+    each stage, none nested in another; "assembly" is recorded when V and W*
+    are not given.  diagnostics["lattice_nodes_v"] and ["lattice_nodes_wstar"] are
     the node counts at which V's and W*'s lattice parts were evaluated
     (DenseBoundaryOperator.lattice_nodes), assembled or given.
     """
     timings = {}
     with timed(timings, "validate"):
         diagnostics = validate_robin_data(data, curve)
+    if operators is None:
+        with timed(timings, "assembly"):
+            operators = (assemble_single_layer(curve, env, cell, plan),
+                         assemble_wstar(curve, env, cell, plan))
     with timed(timings, "system"):
-        if operators is None:
-            with timed(timings, "assembly"):
-                operators = (assemble_single_layer(curve, env, cell, plan),
-                             assemble_wstar(curve, env, cell, plan))
         system = assemble_robin_system(data, curve, env, cell, plan, operators=operators)
         diagnostics.update(_lattice_nodes(*operators))
         operators = None  # V and W* are not needed past the system
@@ -394,31 +394,31 @@ def eval_solution(rep, x, env, cell, plan, warn=True):
     return out[0] if single else out
 
 
-def solve_neumann_aux(psi, curve, env, cell, plan, wstar=None):
-    """Solve (1/2 I + W*) mu = psi; the operator is invertible on the curve."""
-    W = wstar if wstar is not None else assemble_wstar(curve, env, cell, plan)
-    A = 0.5 * np.eye(2 * curve.N) + W.matrix
+def solve_neumann_aux(psi, wstar):
+    """Solve (1/2 I + W*) mu = psi on psi's curve, with W* given; the operator is invertible."""
+    A = 0.5 * np.eye(2 * psi.curve.N) + wstar.matrix
     factors, _ = _lu_checked(
         A, "auxiliary operator", "this indicates an assembly defect, not admissible data"
     )
     sol = sla.lu_solve(factors, psi.values.reshape(-1))
-    mu = BoundaryVectorField(sol.reshape(-1, 2), curve)
-    return mu
+    return BoundaryVectorField(sol.reshape(-1, 2), psi.curve)
 
 
-def representation_roundtrip(u_fn, traction_fn, curve, env, cell, plan, test_points=None):
+def representation_roundtrip(u_fn, traction_fn, curve, env, cell, plan, operators,
+                             test_points=None):
     """Recover (mu, c) of a periodic homogeneous field from its boundary data.
 
     u_fn(points) returns field values; traction_fn(points, normals) returns
-    the material-side traction.  The density solves the second-kind system
-    with the traction data and c matches the boundary values; the
-    reconstruction error at the supplied test points is reported.
+    the material-side traction; operators is (V, W*) on the curve.  The
+    density solves the second-kind system with the traction data and c
+    matches the boundary values; the reconstruction error at the supplied
+    test points is reported.
     """
+    V, W = operators
     psi = BoundaryVectorField(traction_fn(curve.nodes, curve.normals), curve)
-    mu = solve_neumann_aux(psi, curve, env, cell, plan)
+    mu = solve_neumann_aux(psi, W)
     u_bdry = u_fn(curve.nodes)
-    v_bdry_op = assemble_single_layer(curve, env, cell, plan)
-    v_bdry = v_bdry_op.apply(mu).values
+    v_bdry = V.apply(mu).values
     c_samples = u_bdry - v_bdry
     c = np.mean(c_samples, axis=0)
     report = {

@@ -70,6 +70,9 @@ from .special import exp1
 ORACLE_DISTANCE_FACTOR = 112.0  # sigma0 = d^2 / factor keeps screened images < 1e-12
 # the filtered sums stop where the damped tail bound falls below this
 _FILTER_TAIL = 1e-13
+# largest lattice cut m of the filtered sums: at about 150 bytes a lattice
+# point, the (2m+1)^2 lattice's arrays then stay within about 0.6 GB
+_FILTER_MAX_CUT = 1000
 # image box and Fourier box of scalar_periodic_green
 _SCALAR_REAL_CUTOFF = 6
 _SCALAR_FOURIER_CUTOFF = 24
@@ -84,25 +87,40 @@ def _nonzero_lattice(m):
     return z[np.any(z != 0.0, axis=1)]
 
 
-def _filtered_sums(xr, beta, cell, sigma0):
+def _filter_cut(sigma, cell):
+    """The lattice cut m of the filtered sums at the smallest width sigma.
+
+    m is the smallest multiple of 8 at which the damped tail bound falls
+    below _FILTER_TAIL; the bound decreases in m, so doubling and then
+    bisection find it.
+    """
+    kmin_unit = 2.0 * np.pi / cell.max_edge
+
+    def below(j):
+        m = 8 * j
+        kmin = kmin_unit * m
+        u = sigma * kmin * kmin
+        return np.exp(-u) * 16 * m / (kmin * kmin * cell.volume) < _FILTER_TAIL
+
+    lo, hi = 0, 1
+    while not below(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if below(mid) else (mid, hi)
+    return 8 * hi
+
+
+def _filtered_sums(xr, beta, cell, sigma0, m):
     """Gaussian-filtered brute-force values of the defining Fourier series, (3, P, 2, 2).
 
     xr holds P points and sigma0 their P filter widths; the three levels are
-    at sigma0, sigma0/2 and sigma0/4.  One lattice serves them all: it is cut
-    where the damped tail of the smallest width falls below _FILTER_TAIL.
-    The damping at sigma0/4 is taken once and squared for the other two.
-    Points go in blocks of about _PAIRS * 64 point-lattice pairs.
+    at sigma0, sigma0/2 and sigma0/4.  One lattice, cut at m (_filter_cut of
+    the smallest width), serves them all.  The damping at sigma0/4 is taken
+    once and squared for the other two.  Points go in blocks of about
+    _PAIRS * 64 point-lattice pairs.
     """
-    sigma = np.min(sigma0) / 4.0
     q = np.asarray(cell.q_diag)
-    kmin_unit = 2.0 * np.pi / cell.max_edge
-    m = 8
-    while True:
-        kmin = kmin_unit * m
-        u = sigma * kmin * kmin
-        if np.exp(-u) * 16 * m / (kmin * kmin * cell.volume) < _FILTER_TAIL or m > 4000:
-            break
-        m += 8
     z = _nonzero_lattice(m)
     k = 2.0 * np.pi * z / q[None, :]
     k2 = np.sum(k * k, axis=1)
@@ -126,7 +144,8 @@ def _filtered_oracle(x, beta, cell, sigma0, certify):
 
     The values at sigma0, sigma0/2 and sigma0/4 give two first-stage
     extrapolants; their spread is the certificate, and the worst spread over
-    the points decides.
+    the points decides.  A width that needs a lattice cut above
+    _FILTER_MAX_CUT raises OracleError before any lattice array is built.
     """
     x = np.asarray(x, dtype=float)
     xr = np.atleast_2d(nearest_image(x, cell))
@@ -134,7 +153,13 @@ def _filtered_oracle(x, beta, cell, sigma0, certify):
     if np.any(d <= 1e-6 * cell.min_edge):
         raise OracleError("oracle point lies on the lattice")
     s0 = d * d / ORACLE_DISTANCE_FACTOR if sigma0 is None else np.full(len(xr), float(sigma0))
-    f0, f1, f2 = _filtered_sums(xr, beta, cell, s0)
+    m = _filter_cut(np.min(s0) / 4.0, cell)
+    if m > _FILTER_MAX_CUT:
+        raise OracleError(
+            f"oracle point at distance {np.min(d):.3e} from the lattice needs a "
+            f"lattice cut m = {m} (filter width {np.min(s0):.3e}), above {_FILTER_MAX_CUT}"
+        )
+    f0, f1, f2 = _filtered_sums(xr, beta, cell, s0, m)
     g1 = 2.0 * f1 - f0
     g2 = 2.0 * f2 - f1
     spread = np.max(np.abs(g2 - g1))
@@ -574,7 +599,7 @@ def _check_aux_roundtrip(seed):
     worst = 0.0
     for _ in range(5):
         psi = _trig_density(curve, rng)
-        mu = solve_neumann_aux(psi, curve, env, cell, plan, wstar=W)
+        mu = solve_neumann_aux(psi, W)
         res = 0.5 * mu.values + W.apply(mu).values - psi.values
         worst = max(worst, float(np.max(np.abs(res))))
     return worst, fp
@@ -588,7 +613,7 @@ def _check_aux_mean_identity(seed):
     worst = 0.0
     for _ in range(5):
         psi = _trig_density(curve, rng)
-        mu = solve_neumann_aux(psi, curve, env, cell, plan, wstar=W)
+        mu = solve_neumann_aux(psi, W)
         lhs = boundary_integral(psi)
         rhs = factor * boundary_integral(mu)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
@@ -616,7 +641,7 @@ def _check_representation(seed):
         return 0.5 * mu0.values + W.apply(mu0).values
 
     mu_rec, c_rec, report = representation_roundtrip(
-        u_fn, trac_fn, curve, env, cell, plan
+        u_fn, trac_fn, curve, env, cell, plan, (V, W)
     )
     err = max(
         float(np.max(np.abs(mu_rec.values - mu0.values))),

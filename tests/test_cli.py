@@ -42,11 +42,8 @@ def _read_summary(out_dir):
 
 
 def test_parse_minimal_config_resolves_defaults(tmp_path):
-    config = parse_config(_write(tmp_path, MINIMAL))
-    assert config.nodes == 128
-    assert config.lattice_tol == 1e-10
-    assert config.mode == "solve-linear"
-    echo = config.echo()
+    echo = parse_config(_write(tmp_path, MINIMAL)).echo()
+    assert echo["mode"] == "solve-linear"
     assert echo["nodes"] == 128 and echo["lattice_tol"] == 1e-10
 
 
@@ -158,6 +155,24 @@ def test_rejected_data_exit_code(tmp_path):
     cfg["robin"] = dict(cfg["robin"], b=[[1.0, 0.0], [0.0, 1.0]])
     code = main(["--config", _write(tmp_path, cfg)])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "change,code",
+    [
+        ({"cell": [0.0, 1.0]}, 2),  # CellError
+        ({"curve": {"kind": "circle", "center": [0.5, 0.5], "radius": 0.7}}, 2),  # CurveError
+        ({"lattice_tol": 1e-16}, 2),  # PlanError
+        # DegenerateProblemError: nothing constrains the additive constant
+        ({"mode": "solve-nonlinear", "nodes": 32, "drift": [[0.0, 0.0], [0.0, 0.0]],
+          "model": {"kind": "affine", "M": [[0.0, 0.0], [0.0, 0.0]], "h": [0.0, 0.0]}}, 3),
+    ],
+    ids=["cell-edge", "curve-outside-cell", "lattice-tol", "degenerate-law"],
+)
+def test_failure_exit_codes(tmp_path, capsys, change, code):
+    cfg = dict(MINIMAL, out_dir=str(tmp_path / "out"), **change)
+    assert main(["--config", _write(tmp_path, cfg)]) == code
+    assert capsys.readouterr().err.startswith("rejected: " if code == 2 else "solver failure: ")
 
 
 def test_cli_overrides(tmp_path):

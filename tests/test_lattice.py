@@ -422,26 +422,24 @@ def _product_setup(edges, omega, tol=1e-10):
     ids=["edges0-1.0", "edges1-0.5", "edges2-1.0-fallback"],
 )
 def test_product_matches_pair_contraction(edges, omega, tol):
-    # products against the pair path: every target-source pair through
-    # periodic_green / regular_part(_grad), contracted with the density; far,
-    # near-band (0.25 h) and midpoint targets, against all nodes and against one.
-    # The (1, 4) cell at tol 1e-12 takes the fallback split, with three images
+    # products against the blocks path: lattice_product's target-source blocks
+    # (per-entry GEMMs and _blocks) contracted with the density, against the
+    # product's structure factors and _grid_contract; far, near-band (0.25 h)
+    # and midpoint targets, against all nodes and against one (the few-sources
+    # branch). The (1, 4) cell at tol 1e-12 takes the fallback split, with three images
     cell, env, plan, curve, rho, targets = _product_setup(edges, omega, tol)
     if edges == [1.0, 4.0]:
         assert len(plan.shifts) == 3
-    cases = [
-        (periodic_green, periodic_green_grad, True, ("far", "near")),
-        (regular_part, regular_part_grad, False, ("far", "mid")),
-    ]
-    for value_fn, grad_fn, periodic, names in cases:
+    for periodic, names in ((True, ("far", "near")), (False, ("far", "mid"))):
         for name in names:
             for y, dens in ((curve.nodes, rho), (curve.nodes[:1], rho[:1])):
                 x = targets[name]
                 val, grad = lattice.lattice_product(x, y, dens, env, cell, plan, periodic,
                                                     values=True, grads=True)
-                d = x[:, None, :] - y[None, :, :]
-                ref_val = np.einsum("pbjk,bk->pj", value_fn(d, env, cell, plan), dens)
-                ref_grad = np.einsum("pbjkm,bk->pjm", grad_fn(d, env, cell, plan), dens)
+                blocks = lattice.lattice_product(x, y, None, env, cell, plan, periodic,
+                                                 values=True, grads=True)
+                ref_val = np.einsum("pbjk,bk->pj", blocks[0], dens)
+                ref_grad = np.einsum("pbjkm,bk->pjm", blocks[1], dens)
                 assert np.max(np.abs(val - ref_val)) <= 1e-13, (name, len(y))
                 assert np.max(np.abs(grad - ref_grad)) <= 1e-13, (name, len(y))
                 # values and gradients alone are the joint call's

@@ -51,3 +51,27 @@ def test_private_names_are_used():
     unused = [f"{module}:{name}" for module, tree in trees.items()
               for name in _private_definitions(tree) if name not in used]
     assert unused == [], f"private names nothing in src/perilame reads: {unused}"
+
+
+def _is_dataclass(node):
+    """Whether node is a class decorated @dataclass or @dataclass(...)."""
+    if not isinstance(node, ast.ClassDef):
+        return False
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+
+
+def test_dataclass_fields_are_read():
+    # a field that nothing in the package reads back is dead state; storing
+    # it (self.x = ...) does not count
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{module}:{cls.name}.{stmt.target.id}"
+              for module, tree in trees.items()
+              for cls in ast.walk(tree) if _is_dataclass(cls)
+              for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+              and stmt.target.id not in read]
+    assert unread == [], f"dataclass fields nothing in src/perilame reads: {unread}"

@@ -90,6 +90,15 @@ def test_oracle_rejects_lattice_point():
         oracle_filtered_fourier(np.array([1.0, 0.0]), ENV1, UNIT)
 
 
+def test_oracle_refuses_a_cut_beyond_its_memory_budget():
+    # at d = 1e-3 of the edge the filter width needs a lattice cut of about
+    # 15000 (a 3e4 x 3e4 lattice); the oracle refuses before building it
+    t0 = time.perf_counter()
+    with pytest.raises(OracleError, match="distance 1.000e-03 .* lattice cut m = 14848"):
+        oracle_filtered_fourier(np.array([1e-3, 0.0]), ENV1, UNIT)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_oracle_inconsistency_detection():
     # an absurdly large sigma0 leaves screened-image errors the extrapolation
     # cannot cancel; the certificate must catch it
