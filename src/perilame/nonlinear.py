@@ -6,8 +6,9 @@ The residual of the augmented system in (mu, c) is
     plus the componentwise zero-mean constraint on mu.
 
 The Jacobian is the linear Robin matrix with the nodal blocks -dG in place of
-a^{-1} b (robin.augmented_matrix).  Newton rebuilds it every step; Picard
-freezes it at the initial iterate and refactors once.  A Jacobian J of size
+a^{-1} b (robin.augmented_matrix).  Newton rewrites it every step, in
+buffers allocated once per solve; Picard freezes it at the initial iterate
+and refactors once.  A Jacobian J of size
 n = 2N + 2 whose smallest singular value is at most RANK_TOL * max(largest, 1)
 (e.g. G independent of u with B = 0, leaving c unconstrained) is reported,
 never regularized.  The LU that every step needs screens for this: with
@@ -39,7 +40,7 @@ from .robin import (
     _lattice_nodes,
     _lu_condition,
     _reported_tail_ratio,
-    augmented_matrix,
+    _write_augmented,
     boundary_integral,
     drift_traction,
     timed,
@@ -154,13 +155,20 @@ def solve_nonlinear_robin(
 
     # what the rank screen saw, reported in diagnostics
     screen = {"condition_estimate": np.nan, "rank_checks": 0}
+    # the Jacobian's buffers, allocated once per solve: J, its LU (Fortran
+    # order, factored in place) and one work array for diag(-dG) V, then |J|
+    J = np.empty((2 * N + 2, 2 * N + 2))
+    lu = np.empty(J.shape, order="F")
+    absJ = np.empty(J.shape)
+    product = absJ.reshape(-1)[: 4 * N * N].reshape(N, 2, 2 * N)
 
     def factor_checked(U):
-        J = augmented_matrix(-model.jac(U), V, W, curve)
+        _write_augmented(J, -model.jac(U), V, W, curve, product)
         # ||J||_1 and ||J||_inf from one |J|, as np.linalg.norm sums them
-        absJ = np.abs(J)
+        np.abs(J, out=absJ)
         norm_1, norm_inf = np.max(np.sum(absJ, axis=0)), np.max(np.sum(absJ, axis=1))
-        factors, cond = _lu_condition(J, norm_1)
+        lu[...] = J
+        factors, cond = _lu_condition(lu, norm_1)
         screen["condition_estimate"] = cond
         if _full_rank_certified(J.shape[0], cond, norm_1, norm_inf):
             return factors

@@ -12,29 +12,33 @@ matrix; the traction kernel of the plane Kelvin matrix has no logarithmic
 singularity, only the Cauchy part above.  The smooth free-space split has one form,
 p delta_jk + A d_j d_k (plus a Cauchy remainder times J), as scalar
 target-node arrays (_free_space_split), at the nodes, where a node against
-itself takes the limits, and at the midpoints alike; one _checked_split
-re-verifies it numerically at sampled pairs for both.  Assembly forms the
-N x N node blocks: lattice._blocks of the split, plus the lattice part, R^q
-for V and for W* the traction at the target normals of the gradient of R^q.
-The lattice part is analytic on the (t, s) torus, normals included, so
-_lattice_part evaluates it with the target-source evaluator,
-lattice.lattice_product, with no density, at the Nc nodes of a coarse
-resampling of the curve, and interpolates it to the N nodes by
-trigonometric interpolation in t and in s.  Nc starts at _COARSE_START and
-doubles until the L1 size of the coarse blocks' outer band of 2D Fourier
-modes, max(|m1|, |m2|) >= 7 Nc / 16, is below the plan's tail share
-(tol/20) of their largest entry, or below the band rounding leaves at tight
-tol (_ROUNDING Nc eps).  When two rejected grids predict that the next one
-fails too, or at Nc = N, the lattice part is evaluated at the N nodes.
-Each operator records its Nc as lattice_nodes.
+itself takes the limits, and at the midpoints alike; its differences are
+summed from the curve's series (_chords), so that the remainder, a
+difference of two terms of size about N, keeps its digits at neighbouring
+nodes.  One _checked_split re-verifies the split numerically at sampled
+pairs for both.  Assembly interpolates the whole smooth kernel: the split
+plus the lattice part, R^q for V and for W* the traction at the target
+normals of the gradient of R^q.  Both are analytic on the (t, s) torus,
+normals included, so _smooth_part evaluates their sum at the Nc nodes of a
+coarse resampling of the curve (the lattice part by the target-source
+evaluator, lattice.lattice_product, with no density) and interpolates it
+to the N nodes by trigonometric interpolation in t and in s, straight into
+the node-major matrix.  Nc starts at _COARSE_START and doubles until the
+L1 size of the coarse blocks' outer band of 2D Fourier modes,
+max(|m1|, |m2|) >= 7 Nc / 16, is below the plan's tail share (tol/20) of
+their largest entry, or below the band rounding leaves at tight tol
+(_ROUNDING Nc eps).  When two rejected grids predict that the next one
+fails too, or at Nc = N, the smooth kernel is evaluated at the N nodes.
+What is left at the N nodes is the trapezoid weights and the Kress log or
+Hilbert node rule.  Each operator records its Nc as lattice_nodes.
 
 At the midpoints t_i + pi/N, apply_at_midpoints applies V and W* to a
 density without a block or a matrix: both rules, shifted by half a node,
 act by one FFT each (_apply_rule, which also gives assembly its dense
 node rules from the same symbols), the split is contracted with the
 density by lattice._grid_contract, and R^q is a product against the
-density at the midpoints, independent of the interpolated
-lattice part, so an under-resolved Nc shows in the off-node residual.  The
+density at the midpoints, both independent of the interpolated smooth
+kernel, so an under-resolved Nc shows in the off-node residual.  The
 off-boundary potentials eval_single_layer and eval_traction_offboundary are
 such products of the periodic Green's matrix, so no P x M kernel block is
 formed outside assembly.
@@ -48,7 +52,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .cell import NEAR_SPACINGS, locate_targets
+from .cell import NEAR_SPACINGS, BoundaryCurve, locate_targets
 from .errors import AssemblyError, NearBoundaryWarning
 from .kernels import kelvin, traction, traction_kernel
 from .lattice import _PAIRS, _TAIL_SHARE, _blocks, _dot, _grid_contract, lattice_product
@@ -99,8 +103,9 @@ class BoundaryMatrixField(_BoundaryField):
 class DenseBoundaryOperator:
     """Dense nodal operator acting on node-major flattened vector fields.
 
-    lattice_nodes is the node count at which its lattice part was evaluated:
-    the coarse Nc it was interpolated from, or N.
+    lattice_nodes is the node count at which its smooth kernel, free-space
+    split plus lattice part, was evaluated: the coarse Nc it was
+    interpolated from, or N.
     """
 
     matrix: np.ndarray  # (2N, 2N)
@@ -204,6 +209,29 @@ def _traction_pairs(N):
     return a, (a + rng.integers(N // 4, 3 * N // 4, 20)) % N
 
 
+def _chords(curve, t, dt_half, sin_half):
+    """x(t_a) - x(s_b), (B, N, 2), for targets on the curve at parameters t (B,) and its nodes.
+
+    dt_half is (t_a - s_b) / 2 and sin_half its sine.  Summed from the
+    curve's trig series in product form, x(t) - x(s) = sum_m 2 sin(m h)
+    (b_m cos(m sigma) - a_m sin(m sigma)) with h = (t - s)/2 and
+    sigma = (t + s)/2, the bracket by the angle sums of t/2 and s/2 as one
+    (B, 2, 2) x (2, N) product: every term carries its factor sin(m h) to
+    full relative precision, so the chord of two close points keeps the
+    digits that the difference of their rounded coordinates loses.
+    """
+    d = 0.0
+    for m in range(1, curve.cos_coeffs.shape[1]):
+        a, b = curve.cos_coeffs[:, m], curve.sin_coeffs[:, m]
+        ct, st = np.cos(0.5 * m * t)[:, None], np.sin(0.5 * m * t)[:, None]
+        # [i, 0] multiplies cos(m s/2) and [i, 1] sin(m s/2) in component i
+        left = np.stack([b * ct - a * st, -(b * st + a * ct)], axis=-1)
+        right = np.stack([np.cos(0.5 * m * curve.params), np.sin(0.5 * m * curve.params)])
+        sh = 2.0 * (sin_half if m == 1 else np.sin(m * dt_half))
+        d = d + sh[..., None] * (left @ right).transpose(0, 2, 1)
+    return d
+
+
 def _free_space_split(curve, targets, env, rows):
     """The smooth free-space split at some targets against the N nodes, as scalar arrays.
 
@@ -212,23 +240,30 @@ def _free_space_split(curve, targets, env, rows):
     pv delta_jk + av d_j d_k and W*'s pw delta_jk + aw d_j d_k + cauchy J,
     the form of lattice._blocks; each is a (B, N) array, with the (B, N, 2)
     differences d, and sin2 and cot of the half parameter differences for
-    the split checks.  A node against itself takes the limits, with the
+    the split checks.  d is summed from the series of a BoundaryCurve
+    (_chords); sources given by coordinates alone take coordinate
+    differences.  A node against itself takes the limits, with the
     tangent d1 in place of d: pv = alpha/(4 pi) log sp^2,
     av = -beta/(4 pi sp^2), pw = -gamma_c d2n/(2 sp^2),
     aw = -beta/(2 pi) d2n/sp^4 and cauchy = gamma_c d1.d2/(2 sp^3), with
     d2n = x''.nu.
     """
     alpha, beta, gamma_c = env.alpha, env.beta, env.gamma_c
-    d = targets.nodes[rows, None, :] - curve.nodes[None, :, :]
     dt_half = 0.5 * (targets.params[rows, None] - curve.params[None, :])
+    sin_half = np.sin(dt_half)
+    if isinstance(curve, BoundaryCurve):
+        d = _chords(curve, targets.params[rows], dt_half, sin_half)
+    else:
+        d = targets.nodes[rows, None, :] - curve.nodes[None, :, :]
     if targets is curve:
         a = np.arange(curve.N)[rows]
         self_pairs = (np.arange(a.size), a)
         d[self_pairs] = curve.d1[a]
         # finite stand-ins; the limits below replace what they feed
         dt_half[self_pairs] = 0.5 * np.pi
+        sin_half[self_pairs] = 1.0
     r2 = _dot(d, d)
-    sin2 = 4.0 * np.sin(dt_half) ** 2
+    sin2 = 4.0 * sin_half ** 2
     cot = 1.0 / np.tan(dt_half)
     tsp = targets.speeds[rows, None]
     dn = _dot(d, targets.normals[rows, None, :])
@@ -291,31 +326,32 @@ def _tail_share(blocks):
 
 
 def _interpolate(blocks, N):
-    """Trig interpolation of (Nc, Nc, 2, 2) samples on the torus to (N, N, 2, 2).
+    """Trig interpolation of (Nc, Nc, 2, 2) samples on the torus to the (2N, 2N) node-major matrix.
 
     Each entry becomes P B P^T, P = trig_resample(I, N) the N x Nc
-    interpolation matrix: two GEMMs for all four entries.
+    interpolation matrix: two GEMMs for all four entries, the second writing
+    row 2a + j, column 2b + k of block (a, b) in place.
     """
     Nc = blocks.shape[0]
     P = trig_resample(np.eye(Nc), N)
-    # X[c, b] = sum_d B[c, d] P[b, d] per entry, then P X
-    X = (P @ blocks.swapaxes(0, 1).reshape(Nc, -1)).reshape(N, Nc, 4).swapaxes(0, 1)
-    return (P @ X.reshape(Nc, -1)).reshape(N, N, 2, 2)
+    # X[c, j, b, k] = sum_d B[c, d, j, k] P[b, d], then P X
+    X = (blocks.transpose(0, 2, 3, 1).reshape(4 * Nc, Nc) @ P.T).reshape(Nc, 2, 2, N)
+    return (P @ X.swapaxes(2, 3).reshape(Nc, 4 * N)).reshape(2 * N, 2 * N)
 
 
-def _lattice_part(curve, blocks_of, tol):
-    """blocks_of(curve), the lattice part at the node pairs, and its node count.
+def _smooth_part(curve, blocks_of, tol):
+    """The smooth kernel at the node pairs as a (2N, 2N) node-major matrix, and its node count.
 
-    blocks_of maps a curve of n nodes to (n, n, 2, 2) blocks; the node count
-    is the Nc they were evaluated at, a coarse one or N.  The lattice
-    part is analytic on the (t, s) torus.  From Nc = _COARSE_START, doubling,
-    it is evaluated at the nodes of curve.resample(Nc), and accepted, then
+    blocks_of maps a curve of n nodes to (n, n, 2, 2) blocks of the smooth
+    kernel, free-space split plus lattice part; the node count is the Nc
+    they were evaluated at, a coarse one or N.  The smooth kernel is
+    analytic on the (t, s) torus.  From Nc = _COARSE_START, doubling, it is
+    evaluated at the nodes of curve.resample(Nc), and accepted, then
     interpolated to the N nodes, when its _tail_share is below the plan's
     tail share of tol or, at tight tol, below the band that rounding alone
     leaves (_ROUNDING Nc eps).  The shares of two rejected grids predict the
     next one's, as the coefficients decay exponentially; when the prediction
-    fails too, or when Nc reaches N, the lattice part is evaluated at the N
-    nodes.
+    fails too, or when Nc reaches N, the kernel is evaluated at the N nodes.
     """
     N = curve.N
     budget = lambda n: max(_TAIL_SHARE * tol, _ROUNDING * n * np.finfo(float).eps)
@@ -328,64 +364,73 @@ def _lattice_part(curve, blocks_of, tol):
         if previous is not None and share * (share / previous) ** 2 >= budget(2 * Nc):
             break
         Nc, previous = 2 * Nc, share
-    return blocks_of(curve), N
+    return _blocks_to_matrix(blocks_of(curve)), N
+
+
+def _assemble(curve, env, blocks_of, tol, rule, unit):
+    """Nystrom matrix: the trapezoid rule on the smooth kernel plus a singular node rule.
+
+    The smooth kernel (_smooth_part of blocks_of) is weighted by
+    (2 pi / N) sp_b; rule, (N, N), carries the singular part of the kernel
+    times the 2 x 2 matrix unit.  The operator's lattice_nodes is the Nc of
+    the smooth kernel.
+    """
+    _checked_split(curve, curve, env)
+    matrix, nc = _smooth_part(curve, blocks_of, tol)
+    matrix *= np.repeat((2.0 * np.pi / curve.N) * curve.speeds, 2)
+    for j, k in zip(*np.nonzero(unit)):
+        matrix[j::2, k::2] += unit[j, k] * rule
+    return DenseBoundaryOperator(matrix=matrix, lattice_nodes=nc)
 
 
 def assemble_single_layer(curve, env, cell, plan):
     """Nystrom matrix of the periodic single-layer operator on the curve.
 
-    The blocks of the smooth free-space split at the nodes and those of R^q
-    (_lattice_part: interpolated from a coarse grid where its tail allows)
-    are weighted by the trapezoid rule; the Kress log rule carries the log
-    part.  The operator's lattice_nodes is the Nc of R^q.
+    The smooth kernel, the free-space split pv delta + av d d plus R^q, is
+    interpolated from a coarse grid where its tail allows (_smooth_part) and
+    weighted by the trapezoid rule; the Kress log rule carries the log part.
+    The operator's lattice_nodes is the Nc of the smooth kernel.
     """
-    N = curve.N
-    sp = curve.speeds
-    values = lambda c: lattice_product(c.nodes, c.nodes, None, env, cell, plan, periodic=False)[0]
-    blocks, nc = _lattice_part(curve, values, plan.tol)
-    _checked_split(curve, curve, env)
-    s = _free_space_split(curve, curve, env, slice(None))
-    # (2 pi / N) sp_b (smooth split + R^q), summed in place
-    blocks += _blocks(s.d, s.pv, s.av)[0]
-    blocks *= (2.0 * np.pi / N) * sp[None, :, None, None]
-    KL = kress_log_rule(N)
-    blocks += (env.alpha / (4.0 * np.pi)) * (KL * sp[None, :])[:, :, None, None] * np.eye(2)
-    return DenseBoundaryOperator(matrix=_blocks_to_matrix(blocks), lattice_nodes=nc)
+
+    def smooth(c):
+        blocks = lattice_product(c.nodes, c.nodes, None, env, cell, plan, periodic=False)[0]
+        s = _free_space_split(c, c, env, slice(None))
+        blocks += _blocks(s.d, s.pv, s.av)[0]
+        return blocks
+
+    rule = (env.alpha / (4.0 * np.pi)) * (kress_log_rule(curve.N) * curve.speeds[None, :])
+    return _assemble(curve, env, smooth, plan.tol, rule, np.eye(2))
 
 
 def assemble_wstar(curve, env, cell, plan):
     """Nystrom matrix of the traction operator of the periodic single layer.
 
-    The target-normal traction kernel splits into the smooth free-space
-    split at the nodes, a Cauchy part carried by the spectral Hilbert rule,
-    and the smooth periodic correction, the traction at the target normals
-    of the gradient of R^q.  That correction is analytic on the torus too,
+    The target-normal traction kernel splits into a Cauchy part carried by
+    the spectral Hilbert rule and a smooth kernel: the free-space split
+    pw delta + aw d d + cauchy J plus the traction at the target normals of
+    the gradient of R^q.  The smooth kernel is analytic on the torus,
     normals included, so it is formed at the coarse nodes and interpolated
-    where its tail allows (_lattice_part); the operator's lattice_nodes is
+    where its tail allows (_smooth_part); the operator's lattice_nodes is
     its Nc.
     """
-    N = curve.N
-    sp = curve.speeds
 
-    def lattice_traction(c):
+    def smooth(c):
         # column k of block (a, b) is T(omega, A) nu_a, A_jm = d_m R^q_jk(x_a - x_b),
         # contracted with the column axis k moved ahead of (j, m); the
         # (n, n, 2, 2, 2) gradient is freed before the split's arrays
         grads = lattice_product(c.nodes, c.nodes, None, env, cell, plan, periodic=False,
                                 values=False, grads=True)[1]
-        return traction(grads.swapaxes(2, 3), c.normals[:, None, None, :], env.omega) \
+        blocks = traction(grads.swapaxes(2, 3), c.normals[:, None, None, :], env.omega) \
             .swapaxes(2, 3)
+        del grads
+        s = _free_space_split(c, c, env, slice(None))
+        blocks += _blocks(s.d, s.pw, s.aw)[0]
+        blocks += s.cauchy[:, :, None, None] * _J
+        return blocks
 
-    blocks, nc = _lattice_part(curve, lattice_traction, plan.tol)
-    _checked_split(curve, curve, env)
-    s = _free_space_split(curve, curve, env, slice(None))
-    # (2 pi / N) sp_b (smooth split + cauchy J + traction of grad R^q), summed in place
-    blocks += _blocks(s.d, s.pw, s.aw)[0]
-    blocks += s.cauchy[:, :, None, None] * _J
-    blocks *= (2.0 * np.pi / N) * sp[None, :, None, None]
-    Q = hilbert_rule(N)
-    blocks += env.gamma_c * np.pi * (Q * (sp[None, :] / sp[:, None]))[:, :, None, None] * _J
-    return DenseBoundaryOperator(matrix=_blocks_to_matrix(blocks), lattice_nodes=nc)
+    sp = curve.speeds
+    rule = env.gamma_c * np.pi * (hilbert_rule(curve.N) * (sp[None, :] / sp[:, None]))
+    return _assemble(curve, env, smooth, plan.tol, rule, _J)
 
 
 def apply_at_midpoints(field, targets, env, cell, plan):

@@ -213,16 +213,26 @@ def augmented_matrix(K, V, W, curve):
     system, -dG for the Picard/Newton Jacobian.  Rows and columns are
     node-major with the two c columns and the two constraint rows appended.
     """
+    matrix = np.empty((2 * curve.N + 2, 2 * curve.N + 2))
+    _write_augmented(matrix, K, V, W, curve)
+    return matrix
+
+
+def _write_augmented(matrix, K, V, W, curve, product=None):
+    """Writes augmented_matrix(K, V, W, curve) into matrix, every entry.
+
+    product, when given, is an (N, 2, 2N) buffer that receives diag(K) V.
+    """
     N = curve.N
-    matrix = np.zeros((2 * N + 2, 2 * N + 2))
     top = matrix[: 2 * N, : 2 * N]
     top[...] = W.matrix
     top[np.diag_indices(2 * N)] += 0.5
-    top += np.einsum("nij,njm->nim", K, V.matrix.reshape(N, 2, 2 * N)).reshape(2 * N, 2 * N)
+    top += np.einsum("nij,njm->nim", K, V.matrix.reshape(N, 2, 2 * N), out=product) \
+        .reshape(2 * N, 2 * N)
     matrix[: 2 * N, 2 * N:] = K.reshape(2 * N, 2)
+    matrix[2 * N:] = 0.0
     matrix[2 * N, 0: 2 * N: 2] = curve.weights
     matrix[2 * N + 1, 1: 2 * N: 2] = curve.weights
-    return matrix
 
 
 def assemble_robin_system(data, curve, env, cell, plan, operators):
@@ -239,9 +249,11 @@ def _lu_condition(matrix, norm_1):
     norm_1 is ||A||_1.  LAPACK getrf, then gecon's estimate
     ||A||_1 * est(||A^{-1}||_1); the estimate is infinite, with no warning,
     when a pivot is exactly zero.  The factors are those of sla.lu_factor.
+    A Fortran-ordered matrix is overwritten by its factors; any other is
+    factored in a copy.
     """
     getrf, gecon = sla.get_lapack_funcs(("getrf", "gecon"), (matrix,))
-    lu, piv, info = getrf(np.asarray_chkfinite(matrix))
+    lu, piv, info = getrf(np.asarray_chkfinite(matrix), overwrite_a=True)
     rcond = gecon(lu, norm_1, norm="1")[0] if info == 0 else 0.0
     return (lu, piv), (np.inf if rcond == 0.0 else 1.0 / float(rcond))
 
@@ -301,8 +313,9 @@ def solve_robin(data, curve, env, cell, plan, operators=None):
     beyond numerical tolerance.  diagnostics["timings"] holds the seconds of
     each stage, none nested in another; "assembly" is recorded when V and W*
     are not given.  diagnostics["lattice_nodes_v"] and ["lattice_nodes_wstar"] are
-    the node counts at which V's and W*'s lattice parts were evaluated
-    (DenseBoundaryOperator.lattice_nodes), assembled or given.
+    the node counts at which V's and W*'s smooth kernels, free-space split
+    plus lattice part, were evaluated (DenseBoundaryOperator.lattice_nodes),
+    assembled or given.
     """
     timings = {}
     with timed(timings, "validate"):
@@ -344,7 +357,7 @@ def solve_robin(data, curve, env, cell, plan, operators=None):
 
 
 def _lattice_nodes(V, W):
-    """Diagnostics entries of the node counts of V's and W*'s lattice parts."""
+    """Diagnostics entries of the node counts of V's and W*'s smooth kernels."""
     return {"lattice_nodes_v": V.lattice_nodes, "lattice_nodes_wstar": W.lattice_nodes}
 
 

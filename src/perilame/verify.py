@@ -121,12 +121,18 @@ def _filtered_sums(xr, beta, cell, sigma0, m):
     _PAIRS * 64 point-lattice pairs.
     """
     q = np.asarray(cell.q_diag)
-    z = _nonzero_lattice(m)
-    k = 2.0 * np.pi * z / q[None, :]
+    k = 2.0 * np.pi * _nonzero_lattice(m) / q[None, :]
     k2 = np.sum(k * k, axis=1)
-    khat = k / np.sqrt(k2)[:, None]
-    base = -np.eye(2)[None, :, :] + beta * khat[:, :, None] * khat[:, None, :]
-    coeff = (base / (k2[:, None, None] * cell.volume)).reshape(-1, 4)
+    # coeff[:, 2i + j] = (-delta_ij + beta khat_i khat_j) / (k2 |Q|) with
+    # khat = k / |k|, one column at a time: k, k2 and coeff are the only
+    # arrays over the whole lattice that outlive this block
+    root, scale = np.sqrt(k2), k2 * cell.volume
+    coeff = np.empty((len(k2), 4))
+    for i in range(2):
+        bi = beta * (k[:, i] / root)
+        for j in range(2):
+            coeff[:, 2 * i + j] = (bi * (k[:, j] / root) - float(i == j)) / scale
+    del root, scale, bi
     out = np.empty((3, len(xr), 4))
     step = max(1, 64 * _PAIRS // len(k2))
     for lo in range(0, len(xr), step):

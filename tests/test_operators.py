@@ -240,6 +240,86 @@ def test_tail_check_stops_when_the_next_grid_would_fail(monkeypatch):
         assert [len(blocks) for blocks in tried] == [64, 128]
 
 
+@pytest.mark.parametrize("radius, N", [(0.25, 512), (0.45, 256)])
+def test_assembly_builds_no_split_at_the_nodes(monkeypatch, radius, N):
+    # on the benchmark's circle the smooth kernel is evaluated at the coarse
+    # nodes and the split checks take sampled rows, so no call passes N
+    # target rows; the circle r = 0.45 falls back to the N nodes
+    curve = discretize_curve(CircleShape([0.5, 0.5], radius), N, UNIT)
+    plan = plan_lattice_sum(UNIT, ENV1, 1e-10)
+    rows, split = [], operators._free_space_split
+
+    def counting(curve, targets, env, r):
+        s = split(curve, targets, env, r)
+        rows.append(s.pv.shape[0])
+        return s
+
+    monkeypatch.setattr(operators, "_free_space_split", counting)
+    for assemble in (assemble_single_layer, assemble_wstar):
+        rows.clear()
+        fallback = assemble(curve, ENV1, UNIT, plan).lattice_nodes == N
+        assert fallback == (radius == 0.45)
+        assert (max(rows) == N) == fallback and max(rows) <= N
+
+
+def _wstar_split_reference(curve, env, a, b):
+    """The W* split pw delta + aw d d + cauchy J at the node pair (a, b), a != b, to 30 digits.
+
+    The curve's series and env's constants are taken as exact binary values,
+    the nodes at t = 2 pi a / N exactly.
+    """
+    import mpmath
+
+    with mpmath.workdps(30):
+        t, s = (2 * mpmath.pi * mpmath.mpf(int(i)) / curve.N for i in (a, b))
+        coeffs = [[(mpmath.mpf(float(curve.cos_coeffs[i, m])),
+                    mpmath.mpf(float(curve.sin_coeffs[i, m])))
+                   for m in range(curve.cos_coeffs.shape[1])] for i in range(2)]
+        x = lambda u: [sum(c * mpmath.cos(m * u) + q * mpmath.sin(m * u)
+                           for m, (c, q) in enumerate(row)) for row in coeffs]
+        dx = lambda u: [sum(m * (q * mpmath.cos(m * u) - c * mpmath.sin(m * u))
+                            for m, (c, q) in enumerate(row)) for row in coeffs]
+        d = [p - q for p, q in zip(x(t), x(s))]
+        d1 = dx(t)
+        r2, sp = d[0] ** 2 + d[1] ** 2, mpmath.sqrt(d1[0] ** 2 + d1[1] ** 2)
+        dn = (d[0] * d1[1] - d[1] * d1[0]) / sp
+        beta, gamma_c = mpmath.mpf(env.beta), mpmath.mpf(env.gamma_c)
+        pw, aw = gamma_c * dn / r2, beta / mpmath.pi * dn / r2**2
+        cauchy = gamma_c * ((d[0] * d1[0] + d[1] * d1[1]) / (sp * r2)
+                            - mpmath.cot((t - s) / 2) / (2 * sp))
+        return np.array([[float(pw * (j == k) + aw * d[j] * d[k] + cauchy * (j - k))
+                          for k in range(2)] for j in range(2)])
+
+
+@pytest.mark.parametrize("shape", [CircleShape([0.5, 0.5], 0.25), COARSE_CASES[2][2]],
+                         ids=["circle", "ellipse"])
+def test_interpolated_wstar_split_against_mpmath(shape):
+    # the W* split at N = 512, interpolated from the coarse grid the
+    # assembler takes, is at least as close to a 30-digit reference as its
+    # direct evaluation at the nodes, and both keep the cancelling Cauchy
+    # remainder to rounding (node-coordinate differences left 2e-12 of the
+    # split's size at neighbouring nodes)
+    N = 512
+    curve = discretize_curve(shape, N, UNIT)
+    plan = plan_lattice_sum(UNIT, ENV1, 1e-10)
+    Nc = assemble_wstar(curve, ENV1, UNIT, plan).lattice_nodes
+    assert Nc < N
+
+    def split_blocks(c, rows):
+        s = _free_space_split(c, c, ENV1, rows)
+        return operators._blocks(s.d, s.pw, s.aw)[0] + s.cauchy[:, :, None, None] * operators._J
+
+    coarse = operators._interpolate(split_blocks(curve.resample(Nc), slice(None)), N)
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, N, 20)
+    b = (a + np.concatenate([[1, 2, 3, N - 1], rng.integers(1, N, 16)])) % N
+    direct = split_blocks(curve, a)[np.arange(20), b]
+    ref = np.array([_wstar_split_reference(curve, ENV1, i, j) for i, j in zip(a, b)])
+    interpolated = coarse.reshape(N, 2, N, 2)[a, :, b, :]
+    err_direct, err_coarse = np.max(np.abs(direct - ref)), np.max(np.abs(interpolated - ref))
+    assert err_coarse <= err_direct <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_split_checks_catch_a_wrong_gamma_c(monkeypatch):
     # on a circle the Cauchy remainder of the split vanishes, so a wrong
     # gamma_c shows only through its other uses, which the checks must see
