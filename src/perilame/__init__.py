@@ -54,7 +54,6 @@ from .robin import (
     constant_matrix_field,
     constant_vector_field,
     eval_solution,
-    representation_roundtrip,
     solve_neumann_aux,
     solve_robin,
     validate_robin_data,
@@ -62,7 +61,6 @@ from .robin import (
 from .verify import (
     OracleReport,
     oracle_filtered_fourier,
-    oracle_scalar_harmonic,
     pde_residual,
     run_property_suite,
     scalar_periodic_green,

@@ -204,12 +204,18 @@ def discretize_curve(shape, N, cell):
                 f"range [{lo:.6g}, {hi:.6g}] vs required [{margin:.6g}, {q - margin:.6g}]"
             )
 
-    # proxy simplicity check: no two nodes coincide
-    diff = curve.nodes[:, None, :] - curve.nodes[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    np.fill_diagonal(dist, np.inf)
-    if np.min(dist) <= 1e-12 * cell.min_edge:
-        raise CurveError("coincident nodes: curve is not simple at this resolution")
+    # proxy simplicity check: no two nodes coincide.  A pair within r of
+    # each other is within r in x, so with the nodes sorted by x only the
+    # pairs k places apart whose x gap is at most r are measured
+    r = 1e-12 * cell.min_edge
+    p = curve.nodes[np.argsort(curve.nodes[:, 0])]
+    for k in range(1, N):
+        close = p[k:, 0] - p[:-k, 0] <= r
+        if not np.any(close):
+            break
+        d = p[k:][close] - p[:-k][close]
+        if np.min(np.hypot(d[:, 0], d[:, 1])) <= r:
+            raise CurveError("coincident nodes: curve is not simple at this resolution")
 
     # outwardness against the interior hint (meaningful for starlike shapes)
     rel = curve.nodes - curve.center_hint[None, :]

@@ -66,5 +66,5 @@ class OracleError(RuntimeError):
 
 
 class NearBoundaryWarning(UserWarning):
-    """Off-surface evaluation requested closer than three node spacings to the boundary,
-    as the one classification of the targets (cell.locate_targets) finds."""
+    """robin.eval_solution asked for a point closer than three node spacings to the
+    boundary, as its one classification of the targets (cell.locate_targets) finds."""

@@ -7,8 +7,8 @@ The residual of the augmented system in (mu, c) is
 
 The Jacobian is the linear Robin matrix with the nodal blocks -dG in place of
 a^{-1} b (robin.augmented_matrix).  Newton rewrites it every step, in
-buffers allocated once per solve; Picard freezes it at the initial iterate
-and refactors once.  A Jacobian J of size
+buffers allocated once per solve; Picard freezes it at the first iterate,
+mu = 0 and c = 0, and factors it once.  A Jacobian J of size
 n = 2N + 2 whose smallest singular value is at most RANK_TOL * max(largest, 1)
 (e.g. G independent of u with B = 0, leaving c unconstrained) is reported,
 never regularized.  The LU that every step needs screens for this: with
@@ -110,16 +110,16 @@ def solve_nonlinear_robin(
     method="newton",
     max_iter=30,
     tol=1e-11,
-    initial=None,
     operators=None,
 ):
     """Iterate the augmented residual to a SolutionRep with iteration trace.
 
-    method: 'picard' freezes the Jacobian at the initial iterate, 'newton'
-    rebuilds it each step.  Each step starts in full and is halved (at most 5
-    times) while the residual sup-norm would increase.  The iteration stops
-    when the update's sup-norm is below tol * max(1, |mu|_inf, |c|_inf), so a
-    large solution is not held to an absolute size its rounding cannot meet.
+    The iteration starts from mu = 0, c = 0.  method: 'picard' freezes the
+    Jacobian at that iterate, 'newton' rebuilds it each step.  Each step
+    starts in full and is halved (at most 5 times) while the residual
+    sup-norm would increase.  The iteration stops when the update's sup-norm
+    is below tol * max(1, |mu|_inf, |c|_inf), so a large solution is not held
+    to an absolute size its rounding cannot meet.
     Raises DegenerateProblemError on a rank-deficient Jacobian and
     ConvergenceError when max_iter steps do not meet tol.  Each factored
     Jacobian is screened for rank by its LU and gecon estimate (module
@@ -184,12 +184,8 @@ def solve_nonlinear_robin(
             )
         return factors
 
-    if initial is None:
-        mu_flat = np.zeros(2 * N)
-        c = np.zeros(2)
-    else:
-        mu_flat = initial.mu.values.reshape(-1).copy()
-        c = initial.c.copy()
+    mu_flat = np.zeros(2 * N)
+    c = np.zeros(2)
 
     with timed(timings, "iteration"):
         res, U = residual(mu_flat, c)

@@ -41,19 +41,18 @@ density at the midpoints, both independent of the interpolated smooth
 kernel, so an under-resolved Nc shows in the off-node residual.  The
 off-boundary potentials eval_single_layer and eval_traction_offboundary are
 such products of the periodic Green's matrix, so no P x M kernel block is
-formed outside assembly.
-Whether an off-boundary target is near the boundary (NearBoundaryWarning) is
-read from the one classification of the targets, cell.locate_targets.
+formed outside assembly.  They evaluate and do not classify their targets:
+refusing points inside a hole or on a node image and warning near the
+boundary is left to robin.eval_solution.
 """
 
-import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from .cell import NEAR_SPACINGS, BoundaryCurve, locate_targets
-from .errors import AssemblyError, NearBoundaryWarning
+from .cell import BoundaryCurve
+from .errors import AssemblyError
 from .kernels import kelvin, traction, traction_kernel
 from .lattice import _PAIRS, _TAIL_SHARE, _blocks, _dot, _grid_contract, lattice_product
 
@@ -475,54 +474,43 @@ def boundary_integral(field):
     return field.values.T @ field.curve.weights
 
 
-def warn_near_boundary(loc, stacklevel):
-    """NearBoundaryWarning when a point of the cell.TargetLocation loc is near the boundary."""
-    if np.any(loc.near):
-        warnings.warn(
-            f"evaluation point within {NEAR_SPACINGS:g} node spacings of the boundary",
-            NearBoundaryWarning,
-            stacklevel=stacklevel + 1,
-        )
-
-
-def _off_boundary_sources(x, field, cell, upsample, warn):
+def _off_boundary_sources(x, field, upsample):
     """Setup shared by the off-boundary potentials at points x.
 
-    Warns when cell.locate_targets finds a point near the boundary; returns
-    the (P, 2) points, the (M, 2) quadrature nodes (the field's, resampled
-    `upsample` times), the (M, 2) density times the quadrature weights and
-    whether x is a single point.
+    Returns the (P, 2) points, the (M, 2) quadrature nodes (the field's,
+    resampled `upsample` times), the (M, 2) density times the quadrature
+    weights and whether x is a single point.
     """
     src = field if upsample == 1 else field.resample(upsample * field.curve.N)
     x = np.asarray(x, dtype=float)
-    pts = np.atleast_2d(x)
-    if warn:
-        warn_near_boundary(locate_targets(pts, field.curve, cell), stacklevel=3)
     dens = src.values * src.curve.weights[:, None]
-    return pts, src.curve.nodes, dens, x.ndim == 1
+    return np.atleast_2d(x), src.curve.nodes, dens, x.ndim == 1
 
 
-def eval_single_layer(x, field, env, cell, plan, upsample=1, warn=True):
+def eval_single_layer(x, field, env, cell, plan):
     """Periodic single-layer potential at off-boundary points x.
 
     Plain trapezoid against the periodic Green's matrix, applied to the
-    density by lattice_product; accuracy degrades within about
-    NEAR_SPACINGS node spacings of the boundary (NearBoundaryWarning).  The
-    quadrature grid can be refined by an integer `upsample` factor using
-    exact trigonometric resampling of curve and density.
+    density by lattice_product; accuracy degrades within a few node
+    spacings of the boundary.  The points are not classified: a point
+    inside a hole gets the potential's value there, and one within the
+    singular distance of a node image raises SingularArgumentError
+    (robin.eval_solution refuses and flags such points first).
     """
-    pts, nodes, dens, single = _off_boundary_sources(x, field, cell, upsample, warn)
+    pts, nodes, dens, single = _off_boundary_sources(x, field, 1)
     out = lattice_product(pts, nodes, dens, env, cell, plan, periodic=True)[0]
     return out[0] if single else out
 
 
-def eval_traction_offboundary(x, nu, field, env, cell, plan, upsample=1, warn=True):
+def eval_traction_offboundary(x, nu, field, env, cell, plan, upsample=1):
     """Traction T(omega, Dv) nu of the single layer at off-boundary points.
 
     nu holds one normal for every point or one per point; other counts
-    raise ValueError.
+    raise ValueError.  The quadrature grid can be refined by an integer
+    `upsample` factor using exact trigonometric resampling of curve and
+    density.  The points are not classified, as in eval_single_layer.
     """
-    pts, nodes, dens, single = _off_boundary_sources(x, field, cell, upsample, warn)
+    pts, nodes, dens, single = _off_boundary_sources(x, field, upsample)
     nus = np.atleast_2d(np.asarray(nu, dtype=float))
     if len(nus) not in (1, len(pts)):
         raise ValueError(

@@ -15,21 +15,23 @@ midpoints t_i + pi/N, with no reassembly at 2N and no N x N matrix:
 operators.apply_at_midpoints applies V and W* there to the density (the
 half-shifted Kress log and Hilbert rules by FFT, the smooth free-space part
 as scalar target-node arrays, the lattice part as a product against the
-density, as is the field v[mu] of eval_solution).  eval_solution locates
-its targets once (cell.locate_targets): that one classification refuses
-points on a node image or inside a hole image and flags those near the
-boundary.
+density, as is the field v[mu] of eval_solution).  eval_solution is the
+one evaluator that classifies its targets, once (cell.locate_targets):
+that classification refuses points on a node image or inside a hole image
+and flags those near the boundary (NearBoundaryWarning); the layer
+potentials of operators evaluate wherever they are asked.
 """
 
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 
-from .cell import locate_targets
-from .errors import AdmissibilityError, DomainError, SolveError
+from .cell import NEAR_SPACINGS, locate_targets
+from .errors import AdmissibilityError, DomainError, NearBoundaryWarning, SolveError
 from .kernels import traction
 from .operators import (
     BoundaryMatrixField,
@@ -41,7 +43,6 @@ from .operators import (
     boundary_integral,
     eval_single_layer,
     trig_resample,
-    warn_near_boundary,
 )
 
 COND_LIMIT = 1e13
@@ -399,9 +400,13 @@ def eval_solution(rep, x, env, cell, plan, warn=True):
         raise DomainError(f"point {pts[np.argmax(loc.on_node)]} lies on a boundary node image")
     if np.any(loc.inside):
         raise DomainError(f"point {pts[np.argmax(loc.inside)]} lies inside a hole image")
-    if warn:
-        warn_near_boundary(loc, stacklevel=2)
-    v = eval_single_layer(pts, rep.mu, env, cell, plan, warn=False)
+    if warn and np.any(loc.near):
+        warnings.warn(
+            f"evaluation point within {NEAR_SPACINGS:g} node spacings of the boundary",
+            NearBoundaryWarning,
+            stacklevel=2,
+        )
+    v = eval_single_layer(pts, rep.mu, env, cell, plan)
     Bq = rep.B @ cell.q_inv
     out = v + rep.c[None, :] + pts @ Bq.T
     return out[0] if single else out
@@ -415,32 +420,3 @@ def solve_neumann_aux(psi, wstar):
     )
     sol = sla.lu_solve(factors, psi.values.reshape(-1))
     return BoundaryVectorField(sol.reshape(-1, 2), psi.curve)
-
-
-def representation_roundtrip(u_fn, traction_fn, curve, env, cell, plan, operators,
-                             test_points=None):
-    """Recover (mu, c) of a periodic homogeneous field from its boundary data.
-
-    u_fn(points) returns field values; traction_fn(points, normals) returns
-    the material-side traction; operators is (V, W*) on the curve.  The
-    density solves the second-kind system with the traction data and c
-    matches the boundary values; the reconstruction error at the supplied
-    test points is reported.
-    """
-    V, W = operators
-    psi = BoundaryVectorField(traction_fn(curve.nodes, curve.normals), curve)
-    mu = solve_neumann_aux(psi, W)
-    u_bdry = u_fn(curve.nodes)
-    v_bdry = V.apply(mu).values
-    c_samples = u_bdry - v_bdry
-    c = np.mean(c_samples, axis=0)
-    report = {
-        "c_spread": float(np.max(np.abs(c_samples - c[None, :]))),
-        "mean_mu": float(np.max(np.abs(boundary_integral(mu)))),
-    }
-    if test_points is not None:
-        rec = eval_single_layer(test_points, mu, env, cell, plan, warn=False) + c[None, :]
-        report["reconstruction_error"] = float(
-            np.max(np.abs(rec - u_fn(np.atleast_2d(test_points))))
-        )
-    return mu, c, report

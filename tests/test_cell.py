@@ -151,6 +151,14 @@ def test_clockwise_orientation_rejected():
         discretize_curve(TrigShape(cos_c, sin_c), 64, UNIT)
 
 
+def test_coincident_nodes_rejected():
+    # a circle traversed twice: node i and node i + N/2 coincide
+    cos_c = np.array([[0.5, 0.0, 0.25], [0.5, 0.0, 0.0]])
+    sin_c = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.25]])
+    with pytest.raises(CurveError, match="coincident nodes"):
+        discretize_curve(TrigShape(cos_c, sin_c), 64, UNIT)
+
+
 def test_point_in_hole():
     curve = discretize_curve(CircleShape([0.5, 0.5], 0.25), 64, UNIT)
     # the center, an image of it, and a point between the holes

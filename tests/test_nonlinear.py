@@ -23,7 +23,6 @@ from perilame.operators import (
 )
 from perilame.robin import (
     RobinData,
-    SolutionRep,
     _lu_condition,
     augmented_matrix,
     constant_matrix_field,
@@ -189,30 +188,6 @@ def test_manufactured_nonlinear_solution():
         np.abs(reps["picard"].mu.values - reps["newton"].mu.values)
     ) < 1e-11
     assert np.max(np.abs(reps["picard"].c - reps["newton"].c)) < 1e-11
-
-
-def test_two_starts_agree_for_monotone_model(circle64, plan1, ops64):
-    # strictly monotone law (constant Jacobian -I): the converged pair is
-    # independent of the initial guess
-    t = circle64.params
-    h = np.column_stack([0.3 + 0.2 * np.cos(t), -0.1 + 0.3 * np.sin(t)])
-    model = affine_model(-np.eye(2), h, circle64)
-    rep_cold = solve_nonlinear_robin(
-        model, np.zeros((2, 2)), circle64, ENV1, UNIT, plan1, operators=ops64
-    )
-    warm = SolutionRep(
-        mu=BoundaryVectorField(
-            np.column_stack([0.5 * np.cos(2 * t), -0.3 * np.sin(t)]), circle64
-        ),
-        c=np.array([2.0, -1.0]),
-        B=np.zeros((2, 2)),
-    )
-    rep_warm = solve_nonlinear_robin(
-        model, np.zeros((2, 2)), circle64, ENV1, UNIT, plan1,
-        operators=ops64, initial=warm,
-    )
-    assert np.max(np.abs(rep_cold.mu.values - rep_warm.mu.values)) < 1e-8
-    assert np.max(np.abs(rep_cold.c - rep_warm.c)) < 1e-8
 
 
 def test_saturating_model_converges(circle64, plan1, ops64):

@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +34,7 @@ from perilame.operators import (
     kress_log_rule,
     trig_resample,
 )
+from perilame.robin import SolutionRep, eval_solution
 from perilame.special import EULER_GAMMA, exp1
 from perilame.verify import lame_apply_fd
 
@@ -655,7 +657,7 @@ def test_jump_relation_two_sided(plan1):
         vals = [
             eval_traction_offboundary(
                 curve.nodes + sgn * f * h * curve.normals,
-                curve.normals, mu, ENV1, UNIT, plan1, upsample=4, warn=False,
+                curve.normals, mu, ENV1, UNIT, plan1, upsample=4,
             )
             for f in (1.0, 2.0, 4.0)
         ]
@@ -670,12 +672,12 @@ def test_eval_single_layer_periodicity(ops128, circle128, plan1):
         np.column_stack([np.cos(t), 0.5 - np.sin(t)]), circle128
     )
     pts = np.array([[0.1, 0.12], [0.05, 0.9], [0.93, 0.5]])
-    base = eval_single_layer(pts, mu, ENV1, UNIT, plan1, warn=False)
+    base = eval_single_layer(pts, mu, ENV1, UNIT, plan1)
     for e in np.eye(2):
-        shifted = eval_single_layer(pts + e, mu, ENV1, UNIT, plan1, warn=False)
+        shifted = eval_single_layer(pts + e, mu, ENV1, UNIT, plan1)
         assert np.max(np.abs(base - shifted)) < 1e-10
     zero = BoundaryVectorField(np.zeros((128, 2)), circle128)
-    assert np.max(np.abs(eval_single_layer(pts, zero, ENV1, UNIT, plan1, warn=False))) == 0.0
+    assert np.max(np.abs(eval_single_layer(pts, zero, ENV1, UNIT, plan1))) == 0.0
 
 
 def test_eval_single_layer_lame_residual(circle128):
@@ -686,7 +688,7 @@ def test_eval_single_layer_lame_residual(circle128):
     )
     target = -boundary_integral(mu) / UNIT.volume
     lam = lame_apply_fd(
-        lambda pts: eval_single_layer(pts, mu, ENV1, UNIT, plan, warn=False),
+        lambda pts: eval_single_layer(pts, mu, ENV1, UNIT, plan),
         np.array([0.06, 0.1]),
         ENV1.omega,
         1e-3,
@@ -701,15 +703,15 @@ def test_eval_traction_matches_differentiation(circle128, plan1):
     )
     x = np.array([0.1, 0.15])
     nu = np.array([0.6, 0.8])
-    got = eval_traction_offboundary(x, nu, mu, ENV1, UNIT, plan1, warn=False)
+    got = eval_traction_offboundary(x, nu, mu, ENV1, UNIT, plan1)
     h = 1e-5
     Dv = np.zeros((2, 2))
     for m in range(2):
         e = np.zeros(2)
         e[m] = h
         Dv[:, m] = (
-            eval_single_layer(x + e, mu, ENV1, UNIT, plan1, warn=False)
-            - eval_single_layer(x - e, mu, ENV1, UNIT, plan1, warn=False)
+            eval_single_layer(x + e, mu, ENV1, UNIT, plan1)
+            - eval_single_layer(x - e, mu, ENV1, UNIT, plan1)
         ) / (2 * h)
     from perilame.kernels import traction_map
 
@@ -738,8 +740,15 @@ def test_traction_rejects_mismatched_normal_count(circle128, plan1):
 
 
 def test_near_boundary_warning(circle128, plan1):
+    # eval_solution classifies its targets and warns by default near the
+    # boundary; the layer potential it adds up only evaluates
     t = circle128.params
     mu = BoundaryVectorField(np.column_stack([np.cos(t), np.sin(t)]), circle128)
+    rep = SolutionRep(mu=mu, c=np.zeros(2), B=np.zeros((2, 2)))
     close = circle128.nodes[0] + 1e-3 * circle128.normals[0]
-    with pytest.warns(NearBoundaryWarning):
-        eval_single_layer(close, mu, ENV1, UNIT, plan1)
+    with pytest.warns(NearBoundaryWarning, match="3 node spacings"):
+        u = eval_solution(rep, close, ENV1, UNIT, plan1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(eval_solution(rep, close, ENV1, UNIT, plan1, warn=False), u)
+        assert np.array_equal(eval_single_layer(close, mu, ENV1, UNIT, plan1), u)

@@ -27,7 +27,6 @@ from perilame.robin import (
     constant_matrix_field,
     constant_vector_field,
     eval_solution,
-    representation_roundtrip,
     robin_rhs,
     solve_neumann_aux,
     solve_robin,
@@ -338,20 +337,22 @@ def test_solve_neumann_aux_properties(circle64, plan1):
 
 
 def test_representation_roundtrip_cases(circle64, plan1):
+    # a periodic homogeneous field v[mu0] + c0 is recovered from its boundary
+    # data: mu from the traction (1/2 I + W*) mu0, c from the boundary values
     V = assemble_single_layer(circle64, ENV1, UNIT, plan1)
     W = assemble_wstar(circle64, ENV1, UNIT, plan1)
 
+    def recover(traction, u_bdry):
+        mu = solve_neumann_aux(BoundaryVectorField(traction, circle64), W)
+        return mu, np.mean(u_bdry - V.apply(mu).values, axis=0)
+
     # constant field: mu = 0, c = c0
     c0 = np.array([0.8, -0.1])
-    mu_rec, c_rec, _ = representation_roundtrip(
-        lambda pts: np.tile(c0, (np.atleast_2d(pts).shape[0], 1)),
-        lambda pts, normals: np.zeros((np.atleast_2d(pts).shape[0], 2)),
-        circle64, ENV1, UNIT, plan1, (V, W),
-    )
+    mu_rec, c_rec = recover(np.zeros((64, 2)), np.tile(c0, (64, 1)))
     assert np.max(np.abs(mu_rec.values)) < 1e-11
     assert np.max(np.abs(c_rec - c0)) < 1e-11
 
-    # synthesized single layer plus constant
+    # synthesized single layer plus constant, reconstructed off the boundary
     rng = np.random.default_rng(32)
     t = circle64.params
     vals = np.zeros((64, 2))
@@ -359,25 +360,13 @@ def test_representation_roundtrip_cases(circle64, plan1):
         vals += np.outer(np.cos(m * t), rng.normal(size=2))
         vals += np.outer(np.sin(m * t), rng.normal(size=2))
     mu0 = BoundaryVectorField(vals, circle64)
-    v_bdry = V.apply(mu0).values
-
-    def u_fn(pts):
-        pts = np.atleast_2d(pts)
-        if pts.shape == circle64.nodes.shape and np.allclose(pts, circle64.nodes):
-            return v_bdry + c0[None, :]
-        from perilame.operators import eval_single_layer
-
-        return eval_single_layer(pts, mu0, ENV1, UNIT, plan1, warn=False) + c0[None, :]
-
-    mu_rec, c_rec, report = representation_roundtrip(
-        u_fn,
-        lambda pts, normals: 0.5 * vals + W.apply(mu0).values,
-        circle64, ENV1, UNIT, plan1, (V, W),
-        test_points=np.array([[0.1, 0.1], [0.9, 0.4]]),
-    )
+    mu_rec, c_rec = recover(0.5 * vals + W.apply(mu0).values, V.apply(mu0).values + c0[None, :])
     assert np.max(np.abs(mu_rec.values - vals)) < 1e-9
     assert np.max(np.abs(c_rec - c0)) < 1e-9
-    assert report["reconstruction_error"] < 1e-9
+    pts = np.array([[0.1, 0.1], [0.9, 0.4]])
+    rec = eval_single_layer(pts, mu_rec, ENV1, UNIT, plan1) + c_rec[None, :]
+    exact = eval_single_layer(pts, mu0, ENV1, UNIT, plan1) + c0[None, :]
+    assert np.max(np.abs(rec - exact)) < 1e-9
 
 
 def test_eval_solution_rejects_hole_interior(circle64, plan1):
@@ -426,7 +415,7 @@ def test_eval_solution_refuses_points_within_singular_distance(edges):
     rep = solve_robin(_data(curve, np.eye(2), -np.eye(2), [0.1, 0.0]), curve, ENV1, cell, plan)
     off = curve.nodes + 0.5e-12 * cell.min_edge * curve.normals
     with pytest.raises(SingularArgumentError):
-        eval_single_layer(off[0], rep.mu, ENV1, cell, plan, warn=False)
+        eval_single_layer(off[0], rep.mu, ENV1, cell, plan)
     for shift in ([0.0, 0.0], [1.0, -2.0]):
         pts = off + q * shift
         for p in pts[::8]:

@@ -75,3 +75,19 @@ def test_dataclass_fields_are_read():
               if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
               and stmt.target.id not in read]
     assert unread == [], f"dataclass fields nothing in src/perilame reads: {unread}"
+
+
+def test_only_the_field_evaluators_classify_targets():
+    # kernels, lattice sums and layer potentials evaluate wherever they are
+    # asked; robin.eval_solution, the CLI's output grid and the property
+    # checks classify their targets with cell.locate_targets
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "locate_targets":
+                    callers.add(path.name)
+    assert "robin.py" in callers
+    assert callers <= {"cli.py", "robin.py", "verify.py"}, f"locate_targets called in {callers}"
