@@ -390,7 +390,10 @@ def _solve_mode(table, cell, env, plan, stages):
             model = saturating_model(_sample(spec["h"], t), spec["kappa"], curve)
         with timed(stages, "solve"):
             rep = solve_nonlinear_robin(model, drift, curve, env, cell, plan, method="newton")
-        entries += [(key, rep.diagnostics[key]) for key in ("iterations", "rank_checks")]
+        entries += [(key, rep.diagnostics[key])
+                    for key in ("iterations", "rank_checks", "fine_factorizations")]
+        krylov = rep.diagnostics["krylov_iterations"]
+        entries.append(("krylov_iterations", "(" + ",".join(map(str, krylov)) + ")"))
 
     d = rep.diagnostics
     entries += [

@@ -6,25 +6,37 @@ The residual of the augmented system in (mu, c) is
     plus the componentwise zero-mean constraint on mu.
 
 The Jacobian is the linear Robin matrix with the nodal blocks -dG in place of
-a^{-1} b (robin.augmented_matrix).  Newton rewrites it every step, in
-buffers allocated once per solve; Picard freezes it at the first iterate,
-mu = 0 and c = 0, and factors it once.  A Jacobian J of size
-n = 2N + 2 whose smallest singular value is at most RANK_TOL * max(largest, 1)
-(e.g. G independent of u with B = 0, leaving c unconstrained) is reported,
-never regularized.  The LU that every step needs screens for this: with
-LAPACK gecon's estimate of ||J^{-1}||_1, the norm-equivalence bounds
+a^{-1} b (robin.augmented_matrix).  Both methods factor it at the first
+iterate, mu = 0 and c = 0, by an LU of the fine (2N + 2)-square matrix, and
+Picard keeps those factors.  Newton solves each later step J v = F by GMRES
+on the matrix-free J (two matrix-vector products with V and W* and the
+nodal -dG blocks per iteration), right-preconditioned by a two-grid solve
+(_TwoGrid): the equation is second kind, 1/2 I plus a part whose smooth
+modes a coarse Galerkin Jacobian at Nc = _COARSE_START nodes carries.  Per
+step that is an LU of size 2 Nc + 2 and at most 12 GMRES iterations on the
+curves measured (circles r = 0.25 and 0.45, an ellipse), the same count at
+N = 128, 256 and 512.  A step falls back to the fine LU when the
+coarse Jacobian fails the rank screen below or GMRES misses GMRES_CAP
+iterations; at N <= Nc every step takes the fine LU.
+
+A Jacobian J of size n = 2N + 2 whose smallest singular value is at most
+RANK_TOL * max(largest, 1) (e.g. G independent of u with B = 0, leaving c
+unconstrained) is reported, never regularized.  Every LU screens for this:
+with LAPACK gecon's estimate of ||J^{-1}||_1, the norm-equivalence bounds
 
     smin >= 1 / (sqrt(n) ||J^{-1}||_1),    smax <= sqrt(||J||_1 ||J||_inf)
 
 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 15)
 show most Jacobians to be of full rank at the price of the LU.  Only when
-they cannot does the singular value decomposition run and decide.  gecon's
-estimate is a lower bound on ||J^{-1}||_1; on the Robin Jacobians measured
-(N = 64 to 512, saturating and weakly coupled laws) it is the exact norm to
-four digits, and a saturating law at N = 512 to 1024 clears the screen by a
-factor of 6e5 or more.  J is screened as assembled, not
-equilibrated: scaling its c columns to unit size would hide the weak
-coupling G = h + eps u that the criterion is defined to catch.
+a fine J's bounds cannot does its singular value decomposition run and
+decide; a coarse Jacobian that fails them sends its step to the fine LU, so
+a singular iterate is decided on the fine J.  gecon's estimate is a lower
+bound on ||J^{-1}||_1; on the Robin Jacobians measured (N = 64 to 512,
+saturating and weakly coupled laws) it is the exact norm to four digits,
+and a saturating law at N = 512 to 1024 clears the screen by a factor of
+6e5 or more.  J is screened as assembled, not equilibrated: scaling its c
+columns to unit size would hide the weak coupling G = h + eps u that the
+criterion is defined to catch.
 """
 
 from dataclasses import dataclass
@@ -34,7 +46,13 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ConvergenceError, DegenerateProblemError
-from .operators import BoundaryVectorField, assemble_single_layer, assemble_wstar
+from .operators import (
+    _COARSE_START,
+    BoundaryVectorField,
+    assemble_single_layer,
+    assemble_wstar,
+    trig_resample,
+)
 from .robin import (
     SolutionRep,
     _lattice_nodes,
@@ -49,6 +67,13 @@ from .robin import (
 # a Jacobian whose smallest singular value is at most RANK_TOL * max(largest, 1)
 # is reported as rank deficient
 RANK_TOL = 1e-12
+# GMRES on a Newton step J v = F stops when its residual is at most
+# GMRES_TOL |F|_2, or GMRES_FLOOR |F_0|_2 with F_0 the residual at the start,
+# a level the rounding of F itself reaches; a step that needs more than
+# GMRES_CAP iterations is solved by the fine LU
+GMRES_TOL = 1e-12
+GMRES_FLOOR = 1e-15
+GMRES_CAP = 30
 
 
 def _full_rank_certified(n, cond, norm_1, norm_inf):
@@ -62,6 +87,99 @@ def _full_rank_certified(n, cond, norm_1, norm_inf):
     smin_low = norm_1 / (cond * np.sqrt(n))
     smax_high = np.sqrt(norm_1 * norm_inf)
     return bool(smin_low > RANK_TOL * max(smax_high, 1.0))
+
+
+def _gmres(apply, precondition, b, atol):
+    """Right-preconditioned GMRES for A x = b from x = 0 (Saad & Schultz 1986).
+
+    apply(x) = A x and precondition(r) ~ A^{-1} r.  Returns (x, iterations)
+    once the residual |b - A x|_2 of the Arnoldi recurrence is at most atol,
+    and (None, GMRES_CAP) when GMRES_CAP iterations do not get there.
+    """
+    beta = np.linalg.norm(b)
+    if beta <= atol:
+        return np.zeros_like(b), 0
+    Q = np.empty((GMRES_CAP + 1, b.size))
+    Z = np.empty((GMRES_CAP, b.size))
+    H = np.zeros((GMRES_CAP + 1, GMRES_CAP))
+    e1 = np.zeros(GMRES_CAP + 1)
+    e1[0] = beta
+    Q[0] = b / beta
+    for k in range(GMRES_CAP):
+        Z[k] = precondition(Q[k])
+        w = apply(Z[k])
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            h = Q[: k + 1] @ w
+            w -= h @ Q[: k + 1]
+            H[: k + 1, k] += h
+        H[k + 1, k] = np.linalg.norm(w)
+        Hk, ek = H[: k + 2, : k + 1], e1[: k + 2]
+        y = np.linalg.lstsq(Hk, ek, rcond=None)[0]
+        if np.linalg.norm(ek - Hk @ y) <= atol:
+            return y @ Z[: k + 1], k + 1
+        if H[k + 1, k] == 0.0:
+            break
+        Q[k + 1] = w / H[k + 1, k]
+    return None, GMRES_CAP
+
+
+class _TwoGrid:
+    """Two-grid preconditioner of the Newton Jacobian J at Nc coarse nodes.
+
+    P = trig_resample(I, N) interpolates coarse nodal values to the N nodes
+    and R = (Nc / N) P^T restricts them, each acting on both components;
+    the two c entries pass through.  The coarse Jacobian is R J P: the
+    Galerkin one, 1/2 R P + R W* P + R diag(-dG) V P with the c columns
+    R(-dG) and the zero-mean rows w P.  V P and R W* P are formed once per
+    solve, the rest per step.  On a residual r the preconditioner returns
+    the coarse solution prolonged by P plus 2 (r - P R r): on the modes the
+    coarse grid does not carry, J is close to 1/2 I (Atkinson, The
+    Numerical Solution of Integral Equations of the Second Kind, ch. 6).
+    """
+
+    def __init__(self, V, W, curve, Nc):
+        N = curve.N
+        self.P = trig_resample(np.eye(Nc), N)
+        self.R = (Nc / N) * self.P.T
+        self.N, self.Nc = N, Nc
+        # P on both components of the node-major columns
+        P2 = np.kron(self.P, np.eye(2))
+        AP = W.matrix @ P2
+        RWP = self._restrict_rows(AP)
+        # V P takes the buffer of W P, which is no longer needed
+        self.VP = np.matmul(V.matrix, P2, out=AP).reshape(N, 2, 2 * Nc)
+        self.base = RWP + 0.5 * np.kron(self.R @ self.P, np.eye(2))
+        wP = curve.weights @ self.P
+        self.mean_rows = np.zeros((2, 2 * Nc + 2))
+        self.mean_rows[0, 0: 2 * Nc: 2] = wP
+        self.mean_rows[1, 1: 2 * Nc: 2] = wP
+
+    def _restrict_rows(self, X):
+        """R on the node-major rows of X, (2N, m) or (N, 2, m), as (2 Nc, m)."""
+        return (self.R @ X.reshape(self.N, -1)).reshape(2 * self.Nc, -1)
+
+    def factor(self, K):
+        """LU factors of R J P for the nodal blocks K = -dG, or None.
+
+        None when the gecon screen cannot certify R J P of full rank.
+        """
+        m = 2 * self.Nc
+        Jc = np.empty((m + 2, m + 2), order="F")
+        Jc[:m, :m] = self.base
+        Jc[:m, :m] += self._restrict_rows(np.einsum("nij,njm->nim", K, self.VP))
+        Jc[:m, m:] = self._restrict_rows(K)
+        Jc[m:] = self.mean_rows
+        norm_1, norm_inf = np.linalg.norm(Jc, 1), np.linalg.norm(Jc, np.inf)
+        factors, cond = _lu_condition(Jc, norm_1)
+        return factors if _full_rank_certified(m + 2, cond, norm_1, norm_inf) else None
+
+    def precondition(self, factors, r):
+        """The two-grid approximation to J^{-1} r, given the factors of R J P."""
+        r_mu = r[:-2].reshape(self.N, 2)
+        Rr = self.R @ r_mu
+        y = sla.lu_solve(factors, np.concatenate([Rr.reshape(-1), r[-2:]]))
+        z_mu = self.P @ y[:-2].reshape(self.Nc, 2) + 2.0 * (r_mu - self.P @ Rr)
+        return np.concatenate([z_mu.reshape(-1), y[-2:]])
 
 
 @dataclass
@@ -121,11 +239,18 @@ def solve_nonlinear_robin(
     is below tol * max(1, |mu|_inf, |c|_inf), so a large solution is not held
     to an absolute size its rounding cannot meet.
     Raises DegenerateProblemError on a rank-deficient Jacobian and
-    ConvergenceError when max_iter steps do not meet tol.  Each factored
-    Jacobian is screened for rank by its LU and gecon estimate (module
-    docstring); diagnostics["condition_estimate"] is that 1-norm estimate
-    for the last Jacobian factored and diagnostics["rank_checks"] the number
-    of Jacobians the screen left to the singular values.  diagnostics["timings"]
+    ConvergenceError when max_iter steps do not meet tol.
+    The first step costs one fine LU, whose factors Picard keeps for every
+    step.  At N > _COARSE_START each later Newton step costs a
+    coarse LU of size 2 _COARSE_START + 2 and a few GMRES iterations of two
+    matrix-vector products each; it falls back to a fine LU when the coarse
+    Jacobian fails the rank screen or GMRES misses GMRES_CAP (module
+    docstring).  diagnostics["krylov_iterations"] lists the GMRES
+    iterations per step, 0 for a step the fine LU solved or whose residual
+    was at the rounding floor already, and ["fine_factorizations"] counts
+    the fine LUs.  ["condition_estimate"] and ["rank_checks"] describe those
+    fine Jacobians: the 1-norm estimate of the last one factored and the
+    number the screen left to the singular values.  diagnostics["timings"]
     holds the seconds of the iteration and, when V and W* are not given, of
     their assembly; diagnostics["lattice_nodes_v"] and
     ["lattice_nodes_wstar"] are as in robin.solve_robin.
@@ -154,23 +279,27 @@ def solve_nonlinear_robin(
         return np.concatenate([res_top, mean]), U
 
     # what the rank screen saw, reported in diagnostics
-    screen = {"condition_estimate": np.nan, "rank_checks": 0}
-    # the Jacobian's buffers, allocated once per solve: J, its LU (Fortran
-    # order, factored in place) and one work array for diag(-dG) V, then |J|
-    J = np.empty((2 * N + 2, 2 * N + 2))
+    screen = {"condition_estimate": np.nan, "rank_checks": 0, "fine_factorizations": 0}
+    # the fine Jacobian's buffers, allocated once per solve: J and its LU
+    # (Fortran order, factored in place), which first holds the work array
+    # for diag(-dG) V and then |J|
+    n = 2 * N + 2
+    J = np.empty((n, n))
     lu = np.empty(J.shape, order="F")
-    absJ = np.empty(J.shape)
-    product = absJ.reshape(-1)[: 4 * N * N].reshape(N, 2, 2 * N)
+    # lu.T is C-ordered: |J| is laid out, and its sums taken, as in a C array
+    work = lu.T
+    product = work.reshape(-1)[: 4 * N * N].reshape(N, 2, 2 * N)
 
-    def factor_checked(U):
-        _write_augmented(J, -model.jac(U), V, W, curve, product)
+    def factor_checked(K):
+        screen["fine_factorizations"] += 1
+        _write_augmented(J, K, V, W, curve, product)
         # ||J||_1 and ||J||_inf from one |J|, as np.linalg.norm sums them
-        np.abs(J, out=absJ)
-        norm_1, norm_inf = np.max(np.sum(absJ, axis=0)), np.max(np.sum(absJ, axis=1))
+        np.abs(J, out=work)
+        norm_1, norm_inf = np.max(np.sum(work, axis=0)), np.max(np.sum(work, axis=1))
         lu[...] = J
         factors, cond = _lu_condition(lu, norm_1)
         screen["condition_estimate"] = cond
-        if _full_rank_certified(J.shape[0], cond, norm_1, norm_inf):
+        if _full_rank_certified(n, cond, norm_1, norm_inf):
             return factors
         screen["rank_checks"] += 1
         s = sla.svdvals(J)
@@ -184,6 +313,12 @@ def solve_nonlinear_robin(
             )
         return factors
 
+    def jacobian_product(K, x):
+        mu = x[: 2 * N]
+        U = (V.matrix @ mu).reshape(N, 2) + x[2 * N:]
+        top = 0.5 * mu + W.matrix @ mu + np.einsum("nij,nj->ni", K, U).reshape(-1)
+        return np.concatenate([top, [curve.weights @ mu[0::2], curve.weights @ mu[1::2]]])
+
     mu_flat = np.zeros(2 * N)
     c = np.zeros(2)
 
@@ -191,13 +326,34 @@ def solve_nonlinear_robin(
         res, U = residual(mu_flat, c)
         res_norm = np.max(np.abs(res))
         trace = [res_norm]
-        frozen = factor_checked(U) if method == "picard" else None
+        krylov = []
+        frozen = factor_checked(-model.jac(U))
+        grid = None
+        if method == "newton" and N > _COARSE_START:
+            grid = _TwoGrid(V, W, curve, _COARSE_START)
+        atol = GMRES_FLOOR * np.linalg.norm(res)
+
+        def solve_step(k, U, res):
+            """The step J^{-1} res at iteration k and its GMRES iterations."""
+            if method == "picard" or k == 0:
+                return sla.lu_solve(frozen, res), 0
+            K = -model.jac(U)
+            coarse = None if grid is None else grid.factor(K)
+            if coarse is not None:
+                step, iterations = _gmres(
+                    lambda x: jacobian_product(K, x),
+                    lambda r: grid.precondition(coarse, r),
+                    res, max(GMRES_TOL * np.linalg.norm(res), atol),
+                )
+                if step is not None:
+                    return step, iterations
+            return sla.lu_solve(factor_checked(K), res), 0
 
         converged = False
         update_norm = np.inf
-        for _ in range(max_iter):
-            factors = frozen if method == "picard" else factor_checked(U)
-            step = sla.lu_solve(factors, res)
+        for k in range(max_iter):
+            step, iterations = solve_step(k, U, res)
+            krylov.append(iterations)
             lam = 1.0
             for _ in range(6):
                 mu_try = mu_flat - lam * step[:-2]
@@ -227,6 +383,7 @@ def solve_nonlinear_robin(
         "residual_on_node": float(res_norm),
         "zero_mean_violation": float(np.max(np.abs(boundary_integral(mu)))),
         "trace": trace,
+        "krylov_iterations": krylov,
         "method": method,
         "density_tail_ratio": _reported_tail_ratio(mu, np.max(np.abs(U))),
         **screen,

@@ -327,22 +327,39 @@ def test_nonlinear_mode(tmp_path):
     assert "iterations" in summary
 
 
-def test_nonlinear_saturating_mode(tmp_path):
-    cfg = {
-        "mode": "solve-nonlinear",
-        "cell": [1.0, 1.0],
-        "omega": 1.0,
-        "nodes": 64,
-        "curve": {"kind": "circle", "center": [0.5, 0.5], "radius": 0.25},
-        "model": {"kind": "saturating", "h": [0.3, -0.2], "kappa": -0.8},
-        "out_dir": str(tmp_path / "sat"),
-    }
-    assert main(["--config", _write(tmp_path, cfg)]) == 0
-    summary = _read_summary(cfg["out_dir"])
-    assert float(summary["residual_on_node"]) < 1e-10
-    # the last Jacobian's gecon estimate, certified of full rank without an SVD
-    assert 1.0 < float(summary["condition_estimate"]) < 1e8
-    assert int(summary["rank_checks"]) == 0
+def test_nonlinear_saturating_mode(tmp_path, capsys):
+    for nodes in (64, 128):
+        cfg = {
+            "mode": "solve-nonlinear",
+            "cell": [1.0, 1.0],
+            "omega": 1.0,
+            "nodes": nodes,
+            "curve": {"kind": "circle", "center": [0.5, 0.5], "radius": 0.25},
+            "model": {"kind": "saturating", "kappa": -0.8,
+                      "h": [{"cos": [0.3, 0.2]}, {"cos": [-0.2], "sin": [0.0, 0.1]}]},
+            "out_dir": str(tmp_path / f"sat{nodes}"),
+            "grid": [4, 4],
+        }
+        assert main(["--config", _write(tmp_path, cfg)]) == 0
+        summary = _read_summary(cfg["out_dir"])
+        assert float(summary["residual_on_node"]) < 1e-10
+        # the last fine Jacobian's gecon estimate, certified of full rank without an SVD
+        assert 1.0 < float(summary["condition_estimate"]) < 1e8
+        assert int(summary["rank_checks"]) == 0
+        # one fine LU per step at N = 64; above 64 nodes one per solve, and
+        # GMRES for every later step
+        iterations = int(summary["iterations"])
+        krylov = [int(k) for k in summary["krylov_iterations"].strip("()").split(",")]
+        assert len(krylov) == iterations >= 3 and krylov[0] == 0
+        if nodes == 64:
+            assert krylov == [0] * iterations
+            assert int(summary["fine_factorizations"]) == iterations
+        else:
+            assert max(krylov) >= 1
+            assert int(summary["fine_factorizations"]) == 1
+        out = capsys.readouterr().out
+        for key in ("iterations", "rank_checks", "fine_factorizations", "krylov_iterations"):
+            assert f"{key}={summary[key]}\n" in out
 
 
 def test_verify_mode_quick(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 import perilame.nonlinear as nonlinear
-from perilame.cell import CircleShape, build_cell, discretize_curve
+from perilame.cell import CircleShape, EllipseShape, build_cell, discretize_curve
 from perilame.errors import ConvergenceError, DegenerateProblemError
 from perilame.kernels import LameEnv
 from perilame.lattice import plan_lattice_sum
@@ -26,6 +26,7 @@ from perilame.robin import (
     _lu_condition,
     augmented_matrix,
     constant_matrix_field,
+    drift_traction,
     eval_solution,
     solve_robin,
 )
@@ -378,3 +379,101 @@ def test_degeneracy_reported_without_warning(circle64, plan1, ops64):
     # G == 0 with B = 0 leaves the c columns of J exactly zero: the LU, which
     # runs before the SVD, meets an exactly zero pivot and must stay silent
     test_degeneracy_reported(circle64, plan1, ops64)
+
+
+TWO_GRID_CURVES = {
+    "circle-0.25": CircleShape([0.5, 0.5], 0.25),
+    "ellipse": EllipseShape([0.5, 0.5], (0.2, 0.4), 0.3),
+    "circle-0.45": CircleShape([0.5, 0.5], 0.45),
+}
+# the most GMRES iterations a Newton step takes on the saturating law below,
+# the same at N = 128, 256 and 512 (circle r = 0.45 is left out at 512, where
+# its assembly alone takes 0.7 s)
+KRYLOV_BOUND = {"circle-0.25": 1, "ellipse": 5, "circle-0.45": 12}
+
+
+@pytest.fixture(scope="module")
+def curve_ops(plan1):
+    """curve_ops(name, N) -> (curve, (V, W*)), assembled once per curve and N."""
+    cache = {}
+
+    def get(name, N):
+        if (name, N) not in cache:
+            curve = discretize_curve(TWO_GRID_CURVES[name], N, UNIT)
+            cache[name, N] = (curve, (assemble_single_layer(curve, ENV1, UNIT, plan1),
+                                      assemble_wstar(curve, ENV1, UNIT, plan1)))
+        return cache[name, N]
+
+    return get
+
+
+def _law_h(curve):
+    t = curve.params
+    return np.column_stack([0.3 + 0.2 * np.cos(t), -0.2 + 0.1 * np.sin(2 * t)])
+
+
+def _saturating_law(curve, kappa):
+    return saturating_model(_law_h(curve), kappa, curve)
+
+
+def _direct_newton(model, B, curve, ops, steps=10):
+    """(mu, c) after full Newton steps, each solved with the assembled Jacobian."""
+    V, W = ops
+    N = curve.N
+    drift = drift_traction(B, curve, ENV1, UNIT).reshape(-1)
+    bx = curve.nodes @ (B @ UNIT.q_inv).T
+    x = np.zeros(2 * N + 2)
+    for _ in range(steps):
+        mu = x[:-2]
+        U = (V.matrix @ mu).reshape(N, 2) + x[-2:] + bx
+        F = np.concatenate([0.5 * mu + W.matrix @ mu - model.fn(U).reshape(-1) + drift,
+                            [curve.weights @ mu[0::2], curve.weights @ mu[1::2]]])
+        x = x - sla.solve(augmented_matrix(-model.jac(U), V, W, curve), F)
+    return x[:-2].reshape(N, 2), x[-2:]
+
+
+@pytest.mark.parametrize("N, name", [(N, name) for N in (128, 256, 512) for name in TWO_GRID_CURVES
+                                     if (N, name) != (512, "circle-0.45")])
+def test_two_grid_newton_steps(curve_ops, plan1, name, N):
+    # after the first step, Newton solves by GMRES with the two-grid
+    # preconditioner: one fine LU per solve, a per-step iteration count that
+    # does not grow with N, and the solution of Newton with the fine LU
+    curve, ops = curve_ops(name, N)
+    model, B = _saturating_law(curve, -0.8), np.diag([0.1, -0.05])
+    rep = solve_nonlinear_robin(model, B, curve, ENV1, UNIT, plan1, operators=ops)
+    d = rep.diagnostics
+    krylov = d["krylov_iterations"]
+    assert len(krylov) == d["iterations"] and krylov[0] == 0
+    assert 0 < max(krylov) <= KRYLOV_BOUND[name]
+    assert d["fine_factorizations"] == 1 and d["rank_checks"] == 0
+    if N <= 256:
+        mu, c = _direct_newton(model, B, curve, ops)
+        assert np.max(np.abs(rep.mu.values - mu)) <= 1e-12 * np.max(np.abs(mu))
+        assert np.max(np.abs(rep.c - c)) <= 1e-12 * np.max(np.abs(c))
+
+
+def test_fine_lu_steps_counted(circle_ops, plan1):
+    # at N <= 64 every Newton step is a fine LU; Picard's one LU serves every
+    # step at any N
+    curve, ops = circle_ops(64)
+    d = solve_nonlinear_robin(_saturating_law(curve, -0.8), np.diag([0.1, -0.05]), curve,
+                              ENV1, UNIT, plan1, operators=ops).diagnostics
+    assert d["krylov_iterations"] == [0] * d["iterations"]
+    assert d["fine_factorizations"] == d["iterations"] >= 3
+    curve, ops = circle_ops(128)
+    d = solve_nonlinear_robin(affine_model(-np.eye(2), _law_h(curve), curve),
+                              np.diag([0.1, -0.05]), curve, ENV1, UNIT, plan1, method="picard",
+                              operators=ops).diagnostics
+    assert d["krylov_iterations"] == [0] * d["iterations"]
+    assert d["fine_factorizations"] == 1
+
+
+@pytest.mark.parametrize("kappa, error", [(0.5, DegenerateProblemError),
+                                          (-0.5, ConvergenceError)])
+def test_two_grid_newton_failures(curve_ops, plan1, kappa, error):
+    # a singular iterate fails the coarse screen and is decided on the fine
+    # Jacobian; a law Newton cannot solve still runs out of iterations
+    curve, ops = curve_ops("circle-0.25", 128)
+    with pytest.raises(error):
+        solve_nonlinear_robin(_saturating_law(curve, kappa), np.diag([0.1, -0.05]), curve,
+                              ENV1, UNIT, plan1, operators=ops)

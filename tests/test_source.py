@@ -1,6 +1,9 @@
 """Rules the package's source code keeps, checked on its syntax trees."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "perilame"
@@ -91,3 +94,14 @@ def test_only_the_field_evaluators_classify_targets():
                     callers.add(path.name)
     assert "robin.py" in callers
     assert callers <= {"cli.py", "robin.py", "verify.py"}, f"locate_targets called in {callers}"
+
+
+def test_import_leaves_out_sparse_and_spatial():
+    # scipy.sparse and scipy.spatial raise the resident memory of every run
+    # that imports perilame (scipy.spatial by 9.5 MB, scipy.sparse.linalg by
+    # 2.4 MB), so the package does not import them
+    code = ("import sys, perilame; print(sorted({m.split('.')[1] for m in sys.modules "
+            "if m.startswith(('scipy.sparse', 'scipy.spatial'))}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)}).stdout
+    assert out.strip() == "[]", f"import perilame loads scipy.{out.strip()}"
