@@ -389,7 +389,7 @@ def _solve_mode(table, cell, env, plan, stages):
         else:
             model = saturating_model(_sample(spec["h"], t), spec["kappa"], curve)
         with timed(stages, "solve"):
-            rep = solve_nonlinear_robin(model, drift, curve, env, cell, plan, method="newton")
+            rep = solve_nonlinear_robin(model, drift, curve, env, cell, plan)
         entries += [(key, rep.diagnostics[key])
                     for key in ("iterations", "rank_checks", "fine_factorizations")]
         krylov = rep.diagnostics["krylov_iterations"]

@@ -1,4 +1,4 @@
-"""Nonlinear Robin traction problems via Picard / Newton iteration.
+"""Nonlinear Robin traction problems via Newton iteration.
 
 The residual of the augmented system in (mu, c) is
 
@@ -6,37 +6,40 @@ The residual of the augmented system in (mu, c) is
     plus the componentwise zero-mean constraint on mu.
 
 The Jacobian is the linear Robin matrix with the nodal blocks -dG in place of
-a^{-1} b (robin.augmented_matrix).  Both methods factor it at the first
-iterate, mu = 0 and c = 0, by an LU of the fine (2N + 2)-square matrix, and
-Picard keeps those factors.  Newton solves each later step J v = F by GMRES
-on the matrix-free J (two matrix-vector products with V and W* and the
-nodal -dG blocks per iteration), right-preconditioned by a two-grid solve
-(_TwoGrid): the equation is second kind, 1/2 I plus a part whose smooth
-modes a coarse Galerkin Jacobian at Nc = _COARSE_START nodes carries.  Per
+a^{-1} b (robin.augmented_matrix).  Every Newton step, the first included,
+solves J v = F by GMRES on the matrix-free J (two matrix-vector products
+with V and W* and the nodal -dG blocks per iteration), right-preconditioned
+by a two-grid solve (_TwoGrid): the equation is second kind, 1/2 I plus a
+part whose smooth modes a coarse Galerkin Jacobian at Nc = min(N,
+_COARSE_START) nodes carries.  At N <= _COARSE_START the coarse grid is the
+fine one, the preconditioner is J^{-1} and GMRES takes one iteration.  Per
 step that is an LU of size 2 Nc + 2 and at most 12 GMRES iterations on the
 curves measured (circles r = 0.25 and 0.45, an ellipse), the same count at
-N = 128, 256 and 512.  A step falls back to the fine LU when the
-coarse Jacobian fails the rank screen below or GMRES misses GMRES_CAP
-iterations; at N <= Nc every step takes the fine LU.
+N = 128, 256 and 512.  A step falls back to an LU of the fine (2N + 2)-square J
+only when the coarse Jacobian fails the rank screen below or GMRES misses
+GMRES_CAP iterations.
 
 A Jacobian J of size n = 2N + 2 whose smallest singular value is at most
 RANK_TOL * max(largest, 1) (e.g. G independent of u with B = 0, leaving c
-unconstrained) is reported, never regularized.  Every LU screens for this:
-with LAPACK gecon's estimate of ||J^{-1}||_1, the norm-equivalence bounds
+unconstrained) is reported, never regularized.  Every LU screens for this
+(_screened_lu): with LAPACK gecon's estimate of ||J^{-1}||_1, the
+norm-equivalence bounds
 
     smin >= 1 / (sqrt(n) ||J^{-1}||_1),    smax <= sqrt(||J||_1 ||J||_inf)
 
 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 15)
-show most Jacobians to be of full rank at the price of the LU.  Only when
-a fine J's bounds cannot does its singular value decomposition run and
-decide; a coarse Jacobian that fails them sends its step to the fine LU, so
-a singular iterate is decided on the fine J.  gecon's estimate is a lower
-bound on ||J^{-1}||_1; on the Robin Jacobians measured (N = 64 to 512,
-saturating and weakly coupled laws) it is the exact norm to four digits,
-and a saturating law at N = 512 to 1024 clears the screen by a factor of
-6e5 or more.  J is screened as assembled, not equilibrated: scaling its c
+show most Jacobians to be of full rank at the price of the LU.  A coarse
+Jacobian that fails them sends its step to the fine LU, and only when a
+fine J's bounds fail too does its singular value decomposition run and
+decide, so a singular iterate is decided on the fine J.  gecon's estimate
+is a lower bound on ||J^{-1}||_1; on the Robin Jacobians measured (N = 64
+to 512, saturating and weakly coupled laws) it is the exact norm to four
+digits.  J is screened as assembled, not equilibrated: scaling its c
 columns to unit size would hide the weak coupling G = h + eps u that the
-criterion is defined to catch.
+criterion is defined to catch.  The coarse Jacobian's 1-norm condition
+estimate is the solve's condition_estimate: it does not grow with N (1883
+for a saturating law at N = 64 to 512, where the fine J's grows as N^2) and
+still sees weak coupling (8e7 for G = h + 1e-8 u).
 """
 
 from dataclasses import dataclass
@@ -58,7 +61,7 @@ from .robin import (
     _lattice_nodes,
     _lu_condition,
     _reported_tail_ratio,
-    _write_augmented,
+    augmented_matrix,
     boundary_integral,
     drift_traction,
     timed,
@@ -87,6 +90,17 @@ def _full_rank_certified(n, cond, norm_1, norm_inf):
     smin_low = norm_1 / (cond * np.sqrt(n))
     smax_high = np.sqrt(norm_1 * norm_inf)
     return bool(smin_low > RANK_TOL * max(smax_high, 1.0))
+
+
+def _screened_lu(J):
+    """LU factors of the square J, its 1-norm condition estimate, and the screen.
+
+    The screen is _full_rank_certified on J's norms and the estimate.  A
+    Fortran-ordered J is overwritten by its factors (robin._lu_condition).
+    """
+    norm_1, norm_inf = np.linalg.norm(J, 1), np.linalg.norm(J, np.inf)
+    factors, cond = _lu_condition(J, norm_1)
+    return factors, cond, _full_rank_certified(J.shape[0], cond, norm_1, norm_inf)
 
 
 def _gmres(apply, precondition, b, atol):
@@ -135,6 +149,7 @@ class _TwoGrid:
     the coarse solution prolonged by P plus 2 (r - P R r): on the modes the
     coarse grid does not carry, J is close to 1/2 I (Atkinson, The
     Numerical Solution of Integral Equations of the Second Kind, ch. 6).
+    At Nc = N, P and R are the identity and R J P is J.
     """
 
     def __init__(self, V, W, curve, Nc):
@@ -159,19 +174,14 @@ class _TwoGrid:
         return (self.R @ X.reshape(self.N, -1)).reshape(2 * self.Nc, -1)
 
     def factor(self, K):
-        """LU factors of R J P for the nodal blocks K = -dG, or None.
-
-        None when the gecon screen cannot certify R J P of full rank.
-        """
+        """_screened_lu of R J P for the nodal blocks K = -dG."""
         m = 2 * self.Nc
         Jc = np.empty((m + 2, m + 2), order="F")
         Jc[:m, :m] = self.base
         Jc[:m, :m] += self._restrict_rows(np.einsum("nij,njm->nim", K, self.VP))
         Jc[:m, m:] = self._restrict_rows(K)
         Jc[m:] = self.mean_rows
-        norm_1, norm_inf = np.linalg.norm(Jc, 1), np.linalg.norm(Jc, np.inf)
-        factors, cond = _lu_condition(Jc, norm_1)
-        return factors if _full_rank_certified(m + 2, cond, norm_1, norm_inf) else None
+        return _screened_lu(Jc)
 
     def precondition(self, factors, r):
         """The two-grid approximation to J^{-1} r, given the factors of R J P."""
@@ -230,33 +240,31 @@ def solve_nonlinear_robin(
     tol=1e-11,
     operators=None,
 ):
-    """Iterate the augmented residual to a SolutionRep with iteration trace.
+    """Newton-iterate the augmented residual to a SolutionRep with iteration trace.
 
-    The iteration starts from mu = 0, c = 0.  method: 'picard' freezes the
-    Jacobian at that iterate, 'newton' rebuilds it each step.  Each step
-    starts in full and is halved (at most 5 times) while the residual
-    sup-norm would increase.  The iteration stops when the update's sup-norm
-    is below tol * max(1, |mu|_inf, |c|_inf), so a large solution is not held
-    to an absolute size its rounding cannot meet.
+    The iteration starts from mu = 0, c = 0.  method must be 'newton', the
+    one iteration there is.  Each step starts in full and is halved (at most
+    5 times) while the residual sup-norm would increase.  The iteration
+    stops when the update's sup-norm is below tol * max(1, |mu|_inf,
+    |c|_inf), so a large solution is not held to an absolute size its
+    rounding cannot meet.
     Raises DegenerateProblemError on a rank-deficient Jacobian and
     ConvergenceError when max_iter steps do not meet tol.
-    The first step costs one fine LU, whose factors Picard keeps for every
-    step.  At N > _COARSE_START each later Newton step costs a
-    coarse LU of size 2 _COARSE_START + 2 and a few GMRES iterations of two
-    matrix-vector products each; it falls back to a fine LU when the coarse
-    Jacobian fails the rank screen or GMRES misses GMRES_CAP (module
-    docstring).  diagnostics["krylov_iterations"] lists the GMRES
-    iterations per step, 0 for a step the fine LU solved or whose residual
-    was at the rounding floor already, and ["fine_factorizations"] counts
-    the fine LUs.  ["condition_estimate"] and ["rank_checks"] describe those
-    fine Jacobians: the 1-norm estimate of the last one factored and the
-    number the screen left to the singular values.  diagnostics["timings"]
-    holds the seconds of the iteration and, when V and W* are not given, of
-    their assembly; diagnostics["lattice_nodes_v"] and
-    ["lattice_nodes_wstar"] are as in robin.solve_robin.
+    Each step costs a coarse LU of size 2 min(N, _COARSE_START) + 2 and a few
+    GMRES iterations of two matrix-vector products each; it falls back to a
+    fine LU when the coarse Jacobian fails the rank screen or GMRES misses
+    GMRES_CAP (module docstring).  diagnostics["krylov_iterations"] lists
+    the GMRES iterations per step, 0 for a step the fine LU solved or whose
+    residual was at the rounding floor already; ["condition_estimate"] is
+    the coarse Jacobian's 1-norm estimate at the last step, certified or
+    not; ["fine_factorizations"] counts the fallback's fine LUs and
+    ["rank_checks"] those the screen left to the singular values.
+    diagnostics["timings"] holds the seconds of the iteration and, when V
+    and W* are not given, of their assembly; diagnostics["lattice_nodes_v"]
+    and ["lattice_nodes_wstar"] are as in robin.solve_robin.
     """
-    if method not in ("newton", "picard"):
-        raise ValueError(f"method must be 'newton' or 'picard', got {method!r}")
+    if method != "newton":
+        raise ValueError(f"method must be 'newton', got {method!r}")
     N = curve.N
     B = np.asarray(B, dtype=float)
     timings = {}
@@ -280,26 +288,13 @@ def solve_nonlinear_robin(
 
     # what the rank screen saw, reported in diagnostics
     screen = {"condition_estimate": np.nan, "rank_checks": 0, "fine_factorizations": 0}
-    # the fine Jacobian's buffers, allocated once per solve: J and its LU
-    # (Fortran order, factored in place), which first holds the work array
-    # for diag(-dG) V and then |J|
-    n = 2 * N + 2
-    J = np.empty((n, n))
-    lu = np.empty(J.shape, order="F")
-    # lu.T is C-ordered: |J| is laid out, and its sums taken, as in a C array
-    work = lu.T
-    product = work.reshape(-1)[: 4 * N * N].reshape(N, 2, 2 * N)
 
-    def factor_checked(K):
+    def fine_factors(K):
+        """LU factors of the fine Jacobian; its singular values decide when the screen fails."""
         screen["fine_factorizations"] += 1
-        _write_augmented(J, K, V, W, curve, product)
-        # ||J||_1 and ||J||_inf from one |J|, as np.linalg.norm sums them
-        np.abs(J, out=work)
-        norm_1, norm_inf = np.max(np.sum(work, axis=0)), np.max(np.sum(work, axis=1))
-        lu[...] = J
-        factors, cond = _lu_condition(lu, norm_1)
-        screen["condition_estimate"] = cond
-        if _full_rank_certified(n, cond, norm_1, norm_inf):
+        J = augmented_matrix(K, V, W, curve)
+        factors, _, certified = _screened_lu(J)
+        if certified:
             return factors
         screen["rank_checks"] += 1
         s = sla.svdvals(J)
@@ -327,19 +322,14 @@ def solve_nonlinear_robin(
         res_norm = np.max(np.abs(res))
         trace = [res_norm]
         krylov = []
-        frozen = factor_checked(-model.jac(U))
-        grid = None
-        if method == "newton" and N > _COARSE_START:
-            grid = _TwoGrid(V, W, curve, _COARSE_START)
+        grid = _TwoGrid(V, W, curve, min(N, _COARSE_START))
         atol = GMRES_FLOOR * np.linalg.norm(res)
 
-        def solve_step(k, U, res):
-            """The step J^{-1} res at iteration k and its GMRES iterations."""
-            if method == "picard" or k == 0:
-                return sla.lu_solve(frozen, res), 0
+        def solve_step(U, res):
+            """The Newton step J^{-1} res at U and its GMRES iterations."""
             K = -model.jac(U)
-            coarse = None if grid is None else grid.factor(K)
-            if coarse is not None:
+            coarse, screen["condition_estimate"], certified = grid.factor(K)
+            if certified:
                 step, iterations = _gmres(
                     lambda x: jacobian_product(K, x),
                     lambda r: grid.precondition(coarse, r),
@@ -347,12 +337,12 @@ def solve_nonlinear_robin(
                 )
                 if step is not None:
                     return step, iterations
-            return sla.lu_solve(factor_checked(K), res), 0
+            return sla.lu_solve(fine_factors(K), res), 0
 
         converged = False
         update_norm = np.inf
-        for k in range(max_iter):
-            step, iterations = solve_step(k, U, res)
+        for _ in range(max_iter):
+            step, iterations = solve_step(U, res)
             krylov.append(iterations)
             lam = 1.0
             for _ in range(6):
@@ -371,7 +361,7 @@ def solve_nonlinear_robin(
                 break
     if not converged:
         raise ConvergenceError(
-            f"no convergence in {max_iter} {method} iterations "
+            f"no convergence in {max_iter} Newton iterations "
             f"(last update {update_norm:.3e}, residual {res_norm:.3e}); "
             "existence is not guaranteed for this traction law",
             trace=trace,
@@ -384,7 +374,6 @@ def solve_nonlinear_robin(
         "zero_mean_violation": float(np.max(np.abs(boundary_integral(mu)))),
         "trace": trace,
         "krylov_iterations": krylov,
-        "method": method,
         "density_tail_ratio": _reported_tail_ratio(mu, np.max(np.abs(U))),
         **screen,
         **_lattice_nodes(V, W),

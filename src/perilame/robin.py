@@ -211,29 +211,20 @@ def augmented_matrix(K, V, W, curve):
     """Augmented (2N+2)-square matrix [[1/2 I + W* + diag(K) V, K], [zero-mean rows, 0]].
 
     K holds nodal 2x2 blocks, shape (N, 2, 2): a^{-1} b for the linear Robin
-    system, -dG for the Picard/Newton Jacobian.  Rows and columns are
-    node-major with the two c columns and the two constraint rows appended.
-    """
-    matrix = np.empty((2 * curve.N + 2, 2 * curve.N + 2))
-    _write_augmented(matrix, K, V, W, curve)
-    return matrix
-
-
-def _write_augmented(matrix, K, V, W, curve, product=None):
-    """Writes augmented_matrix(K, V, W, curve) into matrix, every entry.
-
-    product, when given, is an (N, 2, 2N) buffer that receives diag(K) V.
+    system, -dG for the Newton Jacobian.  Rows and columns are node-major
+    with the two c columns and the two constraint rows appended.
     """
     N = curve.N
+    matrix = np.empty((2 * N + 2, 2 * N + 2))
     top = matrix[: 2 * N, : 2 * N]
     top[...] = W.matrix
     top[np.diag_indices(2 * N)] += 0.5
-    top += np.einsum("nij,njm->nim", K, V.matrix.reshape(N, 2, 2 * N), out=product) \
-        .reshape(2 * N, 2 * N)
+    top += np.einsum("nij,njm->nim", K, V.matrix.reshape(N, 2, 2 * N)).reshape(2 * N, 2 * N)
     matrix[: 2 * N, 2 * N:] = K.reshape(2 * N, 2)
     matrix[2 * N:] = 0.0
     matrix[2 * N, 0: 2 * N: 2] = curve.weights
     matrix[2 * N + 1, 1: 2 * N: 2] = curve.weights
+    return matrix
 
 
 def assemble_robin_system(data, curve, env, cell, plan, operators):

@@ -729,7 +729,7 @@ def _check_nonlinear_equivalence(seed):
     B = np.diag([0.1, -0.05])
     rep_lin = solve_robin(_robin_data(curve, gvals, B), curve, env, cell, plan)
     model = affine_model(np.eye(2), gvals, curve)
-    rep_nl = solve_nonlinear_robin(model, B, curve, env, cell, plan, method="newton")
+    rep_nl = solve_nonlinear_robin(model, B, curve, env, cell, plan)
     err = max(
         float(np.max(np.abs(rep_lin.mu.values - rep_nl.mu.values))),
         float(np.max(np.abs(rep_lin.c - rep_nl.c))),
@@ -752,7 +752,7 @@ def _check_nonlinear_manufactured(seed):
         lambda U: tstar + (U - ustar) @ lam.T,
         lambda U: np.broadcast_to(lam, (curve.N, 2, 2)),
     )
-    rep = solve_nonlinear_robin(model, B, curve, env, cell, plan, method="picard", tol=1e-12)
+    rep = solve_nonlinear_robin(model, B, curve, env, cell, plan, tol=1e-12)
     pts = _far_points(rng)
     u_num = eval_solution(rep, pts, env, cell, plan, warn=False)
     return float(np.max(np.abs(u_num - u_fn(pts)))), fp

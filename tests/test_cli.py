@@ -343,20 +343,17 @@ def test_nonlinear_saturating_mode(tmp_path, capsys):
         assert main(["--config", _write(tmp_path, cfg)]) == 0
         summary = _read_summary(cfg["out_dir"])
         assert float(summary["residual_on_node"]) < 1e-10
-        # the last fine Jacobian's gecon estimate, certified of full rank without an SVD
+        # the coarse Jacobian's gecon estimate, certified of full rank without an SVD
         assert 1.0 < float(summary["condition_estimate"]) < 1e8
         assert int(summary["rank_checks"]) == 0
-        # one fine LU per step at N = 64; above 64 nodes one per solve, and
-        # GMRES for every later step
+        # GMRES for every step and no fine LU; at N = 64 the preconditioner
+        # is J^{-1}, one iteration per step
         iterations = int(summary["iterations"])
         krylov = [int(k) for k in summary["krylov_iterations"].strip("()").split(",")]
-        assert len(krylov) == iterations >= 3 and krylov[0] == 0
+        assert len(krylov) == iterations >= 3 and max(krylov) >= 1
+        assert int(summary["fine_factorizations"]) == 0
         if nodes == 64:
-            assert krylov == [0] * iterations
-            assert int(summary["fine_factorizations"]) == iterations
-        else:
-            assert max(krylov) >= 1
-            assert int(summary["fine_factorizations"]) == 1
+            assert max(krylov) == 1
         out = capsys.readouterr().out
         for key in ("iterations", "rank_checks", "fine_factorizations", "krylov_iterations"):
             assert f"{key}={summary[key]}\n" in out
