@@ -396,12 +396,15 @@ def _solve_mode(table, cell, env, plan, stages):
         entries.append(("krylov_iterations", "(" + ",".join(map(str, krylov)) + ")"))
 
     d = rep.diagnostics
+    off_node = [("residual_off_node", f"{d.get('residual_off_node', float('nan')):.6e}")]
+    if "residual_nodes" in d:  # the linear solve's residual, and its source count
+        off_node.append(("residual_nodes", d["residual_nodes"]))
     entries += [
         ("c", "(" + ",".join(f"{v:.17g}" for v in rep.c) + ")"),
         ("B", "(" + ",".join(f"{v:.17g}" for v in rep.B.reshape(-1)) + ")"),
         ("mu_sup_norm", f"{np.max(np.abs(rep.mu.values)):.17g}"),
         ("residual_on_node", f"{d.get('residual_on_node', float('nan')):.6e}"),
-        ("residual_off_node", f"{d.get('residual_off_node', float('nan')):.6e}"),
+    ] + off_node + [
         ("condition_estimate", f"{d.get('condition_estimate', float('nan')):.6e}"),
         ("det_integral_ainv_b", f"{d.get('det_integral_ainv_b', float('nan')):.6e}"),
         ("zero_mean_violation", f"{d.get('zero_mean_violation', float('nan')):.6e}"),

@@ -52,9 +52,9 @@ from .errors import ConvergenceError, DegenerateProblemError
 from .operators import (
     _COARSE_START,
     BoundaryVectorField,
+    _interpolation_matrix,
     assemble_single_layer,
     assemble_wstar,
-    trig_resample,
 )
 from .robin import (
     SolutionRep,
@@ -140,21 +140,21 @@ def _gmres(apply, precondition, b, atol):
 class _TwoGrid:
     """Two-grid preconditioner of the Newton Jacobian J at Nc coarse nodes.
 
-    P = trig_resample(I, N) interpolates coarse nodal values to the N nodes
-    and R = (Nc / N) P^T restricts them, each acting on both components;
-    the two c entries pass through.  The coarse Jacobian is R J P: the
-    Galerkin one, 1/2 R P + R W* P + R diag(-dG) V P with the c columns
-    R(-dG) and the zero-mean rows w P.  V P and R W* P are formed once per
-    solve, the rest per step.  On a residual r the preconditioner returns
-    the coarse solution prolonged by P plus 2 (r - P R r): on the modes the
-    coarse grid does not carry, J is close to 1/2 I (Atkinson, The
+    P = operators._interpolation_matrix(Nc, N) interpolates coarse nodal
+    values to the N nodes and R = (Nc / N) P^T restricts them, each acting
+    on both components; the two c entries pass through.  The coarse Jacobian
+    is R J P: the Galerkin one, 1/2 R P + R W* P + R diag(-dG) V P with the
+    c columns R(-dG) and the zero-mean rows w P.  V P and R W* P are formed
+    once per solve, the rest per step.  On a residual r the preconditioner
+    returns the coarse solution prolonged by P plus 2 (r - P R r): on the
+    modes the coarse grid does not carry, J is close to 1/2 I (Atkinson, The
     Numerical Solution of Integral Equations of the Second Kind, ch. 6).
     At Nc = N, P and R are the identity and R J P is J.
     """
 
     def __init__(self, V, W, curve, Nc):
         N = curve.N
-        self.P = trig_resample(np.eye(Nc), N)
+        self.P = _interpolation_matrix(Nc, N)
         self.R = (Nc / N) * self.P.T
         self.N, self.Nc = N, Nc
         # P on both components of the node-major columns

@@ -33,19 +33,25 @@ What is left at the N nodes is the trapezoid weights and the Kress log or
 Hilbert node rule.  Each operator records its Nc as lattice_nodes.
 
 At the midpoints t_i + pi/N, apply_at_midpoints applies V and W* to a
-density without a block or a matrix: both rules, shifted by half a node,
-act by one FFT each (_apply_rule, which also gives assembly its dense
-node rules from the same symbols), the split is contracted with the
-density by lattice._grid_contract, and R^q is a product against the
-density at the midpoints, both independent of the interpolated smooth
-kernel, so an under-resolved Nc shows in the off-node residual.  The
-off-boundary potentials eval_single_layer and eval_traction_offboundary are
-such products of the periodic Green's matrix, so no P x M kernel block is
-formed outside assembly.  They evaluate and do not classify their targets:
-refusing points inside a hole or on a node image and warning near the
-boundary is left to robin.eval_solution.
+density without a block or a matrix: both rules, shifted by half a node, act
+by one FFT each (_apply_rule, which also gives assembly its dense node rules
+from the same symbols), and the smooth kernel is summed over sources: the
+split contracted with the density by lattice._grid_contract, and R^q a
+product against it.  The sources are the Nc coarse nodes that the assembly's
+tail check accepted for this kernel on the same torus, or the N nodes, and
+the density reaches them as P^T (w mu), P = _interpolation_matrix(Nc, N):
+for a kernel band-limited in s below Nc/2,
+sum_b f(s_b) (w mu)_b = f_c^T P^T (w mu).  The targets are the exact
+midpoints, never the interpolated matrix, so an under-resolved Nc shows in
+the off-node residual.  The off-boundary
+potentials eval_single_layer and eval_traction_offboundary are such products
+of the periodic Green's matrix, so no P x M kernel block is formed outside
+assembly.  They evaluate and do not classify their targets: refusing points
+inside a hole or on a node image and warning near the boundary is left to
+robin.eval_solution.
 """
 
+import functools
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -135,6 +141,19 @@ def trig_resample(vals, M):
     G[h] = 0.5 * F[h]
     G[M - h] = 0.5 * F[h]
     return np.real(np.fft.ifft(G, axis=0)) * (M / N)
+
+
+@functools.lru_cache(maxsize=8)
+def _interpolation_matrix(Nc, N):
+    """The N x Nc trigonometric interpolation matrix P = trig_resample(I, N), read-only.
+
+    P maps nodal values at Nc nodes to the N nodes, so P^T carries a
+    weighted density at the N nodes to Nc sources (apply_at_midpoints).
+    Cached: it depends on Nc and N alone.
+    """
+    P = trig_resample(np.eye(Nc), N)
+    P.flags.writeable = False
+    return P
 
 
 def _log_symbol(m):
@@ -327,12 +346,12 @@ def _tail_share(blocks):
 def _interpolate(blocks, N):
     """Trig interpolation of (Nc, Nc, 2, 2) samples on the torus to the (2N, 2N) node-major matrix.
 
-    Each entry becomes P B P^T, P = trig_resample(I, N) the N x Nc
-    interpolation matrix: two GEMMs for all four entries, the second writing
-    row 2a + j, column 2b + k of block (a, b) in place.
+    Each entry becomes P B P^T, P = _interpolation_matrix(Nc, N): two GEMMs
+    for all four entries, the second writing row 2a + j, column 2b + k of
+    block (a, b) in place.
     """
     Nc = blocks.shape[0]
-    P = trig_resample(np.eye(Nc), N)
+    P = _interpolation_matrix(Nc, N)
     # X[c, j, b, k] = sum_d B[c, d, j, k] P[b, d], then P X
     X = (blocks.transpose(0, 2, 3, 1).reshape(4 * Nc, Nc) @ P.T).reshape(Nc, 2, 2, N)
     return (P @ X.swapaxes(2, 3).reshape(Nc, 4 * N)).reshape(2 * N, 2 * N)
@@ -432,29 +451,37 @@ def assemble_wstar(curve, env, cell, plan):
     return _assemble(curve, env, smooth, plan.tol, rule, _J)
 
 
-def apply_at_midpoints(field, targets, env, cell, plan):
+def apply_at_midpoints(field, targets, env, cell, plan, nodes):
     """V mu and W* mu at the N midpoints t_i + pi/N, each (N, 2).
 
     targets is the midpoint geometry (_midpoints).  No kernel block and no
     N x N matrix is formed.  After both split checks (_checked_split), the
-    smooth free-space split is contracted with the weighted density by
-    lattice._grid_contract, in batches of about _PAIRS midpoint-node pairs.
-    The half-shifted Kress log and Hilbert rules act on sp mu by one FFT each
-    (_apply_rule).  The lattice part of V mu is a regular-part product and
-    that of W* mu the traction, at the midpoint normals, of a regular-part
-    gradient product, both from one lattice_product call.
+    smooth kernel is summed over the nodes of curve.resample(nodes), nodes
+    being a coarse Nc or N: the weighted density w mu at the N nodes is
+    carried there by P^T, P = _interpolation_matrix(Nc, N), which is exact
+    for a kernel band-limited in s below Nc/2, as the Nc an assembly
+    accepted (DenseBoundaryOperator.lattice_nodes) is.  The free-space split
+    is contracted with that density by lattice._grid_contract, in batches of
+    about _PAIRS midpoint-source pairs; the lattice part of V mu is a
+    regular-part product and that of W* mu the traction, at the midpoint
+    normals, of a regular-part gradient product, both from one
+    lattice_product call.  The half-shifted Kress log and Hilbert rules act
+    on sp mu at the N nodes by one FFT each (_apply_rule).
     """
     curve = field.curve
     N = curve.N
     wmu = field.values * curve.weights[:, None]
     _checked_split(curve, targets, env)
+    sources, wsrc = curve, wmu
+    if nodes != N:
+        sources, wsrc = curve.resample(nodes), _interpolation_matrix(nodes, N).T @ wmu
     vmu, wsmu = np.empty((N, 2)), np.empty((N, 2))
-    step = max(1, _PAIRS // N)
+    step = max(1, _PAIRS // sources.N)
     for lo in range(0, N, step):
         tb = slice(lo, lo + step)
-        s = _free_space_split(curve, targets, env, tb)
-        vmu[tb] = _grid_contract(s.d, wmu, s.pv, s.av)[0]
-        wsmu[tb] = _grid_contract(s.d, wmu, s.pw, s.aw)[0] + (s.cauchy @ wmu) @ _J.T
+        s = _free_space_split(sources, targets, env, tb)
+        vmu[tb] = _grid_contract(s.d, wsrc, s.pv, s.av)[0]
+        wsmu[tb] = _grid_contract(s.d, wsrc, s.pw, s.aw)[0] + (s.cauchy @ wsrc) @ _J.T
     del s  # the split's arrays are freed before the lattice product
     spmu = field.values * curve.speeds[:, None]
     shift = np.pi / N
@@ -462,7 +489,7 @@ def apply_at_midpoints(field, targets, env, cell, plan):
     wsmu += (env.gamma_c * np.pi / targets.speeds[:, None]) \
         * (_apply_rule(_hilbert_symbol, spmu, shift) @ _J.T)
 
-    lattice, lattice_grad = lattice_product(targets.nodes, curve.nodes, wmu, env, cell, plan,
+    lattice, lattice_grad = lattice_product(targets.nodes, sources.nodes, wsrc, env, cell, plan,
                                             periodic=False, values=True, grads=True)
     vmu += lattice
     wsmu += traction(lattice_grad, targets.normals, env.omega)

@@ -13,13 +13,16 @@ u(x) = v[mu](x) + c + B q^{-1} x.
 diagnostics["residual_off_node"] is the collocation residual at the N
 midpoints t_i + pi/N, with no reassembly at 2N and no N x N matrix:
 operators.apply_at_midpoints applies V and W* there to the density (the
-half-shifted Kress log and Hilbert rules by FFT, the smooth free-space part
-as scalar target-node arrays, the lattice part as a product against the
-density, as is the field v[mu] of eval_solution).  eval_solution is the
-one evaluator that classifies its targets, once (cell.locate_targets):
-that classification refuses points on a node image or inside a hole image
-and flags those near the boundary (NearBoundaryWarning); the layer
-potentials of operators evaluate wherever they are asked.
+half-shifted Kress log and Hilbert rules by FFT at the N nodes, the smooth
+free-space part as scalar target-source arrays, the lattice part as a
+product against the density, as is the field v[mu] of eval_solution).  The
+smooth kernel is summed over diagnostics["residual_nodes"] sources: the
+larger of V's and W*'s lattice_nodes, the coarse Nc their assembly accepted
+for that kernel, or N.  eval_solution is the one evaluator that classifies
+its targets, once (cell.locate_targets): that classification refuses points
+on a node image or inside a hole image and flags those near the boundary
+(NearBoundaryWarning); the layer potentials of operators evaluate wherever
+they are asked.
 """
 
 import time
@@ -307,7 +310,8 @@ def solve_robin(data, curve, env, cell, plan, operators=None):
     are not given.  diagnostics["lattice_nodes_v"] and ["lattice_nodes_wstar"] are
     the node counts at which V's and W*'s smooth kernels, free-space split
     plus lattice part, were evaluated (DenseBoundaryOperator.lattice_nodes),
-    assembled or given.
+    assembled or given; diagnostics["residual_nodes"], the larger of the two,
+    is the source count of the off-node residual's smooth kernel.
     """
     timings = {}
     with timed(timings, "validate"):
@@ -319,6 +323,7 @@ def solve_robin(data, curve, env, cell, plan, operators=None):
     with timed(timings, "system"):
         system = assemble_robin_system(data, curve, env, cell, plan, operators=operators)
         diagnostics.update(_lattice_nodes(*operators))
+        diagnostics["residual_nodes"] = max(op.lattice_nodes for op in operators)
         operators = None  # V and W* are not needed past the system
     with timed(timings, "lu"):
         factors, diagnostics["condition_estimate"] = _lu_checked(
@@ -338,7 +343,7 @@ def solve_robin(data, curve, env, cell, plan, operators=None):
     )
     with timed(timings, "off_node_residual"):
         diagnostics["residual_off_node"] = _off_node_residual(
-            data, curve, env, cell, plan, mu, c
+            data, curve, env, cell, plan, mu, c, diagnostics["residual_nodes"]
         )
     diagnostics["density_tail_ratio"] = _reported_tail_ratio(
         mu, max(np.max(np.abs(c)), np.max(np.abs(system.rhs)))
@@ -353,19 +358,21 @@ def _lattice_nodes(V, W):
     return {"lattice_nodes_v": V.lattice_nodes, "lattice_nodes_wstar": W.lattice_nodes}
 
 
-def _off_node_residual(data, curve, env, cell, plan, mu, c):
+def _off_node_residual(data, curve, env, cell, plan, mu, c, nodes):
     """Collocation residual at the N midpoints t_i + pi/N.
 
     The midpoint geometry is built once (operators._midpoints).  V mu and
     W* mu there come from operators.apply_at_midpoints, with no N x N
-    matrix; the Robin data and the density at the midpoints are the odd
-    entries of their exact trig resampling to 2N, and the right-hand side is
-    evaluated at the midpoints alone.
+    matrix, their smooth kernel summed over `nodes` sources: the larger
+    lattice_nodes of V and W*, the grid their assembly's tail check
+    accepted for that kernel, or N.  The Robin data and the density at the
+    midpoints are the odd entries of their exact trig resampling to 2N, and
+    the right-hand side is evaluated at the midpoints alone.
     """
     mid = _midpoints(curve)
     a, b, g, mu_mid = (trig_resample(f.values, 2 * curve.N)[1::2]
                        for f in (data.a, data.b, data.g, mu))
-    vmu, wmu = apply_at_midpoints(mu, mid, env, cell, plan)
+    vmu, wmu = apply_at_midpoints(mu, mid, env, cell, plan, nodes)
     ainv, ainv_b = _ainv_b(a, b)
     lhs = 0.5 * mu_mid + wmu
     lhs += np.einsum("nij,nj->ni", ainv_b, vmu + c[None, :])

@@ -150,6 +150,20 @@ def test_constant_solution_run(tmp_path):
         assert os.path.exists(os.path.join(cfg["out_dir"], name))
 
 
+def test_linear_run_reports_the_residual_source_count(tmp_path, capsys):
+    # at N = 128 on the unit-cell circle the smooth kernels of V and W* are
+    # interpolated from 64 nodes, and the off-node residual sums over those
+    # 64 sources; summary.txt and stdout write the count after the residual
+    cfg = dict(MINIMAL, out_dir=str(tmp_path / "out"))
+    assert main(["--config", _write(tmp_path, cfg)]) == 0
+    summary = _read_summary(cfg["out_dir"])
+    keys = list(summary)
+    assert keys[keys.index("residual_off_node") + 1] == "residual_nodes"
+    assert int(summary["residual_nodes"]) == 64
+    assert float(summary["residual_off_node"]) < 1e-12
+    assert f"residual_nodes={summary['residual_nodes']}\n" in capsys.readouterr().out
+
+
 def test_rejected_data_exit_code(tmp_path):
     cfg = dict(MINIMAL, out_dir=str(tmp_path / "out2"))
     cfg["robin"] = dict(cfg["robin"], b=[[1.0, 0.0], [0.0, 1.0]])

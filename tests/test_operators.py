@@ -150,7 +150,7 @@ def test_midpoint_products_match_2n_odd_rows(shape, omega):
     mu = BoundaryVectorField(
         np.column_stack([np.cos(t) + 0.3 * np.sin(3 * t), 0.5 - np.sin(2 * t)]), curve
     )
-    vmu, wmu = apply_at_midpoints(mu, _midpoints(curve), env, UNIT, plan)
+    vmu, wmu = apply_at_midpoints(mu, _midpoints(curve), env, UNIT, plan, N)
     fine = mu.resample(2 * N)
     V2 = assemble_single_layer(fine.curve, env, UNIT, plan)
     W2 = assemble_wstar(fine.curve, env, UNIT, plan)
@@ -264,6 +264,35 @@ def test_assembly_builds_no_split_at_the_nodes(monkeypatch, radius, N):
         assert (max(rows) == N) == fallback and max(rows) <= N
 
 
+@pytest.mark.parametrize("case, N, nodes", [
+    (COARSE_CASES[0], 512, 64),
+    (COARSE_CASES[2], 256, 128),
+    (COARSE_CASES[4], 256, 256),
+], ids=["circle", "ellipse", "circle-0.45"])
+def test_midpoint_products_on_coarse_sources(case, N, nodes):
+    # the smooth kernel summed over the Nc sources that V's and W*'s tail
+    # checks accepted, against the density carried there by P^T, gives V mu
+    # and W* mu at the midpoints as the N sources do, to 1e-14 of their
+    # size, for a density with modes up to 3N/8; the circle r = 0.45, which
+    # assembles at the N nodes, takes them as sources, bit for bit
+    _, edges, shape, _, tol, _ = case
+    cell, plan, curve = _coarse_setup(edges, shape, N, tol)
+    Nc = max(op.lattice_nodes for op in _assembled(curve, cell, plan))
+    assert Nc == nodes
+    t, k = curve.params, 3 * N // 8
+    mu = BoundaryVectorField(np.column_stack([
+        np.cos(t) + 0.3 * np.sin(3 * t) + 0.1 * np.cos(k * t),
+        0.5 - np.sin(2 * t) + 0.1 * np.sin(k * t),
+    ]), curve)
+    mid = _midpoints(curve)
+    coarse = apply_at_midpoints(mu, mid, ENV1, cell, plan, Nc)
+    for product, ref in zip(coarse, apply_at_midpoints(mu, mid, ENV1, cell, plan, N)):
+        if Nc == N:
+            assert np.array_equal(product, ref)
+        else:
+            assert np.max(np.abs(product - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def _wstar_split_reference(curve, env, a, b):
     """The W* split pw delta + aw d d + cauchy J at the node pair (a, b), a != b, to 30 digits.
 
@@ -331,7 +360,7 @@ def test_split_checks_catch_a_wrong_gamma_c(monkeypatch):
     monkeypatch.setattr(LameEnv, "gamma_c", property(lambda env: (1.0 - env.beta) / (2.1 * np.pi)))
     for build in (lambda: assemble_single_layer(curve, ENV1, UNIT, plan),
                   lambda: assemble_wstar(curve, ENV1, UNIT, plan),
-                  lambda: apply_at_midpoints(mu, _midpoints(curve), ENV1, UNIT, plan)):
+                  lambda: apply_at_midpoints(mu, _midpoints(curve), ENV1, UNIT, plan, 64)):
         with pytest.raises(AssemblyError, match="traction kernel split"):
             build()
 

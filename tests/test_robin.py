@@ -524,6 +524,17 @@ def test_solve_robin_assembles_at_n_and_counts_residual_pairs(monkeypatch, plan1
     assert sizes == []
     assert passes == residual
 
+    # at N = 256 V's and W*'s smooth kernels take 64 and 128 coarse nodes,
+    # and the residual's product runs from the N midpoints to the larger Nc
+    N = 256
+    curve = discretize_curve(CircleShape([0.5, 0.5], 0.25), N, UNIT)
+    ops = (assemble_single_layer(curve, ENV1, UNIT, plan1),
+           assemble_wstar(curve, ENV1, UNIT, plan1))
+    passes.clear()
+    d = solve_robin(_varied_data(curve), curve, ENV1, UNIT, plan1, operators=ops).diagnostics
+    assert (d["lattice_nodes_v"], d["lattice_nodes_wstar"], d["residual_nodes"]) == (64, 128, 128)
+    assert passes == [((N, 2), (128, 2), False, False, True, True)]
+
 
 def test_coarse_lattice_part_keeps_the_off_node_residual(monkeypatch, plan1):
     # the circle at N = 256, solved with V and W* whose lattice parts are
@@ -544,6 +555,22 @@ def test_coarse_lattice_part_keeps_the_off_node_residual(monkeypatch, plan1):
     assert (d["lattice_nodes_v"], d["lattice_nodes_wstar"]) == (N, N)
     scale = np.max(np.abs(rep.mu.values))
     assert abs(coarse["residual_off_node"] - d["residual_off_node"]) <= 1e-15 * scale
+
+
+def test_off_node_residual_sees_an_underresolved_assembly(monkeypatch, plan1):
+    # the circle r = 0.45 comes close to its images, so its smooth kernels
+    # need the N nodes; with the tail check forced to pass, V and W* are
+    # interpolated from 64 nodes, the residual sums over those 64 sources,
+    # and the error in t shows at the exact midpoints
+    N = 256
+    curve = discretize_curve(CircleShape([0.5, 0.5], 0.45), N, UNIT)
+    data = _varied_data(curve)
+    resolved = solve_robin(data, curve, ENV1, UNIT, plan1).diagnostics
+    assert resolved["residual_nodes"] == N and resolved["residual_off_node"] < 1e-12
+    monkeypatch.setattr(operators, "_tail_share", lambda blocks: 0.0)
+    d = solve_robin(data, curve, ENV1, UNIT, plan1).diagnostics
+    assert d["residual_nodes"] == 64
+    assert d["residual_off_node"] > 1e-6
 
 
 def test_residual_forms_no_rule_matrix(monkeypatch, plan1):

@@ -105,3 +105,24 @@ def test_import_leaves_out_sparse_and_spatial():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)}).stdout
     assert out.strip() == "[]", f"import perilame loads scipy.{out.strip()}"
+
+
+def _is_eye_resample(node):
+    """Whether node is a call trig_resample(np.eye(...), ...)."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "trig_resample"
+            and node.args and isinstance(node.args[0], ast.Call)):
+        return False
+    inner = node.args[0].func
+    return isinstance(inner, ast.Attribute) and inner.attr == "eye"
+
+
+def test_one_interpolation_matrix():
+    # the N x Nc interpolation matrix is built, and cached, in one helper;
+    # assembly, the off-node residual and the two-grid solve all read it there
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            found += [f"{path.name}:{getattr(top, 'name', top.lineno)}"
+                      for node in ast.walk(top) if _is_eye_resample(node)]
+    assert found == ["operators.py:_interpolation_matrix"], found
