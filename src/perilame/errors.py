@@ -38,7 +38,7 @@ class ConfigError(ValueError):
 
 
 class SolveError(RuntimeError):
-    """Discrete system numerically singular or otherwise unsolvable."""
+    """Discrete system unsolvable; DegenerateProblemError is the numerically singular case."""
 
 
 class DomainError(ValueError):
@@ -53,10 +53,13 @@ class ConvergenceError(RuntimeError):
         self.trace = trace if trace is not None else []
 
 
-class DegenerateProblemError(RuntimeError):
-    """Nonlinear system is rank deficient (e.g. nothing constrains the additive constant)."""
+class DegenerateProblemError(SolveError):
+    """Dense system numerically singular: its smallest singular value is at most
+    robin.RANK_TOL times max(largest, 1).  Raised by the linear, auxiliary and
+    Newton factorizations alike (e.g. when nothing constrains the additive constant).
+    """
 
-    def __init__(self, message, smallest_singular_value=None):
+    def __init__(self, message, smallest_singular_value):
         super().__init__(message)
         self.smallest_singular_value = smallest_singular_value
 

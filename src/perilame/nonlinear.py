@@ -19,27 +19,17 @@ N = 128, 256 and 512.  A step falls back to an LU of the fine (2N + 2)-square J
 only when the coarse Jacobian fails the rank screen below or GMRES misses
 GMRES_CAP iterations.
 
-A Jacobian J of size n = 2N + 2 whose smallest singular value is at most
-RANK_TOL * max(largest, 1) (e.g. G independent of u with B = 0, leaving c
-unconstrained) is reported, never regularized.  Every LU screens for this
-(_screened_lu): with LAPACK gecon's estimate of ||J^{-1}||_1, the
-norm-equivalence bounds
-
-    smin >= 1 / (sqrt(n) ||J^{-1}||_1),    smax <= sqrt(||J||_1 ||J||_inf)
-
-(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 15)
-show most Jacobians to be of full rank at the price of the LU.  A coarse
-Jacobian that fails them sends its step to the fine LU, and only when a
-fine J's bounds fail too does its singular value decomposition run and
-decide, so a singular iterate is decided on the fine J.  gecon's estimate
-is a lower bound on ||J^{-1}||_1; on the Robin Jacobians measured (N = 64
-to 512, saturating and weakly coupled laws) it is the exact norm to four
-digits.  J is screened as assembled, not equilibrated: scaling its c
-columns to unit size would hide the weak coupling G = h + eps u that the
-criterion is defined to catch.  The coarse Jacobian's 1-norm condition
-estimate is the solve's condition_estimate: it does not grow with N (1883
-for a saturating law at N = 64 to 512, where the fine J's grows as N^2) and
-still sees weak coupling (8e7 for G = h + 1e-8 u).
+A numerically singular Jacobian (e.g. G independent of u with B = 0, leaving
+c unconstrained) is refused by robin's one rule for dense systems (robin
+module docstring).  A coarse Jacobian its screen cannot certify sends its
+step to the fine LU, and only a fine J the screen cannot certify gets a
+singular value decomposition, so a singular iterate is decided on the fine
+J.  J is screened as assembled, not equilibrated: scaling its c columns to
+unit size would hide the weak coupling G = h + eps u the rule must catch.
+The coarse Jacobian's 1-norm condition estimate is the solve's
+condition_estimate: it does not grow with N (1883 for a saturating law at
+N = 64 to 512, where the fine J's grows as N^2) and still sees weak
+coupling (8e7 for G = h + 1e-8 u).
 """
 
 from dataclasses import dataclass
@@ -48,28 +38,18 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ConvergenceError, DegenerateProblemError
-from .operators import (
-    _COARSE_START,
-    BoundaryVectorField,
-    _interpolation_matrix,
-    assemble_single_layer,
-    assemble_wstar,
-)
+from .errors import ConvergenceError
+from .operators import _COARSE_START, _interpolation_matrix
 from .robin import (
-    SolutionRep,
-    _lattice_nodes,
-    _lu_condition,
-    _reported_tail_ratio,
+    _full_rank_lu,
+    _operators,
+    _screened_lu,
+    _solution_rep,
     augmented_matrix,
-    boundary_integral,
     drift_traction,
     timed,
 )
 
-# a Jacobian whose smallest singular value is at most RANK_TOL * max(largest, 1)
-# is reported as rank deficient
-RANK_TOL = 1e-12
 # GMRES on a Newton step J v = F stops when its residual is at most
 # GMRES_TOL |F|_2, or GMRES_FLOOR |F_0|_2 with F_0 the residual at the start,
 # a level the rounding of F itself reaches; a step that needs more than
@@ -77,30 +57,6 @@ RANK_TOL = 1e-12
 GMRES_TOL = 1e-12
 GMRES_FLOOR = 1e-15
 GMRES_CAP = 30
-
-
-def _full_rank_certified(n, cond, norm_1, norm_inf):
-    """True when the norm bounds show smin(J) > RANK_TOL * max(smax(J), 1).
-
-    J is n-square with norms ||J||_1 and ||J||_inf; cond is its 1-norm
-    condition estimate (robin._lu_condition), so ||J^{-1}||_1 ~ cond /
-    ||J||_1; smin >= 1 / (sqrt(n) ||J^{-1}||_1) and smax <= sqrt(||J||_1
-    ||J||_inf).  False leaves the decision to the singular values.
-    """
-    smin_low = norm_1 / (cond * np.sqrt(n))
-    smax_high = np.sqrt(norm_1 * norm_inf)
-    return bool(smin_low > RANK_TOL * max(smax_high, 1.0))
-
-
-def _screened_lu(J):
-    """LU factors of the square J, its 1-norm condition estimate, and the screen.
-
-    The screen is _full_rank_certified on J's norms and the estimate.  A
-    Fortran-ordered J is overwritten by its factors (robin._lu_condition).
-    """
-    norm_1, norm_inf = np.linalg.norm(J, 1), np.linalg.norm(J, np.inf)
-    factors, cond = _lu_condition(J, norm_1)
-    return factors, cond, _full_rank_certified(J.shape[0], cond, norm_1, norm_inf)
 
 
 def _gmres(apply, precondition, b, atol):
@@ -157,12 +113,13 @@ class _TwoGrid:
         self.P = _interpolation_matrix(Nc, N)
         self.R = (Nc / N) * self.P.T
         self.N, self.Nc = N, Nc
-        # P on both components of the node-major columns
-        P2 = np.kron(self.P, np.eye(2))
-        AP = W.matrix @ P2
+        # P on both components of the node-major columns: (X P)[r, k, j] =
+        # sum_n P[n, k] X[r, n, j], one (Nc, N) @ (N, 2) product per row r
+        AP = np.matmul(self.P.T, W.matrix.reshape(2 * N, N, 2))
         RWP = self._restrict_rows(AP)
         # V P takes the buffer of W P, which is no longer needed
-        self.VP = np.matmul(V.matrix, P2, out=AP).reshape(N, 2, 2 * Nc)
+        np.matmul(self.P.T, V.matrix.reshape(2 * N, N, 2), out=AP)
+        self.VP = AP.reshape(N, 2, 2 * Nc)
         self.base = RWP + 0.5 * np.kron(self.R @ self.P, np.eye(2))
         wP = curve.weights @ self.P
         self.mean_rows = np.zeros((2, 2 * Nc + 2))
@@ -268,12 +225,7 @@ def solve_nonlinear_robin(
     N = curve.N
     B = np.asarray(B, dtype=float)
     timings = {}
-    if operators is None:
-        with timed(timings, "assembly"):
-            V = assemble_single_layer(curve, env, cell, plan)
-            W = assemble_wstar(curve, env, cell, plan)
-    else:
-        V, W = operators
+    V, W = _operators(curve, env, cell, plan, operators, timings)
 
     drift = drift_traction(B, curve, env, cell).reshape(-1)
     bx = curve.nodes @ (B @ cell.q_inv).T
@@ -292,20 +244,11 @@ def solve_nonlinear_robin(
     def fine_factors(K):
         """LU factors of the fine Jacobian; its singular values decide when the screen fails."""
         screen["fine_factorizations"] += 1
-        J = augmented_matrix(K, V, W, curve)
-        factors, _, certified = _screened_lu(J)
-        if certified:
-            return factors
-        screen["rank_checks"] += 1
-        s = sla.svdvals(J)
-        smin = s[-1]
-        if smin <= RANK_TOL * max(s[0], 1.0):
-            raise DegenerateProblemError(
-                "nonlinear system is rank deficient: nothing constrains the "
-                "additive constant (smallest singular value "
-                f"{smin:.3e}); refusing to invent a solution",
-                smallest_singular_value=float(smin),
-            )
+        factors, _, certified = _full_rank_lu(
+            augmented_matrix(K, V, W, curve), "Newton Jacobian",
+            "nothing constrains the additive constant; refusing to invent a solution",
+        )
+        screen["rank_checks"] += not certified
         return factors
 
     def jacobian_product(K, x):
@@ -367,16 +310,8 @@ def solve_nonlinear_robin(
             trace=trace,
         )
 
-    mu = BoundaryVectorField(mu_flat.reshape(-1, 2), curve)
-    diagnostics = {
-        "iterations": len(trace) - 1,
-        "residual_on_node": float(res_norm),
-        "zero_mean_violation": float(np.max(np.abs(boundary_integral(mu)))),
-        "trace": trace,
-        "krylov_iterations": krylov,
-        "density_tail_ratio": _reported_tail_ratio(mu, np.max(np.abs(U))),
-        **screen,
-        **_lattice_nodes(V, W),
-        "timings": timings,
-    }
-    return SolutionRep(mu=mu, c=c, B=B, diagnostics=diagnostics)
+    diagnostics = {"iterations": len(trace) - 1, "residual_on_node": float(res_norm),
+                   "trace": trace, "krylov_iterations": krylov, **screen}
+    return _solution_rep(np.concatenate([mu_flat, c]), B, curve,
+                         (V.lattice_nodes, W.lattice_nodes), np.max(np.abs(U)),
+                         diagnostics, timings)

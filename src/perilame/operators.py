@@ -501,17 +501,16 @@ def boundary_integral(field):
     return field.values.T @ field.curve.weights
 
 
-def _off_boundary_sources(x, field, upsample):
+def _off_boundary_sources(x, field):
     """Setup shared by the off-boundary potentials at points x.
 
-    Returns the (P, 2) points, the (M, 2) quadrature nodes (the field's,
-    resampled `upsample` times), the (M, 2) density times the quadrature
-    weights and whether x is a single point.
+    Returns the (P, 2) points, the (N, 2) quadrature nodes of the field's
+    curve, the (N, 2) density times the quadrature weights and whether x is
+    a single point.
     """
-    src = field if upsample == 1 else field.resample(upsample * field.curve.N)
     x = np.asarray(x, dtype=float)
-    dens = src.values * src.curve.weights[:, None]
-    return np.atleast_2d(x), src.curve.nodes, dens, x.ndim == 1
+    dens = field.values * field.curve.weights[:, None]
+    return np.atleast_2d(x), field.curve.nodes, dens, x.ndim == 1
 
 
 def eval_single_layer(x, field, env, cell, plan):
@@ -524,20 +523,20 @@ def eval_single_layer(x, field, env, cell, plan):
     singular distance of a node image raises SingularArgumentError
     (robin.eval_solution refuses and flags such points first).
     """
-    pts, nodes, dens, single = _off_boundary_sources(x, field, 1)
+    pts, nodes, dens, single = _off_boundary_sources(x, field)
     out = lattice_product(pts, nodes, dens, env, cell, plan, periodic=True)[0]
     return out[0] if single else out
 
 
-def eval_traction_offboundary(x, nu, field, env, cell, plan, upsample=1):
+def eval_traction_offboundary(x, nu, field, env, cell, plan):
     """Traction T(omega, Dv) nu of the single layer at off-boundary points.
 
     nu holds one normal for every point or one per point; other counts
-    raise ValueError.  The quadrature grid can be refined by an integer
-    `upsample` factor using exact trigonometric resampling of curve and
-    density.  The points are not classified, as in eval_single_layer.
+    raise ValueError.  A finer quadrature is the field resampled
+    (field.resample, exact trigonometric resampling of curve and density).
+    The points are not classified, as in eval_single_layer.
     """
-    pts, nodes, dens, single = _off_boundary_sources(x, field, upsample)
+    pts, nodes, dens, single = _off_boundary_sources(x, field)
     nus = np.atleast_2d(np.asarray(nu, dtype=float))
     if len(nus) not in (1, len(pts)):
         raise ValueError(

@@ -535,12 +535,11 @@ def _check_jump_relation(seed):
     mu = BoundaryVectorField(mu_vals, curve)
     target = -0.5 * mu_vals + W.apply(mu).values
     h = np.max(curve.weights)
+    fine = mu.resample(4 * curve.N)
     vals = []
     for mfac in (1.0, 2.0, 4.0):
         pts = curve.nodes - mfac * h * curve.normals
-        vals.append(
-            eval_traction_offboundary(pts, curve.normals, mu, env, cell, plan, upsample=4)
-        )
+        vals.append(eval_traction_offboundary(pts, curve.normals, fine, env, cell, plan))
     extrap = (8.0 * vals[0] - 6.0 * vals[1] + vals[2]) / 3.0
     return float(np.max(np.abs(extrap - target))), fp
 

@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+import perilame.cli as cli
+import perilame.robin as robin
 from perilame.cell import build_cell, nearest_image
 from perilame.cli import main, parse_config
 from perilame.errors import ConfigError
@@ -162,6 +164,22 @@ def test_linear_run_reports_the_residual_source_count(tmp_path, capsys):
     assert int(summary["residual_nodes"]) == 64
     assert float(summary["residual_off_node"]) < 1e-12
     assert f"residual_nodes={summary['residual_nodes']}\n" in capsys.readouterr().out
+
+
+def test_linear_run_classifies_its_grid_once(tmp_path, monkeypatch):
+    # the output grid is classified once (cell.locate_targets), and the
+    # displacement evaluated on the points kept without classifying them again
+    calls, locate = [], cli.locate_targets
+
+    def counted(*args, **kwargs):
+        calls.append(len(np.atleast_2d(args[0])))
+        return locate(*args, **kwargs)
+
+    for module in (cli, robin):
+        monkeypatch.setattr(module, "locate_targets", counted)
+    cfg = dict(MINIMAL, nodes=64, out_dir=str(tmp_path / "out"))
+    assert main(["--config", _write(tmp_path, cfg)]) == 0
+    assert calls == [40 * 40]
 
 
 def test_rejected_data_exit_code(tmp_path):

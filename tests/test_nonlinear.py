@@ -3,14 +3,13 @@ import pytest
 import scipy.linalg as sla
 
 import perilame.nonlinear as nonlinear
+import perilame.robin as robin
 from perilame.cell import CircleShape, EllipseShape, build_cell, discretize_curve
 from perilame.errors import ConvergenceError, DegenerateProblemError
 from perilame.kernels import LameEnv
 from perilame.lattice import plan_lattice_sum
 from perilame.nonlinear import (
-    RANK_TOL,
     TractionModel,
-    _full_rank_certified,
     affine_model,
     saturating_model,
     solve_nonlinear_robin,
@@ -23,7 +22,9 @@ from perilame.operators import (
     trig_resample,
 )
 from perilame.robin import (
+    RANK_TOL,
     RobinData,
+    _full_rank_certified,
     _lu_condition,
     augmented_matrix,
     constant_matrix_field,
@@ -276,19 +277,6 @@ def test_tail_ratio_zero_for_constant_solution(circle64, plan1, ops64):
     assert rep.diagnostics["density_tail_ratio"] == 0.0
 
 
-@pytest.fixture
-def svdvals_calls(monkeypatch):
-    """Count the singular value decompositions the solver runs."""
-    calls, svdvals = [], sla.svdvals
-
-    def counted(a, *args, **kwargs):
-        calls.append(a.shape)
-        return svdvals(a, *args, **kwargs)
-
-    monkeypatch.setattr(nonlinear.sla, "svdvals", counted)
-    return calls
-
-
 @pytest.mark.parametrize("N", [64, 256])
 def test_saturating_newton_needs_no_svd(circle_ops, plan1, svdvals_calls, N):
     # the gecon screen certifies every Jacobian of a saturating law with a
@@ -470,13 +458,13 @@ def test_coarse_jacobian_is_galerkin(circle_ops, plan1, monkeypatch, N):
     # components and the c entries passed through, also for nodal blocks
     # K whose factor 1 + 0.5 cos 40t the coarse grid cannot carry
     curve, (V, W) = circle_ops(N)
-    seen, lu_condition = [], nonlinear._lu_condition
+    seen, lu_condition = [], robin._lu_condition
 
     def copied(matrix, norm_1):
         seen.append(np.array(matrix))
         return lu_condition(matrix, norm_1)
 
-    monkeypatch.setattr(nonlinear, "_lu_condition", copied)
+    monkeypatch.setattr(robin, "_lu_condition", copied)
     t = curve.params
     U = np.column_stack([0.3 * np.cos(t), 0.2 * np.sin(2 * t)])
     K = -(1.0 + 0.5 * np.cos(40 * t))[:, None, None] * _saturating_law(curve, -0.8).jac(U)

@@ -682,11 +682,11 @@ def test_jump_relation_two_sided(plan1):
     # much shorter analyticity scale, so its tolerance is coarser (both are
     # far below the jump magnitude itself)
     sides = ((-1.0, -0.5 * mu_vals + wmu, 1e-5), (+1.0, 0.5 * mu_vals + wmu, 1e-2))
+    fine = mu.resample(4 * N)  # the quadrature refined four times
     for sgn, target, tol in sides:
         vals = [
             eval_traction_offboundary(
-                curve.nodes + sgn * f * h * curve.normals,
-                curve.normals, mu, ENV1, UNIT, plan1, upsample=4,
+                curve.nodes + sgn * f * h * curve.normals, curve.normals, fine, ENV1, UNIT, plan1,
             )
             for f in (1.0, 2.0, 4.0)
         ]

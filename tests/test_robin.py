@@ -8,7 +8,7 @@ import perilame.lattice as lattice
 import perilame.operators as operators
 import perilame.robin as robin
 from perilame.cell import CircleShape, EllipseShape, build_cell, discretize_curve, locate_targets
-from perilame.errors import AdmissibilityError, DomainError, SingularArgumentError
+from perilame.errors import AdmissibilityError, DomainError, SingularArgumentError, SolveError
 from perilame.kernels import LameEnv, traction_map
 from perilame.lattice import plan_lattice_sum
 from perilame.operators import (
@@ -32,7 +32,7 @@ from perilame.robin import (
     solve_robin,
     validate_robin_data,
 )
-from perilame.verify import _sources_field
+from perilame.verify import _sources_field, standard_curve
 
 UNIT = build_cell([1.0, 1.0])
 ENV1 = LameEnv(2, 1.0)
@@ -333,6 +333,66 @@ def test_solve_neumann_aux_properties(circle64, plan1):
         assert np.max(np.abs(
             boundary_integral(psi) - factor * boundary_integral(mu)
         )) < 1e-8
+
+
+@pytest.fixture(scope="module")
+def circle_ops(circle64, plan1):
+    """circle_ops(N) -> (curve, (V, W*)) of the r = 0.25 circle, assembled once per N."""
+    cache = {}
+
+    def get(N):
+        if N not in cache:
+            curve = circle64 if N == 64 else discretize_curve(
+                CircleShape([0.5, 0.5], 0.25), N, UNIT)
+            cache[N] = (curve, (assemble_single_layer(curve, ENV1, UNIT, plan1),
+                                assemble_wstar(curve, ENV1, UNIT, plan1)))
+        return cache[N]
+
+    return get
+
+
+# smallest singular values of the linear system at a = I, b = -eps I: the
+# Newton Jacobian of G = h + eps u is the same matrix
+LINEAR_SWEEP_SMIN = {
+    (64, 1e-13): 1.8987e-13, (64, 1e-14): 1.8991e-14,
+    (256, 1e-13): 1.9401e-13, (256, 1e-14): 1.9394e-14,
+}
+
+
+@pytest.mark.parametrize("N", [64, 256])
+@pytest.mark.parametrize("eps", [1e-12, 1e-13, 1e-14])
+def test_linear_weak_coupling_sweep(circle_ops, plan1, svdvals_calls, N, eps):
+    # a = I, b = -eps I leaves c constrained only through eps; the linear
+    # solve takes the rank rule of the Newton Jacobians, so eps = 1e-12 solves
+    # (smallest singular value 1.9e-12) and eps = 1e-13 is refused although
+    # its condition estimate is 8.2e12; the screen certifies none of these
+    # systems, so one svdvals decides each
+    curve, ops = circle_ops(N)
+    t = curve.params
+    g = np.column_stack([0.3 + 0.2 * np.cos(t), -0.1 + 0.3 * np.sin(t)])
+    data = _data(curve, np.eye(2), -eps * np.eye(2), g)
+    if eps < 1e-12:
+        with pytest.raises(SolveError, match="discrete system numerically singular") as info:
+            solve_robin(data, curve, ENV1, UNIT, plan1, operators=ops)
+        assert info.value.smallest_singular_value == pytest.approx(
+            LINEAR_SWEEP_SMIN[N, eps], rel=0.01)
+    else:
+        rep = solve_robin(data, curve, ENV1, UNIT, plan1, operators=ops)
+        assert np.max(np.abs(eps * rep.c - [-0.3, 0.1])) < 1e-9
+    assert svdvals_calls == [(2 * N + 2, 2 * N + 2)]
+
+
+@pytest.mark.parametrize("kind", ["circle", "ellipse", "perturbed"])
+def test_auxiliary_operator_certified_without_svd(plan1, svdvals_calls, kind):
+    # 1/2 I + W* is well conditioned (estimates 14 to 17 here): the screen
+    # certifies it, by a factor above 3e9, and no singular value decomposition runs
+    curve = standard_curve(kind, UNIT, 128)
+    W = assemble_wstar(curve, ENV1, UNIT, plan1)
+    psi = BoundaryVectorField(np.column_stack([np.cos(curve.params), np.sin(2 * curve.params)]),
+                              curve)
+    mu = solve_neumann_aux(psi, W)
+    assert np.max(np.abs(0.5 * mu.values + W.apply(mu).values - psi.values)) < 1e-12
+    assert svdvals_calls == []
 
 
 def test_representation_roundtrip_cases(circle64, plan1):

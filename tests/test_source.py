@@ -126,3 +126,22 @@ def test_one_interpolation_matrix():
             found += [f"{path.name}:{getattr(top, 'name', top.lineno)}"
                       for node in ast.walk(top) if _is_eye_resample(node)]
     assert found == ["operators.py:_interpolation_matrix"], found
+
+
+def _call_sites(name):
+    """module:function of every call name(...) or x.name(...) in the package, outermost definition."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            found += [f"{path.name}:{getattr(top, 'name', top.lineno)}"
+                      for node in ast.walk(top) if isinstance(node, ast.Call)
+                      and name in (getattr(node.func, "attr", None), getattr(node.func, "id", None))]
+    return found
+
+
+def test_one_singular_system_rule_and_one_lu():
+    # one helper decides whether a dense system is singular, for the linear,
+    # auxiliary and Newton factorizations, and one helper calls LAPACK's LU
+    assert _call_sites("svdvals") == ["robin.py:_full_rank_lu"]
+    assert _call_sites("get_lapack_funcs") == ["robin.py:_lu_condition"]
