@@ -43,22 +43,33 @@ the density reaches them as P^T (w mu), P = _interpolation_matrix(Nc, N):
 for a kernel band-limited in s below Nc/2,
 sum_b f(s_b) (w mu)_b = f_c^T P^T (w mu).  The targets are the exact
 midpoints, never the interpolated matrix, so an under-resolved Nc shows in
-the off-node residual.  The off-boundary
-potentials eval_single_layer and eval_traction_offboundary are such products
-of the periodic Green's matrix, so no P x M kernel block is formed outside
-assembly.  They evaluate and do not classify their targets: refusing points
-inside a hole or on a node image and warning near the boundary is left to
-robin.eval_solution.
+the off-node residual.
+
+The off-boundary potentials eval_single_layer and eval_traction_offboundary
+share one product (_layer_sum): Gamma^q(x - y) = K(x' - y) + R^q(x' - y),
+with x' the image of the target nearest the hole.  The Kelvin part, a log
+and a dyad, is contracted with w mu over the N nodes by _grid_contract; R^q,
+analytic in s while x' stays away from the hole's other images, is a
+lattice_product over the Nc nodes of curve.resample(Nc) against P^T (w mu),
+as in the residual.  Nc is chosen per group of targets by the tail check in
+s of the Kelvin terms of the 8 neighbouring images, which carry R^q's
+nearest singularities, at the group's target nearest another image
+(_source_groups), from _COARSE_START up to N/4; the targets no such grid
+serves take the periodic kernel over the N nodes.  No P x M kernel block is
+formed outside assembly.  The potentials evaluate and do not classify their
+targets: refusing points inside a hole or on a node image and warning near
+the boundary is left to robin.eval_solution.
 """
 
 import functools
+from bisect import bisect_left
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from .cell import BoundaryCurve
-from .errors import AssemblyError
+from .cell import _SINGULAR_FRACTION, BoundaryCurve, cell_coords
+from .errors import AssemblyError, SingularArgumentError
 from .kernels import kelvin, traction, traction_kernel
 from .lattice import _PAIRS, _TAIL_SHARE, _blocks, _dot, _grid_contract, lattice_product
 
@@ -154,6 +165,19 @@ def _interpolation_matrix(Nc, N):
     P = trig_resample(np.eye(Nc), N)
     P.flags.writeable = False
     return P
+
+
+def _interpolation_adjoint(vals, Nc):
+    """P^T vals for nodal data vals (N, ...), P = _interpolation_matrix(Nc, N), by FFT.
+
+    The adjoint of trig_resample: the modes below Nc/2 of vals, the two at
+    +-Nc/2 averaged onto the Nyquist mode.  The field's grids reach N/4,
+    whose P would stay in _interpolation_matrix's cache (0.5 MB at N = 512).
+    """
+    N, h = vals.shape[0], Nc // 2
+    F = np.fft.fft(vals, axis=0)
+    G = np.concatenate([F[:h], 0.5 * (F[h:h + 1] + F[N - h:N - h + 1]), F[N - h + 1:]])
+    return np.fft.ifft(G, axis=0).real
 
 
 def _log_symbol(m):
@@ -330,17 +354,25 @@ def _checked_split(curve, targets, env):
             )
 
 
-def _tail_share(blocks):
-    """Size of the outer band of the 2D Fourier coefficients of (Nc, Nc, 2, 2) blocks.
+def _tail_share(samples, torus=2):
+    """Size of the outer band of the Fourier coefficients of samples on an Nc-node torus.
 
-    The L1 sum, over all four entries, of the coefficients with
-    max(|m1|, |m2|) >= _BAND * Nc, over the largest entry of the blocks.
+    samples is (Nc,) * torus + (2, 2) or + (2, 2, 2): the assembly's blocks
+    on the (t, s) torus (torus 2) or a kernel's samples in s (torus 1).  The
+    L1 sum, over all entries, of the coefficients with max |m_i| >= _BAND * Nc,
+    over the largest entry of the samples.
     """
-    Nc = blocks.shape[0]
-    coeffs = np.fft.fft2(blocks, axes=(0, 1)) / (Nc * Nc)
+    Nc = samples.shape[0]
+    axes = tuple(range(torus))
+    coeffs = np.fft.fftn(samples, axes=axes) / Nc ** torus
     m = np.abs(np.fft.fftfreq(Nc, d=1.0 / Nc))
-    band = np.maximum.outer(m, m) >= _BAND * Nc
-    return float(np.sum(np.abs(coeffs[band])) / np.max(np.abs(blocks)))
+    band = functools.reduce(np.maximum.outer, [m] * torus) >= _BAND * Nc
+    return float(np.sum(np.abs(coeffs[band])) / np.max(np.abs(samples)))
+
+
+def _tail_budget(tol, Nc):
+    """The largest _tail_share an Nc-node grid may leave: tol's tail share, or rounding's band."""
+    return max(_TAIL_SHARE * tol, _ROUNDING * Nc * np.finfo(float).eps)
 
 
 def _interpolate(blocks, N):
@@ -372,14 +404,13 @@ def _smooth_part(curve, blocks_of, tol):
     fails too, or when Nc reaches N, the kernel is evaluated at the N nodes.
     """
     N = curve.N
-    budget = lambda n: max(_TAIL_SHARE * tol, _ROUNDING * n * np.finfo(float).eps)
     Nc, previous = _COARSE_START, None
     while Nc < N:
         coarse = blocks_of(curve.resample(Nc))
         share = _tail_share(coarse)
-        if share < budget(Nc):
+        if share < _tail_budget(tol, Nc):
             return _interpolate(coarse, N), Nc
-        if previous is not None and share * (share / previous) ** 2 >= budget(2 * Nc):
+        if previous is not None and share * (share / previous) ** 2 >= _tail_budget(tol, 2 * Nc):
             break
         Nc, previous = 2 * Nc, share
     return _blocks_to_matrix(blocks_of(curve)), N
@@ -501,49 +532,196 @@ def boundary_integral(field):
     return field.values.T @ field.curve.weights
 
 
-def _off_boundary_sources(x, field):
-    """Setup shared by the off-boundary potentials at points x.
+def _kelvin_coeffs(r2, env, grads):
+    """The Kelvin matrix at d with |d|^2 = r2 in lattice._blocks' form: (p, A, C, Bc).
 
-    Returns the (P, 2) points, the (N, 2) quadrature nodes of the field's
-    curve, the (N, 2) density times the quadrature weights and whether x is
-    a single point.
+    p = (alpha/(4 pi)) log r^2 and A = -(beta/(4 pi))/r^2; with grads, the
+    gradient's C = (alpha/(2 pi))/r^2 and Bc = (beta/(2 pi))/r^4, else None.
     """
-    x = np.asarray(x, dtype=float)
-    dens = field.values * field.curve.weights[:, None]
-    return np.atleast_2d(x), field.curve.nodes, dens, x.ndim == 1
+    inv = 1.0 / r2
+    p = (env.alpha / (4.0 * np.pi)) * np.log(r2)
+    A = -(env.beta / (4.0 * np.pi)) * inv
+    if not grads:
+        return p, A, None, None
+    return p, A, (env.alpha / (2.0 * np.pi)) * inv, (env.beta / (2.0 * np.pi)) * inv * inv
+
+
+def _hole_images(pts, coarse, cell):
+    """The image x' of each point (P, 2) nearest the hole, and its distance to the other images.
+
+    Distances are in the parameter: a Kelvin term K(x - y(s)) is analytic in
+    s up to |Im s| = tau, which sets the decay of its Fourier coefficients.
+    From the node b of the coarse curve nearest in d / |y'(t_b)|,
+    d = |x - y_b|, tau is taken on the osculating circle there, of signed
+    curvature kappa_b: tau = (d / |y'(t_b)|) log(1 + k) / k, k = +-kappa_b d
+    (+ on the side the normal points to), exact on a circle and the
+    first-order d / |y'(t_b)| as k -> 0; k is held at -1/2 or above, where
+    the circle's singularity recedes.  The hole lies in the cell box [0, q)
+    (discretize_curve), so the image nearest it and the next nearest are
+    among the point's representative in the box shifted by q z,
+    z in {-1, 0, 1}^2.  The distances order the points and pick their image;
+    they decide nothing about accuracy.
+    """
+    q = np.asarray(cell.q_diag)
+    box = cell_coords(pts, cell)
+    nodes, inv_sp2 = coarse.nodes, 1.0 / coarse.speeds ** 2
+    z = np.array([-1.0, 0.0, 1.0])
+    x = box + q * np.stack(np.meshgrid(z, z, indexing="ij"), axis=-1)[:, :, None, :]
+    nearest = np.empty(x.shape[:-1], dtype=int)
+    step = max(1, _PAIRS // coarse.N)
+    for lo in range(0, len(box), step):
+        blk = slice(lo, lo + step)
+        # x[z1, z2, p] = box_p + q z: its first component varies with z1 alone
+        # and its second with z2, so the squared parameter distances to the
+        # nodes, [z1, z2, p, b], are sums of two (3, B, n) arrays
+        gx = (x[:, 0, blk, None, 0] - nodes[:, 0]) ** 2
+        gy = (x[0, :, blk, None, 1] - nodes[:, 1]) ** 2
+        nearest[:, :, blk] = np.argmin((gx[:, None] + gy[None, :]) * inv_sp2, axis=-1)
+    d1, d2 = coarse.d1, coarse.d2
+    kappa = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / coarse.speeds ** 3
+    d = x - nodes[nearest]
+    sp = coarse.speeds[nearest]
+    r = np.sqrt(_dot(d, d))
+    k = np.maximum(np.sign(_dot(d, coarse.normals[nearest])) * kappa[nearest] * r, -0.5)
+    g = np.divide(np.log1p(k), k, out=np.ones_like(k), where=k != 0.0)
+    tau = (r / sp * g).reshape(9, -1)
+    own = np.argmin(tau, axis=0)
+    images = box + q * (np.column_stack(np.divmod(own, 3)) - 1.0)
+    return images, np.partition(tau, 1, axis=0)[1]
+
+
+def _neighbour_kelvin(x, nodes, env, shifts, grads):
+    """The Kelvin matrix, or its gradient, at x - y_b - s summed over the shifts s (8, 2).
+
+    (n, 2, 2) values or (n, 2, 2, 2) gradients at the n nodes y_b.  The
+    shifts are q z for the 8 z next to 0, whose Kelvin terms carry the
+    singularities of R^q(x - y(s)) nearest the curve, so their Fourier tail
+    in s stands for R^q's.
+    """
+    d = x - nodes[None, :, :] - shifts[:, None, :]
+    parts = _blocks(d, *_kelvin_coeffs(_dot(d, d), env, grads))
+    return parts[int(grads)].sum(axis=0)
+
+
+def _source_groups(pts, curve, env, cell, tol, grads):
+    """The points' images x', their groups as (coarse nodes, indices), and the other indices.
+
+    x' is the image nearest the hole (_hole_images).  From Nc =
+    _COARSE_START, doubling up to N/4, a point is certified when the Fourier
+    tail in s of the 8 neighbour Kelvin terms (_neighbour_kelvin) at the Nc
+    nodes of the curve, at x', is below _tail_budget(tol, Nc), as
+    _smooth_part's tail check is.  The points are taken by falling distance
+    to the hole's other images; each Nc is tested at the farthest point not
+    yet certified and, when it fails there, by bisection, and serves the
+    points up to the last that passes, so every group is certified at its
+    point nearest another image.  The indices of the points no grid
+    certifies are returned apart.  Grids stop at N/4: an R^q pair costs
+    about what a pair of the periodic kernel does, so with the Kelvin part
+    over the N nodes a grid of N/2 sources saves nothing.
+    """
+    if 4 * _COARSE_START > curve.N:
+        return pts, [], np.arange(len(pts))
+    coarse = curve.resample(_COARSE_START)
+    images, other = _hole_images(pts, coarse, cell)
+    order = np.argsort(-other, kind="stable")
+    z = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j], dtype=float)
+    shifts = z * np.asarray(cell.q_diag)
+    groups, start, Nc = [], 0, _COARSE_START
+    while 4 * Nc <= curve.N and start < len(order):
+        nodes = coarse.nodes if Nc == _COARSE_START else curve.resample(Nc).nodes
+        fails = lambda i: _tail_share(
+            _neighbour_kelvin(images[order[i]], nodes, env, shifts, grads), torus=1,
+        ) >= _tail_budget(tol, Nc)
+        end = len(order)
+        if fails(end - 1):
+            end = bisect_left(range(start, end - 1), True, key=fails) + start
+        if end > start:
+            groups.append((nodes, order[start:end]))
+        start, Nc = end, 2 * Nc
+    return images, groups, order[start:]
+
+
+def _kelvin_sum(x, curve, wmu, env, cell, grads):
+    """sum_b K(x_p - y_b) (w mu)_b over the N nodes, (P, 2), or with grads its gradient, (P, 2, 2).
+
+    The Kelvin matrix is a log and a dyad in _blocks' form, contracted by
+    lattice._grid_contract in blocks of about _PAIRS pairs.  A point within
+    the singular distance of a node raises SingularArgumentError.
+    """
+    out = np.empty((len(x), 2, 2) if grads else (len(x), 2))
+    singular = (_SINGULAR_FRACTION * cell.min_edge) ** 2
+    step = max(1, _PAIRS // curve.N)
+    for lo in range(0, len(x), step):
+        tb = slice(lo, lo + step)
+        d = x[tb, None, :] - curve.nodes[None, :, :]
+        r2 = _dot(d, d)
+        if np.min(r2) <= singular:
+            raise SingularArgumentError("point lies on a boundary node image")
+        out[tb] = _grid_contract(d, wmu, *_kelvin_coeffs(r2, env, grads))[int(grads)]
+    return out
+
+
+def _layer_sum(x, field, env, cell, plan, grads):
+    """sum_b Gamma^q(x_p - y_b) (w mu)_b at points x (P, 2), or its gradient, indexed [p, j, m].
+
+    The one product of both potentials.  Gamma^q(x - y) = K(x' - y)
+    + R^q(x' - y), with x' the image of x nearest the hole (_hole_images):
+    the Kelvin part is summed over the N nodes (_kelvin_sum) and R^q, smooth
+    in s away from the hole's other images, over the Nc nodes of
+    curve.resample(Nc) by lattice_product(periodic=False), against
+    P^T (w mu) (_interpolation_adjoint), as in apply_at_midpoints.  Nc is
+    certified per group of points (_source_groups).  The points no grid
+    certifies take the periodic kernel over the N nodes.
+    """
+    curve = field.curve
+    x = np.asarray_chkfinite(x, dtype=float)
+    wmu = field.values * curve.weights[:, None]
+    out = np.empty((len(x), 2, 2) if grads else (len(x), 2))
+    images, groups, rest = _source_groups(x, curve, env, cell, plan.tol, grads)
+    for nodes, idx in groups:
+        kelvin = _kelvin_sum(images[idx], curve, wmu, env, cell, grads)
+        smooth = lattice_product(images[idx], nodes, _interpolation_adjoint(wmu, len(nodes)),
+                                 env, cell, plan, periodic=False, values=not grads,
+                                 grads=grads)[int(grads)]
+        out[idx] = kelvin + smooth
+    if len(rest):
+        out[rest] = lattice_product(x[rest], curve.nodes, wmu, env, cell, plan, periodic=True,
+                                    values=not grads, grads=grads)[int(grads)]
+    return out
 
 
 def eval_single_layer(x, field, env, cell, plan):
     """Periodic single-layer potential at off-boundary points x.
 
-    Plain trapezoid against the periodic Green's matrix, applied to the
-    density by lattice_product; accuracy degrades within a few node
-    spacings of the boundary.  The points are not classified: a point
-    inside a hole gets the potential's value there, and one within the
-    singular distance of a node image raises SingularArgumentError
-    (robin.eval_solution refuses and flags such points first).
+    Plain trapezoid against the periodic Green's matrix, the Kelvin part
+    over the nodes and R^q over certified coarse sources (_layer_sum);
+    accuracy degrades within a few node spacings of the boundary.  The
+    points are not classified: a point inside a hole gets the potential's
+    value there, and one within the singular distance of a node image
+    raises SingularArgumentError (robin.eval_solution refuses and flags such
+    points first).
     """
-    pts, nodes, dens, single = _off_boundary_sources(x, field)
-    out = lattice_product(pts, nodes, dens, env, cell, plan, periodic=True)[0]
-    return out[0] if single else out
+    x = np.asarray(x, dtype=float)
+    out = _layer_sum(np.atleast_2d(x), field, env, cell, plan, grads=False)
+    return out[0] if x.ndim == 1 else out
 
 
 def eval_traction_offboundary(x, nu, field, env, cell, plan):
     """Traction T(omega, Dv) nu of the single layer at off-boundary points.
 
-    nu holds one normal for every point or one per point; other counts
-    raise ValueError.  A finer quadrature is the field resampled
-    (field.resample, exact trigonometric resampling of curve and density).
-    The points are not classified, as in eval_single_layer.
+    Dv is the gradient of the product of eval_single_layer (_layer_sum).  nu
+    holds one normal for every point or one per point; other counts raise
+    ValueError.  A finer quadrature is the field resampled (field.resample,
+    exact trigonometric resampling of curve and density).  The points are
+    not classified, as in eval_single_layer.
     """
-    pts, nodes, dens, single = _off_boundary_sources(x, field)
+    x = np.asarray(x, dtype=float)
+    pts = np.atleast_2d(x)
     nus = np.atleast_2d(np.asarray(nu, dtype=float))
     if len(nus) not in (1, len(pts)):
         raise ValueError(
             f"nu holds {len(nus)} normals for {len(pts)} points: give one normal or one per point"
         )
     # Jacobian of v: Dv[p, j, m] = sum_b d_m Gamma_jk(x_p - y_b) mu_k w_b
-    Dv = lattice_product(pts, nodes, dens, env, cell, plan, periodic=True,
-                         values=False, grads=True)[1]
-    out = traction(Dv, nus, env.omega)
-    return out[0] if single else out
+    out = traction(_layer_sum(pts, field, env, cell, plan, grads=True), nus, env.omega)
+    return out[0] if x.ndim == 1 else out

@@ -12,10 +12,11 @@ from perilame.cell import (
     build_cell,
     discretize_curve,
     hole_area,
+    locate_targets,
 )
-from perilame.errors import AssemblyError, NearBoundaryWarning
-from perilame.kernels import LameEnv, traction_kernel
-from perilame.lattice import plan_lattice_sum
+from perilame.errors import AssemblyError, NearBoundaryWarning, SingularArgumentError
+from perilame.kernels import LameEnv, traction, traction_kernel
+from perilame.lattice import lattice_product, plan_lattice_sum
 from perilame.operators import (
     BoundaryMatrixField,
     BoundaryVectorField,
@@ -781,3 +782,77 @@ def test_near_boundary_warning(circle128, plan1):
         warnings.simplefilter("error")
         assert np.array_equal(eval_solution(rep, close, ENV1, UNIT, plan1, warn=False), u)
         assert np.array_equal(eval_single_layer(close, mu, ENV1, UNIT, plan1), u)
+
+
+# the off-boundary potentials against the periodic kernel over the N nodes:
+# (name, cell edges, shape, N, the coarse node counts their groups take)
+FIELD_CASES = [
+    ("circle", (1.0, 1.0), CircleShape([0.5, 0.5], 0.25), 512, (64, 128)),
+    ("ellipse", (1.0, 1.0), EllipseShape([0.5, 0.5], (0.2, 0.4), rotation=0.3), 256, (64,)),
+    ("circle-0.45", (1.0, 1.0), CircleShape([0.5, 0.5], 0.45), 256, ()),
+    ("ellipse-cell-1x4", (1.0, 4.0), EllipseShape([0.5, 2.0], (0.3, 0.8), rotation=0.3), 256,
+     (64,)),
+]
+
+
+@pytest.mark.parametrize("edges, shape, N, coarse",
+                         [case[1:] for case in FIELD_CASES], ids=[c[0] for c in FIELD_CASES])
+def test_potentials_match_the_periodic_product_over_the_nodes(monkeypatch, edges, shape, N, coarse):
+    # the Kelvin part over the N nodes plus R^q over the coarse sources the
+    # certificate accepts, or the periodic kernel where none does, gives the
+    # single layer and its traction as lattice_product over the N nodes
+    # does, to 1e-14 of their size.  The targets are a 16 x 16 grid and
+    # points 0.01 of an edge in from the cell's left and bottom edges (on the
+    # circle r = 0.25 those are 0.26 from the next hole image), outside the
+    # hole; the density is smooth plus white noise of a tenth of its size,
+    # which puts weight on the Fourier modes where coarse sources alias
+    cell, plan, curve = _coarse_setup(edges, shape, N, 1e-10)
+    q = np.asarray(edges)
+    g = (np.arange(16) + 0.5) / 16
+    edge = np.column_stack([np.full(16, 0.01), g])
+    pts = np.vstack([np.stack(np.meshgrid(g, g, indexing="ij"), -1).reshape(-1, 2),
+                     edge, edge[:, ::-1]]) * q
+    pts = pts[~locate_targets(pts, curve, cell).inside]
+    rng = np.random.default_rng(29)
+    t = curve.params
+    mu = BoundaryVectorField(np.column_stack([1.0 + 0.3 * np.cos(t), 0.5 - 0.2 * np.sin(2 * t)])
+                             + 0.1 * rng.normal(size=(N, 2)), curve)
+    nus = rng.normal(size=pts.shape)
+    nus /= np.linalg.norm(nus, axis=1)[:, None]
+    ref, ref_grad = lattice_product(pts, curve.nodes, mu.values * curve.weights[:, None], ENV1,
+                                    cell, plan, periodic=True, grads=True)
+    ref_traction = traction(ref_grad, nus, ENV1.omega)
+    taken, groups = set(), operators._source_groups
+
+    def recorded(*args):
+        images, found, rest = groups(*args)
+        taken.update(len(nodes) for nodes, _ in found)
+        return images, found, rest
+
+    monkeypatch.setattr(operators, "_source_groups", recorded)
+    values = eval_single_layer(pts, mu, ENV1, cell, plan)
+    tractions = eval_traction_offboundary(pts, nus, mu, ENV1, cell, plan)
+    assert np.max(np.abs(values - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.max(np.abs(tractions - ref_traction)) <= 1e-14 * np.max(np.abs(ref_traction))
+    assert sorted(taken) == list(coarse)
+
+
+@pytest.mark.parametrize("N", [128, 512])
+@pytest.mark.parametrize("shift", [(1.0, -2.0), (-1.0, 0.0)])
+def test_potentials_refuse_points_on_node_images(N, shift):
+    # half the singular distance off a node image shifted by q z, the image
+    # of the point nearest the hole meets that node at zero (N = 512, coarse
+    # sources) or the periodic kernel meets the lattice (N = 128, the N
+    # nodes): both potentials raise SingularArgumentError, for a lone point
+    # and for one among others
+    cell = build_cell((2.0, 3.0))
+    q = np.asarray(cell.q_diag)
+    plan = plan_lattice_sum(cell, ENV1, 1e-10)
+    curve = discretize_curve(CircleShape(q / 2, 0.25 * cell.min_edge), N, cell)
+    mu = BoundaryVectorField(np.column_stack([np.cos(curve.params), np.ones(N)]), curve)
+    off = curve.nodes + 0.5e-12 * cell.min_edge * curve.normals + q * np.asarray(shift)
+    for p in (off[3], off[N // 2 + 1], np.vstack([q / 8, off[N // 4]])):
+        with pytest.raises(SingularArgumentError):
+            eval_single_layer(p, mu, ENV1, cell, plan)
+        with pytest.raises(SingularArgumentError):
+            eval_traction_offboundary(p, [0.6, 0.8], mu, ENV1, cell, plan)

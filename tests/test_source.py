@@ -145,3 +145,32 @@ def test_one_singular_system_rule_and_one_lu():
     # auxiliary and Newton factorizations, and one helper calls LAPACK's LU
     assert _call_sites("svdvals") == ["robin.py:_full_rank_lu"]
     assert _call_sites("get_lapack_funcs") == ["robin.py:_lu_condition"]
+
+
+def _argument(call, index, name):
+    """The node of a call's argument given at position index or by keyword name, or None."""
+    keywords = {k.arg: k.value for k in call.keywords}
+    return call.args[index] if len(call.args) > index else keywords.get(name)
+
+
+def _is_constant(node, value):
+    return isinstance(node, ast.Constant) and node.value is value
+
+
+def test_one_periodic_product_with_a_density():
+    # the potentials sum the periodic kernel against a density over the N
+    # nodes only for the points no coarse grid certifies: one call, in the
+    # shared helper of both potentials; the others take the Kelvin part
+    # and R^q (periodic=False)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "lattice_product"):
+                    continue
+                if not (_is_constant(_argument(node, 2, "rho"), None)
+                        or _is_constant(_argument(node, 6, "periodic"), False)):
+                    found.append(f"{path.name}:{getattr(top, 'name', top.lineno)}")
+    assert found == ["operators.py:_layer_sum"], found
