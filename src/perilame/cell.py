@@ -21,7 +21,8 @@ _SINGULAR_FRACTION = 1e-12
 # off-boundary evaluation closer to the boundary than this many node spacings
 # is flagged: the plain trapezoid rule loses accuracy there
 NEAR_SPACINGS = 3.0
-# target-node pairs per block of locate_targets
+# entries per block of every target-source loop: (target, source) pairs, or
+# (point, k) phases of the reciprocal sums; it bounds their scratch memory
 _PAIRS = 1 << 15
 
 
@@ -108,6 +109,16 @@ class EllipseShape(TrigShape):
         # x(t) = center + R_theta (a cos t, b sin t)
         super().__init__([[cx, a * ct], [cy, a * st]], [[0.0, -b * st], [0.0, b * ct]],
                          interior=self.center)
+
+
+def _batches(count, width, budget=None):
+    """Slices of count rows of width entries each, about budget entries per slice.
+
+    budget defaults to _PAIRS, read at the call.  Every slice spans the same
+    number of rows, at least one; the last runs past count.
+    """
+    step = max(1, (_PAIRS if budget is None else budget) // width)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
 def _eval_series(cos_c, sin_c, t, derivative=0):
@@ -253,9 +264,7 @@ def locate_targets(x, curve, cell):
     """
     p = cell_coords(np.asarray_chkfinite(x, dtype=float).reshape(-1, 2), cell)
     inside, dist = np.empty(len(p), dtype=bool), np.empty(len(p))
-    step = max(1, _PAIRS // curve.N)
-    for lo in range(0, len(p), step):
-        blk = slice(lo, lo + step)
+    for blk in _batches(len(p), curve.N):
         dx = curve.nodes[:, 0] - p[blk, :1]
         dy = curve.nodes[:, 1] - p[blk, 1:]
         # edges i -> i + 1 crossing the line through p count +1 upward with p

@@ -30,14 +30,17 @@ applied to a density rho_b, and lattice_product is its one evaluator; the
 pointwise kernels are the case of the one source y = 0.  Since
 e^{ik.(x-y)} = e^{ik.x} e^{-ik.y}, the reciprocal part is a GEMM of the
 targets' phases [cos k.x | sin k.x] with the sources' phases and the
-coefficients, in blocks of targets; a product contracts the sources' rows
-with rho first (structure factors).  The pair terms, the live real-space
-images and, for the regular part, the center terms, have one layout: scalar
+coefficients; a product contracts the sources' rows with rho first
+(structure factors).  The pair terms, the live real-space images and, for
+the regular part, the center terms, have one layout: scalar
 coefficients (p, A, C, Bc) on the (B, M) grid of target-source pairs, one
 set per image of the plan, zero at the pairs where that image is not live.
 _blocks turns them into 2x2(x2) blocks and _grid_contract applies them to
-rho.  The verification-only helpers (the scalar oracle, the PDE residual
-and the finite-difference Lame operator) live in verify.
+rho.  Every loop over targets or sources takes its blocks from
+cell._batches, of about cell._PAIRS target-source pairs or (point, k)
+phases, and each is blocked once, by its caller.  The verification-only
+helpers (the scalar oracle, the PDE residual and the finite-difference Lame
+operator) live in verify.
 """
 
 import math
@@ -46,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cell import _SINGULAR_FRACTION, nearest_image
+from .cell import _SINGULAR_FRACTION, _batches, nearest_image
 from .errors import PlanError, SingularArgumentError
 from .special import EULER_GAMMA, exp1
 
@@ -62,13 +65,6 @@ _LIVE_T = 45.0
 _TAIL_SHARE = 0.05
 # bisection steps of the fallback eta
 _BISECTIONS = 30
-# target-source pairs per batch of the real-space and center terms
-_PAIRS = 1 << 15
-# (point, k) entries per chunk of _phases
-_PHASES = 1 << 15
-# phase entries (2F per point) of a block of targets, or of a product's
-# sources, in the reciprocal GEMMs; they bound its scratch memory
-_ENTRIES = 1 << 17
 # relative margin of the live radius when images are pruned from a box: it
 # absorbs the rounding of the reduction to the cell box
 _BOX_MARGIN = 1e-9
@@ -424,25 +420,19 @@ def _phases(points, plan, cell):
     for x reduced to the cell box, k.x = z1 t1 + z2 t2, so e^{ik.x} is one
     complex product per k of e^{i z1 t1} and e^{i z2 t2}, from the trig values
     of the multiples m t for m up to max(F1, F2) (those of -m by parity).
+    The points are one block, which the caller sizes (_reciprocal).
     """
     z = plan.zvecs
-    F = z.shape[0]
     F1, F2 = z[:, 0].max(), np.abs(z[:, 1]).max()
     t = 2.0 * np.pi * nearest_image(points, cell) / np.asarray(cell.q_diag)
-    out = np.empty((2 * F, points.shape[0]))
-    step = max(1, _PHASES // F)
-    for lo in range(0, points.shape[0], step):
-        blk = slice(lo, lo + step)
-        a = np.multiply.outer(np.arange(max(F1, F2) + 1), t[blk])
-        e = np.empty(a.shape, dtype=complex)
-        np.cos(a, out=e.real)
-        np.sin(a, out=e.imag)
-        e2 = e[:F2 + 1, :, 1]
-        p = np.ascontiguousarray(e[:F1 + 1, :, 0])[z[:, 0]]
-        p *= np.concatenate([e2[:0:-1].conj(), e2])[z[:, 1] + F2]
-        out[:F, blk] = p.real
-        out[F:, blk] = p.imag
-    return out
+    a = np.multiply.outer(np.arange(max(F1, F2) + 1), t)
+    e = np.empty(a.shape, dtype=complex)
+    np.cos(a, out=e.real)
+    np.sin(a, out=e.imag)
+    e2 = e[:F2 + 1, :, 1]
+    p = np.ascontiguousarray(e[:F1 + 1, :, 0])[z[:, 0]]
+    p *= np.concatenate([e2[:0:-1].conj(), e2])[z[:, 1] + F2]
+    return np.concatenate([p.real, p.imag])
 
 
 def _reciprocal(x, y, rho, cell, plan, values, grads):
@@ -456,14 +446,13 @@ def _reciprocal(x, y, rho, cell, plan, values, grads):
     contracted into structure factors, and those with the table (k taken as
     the index rho contracts).  Without, each entry of the blocks is one GEMM
     of the targets' phases, scaled by that entry's coefficients, with the
-    sources' rows, and the (k, j) entry copies the (j, k) one.  Targets and
-    the sources of a product go in blocks of about _ENTRIES phases.  Returns
-    the values and gradients in lattice_product's shapes, None where not
-    requested.
+    sources' rows, and the (k, j) entry copies the (j, k) one.  The targets,
+    the sources and their phases go in blocks of about cell._PAIRS (point, k)
+    phases, _batches(., F), each phase block formed once.  Returns the values
+    and gradients in lattice_product's shapes, None where not requested.
     """
     F = len(plan.zvecs)
     P, M = x.shape[0], y.shape[0]
-    step = max(1, _ENTRIES // (2 * F))
 
     # (swap, coefficients (2F, 2, 2, 1 or 2) indexed [f, k, j, m]) per kind
     kinds = [(swap, np.tile(table.reshape(F, 2, 2, -1), (2, 1, 1, 1)))
@@ -471,21 +460,21 @@ def _reciprocal(x, y, rho, cell, plan, values, grads):
                                        (True, plan.sin_table, grads)) if want]
     rows = lambda ph, swap: np.concatenate([-ph[F:], ph[:F]]) if swap else ph
     if rho is None:
-        ph = _phases(y, plan, cell)
-        sources = [rows(ph, swap) for swap, _ in kinds]
-        del ph  # W*'s assembly keeps only the swapped rows
+        sources = [np.empty((2 * F, M)) for _ in kinds]
+        for sb in _batches(M, F):
+            ph = _phases(y[sb], plan, cell)
+            for S, (swap, _) in zip(sources, kinds):
+                S[:, sb] = rows(ph, swap)
         out = [np.empty((P, M) + coef.shape[1:]) for _, coef in kinds]
     else:
         factors = [0.0] * len(kinds)
-        for lo in range(0, M, step):
-            ph = _phases(y[lo:lo + step], plan, cell)
-            factors = [S + rows(ph, swap) @ rho[lo:lo + step]
-                       for S, (swap, _) in zip(factors, kinds)]
+        for sb in _batches(M, F):
+            ph = _phases(y[sb], plan, cell)
+            factors = [S + rows(ph, swap) @ rho[sb] for S, (swap, _) in zip(factors, kinds)]
         sources = [np.einsum("fk,fkjm->fjm", S, coef).reshape(2 * F, -1)
                    for S, (_, coef) in zip(factors, kinds)]
         out = [np.empty((P,) + coef.shape[2:]) for _, coef in kinds]
-    for lo in range(0, P, step):
-        tb = slice(lo, lo + step)
+    for tb in _batches(P, F):
         A = _phases(x[tb], plan, cell).T
         for (_, coef), R, o in zip(kinds, sources, out):
             if rho is not None:
@@ -493,9 +482,10 @@ def _reciprocal(x, y, rho, cell, plan, values, grads):
                 continue
             cols = coef.reshape(2 * F, -1)
             flat = o[tb].reshape(A.shape[0], M, -1)
-            if M * cols.shape[1] <= step:
-                # few sources (a pointwise kernel's one): scale their rows
-                # by every column at once, for one GEMM
+            if M * cols.shape[1] <= tb.stop - tb.start:
+                # few sources (a pointwise kernel's one): their rows scaled
+                # by every column, a table of no more columns than the block
+                # has rows, for one GEMM
                 table = (R[:, :, None] * cols[:, None, :]).reshape(2 * F, -1)
                 flat[...] = (A @ table).reshape(flat.shape)
                 continue
@@ -519,18 +509,15 @@ def _add_pair_terms(val, grad, x, y, rho, env, cell, plan, periodic):
 
     The pair terms are the live real-space images and, for the regular part,
     the center terms, each with scalar (B, M) coefficients on a batch's grid
-    of about _PAIRS target-source pairs.  Per image of plan.shifts, the live
-    pairs are a (B, M) mask: as blocks, _blocks of the live pairs is added at
-    the mask; applied to rho, the coefficients, zero off the mask, go
-    through _grid_contract.  The images of a pair are summed before they
+    of about cell._PAIRS target-source pairs (_batches).  Per image of
+    plan.shifts, the live pairs are a (B, M) mask: as blocks, _blocks of the
+    live pairs is added at the mask; applied to rho, the coefficients, zero
+    off the mask, go through _grid_contract.  The images of a pair are summed before they
     join the reciprocal part.  The center terms, which every pair has, take
     the same two consumers on the whole grid.
     """
-    M = y.shape[0]
     grads = grad is not None
-    step = max(1, _PAIRS // M)
-    for lo in range(0, x.shape[0], step):
-        tb = slice(lo, lo + step)
+    for tb in _batches(x.shape[0], y.shape[0]):
         d = x[tb, None, :] - y[None, :, :]
         if periodic:
             xr, skip = _reduce(d, cell), None
@@ -577,11 +564,12 @@ def lattice_product(x, y, rho, env, cell, plan, periodic, values=True, grads=Fal
     image box is certified for reduced arguments, so the sums run at the
     reduced difference and skip the image that is the difference itself,
     which the center terms carry).  The reciprocal part costs O((P + M) F)
-    phases and, for blocks, O(P M F) in GEMMs; the pair terms are batched by
-    about _PAIRS pairs.  Applied to rho, the live images and the regular
-    part's center terms are contracted on each batch's (B, M) grid of pairs
-    as scalar arrays (matrix products with rho and row sums), one grid per
-    image of the plan.  Returns the (P, 2) values and the (P, 2, 2)
+    phases and, for blocks, O(P M F) in GEMMs.  Its phases go in blocks of
+    about cell._PAIRS (point, k) phases and the pair terms in batches of
+    about cell._PAIRS pairs, each blocked once.  Applied to rho, the live
+    images and the regular part's center terms are contracted on each
+    batch's (B, M) grid of pairs as scalar arrays (matrix products with rho
+    and row sums), one grid per image of the plan.  Returns the (P, 2) values and the (P, 2, 2)
     gradients d_m, indexed [p, j, m]; with rho None, the (P, M, 2, 2) blocks
     K(x_p - y_b) and their (P, M, 2, 2, 2) gradients, indexed
     [p, b, j, k, m].  Each is None where not requested.  A non-finite

@@ -39,9 +39,9 @@ from the same symbols), and the smooth kernel is summed over sources: the
 split contracted with the density by lattice._grid_contract, and R^q a
 product against it.  The sources are the Nc coarse nodes that the assembly's
 tail check accepted for this kernel on the same torus, or the N nodes, and
-the density reaches them as P^T (w mu), P = _interpolation_matrix(Nc, N):
-for a kernel band-limited in s below Nc/2,
-sum_b f(s_b) (w mu)_b = f_c^T P^T (w mu).  The targets are the exact
+the density reaches them as P^T (w mu), P = _interpolation_matrix(Nc, N),
+formed by FFT (_interpolation_adjoint): for a kernel band-limited in s
+below Nc/2, sum_b f(s_b) (w mu)_b = f_c^T P^T (w mu).  The targets are the exact
 midpoints, never the interpolated matrix, so an under-resolved Nc shows in
 the off-node residual.
 
@@ -68,10 +68,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .cell import _SINGULAR_FRACTION, BoundaryCurve, cell_coords
+from .cell import _SINGULAR_FRACTION, _batches, cell_coords
 from .errors import AssemblyError, SingularArgumentError
 from .kernels import kelvin, traction, traction_kernel
-from .lattice import _PAIRS, _TAIL_SHARE, _blocks, _dot, _grid_contract, lattice_product
+from .lattice import _TAIL_SHARE, _blocks, _dot, _grid_contract, lattice_product
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
 # first coarse node count of the lattice part of V and W*; it doubles until
@@ -158,9 +158,9 @@ def trig_resample(vals, M):
 def _interpolation_matrix(Nc, N):
     """The N x Nc trigonometric interpolation matrix P = trig_resample(I, N), read-only.
 
-    P maps nodal values at Nc nodes to the N nodes, so P^T carries a
-    weighted density at the N nodes to Nc sources (apply_at_midpoints).
-    Cached: it depends on Nc and N alone.
+    P maps nodal values at Nc nodes to the N nodes: the assembly's
+    interpolation (_interpolate) and the two-grid solve read it.  Cached: it
+    depends on Nc and N alone.
     """
     P = trig_resample(np.eye(Nc), N)
     P.flags.writeable = False
@@ -171,8 +171,10 @@ def _interpolation_adjoint(vals, Nc):
     """P^T vals for nodal data vals (N, ...), P = _interpolation_matrix(Nc, N), by FFT.
 
     The adjoint of trig_resample: the modes below Nc/2 of vals, the two at
-    +-Nc/2 averaged onto the Nyquist mode.  The field's grids reach N/4,
-    whose P would stay in _interpolation_matrix's cache (0.5 MB at N = 512).
+    +-Nc/2 averaged onto the Nyquist mode.  It carries a weighted density to
+    coarse sources, for the off-node residual and the field alike; the
+    field's grids reach N/4, whose P would stay in _interpolation_matrix's
+    cache (0.5 MB at N = 512).
     """
     N, h = vals.shape[0], Nc // 2
     F = np.fft.fft(vals, axis=0)
@@ -282,21 +284,16 @@ def _free_space_split(curve, targets, env, rows):
     pv delta_jk + av d_j d_k and W*'s pw delta_jk + aw d_j d_k + cauchy J,
     the form of lattice._blocks; each is a (B, N) array, with the (B, N, 2)
     differences d, and sin2 and cot of the half parameter differences for
-    the split checks.  d is summed from the series of a BoundaryCurve
-    (_chords); sources given by coordinates alone take coordinate
-    differences.  A node against itself takes the limits, with the
-    tangent d1 in place of d: pv = alpha/(4 pi) log sp^2,
-    av = -beta/(4 pi sp^2), pw = -gamma_c d2n/(2 sp^2),
-    aw = -beta/(2 pi) d2n/sp^4 and cauchy = gamma_c d1.d2/(2 sp^3), with
-    d2n = x''.nu.
+    the split checks.  d is summed from the curve's series (_chords).  A
+    node against itself takes the limits, with the tangent d1 in place of
+    d: pv = alpha/(4 pi) log sp^2, av = -beta/(4 pi sp^2),
+    pw = -gamma_c d2n/(2 sp^2), aw = -beta/(2 pi) d2n/sp^4 and
+    cauchy = gamma_c d1.d2/(2 sp^3), with d2n = x''.nu.
     """
     alpha, beta, gamma_c = env.alpha, env.beta, env.gamma_c
     dt_half = 0.5 * (targets.params[rows, None] - curve.params[None, :])
     sin_half = np.sin(dt_half)
-    if isinstance(curve, BoundaryCurve):
-        d = _chords(curve, targets.params[rows], dt_half, sin_half)
-    else:
-        d = targets.nodes[rows, None, :] - curve.nodes[None, :, :]
+    d = _chords(curve, targets.params[rows], dt_half, sin_half)
     if targets is curve:
         a = np.arange(curve.N)[rows]
         self_pairs = (np.arange(a.size), a)
@@ -489,13 +486,14 @@ def apply_at_midpoints(field, targets, env, cell, plan, nodes):
     N x N matrix is formed.  After both split checks (_checked_split), the
     smooth kernel is summed over the nodes of curve.resample(nodes), nodes
     being a coarse Nc or N: the weighted density w mu at the N nodes is
-    carried there by P^T, P = _interpolation_matrix(Nc, N), which is exact
-    for a kernel band-limited in s below Nc/2, as the Nc an assembly
-    accepted (DenseBoundaryOperator.lattice_nodes) is.  The free-space split
-    is contracted with that density by lattice._grid_contract, in batches of
-    about _PAIRS midpoint-source pairs; the lattice part of V mu is a
-    regular-part product and that of W* mu the traction, at the midpoint
-    normals, of a regular-part gradient product, both from one
+    carried there by P^T, P = _interpolation_matrix(Nc, N), formed by FFT
+    (_interpolation_adjoint), which is exact for a kernel band-limited in s
+    below Nc/2, as the Nc an assembly accepted
+    (DenseBoundaryOperator.lattice_nodes) is.  The free-space split is
+    contracted with that density by lattice._grid_contract, in batches of
+    about cell._PAIRS midpoint-source pairs (_batches); the lattice part of
+    V mu is a regular-part product and that of W* mu the traction, at the
+    midpoint normals, of a regular-part gradient product, both from one
     lattice_product call.  The half-shifted Kress log and Hilbert rules act
     on sp mu at the N nodes by one FFT each (_apply_rule).
     """
@@ -505,11 +503,9 @@ def apply_at_midpoints(field, targets, env, cell, plan, nodes):
     _checked_split(curve, targets, env)
     sources, wsrc = curve, wmu
     if nodes != N:
-        sources, wsrc = curve.resample(nodes), _interpolation_matrix(nodes, N).T @ wmu
+        sources, wsrc = curve.resample(nodes), _interpolation_adjoint(wmu, nodes)
     vmu, wsmu = np.empty((N, 2)), np.empty((N, 2))
-    step = max(1, _PAIRS // sources.N)
-    for lo in range(0, N, step):
-        tb = slice(lo, lo + step)
+    for tb in _batches(N, sources.N):
         s = _free_space_split(sources, targets, env, tb)
         vmu[tb] = _grid_contract(s.d, wsrc, s.pv, s.av)[0]
         wsmu[tb] = _grid_contract(s.d, wsrc, s.pw, s.aw)[0] + (s.cauchy @ wsrc) @ _J.T
@@ -568,9 +564,7 @@ def _hole_images(pts, coarse, cell):
     z = np.array([-1.0, 0.0, 1.0])
     x = box + q * np.stack(np.meshgrid(z, z, indexing="ij"), axis=-1)[:, :, None, :]
     nearest = np.empty(x.shape[:-1], dtype=int)
-    step = max(1, _PAIRS // coarse.N)
-    for lo in range(0, len(box), step):
-        blk = slice(lo, lo + step)
+    for blk in _batches(len(box), coarse.N):
         # x[z1, z2, p] = box_p + q z: its first component varies with z1 alone
         # and its second with z2, so the squared parameter distances to the
         # nodes, [z1, z2, p, b], are sums of two (3, B, n) arrays
@@ -645,14 +639,13 @@ def _kelvin_sum(x, curve, wmu, env, cell, grads):
     """sum_b K(x_p - y_b) (w mu)_b over the N nodes, (P, 2), or with grads its gradient, (P, 2, 2).
 
     The Kelvin matrix is a log and a dyad in _blocks' form, contracted by
-    lattice._grid_contract in blocks of about _PAIRS pairs.  A point within
-    the singular distance of a node raises SingularArgumentError.
+    lattice._grid_contract in blocks of about cell._PAIRS pairs (_batches).
+    A point within the singular distance of a node raises
+    SingularArgumentError.
     """
     out = np.empty((len(x), 2, 2) if grads else (len(x), 2))
     singular = (_SINGULAR_FRACTION * cell.min_edge) ** 2
-    step = max(1, _PAIRS // curve.N)
-    for lo in range(0, len(x), step):
-        tb = slice(lo, lo + step)
+    for tb in _batches(len(x), curve.N):
         d = x[tb, None, :] - curve.nodes[None, :, :]
         r2 = _dot(d, d)
         if np.min(r2) <= singular:

@@ -21,9 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cell import (
+    _PAIRS,
     CircleShape,
     EllipseShape,
     TrigShape,
+    _batches,
     build_cell,
     discretize_curve,
     hole_area,
@@ -38,7 +40,6 @@ from .errors import (
 )
 from .kernels import LameEnv, kelvin, traction
 from .lattice import (
-    _PAIRS,
     _lattice_points,
     periodic_green,
     periodic_green_grad,
@@ -117,7 +118,7 @@ def _filtered_sums(xr, beta, cell, sigma0, m):
     at sigma0, sigma0/2 and sigma0/4.  One lattice, cut at m (_filter_cut of
     the smallest width), serves them all.  The damping at sigma0/4 is taken
     once and squared for the other two.  Points go in blocks of about
-    _PAIRS * 64 point-lattice pairs.
+    64 cell._PAIRS point-lattice pairs (_batches).
     """
     q = np.asarray(cell.q_diag)
     k = 2.0 * np.pi * _nonzero_lattice(m) / q[None, :]
@@ -133,9 +134,7 @@ def _filtered_sums(xr, beta, cell, sigma0, m):
             coeff[:, 2 * i + j] = (bi * (k[:, j] / root) - float(i == j)) / scale
     del root, scale, bi
     out = np.empty((3, len(xr), 4))
-    step = max(1, 64 * _PAIRS // len(k2))
-    for lo in range(0, len(xr), step):
-        blk = slice(lo, lo + step)
+    for blk in _batches(len(xr), len(k2), 64 * _PAIRS):
         phase = np.cos(xr[blk] @ k.T)
         damp = np.exp(-(sigma0[blk, None] / 4.0) * k2)
         for level in (2, 1, 0):

@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from perilame import lattice
+from perilame import lattice, operators
 from perilame.cell import (
+    CircleShape,
     EllipseShape,
     build_cell,
     discretize_curve,
@@ -464,6 +465,59 @@ def test_product_raises_on_lattice_difference(plan1):
     with pytest.raises(SingularArgumentError):
         lattice.lattice_product(np.array([[1.3, -0.6]]), y, np.ones((2, 2)), ENV1, UNIT, plan1,
                                 periodic=True)
+
+
+def _blocked_results(plan):
+    """Every blocked target-source loop's results, each a named array."""
+    rng = np.random.default_rng(30)
+    circle = CircleShape([0.5, 0.5], 0.25)
+    curve64, curve128, curve256 = (discretize_curve(circle, N, UNIT) for N in (64, 128, 256))
+    # 22 = 3 * 7 + 1 targets and 64 sources: at 3 rows per block the last holds one
+    x, y = rng.uniform(0.0, 1.0, (22, 2)), curve64.nodes
+    rho = rng.normal(size=(64, 2))
+    out = {"locate": np.array(locate_targets(x, curve64, UNIT))}
+    for periodic in (True, False):
+        for dens in (None, rho):
+            val, grad = lattice.lattice_product(x, y, dens, ENV1, UNIT, plan, periodic,
+                                                values=True, grads=True)
+            out[f"product-{periodic}-{dens is None}"] = np.concatenate([val.ravel(), grad.ravel()])
+    t = curve256.params
+    mu = operators.BoundaryVectorField(
+        np.column_stack([np.cos(t) + 0.3 * np.sin(3 * t), 0.5 - np.sin(2 * t)]), curve256)
+    out["midpoints"] = np.concatenate(
+        operators.apply_at_midpoints(mu, _midpoints(curve256), ENV1, UNIT, plan, 64))
+    # some points take coarse groups, the others the periodic kernel over
+    # the N nodes, for values and for gradients
+    pts = rng.uniform(0.0, 1.0, (40, 2))
+    pts = pts[~locate_targets(pts, curve256, UNIT).inside]
+    for grads in (False, True):
+        _, groups, rest = operators._source_groups(pts, curve256, ENV1, UNIT, plan.tol, grads)
+        assert groups and len(rest)
+    out["single-layer"] = operators.eval_single_layer(pts, mu, ENV1, UNIT, plan)
+    out["traction"] = operators.eval_traction_offboundary(pts, [0.6, 0.8], mu, ENV1, UNIT, plan)
+    for assemble in (operators.assemble_single_layer, operators.assemble_wstar):
+        op = assemble(curve128, ENV1, UNIT, plan)
+        assert op.lattice_nodes == 64
+        out[assemble.__name__] = op.matrix
+    return out
+
+
+def test_results_do_not_depend_on_the_blocks(monkeypatch):
+    # every target-source loop takes its row blocks from cell._batches, which
+    # reads cell._PAIRS when called: at 3 rows per block of 64 sources, and
+    # at 3 rows per block of phases, the results are those of the default
+    # blocks, locate_targets exactly and the sums to rounding.  The GEMMs
+    # over 2F = 1792 phases round with the row count of their block: the
+    # regular part's gradient blocks move by up to 7.4e-15 of their size
+    plan = plan_lattice_sum(UNIT, ENV1, 1e-10)
+    ref = _blocked_results(plan)
+    for budget in (3 * 64, 3 * len(plan.zvecs)):
+        monkeypatch.setattr("perilame.cell._PAIRS", budget)
+        got = _blocked_results(plan)
+        assert np.array_equal(got.pop("locate"), ref["locate"])
+        for name, value in got.items():
+            err = np.max(np.abs(value - ref[name]))
+            assert err <= 1e-14 * np.max(np.abs(ref[name])), (budget, name, err)
 
 
 def _term_sizes(z, plan, cell, env):

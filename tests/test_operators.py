@@ -595,21 +595,17 @@ def _split_parts(s, at):
 def _split_beside_nodes(curve, env, delta):
     """The split at the on-curve targets t_a + delta against the nodes t_a, pair by pair.
 
-    Each pair is written in its own frame, node a at the origin and t_a = 0,
-    with x(t_a + delta) - x(t_a) summed from the series in product form, so
-    neither the difference nor delta carries the rounding of the coordinates.
+    The targets lie on the curve itself, so the split sums each chord
+    x(t_a + delta) - x(t_a) from the series (_chords), which keeps the
+    digits that a difference of the rounded coordinates loses.
     """
-    N = curve.N
-    m = np.arange(curve.cos_coeffs.shape[1])
-    arg, half = np.outer(curve.params + 0.5 * delta, m), np.sin(0.5 * m * delta)
-    diff = (-2.0 * np.sin(arg) * half) @ curve.cos_coeffs.T \
-        + (2.0 * np.cos(arg) * half) @ curve.sin_coeffs.T
-    d1 = curve.eval(curve.params + delta, derivative=1)
+    t = curve.params + delta
+    d1 = curve.eval(t, derivative=1)
     sp = np.hypot(d1[:, 0], d1[:, 1])
-    targets = SimpleNamespace(nodes=diff, params=np.full(N, delta), d1=d1, speeds=sp,
+    targets = SimpleNamespace(nodes=curve.eval(t), params=t, d1=d1, speeds=sp,
                               normals=np.column_stack((d1[:, 1], -d1[:, 0])) / sp[:, None])
-    frame = SimpleNamespace(nodes=np.zeros((N, 2)), params=np.zeros(N))
-    return _split_parts(_free_space_split(frame, targets, env, slice(None)), (np.arange(N),) * 2)
+    return _split_parts(_free_space_split(curve, targets, env, slice(None)),
+                        (np.arange(curve.N),) * 2)
 
 
 @pytest.mark.parametrize("kind", ["circle", "ellipse", "perturbed"])

@@ -118,7 +118,8 @@ def _is_eye_resample(node):
 
 def test_one_interpolation_matrix():
     # the N x Nc interpolation matrix is built, and cached, in one helper;
-    # assembly, the off-node residual and the two-grid solve all read it there
+    # assembly and the two-grid solve read it there (a density reaches
+    # coarse sources by FFT, _interpolation_adjoint)
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -174,3 +175,34 @@ def test_one_periodic_product_with_a_density():
                         or _is_constant(_argument(node, 6, "periodic"), False)):
                     found.append(f"{path.name}:{getattr(top, 'name', top.lineno)}")
     assert found == ["operators.py:_layer_sum"], found
+
+
+def _is_literal(node):
+    """Whether node is a literal, such as 1 or -1."""
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return False
+    return True
+
+
+def test_one_blocking_rule():
+    # every target-source loop takes its row blocks from one helper, which
+    # reads one budget: the budget is assigned once, in cell, and a range
+    # with a computed step is written only in the helper
+    assigned, stepped, names = [], [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "_PAIRS" for t in node.targets):
+                    assigned.append(path.name)
+                if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "range"
+                        and len(node.args) == 3 and not _is_literal(node.args[2])):
+                    stepped.append(f"{path.name}:{getattr(top, 'name', top.lineno)}")
+    assert assigned == ["cell.py"], assigned
+    assert stepped == ["cell.py:_batches"], stepped
+    assert not names & {"_PHASES", "_ENTRIES"}, names & {"_PHASES", "_ENTRIES"}
