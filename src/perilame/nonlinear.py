@@ -1,9 +1,10 @@
 """Nonlinear Robin traction problems via Newton iteration.
 
-The residual of the augmented system in (mu, c) is
-
-    F(mu, c) = (1/2) mu + W* mu - G(., V mu + c + B q^{-1} x) + T(omega, B q^{-1}) nu
-    plus the componentwise zero-mean constraint on mu.
+The residual of the augmented system in (mu, c) is robin's collocated
+equation F at the nodes with the traction law as G (robin._equation), plus
+the componentwise zero-mean constraint on mu.  Newton iterates the one
+vector (mu, c); its residual and Jacobian product read mu, V mu + c, W* mu
+and the integral of mu from one helper.
 
 The Jacobian is the linear Robin matrix with the nodal blocks -dG in place of
 a^{-1} b (robin.augmented_matrix).  Every Newton step, the first included,
@@ -41,12 +42,12 @@ import scipy.linalg as sla
 from .errors import ConvergenceError
 from .operators import _COARSE_START, _interpolation_matrix
 from .robin import (
+    _equation,
     _full_rank_lu,
     _operators,
     _screened_lu,
     _solution_rep,
     augmented_matrix,
-    drift_traction,
     timed,
 )
 
@@ -227,16 +228,17 @@ def solve_nonlinear_robin(
     timings = {}
     V, W = _operators(curve, env, cell, plan, operators, timings)
 
-    drift = drift_traction(B, curve, env, cell).reshape(-1)
-    bx = curve.nodes @ (B @ cell.q_inv).T
+    def products(x):
+        """mu, V mu + c and W* mu at the nodes, (N, 2) each, and the integral of mu."""
+        mu = x[:-2]
+        return (mu.reshape(N, 2), (V.matrix @ mu).reshape(N, 2) + x[-2:],
+                (W.matrix @ mu).reshape(N, 2), curve.weights @ mu.reshape(N, 2))
 
-    def residual(mu_flat, c):
-        U = (V.matrix @ mu_flat).reshape(N, 2) + c[None, :] + bx
-        res_top = 0.5 * mu_flat + W.matrix @ mu_flat - model.fn(U).reshape(-1) + drift
-        mean = np.array([
-            curve.weights @ mu_flat[0::2], curve.weights @ mu_flat[1::2]
-        ])
-        return np.concatenate([res_top, mean]), U
+    def residual(x):
+        """The residual at x = (node-major mu, c): F at the nodes, then the zero-mean rows."""
+        mu, u, wmu, mean = products(x)
+        F, U = _equation(mu, u, wmu, model.fn, B, curve, env, cell)
+        return np.concatenate([F.reshape(-1), mean]), U
 
     # what the rank screen saw, reported in diagnostics
     screen = {"condition_estimate": np.nan, "rank_checks": 0, "fine_factorizations": 0}
@@ -252,16 +254,14 @@ def solve_nonlinear_robin(
         return factors
 
     def jacobian_product(K, x):
-        mu = x[: 2 * N]
-        U = (V.matrix @ mu).reshape(N, 2) + x[2 * N:]
-        top = 0.5 * mu + W.matrix @ mu + np.einsum("nij,nj->ni", K, U).reshape(-1)
-        return np.concatenate([top, [curve.weights @ mu[0::2], curve.weights @ mu[1::2]]])
+        mu, u, wmu, mean = products(x)
+        top = 0.5 * mu + wmu + np.einsum("nij,nj->ni", K, u)
+        return np.concatenate([top.reshape(-1), mean])
 
-    mu_flat = np.zeros(2 * N)
-    c = np.zeros(2)
+    x = np.zeros(2 * N + 2)
 
     with timed(timings, "iteration"):
-        res, U = residual(mu_flat, c)
+        res, U = residual(x)
         res_norm = np.max(np.abs(res))
         trace = [res_norm]
         krylov = []
@@ -289,17 +289,16 @@ def solve_nonlinear_robin(
             krylov.append(iterations)
             lam = 1.0
             for _ in range(6):
-                mu_try = mu_flat - lam * step[:-2]
-                c_try = c - lam * step[-2:]
-                res_try, U_try = residual(mu_try, c_try)
+                x_try = x - lam * step
+                res_try, U_try = residual(x_try)
                 if np.max(np.abs(res_try)) <= res_norm or lam <= 1.0 / 32.0:
                     break
                 lam *= 0.5
             update_norm = lam * np.max(np.abs(step))
-            mu_flat, c, res, U = mu_try, c_try, res_try, U_try
+            x, res, U = x_try, res_try, U_try
             res_norm = np.max(np.abs(res))
             trace.append(res_norm)
-            if update_norm < tol * max(1.0, np.max(np.abs(mu_flat)), np.max(np.abs(c))):
+            if update_norm < tol * max(1.0, np.max(np.abs(x))):
                 converged = True
                 break
     if not converged:
@@ -312,6 +311,5 @@ def solve_nonlinear_robin(
 
     diagnostics = {"iterations": len(trace) - 1, "residual_on_node": float(res_norm),
                    "trace": trace, "krylov_iterations": krylov, **screen}
-    return _solution_rep(np.concatenate([mu_flat, c]), B, curve,
-                         (V.lattice_nodes, W.lattice_nodes), np.max(np.abs(U)),
+    return _solution_rep(x, B, curve, (V.lattice_nodes, W.lattice_nodes), np.max(np.abs(U)),
                          diagnostics, timings)

@@ -30,20 +30,20 @@ their largest entry, or below the band rounding leaves at tight tol
 (_ROUNDING Nc eps).  When two rejected grids predict that the next one
 fails too, or at Nc = N, the smooth kernel is evaluated at the N nodes.
 What is left at the N nodes is the trapezoid weights and the Kress log or
-Hilbert node rule.  Each operator records its Nc as lattice_nodes.
+Hilbert node rule, a circulant read from the one column that _apply_rule
+gives.  Each operator records its Nc as lattice_nodes.
 
 At the midpoints t_i + pi/N, apply_at_midpoints applies V and W* to a
 density without a block or a matrix: both rules, shifted by half a node, act
-by one FFT each (_apply_rule, which also gives assembly its dense node rules
-from the same symbols), and the smooth kernel is summed over sources: the
-split contracted with the density by lattice._grid_contract, and R^q a
-product against it.  The sources are the Nc coarse nodes that the assembly's
-tail check accepted for this kernel on the same torus, or the N nodes, and
-the density reaches them as P^T (w mu), P = _interpolation_matrix(Nc, N),
-formed by FFT (_interpolation_adjoint): for a kernel band-limited in s
-below Nc/2, sum_b f(s_b) (w mu)_b = f_c^T P^T (w mu).  The targets are the exact
-midpoints, never the interpolated matrix, so an under-resolved Nc shows in
-the off-node residual.
+by one FFT each (_apply_rule, with the node rules' symbols), and the smooth
+kernel is summed over sources: the split contracted with the density by
+lattice._grid_contract, and R^q a product against it.  The sources are the
+Nc coarse nodes that the assembly's tail check accepted for this kernel on
+the same torus, or the N nodes, and the density reaches them as P^T (w mu),
+P = _interpolation_matrix(Nc, N), formed by FFT (_interpolation_adjoint):
+for a kernel band-limited in s below Nc/2, sum_b f(s_b) (w mu)_b =
+f_c^T P^T (w mu).  The targets are the exact midpoints, never the
+interpolated matrix, so an under-resolved Nc shows in the off-node residual.
 
 The off-boundary potentials eval_single_layer and eval_traction_offboundary
 share one product (_layer_sum): Gamma^q(x - y) = K(x' - y) + R^q(x' - y),
@@ -67,6 +67,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.linalg as sla
 
 from .cell import _SINGULAR_FRACTION, _batches, cell_coords
 from .errors import AssemblyError, SingularArgumentError
@@ -201,8 +202,8 @@ def _apply_rule(symbol, f, shift):
     way.  The Nyquist mode is split evenly between m = +-N/2, which keeps the
     real part of its shifted symbol: for the Hilbert rule it contributes
     sin((N/2)(t_a + shift - t_b)) / N, which vanishes at shift 0 and is
-    (-1)^(a-b) / N at shift pi/N.  Applied to the identity, it gives the
-    rule's circulant weights, whose (a, b) entry depends on a - b alone.
+    (-1)^(a-b) / N at shift pi/N.  Applied to the first unit vector, it gives
+    the column of each circulant node rule (kress_log_rule, hilbert_rule).
     """
     N = f.shape[0]
     m = np.fft.fftfreq(N, d=1.0 / N)
@@ -215,12 +216,12 @@ def _apply_rule(symbol, f, shift):
 
 def kress_log_rule(N):
     """Circulant quadrature for int_0^{2pi} log(4 sin^2((t_a - s)/2)) f(s) ds."""
-    return _apply_rule(_log_symbol, np.eye(N), 0.0)
+    return sla.circulant(_apply_rule(_log_symbol, np.eye(N, 1), 0.0)[:, 0])
 
 
 def hilbert_rule(N):
     """Circulant quadrature for (1/2pi) pv int f(s) cot((t_a - s)/2) ds."""
-    return _apply_rule(_hilbert_symbol, np.eye(N), 0.0)
+    return sla.circulant(_apply_rule(_hilbert_symbol, np.eye(N, 1), 0.0)[:, 0])
 
 
 def _blocks_to_matrix(blocks):

@@ -1,14 +1,16 @@
 """Linear Robin traction solver: validation, augmented system, field evaluation.
 
-The collocated integral equation at the nodes is
+The collocated integral equation, at the nodes or at any boundary points, is
 
-    (1/2) mu(x_i) + W* mu(x_i) + a^{-1}(x_i) b(x_i) (V mu(x_i) + c)
-        = a^{-1} g(x_i) - T(omega, B q^{-1}) nu(x_i) - a^{-1} b B q^{-1} x_i,
+    F = (1/2) mu + W* mu + T(omega, B q^{-1}) nu - G(V mu + c + B q^{-1} x) = 0,
 
-closed by the componentwise zero-mean constraint on mu.  The square system of
-size (2N + 2) determines the zero-mean density together with the additive
-constant c, and the displacement is reconstructed as
-u(x) = v[mu](x) + c + B q^{-1} x.
+with G(U) = a^{-1}(g - b U) for Robin data, closed by the componentwise
+zero-mean constraint on mu.  _equation writes F once: the linear system's
+right-hand side is -F at mu = 0, c = 0, the off-node residual is F at the
+midpoints and the Newton residual of nonlinear is F at the nodes with the
+traction law as G.  The (2N + 2)-square system determines the zero-mean
+density and the additive constant c, and the displacement is reconstructed
+as u(x) = v[mu](x) + c + B q^{-1} x.
 
 diagnostics["residual_off_node"] is the collocation residual at the N
 midpoints t_i + pi/N, with no reassembly at 2N and no N x N matrix:
@@ -201,27 +203,29 @@ def validate_robin_data(data, curve=None):
     }
 
 
-def drift_traction(B, curve, env, cell):
-    """Nodal traction T(omega, B q^{-1}) nu of the prescribed drift, shape (N, 2)."""
-    Bq = np.asarray(B, dtype=float) @ cell.q_inv
-    return traction(Bq, curve.normals, env.omega)
+def _robin_law(a, b, g):
+    """The Robin law U -> a^{-1}(g - b U) for data a, b, g at some boundary points."""
+    ainv, ainv_b = _ainv_b(a, b)
+    ainv_g = np.einsum("nij,nj->ni", ainv, g)
+    return lambda U: ainv_g - np.einsum("nij,nj->ni", ainv_b, U)
+
+
+def _equation(mu, u, wmu, law, B, points, env, cell):
+    """The collocated equation F at boundary points (nodes or midpoints), and U.
+
+    F = (1/2) mu + W* mu + T(omega, B q^{-1}) nu - G(U), shape (P, 2), with
+    U = u + B q^{-1} x: u is V mu + c at the points, wmu is W* mu there and
+    law is G at the points, as U -> G(U).
+    """
+    Bq = B @ cell.q_inv
+    U = u + points.nodes @ Bq.T
+    return 0.5 * mu + wmu + traction(Bq, points.normals, env.omega) - law(U), U
 
 
 def robin_rhs(data, env, cell):
-    """Collocated right-hand side of the integral equation."""
-    return _collocated_rhs(*_ainv_b(data.a.values, data.b.values), data.g.values, data.B,
-                           data.curve, env, cell)
-
-
-def _collocated_rhs(ainv, ainv_b, g, B, points, env, cell):
-    """Right-hand side of the integral equation at boundary points (nodes and normals).
-
-    ainv, ainv_b and g are the Robin data at the points, B the drift.
-    """
-    rhs = np.einsum("nij,nj->ni", ainv, g)
-    rhs -= drift_traction(B, points, env, cell)
-    rhs -= np.einsum("nij,nj->ni", ainv_b, points.nodes @ (B @ cell.q_inv).T)
-    return rhs
+    """Collocated right-hand side of the integral equation: -F at mu = 0, c = 0."""
+    law = _robin_law(data.a.values, data.b.values, data.g.values)
+    return -_equation(0.0, 0.0, 0.0, law, data.B, data.curve, env, cell)[0]
 
 
 def augmented_matrix(K, V, W, curve):
@@ -417,16 +421,13 @@ def _off_node_residual(data, curve, env, cell, plan, mu, c, nodes):
     lattice_nodes of V and W*, the grid their assembly's tail check
     accepted for that kernel, or N.  The Robin data and the density at the
     midpoints are the odd entries of their exact trig resampling to 2N, and
-    the right-hand side is evaluated at the midpoints alone.
+    the residual is the collocated equation (_equation) at the midpoints.
     """
     mid = _midpoints(curve)
     a, b, g, mu_mid = (trig_resample(f.values, 2 * curve.N)[1::2]
                        for f in (data.a, data.b, data.g, mu))
     vmu, wmu = apply_at_midpoints(mu, mid, env, cell, plan, nodes)
-    ainv, ainv_b = _ainv_b(a, b)
-    lhs = 0.5 * mu_mid + wmu
-    lhs += np.einsum("nij,nj->ni", ainv_b, vmu + c[None, :])
-    res = lhs - _collocated_rhs(ainv, ainv_b, g, data.B, mid, env, cell)
+    res = _equation(mu_mid, vmu + c, wmu, _robin_law(a, b, g), data.B, mid, env, cell)[0]
     return float(np.max(np.abs(res)))
 
 

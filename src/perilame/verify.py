@@ -54,12 +54,11 @@ from .operators import (
     eval_single_layer,
     eval_traction_offboundary,
 )
-from .nonlinear import TractionModel, affine_model, solve_nonlinear_robin
+from .nonlinear import TractionModel, affine_model, saturating_model, solve_nonlinear_robin
 from .robin import (
     RobinData,
     constant_matrix_field,
     constant_vector_field,
-    drift_traction,
     eval_solution,
     solve_neumann_aux,
     solve_robin,
@@ -681,7 +680,7 @@ def _check_robin_exact(seed):
     )
     B = np.diag([0.2, -0.1])
     Bq = B @ cell.q_inv
-    gvals = drift_traction(B, curve, env, cell) - curve.nodes @ Bq.T
+    gvals = traction(Bq, curve.normals, env.omega) - curve.nodes @ Bq.T
     rep2 = solve_robin(_robin_data(curve, gvals, B), curve, env, cell, plan)
     pts = np.array([[0.1, 0.1], [0.9, 0.2], [0.5, 0.95]])
     u = eval_solution(rep2, pts, env, cell, plan, warn=False)
@@ -707,7 +706,8 @@ def _check_robin_manufactured(seed):
 def _check_quasi_periodicity(seed):
     cell, env, plan, (curve,), fp = _setup(0.5, 1e-11, ["circle"], 64)
     B = np.array([[0.3, 0.1], [-0.2, 0.25]])
-    gvals = drift_traction(B, curve, env, cell) - curve.nodes @ (B @ cell.q_inv).T
+    Bq = B @ cell.q_inv
+    gvals = traction(Bq, curve.normals, env.omega) - curve.nodes @ Bq.T
     rep = solve_robin(_robin_data(curve, gvals, B), curve, env, cell, plan)
     pts = np.array([[0.07, 0.12], [0.88, 0.9], [0.5, 0.03]])
     base = eval_solution(rep, pts, env, cell, plan, warn=False)
@@ -745,11 +745,10 @@ def _check_nonlinear_manufactured(seed):
     )
     tstar = trac_fn(curve.nodes, curve.normals)
     ustar = u_fn(curve.nodes)
-    lam = -np.eye(2)
-    model = TractionModel(
-        lambda U: tstar + (U - ustar) @ lam.T,
-        lambda U: np.broadcast_to(lam, (curve.N, 2, 2)),
-    )
+    # a law that is not affine, so a wrong Jacobian shows: G(u*) = t* at every node
+    kappa = -0.8
+    h = tstar - kappa * ustar / (1.0 + np.sum(ustar * ustar, axis=1))[:, None]
+    model = saturating_model(h, kappa, curve)
     rep = solve_nonlinear_robin(model, B, curve, env, cell, plan, tol=1e-12)
     pts = _far_points(rng)
     u_num = eval_solution(rep, pts, env, cell, plan, warn=False)

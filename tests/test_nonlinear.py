@@ -6,7 +6,7 @@ import perilame.nonlinear as nonlinear
 import perilame.robin as robin
 from perilame.cell import CircleShape, EllipseShape, build_cell, discretize_curve
 from perilame.errors import ConvergenceError, DegenerateProblemError
-from perilame.kernels import LameEnv
+from perilame.kernels import LameEnv, traction
 from perilame.lattice import plan_lattice_sum
 from perilame.nonlinear import (
     TractionModel,
@@ -28,7 +28,6 @@ from perilame.robin import (
     _lu_condition,
     augmented_matrix,
     constant_matrix_field,
-    drift_traction,
     eval_solution,
     solve_robin,
 )
@@ -398,7 +397,7 @@ def _direct_newton(model, B, curve, ops, steps=10):
     """(mu, c) after full Newton steps, each solved with the assembled Jacobian."""
     V, W = ops
     N = curve.N
-    drift = drift_traction(B, curve, ENV1, UNIT).reshape(-1)
+    drift = traction(B @ UNIT.q_inv, curve.normals, ENV1.omega).reshape(-1)
     bx = curve.nodes @ (B @ UNIT.q_inv).T
     x = np.zeros(2 * N + 2)
     for _ in range(steps):
@@ -439,6 +438,24 @@ def test_fine_lu_steps_counted(circle_ops, plan1):
                               ENV1, UNIT, plan1, operators=ops).diagnostics
     assert d["iterations"] >= 3 and set(d["krylov_iterations"]) <= {0, 1}
     assert d["fine_factorizations"] == 0 and d["rank_checks"] == 0
+
+
+def test_gmres_cap_falls_back_to_the_fine_lu(curve_ops, plan1, monkeypatch):
+    # a step whose GMRES misses GMRES_CAP is solved by the fine LU: one fine
+    # LU and a Krylov count of 0 for each such step, and the same solution
+    curve, ops = curve_ops("ellipse", 128)
+    model, B = _saturating_law(curve, -0.8), np.diag([0.1, -0.05])
+    ref = solve_nonlinear_robin(model, B, curve, ENV1, UNIT, plan1, operators=ops)
+    krylov, cap = ref.diagnostics["krylov_iterations"], 4
+    assert max(krylov) > cap
+    monkeypatch.setattr(nonlinear, "GMRES_CAP", cap)
+    rep = solve_nonlinear_robin(model, B, curve, ENV1, UNIT, plan1, operators=ops)
+    d = rep.diagnostics
+    assert d["krylov_iterations"] == [0 if k > cap else k for k in krylov]
+    assert d["fine_factorizations"] == sum(k > cap for k in krylov)
+    mu, c = ref.mu.values, ref.c
+    assert np.max(np.abs(rep.mu.values - mu)) <= 1e-12 * np.max(np.abs(mu))
+    assert np.max(np.abs(rep.c - c)) <= 1e-12 * np.max(np.abs(c))
 
 
 @pytest.mark.parametrize("kappa, error", [(0.5, DegenerateProblemError),

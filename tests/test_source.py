@@ -206,3 +206,20 @@ def test_one_blocking_rule():
     assert assigned == ["cell.py"], assigned
     assert stepped == ["cell.py:_batches"], stepped
     assert not names & {"_PHASES", "_ENTRIES"}, names & {"_PHASES", "_ENTRIES"}
+
+
+def test_one_collocated_equation():
+    # the collocated equation is written once, in robin._equation, for the
+    # linear right-hand side, the off-node residual and the Newton residual:
+    # in the two solver modules only it and the displacement read B q^{-1}
+    readers, names, gone = set(), set(), {"_collocated_rhs", "drift_traction"}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        names |= set(_references(tree))
+        names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        if path.name in ("robin.py", "nonlinear.py"):
+            readers |= {f"{path.name}:{getattr(top, 'name', top.lineno)}"
+                        for top in tree.body for node in ast.walk(top)
+                        if isinstance(node, ast.Attribute) and node.attr == "q_inv"}
+    assert readers == {"robin.py:_equation", "robin.py:_displacement"}, readers
+    assert not names & gone, names & gone
