@@ -4,15 +4,18 @@ The residual of the augmented system in (mu, c) is robin's collocated
 equation F at the nodes with the traction law as G (robin._equation), plus
 the componentwise zero-mean constraint on mu.  Newton iterates the one
 vector (mu, c); its residual and Jacobian product read mu, V mu + c, W* mu
-and the integral of mu from one helper.
+and the integral of mu from one helper, which applies V and W* together by
+operators._products: from their factored form (the coarse smooth kernel
+and the FFT node rules) where they keep one, 4 Nc <= N, and by their
+matrices' GEMV otherwise; factored, they read no N x N matrix.
 
 The Jacobian is the linear Robin matrix with the nodal blocks -dG in place of
 a^{-1} b (robin.augmented_matrix).  Every Newton step, the first included,
-solves J v = F by GMRES on the matrix-free J (two matrix-vector products
-with V and W* and the nodal -dG blocks per iteration), right-preconditioned
-by a two-grid solve (_TwoGrid): the equation is second kind, 1/2 I plus a
-part whose smooth modes a coarse Galerkin Jacobian at Nc = min(N,
-_COARSE_START) nodes carries.  At N <= _COARSE_START the coarse grid is the
+solves J v = F by GMRES on the matrix-free J (one product of V and W* and
+the nodal -dG blocks per iteration), right-preconditioned by a two-grid
+solve (_TwoGrid): the equation is second kind, 1/2 I plus a part whose
+smooth modes a coarse Galerkin Jacobian at Nc = min(N, _COARSE_START)
+nodes carries.  At N <= _COARSE_START the coarse grid is the
 fine one, the preconditioner is J^{-1} and GMRES takes one iteration.  Per
 step that is an LU of size 2 Nc + 2 and at most 12 GMRES iterations on the
 curves measured (circles r = 0.25 and 0.45, an ellipse), the same count at
@@ -40,7 +43,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ConvergenceError
-from .operators import _COARSE_START, _interpolation_matrix
+from .operators import _COARSE_START, _interpolation_matrix, _products
 from .robin import (
     _equation,
     _full_rank_lu,
@@ -102,7 +105,11 @@ class _TwoGrid:
     on both components; the two c entries pass through.  The coarse Jacobian
     is R J P: the Galerkin one, 1/2 R P + R W* P + R diag(-dG) V P with the
     c columns R(-dG) and the zero-mean rows w P.  V P and R W* P are formed
-    once per solve, the rest per step.  On a residual r the preconditioner
+    once per solve, the rest per step: operators._products applies V and W*
+    to the 2 Nc columns of P on both components, and R restricts W* P; no
+    (2N)-square matrix is read where the operators are factored.  One GMRES
+    iteration costs one such product on a field, the nodal -dG blocks, and
+    R, P and the LU solve of size 2 Nc + 2.  On a residual r the preconditioner
     returns the coarse solution prolonged by P plus 2 (r - P R r): on the
     modes the coarse grid does not carry, J is close to 1/2 I (Atkinson, The
     Numerical Solution of Integral Equations of the Second Kind, ch. 6).
@@ -114,14 +121,12 @@ class _TwoGrid:
         self.P = _interpolation_matrix(Nc, N)
         self.R = (Nc / N) * self.P.T
         self.N, self.Nc = N, Nc
-        # P on both components of the node-major columns: (X P)[r, k, j] =
-        # sum_n P[n, k] X[r, n, j], one (Nc, N) @ (N, 2) product per row r
-        AP = np.matmul(self.P.T, W.matrix.reshape(2 * N, N, 2))
-        RWP = self._restrict_rows(AP)
-        # V P takes the buffer of W P, which is no longer needed
-        np.matmul(self.P.T, V.matrix.reshape(2 * N, N, 2), out=AP)
-        self.VP = AP.reshape(N, 2, 2 * Nc)
-        self.base = RWP + 0.5 * np.kron(self.R @ self.P, np.eye(2))
+        # the 2 Nc columns of P on both components, (N, 2, 2 Nc): column
+        # 2c + k is P[:, c] in component k
+        columns = np.zeros((N, 2, Nc, 2))
+        columns[:, 0, :, 0] = columns[:, 1, :, 1] = self.P
+        self.VP, WP = _products((V, W), columns.reshape(N, 2, 2 * Nc))
+        self.base = self._restrict_rows(WP) + 0.5 * np.kron(self.R @ self.P, np.eye(2))
         wP = curve.weights @ self.P
         self.mean_rows = np.zeros((2, 2 * Nc + 2))
         self.mean_rows[0, 0: 2 * Nc: 2] = wP
@@ -209,7 +214,7 @@ def solve_nonlinear_robin(
     Raises DegenerateProblemError on a rank-deficient Jacobian and
     ConvergenceError when max_iter steps do not meet tol.
     Each step costs a coarse LU of size 2 min(N, _COARSE_START) + 2 and a few
-    GMRES iterations of two matrix-vector products each; it falls back to a
+    GMRES iterations of one product of V and W* each; it falls back to a
     fine LU when the coarse Jacobian fails the rank screen or GMRES misses
     GMRES_CAP (module docstring).  diagnostics["krylov_iterations"] lists
     the GMRES iterations per step, 0 for a step the fine LU solved or whose
@@ -230,9 +235,9 @@ def solve_nonlinear_robin(
 
     def products(x):
         """mu, V mu + c and W* mu at the nodes, (N, 2) each, and the integral of mu."""
-        mu = x[:-2]
-        return (mu.reshape(N, 2), (V.matrix @ mu).reshape(N, 2) + x[-2:],
-                (W.matrix @ mu).reshape(N, 2), curve.weights @ mu.reshape(N, 2))
+        mu = x[:-2].reshape(N, 2)
+        vmu, wmu = _products((V, W), mu)
+        return mu, vmu + x[-2:], wmu, curve.weights @ mu
 
     def residual(x):
         """The residual at x = (node-major mu, c): F at the nodes, then the zero-mean rows."""

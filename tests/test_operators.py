@@ -216,6 +216,47 @@ def test_coarse_lattice_part_matches_node_pairs(monkeypatch, edges, shape, N, to
         assert np.max(np.abs(op.matrix - ref.matrix)) <= 1e-12 * np.max(np.abs(ref.matrix))
 
 
+# the COARSE_CASES whose V and W* keep their factored form (4 Nc <= N)
+FACTORED_CASES = ("circle", "circle-tol-1e-13")
+
+
+def products_agree_with_matrices(name):
+    """Asserts that V and W* of one COARSE_CASES case apply as their matrices do.
+
+    On a seeded random density (DenseBoundaryOperator.apply) and on the 2 Nc
+    columns of P on both components (operators._products), Nc the two-grid
+    one: to 1e-14 of the matrix product's size where the operators keep
+    their factored form, bit for bit where they take the GEMV.
+    """
+    _, edges, shape, N, tol, _ = next(case for case in COARSE_CASES if case[0] == name)
+    cell, plan, curve = _coarse_setup(edges, shape, N, tol)
+    ops = _assembled(curve, cell, plan)
+    density = np.random.default_rng(11).normal(size=(N, 2))
+    Nc = min(N, operators._COARSE_START)
+    columns = np.zeros((N, 2, Nc, 2))
+    columns[:, 0, :, 0] = columns[:, 1, :, 1] = operators._interpolation_matrix(Nc, N)
+    columns = columns.reshape(N, 2, 2 * Nc)
+    on_columns = operators._products(ops, columns)
+    for op, product_on_columns in zip(ops, on_columns):
+        factored = op.factored is not None
+        assert factored == (name in FACTORED_CASES) == (4 * op.lattice_nodes <= N)
+        pairs = ((op.apply(BoundaryVectorField(density, curve)).values,
+                  (op.matrix @ density.reshape(-1)).reshape(N, 2)),
+                 (product_on_columns, (op.matrix @ columns.reshape(2 * N, -1)).reshape(N, 2, -1)))
+        for product, ref in pairs:
+            if factored:
+                assert np.max(np.abs(product - ref)) <= 1e-14 * np.max(np.abs(ref))
+            else:
+                assert np.array_equal(product, ref)
+
+
+@pytest.mark.parametrize("name", [case[0] for case in COARSE_CASES])
+def test_products_agree_with_the_matrices(name):
+    # the factored products of V and W* (their coarse smooth kernel and the
+    # FFT node rules) against the dense matrices they factor
+    products_agree_with_matrices(name)
+
+
 def test_tail_check_rejects_a_coarse_grid_too_small(monkeypatch):
     # on the ellipse, 32 nodes leave a tail above the budget, and their
     # interpolant misses the accepted one by more than 1e-12 of its size;

@@ -223,3 +223,24 @@ def test_one_collocated_equation():
                         if isinstance(node, ast.Attribute) and node.attr == "q_inv"}
     assert readers == {"robin.py:_equation", "robin.py:_displacement"}, readers
     assert not names & gone, names & gone
+
+
+def test_operator_matrices_are_read_where_they_are_factored():
+    # V and W* apply from their factored form (operators._products, whose
+    # GEMV branch reads the matrix of an operator that has none); the dense
+    # matrix is read where it is factored, robin's augmented system and
+    # auxiliary solve, and nonlinear reads none.  solve_robin reads the
+    # matrix of its DiscreteSystem, named system.
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        readers |= {(f"{path.name}:{getattr(top, 'name', top.lineno)}",
+                     getattr(node.value, "id", None))
+                    for top in tree.body for node in ast.walk(top)
+                    if isinstance(node, ast.Attribute) and node.attr == "matrix"
+                    and isinstance(node.ctx, ast.Load)}
+    operator_readers = {where for where, receiver in readers if receiver != "system"}
+    assert operator_readers == {"operators.py:_products", "robin.py:augmented_matrix",
+                                "robin.py:solve_neumann_aux"}, operator_readers
+    assert {where for where, receiver in readers if receiver == "system"} \
+        == {"robin.py:solve_robin"}
