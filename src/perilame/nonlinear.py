@@ -5,9 +5,9 @@ equation F at the nodes with the traction law as G (robin._equation), plus
 the componentwise zero-mean constraint on mu.  Newton iterates the one
 vector (mu, c); its residual and Jacobian product read mu, V mu + c, W* mu
 and the integral of mu from one helper, which applies V and W* together by
-operators._products: from their factored form (the coarse smooth kernel
-and the FFT node rules) where they keep one, 4 Nc <= N, and by their
-matrices' GEMV otherwise; factored, they read no N x N matrix.
+operators._products: from their stored form (the coarse smooth kernel
+and the FFT node rules) where 4 Nc <= N, and by their matrices' GEMV
+otherwise; at 4 Nc <= N no dense matrix is formed.
 
 The Jacobian is the linear Robin matrix with the nodal blocks -dG in place of
 a^{-1} b (robin.augmented_matrix).  Every Newton step, the first included,
@@ -107,7 +107,7 @@ class _TwoGrid:
     c columns R(-dG) and the zero-mean rows w P.  V P and R W* P are formed
     once per solve, the rest per step: operators._products applies V and W*
     to the 2 Nc columns of P on both components, and R restricts W* P; no
-    (2N)-square matrix is read where the operators are factored.  One GMRES
+    (2N)-square matrix is read where 4 Nc <= N.  One GMRES
     iteration costs one such product on a field, the nodal -dG blocks, and
     R, P and the LU solve of size 2 Nc + 2.  On a residual r the preconditioner
     returns the coarse solution prolonged by P plus 2 (r - P R r): on the

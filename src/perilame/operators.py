@@ -16,40 +16,36 @@ itself takes the limits, and at the midpoints alike; its differences are
 summed from the curve's series (_chords), so that the remainder, a
 difference of two terms of size about N, keeps its digits at neighbouring
 nodes.  One _checked_split re-verifies the split numerically at sampled
-pairs for both.  Assembly interpolates the whole smooth kernel: the split
+pairs for both.  The trapezoid rule takes the whole smooth kernel: the split
 plus the lattice part, R^q for V and for W* the traction at the target
 normals of the gradient of R^q.  Both are analytic on the (t, s) torus,
 normals included, so _smooth_part evaluates their sum at the Nc nodes of a
 coarse resampling of the curve (the lattice part by the target-source
-evaluator, lattice.lattice_product, with no density) and interpolates it
-to the N nodes by trigonometric interpolation in t and in s, straight into
-the node-major matrix.  Nc starts at _COARSE_START and doubles until the
+evaluator, lattice.lattice_product, with no density); the dense matrix
+interpolates it to the N nodes by trigonometric interpolation in t and in
+s (_interpolate).  Nc starts at _COARSE_START and doubles until the
 L1 size of the coarse blocks' outer band of 2D Fourier modes,
 max(|m1|, |m2|) >= 7 Nc / 16, is below the plan's tail share (tol/20) of
 their largest entry, or below the band rounding leaves at tight tol
 (_ROUNDING Nc eps).  When two rejected grids predict that the next one
 fails too, or at Nc = N, the smooth kernel is evaluated at the N nodes.
 What is left at the N nodes is the trapezoid weights and the Kress log or
-Hilbert node rule, a circulant read from the one column that _apply_rule
-gives.  Each operator records its Nc as lattice_nodes.
+Hilbert node rule, a circulant whose one column _apply_rule gives.
 
-Each operator keeps its factored form beside its dense matrix when 4 Nc <=
-N, the N/4 at which the field's coarse grids stop too (_source_groups):
-the accepted coarse smooth kernel B, (2Nc)-square and node-major, and its
-node rule, so that
+Each operator keeps one form (DenseBoundaryOperator): the accepted smooth
+kernel B at its Nc nodes (lattice_nodes), its curve (the weights and
+speeds) and the node rule's column, target factor and 2 x 2 unit:
 
     V x  = P(B_V(P^T(w x))) + (alpha/(4 pi)) Kress(sp x),
     W* x = P(B_W(P^T(w x))) + (gamma_c pi / sp_a) Hilbert(sp x) J^T,
 
-with P^T and P by FFT (_coarse_values, _resampled_modes: the rules of
-_interpolation_adjoint and trig_resample) and each rule by its multipliers
-on the FFT modes of sp x.  _products applies V and W* together, to a field
-or to a block of columns, by one forward FFT, one product by each B at the
-Nc nodes and one inverse FFT: 0.1 ms for both at N = 512, against 0.6 ms
-for the two GEMVs (one BLAS thread).  At 4 Nc > N (at N = 128 the GEMVs
-are cheaper) and at Nc = N, products take the matrix: a GEMV on a field.
-The matrix is read where it is factored: robin's augmented system and
-auxiliary solve.
+P = _interpolation_matrix(Nc, N).  Where 4 Nc <= N, the N/4 at which the
+field's coarse grids stop too (_source_groups), _products applies V and W*
+together by FFT (P^T and P on the modes, each rule by its multipliers):
+0.1 ms for both at N = 512 against 0.6 ms for the two GEMVs (one BLAS
+thread).  Elsewhere products take the dense matrix, formed on its first
+read and kept (robin's augmented system and auxiliary solve read it); at
+Nc = N the assembly finishes the N-node kernel in place into it.
 
 At the midpoints t_i + pi/N, apply_at_midpoints applies V and W* to a
 density without a block or a matrix: both rules, shifted by half a node, act
@@ -134,43 +130,45 @@ class BoundaryMatrixField(_BoundaryField):
     TRAILING = (2, 2)
 
 
-@dataclass(frozen=True)
-class _Factored:
-    """An operator's factored form: A x = P(B(P^T(w x))) + scale (rule(sp x)) unit^T.
+@dataclass
+class DenseBoundaryOperator:
+    """Nystrom operator on node-major flattened vector fields, kept in one form.
 
-    coarse is B, the (2Nc, 2Nc) node-major smooth kernel at the Nc coarse
-    nodes the assembly accepted, and P = _interpolation_matrix(Nc, N);
-    sources holds the trapezoid weights w and the speeds sp at the N nodes,
-    (2, N).  The node rule is a circulant acting on sp x: multiplier holds
-    its N/2 + 1 multipliers on the real-FFT modes, the real FFT of its first
-    column.  It is taken times the 2 x 2 unit and the factor scale (N,) at
-    each target.
+    A x = P(B(P^T(w x))) + scale (rule(sp x)) unit^T, P =
+    _interpolation_matrix(Nc, N): kernel is B, the (2Nc, 2Nc) node-major
+    smooth kernel at the Nc nodes the assembly accepted (lattice_nodes),
+    w and sp the weights and speeds of the N-node curve, and the node rule
+    the circulant of column, (N,), times scale (N,) and the 2 x 2 unit.
+    matrix, (2N, 2N), is formed on its first read and kept; concurrent first
+    reads form equal arrays.  At Nc = N the assembly finishes the N-node
+    kernel in place into the matrix: kernel is the matrix, the one
+    (2N)-square array the operator holds.  Products (apply, _products) take
+    the FFT form when 4 Nc <= N, which keeps [w, sp] and the rule's
+    multipliers from its first product, and the matrix otherwise.
     """
 
-    coarse: np.ndarray
-    sources: np.ndarray
-    multiplier: np.ndarray
+    kernel: np.ndarray
+    curve: object
+    column: np.ndarray
     scale: np.ndarray
     unit: np.ndarray
 
+    @property
+    def lattice_nodes(self):
+        return len(self.kernel) // 2
 
-@dataclass
-class DenseBoundaryOperator:
-    """Nystrom operator on node-major flattened vector fields: its dense matrix and factored form.
+    @functools.cached_property
+    def matrix(self):
+        Nc, N = self.lattice_nodes, self.curve.N
+        if Nc == N:
+            return self.kernel
+        return _nystrom_matrix(_interpolate(self.kernel.reshape(Nc, 2, Nc, 2).swapaxes(1, 2), N),
+                               self)
 
-    lattice_nodes is the node count at which its smooth kernel, free-space
-    split plus lattice part, was evaluated: the coarse Nc it was
-    interpolated from, or N.  factored is its form on those Nc nodes
-    (_Factored), kept when 4 Nc <= N, the N/4 at which the field's coarse
-    grids stop too (_source_groups); else None.  Products (apply,
-    _products) take the factored form when there is one and the matrix
-    otherwise; the matrix is read where it is factored (robin's augmented
-    system and auxiliary solve).
-    """
-
-    matrix: np.ndarray  # (2N, 2N)
-    lattice_nodes: int
-    factored: _Factored = None
+    @functools.cached_property
+    def _fft_factors(self):
+        """[w, sp], (2, N), and the node rule's multipliers on the real-FFT modes, for _products."""
+        return np.stack([self.curve.weights, self.curve.speeds]), np.fft.rfft(self.column)
 
     def apply(self, field):
         return BoundaryVectorField(values=_products((self,), field.values)[0], curve=field.curve)
@@ -223,7 +221,7 @@ def trig_resample(vals, M):
 def _interpolation_matrix(Nc, N):
     """The N x Nc trigonometric interpolation matrix P = trig_resample(I, N), read-only.
 
-    P maps nodal values at Nc nodes to the N nodes: the assembly's
+    P maps nodal values at Nc nodes to the N nodes: the dense matrix's
     interpolation (_interpolate) and the two-grid solve read it.  Cached: it
     depends on Nc and N alone.
     """
@@ -449,20 +447,16 @@ def _interpolate(blocks, N):
 
 
 def _smooth_part(curve, blocks_of, tol):
-    """The smooth kernel at the node pairs, (2N, 2N) node-major, its node count and its factor.
+    """The smooth kernel at its Nc nodes, (2Nc, 2Nc) node-major.
 
     blocks_of maps a curve of n nodes to (n, n, 2, 2) blocks of the smooth
-    kernel, free-space split plus lattice part; the node count is the Nc
-    they were evaluated at, a coarse one or N.  The smooth kernel is
-    analytic on the (t, s) torus.  From Nc = _COARSE_START, doubling, it is
-    evaluated at the nodes of curve.resample(Nc), and accepted, then
-    interpolated to the N nodes, when its _tail_share is below the plan's
-    tail share of tol or, at tight tol, below the band that rounding alone
-    leaves (_ROUNDING Nc eps).  The shares of two rejected grids predict the
-    next one's, as the coefficients decay exponentially; when the prediction
-    fails too, or when Nc reaches N, the kernel is evaluated at the N nodes.
-    The factor is the accepted blocks as a (2Nc, 2Nc) node-major matrix when
-    4 Nc <= N, else None.
+    kernel, free-space split plus lattice part, analytic on the (t, s)
+    torus.  From Nc = _COARSE_START, doubling, it is evaluated at the nodes
+    of curve.resample(Nc), and accepted when its _tail_share is below the
+    plan's tail share of tol or, at tight tol, below the band that rounding
+    alone leaves (_ROUNDING Nc eps).  The shares of two rejected grids
+    predict the next one's, as the coefficients decay exponentially; when
+    the prediction fails too, or Nc reaches N, it is evaluated at the N nodes.
     """
     N = curve.N
     Nc, previous = _COARSE_START, None
@@ -470,43 +464,46 @@ def _smooth_part(curve, blocks_of, tol):
         coarse = blocks_of(curve.resample(Nc))
         share = _tail_share(coarse)
         if share < _tail_budget(tol, Nc):
-            factor = _blocks_to_matrix(coarse) if 4 * Nc <= N else None
-            return _interpolate(coarse, N), Nc, factor
+            return _blocks_to_matrix(coarse)
         if previous is not None and share * (share / previous) ** 2 >= _tail_budget(tol, 2 * Nc):
             break
         Nc, previous = 2 * Nc, share
-    return _blocks_to_matrix(blocks_of(curve)), N, None
+    return _blocks_to_matrix(blocks_of(curve))
 
 
-def _assemble(curve, env, blocks_of, tol, node_rule, scale, unit):
-    """Nystrom operator: the trapezoid rule on the smooth kernel plus a singular node rule.
+def _nystrom_matrix(smooth, op):
+    """op's (2N, 2N) matrix, finished in place from smooth, its smooth kernel at the N nodes.
 
-    The smooth kernel (_smooth_part of blocks_of) is weighted by
-    (2 pi / N) sp_b.  The singular part of the kernel is the circulant
-    node_rule on sp_b, times the factor scale_a at each target and the
-    2 x 2 matrix unit.  The operator's lattice_nodes is the Nc of the
-    smooth kernel, and its factored form that kernel at the Nc nodes with
-    the rule, whose multipliers are the real FFT of the circulant's first
-    column, when _smooth_part gives one.
+    smooth is weighted by the weights w_b, and the node rule circulant(column)
+    on sp_b, times scale_a at each target and the 2 x 2 unit, is added.
+    """
+    smooth *= np.repeat(op.curve.weights, 2)
+    rule = op.scale[:, None] * (sla.circulant(op.column) * op.curve.speeds[None, :])
+    for j, k in zip(*np.nonzero(op.unit)):
+        smooth[j::2, k::2] += op.unit[j, k] * rule
+    return smooth
+
+
+def _assemble(curve, env, blocks_of, tol, symbol, scale, unit):
+    """Nystrom operator: the trapezoid rule on _smooth_part's kernel plus a singular node rule.
+
+    The node rule's multiplier on e^{ims} is symbol(m) (_apply_rule gives
+    its column); it acts on sp_b, times scale_a at each target and the 2 x 2
+    unit.  At Nc = N the kernel is finished in place into the matrix.
     """
     _checked_split(curve, curve, env)
-    matrix, nc, coarse = _smooth_part(curve, blocks_of, tol)
-    matrix *= np.repeat((2.0 * np.pi / curve.N) * curve.speeds, 2)
-    rule = scale[:, None] * (node_rule * curve.speeds[None, :])
-    for j, k in zip(*np.nonzero(unit)):
-        matrix[j::2, k::2] += unit[j, k] * rule
-    factored = None
-    if coarse is not None:
-        factored = _Factored(coarse, np.stack([curve.weights, curve.speeds]),
-                             np.fft.rfft(node_rule[:, 0]), scale, unit)
-    return DenseBoundaryOperator(matrix=matrix, lattice_nodes=nc, factored=factored)
+    column = _apply_rule(symbol, np.eye(curve.N, 1), 0.0)[:, 0].copy()
+    op = DenseBoundaryOperator(_smooth_part(curve, blocks_of, tol), curve, column, scale, unit)
+    if op.lattice_nodes == curve.N:
+        _nystrom_matrix(op.kernel, op)
+    return op
 
 
 def assemble_single_layer(curve, env, cell, plan):
     """Nystrom operator of the periodic single layer on the curve.
 
     The smooth kernel, the free-space split pv delta + av d d plus R^q, is
-    interpolated from a coarse grid where its tail allows (_smooth_part) and
+    evaluated at a coarse grid where its tail allows (_smooth_part) and
     weighted by the trapezoid rule; the Kress log rule carries the log part.
     The operator's lattice_nodes is the Nc of the smooth kernel.
     """
@@ -517,8 +514,8 @@ def assemble_single_layer(curve, env, cell, plan):
         blocks += _blocks(s.d, s.pv, s.av)[0]
         return blocks
 
-    return _assemble(curve, env, smooth, plan.tol, kress_log_rule(curve.N),
-                     np.full(curve.N, env.alpha / (4.0 * np.pi)), np.eye(2))
+    return _assemble(curve, env, smooth, plan.tol, _log_symbol,
+                     np.broadcast_to(env.alpha / (4.0 * np.pi), curve.N), np.eye(2))
 
 
 def assemble_wstar(curve, env, cell, plan):
@@ -528,9 +525,8 @@ def assemble_wstar(curve, env, cell, plan):
     the spectral Hilbert rule and a smooth kernel: the free-space split
     pw delta + aw d d + cauchy J plus the traction at the target normals of
     the gradient of R^q.  The smooth kernel is analytic on the torus,
-    normals included, so it is formed at the coarse nodes and interpolated
-    where its tail allows (_smooth_part); the operator's lattice_nodes is
-    its Nc.
+    normals included, so it is formed at the coarse nodes where its tail
+    allows (_smooth_part); the operator's lattice_nodes is its Nc.
     """
 
     def smooth(c):
@@ -547,54 +543,54 @@ def assemble_wstar(curve, env, cell, plan):
         blocks += s.cauchy[:, :, None, None] * _J
         return blocks
 
-    return _assemble(curve, env, smooth, plan.tol, hilbert_rule(curve.N),
+    return _assemble(curve, env, smooth, plan.tol, _hilbert_symbol,
                      env.gamma_c * np.pi / curve.speeds, _J)
 
 
 def _products(ops, x):
     """[A x for A in ops] for nodal data x, (N, 2) or columns (N, 2, m), on the operators' curve.
 
-    Each product has x's shape.  An operator with no factored form takes its
+    Each product has x's shape.  An operator with 4 Nc > N takes its dense
     matrix: a GEMV on a field, bit for bit what its matrix gives.  The
-    factored ones (_Factored) share one forward real FFT of [w x, sp x],
-    taken with the nodes on the last axis, where the transforms are
-    contiguous.  For each coarse Nc, P^T (w x) is read from its modes
-    (_coarse_values); each B acts on it at the Nc nodes, and its result is
-    carried to the N modes (_resampled_modes, as in trig_resample).  Each
-    node rule multiplies the modes of sp x by its multipliers.  One inverse
-    real FFT gives every smooth part and every rule part; a rule part is
-    then taken times its unit and its target factor.
+    others act in their stored form and share one forward real FFT of
+    [w x, sp x], with the nodes on the last axis, where it is contiguous.
+    For each coarse Nc, P^T (w x) is read from its modes (_coarse_values);
+    each B acts on it at the Nc nodes, and its result is carried to the N
+    modes (_resampled_modes, as in trig_resample).  Each node rule
+    multiplies the modes of sp x by the real FFT of its column
+    (_fft_factors).  One inverse real FFT gives every smooth part and every
+    rule part; a rule part is then taken times its unit and target factor.
     """
     N = x.shape[0]
-    out, factored = [None] * len(ops), []
+    out, by_fft = [None] * len(ops), []
     for i, op in enumerate(ops):
-        if op.factored is not None:
-            factored.append((i, op.factored))
+        if 4 * op.lattice_nodes <= N:
+            by_fft.append((i, op))
         elif x.ndim == 2:
             out[i] = (op.matrix @ x.reshape(-1)).reshape(x.shape)
         else:
             out[i] = (op.matrix @ x.reshape(2 * N, -1)).reshape(x.shape)
-    if not factored:
+    if not by_fft:
         return out
-    m, k = x.size // (2 * N), len(factored)
+    m, k = x.size // (2 * N), len(by_fft)
     # [w x, sp x] as (2, 2m, N/2 + 1) modes; row j m + c is column c of component j
-    F = np.fft.rfft(factored[0][1].sources[:, None] * x.reshape(N, 2 * m).T)
+    F = np.fft.rfft(by_fft[0][1]._fft_factors[0][:, None] * x.reshape(N, 2 * m).T)
     modes = np.empty((2 * k, 2 * m, N // 2 + 1), dtype=complex)
     densities = {}
-    for j, (_, f) in enumerate(factored):
-        Nc = f.coarse.shape[0] // 2
+    for j, (_, op) in enumerate(by_fft):
+        Nc = op.lattice_nodes
         if Nc not in densities:
             # P^T (w x) as node-major (2 Nc, m) columns
             densities[Nc] = _coarse_values(F[0], Nc).reshape(2, m, Nc).transpose(2, 0, 1) \
                 .reshape(2 * Nc, m)
-        smooth = (f.coarse @ densities[Nc]).reshape(Nc, 2 * m).T
+        smooth = (op.kernel @ densities[Nc]).reshape(Nc, 2 * m).T
         _resampled_modes(np.fft.rfft(smooth), Nc, modes[j])
-        np.multiply(f.multiplier, F[1], out=modes[k + j])
+        np.multiply(op._fft_factors[1], F[1], out=modes[k + j])
     del F
     parts = np.fft.irfft(modes, n=N)
-    for j, (i, f) in enumerate(factored):
-        rule = (f.unit @ parts[k + j].reshape(2, m * N)).reshape(2, m, N)
-        rule *= f.scale
+    for j, (i, op) in enumerate(by_fft):
+        rule = (op.unit @ parts[k + j].reshape(2, m * N)).reshape(2, m, N)
+        rule *= op.scale
         rule += parts[j].reshape(2, m, N)
         out[i] = np.ascontiguousarray(rule.transpose(2, 0, 1)).reshape(x.shape)
     return out

@@ -350,7 +350,9 @@ def solve_robin(data, curve, env, cell, plan, operators=None):
     solvability conditions are then violated beyond numerical tolerance.
     diagnostics["condition_estimate"] is the LU's 1-norm estimate and
     diagnostics["timings"] holds the seconds of each stage, none nested in
-    another; "assembly" is recorded when V and W* are not given.
+    another; "assembly" is recorded when V and W* are not given.  V's and
+    W*'s dense matrices form on their first read (DenseBoundaryOperator),
+    in "system"; with operators given, in the first solve's.
     diagnostics["lattice_nodes_v"] and ["lattice_nodes_wstar"] are the node
     counts at which V's and W*'s smooth kernels, free-space split plus
     lattice part, were evaluated (DenseBoundaryOperator.lattice_nodes),

@@ -736,23 +736,24 @@ def _check_nonlinear_equivalence(seed):
 
 
 def _check_nonlinear_manufactured(seed):
-    rng = np.random.default_rng(seed)
-    cell, env, plan, (curve,), fp = _setup(1.0, 1e-12, ["circle"], 128)
-    cstar = np.array([0.2, -0.4])
-    B = np.diag([0.15, -0.1])
-    u_fn, trac_fn = _sources_field(
-        env, cell, plan, (0.31, 0.5), (0.68, 0.54), (1.0, 1.0), cstar=cstar, B=B
-    )
-    tstar = trac_fn(curve.nodes, curve.normals)
-    ustar = u_fn(curve.nodes)
-    # a law that is not affine, so a wrong Jacobian shows: G(u*) = t* at every node
-    kappa = -0.8
-    h = tstar - kappa * ustar / (1.0 + np.sum(ustar * ustar, axis=1))[:, None]
-    model = saturating_model(h, kappa, curve)
-    rep = solve_nonlinear_robin(model, B, curve, env, cell, plan, tol=1e-12)
-    pts = _far_points(rng)
-    u_num = eval_solution(rep, pts, env, cell, plan, warn=False)
-    return float(np.max(np.abs(u_num - u_fn(pts)))), fp
+    # Newton applies V and W* by their matrices at N = 128, by FFT at N = 512 (4 Nc <= N)
+    sizes = (128, 512)
+    cell, env, plan, _, fp = _setup(1.0, 1e-12, ["circle"], sizes)
+    B, kappa = np.diag([0.15, -0.1]), -0.8
+    u_fn, trac_fn = _sources_field(env, cell, plan, (0.31, 0.5), (0.68, 0.54), (1.0, 1.0),
+                                   cstar=np.array([0.2, -0.4]), B=B)
+    pts, worst = _far_points(np.random.default_rng(seed)), 0.0
+    for N in sizes:
+        curve = standard_curve("circle", cell, N)
+        ustar = u_fn(curve.nodes)
+        # a law that is not affine, so a wrong Jacobian shows: G(u*) = t* at every node
+        h = trac_fn(curve.nodes, curve.normals) \
+            - kappa * ustar / (1.0 + np.sum(ustar * ustar, axis=1))[:, None]
+        rep = solve_nonlinear_robin(saturating_model(h, kappa, curve), B, curve, env, cell, plan,
+                                    tol=1e-12)
+        u_num = eval_solution(rep, pts, env, cell, plan, warn=False)
+        worst = max(worst, float(np.max(np.abs(u_num - u_fn(pts)))))
+    return worst, fp
 
 
 def _check_nonlinear_degeneracy(seed):

@@ -1,29 +1,32 @@
-"""Named mutants of the package, each with the check that must catch it.
+"""Named mutants of the package, each with the checks that must catch it.
 
-A mutant is one monkeypatch of perilame.  Its check passes on the package as
-it is and fails, by an AssertionError, with the mutant in place.
+A mutant is one monkeypatch of perilame.  Each of its checks passes on the
+package as it is and fails, by an AssertionError, with the mutant in place.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
 
+import perilame.nonlinear as nonlinear
 import perilame.operators as operators
-from test_operators import products_agree_with_matrices
+from perilame.cell import CircleShape, discretize_curve
+from perilame.lattice import plan_lattice_sum
+from perilame.operators import assemble_single_layer, assemble_wstar
+from perilame.verify import run_property_suite
+from test_nonlinear import ENV1, UNIT, coarse_jacobian_is_galerkin
+from test_operators import matrices_are_the_eager_formula, products_agree_with_matrices
 
 
 def drop_the_kress_rule_from_v(monkeypatch):
-    """V's factored form is built without its Kress log rule (the identity unit is V's)."""
-    factored = operators._Factored
+    """V is assembled with a zero Kress log rule column (the identity unit is V's)."""
+    one_form = operators.DenseBoundaryOperator
 
-    def mutant(*args):
-        form = factored(*args)
-        if np.array_equal(form.unit, np.eye(2)):
-            form = dataclasses.replace(form, multiplier=np.zeros_like(form.multiplier))
-        return form
+    def mutant(kernel, curve, column, scale, unit):
+        if np.array_equal(unit, np.eye(2)):
+            column = np.zeros_like(column)
+        return one_form(kernel, curve, column, scale, unit)
 
-    monkeypatch.setattr(operators, "_Factored", mutant)
+    monkeypatch.setattr(operators, "DenseBoundaryOperator", mutant)
 
 
 def adjoint_by_injection(monkeypatch):
@@ -36,21 +39,55 @@ def adjoint_by_injection(monkeypatch):
     monkeypatch.setattr(operators, "_coarse_values", mutant)
 
 
-# name: (mutant, check); the agreement of V's and W*'s products with their
-# matrices on the benchmark's circle at N = 512, where both are factored
+def c_columns_by_injection(monkeypatch):
+    """The coarse Jacobian's c columns take -dG at every (N/Nc)-th node, not R(-dG)."""
+
+    def mutant(self, K):
+        m = 2 * self.Nc
+        Jc = np.empty((m + 2, m + 2), order="F")
+        Jc[:m, :m] = self.base
+        Jc[:m, :m] += self._restrict_rows(np.einsum("nij,njm->nim", K, self.VP))
+        Jc[:m, m:] = K[::self.N // self.Nc].reshape(m, 2)
+        Jc[m:] = self.mean_rows
+        return nonlinear._screened_lu(Jc)
+
+    monkeypatch.setattr(nonlinear._TwoGrid, "factor", mutant)
+
+
+def property_passes(name):
+    """Asserts that the registry property passes at seed 0."""
+    (report,) = run_property_suite([name], seed=0)
+    assert report.passed, (report.name, report.max_error)
+
+
+def coarse_jacobian_at_128():
+    curve = discretize_curve(CircleShape([0.5, 0.5], 0.25), 128, UNIT)
+    plan = plan_lattice_sum(UNIT, ENV1, 1e-11)
+    coarse_jacobian_is_galerkin(curve, assemble_single_layer(curve, ENV1, UNIT, plan),
+                                assemble_wstar(curve, ENV1, UNIT, plan))
+
+
+# name: (mutant, checks).  The benchmark's circle at N = 512 has V and W*
+# applied by FFT (4 Nc <= N): the FFT products against the matrices, and
+# the matrices against the eager formula.  nonlinear-manufactured runs
+# Newton there; the Galerkin check is test_coarse_jacobian_is_galerkin[128]
 MUTANTS = {
     "kress-rule-dropped-from-v": (drop_the_kress_rule_from_v,
-                                  lambda: products_agree_with_matrices("circle")),
+                                  (lambda: matrices_are_the_eager_formula("circle"),
+                                   lambda: property_passes("nonlinear-manufactured"))),
     "adjoint-by-injection": (adjoint_by_injection,
-                             lambda: products_agree_with_matrices("circle")),
+                             (lambda: products_agree_with_matrices("circle"),)),
+    "c-columns-by-injection": (c_columns_by_injection, (coarse_jacobian_at_128,)),
 }
 
 
 @pytest.mark.parametrize("name", list(MUTANTS))
 def test_check_catches_its_mutant(monkeypatch, name):
-    mutate, check = MUTANTS[name]
-    check()
+    mutate, checks = MUTANTS[name]
+    for check in checks:
+        check()
     with monkeypatch.context() as patched:
         mutate(patched)
-        with pytest.raises(AssertionError):
-            check()
+        for check in checks:
+            with pytest.raises(AssertionError):
+                check()

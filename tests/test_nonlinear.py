@@ -430,6 +430,28 @@ def test_two_grid_newton_steps(curve_ops, plan1, name, N):
         assert np.max(np.abs(rep.c - c)) <= 1e-12 * np.max(np.abs(c))
 
 
+def test_newton_forms_no_dense_matrix():
+    # the newton-n512 benchmark's law at its first seed's geometry (a
+    # saturating law whose solution is a two-source field with c and a
+    # drift) on the circle r = 0.25 at N = 512, plan tol 1e-10: V and W*
+    # apply by FFT (4 Nc <= N), and Newton never forms their dense matrices
+    plan = plan_lattice_sum(UNIT, ENV1, 1e-10)
+    curve = discretize_curve(CircleShape([0.5, 0.5], 0.25), 512, UNIT)
+    ops = (assemble_single_layer(curve, ENV1, UNIT, plan), assemble_wstar(curve, ENV1, UNIT, plan))
+    B, kappa = np.diag([0.1, -0.05]), -0.8
+    u_fn, trac_fn = _sources_field(ENV1, UNIT, plan, (0.31, 0.5), (0.68, 0.54), (1.0, 1.0),
+                                   cstar=np.array([0.2, -0.4]), B=B)
+    ustar = u_fn(curve.nodes)
+    h = trac_fn(curve.nodes, curve.normals) \
+        - kappa * ustar / (1.0 + np.sum(ustar * ustar, axis=1))[:, None]
+    d = solve_nonlinear_robin(saturating_model(h, kappa, curve), B, curve, ENV1, UNIT, plan,
+                              operators=ops).diagnostics
+    assert d["fine_factorizations"] == 0
+    for op in ops:
+        assert 4 * op.lattice_nodes <= curve.N
+        assert "matrix" not in vars(op)
+
+
 def test_fine_lu_steps_counted(circle_ops, plan1):
     # at N <= 64 the coarse grid is the fine one, so the preconditioner is
     # J^{-1}: one GMRES iteration per step and no fine LU
@@ -469,30 +491,40 @@ def test_two_grid_newton_failures(curve_ops, plan1, kappa, error):
                               ENV1, UNIT, plan1, operators=ops)
 
 
-@pytest.mark.parametrize("N", [128, 256])
-def test_coarse_jacobian_is_galerkin(circle_ops, plan1, monkeypatch, N):
-    # the matrix the two-grid screen factors is R J P with R and P on both
-    # components and the c entries passed through, also for nodal blocks
-    # K whose factor 1 + 0.5 cos 40t the coarse grid cannot carry
-    curve, (V, W) = circle_ops(N)
+def coarse_jacobian_is_galerkin(curve, V, W):
+    """Asserts that the matrix the two-grid screen factors on the curve is R J P.
+
+    R and P act on both components and the c entries pass through, also
+    for nodal blocks K whose factor 1 + 0.5 cos 40t the coarse grid cannot
+    carry.
+    """
+    N = curve.N
     seen, lu_condition = [], robin._lu_condition
 
     def copied(matrix, norm_1):
         seen.append(np.array(matrix))
         return lu_condition(matrix, norm_1)
 
-    monkeypatch.setattr(robin, "_lu_condition", copied)
     t = curve.params
     U = np.column_stack([0.3 * np.cos(t), 0.2 * np.sin(2 * t)])
     K = -(1.0 + 0.5 * np.cos(40 * t))[:, None, None] * _saturating_law(curve, -0.8).jac(U)
     Nc = nonlinear._COARSE_START
-    nonlinear._TwoGrid(V, W, curve, Nc).factor(K)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(robin, "_lu_condition", copied)
+        nonlinear._TwoGrid(V, W, curve, Nc).factor(K)
     P = trig_resample(np.eye(Nc), N)
     P2 = sla.block_diag(np.kron(P, np.eye(2)), np.eye(2))
     R2 = sla.block_diag(np.kron((Nc / N) * P.T, np.eye(2)), np.eye(2))
     expected = R2 @ augmented_matrix(K, V, W, curve) @ P2
     assert len(seen) == 1
     assert np.max(np.abs(seen[0] - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("N", [128, 256])
+def test_coarse_jacobian_is_galerkin(circle_ops, N):
+    # the coarse Jacobian against R J P formed densely, on the circle r = 0.25
+    curve, (V, W) = circle_ops(N)
+    coarse_jacobian_is_galerkin(curve, V, W)
 
 
 def test_condition_estimate_same_at_every_n(circle_ops, plan1):

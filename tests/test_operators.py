@@ -216,7 +216,7 @@ def test_coarse_lattice_part_matches_node_pairs(monkeypatch, edges, shape, N, to
         assert np.max(np.abs(op.matrix - ref.matrix)) <= 1e-12 * np.max(np.abs(ref.matrix))
 
 
-# the COARSE_CASES whose V and W* keep their factored form (4 Nc <= N)
+# the COARSE_CASES whose V and W* apply in their stored form by FFT (4 Nc <= N)
 FACTORED_CASES = ("circle", "circle-tol-1e-13")
 
 
@@ -225,8 +225,8 @@ def products_agree_with_matrices(name):
 
     On a seeded random density (DenseBoundaryOperator.apply) and on the 2 Nc
     columns of P on both components (operators._products), Nc the two-grid
-    one: to 1e-14 of the matrix product's size where the operators keep
-    their factored form, bit for bit where they take the GEMV.
+    one: to 1e-14 of the matrix product's size where the operators apply by
+    FFT (4 Nc <= N), bit for bit where they take the GEMV.
     """
     _, edges, shape, N, tol, _ = next(case for case in COARSE_CASES if case[0] == name)
     cell, plan, curve = _coarse_setup(edges, shape, N, tol)
@@ -238,8 +238,11 @@ def products_agree_with_matrices(name):
     columns = columns.reshape(N, 2, 2 * Nc)
     on_columns = operators._products(ops, columns)
     for op, product_on_columns in zip(ops, on_columns):
-        factored = op.factored is not None
-        assert factored == (name in FACTORED_CASES) == (4 * op.lattice_nodes <= N)
+        factored = 4 * op.lattice_nodes <= N
+        assert factored == (name in FACTORED_CASES)
+        assert op.kernel.shape == (2 * op.lattice_nodes,) * 2
+        # products in the stored form leave the dense matrix unformed
+        assert ("matrix" in vars(op)) == (not factored)
         pairs = ((op.apply(BoundaryVectorField(density, curve)).values,
                   (op.matrix @ density.reshape(-1)).reshape(N, 2)),
                  (product_on_columns, (op.matrix @ columns.reshape(2 * N, -1)).reshape(N, 2, -1)))
@@ -250,10 +253,64 @@ def products_agree_with_matrices(name):
                 assert np.array_equal(product, ref)
 
 
+def matrices_are_the_eager_formula(name):
+    """Asserts that V's and W*'s matrices on one COARSE_CASES case are the eager formula.
+
+    Bit for bit: the smooth kernel's blocks at the Nc nodes the assembly
+    accepted, interpolated to the N nodes when Nc < N, weighted by
+    (2 pi / N) sp_b, plus the circulant node rule (kress_log_rule,
+    hilbert_rule) on sp_b times the target factor and the 2 x 2 unit.
+    """
+    _, edges, shape, N, tol, _ = next(case for case in COARSE_CASES if case[0] == name)
+    cell, plan, curve = _coarse_setup(edges, shape, N, tol)
+    accepted, to_matrix = [], operators._blocks_to_matrix
+
+    def recorded(blocks):
+        accepted.append(blocks.copy())
+        return to_matrix(blocks)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(operators, "_blocks_to_matrix", recorded)
+        ops = _assembled(curve, cell, plan)
+    sp = curve.speeds
+    rules = ((kress_log_rule(N), np.full(N, ENV1.alpha / (4.0 * np.pi)), np.eye(2)),
+             (hilbert_rule(N), ENV1.gamma_c * np.pi / sp, operators._J))
+    for op, blocks, (rule, scale, unit) in zip(ops, accepted, rules):
+        if len(blocks) < N:
+            expected = operators._interpolate(blocks, N)
+        else:
+            expected = to_matrix(blocks)
+        expected *= np.repeat((2.0 * np.pi / N) * sp, 2)
+        weighted_rule = scale[:, None] * (rule * sp[None, :])
+        for j, k in zip(*np.nonzero(unit)):
+            expected[j::2, k::2] += unit[j, k] * weighted_rule
+        assert np.array_equal(op.matrix, expected)
+
+
+@pytest.mark.parametrize("name", [case[0] for case in COARSE_CASES])
+def test_matrices_are_the_eager_formula(name):
+    # the dense matrix, formed on its first read from the stored kernel and
+    # rule column, is the one the assembly formed when it built it eagerly
+    matrices_are_the_eager_formula(name)
+
+
+def test_operator_at_the_nodes_holds_one_array():
+    # on the circle r = 0.45 the smooth kernels are evaluated at the N nodes,
+    # and the assembly finishes each in place into the matrix: the operator
+    # holds one (2N)-square array, the rest of its form O(N)
+    _, edges, shape, _, tol, _ = COARSE_CASES[4]
+    N = 256
+    cell, plan, curve = _coarse_setup(edges, shape, N, tol)
+    for op in _assembled(curve, cell, plan):
+        assert op.lattice_nodes == N
+        assert op.matrix is op.kernel
+        assert max(getattr(op, f).nbytes for f in ("column", "scale", "unit")) <= 8 * N
+
+
 @pytest.mark.parametrize("name", [case[0] for case in COARSE_CASES])
 def test_products_agree_with_the_matrices(name):
-    # the factored products of V and W* (their coarse smooth kernel and the
-    # FFT node rules) against the dense matrices they factor
+    # the FFT products of V and W* (their coarse smooth kernel and the FFT
+    # node rules) against their dense matrices
     products_agree_with_matrices(name)
 
 

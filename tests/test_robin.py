@@ -634,24 +634,26 @@ def test_off_node_residual_sees_an_underresolved_assembly(monkeypatch, plan1):
 
 
 def test_residual_forms_no_rule_matrix(monkeypatch, plan1):
-    # with V and W* given, the off-node residual applies the shifted rules by
-    # FFT: neither dense N x N rule is built; assembly builds each once
-    N = 32
+    # assembly builds no dense N x N rule; reading V's and W*'s matrices
+    # builds each once, and with V and W* given, the solve reads the kept
+    # matrices and the off-node residual applies the shifted rules by FFT.
+    # At N = 256 both smooth kernels are coarse (Nc < N)
+    N = 256
     curve = discretize_curve(CircleShape([0.5, 0.5], 0.25), N, UNIT)
     data = _varied_data(curve)
-    calls = []
+    calls, circulant = [], operators.sla.circulant
 
-    def counting(rule):
-        def wrapper(*args):
-            calls.append(rule.__name__)
-            return rule(*args)
-        return wrapper
+    def counting(column):
+        calls.append(len(column))
+        return circulant(column)
 
-    for name in ("kress_log_rule", "hilbert_rule"):
-        monkeypatch.setattr(operators, name, counting(getattr(operators, name)))
+    monkeypatch.setattr(operators.sla, "circulant", counting)
     ops = (assemble_single_layer(curve, ENV1, UNIT, plan1),
            assemble_wstar(curve, ENV1, UNIT, plan1))
-    assert calls == ["kress_log_rule", "hilbert_rule"]
+    assert calls == []
+    for _ in range(2):
+        assert [op.matrix.shape for op in ops] == [(2 * N, 2 * N)] * 2
+    assert calls == [N, N]
     calls.clear()
     solve_robin(data, curve, ENV1, UNIT, plan1, operators=ops)
     assert calls == []

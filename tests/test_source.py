@@ -226,10 +226,10 @@ def test_one_collocated_equation():
 
 
 def test_operator_matrices_are_read_where_they_are_factored():
-    # V and W* apply from their factored form (operators._products, whose
-    # GEMV branch reads the matrix of an operator that has none); the dense
-    # matrix is read where it is factored, robin's augmented system and
-    # auxiliary solve, and nonlinear reads none.  solve_robin reads the
+    # V and W* apply by FFT where 4 Nc <= N (operators._products, whose
+    # GEMV branch reads the matrix of the others); the dense matrix is read
+    # where it is factored, robin's augmented system and auxiliary solve,
+    # and nonlinear reads none.  solve_robin reads the
     # matrix of its DiscreteSystem, named system.
     readers = set()
     for path in sorted(SRC.glob("*.py")):
@@ -244,3 +244,12 @@ def test_operator_matrices_are_read_where_they_are_factored():
                                 "robin.py:solve_neumann_aux"}, operator_readers
     assert {where for where, receiver in readers if receiver == "system"} \
         == {"robin.py:solve_robin"}
+
+
+def test_one_dense_matrix_derivation():
+    # the dense matrix of V and W* is formed in one place, on its first
+    # read (DenseBoundaryOperator.matrix): only it interpolates the smooth
+    # kernel, and no assembly builds the dense N x N rules, which the
+    # quadrature tests alone call
+    assert _call_sites("_interpolate") == ["operators.py:DenseBoundaryOperator"]
+    assert _call_sites("kress_log_rule") == _call_sites("hilbert_rule") == []

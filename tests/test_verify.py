@@ -222,12 +222,12 @@ def test_fault_injection_breaks_integral_identity():
 
 def test_fault_injection_in_the_factored_form_breaks_integral_identity():
     # at N = 256 and plan tol 1e-10 W* applies from its coarse smooth kernel
-    # at 64 nodes, so corrupting one entry of that factor must surface in
+    # at 64 nodes, so corrupting one entry of that kernel must surface in
     # the identity check
     plan = plan_lattice_sum(UNIT, ENV1, 1e-10)
     curve = standard_curve("circle", UNIT, 256)
     W = assemble_wstar(curve, ENV1, UNIT, plan)
-    assert W.factored is not None
+    assert 4 * W.lattice_nodes <= curve.N
     factor = 0.5 - hole_area(curve) / UNIT.volume
     t = curve.params
     mu = BoundaryVectorField(np.column_stack([1.0 + np.cos(t), np.sin(t)]), curve)
@@ -237,7 +237,7 @@ def test_fault_injection_in_the_factored_form_breaks_integral_identity():
         return np.max(np.abs(lhs - factor * boundary_integral(mu)))
 
     assert identity_residual() < 1e-8
-    W.factored.coarse[3, 7] += 1e-3  # corrupt one entry
+    W.kernel[3, 7] += 1e-3  # corrupt one entry
     assert identity_residual() > 1e-8
 
 
