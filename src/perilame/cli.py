@@ -390,12 +390,14 @@ def _solve_mode(table, cell, env, plan, stages):
             model = saturating_model(_sample(spec["h"], t), spec["kappa"], curve)
         with timed(stages, "solve"):
             rep = solve_nonlinear_robin(model, drift, curve, env, cell, plan)
-        entries += [(key, rep.diagnostics[key])
-                    for key in ("iterations", "rank_checks", "fine_factorizations")]
-        krylov = rep.diagnostics["krylov_iterations"]
-        entries.append(("krylov_iterations", "(" + ",".join(map(str, krylov)) + ")"))
 
     d = rep.diagnostics
+    # the solver's counts: Newton's, and the linear solve's where it ran two-grid GMRES
+    entries += [(key, d[key]) for key in ("iterations", "rank_checks", "fine_factorizations")
+                if key in d]
+    if "krylov_iterations" in d:
+        entries.append(("krylov_iterations",
+                        "(" + ",".join(map(str, d["krylov_iterations"])) + ")"))
     off_node = [("residual_off_node", f"{d.get('residual_off_node', float('nan')):.6e}")]
     if "residual_nodes" in d:  # the linear solve's residual, and its source count
         off_node.append(("residual_nodes", d["residual_nodes"]))

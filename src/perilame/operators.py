@@ -43,9 +43,12 @@ P = _interpolation_matrix(Nc, N).  Where 4 Nc <= N, the N/4 at which the
 field's coarse grids stop too (_source_groups), _products applies V and W*
 together by FFT (P^T and P on the modes, each rule by its multipliers):
 0.1 ms for both at N = 512 against 0.6 ms for the two GEMVs (one BLAS
-thread).  Elsewhere products take the dense matrix, formed on its first
-read and kept (robin's augmented system and auxiliary solve read it); at
-Nc = N the assembly finishes the N-node kernel in place into it.
+thread).  The two-grid set-up of both Robin solvers reads the same form:
+_prolonged_products forms V (P x I_2) and R W* (P x I_2), P the two-grid's
+interpolation, from B and the rules, with no (2N)-square array.  Elsewhere
+products take the dense matrix, formed on its first read and kept (robin's
+augmented system and auxiliary solve read it); at Nc = N the assembly
+finishes the N-node kernel in place into it.
 
 At the midpoints t_i + pi/N, apply_at_midpoints applies V and W* to a
 density without a block or a matrix: both rules, shifted by half a node, act
@@ -142,9 +145,10 @@ class DenseBoundaryOperator:
     matrix, (2N, 2N), is formed on its first read and kept; concurrent first
     reads form equal arrays.  At Nc = N the assembly finishes the N-node
     kernel in place into the matrix: kernel is the matrix, the one
-    (2N)-square array the operator holds.  Products (apply, _products) take
-    the FFT form when 4 Nc <= N, which keeps [w, sp] and the rule's
-    multipliers from its first product, and the matrix otherwise.
+    (2N)-square array the operator holds.  Products (apply, _products,
+    _prolonged_products) take the FFT form when 4 Nc <= N (by_fft), which
+    keeps [w, sp] and the rule's multipliers from its first product, and the
+    matrix otherwise.
     """
 
     kernel: np.ndarray
@@ -157,6 +161,11 @@ class DenseBoundaryOperator:
     def lattice_nodes(self):
         return len(self.kernel) // 2
 
+    @property
+    def by_fft(self):
+        """Whether products act in the stored form: 4 Nc <= N, the field's N/4 stop."""
+        return 4 * self.lattice_nodes <= self.curve.N
+
     @functools.cached_property
     def matrix(self):
         Nc, N = self.lattice_nodes, self.curve.N
@@ -167,7 +176,7 @@ class DenseBoundaryOperator:
 
     @functools.cached_property
     def _fft_factors(self):
-        """[w, sp], (2, N), and the node rule's multipliers on the real-FFT modes, for _products."""
+        """[w, sp], (2, N), and the node rule's multipliers on the real-FFT modes, for products."""
         return np.stack([self.curve.weights, self.curve.speeds]), np.fft.rfft(self.column)
 
     def apply(self, field):
@@ -222,7 +231,8 @@ def _interpolation_matrix(Nc, N):
     """The N x Nc trigonometric interpolation matrix P = trig_resample(I, N), read-only.
 
     P maps nodal values at Nc nodes to the N nodes: the dense matrix's
-    interpolation (_interpolate) and the two-grid solve read it.  Cached: it
+    interpolation (_interpolate) and the two-grid solve and its set-up
+    (_prolonged_products) read it.  Cached: it
     depends on Nc and N alone.
     """
     P = trig_resample(np.eye(Nc), N)
@@ -564,7 +574,7 @@ def _products(ops, x):
     N = x.shape[0]
     out, by_fft = [None] * len(ops), []
     for i, op in enumerate(ops):
-        if 4 * op.lattice_nodes <= N:
+        if op.by_fft:
             by_fft.append((i, op))
         elif x.ndim == 2:
             out[i] = (op.matrix @ x.reshape(-1)).reshape(x.shape)
@@ -594,6 +604,41 @@ def _products(ops, x):
         rule += parts[j].reshape(2, m, N)
         out[i] = np.ascontiguousarray(rule.transpose(2, 0, 1)).reshape(x.shape)
     return out
+
+
+def _prolonged_products(op, Nc, rows=None):
+    """rows A (P x I_2) for the operator A, P = _interpolation_matrix(Nc, N), as (m, 2, 2 Nc).
+
+    Column 2c + k is A applied to P[:, c] in component k; rows, (m, N),
+    acts on the node axis (None: the identity, m = N).  Where A acts by FFT
+    (by_fft) it is formed from A's stored form: the smooth part is
+    P_A B (M x I_2), M = P_A^T diag(w) P (P_A at A's Nc_A nodes), and the
+    node rule acts on the Nc columns of sp P by one real FFT each way; rows
+    meets P_A and the rule part before they reach the N nodes.  Otherwise
+    it is _products on the 2 Nc columns of P x I_2.
+    """
+    N = op.curve.N
+    P = _interpolation_matrix(Nc, N)
+    if not op.by_fft:
+        columns = np.zeros((N, 2, Nc, 2))
+        columns[:, 0, :, 0] = columns[:, 1, :, 1] = P
+        out = _products((op,), columns.reshape(N, 2, 2 * Nc))[0]
+        return out if rows is None else (rows @ out.reshape(N, -1)).reshape(-1, 2, 2 * Nc)
+    (w, sp), multipliers = op._fft_factors
+    Na = op.lattice_nodes
+    PA = _interpolation_matrix(Na, N)
+    M = PA.T @ (w[:, None] * P)
+    # B (M x I_2): [r, b, k] against M[b, c], one GEMM, then node-major [a, j, c, k]
+    BM = op.kernel.reshape(2 * Na, Na, 2).swapaxes(1, 2).reshape(4 * Na, Na) @ M
+    BM = BM.reshape(2 * Na, 2, Nc).swapaxes(1, 2).reshape(Na, 4 * Nc)
+    rule = op.scale[:, None] * np.fft.irfft(
+        multipliers[:, None] * np.fft.rfft(sp[:, None] * P, axis=0), n=N, axis=0)
+    if rows is not None:
+        PA, rule = rows @ PA, rows @ rule
+    out = (PA @ BM).reshape(-1, 2, Nc, 2)
+    for j, k in zip(*np.nonzero(op.unit)):
+        out[:, j, :, k] += op.unit[j, k] * rule
+    return out.reshape(-1, 2, 2 * Nc)
 
 
 def apply_at_midpoints(field, targets, env, cell, plan, nodes):

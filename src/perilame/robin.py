@@ -12,6 +12,21 @@ traction law as G.  The (2N + 2)-square system determines the zero-mean
 density and the additive constant c, and the displacement is reconstructed
 as u(x) = v[mu](x) + c + B q^{-1} x.
 
+The system is 1/2 I plus a compact part, and both Robin solvers solve it
+the same way where V and W* act by FFT (4 Nc <= N, operators'
+DenseBoundaryOperator.by_fft): GMRES on the matrix-free system, right-
+preconditioned by a coarse Galerkin solve at _COARSE_START nodes plus
+2 (r - P R r) on the modes the coarse grid does not carry (_TwoGrid; the
+Newton steps of nonlinear with K = -dG, solve_robin with K = a^{-1} b).
+Its set-up is formed from V's and W*'s coarse factors
+(operators._prolonged_products), so no (2N)-square matrix is formed.  The
+linear solve stops at GMRES_FLOOR of the right-hand side, the level its
+LU's residual reaches: on the benchmark's circle at N = 256 to 1024, 10 to
+12 iterations, with mu within 4.4e-15 of the LU's.  Elsewhere (every
+N <= 128; holes close to their images, whose kernels need the N nodes),
+and when the coarse screen or GMRES_CAP leaves a solve to it, the dense
+system is factored by LU.
+
 diagnostics["residual_off_node"] is the collocation residual at the N
 midpoints t_i + pi/N, with no reassembly at 2N and no N x N matrix:
 operators.apply_at_midpoints applies V and W* there to the density (the
@@ -52,9 +67,13 @@ from .cell import NEAR_SPACINGS, locate_targets
 from .errors import AdmissibilityError, DegenerateProblemError, DomainError, NearBoundaryWarning
 from .kernels import traction
 from .operators import (
+    _COARSE_START,
     BoundaryMatrixField,
     BoundaryVectorField,
+    _interpolation_matrix,
     _midpoints,
+    _products,
+    _prolonged_products,
     apply_at_midpoints,
     assemble_single_layer,
     assemble_wstar,
@@ -74,6 +93,14 @@ SEMIDEF_TOL = 1e-10
 # 5.4e-15 of the data at N = 64 to 512), and its Fourier tail says nothing
 # about resolution
 _ROUNDING_FLOOR = 1e-12
+# two-grid GMRES on J x = b stops when its residual is at most the caller's
+# atol: a Newton step takes GMRES_TOL |F|_2, or GMRES_FLOOR |F_0|_2 with F_0
+# the residual at the start, a level the rounding of F itself reaches; the
+# linear solve takes GMRES_FLOOR |b|_2, as its LU would leave.  A solve that
+# needs more than GMRES_CAP iterations is left to the fine LU
+GMRES_TOL = 1e-12
+GMRES_FLOOR = 1e-15
+GMRES_CAP = 30
 
 
 @dataclass
@@ -318,6 +345,131 @@ def _full_rank_lu(J, name, cause):
     return factors, cond, certified
 
 
+def _nodal_products(ops, curve, x):
+    """mu, V mu + c and W* mu at the nodes, (N, 2) each, and the integral of mu.
+
+    x is (node-major mu, c) and ops is (V, W*), applied together by
+    operators._products.
+    """
+    mu = x[:-2].reshape(curve.N, 2)
+    vmu, wmu = _products(ops, mu)
+    return mu, vmu + x[-2:], wmu, curve.weights @ mu
+
+
+def _gmres(apply, precondition, b, atol):
+    """Right-preconditioned GMRES for A x = b from x = 0 (Saad & Schultz 1986).
+
+    apply(x) = A x and precondition(r) ~ A^{-1} r.  Returns (x, iterations)
+    once the residual |b - A x|_2 of the Arnoldi recurrence is at most atol,
+    and (None, GMRES_CAP) when GMRES_CAP iterations do not get there.
+    """
+    beta = np.linalg.norm(b)
+    if beta <= atol:
+        return np.zeros_like(b), 0
+    Q = np.empty((GMRES_CAP + 1, b.size))
+    Z = np.empty((GMRES_CAP, b.size))
+    H = np.zeros((GMRES_CAP + 1, GMRES_CAP))
+    e1 = np.zeros(GMRES_CAP + 1)
+    e1[0] = beta
+    Q[0] = b / beta
+    for k in range(GMRES_CAP):
+        Z[k] = precondition(Q[k])
+        w = apply(Z[k])
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            h = Q[: k + 1] @ w
+            w -= h @ Q[: k + 1]
+            H[: k + 1, k] += h
+        H[k + 1, k] = np.linalg.norm(w)
+        Hk, ek = H[: k + 2, : k + 1], e1[: k + 2]
+        y = np.linalg.lstsq(Hk, ek, rcond=None)[0]
+        if np.linalg.norm(ek - Hk @ y) <= atol:
+            return y @ Z[: k + 1], k + 1
+        if H[k + 1, k] == 0.0:
+            break
+        Q[k + 1] = w / H[k + 1, k]
+    return None, GMRES_CAP
+
+
+class _TwoGrid:
+    """Two-grid GMRES for the augmented J with nodal blocks K, at Nc coarse nodes.
+
+    J is augmented_matrix(K, V, W*, curve): K = a^{-1} b for the linear
+    Robin system, -dG for a Newton Jacobian.  It is applied matrix-free
+    (product): one product of V and W* (_nodal_products) and the nodal
+    blocks.  P = operators._interpolation_matrix(Nc, N) interpolates coarse
+    nodal values to the N nodes and R = (Nc / N) P^T restricts them, each
+    acting on both components; the two c entries pass through.  The coarse
+    J is R J P, the Galerkin one: 1/2 R P + R W* P + R diag(K) V P with the
+    c columns R K and the zero-mean rows w P.  V P and R W* P are formed
+    once per solve (operators._prolonged_products: from V's and W*'s stored
+    form, with no (2N)-square matrix, where they act by FFT), the rest per
+    K.  On a residual r the preconditioner returns the coarse solution
+    prolonged by P plus 2 (r - P R r): on the modes the coarse grid does
+    not carry, J is close to 1/2 I (Atkinson, The Numerical Solution of
+    Integral Equations of the Second Kind, ch. 6).  One GMRES iteration
+    costs one product of J, R, P and the LU solve of size 2 Nc + 2.  At
+    Nc = N, P and R are the identity and R J P is J.
+    """
+
+    def __init__(self, V, W, curve, Nc):
+        N = curve.N
+        self.ops, self.curve = (V, W), curve
+        self.P = _interpolation_matrix(Nc, N)
+        self.R = (Nc / N) * self.P.T
+        self.N, self.Nc = N, Nc
+        self.VP = _prolonged_products(V, Nc)
+        self.base = _prolonged_products(W, Nc, self.R).reshape(2 * Nc, 2 * Nc) \
+            + 0.5 * np.kron(self.R @ self.P, np.eye(2))
+        wP = curve.weights @ self.P
+        self.mean_rows = np.zeros((2, 2 * Nc + 2))
+        self.mean_rows[0, 0: 2 * Nc: 2] = wP
+        self.mean_rows[1, 1: 2 * Nc: 2] = wP
+
+    def _restrict_rows(self, X):
+        """R on the node-major rows of X, (2N, m) or (N, 2, m), as (2 Nc, m)."""
+        return (self.R @ X.reshape(self.N, -1)).reshape(2 * self.Nc, -1)
+
+    def product(self, K, x):
+        """J x for the nodal blocks K, x = (node-major mu, c)."""
+        mu, u, wmu, mean = _nodal_products(self.ops, self.curve, x)
+        top = 0.5 * mu + wmu + np.einsum("nij,nj->ni", K, u)
+        return np.concatenate([top.reshape(-1), mean])
+
+    def factor(self, K):
+        """_screened_lu of R J P for the nodal blocks K."""
+        m = 2 * self.Nc
+        Jc = np.empty((m + 2, m + 2), order="F")
+        Jc[:m, :m] = self.base
+        Jc[:m, :m] += self._restrict_rows(np.einsum("nij,njm->nim", K, self.VP))
+        Jc[:m, m:] = self._restrict_rows(K)
+        Jc[m:] = self.mean_rows
+        return _screened_lu(Jc)
+
+    def precondition(self, factors, r):
+        """The two-grid approximation to J^{-1} r, given the factors of R J P."""
+        r_mu = r[:-2].reshape(self.N, 2)
+        Rr = self.R @ r_mu
+        y = sla.lu_solve(factors, np.concatenate([Rr.reshape(-1), r[-2:]]))
+        z_mu = self.P @ y[:-2].reshape(self.Nc, 2) + 2.0 * (r_mu - self.P @ Rr)
+        return np.concatenate([z_mu.reshape(-1), y[-2:]])
+
+    def solve(self, K, b, atol):
+        """J^{-1} b for the nodal blocks K by GMRES to atol: (x, iterations, condition estimate).
+
+        The estimate is R J P's (_screened_lu), certified or not.  x is None,
+        with 0 iterations, when the coarse screen cannot certify R J P or
+        GMRES misses GMRES_CAP: the caller solves by the fine LU, whose
+        singular values decide a rank the screen left open.
+        """
+        factors, estimate, certified = self.factor(K)
+        if certified:
+            x, iterations = _gmres(lambda v: self.product(K, v),
+                                   lambda r: self.precondition(factors, r), b, atol)
+            if x is not None:
+                return x, iterations, estimate
+        return None, 0, estimate
+
+
 @contextmanager
 def timed(timings, stage):
     """Record the wall time of the block as timings[stage], in seconds."""
@@ -345,14 +497,23 @@ def density_tail_ratio(mu):
 def solve_robin(data, curve, env, cell, plan, operators=None):
     """Solve the linear Robin problem; returns the (mu, c, B) representation.
 
-    Dense LU with partial pivoting; a numerically singular system (module
-    docstring) raises DegenerateProblemError, a SolveError, since the
+    Where V and W* both act by FFT (4 Nc <= N, DenseBoundaryOperator.by_fft)
+    the augmented system is solved by two-grid GMRES (_TwoGrid, K = a^{-1} b)
+    to GMRES_FLOOR of the right-hand side, with no (2N)-square matrix: its
+    set-up is timed as "two_grid_setup" (K, the right-hand side, V P and
+    R W* P) and its coarse LU and iterations as "two_grid_solve";
+    diagnostics["krylov_iterations"] holds the one solve's GMRES count and
+    ["fine_factorizations"] 1 when the coarse screen or GMRES_CAP sent it to
+    the fine LU, else 0, as in nonlinear.solve_nonlinear_robin, and
+    ["condition_estimate"] is the coarse R J P's 1-norm estimate.  Elsewhere,
+    and as that fallback, the dense system is built ("system", where V's and
+    W*'s matrices form on their first read), factored by LU with partial
+    pivoting ("lu", whose 1-norm estimate is the condition_estimate when no
+    two-grid ran) and solved ("back_solve").  A numerically singular system
+    (module docstring) raises DegenerateProblemError, a SolveError, since the
     solvability conditions are then violated beyond numerical tolerance.
-    diagnostics["condition_estimate"] is the LU's 1-norm estimate and
     diagnostics["timings"] holds the seconds of each stage, none nested in
-    another; "assembly" is recorded when V and W* are not given.  V's and
-    W*'s dense matrices form on their first read (DenseBoundaryOperator),
-    in "system"; with operators given, in the first solve's.
+    another; "assembly" is recorded when V and W* are not given.
     diagnostics["lattice_nodes_v"] and ["lattice_nodes_wstar"] are the node
     counts at which V's and W*'s smooth kernels, free-space split plus
     lattice part, were evaluated (DenseBoundaryOperator.lattice_nodes),
@@ -363,28 +524,63 @@ def solve_robin(data, curve, env, cell, plan, operators=None):
     with timed(timings, "validate"):
         diagnostics = validate_robin_data(data, curve)
     V, W = _operators(curve, env, cell, plan, operators, timings)
-    with timed(timings, "system"):
-        system = assemble_robin_system(data, curve, env, cell, plan, operators=(V, W))
-        lattice_nodes = (V.lattice_nodes, W.lattice_nodes)
-        diagnostics["residual_nodes"] = max(lattice_nodes)
-        V = W = None  # V and W* are not needed past the system
-    with timed(timings, "lu"):
-        factors, diagnostics["condition_estimate"], _ = _full_rank_lu(
-            system.matrix, "discrete system",
-            "the admissibility conditions on (a, b) are likely violated beyond tolerance",
-        )
-    with timed(timings, "back_solve"):
-        sol = sla.lu_solve(factors, system.rhs)
-    residual = system.matrix @ sol - system.rhs
+    lattice_nodes = (V.lattice_nodes, W.lattice_nodes)
+    diagnostics["residual_nodes"] = max(lattice_nodes)
+    sol = None
+    if V.by_fft and W.by_fft:
+        sol, rhs, residual = _two_grid_solve(data, curve, env, cell, (V, W), diagnostics, timings)
+    if sol is None:
+        with timed(timings, "system"):
+            system = assemble_robin_system(data, curve, env, cell, plan, operators=(V, W))
+            V = W = None  # V and W* are not needed past the system
+        sol, residual, estimate = _direct_solve(system, timings)
+        rhs = system.rhs
+        # a two-grid solve that fell back reports its coarse estimate
+        diagnostics.setdefault("condition_estimate", estimate)
     diagnostics["residual_on_node"] = float(np.max(np.abs(residual[:-2])))
     rep = _solution_rep(sol, data.B, curve, lattice_nodes,
-                        max(np.max(np.abs(sol[-2:])), np.max(np.abs(system.rhs))),
+                        max(np.max(np.abs(sol[-2:])), np.max(np.abs(rhs))),
                         diagnostics, timings)
     with timed(timings, "off_node_residual"):
         diagnostics["residual_off_node"] = _off_node_residual(
             data, curve, env, cell, plan, rep.mu, rep.c, diagnostics["residual_nodes"]
         )
     return rep
+
+
+def _two_grid_solve(data, curve, env, cell, ops, diagnostics, timings):
+    """The augmented system by _TwoGrid.solve: (x or None, right-hand side, residual J x - b).
+
+    K = a^{-1} b and the tolerance GMRES_FLOOR |b|_2.  x is None, and the
+    residual too, when the solve is left to the fine LU; the coarse
+    estimate and the counts go to diagnostics either way.
+    """
+    with timed(timings, "two_grid_setup"):
+        K = _ainv_b(data.a.values, data.b.values)[1]
+        rhs = np.concatenate([robin_rhs(data, env, cell).reshape(-1), np.zeros(2)])
+        grid = _TwoGrid(*ops, curve, _COARSE_START)
+    with timed(timings, "two_grid_solve"):
+        x, iterations, diagnostics["condition_estimate"] = grid.solve(
+            K, rhs, GMRES_FLOOR * np.linalg.norm(rhs))
+    diagnostics["krylov_iterations"] = [iterations]
+    diagnostics["fine_factorizations"] = int(x is None)
+    return x, rhs, None if x is None else grid.product(K, x) - rhs
+
+
+def _direct_solve(system, timings):
+    """The dense LU solve of a DiscreteSystem: (x, residual A x - b, 1-norm condition estimate).
+
+    _full_rank_lu decides the rank ("lu"), then the back-substitution
+    ("back_solve").
+    """
+    with timed(timings, "lu"):
+        factors, estimate, _ = _full_rank_lu(
+            system.matrix, "discrete system",
+            "the admissibility conditions on (a, b) are likely violated beyond tolerance",
+        )
+    with timed(timings, "back_solve"):
+        x = sla.lu_solve(factors, system.rhs)
+    return x, system.matrix @ x - system.rhs, estimate
 
 
 def _operators(curve, env, cell, plan, operators, timings):

@@ -430,3 +430,22 @@ def test_summary_reports_tail_ratio_and_stage_timings(tmp_path, capsys):
     for stage in ("plan", "discretize", "assembly", "solve", "field_eval"):
         assert float(summary[f"time_{stage}_s"]) >= 0.0
         assert printed[f"time_{stage}_s"] == summary[f"time_{stage}_s"]
+
+
+def test_summary_of_a_two_grid_linear_solve(tmp_path):
+    # at N = 512 the linear solve runs two-grid GMRES: summary.txt names its
+    # stages and counts, once each, and no LU stage
+    cfg = dict(MINIMAL, nodes=512, grid=[4, 4], out_dir=str(tmp_path / "out"))
+    assert main(["--config", _write(tmp_path, cfg)]) == 0
+    with open(os.path.join(cfg["out_dir"], "summary.txt")) as fh:
+        lines = fh.read().splitlines()
+    keys = [line.split("=", 1)[0] for line in lines]
+    assert all("=" in line for line in lines) and len(set(keys)) == len(keys)
+    summary = _read_summary(cfg["out_dir"])
+    for stage in ("validate", "assembly", "two_grid_setup", "two_grid_solve",
+                  "off_node_residual"):
+        assert float(summary[f"time_{stage}_s"]) >= 0.0
+    assert "time_lu_s" not in summary and int(summary["fine_factorizations"]) == 0
+    assert 1 <= int(summary["krylov_iterations"].strip("()")) <= robin.GMRES_CAP
+    assert np.max(np.abs(np.array(summary["c"].strip("()").split(","), dtype=float)
+                         - [0.3, -0.7])) < 1e-10

@@ -4,17 +4,24 @@ A mutant is one monkeypatch of perilame.  Each of its checks passes on the
 package as it is and fails, by an AssertionError, with the mutant in place.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
-import perilame.nonlinear as nonlinear
+import perilame.robin as robin
 import perilame.operators as operators
 from perilame.cell import CircleShape, discretize_curve
 from perilame.lattice import plan_lattice_sum
 from perilame.operators import assemble_single_layer, assemble_wstar
 from perilame.verify import run_property_suite
 from test_nonlinear import ENV1, UNIT, coarse_jacobian_is_galerkin
-from test_operators import matrices_are_the_eager_formula, products_agree_with_matrices
+from test_operators import (
+    matrices_are_the_eager_formula,
+    products_agree_with_matrices,
+    prolonged_products_agree_with_products,
+)
+from test_robin import two_grid_solve_agrees_with_the_lu
 
 
 def drop_the_kress_rule_from_v(monkeypatch):
@@ -49,9 +56,27 @@ def c_columns_by_injection(monkeypatch):
         Jc[:m, :m] += self._restrict_rows(np.einsum("nij,njm->nim", K, self.VP))
         Jc[:m, m:] = K[::self.N // self.Nc].reshape(m, 2)
         Jc[m:] = self.mean_rows
-        return nonlinear._screened_lu(Jc)
+        return robin._screened_lu(Jc)
 
-    monkeypatch.setattr(nonlinear._TwoGrid, "factor", mutant)
+    monkeypatch.setattr(robin._TwoGrid, "factor", mutant)
+
+
+def set_up_without_weights(monkeypatch):
+    """The two-grid set-up's M = P_A^T diag(w) P taken without the weights, as P_A^T P."""
+    prolonged = operators._prolonged_products
+
+    def mutant(op, Nc, rows=None):
+        unweighted = copy.copy(op)
+        (w, sp), multipliers = op._fft_factors
+        unweighted.__dict__["_fft_factors"] = (np.stack([np.ones_like(w), sp]), multipliers)
+        return prolonged(unweighted, Nc, rows)
+
+    monkeypatch.setattr(operators, "_prolonged_products", mutant)
+
+
+def linear_solve_stops_at_gmres_tol(monkeypatch):
+    """The linear solve's GMRES stops at GMRES_TOL |b|_2, Newton's relative stop."""
+    monkeypatch.setattr(robin, "GMRES_FLOOR", robin.GMRES_TOL)
 
 
 def property_passes(name):
@@ -70,7 +95,10 @@ def coarse_jacobian_at_128():
 # name: (mutant, checks).  The benchmark's circle at N = 512 has V and W*
 # applied by FFT (4 Nc <= N): the FFT products against the matrices, and
 # the matrices against the eager formula.  nonlinear-manufactured runs
-# Newton there; the Galerkin check is test_coarse_jacobian_is_galerkin[128]
+# Newton there; the Galerkin check is test_coarse_jacobian_is_galerkin[128].
+# The set-up's products are pinned to _products on the P x I columns on
+# circle-tol-1e-13 (V's and W*'s Nc 128, the two-grid's 64), and the linear
+# solve's stop by the ellipse at N = 512, where GMRES takes 10 iterations
 MUTANTS = {
     "kress-rule-dropped-from-v": (drop_the_kress_rule_from_v,
                                   (lambda: matrices_are_the_eager_formula("circle"),
@@ -78,6 +106,11 @@ MUTANTS = {
     "adjoint-by-injection": (adjoint_by_injection,
                              (lambda: products_agree_with_matrices("circle"),)),
     "c-columns-by-injection": (c_columns_by_injection, (coarse_jacobian_at_128,)),
+    "set-up-without-weights": (set_up_without_weights,
+                               (lambda: prolonged_products_agree_with_products(
+                                   "circle-tol-1e-13"),)),
+    "linear-solve-stops-at-gmres-tol": (linear_solve_stops_at_gmres_tol,
+                                        (lambda: two_grid_solve_agrees_with_the_lu("ellipse"),)),
 }
 
 

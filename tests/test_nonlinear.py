@@ -470,7 +470,7 @@ def test_gmres_cap_falls_back_to_the_fine_lu(curve_ops, plan1, monkeypatch):
     ref = solve_nonlinear_robin(model, B, curve, ENV1, UNIT, plan1, operators=ops)
     krylov, cap = ref.diagnostics["krylov_iterations"], 4
     assert max(krylov) > cap
-    monkeypatch.setattr(nonlinear, "GMRES_CAP", cap)
+    monkeypatch.setattr(robin, "GMRES_CAP", cap)
     rep = solve_nonlinear_robin(model, B, curve, ENV1, UNIT, plan1, operators=ops)
     d = rep.diagnostics
     assert d["krylov_iterations"] == [0 if k > cap else k for k in krylov]

@@ -314,6 +314,40 @@ def test_products_agree_with_the_matrices(name):
     products_agree_with_matrices(name)
 
 
+def prolonged_products_agree_with_products(name):
+    """Asserts that the two-grid set-up's A P of one FACTORED_CASES case is _products' on P x I.
+
+    operators._prolonged_products forms V (P x I_2) and R W* (P x I_2) from
+    the coarse factors (M = P_A^T diag(w) P, the rules on sp P), Nc the
+    two-grid one; _products applies V and W* to the 2 Nc columns of P on
+    both components, then R: they agree to 1e-14 of their size, and no
+    dense matrix is formed.
+    """
+    _, edges, shape, N, tol, _ = next(case for case in COARSE_CASES if case[0] == name)
+    cell, plan, curve = _coarse_setup(edges, shape, N, tol)
+    ops = _assembled(curve, cell, plan)
+    Nc = operators._COARSE_START
+    P = operators._interpolation_matrix(Nc, N)
+    R = (Nc / N) * P.T
+    columns = np.zeros((N, 2, Nc, 2))
+    columns[:, 0, :, 0] = columns[:, 1, :, 1] = P
+    on_columns = operators._products(ops, columns.reshape(N, 2, 2 * Nc))
+    for op, ref in zip(ops, on_columns):
+        restricted = (R @ ref.reshape(N, -1)).reshape(Nc, 2, 2 * Nc)
+        for rows, expected in ((None, ref), (R, restricted)):
+            got = operators._prolonged_products(op, Nc, rows)
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+        assert op.by_fft and "matrix" not in vars(op)
+
+
+@pytest.mark.parametrize("name", FACTORED_CASES)
+def test_prolonged_products_agree_with_products(name):
+    # the two-grid set-up from the coarse factors, at Nc = 64 against V's
+    # and W*'s own Nc (64 and 128 on circle-tol-1e-13)
+    prolonged_products_agree_with_products(name)
+
+
 def test_tail_check_rejects_a_coarse_grid_too_small(monkeypatch):
     # on the ellipse, 32 nodes leave a tail above the budget, and their
     # interpolant misses the accepted one by more than 1e-12 of its size;

@@ -382,6 +382,92 @@ def test_linear_weak_coupling_sweep(circle_ops, plan1, svdvals_calls, N, eps):
     assert svdvals_calls == [(2 * N + 2, 2 * N + 2)]
 
 
+@pytest.mark.parametrize("eps", [1e-12, 1e-13])
+def test_two_grid_weak_coupling_falls_back_to_the_rank_rule(circle_ops, plan1, svdvals_calls,
+                                                            eps):
+    # at N = 512 V and W* act by FFT and the solve starts as two-grid GMRES;
+    # the coarse screen cannot certify these systems, so each goes to the
+    # fine LU and one svdvals decides it, as at N = 64 and 256: eps = 1e-12
+    # solves, bit for bit as the direct LU, and eps = 1e-13 is refused
+    N = 512
+    curve, ops = circle_ops(N)
+    t = curve.params
+    g = np.column_stack([0.3 + 0.2 * np.cos(t), -0.1 + 0.3 * np.sin(t)])
+    data = _data(curve, np.eye(2), -eps * np.eye(2), g)
+    assert all(op.by_fft for op in ops)
+    if eps < 1e-12:
+        with pytest.raises(SolveError, match="discrete system numerically singular") as info:
+            solve_robin(data, curve, ENV1, UNIT, plan1, operators=ops)
+        assert info.value.smallest_singular_value == pytest.approx(1.9473e-13, rel=0.01)
+    else:
+        rep = solve_robin(data, curve, ENV1, UNIT, plan1, operators=ops)
+        d = rep.diagnostics
+        assert d["fine_factorizations"] == 1 and d["krylov_iterations"] == [0]
+        assert list(d["timings"]) == ["validate", "two_grid_setup", "two_grid_solve", "system",
+                                      "lu", "back_solve", "off_node_residual"]
+        assert np.max(np.abs(eps * rep.c - [-0.3, 0.1])) < 1e-9
+        x = _direct(data, curve, plan1, ops)[0]
+        assert np.array_equal(rep.mu.values.reshape(-1), x[:-2]) and np.array_equal(rep.c, x[-2:])
+    assert svdvals_calls == [(2 * N + 2, 2 * N + 2)]
+
+
+def _direct(data, curve, plan, ops):
+    """x = (node-major mu, c) by a direct LU of the augmented system, and its on-node residual."""
+    system = assemble_robin_system(data, curve, ENV1, UNIT, plan, operators=ops)
+    x = sla.lu_solve(sla.lu_factor(system.matrix), system.rhs)
+    return x, float(np.max(np.abs((system.matrix @ x - system.rhs)[:-2])))
+
+
+TWO_GRID_SHAPES = {"circle": CircleShape([0.5, 0.5], 0.25),
+                   "ellipse": EllipseShape([0.5, 0.5], (0.2, 0.4), rotation=0.3)}
+
+
+def two_grid_solve_agrees_with_the_lu(shape):
+    """Asserts that solve_robin at N = 512 on one TWO_GRID_SHAPES curve is the LU's solution.
+
+    With the benchmark's plan (tol 1e-10) V and W* act by FFT: the solve
+    runs two-grid GMRES, forms neither dense matrix, and its mu and c agree
+    with a direct LU of the augmented system to 1e-12 relative; its on-node
+    residual is at most 10 times the LU's, a rounding level that a stop at
+    GMRES_TOL does not reach.
+    """
+    plan = plan_lattice_sum(UNIT, ENV1, 1e-10)
+    curve = discretize_curve(TWO_GRID_SHAPES[shape], 512, UNIT)
+    ops = (assemble_single_layer(curve, ENV1, UNIT, plan), assemble_wstar(curve, ENV1, UNIT, plan))
+    data = _varied_data(curve)
+    rep = solve_robin(data, curve, ENV1, UNIT, plan, operators=ops)
+    d = rep.diagnostics
+    for op in ops:
+        assert op.by_fft and "matrix" not in vars(op)
+    assert d["fine_factorizations"] == 0 and 1 <= d["krylov_iterations"][0] <= robin.GMRES_CAP
+    x, lu_residual = _direct(data, curve, plan, ops)
+    mu = x[:-2].reshape(-1, 2)
+    assert np.max(np.abs(rep.mu.values - mu)) <= 1e-12 * np.max(np.abs(mu))
+    assert np.max(np.abs(rep.c - x[-2:])) <= 1e-12 * np.max(np.abs(x[-2:]))
+    assert d["residual_on_node"] <= 10.0 * lu_residual
+
+
+@pytest.mark.parametrize("shape", list(TWO_GRID_SHAPES))
+def test_two_grid_solve_agrees_with_the_lu(shape):
+    two_grid_solve_agrees_with_the_lu(shape)
+
+
+@pytest.mark.parametrize("radius, N", [(0.25, 64), (0.25, 128), (0.45, 256)])
+def test_lu_solve_where_an_operator_is_dense(plan1, radius, N):
+    # where an operator has 4 Nc > N (every N <= 128; the circle r = 0.45,
+    # whose kernels need the N nodes) the solve is the LU of the augmented
+    # system, bit for bit, and reports no Krylov count
+    curve = discretize_curve(CircleShape([0.5, 0.5], radius), N, UNIT)
+    ops = (assemble_single_layer(curve, ENV1, UNIT, plan1),
+           assemble_wstar(curve, ENV1, UNIT, plan1))
+    data = _varied_data(curve)
+    rep = solve_robin(data, curve, ENV1, UNIT, plan1, operators=ops)
+    x = _direct(data, curve, plan1, ops)[0]
+    assert not all(op.by_fft for op in ops)
+    assert np.array_equal(rep.mu.values.reshape(-1), x[:-2]) and np.array_equal(rep.c, x[-2:])
+    assert "krylov_iterations" not in rep.diagnostics
+
+
 @pytest.mark.parametrize("kind", ["circle", "ellipse", "perturbed"])
 def test_auxiliary_operator_certified_without_svd(plan1, svdvals_calls, kind):
     # 1/2 I + W* is well conditioned (estimates 14 to 17 here): the screen
@@ -687,12 +773,16 @@ def test_density_tail_ratio_zero_for_rounding_level_density(circle64, plan1):
 
 def test_stage_timings_do_not_nest(circle64, plan1):
     # with V and W* assembled by the solver, each stage is counted once: the
-    # stages together take no longer than the call
-    data = _data(circle64, np.eye(2), -np.eye(2), [0.1, 0.0])
-    t0 = time.perf_counter()
-    timings = solve_robin(data, circle64, ENV1, UNIT, plan1).diagnostics["timings"]
-    wall = time.perf_counter() - t0
-    assert sum(timings.values()) <= wall
+    # stages together take no longer than the call, for the LU at N = 64 and
+    # for two-grid GMRES at N = 512, whose stages are its own
+    for curve in (circle64, discretize_curve(CircleShape([0.5, 0.5], 0.25), 512, UNIT)):
+        data = _data(curve, np.eye(2), -np.eye(2), [0.1, 0.0])
+        t0 = time.perf_counter()
+        timings = solve_robin(data, curve, ENV1, UNIT, plan1).diagnostics["timings"]
+        wall = time.perf_counter() - t0
+        assert sum(timings.values()) <= wall
+    assert list(timings) == ["validate", "assembly", "two_grid_setup", "two_grid_solve",
+                             "off_node_residual"]
 
 
 def test_stage_timings(circle64, plan1):

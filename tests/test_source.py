@@ -229,8 +229,8 @@ def test_operator_matrices_are_read_where_they_are_factored():
     # V and W* apply by FFT where 4 Nc <= N (operators._products, whose
     # GEMV branch reads the matrix of the others); the dense matrix is read
     # where it is factored, robin's augmented system and auxiliary solve,
-    # and nonlinear reads none.  solve_robin reads the
-    # matrix of its DiscreteSystem, named system.
+    # and nonlinear reads none.  The linear solve reads the matrix of its
+    # DiscreteSystem, named system, only in its dense fallback.
     readers = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -243,7 +243,7 @@ def test_operator_matrices_are_read_where_they_are_factored():
     assert operator_readers == {"operators.py:_products", "robin.py:augmented_matrix",
                                 "robin.py:solve_neumann_aux"}, operator_readers
     assert {where for where, receiver in readers if receiver == "system"} \
-        == {"robin.py:solve_robin"}
+        == {"robin.py:_direct_solve"}
 
 
 def test_one_dense_matrix_derivation():
@@ -253,3 +253,20 @@ def test_one_dense_matrix_derivation():
     # quadrature tests alone call
     assert _call_sites("_interpolate") == ["operators.py:DenseBoundaryOperator"]
     assert _call_sites("kress_log_rule") == _call_sites("hilbert_rule") == []
+
+
+def _definitions(name):
+    """module of every module-level function or class definition called name in the package."""
+    return [path.name for path in sorted(SRC.glob("*.py"))
+            for top in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name == name]
+
+
+def test_one_two_grid_gmres():
+    # GMRES and its two-grid preconditioner are written once, in robin, and
+    # both solvers build the two-grid and solve through it: the linear
+    # system and the Newton steps
+    assert _definitions("_gmres") == _definitions("_TwoGrid") == ["robin.py"]
+    assert _call_sites("_gmres") == ["robin.py:_TwoGrid"]
+    assert sorted(_call_sites("_TwoGrid")) == ["nonlinear.py:solve_nonlinear_robin",
+                                               "robin.py:_two_grid_solve"]
