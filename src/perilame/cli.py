@@ -392,12 +392,12 @@ def _solve_mode(table, cell, env, plan, stages):
             rep = solve_nonlinear_robin(model, drift, curve, env, cell, plan)
 
     d = rep.diagnostics
-    # the solver's counts: Newton's, and the linear solve's where it ran two-grid GMRES
-    entries += [(key, d[key]) for key in ("iterations", "rank_checks", "fine_factorizations")
-                if key in d]
-    if "krylov_iterations" in d:
-        entries.append(("krylov_iterations",
-                        "(" + ",".join(map(str, d["krylov_iterations"])) + ")"))
+    # Newton's step count, then the augmented solve's counts, which both modes report
+    if "iterations" in d:
+        entries.append(("iterations", d["iterations"]))
+    entries += [("rank_checks", d["rank_checks"]),
+                ("fine_factorizations", d["fine_factorizations"]),
+                ("krylov_iterations", "(" + ",".join(map(str, d["krylov_iterations"])) + ")")]
     off_node = [("residual_off_node", f"{d.get('residual_off_node', float('nan')):.6e}")]
     if "residual_nodes" in d:  # the linear solve's residual, and its source count
         off_node.append(("residual_nodes", d["residual_nodes"]))

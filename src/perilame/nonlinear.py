@@ -3,59 +3,35 @@
 The residual of the augmented system in (mu, c) is robin's collocated
 equation F at the nodes with the traction law as G (robin._equation), plus
 the componentwise zero-mean constraint on mu.  Newton iterates the one
-vector (mu, c); its residual and Jacobian product read mu, V mu + c, W* mu
-and the integral of mu from one helper (robin._nodal_products), which
-applies V and W* together by operators._products: from their stored form
-(the coarse smooth kernel and the FFT node rules) where 4 Nc <= N, and by
-their matrices' GEMV otherwise; at 4 Nc <= N no dense matrix is formed.
+vector (mu, c); its residual reads mu, V mu + c, W* mu and the integral of
+mu from one helper (robin._nodal_products), which applies V and W* together
+by operators._products: from their stored form (the coarse smooth kernel
+and the FFT node rules) where 4 Nc <= N, and by their matrices' GEMV
+otherwise; at 4 Nc <= N no dense matrix is formed.
 
-The Jacobian is the linear Robin matrix with the nodal blocks -dG in place of
-a^{-1} b (robin.augmented_matrix).  Every Newton step, the first included,
-solves J v = F by robin's two-grid GMRES (_TwoGrid.solve, which the linear
-solve takes too, with K = a^{-1} b): GMRES on the matrix-free J (one
-product of V and W* and the nodal -dG blocks per iteration),
-right-preconditioned by a two-grid solve: the equation is second kind,
-1/2 I plus a part whose smooth modes a coarse Galerkin Jacobian at
-Nc = min(N, _COARSE_START) nodes carries.  At N <= _COARSE_START the
-coarse grid is the fine one, the preconditioner is J^{-1} and GMRES takes
-one iteration.  Per step that is an LU of size 2 Nc + 2 and at most 12
-GMRES iterations on the curves measured (circles r = 0.25 and 0.45, an
-ellipse), the same count at N = 128, 256 and 512, to GMRES_TOL of the
-step's residual or GMRES_FLOOR of the first.  A step falls back to an LU
-of the fine (2N + 2)-square J only when the coarse Jacobian fails the rank
-screen below or GMRES misses GMRES_CAP iterations.
-
-A numerically singular Jacobian (e.g. G independent of u with B = 0, leaving
-c unconstrained) is refused by robin's one rule for dense systems (robin
-module docstring).  A coarse Jacobian its screen cannot certify sends its
-step to the fine LU, and only a fine J the screen cannot certify gets a
-singular value decomposition, so a singular iterate is decided on the fine
-J.  J is screened as assembled, not equilibrated: scaling its c columns to
-unit size would hide the weak coupling G = h + eps u the rule must catch.
-The coarse Jacobian's 1-norm condition estimate is the solve's
-condition_estimate: it does not grow with N (1883 for a saturating law at
-N = 64 to 512, where the fine J's grows as N^2) and still sees weak
-coupling (8e7 for G = h + 1e-8 u).
+The Jacobian is the linear Robin system's with the nodal blocks -dG in place
+of a^{-1} b (robin.augmented_matrix).  Every step solves J v = F through
+robin's one augmented solve, _AugmentedSolver, by two-grid GMRES at every N
+with the fine LU as its fallback; the robin module docstring describes the
+two-grid, its rank screen and its condition estimate.  A numerically
+singular Jacobian (e.g. G independent of u with B = 0, leaving c
+unconstrained) is refused by robin's one rule for dense systems.
 """
 
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ConvergenceError
-from .operators import _COARSE_START
 from .robin import (
     GMRES_FLOOR,
     GMRES_TOL,
+    _AugmentedSolver,
     _equation,
-    _full_rank_lu,
     _nodal_products,
     _operators,
     _solution_rep,
-    _TwoGrid,
-    augmented_matrix,
     timed,
 )
 
@@ -118,15 +94,15 @@ def solve_nonlinear_robin(
     rounding cannot meet.
     Raises DegenerateProblemError on a rank-deficient Jacobian and
     ConvergenceError when max_iter steps do not meet tol.
-    Each step costs a coarse LU of size 2 min(N, _COARSE_START) + 2 and a few
-    GMRES iterations of one product of V and W* each; it falls back to a
-    fine LU when the coarse Jacobian fails the rank screen or GMRES misses
-    GMRES_CAP (module docstring).  diagnostics["krylov_iterations"] lists
-    the GMRES iterations per step, 0 for a step the fine LU solved or whose
-    residual was at the rounding floor already; ["condition_estimate"] is
-    the coarse Jacobian's 1-norm estimate at the last step, certified or
-    not; ["fine_factorizations"] counts the fallback's fine LUs and
-    ["rank_checks"] those the screen left to the singular values.
+    Each step is one solve of robin._AugmentedSolver, a coarse LU of size
+    2 min(N, _COARSE_START) + 2 and a few GMRES iterations of one product of
+    V and W* each, or the fine LU it falls back to.  diagnostics holds its
+    counts: ["krylov_iterations"] lists the GMRES iterations per step, 0 for
+    a step the fine LU solved or whose residual was at the rounding floor
+    already; ["condition_estimate"] is the coarse Jacobian's 1-norm estimate
+    at the last step, certified or not; ["fine_factorizations"] counts the
+    fallback's fine LUs and ["rank_checks"] those the screen left to the
+    singular values.
     diagnostics["timings"] holds the seconds of the iteration and, when V
     and W* are not given, of their assembly; diagnostics["lattice_nodes_v"]
     and ["lattice_nodes_wstar"] are as in robin.solve_robin.
@@ -144,43 +120,20 @@ def solve_nonlinear_robin(
         F, U = _equation(mu, u, wmu, model.fn, B, curve, env, cell)
         return np.concatenate([F.reshape(-1), mean]), U
 
-    # what the rank screen saw, reported in diagnostics
-    screen = {"condition_estimate": np.nan, "rank_checks": 0, "fine_factorizations": 0}
-
-    def fine_factors(K):
-        """LU factors of the fine Jacobian; its singular values decide when the screen fails."""
-        screen["fine_factorizations"] += 1
-        factors, _, certified = _full_rank_lu(
-            augmented_matrix(K, V, W, curve), "Newton Jacobian",
-            "nothing constrains the additive constant; refusing to invent a solution",
-        )
-        screen["rank_checks"] += not certified
-        return factors
-
     x = np.zeros(2 * N + 2)
 
     with timed(timings, "iteration"):
         res, U = residual(x)
         res_norm = np.max(np.abs(res))
         trace = [res_norm]
-        krylov = []
-        grid = _TwoGrid(V, W, curve, min(N, _COARSE_START))
+        solver = _AugmentedSolver(
+            (V, W), curve, True, "Newton Jacobian",
+            "nothing constrains the additive constant; refusing to invent a solution")
         atol = GMRES_FLOOR * np.linalg.norm(res)
-
-        def solve_step(U, res):
-            """The Newton step J^{-1} res at U and its GMRES iterations."""
-            K = -model.jac(U)
-            step, iterations, screen["condition_estimate"] = grid.solve(
-                K, res, max(GMRES_TOL * np.linalg.norm(res), atol))
-            if step is None:
-                step = sla.lu_solve(fine_factors(K), res)
-            return step, iterations
-
         converged = False
         update_norm = np.inf
         for _ in range(max_iter):
-            step, iterations = solve_step(U, res)
-            krylov.append(iterations)
+            step = solver.solve(-model.jac(U), res, max(GMRES_TOL * np.linalg.norm(res), atol))
             lam = 1.0
             for _ in range(6):
                 x_try = x - lam * step
@@ -204,6 +157,6 @@ def solve_nonlinear_robin(
         )
 
     diagnostics = {"iterations": len(trace) - 1, "residual_on_node": float(res_norm),
-                   "trace": trace, "krylov_iterations": krylov, **screen}
+                   "trace": trace, **solver.report}
     return _solution_rep(x, B, curve, (V.lattice_nodes, W.lattice_nodes), np.max(np.abs(U)),
                          diagnostics, timings)

@@ -13,19 +13,26 @@ density and the additive constant c, and the displacement is reconstructed
 as u(x) = v[mu](x) + c + B q^{-1} x.
 
 The system is 1/2 I plus a compact part, and both Robin solvers solve it
-the same way where V and W* act by FFT (4 Nc <= N, operators'
-DenseBoundaryOperator.by_fft): GMRES on the matrix-free system, right-
-preconditioned by a coarse Galerkin solve at _COARSE_START nodes plus
-2 (r - P R r) on the modes the coarse grid does not carry (_TwoGrid; the
-Newton steps of nonlinear with K = -dG, solve_robin with K = a^{-1} b).
-Its set-up is formed from V's and W*'s coarse factors
-(operators._prolonged_products), so no (2N)-square matrix is formed.  The
-linear solve stops at GMRES_FLOOR of the right-hand side, the level its
-LU's residual reaches: on the benchmark's circle at N = 256 to 1024, 10 to
-12 iterations, with mu within 4.4e-15 of the LU's.  Elsewhere (every
-N <= 128; holes close to their images, whose kernels need the N nodes),
-and when the coarse screen or GMRES_CAP leaves a solve to it, the dense
-system is factored by LU.
+through one object, _AugmentedSolver: solve_robin with K = a^{-1} b, once,
+and every Newton step of nonlinear with K = -dG, the first included.  Its
+two-grid attempt is GMRES on the matrix-free system (_augmented_product:
+one product of V and W* and the nodal blocks K), right-preconditioned by a
+coarse Galerkin solve at Nc = min(N, _COARSE_START) nodes plus
+2 (r - P R r) on the modes the coarse grid does not carry (_TwoGrid); at
+Nc = N the preconditioner is J^{-1} and GMRES takes one iteration.  Its
+set-up is formed from V's and W*'s coarse factors
+(operators._prolonged_products), so no (2N)-square matrix is formed where
+V and W* act by FFT (4 Nc <= N, operators' DenseBoundaryOperator.by_fft).
+A Newton step takes it at every N and stops at GMRES_TOL of its residual
+or GMRES_FLOOR of the first: at most 12 iterations on the curves measured
+(circles r = 0.25 and 0.45, an ellipse), the same count at N = 128, 256
+and 512.  The linear solve takes it where V and W* act by FFT and stops at
+GMRES_FLOOR of the right-hand side, the level its LU's residual reaches:
+on the benchmark's circle at N = 256 to 1024, 10 to 12 iterations, with mu
+within 4.4e-15 of the LU's.  Elsewhere (every N <= 128; holes close to
+their images, whose kernels need the N nodes), and when the coarse screen
+or GMRES_CAP leaves a solve to it, the dense (2N + 2)-square system is
+factored by LU.
 
 diagnostics["residual_off_node"] is the collocation residual at the N
 midpoints t_i + pi/N, with no reassembly at 2N and no N x N matrix:
@@ -50,9 +57,17 @@ the bounds
     smin >= 1 / (sqrt(n) ||J^{-1}||_1),    smax <= sqrt(||J||_1 ||J||_inf)
 
 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 15);
-J's singular values decide only when the screen fails (_full_rank_lu).  The
-estimate is a lower bound on ||J^{-1}||_1, and the exact norm to four
-digits on the Robin systems measured (N = 64 to 512).
+J's singular values decide only when the screen fails (_full_rank_lu), so
+a coarse R J P the screen cannot certify sends its solve to the fine LU,
+and a singular system is decided on the fine J.  J is screened as
+assembled, not equilibrated: scaling its c columns to unit size would hide
+the weak coupling G = h + eps u the rule must catch.  The estimate is a
+lower bound on ||J^{-1}||_1, and the exact norm to four digits on the Robin
+systems measured (N = 64 to 512).  A solve's condition_estimate is the
+coarse R J P's where the two-grid ran, certified or not, else the fine
+LU's: the coarse one does not grow with N (2037 on the benchmark's
+saturating law at N = 64 to 512, where the fine J's grows as N^2) and still
+sees weak coupling (8e7 for G = h + 1e-8 u).
 """
 
 import time
@@ -390,29 +405,38 @@ def _gmres(apply, precondition, b, atol):
     return None, GMRES_CAP
 
 
-class _TwoGrid:
-    """Two-grid GMRES for the augmented J with nodal blocks K, at Nc coarse nodes.
+def _augmented_product(ops, curve, K, x):
+    """J x for the augmented J with nodal blocks K, x = (node-major mu, c); ops is (V, W*).
 
-    J is augmented_matrix(K, V, W*, curve): K = a^{-1} b for the linear
-    Robin system, -dG for a Newton Jacobian.  It is applied matrix-free
-    (product): one product of V and W* (_nodal_products) and the nodal
-    blocks.  P = operators._interpolation_matrix(Nc, N) interpolates coarse
-    nodal values to the N nodes and R = (Nc / N) P^T restricts them, each
-    acting on both components; the two c entries pass through.  The coarse
-    J is R J P, the Galerkin one: 1/2 R P + R W* P + R diag(K) V P with the
-    c columns R K and the zero-mean rows w P.  V P and R W* P are formed
-    once per solve (operators._prolonged_products: from V's and W*'s stored
-    form, with no (2N)-square matrix, where they act by FFT), the rest per
-    K.  On a residual r the preconditioner returns the coarse solution
-    prolonged by P plus 2 (r - P R r): on the modes the coarse grid does
-    not carry, J is close to 1/2 I (Atkinson, The Numerical Solution of
-    Integral Equations of the Second Kind, ch. 6).  One GMRES iteration
-    costs one product of J, R, P and the LU solve of size 2 Nc + 2.  At
-    Nc = N, P and R are the identity and R J P is J.
+    J is augmented_matrix(K, V, W*, curve), applied matrix-free: one
+    product of V and W* (_nodal_products) and the nodal blocks.
+    """
+    mu, u, wmu, mean = _nodal_products(ops, curve, x)
+    top = 0.5 * mu + wmu + np.einsum("nij,nj->ni", K, u)
+    return np.concatenate([top.reshape(-1), mean])
+
+
+class _TwoGrid:
+    """Two-grid GMRES for the augmented J with nodal blocks K, at Nc = min(N, _COARSE_START).
+
+    P = operators._interpolation_matrix(Nc, N) interpolates coarse nodal
+    values to the N nodes and R = (Nc / N) P^T restricts them, each acting
+    on both components; the two c entries pass through.  The coarse J is
+    R J P, the Galerkin one: 1/2 R P + R W* P + R diag(K) V P with the c
+    columns R K and the zero-mean rows w P.  V P and R W* P are formed once
+    (operators._prolonged_products: from V's and W*'s stored form, with no
+    (2N)-square matrix, where they act by FFT), the rest per K.  On a
+    residual r the preconditioner returns the coarse solution prolonged by
+    P plus 2 (r - P R r): on the modes the coarse grid does not carry, J is
+    close to 1/2 I (Atkinson, The Numerical Solution of Integral Equations
+    of the Second Kind, ch. 6).  One GMRES iteration costs one
+    _augmented_product, R, P and the LU solve of size 2 Nc + 2.  At Nc = N,
+    P and R are the identity and R J P is J.
     """
 
-    def __init__(self, V, W, curve, Nc):
+    def __init__(self, V, W, curve):
         N = curve.N
+        Nc = min(N, _COARSE_START)
         self.ops, self.curve = (V, W), curve
         self.P = _interpolation_matrix(Nc, N)
         self.R = (Nc / N) * self.P.T
@@ -428,12 +452,6 @@ class _TwoGrid:
     def _restrict_rows(self, X):
         """R on the node-major rows of X, (2N, m) or (N, 2, m), as (2 Nc, m)."""
         return (self.R @ X.reshape(self.N, -1)).reshape(2 * self.Nc, -1)
-
-    def product(self, K, x):
-        """J x for the nodal blocks K, x = (node-major mu, c)."""
-        mu, u, wmu, mean = _nodal_products(self.ops, self.curve, x)
-        top = 0.5 * mu + wmu + np.einsum("nij,nj->ni", K, u)
-        return np.concatenate([top.reshape(-1), mean])
 
     def factor(self, K):
         """_screened_lu of R J P for the nodal blocks K."""
@@ -458,12 +476,11 @@ class _TwoGrid:
 
         The estimate is R J P's (_screened_lu), certified or not.  x is None,
         with 0 iterations, when the coarse screen cannot certify R J P or
-        GMRES misses GMRES_CAP: the caller solves by the fine LU, whose
-        singular values decide a rank the screen left open.
+        GMRES misses GMRES_CAP.
         """
         factors, estimate, certified = self.factor(K)
         if certified:
-            x, iterations = _gmres(lambda v: self.product(K, v),
+            x, iterations = _gmres(lambda v: _augmented_product(self.ops, self.curve, K, v),
                                    lambda r: self.precondition(factors, r), b, atol)
             if x is not None:
                 return x, iterations, estimate
@@ -472,12 +489,63 @@ class _TwoGrid:
 
 @contextmanager
 def timed(timings, stage):
-    """Record the wall time of the block as timings[stage], in seconds."""
+    """Record the wall time of the block as timings[stage], in seconds, unless timings is None."""
     t0 = time.perf_counter()
     try:
         yield
     finally:
-        timings[stage] = time.perf_counter() - t0
+        if timings is not None:
+            timings[stage] = time.perf_counter() - t0
+
+
+class _AugmentedSolver:
+    """The one solve of the augmented J x = b for both Robin solvers, and its counts.
+
+    ops is (V, W*) on the curve.  Where two_grid is set, each solve first
+    tries _TwoGrid (built once, here, as "two_grid_setup"; its coarse LU and
+    GMRES as "two_grid_solve"); otherwise, and when the coarse screen or
+    GMRES_CAP leaves the solve to it, the dense J is built ("system", a
+    DiscreteSystem), factored with the rank rule of _full_rank_lu, which
+    names J by name and cause when it refuses it ("lu"), and back-solved
+    ("back_solve").  The stages are timed into timings unless it is None.
+    report holds condition_estimate, the coarse R J P's 1-norm estimate of
+    the last solve where the two-grid ran, else the fine LU's;
+    krylov_iterations, the GMRES iterations per solve, 0 for one the fine
+    LU solved; fine_factorizations, the fine LUs; and rank_checks, those the
+    screen left to the singular values.
+    """
+
+    def __init__(self, ops, curve, two_grid, name, cause, timings=None):
+        self.ops, self.curve = ops, curve
+        self.name, self.cause, self.timings = name, cause, timings
+        self.grid = None
+        if two_grid:
+            with timed(timings, "two_grid_setup"):
+                self.grid = _TwoGrid(*ops, curve)
+        self.report = {"condition_estimate": np.nan, "krylov_iterations": [],
+                       "fine_factorizations": 0, "rank_checks": 0}
+
+    def solve(self, K, b, atol):
+        """J^{-1} b for the nodal blocks K; GMRES, where it runs, stops at residual atol."""
+        x, iterations = None, 0
+        if self.grid is not None:
+            with timed(self.timings, "two_grid_solve"):
+                x, iterations, self.report["condition_estimate"] = self.grid.solve(K, b, atol)
+        self.report["krylov_iterations"].append(iterations)
+        return self._fine_solve(K, b) if x is None else x
+
+    def _fine_solve(self, K, b):
+        """J^{-1} b by the rank-checked LU of the dense J."""
+        with timed(self.timings, "system"):
+            system = DiscreteSystem(augmented_matrix(K, *self.ops, self.curve), b)
+        with timed(self.timings, "lu"):
+            factors, estimate, certified = _full_rank_lu(system.matrix, self.name, self.cause)
+        self.report["fine_factorizations"] += 1
+        self.report["rank_checks"] += not certified
+        if self.grid is None:
+            self.report["condition_estimate"] = estimate
+        with timed(self.timings, "back_solve"):
+            return sla.lu_solve(factors, system.rhs)
 
 
 def density_tail_ratio(mu):
@@ -497,21 +565,16 @@ def density_tail_ratio(mu):
 def solve_robin(data, curve, env, cell, plan, operators=None):
     """Solve the linear Robin problem; returns the (mu, c, B) representation.
 
-    Where V and W* both act by FFT (4 Nc <= N, DenseBoundaryOperator.by_fft)
-    the augmented system is solved by two-grid GMRES (_TwoGrid, K = a^{-1} b)
-    to GMRES_FLOOR of the right-hand side, with no (2N)-square matrix: its
-    set-up is timed as "two_grid_setup" (K, the right-hand side, V P and
-    R W* P) and its coarse LU and iterations as "two_grid_solve";
-    diagnostics["krylov_iterations"] holds the one solve's GMRES count and
-    ["fine_factorizations"] 1 when the coarse screen or GMRES_CAP sent it to
-    the fine LU, else 0, as in nonlinear.solve_nonlinear_robin, and
-    ["condition_estimate"] is the coarse R J P's 1-norm estimate.  Elsewhere,
-    and as that fallback, the dense system is built ("system", where V's and
-    W*'s matrices form on their first read), factored by LU with partial
-    pivoting ("lu", whose 1-norm estimate is the condition_estimate when no
-    two-grid ran) and solved ("back_solve").  A numerically singular system
-    (module docstring) raises DegenerateProblemError, a SolveError, since the
-    solvability conditions are then violated beyond numerical tolerance.
+    The augmented system, K = a^{-1} b, is solved once by _AugmentedSolver:
+    by two-grid GMRES to GMRES_FLOOR of the right-hand side where V and W*
+    both act by FFT (4 Nc <= N, DenseBoundaryOperator.by_fft), with no
+    (2N)-square matrix, else by the dense system's LU with partial pivoting.
+    diagnostics holds its stage timings and its counts (condition_estimate,
+    krylov_iterations, fine_factorizations, rank_checks), as
+    nonlinear.solve_nonlinear_robin does, and residual_on_node from one
+    more product of J (_augmented_product).  A numerically singular system
+    (module docstring) raises DegenerateProblemError, a SolveError, since
+    the solvability conditions are then violated beyond numerical tolerance.
     diagnostics["timings"] holds the seconds of each stage, none nested in
     another; "assembly" is recorded when V and W* are not given.
     diagnostics["lattice_nodes_v"] and ["lattice_nodes_wstar"] are the node
@@ -526,17 +589,18 @@ def solve_robin(data, curve, env, cell, plan, operators=None):
     V, W = _operators(curve, env, cell, plan, operators, timings)
     lattice_nodes = (V.lattice_nodes, W.lattice_nodes)
     diagnostics["residual_nodes"] = max(lattice_nodes)
-    sol = None
-    if V.by_fft and W.by_fft:
-        sol, rhs, residual = _two_grid_solve(data, curve, env, cell, (V, W), diagnostics, timings)
-    if sol is None:
-        with timed(timings, "system"):
-            system = assemble_robin_system(data, curve, env, cell, plan, operators=(V, W))
-            V = W = None  # V and W* are not needed past the system
-        sol, residual, estimate = _direct_solve(system, timings)
-        rhs = system.rhs
-        # a two-grid solve that fell back reports its coarse estimate
-        diagnostics.setdefault("condition_estimate", estimate)
+    K = _ainv_b(data.a.values, data.b.values)[1]
+    rhs = np.concatenate([robin_rhs(data, env, cell).reshape(-1), np.zeros(2)])
+    solver = _AugmentedSolver(
+        (V, W), curve, V.by_fft and W.by_fft, "discrete system",
+        "the admissibility conditions on (a, b) are likely violated beyond tolerance", timings)
+    sol = solver.solve(K, rhs, GMRES_FLOOR * np.linalg.norm(rhs))
+    diagnostics.update(solver.report)
+    # freed here, the two-grid set-up's memory is reused by the residuals and
+    # the field evaluation that follow; held to the return, it left them on
+    # fresh pages: 1.2e3 more page faults per solve and evaluation at N = 512
+    del solver
+    residual = _augmented_product((V, W), curve, K, sol) - rhs
     diagnostics["residual_on_node"] = float(np.max(np.abs(residual[:-2])))
     rep = _solution_rep(sol, data.B, curve, lattice_nodes,
                         max(np.max(np.abs(sol[-2:])), np.max(np.abs(rhs))),
@@ -546,41 +610,6 @@ def solve_robin(data, curve, env, cell, plan, operators=None):
             data, curve, env, cell, plan, rep.mu, rep.c, diagnostics["residual_nodes"]
         )
     return rep
-
-
-def _two_grid_solve(data, curve, env, cell, ops, diagnostics, timings):
-    """The augmented system by _TwoGrid.solve: (x or None, right-hand side, residual J x - b).
-
-    K = a^{-1} b and the tolerance GMRES_FLOOR |b|_2.  x is None, and the
-    residual too, when the solve is left to the fine LU; the coarse
-    estimate and the counts go to diagnostics either way.
-    """
-    with timed(timings, "two_grid_setup"):
-        K = _ainv_b(data.a.values, data.b.values)[1]
-        rhs = np.concatenate([robin_rhs(data, env, cell).reshape(-1), np.zeros(2)])
-        grid = _TwoGrid(*ops, curve, _COARSE_START)
-    with timed(timings, "two_grid_solve"):
-        x, iterations, diagnostics["condition_estimate"] = grid.solve(
-            K, rhs, GMRES_FLOOR * np.linalg.norm(rhs))
-    diagnostics["krylov_iterations"] = [iterations]
-    diagnostics["fine_factorizations"] = int(x is None)
-    return x, rhs, None if x is None else grid.product(K, x) - rhs
-
-
-def _direct_solve(system, timings):
-    """The dense LU solve of a DiscreteSystem: (x, residual A x - b, 1-norm condition estimate).
-
-    _full_rank_lu decides the rank ("lu"), then the back-substitution
-    ("back_solve").
-    """
-    with timed(timings, "lu"):
-        factors, estimate, _ = _full_rank_lu(
-            system.matrix, "discrete system",
-            "the admissibility conditions on (a, b) are likely violated beyond tolerance",
-        )
-    with timed(timings, "back_solve"):
-        x = sla.lu_solve(factors, system.rhs)
-    return x, system.matrix @ x - system.rhs, estimate
 
 
 def _operators(curve, env, cell, plan, operators, timings):

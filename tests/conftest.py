@@ -15,6 +15,11 @@ def pytest_report_header(config):
 @pytest.fixture
 def svdvals_calls(monkeypatch):
     """Count the singular value decompositions the solvers run (shapes, in call order)."""
+    return count_svdvals(monkeypatch)
+
+
+def count_svdvals(monkeypatch):
+    """The shapes of the singular value decompositions run from now on, in call order."""
     calls, svdvals = [], sla.svdvals
 
     def counted(a, *args, **kwargs):

@@ -449,3 +449,17 @@ def test_summary_of_a_two_grid_linear_solve(tmp_path):
     assert 1 <= int(summary["krylov_iterations"].strip("()")) <= robin.GMRES_CAP
     assert np.max(np.abs(np.array(summary["c"].strip("()").split(","), dtype=float)
                          - [0.3, -0.7])) < 1e-10
+
+
+def test_summary_of_a_fine_lu_linear_solve(tmp_path, capsys):
+    # at N = 64 the linear solve is the fine LU: summary.txt and stdout give
+    # the counts Newton gives, one fine LU, no GMRES iteration and no
+    # singular value decomposition
+    cfg = dict(MINIMAL, nodes=64, grid=[4, 4], out_dir=str(tmp_path / "out"))
+    assert main(["--config", _write(tmp_path, cfg)]) == 0
+    summary = _read_summary(cfg["out_dir"])
+    assert (summary["krylov_iterations"], summary["fine_factorizations"],
+            summary["rank_checks"]) == ("(0)", "1", "0")
+    out = capsys.readouterr().out
+    for key in ("rank_checks", "fine_factorizations", "krylov_iterations"):
+        assert f"{key}={summary[key]}\n" in out

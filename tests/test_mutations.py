@@ -1,7 +1,8 @@
 """Named mutants of the package, each with the checks that must catch it.
 
 A mutant is one monkeypatch of perilame.  Each of its checks passes on the
-package as it is and fails, by an AssertionError, with the mutant in place.
+package as it is and fails, by an AssertionError or a pytest failure such
+as pytest.raises' DID NOT RAISE, with the mutant in place.
 """
 
 import copy
@@ -15,12 +16,14 @@ from perilame.cell import CircleShape, discretize_curve
 from perilame.lattice import plan_lattice_sum
 from perilame.operators import assemble_single_layer, assemble_wstar
 from perilame.verify import run_property_suite
+from conftest import count_svdvals
 from test_nonlinear import ENV1, UNIT, coarse_jacobian_is_galerkin
 from test_operators import (
     matrices_are_the_eager_formula,
     products_agree_with_matrices,
     prolonged_products_agree_with_products,
 )
+import test_robin
 from test_robin import two_grid_solve_agrees_with_the_lu
 
 
@@ -61,6 +64,24 @@ def c_columns_by_injection(monkeypatch):
     monkeypatch.setattr(robin._TwoGrid, "factor", mutant)
 
 
+def restriction_without_scale(monkeypatch):
+    """The two-grid restricts by R = P^T, without the factor Nc / N, in R W* P and R P too."""
+    init = robin._TwoGrid.__init__
+
+    def mutant(self, V, W, curve):
+        init(self, V, W, curve)
+        self.R = (self.N / self.Nc) * self.R
+        self.base = (self.N / self.Nc) * self.base
+
+    monkeypatch.setattr(robin._TwoGrid, "__init__", mutant)
+
+
+def coarse_screen_skipped(monkeypatch):
+    """The two-grid runs GMRES on R J P whether or not the rank screen certifies it."""
+    factor = robin._TwoGrid.factor
+    monkeypatch.setattr(robin._TwoGrid, "factor", lambda self, K: factor(self, K)[:2] + (True,))
+
+
 def set_up_without_weights(monkeypatch):
     """The two-grid set-up's M = P_A^T diag(w) P taken without the weights, as P_A^T P."""
     prolonged = operators._prolonged_products
@@ -85,6 +106,16 @@ def property_passes(name):
     assert report.passed, (report.name, report.max_error)
 
 
+def weak_coupling_at_512(eps):
+    """test_two_grid_weak_coupling_falls_back_to_the_rank_rule[eps], with its fixtures made here."""
+    curve = discretize_curve(CircleShape([0.5, 0.5], 0.25), 512, UNIT)
+    plan = plan_lattice_sum(UNIT, ENV1, 1e-11)
+    ops = (assemble_single_layer(curve, ENV1, UNIT, plan), assemble_wstar(curve, ENV1, UNIT, plan))
+    with pytest.MonkeyPatch.context() as patched:
+        test_robin.test_two_grid_weak_coupling_falls_back_to_the_rank_rule(
+            lambda N: (curve, ops), plan, count_svdvals(patched), eps)
+
+
 def coarse_jacobian_at_128():
     curve = discretize_curve(CircleShape([0.5, 0.5], 0.25), 128, UNIT)
     plan = plan_lattice_sum(UNIT, ENV1, 1e-11)
@@ -95,10 +126,13 @@ def coarse_jacobian_at_128():
 # name: (mutant, checks).  The benchmark's circle at N = 512 has V and W*
 # applied by FFT (4 Nc <= N): the FFT products against the matrices, and
 # the matrices against the eager formula.  nonlinear-manufactured runs
-# Newton there; the Galerkin check is test_coarse_jacobian_is_galerkin[128].
-# The set-up's products are pinned to _products on the P x I columns on
-# circle-tol-1e-13 (V's and W*'s Nc 128, the two-grid's 64), and the linear
-# solve's stop by the ellipse at N = 512, where GMRES takes 10 iterations
+# Newton there; the Galerkin check, test_coarse_jacobian_is_galerkin[128],
+# sees the c columns and R's factor Nc / N.  The set-up's products are
+# pinned to _products on the P x I columns on circle-tol-1e-13 (V's and
+# W*'s Nc 128, the two-grid's 64), and the linear solve's stop by the
+# ellipse at N = 512, where GMRES takes 10 iterations.  Weakly coupled
+# Robin data at N = 512 (a = I, b = -eps I) must reach the fine LU and its
+# svdvals past the coarse screen: solved at eps = 1e-12, refused at 1e-13
 MUTANTS = {
     "kress-rule-dropped-from-v": (drop_the_kress_rule_from_v,
                                   (lambda: matrices_are_the_eager_formula("circle"),
@@ -106,6 +140,10 @@ MUTANTS = {
     "adjoint-by-injection": (adjoint_by_injection,
                              (lambda: products_agree_with_matrices("circle"),)),
     "c-columns-by-injection": (c_columns_by_injection, (coarse_jacobian_at_128,)),
+    "restriction-without-scale": (restriction_without_scale, (coarse_jacobian_at_128,)),
+    "coarse-screen-skipped": (coarse_screen_skipped,
+                              (lambda: weak_coupling_at_512(1e-13),
+                               lambda: weak_coupling_at_512(1e-12))),
     "set-up-without-weights": (set_up_without_weights,
                                (lambda: prolonged_products_agree_with_products(
                                    "circle-tol-1e-13"),)),
@@ -122,5 +160,5 @@ def test_check_catches_its_mutant(monkeypatch, name):
     with monkeypatch.context() as patched:
         mutate(patched)
         for check in checks:
-            with pytest.raises(AssertionError):
+            with pytest.raises((AssertionError, pytest.fail.Exception)):
                 check()

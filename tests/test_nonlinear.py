@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-import perilame.nonlinear as nonlinear
 import perilame.robin as robin
 from perilame.cell import CircleShape, EllipseShape, build_cell, discretize_curve
 from perilame.errors import ConvergenceError, DegenerateProblemError
@@ -508,10 +507,10 @@ def coarse_jacobian_is_galerkin(curve, V, W):
     t = curve.params
     U = np.column_stack([0.3 * np.cos(t), 0.2 * np.sin(2 * t)])
     K = -(1.0 + 0.5 * np.cos(40 * t))[:, None, None] * _saturating_law(curve, -0.8).jac(U)
-    Nc = nonlinear._COARSE_START
+    Nc = robin._COARSE_START
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(robin, "_lu_condition", copied)
-        nonlinear._TwoGrid(V, W, curve, Nc).factor(K)
+        robin._TwoGrid(V, W, curve).factor(K)
     P = trig_resample(np.eye(Nc), N)
     P2 = sla.block_diag(np.kron(P, np.eye(2)), np.eye(2))
     R2 = sla.block_diag(np.kron((Nc / N) * P.T, np.eye(2)), np.eye(2))
@@ -546,3 +545,27 @@ def test_condition_estimate_same_at_every_n(circle_ops, plan1):
         weak = estimate(N, lambda curve: affine_model(1e-8 * np.eye(2), _law_h(curve), curve),
                         np.zeros((2, 2)))
         assert weak > 1e7
+
+
+def test_both_solvers_report_one_set_of_counts(circle_ops, plan1):
+    # the linear solve is the fine LU at N = 64 and two-grid GMRES at
+    # N = 512, Newton two-grid GMRES at both: each solver reports the same
+    # keys on either path, and both report the augmented solve's counts
+    counts = {"condition_estimate", "krylov_iterations", "fine_factorizations", "rank_checks"}
+    B = np.diag([0.1, -0.05])
+    keys = {"linear": [], "newton": []}
+    for N in (64, 512):
+        curve, ops = circle_ops(N)
+        data = RobinData(a=constant_matrix_field(np.eye(2), curve),
+                         b=constant_matrix_field(-np.eye(2), curve),
+                         g=BoundaryVectorField(_law_h(curve), curve), B=B)
+        linear = solve_robin(data, curve, ENV1, UNIT, plan1, operators=ops).diagnostics
+        newton = solve_nonlinear_robin(_saturating_law(curve, -0.8), B, curve, ENV1, UNIT, plan1,
+                                       operators=ops).diagnostics
+        assert linear["fine_factorizations"] == (N == 64) and newton["fine_factorizations"] == 0
+        assert len(linear["krylov_iterations"]) == 1
+        assert len(newton["krylov_iterations"]) == newton["iterations"]
+        keys["linear"].append(set(linear))
+        keys["newton"].append(set(newton))
+    for solver, (at_64, at_512) in keys.items():
+        assert at_64 == at_512 and counts <= at_64, solver

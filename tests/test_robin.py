@@ -456,7 +456,7 @@ def test_two_grid_solve_agrees_with_the_lu(shape):
 def test_lu_solve_where_an_operator_is_dense(plan1, radius, N):
     # where an operator has 4 Nc > N (every N <= 128; the circle r = 0.45,
     # whose kernels need the N nodes) the solve is the LU of the augmented
-    # system, bit for bit, and reports no Krylov count
+    # system, bit for bit, and reports one fine LU and no Krylov iteration
     curve = discretize_curve(CircleShape([0.5, 0.5], radius), N, UNIT)
     ops = (assemble_single_layer(curve, ENV1, UNIT, plan1),
            assemble_wstar(curve, ENV1, UNIT, plan1))
@@ -465,7 +465,8 @@ def test_lu_solve_where_an_operator_is_dense(plan1, radius, N):
     x = _direct(data, curve, plan1, ops)[0]
     assert not all(op.by_fft for op in ops)
     assert np.array_equal(rep.mu.values.reshape(-1), x[:-2]) and np.array_equal(rep.c, x[-2:])
-    assert "krylov_iterations" not in rep.diagnostics
+    assert rep.diagnostics["krylov_iterations"] == [0]
+    assert rep.diagnostics["fine_factorizations"] == 1
 
 
 @pytest.mark.parametrize("kind", ["circle", "ellipse", "perturbed"])

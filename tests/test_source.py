@@ -229,8 +229,9 @@ def test_operator_matrices_are_read_where_they_are_factored():
     # V and W* apply by FFT where 4 Nc <= N (operators._products, whose
     # GEMV branch reads the matrix of the others); the dense matrix is read
     # where it is factored, robin's augmented system and auxiliary solve,
-    # and nonlinear reads none.  The linear solve reads the matrix of its
-    # DiscreteSystem, named system, only in its dense fallback.
+    # and nonlinear reads none.  The one augmented solve of both solvers
+    # reads the matrix of its DiscreteSystem, named system, only in its
+    # fine-LU path.
     readers = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -243,7 +244,7 @@ def test_operator_matrices_are_read_where_they_are_factored():
     assert operator_readers == {"operators.py:_products", "robin.py:augmented_matrix",
                                 "robin.py:solve_neumann_aux"}, operator_readers
     assert {where for where, receiver in readers if receiver == "system"} \
-        == {"robin.py:_direct_solve"}
+        == {"robin.py:_AugmentedSolver"}
 
 
 def test_one_dense_matrix_derivation():
@@ -262,11 +263,29 @@ def _definitions(name):
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name == name]
 
 
+def _imported_names(module):
+    """Names a package module imports: whole modules and the names it takes from modules."""
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"), filename=module)
+    return {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names}
+
+
 def test_one_two_grid_gmres():
     # GMRES and its two-grid preconditioner are written once, in robin, and
-    # both solvers build the two-grid and solve through it: the linear
-    # system and the Newton steps
+    # one object drives the augmented solve of both solvers, the linear
+    # system and the Newton steps: it alone builds the two-grid and falls
+    # back to the fine LU.  Besides it, only the auxiliary solve takes the
+    # rank-checked LU and only assemble_robin_system forms the augmented
+    # matrix; nonlinear imports neither, nor the two-grid, nor scipy.linalg
     assert _definitions("_gmres") == _definitions("_TwoGrid") == ["robin.py"]
     assert _call_sites("_gmres") == ["robin.py:_TwoGrid"]
-    assert sorted(_call_sites("_TwoGrid")) == ["nonlinear.py:solve_nonlinear_robin",
-                                               "robin.py:_two_grid_solve"]
+    assert _call_sites("_TwoGrid") == ["robin.py:_AugmentedSolver"]
+    assert sorted(_call_sites("_full_rank_lu")) == ["robin.py:_AugmentedSolver",
+                                                    "robin.py:solve_neumann_aux"]
+    assert sorted(_call_sites("augmented_matrix")) == ["robin.py:_AugmentedSolver",
+                                                       "robin.py:assemble_robin_system"]
+    assert sorted(_call_sites("_AugmentedSolver")) == ["nonlinear.py:solve_nonlinear_robin",
+                                                       "robin.py:solve_robin"]
+    imported = _imported_names("nonlinear.py")
+    assert not imported & {"_TwoGrid", "augmented_matrix", "_full_rank_lu", "scipy.linalg"}, \
+        imported
