@@ -94,17 +94,20 @@ def solve_nonlinear_robin(
     rounding cannot meet.
     Raises DegenerateProblemError on a rank-deficient Jacobian and
     ConvergenceError when max_iter steps do not meet tol.
-    Each step is one solve of robin._AugmentedSolver, a coarse LU of size
-    2 min(N, _COARSE_START) + 2 and a few GMRES iterations of one product of
-    V and W* each, or the fine LU it falls back to.  diagnostics holds its
+    Each step is one solve of robin._AugmentedSolver (robin's module
+    docstring), a coarse LU of size 2 min(N, _COARSE_START) + 2 and a few
+    GMRES iterations of one product of V and W* each, or the fine LU it
+    falls back to.  diagnostics holds its
     counts: ["krylov_iterations"] lists the GMRES iterations per step, 0 for
     a step the fine LU solved or whose residual was at the rounding floor
     already; ["condition_estimate"] is the coarse Jacobian's 1-norm estimate
     at the last step, certified or not; ["fine_factorizations"] counts the
     fallback's fine LUs and ["rank_checks"] those the screen left to the
     singular values.
-    diagnostics["timings"] holds the seconds of the iteration and, when V
-    and W* are not given, of their assembly; diagnostics["lattice_nodes_v"]
+    diagnostics["timings"] holds the seconds of each stage, summed over the
+    steps and none nested in another: "assembly" when V and W* are not
+    given; "residual", every evaluation of F and of the law's Jacobian, and
+    the SolutionRep; and the solver's stages.  diagnostics["lattice_nodes_v"]
     and ["lattice_nodes_wstar"] are as in robin.solve_robin.
     """
     if method != "newton":
@@ -116,38 +119,39 @@ def solve_nonlinear_robin(
 
     def residual(x):
         """The residual at x = (node-major mu, c): F at the nodes, then the zero-mean rows."""
-        mu, u, wmu, mean = _nodal_products((V, W), curve, x)
-        F, U = _equation(mu, u, wmu, model.fn, B, curve, env, cell)
-        return np.concatenate([F.reshape(-1), mean]), U
+        with timed(timings, "residual"):
+            mu, u, wmu, mean = _nodal_products((V, W), curve, x)
+            F, U = _equation(mu, u, wmu, model.fn, B, curve, env, cell)
+            return np.concatenate([F.reshape(-1), mean]), U
 
     x = np.zeros(2 * N + 2)
-
-    with timed(timings, "iteration"):
-        res, U = residual(x)
-        res_norm = np.max(np.abs(res))
-        trace = [res_norm]
-        solver = _AugmentedSolver(
-            (V, W), curve, True, "Newton Jacobian",
-            "nothing constrains the additive constant; refusing to invent a solution")
-        atol = GMRES_FLOOR * np.linalg.norm(res)
-        converged = False
-        update_norm = np.inf
-        for _ in range(max_iter):
-            step = solver.solve(-model.jac(U), res, max(GMRES_TOL * np.linalg.norm(res), atol))
-            lam = 1.0
-            for _ in range(6):
-                x_try = x - lam * step
-                res_try, U_try = residual(x_try)
-                if np.max(np.abs(res_try)) <= res_norm or lam <= 1.0 / 32.0:
-                    break
-                lam *= 0.5
-            update_norm = lam * np.max(np.abs(step))
-            x, res, U = x_try, res_try, U_try
-            res_norm = np.max(np.abs(res))
-            trace.append(res_norm)
-            if update_norm < tol * max(1.0, np.max(np.abs(x))):
-                converged = True
+    res, U = residual(x)
+    res_norm = np.max(np.abs(res))
+    trace = [res_norm]
+    solver = _AugmentedSolver(
+        (V, W), curve, True, "Newton Jacobian",
+        "nothing constrains the additive constant; refusing to invent a solution", timings)
+    atol = GMRES_FLOOR * np.linalg.norm(res)
+    converged = False
+    update_norm = np.inf
+    for _ in range(max_iter):
+        with timed(timings, "residual"):
+            K = -model.jac(U)
+        step = solver.solve(K, res, max(GMRES_TOL * np.linalg.norm(res), atol))
+        lam = 1.0
+        for _ in range(6):
+            x_try = x - lam * step
+            res_try, U_try = residual(x_try)
+            if np.max(np.abs(res_try)) <= res_norm or lam <= 1.0 / 32.0:
                 break
+            lam *= 0.5
+        update_norm = lam * np.max(np.abs(step))
+        x, res, U = x_try, res_try, U_try
+        res_norm = np.max(np.abs(res))
+        trace.append(res_norm)
+        if update_norm < tol * max(1.0, np.max(np.abs(x))):
+            converged = True
+            break
     if not converged:
         raise ConvergenceError(
             f"no convergence in {max_iter} Newton iterations "
@@ -158,5 +162,6 @@ def solve_nonlinear_robin(
 
     diagnostics = {"iterations": len(trace) - 1, "residual_on_node": float(res_norm),
                    "trace": trace, **solver.report}
-    return _solution_rep(x, B, curve, (V.lattice_nodes, W.lattice_nodes), np.max(np.abs(U)),
-                         diagnostics, timings)
+    with timed(timings, "residual"):
+        return _solution_rep(x, B, curve, (V.lattice_nodes, W.lattice_nodes),
+                             np.max(np.abs(U)), diagnostics, timings)

@@ -13,26 +13,46 @@ density and the additive constant c, and the displacement is reconstructed
 as u(x) = v[mu](x) + c + B q^{-1} x.
 
 The system is 1/2 I plus a compact part, and both Robin solvers solve it
-through one object, _AugmentedSolver: solve_robin with K = a^{-1} b, once,
-and every Newton step of nonlinear with K = -dG, the first included.  Its
-two-grid attempt is GMRES on the matrix-free system (_augmented_product:
-one product of V and W* and the nodal blocks K), right-preconditioned by a
-coarse Galerkin solve at Nc = min(N, _COARSE_START) nodes plus
-2 (r - P R r) on the modes the coarse grid does not carry (_TwoGrid); at
-Nc = N the preconditioner is J^{-1} and GMRES takes one iteration.  Its
-set-up is formed from V's and W*'s coarse factors
+through one object, _AugmentedSolver(ops, curve, two_grid, name, cause,
+timings): solve_robin with K = a^{-1} b, once, and every Newton step of
+nonlinear with K = -dG, the first included.  Where two_grid is set, it
+forms the two-grid set-up once ("two_grid_setup"): at
+Nc = min(N, _COARSE_START), P = operators._interpolation_matrix(Nc, N)
+interpolates coarse nodal values to the N nodes and R = (Nc / N) P^T
+restricts them, each on both components, the two c entries passing
+through; V P and R W* P come from V's and W*'s coarse factors
 (operators._prolonged_products), so no (2N)-square matrix is formed where
-V and W* act by FFT (4 Nc <= N, operators' DenseBoundaryOperator.by_fft).
-A Newton step takes it at every N and stops at GMRES_TOL of its residual
-or GMRES_FLOOR of the first: at most 12 iterations on the curves measured
-(circles r = 0.25 and 0.45, an ellipse), the same count at N = 128, 256
-and 512.  The linear solve takes it where V and W* act by FFT and stops at
-GMRES_FLOOR of the right-hand side, the level its LU's residual reaches:
-on the benchmark's circle at N = 256 to 1024, 10 to 12 iterations, with mu
-within 4.4e-15 of the LU's.  Elsewhere (every N <= 128; holes close to
-their images, whose kernels need the N nodes), and when the coarse screen
-or GMRES_CAP leaves a solve to it, the dense (2N + 2)-square system is
-factored by LU.
+V and W* act by FFT (4 Nc <= N, operators' DenseBoundaryOperator.by_fft),
+and the mean rows are w P.  Each solve then ("two_grid_solve") factors and
+screens the Galerkin coarse J, R J P = 1/2 R P + R W* P + R diag(K) V P with
+the c columns R K and the zero-mean rows w P, and runs GMRES on the
+matrix-free J (_augmented_product: one product of V and W* and the nodal
+blocks K), right-preconditioned by the coarse solution prolonged by P plus
+2 (r - P R r): on the modes the coarse grid does not carry, J is close to
+1/2 I (Atkinson, The Numerical Solution of Integral Equations of the Second
+Kind, ch. 6).  One iteration costs one _augmented_product, R, P and the LU
+solve of size 2 Nc + 2; at Nc = N, P and R are the identity, the
+preconditioner is J^{-1} and GMRES takes one iteration.  Where two_grid is
+not set, and when the coarse screen or GMRES_CAP leaves a solve to it, the
+dense (2N + 2)-square J is built ("system", a DiscreteSystem), factored
+with the rank rule below, naming J by name and cause when it refuses it
+("lu"), and back-solved ("back_solve").  Each stage adds its seconds to
+timings, the caller's diagnostics["timings"], in which no stage is nested
+in another.  Its report holds the counts both solvers return in
+diagnostics: condition_estimate (below); krylov_iterations, the GMRES
+iterations per solve, 0 for one the fine LU solved; fine_factorizations,
+the fine LUs; and rank_checks, those the screen left to the singular
+values.
+
+A Newton step takes the two-grid at every N and stops at GMRES_TOL of its
+residual or GMRES_FLOOR of the first: at most 12 iterations on the curves
+measured (circles r = 0.25 and 0.45, an ellipse), the same count at
+N = 128, 256 and 512.  The linear solve takes it where V and W* act by FFT
+and stops at GMRES_FLOOR of the right-hand side, the level its LU's
+residual reaches: on the benchmark's circle at N = 256 to 1024, 10 to 12
+iterations, with mu within 4.4e-15 of the LU's.  Elsewhere (every
+N <= 128; holes close to their images, whose kernels need the N nodes) it
+takes the fine LU.
 
 diagnostics["residual_off_node"] is the collocation residual at the N
 midpoints t_i + pi/N, with no reassembly at 2N and no N x N matrix:
@@ -245,9 +265,8 @@ def validate_robin_data(data, curve=None):
     }
 
 
-def _robin_law(a, b, g):
-    """The Robin law U -> a^{-1}(g - b U) for data a, b, g at some boundary points."""
-    ainv, ainv_b = _ainv_b(a, b)
+def _robin_law(ainv, ainv_b, g):
+    """The Robin law U -> a^{-1}(g - b U) at some boundary points, from a^{-1}, a^{-1} b and g."""
     ainv_g = np.einsum("nij,nj->ni", ainv, g)
     return lambda U: ainv_g - np.einsum("nij,nj->ni", ainv_b, U)
 
@@ -266,7 +285,7 @@ def _equation(mu, u, wmu, law, B, points, env, cell):
 
 def robin_rhs(data, env, cell):
     """Collocated right-hand side of the integral equation: -F at mu = 0, c = 0."""
-    law = _robin_law(data.a.values, data.b.values, data.g.values)
+    law = _robin_law(*_ainv_b(data.a.values, data.b.values), data.g.values)
     return -_equation(0.0, 0.0, 0.0, law, data.B, data.curve, env, cell)[0]
 
 
@@ -416,45 +435,48 @@ def _augmented_product(ops, curve, K, x):
     return np.concatenate([top.reshape(-1), mean])
 
 
-class _TwoGrid:
-    """Two-grid GMRES for the augmented J with nodal blocks K, at Nc = min(N, _COARSE_START).
+@contextmanager
+def timed(timings, stage):
+    """Add the wall time of the block to timings[stage], in seconds."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[stage] = timings.get(stage, 0.0) + time.perf_counter() - t0
 
-    P = operators._interpolation_matrix(Nc, N) interpolates coarse nodal
-    values to the N nodes and R = (Nc / N) P^T restricts them, each acting
-    on both components; the two c entries pass through.  The coarse J is
-    R J P, the Galerkin one: 1/2 R P + R W* P + R diag(K) V P with the c
-    columns R K and the zero-mean rows w P.  V P and R W* P are formed once
-    (operators._prolonged_products: from V's and W*'s stored form, with no
-    (2N)-square matrix, where they act by FFT), the rest per K.  On a
-    residual r the preconditioner returns the coarse solution prolonged by
-    P plus 2 (r - P R r): on the modes the coarse grid does not carry, J is
-    close to 1/2 I (Atkinson, The Numerical Solution of Integral Equations
-    of the Second Kind, ch. 6).  One GMRES iteration costs one
-    _augmented_product, R, P and the LU solve of size 2 Nc + 2.  At Nc = N,
-    P and R are the identity and R J P is J.
+
+class _AugmentedSolver:
+    """The one solve of the augmented J x = b for both Robin solvers (module docstring).
+
+    ops is (V, W*) on the curve.  Where two_grid is set, P, R, V P, R W* P
+    (in base, with 1/2 R P) and the mean rows w P are formed here, once.
     """
 
-    def __init__(self, V, W, curve):
-        N = curve.N
-        Nc = min(N, _COARSE_START)
-        self.ops, self.curve = (V, W), curve
-        self.P = _interpolation_matrix(Nc, N)
-        self.R = (Nc / N) * self.P.T
-        self.N, self.Nc = N, Nc
-        self.VP = _prolonged_products(V, Nc)
-        self.base = _prolonged_products(W, Nc, self.R).reshape(2 * Nc, 2 * Nc) \
-            + 0.5 * np.kron(self.R @ self.P, np.eye(2))
-        wP = curve.weights @ self.P
-        self.mean_rows = np.zeros((2, 2 * Nc + 2))
-        self.mean_rows[0, 0: 2 * Nc: 2] = wP
-        self.mean_rows[1, 1: 2 * Nc: 2] = wP
+    def __init__(self, ops, curve, two_grid, name, cause, timings):
+        self.ops, self.curve, self.two_grid = ops, curve, two_grid
+        self.name, self.cause, self.timings = name, cause, timings
+        self.report = {"condition_estimate": np.nan, "krylov_iterations": [],
+                       "fine_factorizations": 0, "rank_checks": 0}
+        if two_grid:
+            with timed(timings, "two_grid_setup"):
+                self.N = N = curve.N
+                self.Nc = Nc = min(N, _COARSE_START)
+                self.P = _interpolation_matrix(Nc, N)
+                self.R = (Nc / N) * self.P.T
+                self.VP = _prolonged_products(ops[0], Nc)
+                self.base = _prolonged_products(ops[1], Nc, self.R).reshape(2 * Nc, 2 * Nc) \
+                    + 0.5 * np.kron(self.R @ self.P, np.eye(2))
+                wP = curve.weights @ self.P
+                self.mean_rows = np.zeros((2, 2 * Nc + 2))
+                self.mean_rows[0, 0: 2 * Nc: 2] = wP
+                self.mean_rows[1, 1: 2 * Nc: 2] = wP
 
     def _restrict_rows(self, X):
         """R on the node-major rows of X, (2N, m) or (N, 2, m), as (2 Nc, m)."""
         return (self.R @ X.reshape(self.N, -1)).reshape(2 * self.Nc, -1)
 
     def factor(self, K):
-        """_screened_lu of R J P for the nodal blocks K."""
+        """_screened_lu of the coarse R J P for the nodal blocks K."""
         m = 2 * self.Nc
         Jc = np.empty((m + 2, m + 2), order="F")
         Jc[:m, :m] = self.base
@@ -472,77 +494,25 @@ class _TwoGrid:
         return np.concatenate([z_mu.reshape(-1), y[-2:]])
 
     def solve(self, K, b, atol):
-        """J^{-1} b for the nodal blocks K by GMRES to atol: (x, iterations, condition estimate).
-
-        The estimate is R J P's (_screened_lu), certified or not.  x is None,
-        with 0 iterations, when the coarse screen cannot certify R J P or
-        GMRES misses GMRES_CAP.
-        """
-        factors, estimate, certified = self.factor(K)
-        if certified:
-            x, iterations = _gmres(lambda v: _augmented_product(self.ops, self.curve, K, v),
-                                   lambda r: self.precondition(factors, r), b, atol)
-            if x is not None:
-                return x, iterations, estimate
-        return None, 0, estimate
-
-
-@contextmanager
-def timed(timings, stage):
-    """Record the wall time of the block as timings[stage], in seconds, unless timings is None."""
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        if timings is not None:
-            timings[stage] = time.perf_counter() - t0
-
-
-class _AugmentedSolver:
-    """The one solve of the augmented J x = b for both Robin solvers, and its counts.
-
-    ops is (V, W*) on the curve.  Where two_grid is set, each solve first
-    tries _TwoGrid (built once, here, as "two_grid_setup"; its coarse LU and
-    GMRES as "two_grid_solve"); otherwise, and when the coarse screen or
-    GMRES_CAP leaves the solve to it, the dense J is built ("system", a
-    DiscreteSystem), factored with the rank rule of _full_rank_lu, which
-    names J by name and cause when it refuses it ("lu"), and back-solved
-    ("back_solve").  The stages are timed into timings unless it is None.
-    report holds condition_estimate, the coarse R J P's 1-norm estimate of
-    the last solve where the two-grid ran, else the fine LU's;
-    krylov_iterations, the GMRES iterations per solve, 0 for one the fine
-    LU solved; fine_factorizations, the fine LUs; and rank_checks, those the
-    screen left to the singular values.
-    """
-
-    def __init__(self, ops, curve, two_grid, name, cause, timings=None):
-        self.ops, self.curve = ops, curve
-        self.name, self.cause, self.timings = name, cause, timings
-        self.grid = None
-        if two_grid:
-            with timed(timings, "two_grid_setup"):
-                self.grid = _TwoGrid(*ops, curve)
-        self.report = {"condition_estimate": np.nan, "krylov_iterations": [],
-                       "fine_factorizations": 0, "rank_checks": 0}
-
-    def solve(self, K, b, atol):
         """J^{-1} b for the nodal blocks K; GMRES, where it runs, stops at residual atol."""
         x, iterations = None, 0
-        if self.grid is not None:
+        if self.two_grid:
             with timed(self.timings, "two_grid_solve"):
-                x, iterations, self.report["condition_estimate"] = self.grid.solve(K, b, atol)
-        self.report["krylov_iterations"].append(iterations)
-        return self._fine_solve(K, b) if x is None else x
-
-    def _fine_solve(self, K, b):
-        """J^{-1} b by the rank-checked LU of the dense J."""
+                factors, self.report["condition_estimate"], certified = self.factor(K)
+                if certified:
+                    x, iterations = _gmres(
+                        lambda v: _augmented_product(self.ops, self.curve, K, v),
+                        lambda r: self.precondition(factors, r), b, atol)
+        self.report["krylov_iterations"].append(0 if x is None else iterations)
+        if x is not None:
+            return x
         with timed(self.timings, "system"):
             system = DiscreteSystem(augmented_matrix(K, *self.ops, self.curve), b)
         with timed(self.timings, "lu"):
             factors, estimate, certified = _full_rank_lu(system.matrix, self.name, self.cause)
         self.report["fine_factorizations"] += 1
         self.report["rank_checks"] += not certified
-        if self.grid is None:
+        if not self.two_grid:
             self.report["condition_estimate"] = estimate
         with timed(self.timings, "back_solve"):
             return sla.lu_solve(factors, system.rhs)
@@ -565,18 +535,19 @@ def density_tail_ratio(mu):
 def solve_robin(data, curve, env, cell, plan, operators=None):
     """Solve the linear Robin problem; returns the (mu, c, B) representation.
 
-    The augmented system, K = a^{-1} b, is solved once by _AugmentedSolver:
-    by two-grid GMRES to GMRES_FLOOR of the right-hand side where V and W*
-    both act by FFT (4 Nc <= N, DenseBoundaryOperator.by_fft), with no
-    (2N)-square matrix, else by the dense system's LU with partial pivoting.
-    diagnostics holds its stage timings and its counts (condition_estimate,
+    The augmented system, K = a^{-1} b, is solved once by _AugmentedSolver
+    (module docstring): by two-grid GMRES to GMRES_FLOOR of the right-hand
+    side where V and W* both act by FFT, else by the dense system's LU with
+    partial pivoting.  diagnostics holds its counts (condition_estimate,
     krylov_iterations, fine_factorizations, rank_checks), as
     nonlinear.solve_nonlinear_robin does, and residual_on_node from one
     more product of J (_augmented_product).  A numerically singular system
     (module docstring) raises DegenerateProblemError, a SolveError, since
     the solvability conditions are then violated beyond numerical tolerance.
     diagnostics["timings"] holds the seconds of each stage, none nested in
-    another; "assembly" is recorded when V and W* are not given.
+    another: "validate"; "assembly" when V and W* are not given; "rhs", K
+    and the right-hand side from one a^{-1}; the solver's stages;
+    "residual", residual_on_node and the SolutionRep; "off_node_residual".
     diagnostics["lattice_nodes_v"] and ["lattice_nodes_wstar"] are the node
     counts at which V's and W*'s smooth kernels, free-space split plus
     lattice part, were evaluated (DenseBoundaryOperator.lattice_nodes),
@@ -589,8 +560,11 @@ def solve_robin(data, curve, env, cell, plan, operators=None):
     V, W = _operators(curve, env, cell, plan, operators, timings)
     lattice_nodes = (V.lattice_nodes, W.lattice_nodes)
     diagnostics["residual_nodes"] = max(lattice_nodes)
-    K = _ainv_b(data.a.values, data.b.values)[1]
-    rhs = np.concatenate([robin_rhs(data, env, cell).reshape(-1), np.zeros(2)])
+    with timed(timings, "rhs"):
+        ainv, K = _ainv_b(data.a.values, data.b.values)
+        F0 = _equation(0.0, 0.0, 0.0, _robin_law(ainv, K, data.g.values), data.B, curve, env,
+                       cell)[0]
+        rhs = np.concatenate([-F0.reshape(-1), np.zeros(2)])
     solver = _AugmentedSolver(
         (V, W), curve, V.by_fft and W.by_fft, "discrete system",
         "the admissibility conditions on (a, b) are likely violated beyond tolerance", timings)
@@ -600,11 +574,12 @@ def solve_robin(data, curve, env, cell, plan, operators=None):
     # the field evaluation that follow; held to the return, it left them on
     # fresh pages: 1.2e3 more page faults per solve and evaluation at N = 512
     del solver
-    residual = _augmented_product((V, W), curve, K, sol) - rhs
-    diagnostics["residual_on_node"] = float(np.max(np.abs(residual[:-2])))
-    rep = _solution_rep(sol, data.B, curve, lattice_nodes,
-                        max(np.max(np.abs(sol[-2:])), np.max(np.abs(rhs))),
-                        diagnostics, timings)
+    with timed(timings, "residual"):
+        residual = _augmented_product((V, W), curve, K, sol) - rhs
+        diagnostics["residual_on_node"] = float(np.max(np.abs(residual[:-2])))
+        rep = _solution_rep(sol, data.B, curve, lattice_nodes,
+                            max(np.max(np.abs(sol[-2:])), np.max(np.abs(rhs))),
+                            diagnostics, timings)
     with timed(timings, "off_node_residual"):
         diagnostics["residual_off_node"] = _off_node_residual(
             data, curve, env, cell, plan, rep.mu, rep.c, diagnostics["residual_nodes"]
@@ -654,7 +629,8 @@ def _off_node_residual(data, curve, env, cell, plan, mu, c, nodes):
     a, b, g, mu_mid = (trig_resample(f.values, 2 * curve.N)[1::2]
                        for f in (data.a, data.b, data.g, mu))
     vmu, wmu = apply_at_midpoints(mu, mid, env, cell, plan, nodes)
-    res = _equation(mu_mid, vmu + c, wmu, _robin_law(a, b, g), data.B, mid, env, cell)[0]
+    res = _equation(mu_mid, vmu + c, wmu, _robin_law(*_ainv_b(a, b), g), data.B, mid,
+                    env, cell)[0]
     return float(np.max(np.abs(res)))
 
 

@@ -61,25 +61,26 @@ def c_columns_by_injection(monkeypatch):
         Jc[m:] = self.mean_rows
         return robin._screened_lu(Jc)
 
-    monkeypatch.setattr(robin._TwoGrid, "factor", mutant)
+    monkeypatch.setattr(robin._AugmentedSolver, "factor", mutant)
 
 
 def restriction_without_scale(monkeypatch):
     """The two-grid restricts by R = P^T, without the factor Nc / N, in R W* P and R P too."""
-    init = robin._TwoGrid.__init__
+    init = robin._AugmentedSolver.__init__
 
-    def mutant(self, V, W, curve):
-        init(self, V, W, curve)
+    def mutant(self, *args):
+        init(self, *args)
         self.R = (self.N / self.Nc) * self.R
         self.base = (self.N / self.Nc) * self.base
 
-    monkeypatch.setattr(robin._TwoGrid, "__init__", mutant)
+    monkeypatch.setattr(robin._AugmentedSolver, "__init__", mutant)
 
 
 def coarse_screen_skipped(monkeypatch):
     """The two-grid runs GMRES on R J P whether or not the rank screen certifies it."""
-    factor = robin._TwoGrid.factor
-    monkeypatch.setattr(robin._TwoGrid, "factor", lambda self, K: factor(self, K)[:2] + (True,))
+    factor = robin._AugmentedSolver.factor
+    monkeypatch.setattr(robin._AugmentedSolver, "factor",
+                        lambda self, K: factor(self, K)[:2] + (True,))
 
 
 def set_up_without_weights(monkeypatch):

@@ -245,7 +245,8 @@ def test_iteration_timing_and_tail_ratio(circle64, plan1, ops64):
         model, np.zeros((2, 2)), circle64, ENV1, UNIT, plan1,
         method="newton", operators=ops64,
     ).diagnostics
-    assert list(d["timings"]) == ["iteration"] and d["timings"]["iteration"] >= 0.0
+    assert list(d["timings"]) == ["residual", "two_grid_setup", "two_grid_solve"]
+    assert all(sec >= 0.0 for sec in d["timings"].values())
     # a smooth law on the resolved circle leaves almost nothing in the top modes
     assert 0.0 <= d["density_tail_ratio"] < 1e-10
 
@@ -510,7 +511,7 @@ def coarse_jacobian_is_galerkin(curve, V, W):
     Nc = robin._COARSE_START
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(robin, "_lu_condition", copied)
-        robin._TwoGrid(V, W, curve).factor(K)
+        robin._AugmentedSolver((V, W), curve, True, "Newton Jacobian", "", {}).factor(K)
     P = trig_resample(np.eye(Nc), N)
     P2 = sla.block_diag(np.kron(P, np.eye(2)), np.eye(2))
     R2 = sla.block_diag(np.kron((Nc / N) * P.T, np.eye(2)), np.eye(2))
@@ -569,3 +570,26 @@ def test_both_solvers_report_one_set_of_counts(circle_ops, plan1):
         keys["newton"].append(set(newton))
     for solver, (at_64, at_512) in keys.items():
         assert at_64 == at_512 and counts <= at_64, solver
+
+
+def test_both_solvers_time_the_same_stages(circle_ops, curve_ops, plan1, monkeypatch):
+    # at N = 512 both solvers solve by two-grid GMRES and name its work and
+    # their residuals alike; a Newton step left to the fine LU (GMRES_CAP
+    # patched below the ellipse's counts, as in
+    # test_gmres_cap_falls_back_to_the_fine_lu) adds the fine LU's stages
+    curve, ops = circle_ops(512)
+    B = np.diag([0.1, -0.05])
+    data = RobinData(a=constant_matrix_field(np.eye(2), curve),
+                     b=constant_matrix_field(-np.eye(2), curve),
+                     g=BoundaryVectorField(_law_h(curve), curve), B=B)
+    stages = {"two_grid_setup", "two_grid_solve", "residual"}
+    linear = solve_robin(data, curve, ENV1, UNIT, plan1, operators=ops).diagnostics
+    newton = solve_nonlinear_robin(_saturating_law(curve, -0.8), B, curve, ENV1, UNIT, plan1,
+                                   operators=ops).diagnostics
+    assert stages <= set(linear["timings"]) and set(newton["timings"]) == stages
+    curve, ops = curve_ops("ellipse", 128)
+    monkeypatch.setattr(robin, "GMRES_CAP", 4)
+    d = solve_nonlinear_robin(_saturating_law(curve, -0.8), B, curve, ENV1, UNIT, plan1,
+                              operators=ops).diagnostics
+    assert d["fine_factorizations"] >= 1
+    assert set(d["timings"]) == stages | {"system", "lu", "back_solve"}

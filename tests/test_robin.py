@@ -11,6 +11,7 @@ from perilame.cell import CircleShape, EllipseShape, build_cell, discretize_curv
 from perilame.errors import AdmissibilityError, DomainError, SingularArgumentError, SolveError
 from perilame.kernels import LameEnv, traction_map
 from perilame.lattice import plan_lattice_sum
+from perilame.nonlinear import saturating_model, solve_nonlinear_robin
 from perilame.operators import (
     BoundaryMatrixField,
     BoundaryVectorField,
@@ -403,8 +404,9 @@ def test_two_grid_weak_coupling_falls_back_to_the_rank_rule(circle_ops, plan1, s
         rep = solve_robin(data, curve, ENV1, UNIT, plan1, operators=ops)
         d = rep.diagnostics
         assert d["fine_factorizations"] == 1 and d["krylov_iterations"] == [0]
-        assert list(d["timings"]) == ["validate", "two_grid_setup", "two_grid_solve", "system",
-                                      "lu", "back_solve", "off_node_residual"]
+        assert list(d["timings"]) == ["validate", "rhs", "two_grid_setup", "two_grid_solve",
+                                      "system", "lu", "back_solve", "residual",
+                                      "off_node_residual"]
         assert np.max(np.abs(eps * rep.c - [-0.3, 0.1])) < 1e-9
         x = _direct(data, curve, plan1, ops)[0]
         assert np.array_equal(rep.mu.values.reshape(-1), x[:-2]) and np.array_equal(rep.c, x[-2:])
@@ -774,27 +776,37 @@ def test_density_tail_ratio_zero_for_rounding_level_density(circle64, plan1):
 
 def test_stage_timings_do_not_nest(circle64, plan1):
     # with V and W* assembled by the solver, each stage is counted once: the
-    # stages together take no longer than the call, for the LU at N = 64 and
-    # for two-grid GMRES at N = 512, whose stages are its own
+    # stages together take no longer than the call, for the linear solve by
+    # the LU at N = 64 and by two-grid GMRES at N = 512, whose stages are
+    # its own, and for Newton, whose stages add up over its steps, at both
     for curve in (circle64, discretize_curve(CircleShape([0.5, 0.5], 0.25), 512, UNIT)):
-        data = _data(curve, np.eye(2), -np.eye(2), [0.1, 0.0])
-        t0 = time.perf_counter()
-        timings = solve_robin(data, curve, ENV1, UNIT, plan1).diagnostics["timings"]
-        wall = time.perf_counter() - t0
-        assert sum(timings.values()) <= wall
-    assert list(timings) == ["validate", "assembly", "two_grid_setup", "two_grid_solve",
-                             "off_node_residual"]
+        t = curve.params
+        h = np.column_stack([0.3 + 0.2 * np.cos(t), -0.2 + 0.1 * np.sin(2 * t)])
+        solves = (
+            lambda: solve_nonlinear_robin(saturating_model(h, -0.8, curve), np.diag([0.1, -0.05]),
+                                          curve, ENV1, UNIT, plan1),
+            lambda: solve_robin(_data(curve, np.eye(2), -np.eye(2), [0.1, 0.0]), curve, ENV1,
+                                UNIT, plan1),
+        )
+        for solve in solves:
+            t0 = time.perf_counter()
+            timings = solve().diagnostics["timings"]
+            wall = time.perf_counter() - t0
+            assert sum(timings.values()) <= wall
+    assert list(timings) == ["validate", "assembly", "rhs", "two_grid_setup", "two_grid_solve",
+                             "residual", "off_node_residual"]
 
 
 def test_stage_timings(circle64, plan1):
     data = _data(circle64, np.eye(2), -np.eye(2), [0.1, 0.0])
     timings = solve_robin(data, circle64, ENV1, UNIT, plan1).diagnostics["timings"]
-    assert list(timings) == ["validate", "assembly", "system", "lu", "back_solve",
-                             "off_node_residual"]
+    assert list(timings) == ["validate", "assembly", "rhs", "system", "lu", "back_solve",
+                             "residual", "off_node_residual"]
     assert all(sec >= 0.0 for sec in timings.values())
     # given operators are not assembled, so no assembly stage is recorded
     operators = (assemble_single_layer(circle64, ENV1, UNIT, plan1),
                  assemble_wstar(circle64, ENV1, UNIT, plan1))
     timings = solve_robin(data, circle64, ENV1, UNIT, plan1,
                           operators=operators).diagnostics["timings"]
-    assert list(timings) == ["validate", "system", "lu", "back_solve", "off_node_residual"]
+    assert list(timings) == ["validate", "rhs", "system", "lu", "back_solve", "residual",
+                             "off_node_residual"]

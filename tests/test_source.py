@@ -272,14 +272,14 @@ def _imported_names(module):
 
 def test_one_two_grid_gmres():
     # GMRES and its two-grid preconditioner are written once, in robin, and
-    # one object drives the augmented solve of both solvers, the linear
-    # system and the Newton steps: it alone builds the two-grid and falls
-    # back to the fine LU.  Besides it, only the auxiliary solve takes the
-    # rank-checked LU and only assemble_robin_system forms the augmented
-    # matrix; nonlinear imports neither, nor the two-grid, nor scipy.linalg
-    assert _definitions("_gmres") == _definitions("_TwoGrid") == ["robin.py"]
-    assert _call_sites("_gmres") == ["robin.py:_TwoGrid"]
-    assert _call_sites("_TwoGrid") == ["robin.py:_AugmentedSolver"]
+    # one object is the augmented solve of both solvers, the linear system
+    # and the Newton steps: it alone builds the two-grid, runs GMRES and
+    # falls back to the fine LU.  Besides it, only the auxiliary solve takes
+    # the rank-checked LU and only assemble_robin_system forms the augmented
+    # matrix; nonlinear imports neither, nor scipy.linalg
+    assert _definitions("_gmres") == _definitions("_AugmentedSolver") == ["robin.py"]
+    assert _definitions("_TwoGrid") == []
+    assert _call_sites("_gmres") == ["robin.py:_AugmentedSolver"]
     assert sorted(_call_sites("_full_rank_lu")) == ["robin.py:_AugmentedSolver",
                                                     "robin.py:solve_neumann_aux"]
     assert sorted(_call_sites("augmented_matrix")) == ["robin.py:_AugmentedSolver",
@@ -287,5 +287,5 @@ def test_one_two_grid_gmres():
     assert sorted(_call_sites("_AugmentedSolver")) == ["nonlinear.py:solve_nonlinear_robin",
                                                        "robin.py:solve_robin"]
     imported = _imported_names("nonlinear.py")
-    assert not imported & {"_TwoGrid", "augmented_matrix", "_full_rank_lu", "scipy.linalg"}, \
+    assert not imported & {"augmented_matrix", "_full_rank_lu", "scipy.linalg"}, \
         imported
